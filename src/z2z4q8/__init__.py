@@ -22,7 +22,6 @@ from .constructions import (
 from .gray import (
     BinaryVector,
     CoordinatePermutation,
-    all_one,
     complement,
     distance,
     gray,

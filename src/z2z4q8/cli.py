@@ -153,18 +153,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_construct.set_defaults(func=_cmd_construct)
 
-    p_repro = sub.add_parser(
-        "reproduce", help="run the reference fixtures", parents=[common]
-    )
+    p_repro = sub.add_parser("reproduce", help="run the reference fixtures")
     p_repro.add_argument("case", nargs="*", help="case ids (default: all)")
     p_repro.set_defaults(func=_cmd_reproduce)
 
     p_cases = sub.add_parser("cases", help="list fixture case ids")
     p_cases.set_defaults(func=_cmd_cases)
 
-    p_search = sub.add_parser(
-        "search", help="seeded random construction search", parents=[common]
-    )
+    p_search = sub.add_parser("search", help="seeded random construction search")
     p_search.add_argument("--length", type=int, required=True)
     p_search.add_argument("--shape", type=int, choices=range(1, 6))
     p_search.add_argument("--seed", type=int, default=0)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 
 class Gf2Basis:
@@ -38,22 +38,3 @@ class Gf2Basis:
     @property
     def rank(self) -> int:
         return len(self._pivots)
-
-    def rows(self) -> List[int]:
-        return [self._pivots[p] for p in sorted(self._pivots)]
-
-
-def gf2_rank(rows: Iterable[int]) -> int:
-    return Gf2Basis(rows).rank
-
-
-def gf2_in_span(vec: int, rows: Iterable[int]) -> bool:
-    return Gf2Basis(rows).contains(vec)
-
-
-def gf2_span(rows: Iterable[int]) -> frozenset[int]:
-    """All vectors in the row span (use only for small ranks)."""
-    span = {0}
-    for row in Gf2Basis(rows).rows():
-        span |= {v ^ row for v in span}
-    return frozenset(span)

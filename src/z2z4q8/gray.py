@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Tuple
 
-from .groups import GroupSignature, GroupWord, u_element, word
+from .groups import GroupSignature, GroupWord, word
 
 # Gray images, packed little-endian within the coordinate block.
 # Z4: 0->(0,0) 1->(0,1) 2->(1,1) 3->(1,0)
@@ -207,7 +207,3 @@ def pi_of(w: GroupWord) -> CoordinatePermutation:
 def propelinear_product(w: GroupWord, v: BinaryVector) -> BinaryVector:
     """Left action of a codeword on Z2^n: Gray(w) + pi_w(v)."""
     return gray(w) ^ pi_of(w).apply(v)
-
-
-def all_one(sig: GroupSignature) -> BinaryVector:
-    return gray(u_element(sig))

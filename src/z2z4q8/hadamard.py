@@ -28,9 +28,11 @@ from .invariants import (
 from .subgroup import (
     CodeGroup,
     StandardGenSet,
-    _closure_set,
+    _closure,
+    _memoized,
     center,
     code_type,
+    gray_images,
     standard_generators,
     torsion_cosets,
     verify_standard,
@@ -41,6 +43,7 @@ class ClassificationError(RuntimeError):
     """A theorem-backed step of the shape analysis failed: arithmetic bug."""
 
 
+@_memoized
 def is_hadamard(C: CodeGroup) -> bool:
     """2n codewords on length n, weights exactly {0 once, n/2, n once}."""
     n = C.sig.n
@@ -623,7 +626,7 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
             "sigma >= delta + rho - epsilon - 1", lower, ct.sigma, ct.sigma >= lower
         )
     )
-    u_span = _closure_set({identity(C.sig)}, u_set)
+    u_span = _closure([identity(C.sig)], u_set)
     if u not in u_span:
         checks.append(
             BoundCheck(
@@ -746,7 +749,7 @@ def is_perfect(C: CodeGroup) -> bool:
     n = C.sig.n
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"perfect-code brute force needs n <= {_BRUTE_FORCE_LIMIT}")
-    return _is_perfect_set(frozenset(gray(w).bits for w in C.elements), n)
+    return _is_perfect_set(frozenset(gray_images(C).values()), n)
 
 
 def is_extended_perfect(C: CodeGroup, try_all_positions: bool = False) -> bool:
@@ -758,14 +761,14 @@ def is_extended_perfect(C: CodeGroup, try_all_positions: bool = False) -> bool:
     n = C.sig.n
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"perfect-code brute force needs n <= {_BRUTE_FORCE_LIMIT}")
-    images = [gray(w) for w in C.elements]
-    if any(v.weight() % 2 for v in images):
+    images = gray_images(C).values()
+    if any(b.bit_count() % 2 for b in images):
         return False
     positions = range(1, n + 1) if try_all_positions else (1,)
     for pos in positions:
         low_mask = (1 << (pos - 1)) - 1
         punctured = frozenset(
-            (v.bits & low_mask) | ((v.bits >> pos) << (pos - 1)) for v in images
+            (b & low_mask) | ((b >> pos) << (pos - 1)) for b in images
         )
         if len(punctured) == len(images) and _is_perfect_set(punctured, n - 1):
             return True

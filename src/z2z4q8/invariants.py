@@ -7,15 +7,16 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .gf2 import Gf2Basis
 from .gray import BinaryVector, gray, gray_inv
 from .groups import GroupWord, SignatureMismatch, commutator
 from .subgroup import (
-    DEFAULT_MAX_ORDER,
     CodeGroup,
     CodeType,
-    _closure_set,
+    _closure,
+    _memoized,
     code_type,
+    gray_basis,
+    gray_images,
     group_kernel,
     torsion,
     torsion_cosets,
@@ -32,34 +33,32 @@ def swapper(x: GroupWord, y: GroupWord) -> GroupWord:
     return gray_inv(gray(x) ^ gray(y) ^ gray(x * y), x.sig)
 
 
-def span_group(C: CodeGroup, max_order: int = DEFAULT_MAX_ORDER) -> CodeGroup:
+@_memoized
+def span_group(C: CodeGroup) -> CodeGroup:
     """D = <C u S(C)>, whose Gray image is the binary linear span of C.
 
     Swappers factor through products ([xy,z] = [x,z][y,z] and symmetric),
-    so generator-pair swappers already generate <S(C)>.
+    so generator-pair swappers already generate <S(C)>; they are central,
+    so closing C under them is a coset closure.
     """
-    if "span" not in C._cache:
-        gens = list(C.generators)
-        extra = []
-        for x in C.generators:
-            for y in C.generators:
-                s = swapper(x, y)
-                if not s.is_identity():
-                    extra.append(s)
-        elems = _closure_set(set(C.elements), extra)
-        if len(elems) > max_order:
-            raise RuntimeError(f"span order {len(elems)} exceeds {max_order}")
-        D = CodeGroup(C.sig, frozenset(elems), tuple(gens + extra))
-        # dual route: the Gray image must equal the GF(2) row space of C
-        basis = Gf2Basis(gray(w).bits for w in C.elements)
-        if D.log2_order != basis.rank:
-            raise RuntimeError(
-                f"span group order 2^{D.log2_order} != GF(2) rank {basis.rank}"
-            )
-        if any(not basis.contains(gray(w).bits) for w in D.elements):
-            raise RuntimeError("span group escapes the GF(2) row space")
-        C._cache["span"] = D
-    return C._cache["span"]
+    gens = list(C.generators)
+    extra = []
+    for x in C.generators:
+        for y in C.generators:
+            s = swapper(x, y)
+            if not s.is_identity():
+                extra.append(s)
+    elems = _closure(C.elements, extra, stage="span group")
+    D = CodeGroup(C.sig, frozenset(elems), tuple(gens + extra))
+    # dual route: the Gray image must equal the GF(2) row space of C
+    basis = gray_basis(C)
+    if D.log2_order != basis.rank:
+        raise RuntimeError(
+            f"span group order 2^{D.log2_order} != GF(2) rank {basis.rank}"
+        )
+    if any(not basis.contains(gray(w).bits) for w in D.elements):
+        raise RuntimeError("span group escapes the GF(2) row space")
+    return D
 
 
 def rank(C: CodeGroup) -> int:
@@ -67,6 +66,7 @@ def rank(C: CodeGroup) -> int:
     return span_group(C).log2_order
 
 
+@_memoized
 def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
     """K(Gray(C)) = {z : Gray(C) + z = Gray(C)}, by translation test.
 
@@ -74,28 +74,22 @@ def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
     code, so only codewords are tested; ``full_space`` scans all of Z2^n
     (for n <= 16).  The result is checked against Gray(K(C)).
     """
-    key = ("binary_kernel", full_space)
-    if key not in C._cache:
-        codewords = frozenset(gray(w).bits for w in C.elements)
-        n = C.sig.n
-        if full_space:
-            if n > 16:
-                raise ValueError(f"full-space kernel scan needs n <= 16, got n={n}")
-            candidates = range(1 << n)
-        else:
-            candidates = sorted(codewords)
-        members = frozenset(
-            BinaryVector(n, z)
-            for z in candidates
-            if all((c ^ z) in codewords for c in codewords)
-        )
-        group_route = frozenset(gray(w) for w in group_kernel(C).elements)
-        if members != group_route:
-            raise RuntimeError(
-                "translation-test kernel disagrees with the swapper kernel"
-            )
-        C._cache[key] = members
-    return C._cache[key]
+    images = gray_images(C)
+    codewords = frozenset(images.values())
+    n = C.sig.n
+    if full_space:
+        if n > 16:
+            raise ValueError(f"full-space kernel scan needs n <= 16, got n={n}")
+        candidates = range(1 << n)
+    else:
+        candidates = codewords
+    members = frozenset(
+        z for z in candidates if all((c ^ z) in codewords for c in codewords)
+    )
+    group_route = frozenset(images[w] for w in group_kernel(C).elements)
+    if members != group_route:
+        raise RuntimeError("translation-test kernel disagrees with the swapper kernel")
+    return frozenset(BinaryVector(n, z) for z in members)
 
 
 def kernel_dim(C: CodeGroup) -> int:
@@ -103,10 +97,10 @@ def kernel_dim(C: CodeGroup) -> int:
     return size.bit_length() - 1
 
 
+@_memoized
 def is_linear(C: CodeGroup) -> bool:
     """Gray(C) closed under addition, i.e. rank == log2|C|."""
-    basis = Gf2Basis(gray(w).bits for w in C.elements)
-    return basis.rank == C.log2_order
+    return gray_basis(C).rank == C.log2_order
 
 
 def is_abelian(C: CodeGroup) -> bool:
@@ -114,8 +108,15 @@ def is_abelian(C: CodeGroup) -> bool:
     return all(x * y == y * x for x in gens for y in gens)
 
 
+@_memoized
+def _weight_counts(C: CodeGroup) -> Tuple[Tuple[int, int], ...]:
+    counts = Counter(b.bit_count() for b in gray_images(C).values())
+    return tuple(sorted(counts.items()))
+
+
 def weight_distribution(C: CodeGroup) -> Dict[int, int]:
-    return dict(sorted(Counter(gray(w).weight() for w in C.elements).items()))
+    """Codeword count per Gray weight; a new dict on every call."""
+    return dict(_weight_counts(C))
 
 
 @dataclass(frozen=True)

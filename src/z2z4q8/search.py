@@ -65,8 +65,8 @@ def _random_abelian_base(length: int, rng: random.Random) -> CodeGroup:
     base = rng.choice(_seed_groups())
     while base.sig.n < length:
         if rng.random() < 0.5:
-            members = sorted(base.elements, key=lambda w: w.coords)
-            g = rng.choice(members) * _random_torsion_word(base.sig, rng)
+            g = rng.choice(base.sorted_elements())
+            g = g * _random_torsion_word(base.sig, rng)
         else:
             # an order-4 doubling element grows delta instead of sigma
             g = None
@@ -76,7 +76,7 @@ def _random_abelian_base(length: int, rng: random.Random) -> CodeGroup:
                     g = trial
                     break
             if g is None:
-                g = rng.choice(sorted(base.elements, key=lambda w: w.coords))
+                g = rng.choice(base.sorted_elements())
         base = generalized_kronecker(base, g).output
     return base
 
@@ -122,8 +122,8 @@ def search(
                 x = random_doubling_element(lifted.sig, rng)
                 C = extend(lifted, x)
             else:
-                members = sorted(base.elements, key=lambda w: w.coords)
-                g = rng.choice(members) * _random_torsion_word(base.sig, rng)
+                g = rng.choice(base.sorted_elements())
+                g = g * _random_torsion_word(base.sig, rng)
                 C = generalized_kronecker(base, g).output
         except (ConstructionError, ValueError):
             continue

@@ -1,16 +1,18 @@
 """Subgroup enumeration and structural subgroups T, Z, C', K.
 
 A ``CodeGroup`` is a fully enumerated subgroup together with the generators
-it was built from.  Structural queries are cached on the instance; element
-iteration order is always lexicographic on the coordinate tuples so that
-every derived choice (bases, generating sets, reports) is deterministic.
+it was built from.  Every derived fact is computed once and kept on the
+instance (``_memoized``); element iteration order is always lexicographic
+on the coordinate tuples so that every derived choice (bases, generating
+sets, reports) is deterministic.  Every closure runs through ``_closure``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import product as iter_product
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis
 from .gray import gray
@@ -21,6 +23,75 @@ DEFAULT_MAX_ORDER = 1 << 20
 
 class EnumerationLimit(RuntimeError):
     """Raised when a closure would exceed the configured maximum order."""
+
+
+_T = TypeVar("_T")
+
+
+def _memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
+    """Compute fn(C, ...) once per group and arguments, and keep it on C."""
+
+    @wraps(fn)
+    def memoized(C: "CodeGroup", *args, **kwargs) -> _T:
+        key = (fn, args, tuple(sorted(kwargs.items())))
+        cache = C._cache
+        if key not in cache:
+            cache[key] = fn(C, *args, **kwargs)
+        return cache[key]
+
+    return memoized
+
+
+def _closure(
+    base: Iterable[GroupWord],
+    gens: Sequence[GroupWord],
+    max_order: int = DEFAULT_MAX_ORDER,
+    stage: str = "subgroup",
+) -> set:
+    """<base, gens> for a subgroup ``base`` that the gens generate or normalize.
+
+    A worklist over right cosets base*r: each representative meets every
+    generator, and a product outside the cosets found so far brings in its
+    whole coset.  With base = {e} it is the element-by-element closure.
+    ``stage`` names the closure when it outgrows ``max_order``.
+    """
+    base = list(base)
+    others = [h for h in base if not h.is_identity()]
+    seen = set(base)
+    frontier = [base[0]]  # any element of base represents the coset base itself
+    while frontier:
+        rep = frontier.pop()
+        for g in gens:
+            nxt = rep * g
+            if nxt not in seen:
+                if len(seen) + len(base) > max_order:
+                    raise EnumerationLimit(
+                        f"{stage} order exceeds max_order={max_order}"
+                    )
+                seen.add(nxt)
+                for h in others:
+                    seen.add(h * nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def _first_independent(
+    start: Iterable[GroupWord], candidates: Iterable[GroupWord], order: int
+) -> List[GroupWord]:
+    """Candidates, in order, that each enlarge <start, picked so far>.
+
+    ``start`` is a subgroup normalized by every candidate; the scan stops at
+    ``order`` elements.
+    """
+    picked: List[GroupWord] = []
+    have = set(start)
+    for w in candidates:
+        if len(have) == order:
+            break
+        if w not in have:
+            picked.append(w)
+            have = _closure(have, picked)
+    return picked
 
 
 @dataclass(frozen=True)
@@ -74,7 +145,6 @@ class CodeGroup:
         order = len(elements)
         if order == 0 or order & (order - 1):
             raise ValueError(f"subgroup order {order} is not a power of 2")
-        self._sorted: Optional[List[GroupWord]] = None
         self._cache: dict = {}
 
     @classmethod
@@ -91,20 +161,7 @@ class CodeGroup:
         for g in gens[1:]:
             if g.sig != sig:
                 raise ValueError(f"inconsistent signatures {sig} and {g.sig}")
-        seen = {identity(sig)}
-        frontier = [identity(sig)]
-        while frontier:
-            element = frontier.pop()
-            for g in gens:
-                nxt = element * g
-                if nxt not in seen:
-                    if len(seen) >= max_order:
-                        raise EnumerationLimit(
-                            f"subgroup order exceeds max_order={max_order}"
-                        )
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return cls(sig, frozenset(seen), gens)
+        return cls(sig, frozenset(_closure([identity(sig)], gens, max_order)), gens)
 
     # -- basic container behaviour ------------------------------------
 
@@ -135,43 +192,17 @@ class CodeGroup:
     def __hash__(self) -> int:
         return hash((self.sig, self.elements))
 
+    @_memoized
     def sorted_elements(self) -> List[GroupWord]:
-        if self._sorted is None:
-            self._sorted = sorted(self.elements, key=lambda w: w.coords)
-        return self._sorted
+        return sorted(self.elements, key=lambda w: w.coords)
 
     def subgroup(self, elements: Iterable[GroupWord]) -> "CodeGroup":
         """Wrap an already-closed subset as a CodeGroup (with greedy gens)."""
         elems = frozenset(elements)
-        gens = _greedy_generators(self.sig, elems)
+        e = identity(self.sig)
+        ordered = sorted(elems, key=lambda w: w.coords)
+        gens = tuple(_first_independent([e], ordered, len(elems))) or (e,)
         return CodeGroup(self.sig, elems, gens)
-
-
-def _greedy_generators(
-    sig: GroupSignature, elements: frozenset
-) -> Tuple[GroupWord, ...]:
-    gens: List[GroupWord] = []
-    have = {identity(sig)}
-    for w in sorted(elements, key=lambda e: e.coords):
-        if w not in have:
-            gens.append(w)
-            have = _closure_set(have | {w}, gens)
-            if len(have) == len(elements):
-                break
-    return tuple(gens) if gens else (identity(sig),)
-
-
-def _closure_set(seed: set, gens: Sequence[GroupWord]) -> set:
-    seen = set(seed)
-    frontier = list(seed)
-    while frontier:
-        element = frontier.pop()
-        for g in gens:
-            nxt = element * g
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
 
 
 def generate(
@@ -180,37 +211,45 @@ def generate(
     return CodeGroup.generate(generators, max_order)
 
 
+@_memoized
+def gray_images(C: CodeGroup) -> Dict[GroupWord, int]:
+    """Gray image bits of every codeword."""
+    return {w: gray(w).bits for w in C.elements}
+
+
+@_memoized
+def gray_basis(C: CodeGroup) -> Gf2Basis:
+    """GF(2) row basis of Gray(C); callers only read it."""
+    return Gf2Basis(gray_images(C).values())
+
+
+@_memoized
 def torsion(C: CodeGroup) -> CodeGroup:
     """T(C) = {z in C : z^2 = e}; elementary abelian and central."""
-    if "torsion" not in C._cache:
-        C._cache["torsion"] = C.subgroup(w for w in C.elements if (w * w).is_identity())
-    return C._cache["torsion"]
+    return C.subgroup(w for w in C.elements if (w * w).is_identity())
 
 
+@_memoized
 def center(C: CodeGroup) -> CodeGroup:
     """Z(C), computed by testing commutation against the generators."""
-    if "center" not in C._cache:
-        gens = C.generators
-        C._cache["center"] = C.subgroup(
-            w for w in C.elements if all(w * g == g * w for g in gens)
-        )
-    return C._cache["center"]
+    gens = C.generators
+    return C.subgroup(w for w in C.elements if all(w * g == g * w for g in gens))
 
 
+@_memoized
 def commutator_subgroup(C: CodeGroup) -> CodeGroup:
     """C' = <(x, y) : x, y in C>.
 
     Commutators are central of order <= 2 and biadditive in each slot, so
     generator pairs already generate C'.
     """
-    if "commutator_subgroup" not in C._cache:
-        gens = C.generators
-        comms = [commutator(x, y) for x in gens for y in gens]
-        elems = _closure_set({identity(C.sig)}, [c for c in comms if not c.is_identity()])
-        C._cache["commutator_subgroup"] = C.subgroup(elems)
-    return C._cache["commutator_subgroup"]
+    gens = C.generators
+    comms = [commutator(x, y) for x in gens for y in gens]
+    nontrivial = [c for c in comms if not c.is_identity()]
+    return C.subgroup(_closure([identity(C.sig)], nontrivial))
 
 
+@_memoized
 def code_type(C: CodeGroup) -> CodeType:
     sigma = torsion(C).log2_order
     delta = center(C).log2_order - sigma
@@ -218,6 +257,7 @@ def code_type(C: CodeGroup) -> CodeType:
     return CodeType(sigma, delta, rho)
 
 
+@_memoized
 def standard_generators(C: CodeGroup) -> StandardGenSet:
     """Deterministic standard generating set (first-independent-wins).
 
@@ -225,8 +265,6 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     span of Gray(T(C)), y's to enlarge <T, ys> within Z(C), z's to enlarge
     <Z, zs> within C.  The unique-product property is verified.
     """
-    if "std_gens" in C._cache:
-        return C._cache["std_gens"]
     T = torsion(C)
     Z = center(C)
 
@@ -238,26 +276,13 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     if len(xs) != T.log2_order:
         raise RuntimeError("torsion basis extraction failed")
 
-    ys: List[GroupWord] = []
-    have = set(T.elements)
-    for w in Z.sorted_elements():
-        if w not in have:
-            ys.append(w)
-            have = _closure_set(have, [w])
-            if len(have) == Z.order:
-                break
-    zs: List[GroupWord] = []
-    have = set(Z.elements)
-    for w in C.sorted_elements():
-        if w not in have:
-            zs.append(w)
-            have = _closure_set(have, [w])
-            if len(have) == C.order:
-                break
+    # commutators have order <= 2, so they lie in T and every subgroup
+    # containing T is normal in C
+    ys = _first_independent(T.elements, Z.sorted_elements(), Z.order)
+    zs = _first_independent(Z.elements, C.sorted_elements(), C.order)
 
     gens = StandardGenSet(tuple(xs), tuple(ys), tuple(zs))
     verify_standard(C, gens)
-    C._cache["std_gens"] = gens
     return gens
 
 
@@ -315,22 +340,18 @@ def torsion_cosets(C: CodeGroup) -> List[GroupWord]:
     return reps
 
 
+@_memoized
 def group_kernel(C: CodeGroup, full: bool = False) -> CodeGroup:
     """K(C) = {x in C : the swapper [x, y] lies in C for every y in C}.
 
     Swappers are homomorphisms in each slot, so testing y over the
     generators suffices; ``full`` forces the |C|^2 cross-check.
     """
-    key = ("kernel", full)
-    if key not in C._cache:
-        from .invariants import swapper
+    from .invariants import swapper
 
-        probes = list(C.elements) if full else list(C.generators)
-        members = [
-            x for x in C.elements if all(swapper(x, y) in C for y in probes)
-        ]
-        K = C.subgroup(members)
-        if not torsion(C).elements <= K.elements:
-            raise RuntimeError("T(C) escaped K(C); swapper arithmetic is broken")
-        C._cache[key] = K
-    return C._cache[key]
+    probes = list(C.elements) if full else list(C.generators)
+    members = [x for x in C.elements if all(swapper(x, y) in C for y in probes)]
+    K = C.subgroup(members)
+    if not torsion(C).elements <= K.elements:
+        raise RuntimeError("T(C) escaped K(C); swapper arithmetic is broken")
+    return K

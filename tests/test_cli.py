@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from z2z4q8.cli import main
 from z2z4q8.fixtures import fixture_text
 
@@ -174,6 +176,15 @@ def test_search_deterministic(capsys):
     assert main(["search", "--length", "8", "--seed", "3", "--budget", "60"]) == 0
     assert capsys.readouterr().out == first
     assert "distinct codes found" in first
+
+
+def test_max_order_only_on_enumerating_commands(capsys):
+    # reproduce and search enumerate nothing from the command line
+    for argv in (["search", "--length", "16"], ["reproduce", "hadamard16-q8"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--max-order", "4"])
+        assert err.value.code == 2
+    assert "unrecognized arguments: --max-order 4" in capsys.readouterr().err
 
 
 def test_cli_subprocess_entry(tmp_path):

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 
 from z2z4q8 import (
     GroupSignature,
+    GroupWord,
     binary_kernel,
     check_bounds,
+    code_type,
     commutator,
     generate,
     gray,
     group_kernel,
     identity,
     is_abelian,
+    is_hadamard,
     is_linear,
     kernel_dim,
     rank,
@@ -209,6 +214,45 @@ def test_is_linear_and_abelian(pure_q8):
 
 def test_weight_distribution(hadamard16):
     assert weight_distribution(hadamard16) == {0: 1, 8: 30, 16: 1}
+
+
+def test_derived_facts_are_computed_once(monkeypatch):
+    """A second round of queries on one group multiplies no words and maps
+    no word through Gray: every fact is kept on the group."""
+    C = load_fixture("hadamard32_q8_shape5")  # a fresh group, nothing cached
+    calls = Counter()
+    mul, gray_map = GroupWord.__mul__, gray
+
+    def counting_mul(x, y):
+        calls["mul"] += 1
+        return mul(x, y)
+
+    def counting_gray(w):
+        calls["gray"] += 1
+        return gray_map(w)
+
+    monkeypatch.setattr(GroupWord, "__mul__", counting_mul)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "z2z4q8" and getattr(module, "gray", None) is gray_map:
+            monkeypatch.setattr(module, "gray", counting_gray)
+
+    def query():
+        return (
+            weight_distribution(C),
+            is_linear(C),
+            is_hadamard(C),
+            code_type(C),
+            rank(C),
+        )
+
+    first = query()
+    assert calls["mul"] > 0 and calls["gray"] > 0
+    calls.clear()
+    assert query() == first
+    assert calls == Counter()
+    # the caller owns the dict it gets; changing it leaves the group alone
+    first[0][1] = 1
+    assert 1 not in weight_distribution(C)
 
 
 def test_check_bounds_pure_code_tight(pure_q8):
