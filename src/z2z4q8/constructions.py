@@ -99,10 +99,10 @@ def extend(
     if n % 2:
         raise ConstructionError(f"binary length {n} is odd; no middle weight")
     for c in Cq.sorted_elements():
-        if gray(x * c).weight() != n // 2:
+        wt = gray(x * c).weight()
+        if wt != n // 2:
             raise ConstructionError(
-                f"weight condition fails at c={c}: |Gray(x c)| = "
-                f"{gray(x * c).weight()} != {n // 2}"
+                f"weight condition fails at c={c}: |Gray(x c)| = {wt} != {n // 2}"
             )
     out = CodeGroup.generate(tuple(Cq.generators) + (x,), max_order)
     if out.order != 2 * Cq.order:

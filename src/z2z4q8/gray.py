@@ -12,15 +12,24 @@ from typing import Iterable, Tuple
 
 from .groups import GroupSignature, GroupWord, word
 
-# Gray images, packed little-endian within the coordinate block.
+# Per kind: (block width, Gray block of each value, bit pairs of the block
+# that pi swaps for each value).  Blocks are packed little-endian.
 # Z4: 0->(0,0) 1->(0,1) 2->(1,1) 3->(1,0)
-_Z4_GRAY = (0b00, 0b10, 0b11, 0b01)
 # Q8: 1->(0,0,0,0) a->(0,1,0,1) a2->(1,1,1,1) a3->(1,0,1,0)
 #     b->(0,1,1,0) ab->(1,1,0,0) a2b->(1,0,0,1) a3b->(0,0,1,1)
-_Q8_GRAY = (0b0000, 0b1010, 0b1111, 0b0101, 0b0110, 0b0011, 0b1001, 0b1100)
-
-_Z4_GRAY_INV = {bits: v for v, bits in enumerate(_Z4_GRAY)}
-_Q8_GRAY_INV = {bits: v for v, bits in enumerate(_Q8_GRAY)}
+# Order-2 entries act as the identity; an order-4 Z4 entry swaps its bit
+# pair; an order-4 Q8 entry applies the double transposition of the cyclic
+# subgroup it generates, <a>, <b> or <ab>.
+_A, _B, _AB = ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))
+_KINDS = {
+    "z2": (1, (0b0, 0b1), ((), ())),
+    "z4": (2, (0b00, 0b10, 0b11, 0b01), ((), ((0, 1),), (), ((0, 1),))),
+    "q8": (
+        4,
+        (0b0000, 0b1010, 0b1111, 0b0101, 0b0110, 0b0011, 0b1001, 0b1100),
+        ((), _A, (), _A, _B, _AB, _B, _AB),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -83,31 +92,27 @@ def complement(v: BinaryVector) -> BinaryVector:
 
 
 @lru_cache(maxsize=None)
-def _offsets(sig: GroupSignature) -> Tuple[Tuple[int, int], ...]:
-    """(bit offset, bit width) of each coordinate block in the Gray image."""
+def _offsets(sig: GroupSignature) -> Tuple[tuple, ...]:
+    """The Gray map of ``sig``: per coordinate (bit offset, bit width, Gray
+    block of each value, value of each block, bit pairs that pi swaps for
+    each value, as absolute positions)."""
     out = []
     pos = 0
     for idx in range(sig.l):
-        width = {"z2": 1, "z4": 2, "q8": 4}[sig.kind(idx)]
-        out.append((pos, width))
+        width, blocks, pairs = _KINDS[sig.kind(idx)]
+        values = {block: value for value, block in enumerate(blocks)}
+        swaps = tuple(tuple((pos + p, pos + q) for p, q in ps) for ps in pairs)
+        out.append((pos, width, blocks, values, swaps))
         pos += width
     return tuple(out)
 
 
 def gray(w: GroupWord) -> BinaryVector:
     """Componentwise Gray map onto Z2^n."""
-    sig = w.sig
     bits = 0
-    for idx, ((pos, _), value) in enumerate(zip(_offsets(sig), w.coords)):
-        kind = sig.kind(idx)
-        if kind == "z2":
-            block = value
-        elif kind == "z4":
-            block = _Z4_GRAY[value]
-        else:
-            block = _Q8_GRAY[value]
-        bits |= block << pos
-    return BinaryVector(sig.n, bits)
+    for (pos, _, blocks, _, _), value in zip(_offsets(w.sig), w.coords):
+        bits |= blocks[value] << pos
+    return BinaryVector(w.sig.n, bits)
 
 
 def gray_inv(v: BinaryVector, sig: GroupSignature) -> GroupWord:
@@ -119,21 +124,15 @@ def gray_inv(v: BinaryVector, sig: GroupSignature) -> GroupWord:
     if v.n != sig.n:
         raise ValueError(f"vector length {v.n} does not match signature n={sig.n}")
     coords = []
-    for idx, (pos, width) in enumerate(_offsets(sig)):
+    for idx, (pos, width, _, values, _) in enumerate(_offsets(sig)):
         block = (v.bits >> pos) & ((1 << width) - 1)
-        kind = sig.kind(idx)
-        if kind == "z2":
-            coords.append(block)
-        elif kind == "z4":
-            coords.append(_Z4_GRAY_INV[block])
-        else:
-            value = _Q8_GRAY_INV.get(block)
-            if value is None:
-                raise ValueError(
-                    f"coordinate {idx + 1}: block {block:04b} is not a Gray "
-                    f"image of a Q8 element"
-                )
-            coords.append(value)
+        value = values.get(block)
+        if value is None:
+            raise ValueError(
+                f"coordinate {idx + 1}: block {block:04b} is not a Gray "
+                f"image of a Q8 element"
+            )
+        coords.append(value)
     return word(sig, coords)
 
 
@@ -177,30 +176,11 @@ class CoordinatePermutation:
 
 
 def pi_of(w: GroupWord) -> CoordinatePermutation:
-    """The coordinate permutation associated to a word.
-
-    Order-2 coordinates act as identity; an order-4 Z4 entry swaps its bit
-    pair; an order-4 Q8 entry acts as one of three double transpositions,
-    selected by which cyclic subgroup the entry generates.
-    """
-    sig = w.sig
-    image = list(range(sig.n))
-    for idx, ((pos, _), value) in enumerate(zip(_offsets(sig), w.coords)):
-        kind = sig.kind(idx)
-        if kind == "z4":
-            if value in (1, 3):
-                image[pos], image[pos + 1] = image[pos + 1], image[pos]
-        elif kind == "q8":
-            if value in (1, 3):  # a, a3
-                pairs = ((0, 1), (2, 3))
-            elif value in (4, 6):  # b, a2b
-                pairs = ((0, 2), (1, 3))
-            elif value in (5, 7):  # ab, a3b
-                pairs = ((0, 3), (1, 2))
-            else:
-                continue
-            for p, q in pairs:
-                image[pos + p], image[pos + q] = image[pos + q], image[pos + p]
+    """The coordinate permutation associated to a word (see ``_KINDS``)."""
+    image = list(range(w.sig.n))
+    for entry, value in zip(_offsets(w.sig), w.coords):
+        for p, q in entry[4][value]:
+            image[p], image[q] = image[q], image[p]
     return CoordinatePermutation(tuple(image))
 
 

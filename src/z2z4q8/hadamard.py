@@ -15,14 +15,12 @@ from math import ceil, comb, floor
 from typing import List, Optional, Sequence, Tuple
 
 from .gf2 import Gf2Basis
-from .gray import gray
 from .groups import GroupWord, commutator, identity, u_element
 from .invariants import (
     BoundCheck,
     BoundReport,
     kernel_dim,
     rank,
-    swapper,
     weight_distribution,
 )
 from .subgroup import (
@@ -30,8 +28,10 @@ from .subgroup import (
     StandardGenSet,
     _closure,
     _memoized,
+    _swapper_bits,
     center,
     code_type,
+    gray_codewords,
     gray_images,
     standard_generators,
     torsion_cosets,
@@ -206,6 +206,12 @@ def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
         _require(ct.rho == 0, "shape 1 needs rho = 0")
         return
     if tag == 2:
+        # u outside <z3^2..z_rho^2>, which the structure string needs, follows:
+        # z1^2 = (z1,z2) = u forces a pure-Q8 signature with z1_i, z2_i
+        # non-commuting in every coordinate; (z1,z_j) = (z2,z_j) = z_j^2 puts
+        # each tail coordinate in {+-1, +-z1_i z2_i}; so a tail product P with
+        # P^2 = u has z1 z2 P^-1 in T(C) <= Z(C), which verify_standard's
+        # independence of the z's modulo Z(C) rules out.
         _require(ct.delta == 0 and ct.rho >= 2, "shape 2 needs delta=0, rho>=2")
         _require(sq[0] == u and sq[1] == u, "shape 2 needs z1^2 = z2^2 = u")
         _require(commutator(zs[0], zs[1]) == u, "shape 2 needs (z1,z2) = u")
@@ -225,13 +231,14 @@ def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
     if tag == 3:
         _require(ct.delta == 0, "shape 3 needs delta = 0")
         _require(sq[0] == u, "shape 3 needs z1^2 = u")
-        tail_squares = Gf2Basis(gray(s).bits for s in sq[1:])
+        images = gray_images(C)
+        tail_squares = Gf2Basis(images[s] for s in sq[1:])
         _require(
             tail_squares.rank == ct.rho - 1,
             "shape 3 needs independent tail squares",
         )
         _require(
-            not tail_squares.contains(gray(u).bits),
+            not tail_squares.contains(images[u]),
             "shape 3 needs u outside <z2^2..z_rho^2>",
         )
         for i in range(1, ct.rho):
@@ -285,6 +292,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
     ngs = normalize_generators(C, base)
     ct = code_type(C)
     u = u_element(C.sig)
+    images = gray_images(C)
     trail: List[str] = []
 
     def finish(tag: int, zs: Sequence[GroupWord]) -> Shape:
@@ -342,8 +350,8 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
                 and commutator(zs[1], zs[-1]) == sq[-1],
                 "pair-versus-last commutators must equal the last square",
             )
-            tail = Gf2Basis(gray(s * s).bits for s in zs[2:])
-            if not tail.contains(gray(u).bits):
+            tail = Gf2Basis(images[s * s] for s in zs[2:])
+            if not tail.contains(images[u]):
                 return finish(2, zs)
             special = None
             for i in range(2, rho - 1):
@@ -432,7 +440,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
                     commutator(zs[i], zs[k]).is_identity(),
                     "tail generators with distinct squares must commute",
                 )
-        subset = _subset_with_square_product(zs[1:], u)
+        subset = _subset_with_square_product(images, zs[1:], u)
         if subset is not None:
             positions = [p + 1 for p in subset]
             merged = identity(C.sig)
@@ -457,12 +465,12 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
 
 
 def _subset_with_square_product(
-    zs: Sequence[GroupWord], target: GroupWord
+    images: dict, zs: Sequence[GroupWord], target: GroupWord
 ) -> Optional[Tuple[int, ...]]:
     """Smallest-lexicographic subset of z's whose squares multiply to target."""
     n = len(zs)
-    squares = [gray(z * z).bits for z in zs]
-    goal = gray(target).bits
+    squares = [images[z * z] for z in zs]
+    goal = images[target]
     for mask in range(1, 1 << n):
         acc = 0
         for i in range(n):
@@ -610,7 +618,8 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
         )
     lead = [zs[2 * t] for t in range(eps)]
     v_set = list(ngs.ys) + lead + list(zs[2 * eps:])
-    w_basis = Gf2Basis(gray(w * w).bits for w in v_set)
+    images = gray_images(C)
+    w_basis = Gf2Basis(images[w * w] for w in v_set)
     u_set = [w for w in v_set if w * w != u]
     lower = ct.delta + ct.rho - eps - 1
     checks.append(
@@ -657,7 +666,8 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
     """Pair and triple facts, exhausted over T-coset representatives.
 
     Squares, commutators and swappers are constant on T-cosets, so the
-    quotient scan is exhaustive at every code size.
+    quotient scan is exhaustive at every code size.  Swappers have order
+    <= 2, so pi is trivial on them and Gray(s1 * s2) = Gray(s1) + Gray(s2).
     """
     u = u_element(C.sig)
     # index in the transversal doubles as the GF(2) coordinate vector of
@@ -682,12 +692,11 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
         if sq != u.coords:
             by_square.setdefault(sq, []).append((vec, a))
 
-    triple2_bad = 0
-    for members in by_square.values():
-        vectors = Gf2Basis(vec for vec, _ in members)
-        if vectors.rank > 2:
-            triple2_bad += 1
+    triple2_bad = sum(
+        Gf2Basis(vec for vec, _ in members).rank > 2 for members in by_square.values()
+    )
 
+    images, codewords = gray_images(C), gray_codewords(C)
     triple3_bad = 0
     for members in by_square.values():
         for ai in range(len(members)):
@@ -698,9 +707,9 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
                 for _, c in reps:
                     if c * c == a * a:
                         continue
-                    s1 = swapper(a, c)
-                    s2 = swapper(b, c)
-                    if s1 not in C and s2 not in C and (s1 * s2) not in C:
+                    s1 = _swapper_bits(images, a, c)
+                    s2 = _swapper_bits(images, b, c)
+                    if codewords.isdisjoint((s1, s2, s1 ^ s2)):
                         triple3_bad += 1
     return [
         BoundCheck(
@@ -735,21 +744,16 @@ def _is_perfect_set(codewords: frozenset, n: int) -> bool:
     """Radius-1 spheres around the codewords partition Z2^n."""
     if len(codewords) * (n + 1) != 1 << n:
         return False
-    covered = set()
-    for c in codewords:
-        ball = [c] + [c ^ (1 << i) for i in range(n)]
-        for v in ball:
-            if v in covered:
-                return False
-            covered.add(v)
-    return len(covered) == 1 << n
+    # the balls have n + 1 words each, so they partition iff they cover
+    balls = {c ^ e for c in codewords for e in (0, *(1 << i for i in range(n)))}
+    return len(balls) == 1 << n
 
 
 def is_perfect(C: CodeGroup) -> bool:
     n = C.sig.n
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"perfect-code brute force needs n <= {_BRUTE_FORCE_LIMIT}")
-    return _is_perfect_set(frozenset(gray_images(C).values()), n)
+    return _is_perfect_set(gray_codewords(C), n)
 
 
 def is_extended_perfect(C: CodeGroup, try_all_positions: bool = False) -> bool:
@@ -761,15 +765,15 @@ def is_extended_perfect(C: CodeGroup, try_all_positions: bool = False) -> bool:
     n = C.sig.n
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"perfect-code brute force needs n <= {_BRUTE_FORCE_LIMIT}")
-    images = gray_images(C).values()
-    if any(b.bit_count() % 2 for b in images):
+    codewords = gray_codewords(C)
+    if any(b.bit_count() % 2 for b in codewords):
         return False
     positions = range(1, n + 1) if try_all_positions else (1,)
     for pos in positions:
         low_mask = (1 << (pos - 1)) - 1
         punctured = frozenset(
-            (b & low_mask) | ((b >> pos) << (pos - 1)) for b in images
+            (b & low_mask) | ((b >> pos) << (pos - 1)) for b in codewords
         )
-        if len(punctured) == len(images) and _is_perfect_set(punctured, n - 1):
+        if len(punctured) == len(codewords) and _is_perfect_set(punctured, n - 1):
             return True
     return False

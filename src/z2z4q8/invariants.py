@@ -16,6 +16,7 @@ from .subgroup import (
     _memoized,
     code_type,
     gray_basis,
+    gray_codewords,
     gray_images,
     group_kernel,
     torsion,
@@ -56,7 +57,8 @@ def span_group(C: CodeGroup) -> CodeGroup:
         raise RuntimeError(
             f"span group order 2^{D.log2_order} != GF(2) rank {basis.rank}"
         )
-    if any(not basis.contains(gray(w).bits) for w in D.elements):
+    outside = [gray(w).bits for w in D.elements - C.elements]
+    if not all(map(basis.contains, [*gray_images(C).values(), *outside])):
         raise RuntimeError("span group escapes the GF(2) row space")
     return D
 
@@ -74,15 +76,11 @@ def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
     code, so only codewords are tested; ``full_space`` scans all of Z2^n
     (for n <= 16).  The result is checked against Gray(K(C)).
     """
-    images = gray_images(C)
-    codewords = frozenset(images.values())
+    images, codewords = gray_images(C), gray_codewords(C)
     n = C.sig.n
-    if full_space:
-        if n > 16:
-            raise ValueError(f"full-space kernel scan needs n <= 16, got n={n}")
-        candidates = range(1 << n)
-    else:
-        candidates = codewords
+    if full_space and n > 16:
+        raise ValueError(f"full-space kernel scan needs n <= 16, got n={n}")
+    candidates = range(1 << n) if full_space else codewords
     members = frozenset(
         z for z in candidates if all((c ^ z) in codewords for c in codewords)
     )
@@ -197,11 +195,12 @@ def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
     square_weight_bad = 0
     commuting_squares_bad = 0
     T = torsion(C)
+    images = gray_images(C)
     for a in reps:
-        wa = gray(a * a).weight()
+        wa = images[a * a].bit_count()
         for b in reps:
             c = commutator(a, b)
-            if gray(c).weight() > wa:
+            if images[c].bit_count() > wa:
                 square_weight_bad += 1
             if c.is_identity() and (a * b) not in T and a * a == b * b:
                 commuting_squares_bad += 1

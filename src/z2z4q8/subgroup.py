@@ -218,6 +218,17 @@ def gray_images(C: CodeGroup) -> Dict[GroupWord, int]:
 
 
 @_memoized
+def gray_codewords(C: CodeGroup) -> frozenset:
+    """Gray(C) as a set of image bits."""
+    return frozenset(gray_images(C).values())
+
+
+def _swapper_bits(images: Dict[GroupWord, int], x: GroupWord, y: GroupWord) -> int:
+    """Gray bits of the swapper [x, y] for x, y in C: Gray(x)+Gray(y)+Gray(xy)."""
+    return images[x] ^ images[y] ^ images[x * y]
+
+
+@_memoized
 def gray_basis(C: CodeGroup) -> Gf2Basis:
     """GF(2) row basis of Gray(C); callers only read it."""
     return Gf2Basis(gray_images(C).values())
@@ -268,10 +279,11 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     T = torsion(C)
     Z = center(C)
 
+    images = gray_images(C)
     xs: List[GroupWord] = []
     basis = Gf2Basis()
     for w in T.sorted_elements():
-        if not w.is_identity() and basis.add(gray(w).bits):
+        if not w.is_identity() and basis.add(images[w]):
             xs.append(w)
     if len(xs) != T.log2_order:
         raise RuntimeError("torsion basis extraction failed")
@@ -345,12 +357,16 @@ def group_kernel(C: CodeGroup, full: bool = False) -> CodeGroup:
     """K(C) = {x in C : the swapper [x, y] lies in C for every y in C}.
 
     Swappers are homomorphisms in each slot, so testing y over the
-    generators suffices; ``full`` forces the |C|^2 cross-check.
+    generators suffices; ``full`` forces the |C|^2 cross-check.  Gray is
+    injective, so [x, y] lies in C exactly when its Gray bits lie in Gray(C).
     """
-    from .invariants import swapper
-
+    images, codewords = gray_images(C), gray_codewords(C)
     probes = list(C.elements) if full else list(C.generators)
-    members = [x for x in C.elements if all(swapper(x, y) in C for y in probes)]
+    members = [
+        x
+        for x in C.elements
+        if all(_swapper_bits(images, x, y) in codewords for y in probes)
+    ]
     K = C.subgroup(members)
     if not torsion(C).elements <= K.elements:
         raise RuntimeError("T(C) escaped K(C); swapper arithmetic is broken")

@@ -1,0 +1,38 @@
+"""The narrative demos run to completion and print their story.
+
+``demos/06_search.py`` is left out: it takes seconds, and
+``test_length16_rank_cap_and_search`` covers the search path it shows.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = [
+    "01_group_arithmetic.py",
+    "02_pure_quaternionic_code.py",
+    "03_hadamard_shapes.py",
+    "04_lift_and_extend.py",
+    "05_kronecker.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

@@ -15,12 +15,15 @@ from z2z4q8 import (
     is_hadamard,
     is_perfect,
     kernel_dim,
+    gray,
     normalize_generators,
     rank,
     u_element,
     word_from_tokens,
 )
 from z2z4q8.fixtures import load_fixture
+from z2z4q8.gf2 import Gf2Basis
+from z2z4q8.groups import Q8_MUL
 from z2z4q8.hadamard import _pair_reorder
 from z2z4q8.subgroup import verify_standard
 
@@ -370,3 +373,36 @@ def test_shape1_z4linear_exact_values():
     assert classify_shape(C).tag == 1
     assert kernel_dim(C) == ct.sigma + 1
     assert rank(C) == ct.sigma + ct.delta + (ct.delta - 1) * (ct.delta - 2) // 2
+
+
+SHAPE2_FIXTURES = [
+    "ext_hamming8_q8q8",
+    "hadamard16_q8",
+    "hadamard32_q8_rank7",
+    "kronecker32_plain",
+    "lift_extend_hadamard16_k3",
+    "lift_extend_linear16",
+]
+
+
+@pytest.mark.parametrize("name", SHAPE2_FIXTURES)
+def test_shape2_witness_keeps_u_outside_tail_square_span(name):
+    """The shape-2 structure needs u outside <z3^2..z_rho^2>, which the
+    checked relations already force (see the tag-2 branch of _verify_shape):
+    z1^2 = (z1,z2) = u makes the signature pure Q8 with z1_i, z2_i
+    non-commuting in every coordinate, and (z1,z_j) = (z2,z_j) = z_j^2 puts
+    every tail coordinate in {+-1, +-z1_i z2_i}.  Each step is recomputed
+    here from the witness words."""
+    C = load_fixture(name)
+    shape = classify_shape(C)
+    assert shape.tag == 2
+    zs = shape.witness.zs
+    assert (C.sig.k1, C.sig.k2) == (0, 0)
+    a2 = 2  # the order-2 element of Q8 in the a^i b^j encoding
+    for i, (p, q) in enumerate(zip(zs[0].coords, zs[1].coords)):
+        assert Q8_MUL[p][q] != Q8_MUL[q][p]
+        pq = Q8_MUL[p][q]
+        for z in zs[2:]:
+            assert z.coords[i] in {0, a2, pq, Q8_MUL[pq][a2]}
+    tail_squares = Gf2Basis(gray(z * z).bits for z in zs[2:])
+    assert not tail_squares.contains(gray(u_element(C.sig)).bits)

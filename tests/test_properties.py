@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from z2z4q8 import (
     GroupSignature,
     binary_kernel,
@@ -11,25 +14,32 @@ from z2z4q8 import (
     classify_shape,
     code_type,
     extend,
+    format_generators,
     generate,
     gray,
+    gray_inv,
     group_kernel,
     hadamard_bounds,
     identity,
     is_hadamard,
     is_linear,
     kernel_dim,
+    parse_generators,
+    pi_of,
     random_doubling_element,
     rank,
     structural_converse_check,
+    swapper,
     u_element,
     word,
+    word_from_tokens,
     xi_lift,
 )
 from z2z4q8.constructions import generalized_kronecker
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
+from z2z4q8.subgroup import _swapper_bits, gray_images
 
 from conftest import random_subgroup
 
@@ -218,3 +228,83 @@ def test_type_chain_consistency_random():
         u = u_element(sig)
         if is_hadamard(C):
             assert u in C
+
+
+# -- hypothesis properties over single-kind and mixed signatures (l <= 4) --
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, deadline=None, max_examples=40
+)
+
+_counts = st.integers(1, 4)
+_mixed = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).filter(
+    lambda ks: sum(1 for k in ks if k) >= 2 and sum(ks) <= 4
+)
+signatures = st.one_of(
+    _counts.map(lambda k: GroupSignature(k, 0, 0)),
+    _counts.map(lambda k: GroupSignature(0, k, 0)),
+    _counts.map(lambda k: GroupSignature(0, 0, k)),
+    _mixed.map(lambda ks: GroupSignature(*ks)),
+)
+
+
+def words_of(sig: GroupSignature):
+    mods = [2] * sig.k1 + [4] * sig.k2 + [8] * sig.k3
+    return st.tuples(*(st.integers(0, m - 1) for m in mods)).map(
+        lambda coords: word(sig, coords)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_gray_inverse_and_propelinear_product(data):
+    sig = data.draw(signatures)
+    x, y = data.draw(words_of(sig)), data.draw(words_of(sig))
+    assert gray_inv(gray(x), sig) == x
+    assert gray(x * y) == gray(x) ^ pi_of(x).apply(gray(y))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_table_swapper_bits_match_swapper(data):
+    sig = data.draw(signatures)
+    gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
+    C = generate(gens)
+    words = C.sorted_elements()
+    images = gray_images(C)
+    for _ in range(4):
+        x = words[data.draw(st.integers(0, len(words) - 1))]
+        y = words[data.draw(st.integers(0, len(words) - 1))]
+        assert _swapper_bits(images, x, y) == gray(swapper(x, y)).bits
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_generator_files_round_trip(data):
+    sig = data.draw(signatures)
+    words = data.draw(st.lists(words_of(sig), min_size=1, max_size=4))
+    assert parse_generators(format_generators(sig, words)) == (sig, words)
+
+
+def _exponent_token(letter: str, e: int, caret: bool) -> str:
+    if e == 1 and not caret:
+        return letter
+    return f"{letter}^{e}" if caret else f"{letter}{e}"
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 7), st.integers(0, 5), st.booleans(), st.booleans())
+def test_property_noncanonical_q8_tokens_normalise(i, j, caret_a, caret_b):
+    """a^i b^j in any spelling (b3, a^2b, a5b^2, ...) parses to its product."""
+    parts = []
+    if i:
+        parts.append(_exponent_token("a", i, caret_a))
+    if j:
+        parts.append(_exponent_token("b", j, caret_b))
+    token = "".join(parts) or "1"
+    sig = GroupSignature(0, 0, 1)
+    a, b = word_from_tokens(sig, ("a",)), word_from_tokens(sig, ("b",))
+    expected = a ** i * b ** j
+    _, (parsed,) = parse_generators(f"sig 0 0 1\ngen {token}\n")
+    assert parsed == expected
+    assert parse_generators(format_generators(sig, [parsed])) == (sig, [parsed])

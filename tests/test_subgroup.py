@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -14,16 +17,19 @@ from z2z4q8 import (
     code_type,
     commutator_subgroup,
     generate,
+    gray,
+    gray_inv,
     group_kernel,
     identity,
     standard_generators,
+    swapper,
     torsion,
     torsion_cosets,
     word,
     word_from_tokens,
 )
 from z2z4q8.fixtures import load_fixture
-from z2z4q8.subgroup import verify_standard
+from z2z4q8.subgroup import gray_images, verify_standard
 
 from conftest import Q8, q8_word, random_subgroup
 
@@ -175,6 +181,77 @@ def test_group_kernel_of_hadamard16(hadamard16):
     assert K.elements == torsion(hadamard16).elements
     # generator-probe route agrees with the full quadratic scan
     assert group_kernel(hadamard16, full=True).elements == K.elements
+
+
+def _word_level_kernel(C):
+    """{x in C : swapper(x, y) in C for all y in C}, through the public swapper."""
+    return frozenset(
+        x for x in C.elements if all(swapper(x, y) in C for y in C.elements)
+    )
+
+
+SHIPPED_FIXTURES = sorted(
+    f.name[: -len(".gens")]
+    for f in resources.files("z2z4q8").joinpath("fixtures").iterdir()
+    if f.name.endswith(".gens")
+)
+
+
+def test_group_kernel_matches_word_level_reference_on_fixtures():
+    checked = 0
+    for name in SHIPPED_FIXTURES:
+        C = load_fixture(name)
+        if C.order > 64:
+            continue
+        reference = _word_level_kernel(C)
+        assert group_kernel(C).elements == reference, name
+        assert group_kernel(C, full=True).elements == reference, name
+        checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [
+        GroupSignature(4, 0, 0),
+        GroupSignature(0, 3, 0),
+        GroupSignature(0, 0, 2),
+        GroupSignature(1, 1, 1),
+        GroupSignature(2, 2, 1),
+    ],
+    ids=str,
+)
+def test_group_kernel_matches_word_level_reference_on_random_groups(sig):
+    rng = random.Random(sig.k1 * 100 + sig.k2 * 10 + sig.k3)
+    for _ in range(12):
+        C = random_subgroup(sig, rng, rng.choice((1, 2, 3)), max_order=64)
+        reference = _word_level_kernel(C)
+        assert group_kernel(C).elements == reference
+        assert group_kernel(C, full=True).elements == reference
+
+
+def test_group_kernel_reads_the_gray_table(monkeypatch):
+    """Once Gray(C) is tabled, both kernel routes map no word either way."""
+    C = load_fixture("hadamard32_q8_shape5")  # a fresh group, nothing cached
+    gray_images(C)
+    calls = Counter()
+    originals = {"gray": gray, "gray_inv": gray_inv}
+
+    def counting(name):
+        def call(*args):
+            calls[name] += 1
+            return originals[name](*args)
+
+        return call
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "z2z4q8":
+            for name, fn in originals.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name))
+    group_kernel(C)
+    group_kernel(C, full=True)
+    assert calls == Counter()
 
 
 def test_group_kernel_abelian_z4():
