@@ -10,25 +10,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Tuple
 
-from .groups import GroupSignature, GroupWord, word
+from .groups import GroupSignature, GroupWord, _tables
 
-# Per kind: (block width, Gray block of each value, bit pairs of the block
-# that pi swaps for each value).  Blocks are packed little-endian.
-# Z4: 0->(0,0) 1->(0,1) 2->(1,1) 3->(1,0)
-# Q8: 1->(0,0,0,0) a->(0,1,0,1) a2->(1,1,1,1) a3->(1,0,1,0)
-#     b->(0,1,1,0) ab->(1,1,0,0) a2b->(1,0,0,1) a3b->(0,0,1,1)
-# Order-2 entries act as the identity; an order-4 Z4 entry swaps its bit
-# pair; an order-4 Q8 entry applies the double transposition of the cyclic
-# subgroup it generates, <a>, <b> or <ab>.
+# Per kind: the bit pairs of a coordinate's Gray block that pi swaps for
+# each value (the blocks themselves are ``groups._GRAY_BLOCKS``).  Order-2
+# entries act as the identity; an order-4 Z4 entry swaps its bit pair; an
+# order-4 Q8 entry applies the double transposition of the cyclic subgroup
+# it generates, <a>, <b> or <ab>.  The product computes pi with masks
+# (``groups._pi``); this table is the independent encoding behind ``pi_of``.
 _A, _B, _AB = ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))
-_KINDS = {
-    "z2": (1, (0b0, 0b1), ((), ())),
-    "z4": (2, (0b00, 0b10, 0b11, 0b01), ((), ((0, 1),), (), ((0, 1),))),
-    "q8": (
-        4,
-        (0b0000, 0b1010, 0b1111, 0b0101, 0b0110, 0b0011, 0b1001, 0b1100),
-        ((), _A, (), _A, _B, _AB, _B, _AB),
-    ),
+_PI_PAIRS = {
+    "z2": ((), ()),
+    "z4": ((), ((0, 1),), (), ((0, 1),)),
+    "q8": ((), _A, (), _A, _B, _AB, _B, _AB),
 }
 
 
@@ -93,26 +87,18 @@ def complement(v: BinaryVector) -> BinaryVector:
 
 @lru_cache(maxsize=None)
 def _offsets(sig: GroupSignature) -> Tuple[tuple, ...]:
-    """The Gray map of ``sig``: per coordinate (bit offset, bit width, Gray
-    block of each value, value of each block, bit pairs that pi swaps for
-    each value, as absolute positions)."""
+    """pi's pair table for ``sig``: per coordinate, the bit pairs that pi
+    swaps for each value, as absolute positions."""
     out = []
-    pos = 0
-    for idx in range(sig.l):
-        width, blocks, pairs = _KINDS[sig.kind(idx)]
-        values = {block: value for value, block in enumerate(blocks)}
-        swaps = tuple(tuple((pos + p, pos + q) for p, q in ps) for ps in pairs)
-        out.append((pos, width, blocks, values, swaps))
-        pos += width
+    for idx, (pos, _, _, _) in enumerate(_tables(sig)[0]):
+        pairs = _PI_PAIRS[sig.kind(idx)]
+        out.append(tuple(tuple((pos + p, pos + q) for p, q in ps) for ps in pairs))
     return tuple(out)
 
 
 def gray(w: GroupWord) -> BinaryVector:
-    """Componentwise Gray map onto Z2^n."""
-    bits = 0
-    for (pos, _, blocks, _, _), value in zip(_offsets(w.sig), w.coords):
-        bits |= blocks[value] << pos
-    return BinaryVector(w.sig.n, bits)
+    """Componentwise Gray map onto Z2^n: the bits the word is stored as."""
+    return BinaryVector(w.sig.n, w.bits)
 
 
 def gray_inv(v: BinaryVector, sig: GroupSignature) -> GroupWord:
@@ -123,17 +109,14 @@ def gray_inv(v: BinaryVector, sig: GroupSignature) -> GroupWord:
     """
     if v.n != sig.n:
         raise ValueError(f"vector length {v.n} does not match signature n={sig.n}")
-    coords = []
-    for idx, (pos, width, _, values, _) in enumerate(_offsets(sig)):
+    for idx, (pos, width, _, values) in enumerate(_tables(sig)[0]):
         block = (v.bits >> pos) & ((1 << width) - 1)
-        value = values.get(block)
-        if value is None:
+        if block not in values:
             raise ValueError(
                 f"coordinate {idx + 1}: block {block:04b} is not a Gray "
                 f"image of a Q8 element"
             )
-        coords.append(value)
-    return word(sig, coords)
+    return GroupWord._from_bits(sig, v.bits)
 
 
 @dataclass(frozen=True)
@@ -176,10 +159,10 @@ class CoordinatePermutation:
 
 
 def pi_of(w: GroupWord) -> CoordinatePermutation:
-    """The coordinate permutation associated to a word (see ``_KINDS``)."""
+    """The coordinate permutation associated to a word (see ``_PI_PAIRS``)."""
     image = list(range(w.sig.n))
-    for entry, value in zip(_offsets(w.sig), w.coords):
-        for p, q in entry[4][value]:
+    for swaps, value in zip(_offsets(w.sig), w.coords):
+        for p, q in swaps[value]:
             image[p], image[q] = image[q], image[p]
     return CoordinatePermutation(tuple(image))
 

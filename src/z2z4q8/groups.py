@@ -1,8 +1,11 @@
 """Exact arithmetic in direct products Z2^k1 x Z4^k2 x Q8^k3.
 
-Words are immutable tuples of small integers, one entry per coordinate:
-Z2 entries live in {0,1}, Z4 entries in {0..3}, and Q8 entries are encoded
-as ``i + 4*j`` for the canonical form ``a^i b^j`` (i mod 4, j in {0,1}).
+A word is stored as its Gray image, packed little-endian into an int
+(``GroupWord.bits``), and the product is the propelinear law
+Gray(x y) = Gray(x) + pi_x(Gray(y)), written once in ``_pi``.  Coordinates
+are decoded on demand: Z2 entries live in {0,1}, Z4 entries in {0..3}, and
+Q8 entries are encoded as ``i + 4*j`` for the canonical form ``a^i b^j``
+(i mod 4, j in {0,1}).
 """
 
 from __future__ import annotations
@@ -32,19 +35,19 @@ def _q8_mul(p: int, q: int) -> int:
 Q8_MUL: Tuple[Tuple[int, ...], ...] = tuple(
     tuple(_q8_mul(p, q) for q in range(8)) for p in range(8)
 )
-Q8_INV: Tuple[int, ...] = tuple(
-    next(q for q in range(8) if Q8_MUL[p][q] == 0) for p in range(8)
-)
 Q8_ORDER: Tuple[int, ...] = tuple(
     1 if p == 0 else (2 if Q8_MUL[p][p] == 0 else 4) for p in range(8)
 )
 
-_Z2_MUL = ((0, 1), (1, 0))
-_Z4_MUL = tuple(tuple((x + y) % 4 for y in range(4)) for x in range(4))
-_Z2_INV = (0, 1)
-_Z4_INV = (0, 3, 2, 1)
-_Z2_ORDER = (1, 2)
-_Z4_ORDER = (1, 4, 2, 4)
+# Per kind: (block width, Gray block of each value), packed little-endian.
+# Z4: 0->(0,0) 1->(0,1) 2->(1,1) 3->(1,0)
+# Q8: 1->(0,0,0,0) a->(0,1,0,1) a2->(1,1,1,1) a3->(1,0,1,0)
+#     b->(0,1,1,0) ab->(1,1,0,0) a2b->(1,0,0,1) a3b->(0,0,1,1)
+_GRAY_BLOCKS = {
+    "z2": (1, (0b0, 0b1)),
+    "z4": (2, (0b00, 0b10, 0b11, 0b01)),
+    "q8": (4, (0b0000, 0b1010, 0b1111, 0b0101, 0b0110, 0b0011, 0b1001, 0b1100)),
+}
 
 Q8_TOKENS: Tuple[str, ...] = ("1", "a", "a2", "a3", "b", "ab", "a2b", "a3b")
 
@@ -94,33 +97,113 @@ class GroupSignature:
 
 @lru_cache(maxsize=None)
 def _tables(sig: GroupSignature):
-    """Per-coordinate (mul, inv, order, modulus) lookup tables."""
-    mul = (_Z2_MUL,) * sig.k1 + (_Z4_MUL,) * sig.k2 + (Q8_MUL,) * sig.k3
-    inv = (_Z2_INV,) * sig.k1 + (_Z4_INV,) * sig.k2 + (Q8_INV,) * sig.k3
-    order = (_Z2_ORDER,) * sig.k1 + (_Z4_ORDER,) * sig.k2 + (Q8_ORDER,) * sig.k3
-    mod = (2,) * sig.k1 + (4,) * sig.k2 + (8,) * sig.k3
-    return mul, inv, order, mod
+    """The Gray encoding of ``sig``.
+
+    Returns (per coordinate (bit offset, bit width, Gray block of each
+    value, value of each block), mask of the low bit of every Z4 block,
+    mask of the low bit of every Q8 block).
+    """
+    coords = []
+    low = {"z2": 0, "z4": 0, "q8": 0}
+    pos = 0
+    for idx in range(sig.l):
+        kind = sig.kind(idx)
+        width, blocks = _GRAY_BLOCKS[kind]
+        coords.append((pos, width, blocks, {b: v for v, b in enumerate(blocks)}))
+        low[kind] |= 1 << pos
+        pos += width
+    return tuple(coords), low["z4"], low["q8"]
 
 
-@dataclass(frozen=True, eq=True)
+def _pi(sig: GroupSignature, x: int, y: int) -> int:
+    """pi_x applied to the Gray image y, x and y given as Gray images.
+
+    An order-4 Z4 entry of x swaps its bit pair; a Q8 entry of <a>, <b>
+    or <ab> applies the double transposition (0 1)(2 3), (0 2)(1 3) or
+    (0 3)(1 2) of its block; order <= 2 entries act as the identity.  With
+    p = b0^b1 and q = b0^b2 of x's block, <a> is p & ~q, <b> is p & q and
+    <ab> is q & ~p.  As (0 3)(1 2) = (0 1)(2 3)(0 2)(1 3), the swap
+    (0 2)(1 3) applies where q is set (<b>, <ab>) and then (0 1)(2 3) where
+    p ^ q is set (<a>, <ab>, and order-4 Z4 entries, where q is 0).
+    """
+    _, z4, q8 = _tables(sig)
+    p = (x ^ (x >> 1)) & (z4 | q8)
+    q = (x ^ (x >> 2)) & q8
+    d = (y ^ (y >> 2)) & (q | (q << 1))
+    y ^= d | (d << 2)
+    a = p ^ q
+    d = (y ^ (y >> 1)) & (a | ((a & q8) << 2))
+    return y ^ d ^ (d << 1)
+
+
 class GroupWord:
-    """One element of Z2^k1 x Z4^k2 x Q8^k3."""
+    """One element of Z2^k1 x Z4^k2 x Q8^k3, stored as its Gray image.
 
+    ``GroupWord(sig, coords)`` validates and encodes the coordinates;
+    ``bits`` packs the Gray image little-endian and ``coords`` decodes it.
+    The product is Gray(x y) = Gray(x) + pi_x(Gray(y)).
+    """
+
+    __slots__ = ("sig", "bits")
     sig: GroupSignature
-    coords: Tuple[int, ...]
+    bits: int
 
-    def __mul__(self, other: "GroupWord") -> "GroupWord":
-        if self.sig != other.sig:
-            raise SignatureMismatch(f"cannot multiply {self.sig} by {other.sig}")
-        mul = _tables(self.sig)[0]
-        return GroupWord(
-            self.sig,
-            tuple(t[x][y] for t, x, y in zip(mul, self.coords, other.coords)),
+    def __init__(self, sig: GroupSignature, coords: Iterable[int]) -> None:
+        values = tuple(coords)
+        if len(values) != sig.l:
+            raise ValueError(f"expected {sig.l} coordinates, got {len(values)}")
+        bits = 0
+        for idx, ((pos, _, blocks, _), v) in enumerate(zip(_tables(sig)[0], values)):
+            if not 0 <= v < len(blocks):
+                raise ValueError(
+                    f"coordinate {idx + 1} value {v} out of range 0..{len(blocks) - 1}"
+                )
+            bits |= blocks[v] << pos
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def _from_bits(cls, sig: GroupSignature, bits: int) -> "GroupWord":
+        w = object.__new__(cls)
+        object.__setattr__(w, "sig", sig)
+        object.__setattr__(w, "bits", bits)
+        return w
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"GroupWord is immutable; cannot set {name!r}")
+
+    @property
+    def coords(self) -> Tuple[int, ...]:
+        """One value per coordinate: Z2 in {0,1}, Z4 in {0..3}, Q8 ``i + 4*j``."""
+        bits = self.bits
+        return tuple(
+            values[(bits >> pos) & ((1 << width) - 1)]
+            for pos, width, _, values in _tables(self.sig)[0]
         )
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupWord):
+            return NotImplemented
+        return self.bits == other.bits and (
+            self.sig is other.sig or self.sig == other.sig
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.bits)
+
+    def __repr__(self) -> str:
+        return f"GroupWord({self.sig!r}, {self.coords!r})"
+
+    def __mul__(self, other: "GroupWord") -> "GroupWord":
+        sig = self.sig
+        if other.sig is not sig and other.sig != sig:
+            raise SignatureMismatch(f"cannot multiply {sig} by {other.sig}")
+        x = self.bits
+        return GroupWord._from_bits(sig, x ^ _pi(sig, x, other.bits))
+
     def inverse(self) -> "GroupWord":
-        inv = _tables(self.sig)[1]
-        return GroupWord(self.sig, tuple(t[x] for t, x in zip(inv, self.coords)))
+        # pi_x is an involution, so Gray(x^-1) = pi_x(Gray(x))
+        return GroupWord._from_bits(self.sig, _pi(self.sig, self.bits, self.bits))
 
     def __pow__(self, h: int) -> "GroupWord":
         # every coordinate group has exponent 4
@@ -131,11 +214,16 @@ class GroupWord:
         return result
 
     def order(self) -> int:
-        orders = _tables(self.sig)[2]
-        return max((t[x] for t, x in zip(orders, self.coords)), default=1)
+        x = self.bits
+        if not x:
+            return 1
+        _, z4, q8 = _tables(self.sig)
+        # order 4: a Z4 block 01/10, or a Q8 block other than 0000/1111
+        order4 = (x ^ (x >> 1)) & (z4 | q8) or (x ^ (x >> 2)) & q8
+        return 4 if order4 else 2
 
     def is_identity(self) -> bool:
-        return all(x == 0 for x in self.coords)
+        return not self.bits
 
     def tokens(self) -> Tuple[str, ...]:
         """Canonical token per coordinate (Z2/Z4 digits, Q8 names)."""
@@ -153,18 +241,11 @@ class GroupWord:
 
 def word(sig: GroupSignature, coords: Iterable[int]) -> GroupWord:
     """Build a validated word from raw coordinate values."""
-    values = tuple(coords)
-    if len(values) != sig.l:
-        raise ValueError(f"expected {sig.l} coordinates, got {len(values)}")
-    mods = _tables(sig)[3]
-    for idx, (v, m) in enumerate(zip(values, mods)):
-        if not 0 <= v < m:
-            raise ValueError(f"coordinate {idx + 1} value {v} out of range 0..{m - 1}")
-    return GroupWord(sig, values)
+    return GroupWord(sig, coords)
 
 
 def identity(sig: GroupSignature) -> GroupWord:
-    return GroupWord(sig, (0,) * sig.l)
+    return GroupWord._from_bits(sig, 0)
 
 
 def u_element(sig: GroupSignature) -> GroupWord:
@@ -172,8 +253,7 @@ def u_element(sig: GroupSignature) -> GroupWord:
 
     Its Gray image is the all-one vector.
     """
-    coords = (1,) * sig.k1 + (2,) * sig.k2 + (2,) * sig.k3
-    return GroupWord(sig, coords)
+    return GroupWord._from_bits(sig, (1 << sig.n) - 1)
 
 
 def commutator(x: GroupWord, y: GroupWord) -> GroupWord:

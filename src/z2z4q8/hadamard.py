@@ -32,7 +32,6 @@ from .subgroup import (
     center,
     code_type,
     gray_codewords,
-    gray_images,
     standard_generators,
     torsion_cosets,
     verify_standard,
@@ -83,7 +82,7 @@ def _pair_reorder(
     u = u_element(C.sig)
     by_square: dict = {}
     for pos, z in enumerate(zs):
-        by_square.setdefault((z * z).coords, []).append(pos)
+        by_square.setdefault(z * z, []).append(pos)
     pairs: List[List[int]] = []
     singles: List[int] = []
     for square, positions in by_square.items():
@@ -92,18 +91,17 @@ def _pair_reorder(
         elif len(positions) == 2:
             pairs.append(positions)
             p, q = positions
-            expected = u if square == u.coords else zs[p] * zs[p]
-            if commutator(zs[p], zs[q]) != expected:
+            if commutator(zs[p], zs[q]) != square:
                 raise ClassificationError(
                     f"equal-square generators {zs[p]} and {zs[q]} must have "
                     f"commutator equal to their square"
                 )
         else:
             raise ClassificationError(
-                f"{len(positions)} generators share the square "
-                f"{zs[positions[0]] * zs[positions[0]]}; at most two may"
+                f"{len(positions)} generators share the square {square}; "
+                f"at most two may"
             )
-    u_count = len(by_square.get(u.coords, ()))
+    u_count = len(by_square.get(u, ()))
     if u_count > 2:
         raise ClassificationError("more than two generators square to u")
     order = [p for pair in sorted(pairs) for p in pair] + sorted(singles)
@@ -231,14 +229,13 @@ def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
     if tag == 3:
         _require(ct.delta == 0, "shape 3 needs delta = 0")
         _require(sq[0] == u, "shape 3 needs z1^2 = u")
-        images = gray_images(C)
-        tail_squares = Gf2Basis(images[s] for s in sq[1:])
+        tail_squares = Gf2Basis(s.bits for s in sq[1:])
         _require(
             tail_squares.rank == ct.rho - 1,
             "shape 3 needs independent tail squares",
         )
         _require(
-            not tail_squares.contains(images[u]),
+            not tail_squares.contains(u.bits),
             "shape 3 needs u outside <z2^2..z_rho^2>",
         )
         for i in range(1, ct.rho):
@@ -292,7 +289,6 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
     ngs = normalize_generators(C, base)
     ct = code_type(C)
     u = u_element(C.sig)
-    images = gray_images(C)
     trail: List[str] = []
 
     def finish(tag: int, zs: Sequence[GroupWord]) -> Shape:
@@ -350,8 +346,8 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
                 and commutator(zs[1], zs[-1]) == sq[-1],
                 "pair-versus-last commutators must equal the last square",
             )
-            tail = Gf2Basis(images[s * s] for s in zs[2:])
-            if not tail.contains(images[u]):
+            tail = Gf2Basis((s * s).bits for s in zs[2:])
+            if not tail.contains(u.bits):
                 return finish(2, zs)
             special = None
             for i in range(2, rho - 1):
@@ -440,7 +436,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
                     commutator(zs[i], zs[k]).is_identity(),
                     "tail generators with distinct squares must commute",
                 )
-        subset = _subset_with_square_product(images, zs[1:], u)
+        subset = _subset_with_square_product(zs[1:], u)
         if subset is not None:
             positions = [p + 1 for p in subset]
             merged = identity(C.sig)
@@ -465,12 +461,12 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
 
 
 def _subset_with_square_product(
-    images: dict, zs: Sequence[GroupWord], target: GroupWord
+    zs: Sequence[GroupWord], target: GroupWord
 ) -> Optional[Tuple[int, ...]]:
     """Smallest-lexicographic subset of z's whose squares multiply to target."""
     n = len(zs)
-    squares = [images[z * z] for z in zs]
-    goal = images[target]
+    squares = [(z * z).bits for z in zs]
+    goal = target.bits
     for mask in range(1, 1 << n):
         acc = 0
         for i in range(n):
@@ -618,8 +614,7 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
         )
     lead = [zs[2 * t] for t in range(eps)]
     v_set = list(ngs.ys) + lead + list(zs[2 * eps:])
-    images = gray_images(C)
-    w_basis = Gf2Basis(images[w * w] for w in v_set)
+    w_basis = Gf2Basis((w * w).bits for w in v_set)
     u_set = [w for w in v_set if w * w != u]
     lower = ct.delta + ct.rho - eps - 1
     checks.append(
@@ -688,15 +683,15 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
 
     by_square: dict = {}
     for vec, a in reps:
-        sq = (a * a).coords
-        if sq != u.coords:
+        sq = a * a
+        if sq != u:
             by_square.setdefault(sq, []).append((vec, a))
 
     triple2_bad = sum(
         Gf2Basis(vec for vec, _ in members).rank > 2 for members in by_square.values()
     )
 
-    images, codewords = gray_images(C), gray_codewords(C)
+    codewords = gray_codewords(C)
     triple3_bad = 0
     for members in by_square.values():
         for ai in range(len(members)):
@@ -707,8 +702,8 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
                 for _, c in reps:
                     if c * c == a * a:
                         continue
-                    s1 = _swapper_bits(images, a, c)
-                    s2 = _swapper_bits(images, b, c)
+                    s1 = _swapper_bits(a, c)
+                    s2 = _swapper_bits(b, c)
                     if codewords.isdisjoint((s1, s2, s1 ^ s2)):
                         triple3_bad += 1
     return [

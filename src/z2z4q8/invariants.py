@@ -17,7 +17,6 @@ from .subgroup import (
     code_type,
     gray_basis,
     gray_codewords,
-    gray_images,
     group_kernel,
     torsion,
     torsion_cosets,
@@ -57,8 +56,7 @@ def span_group(C: CodeGroup) -> CodeGroup:
         raise RuntimeError(
             f"span group order 2^{D.log2_order} != GF(2) rank {basis.rank}"
         )
-    outside = [gray(w).bits for w in D.elements - C.elements]
-    if not all(map(basis.contains, [*gray_images(C).values(), *outside])):
+    if not all(basis.contains(w.bits) for w in D.elements):
         raise RuntimeError("span group escapes the GF(2) row space")
     return D
 
@@ -76,7 +74,7 @@ def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
     code, so only codewords are tested; ``full_space`` scans all of Z2^n
     (for n <= 16).  The result is checked against Gray(K(C)).
     """
-    images, codewords = gray_images(C), gray_codewords(C)
+    codewords = gray_codewords(C)
     n = C.sig.n
     if full_space and n > 16:
         raise ValueError(f"full-space kernel scan needs n <= 16, got n={n}")
@@ -84,7 +82,7 @@ def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
     members = frozenset(
         z for z in candidates if all((c ^ z) in codewords for c in codewords)
     )
-    group_route = frozenset(images[w] for w in group_kernel(C).elements)
+    group_route = frozenset(w.bits for w in group_kernel(C).elements)
     if members != group_route:
         raise RuntimeError("translation-test kernel disagrees with the swapper kernel")
     return frozenset(BinaryVector(n, z) for z in members)
@@ -108,7 +106,7 @@ def is_abelian(C: CodeGroup) -> bool:
 
 @_memoized
 def _weight_counts(C: CodeGroup) -> Tuple[Tuple[int, int], ...]:
-    counts = Counter(b.bit_count() for b in gray_images(C).values())
+    counts = Counter(b.bit_count() for b in gray_codewords(C))
     return tuple(sorted(counts.items()))
 
 
@@ -195,12 +193,11 @@ def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
     square_weight_bad = 0
     commuting_squares_bad = 0
     T = torsion(C)
-    images = gray_images(C)
     for a in reps:
-        wa = images[a * a].bit_count()
+        wa = (a * a).bits.bit_count()
         for b in reps:
             c = commutator(a, b)
-            if images[c].bit_count() > wa:
+            if c.bits.bit_count() > wa:
                 square_weight_bad += 1
             if c.is_identity() and (a * b) not in T and a * a == b * b:
                 commuting_squares_bad += 1

@@ -1,10 +1,11 @@
 """Subgroup enumeration and structural subgroups T, Z, C', K.
 
 A ``CodeGroup`` is a fully enumerated subgroup together with the generators
-it was built from.  Every derived fact is computed once and kept on the
-instance (``_memoized``); element iteration order is always lexicographic
-on the coordinate tuples so that every derived choice (bases, generating
-sets, reports) is deterministic.  Every closure runs through ``_closure``.
+it was built from; a wrapped subset derives greedy ones on first read.
+Every derived fact is computed once and kept on the instance
+(``_memoized``); element iteration order is always lexicographic on the
+coordinate tuples so that every derived choice (bases, generating sets,
+reports) is deterministic.  Every closure runs through ``_closure``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import wraps
 from itertools import product as iter_product
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis
-from .gray import gray
 from .groups import GroupSignature, GroupWord, commutator, identity
 
 DEFAULT_MAX_ORDER = 1 << 20
@@ -137,15 +137,26 @@ class CodeGroup:
         self,
         sig: GroupSignature,
         elements: frozenset,
-        generators: Tuple[GroupWord, ...],
+        generators: Optional[Tuple[GroupWord, ...]],
     ) -> None:
         self.sig = sig
         self.elements = elements
-        self.generators = generators
         order = len(elements)
         if order == 0 or order & (order - 1):
             raise ValueError(f"subgroup order {order} is not a power of 2")
         self._cache: dict = {}
+        self._generators = generators
+
+    @property
+    def generators(self) -> Tuple[GroupWord, ...]:
+        """The generators given, or for a wrapped subset (``generators`` None)
+        the greedy first-independent ones in sorted order, derived on first
+        read."""
+        if self._generators is None:
+            e = identity(self.sig)
+            picked = _first_independent([e], self.sorted_elements(), self.order)
+            self._generators = tuple(picked) or (e,)
+        return self._generators
 
     @classmethod
     def generate(
@@ -197,12 +208,8 @@ class CodeGroup:
         return sorted(self.elements, key=lambda w: w.coords)
 
     def subgroup(self, elements: Iterable[GroupWord]) -> "CodeGroup":
-        """Wrap an already-closed subset as a CodeGroup (with greedy gens)."""
-        elems = frozenset(elements)
-        e = identity(self.sig)
-        ordered = sorted(elems, key=lambda w: w.coords)
-        gens = tuple(_first_independent([e], ordered, len(elems))) or (e,)
-        return CodeGroup(self.sig, elems, gens)
+        """Wrap an already-closed subset as a CodeGroup (greedy gens on read)."""
+        return CodeGroup(self.sig, frozenset(elements), None)
 
 
 def generate(
@@ -212,26 +219,20 @@ def generate(
 
 
 @_memoized
-def gray_images(C: CodeGroup) -> Dict[GroupWord, int]:
-    """Gray image bits of every codeword."""
-    return {w: gray(w).bits for w in C.elements}
-
-
-@_memoized
 def gray_codewords(C: CodeGroup) -> frozenset:
     """Gray(C) as a set of image bits."""
-    return frozenset(gray_images(C).values())
+    return frozenset(w.bits for w in C.elements)
 
 
-def _swapper_bits(images: Dict[GroupWord, int], x: GroupWord, y: GroupWord) -> int:
-    """Gray bits of the swapper [x, y] for x, y in C: Gray(x)+Gray(y)+Gray(xy)."""
-    return images[x] ^ images[y] ^ images[x * y]
+def _swapper_bits(x: GroupWord, y: GroupWord) -> int:
+    """Gray bits of the swapper [x, y]: Gray(x) + Gray(y) + Gray(xy)."""
+    return x.bits ^ y.bits ^ (x * y).bits
 
 
 @_memoized
 def gray_basis(C: CodeGroup) -> Gf2Basis:
     """GF(2) row basis of Gray(C); callers only read it."""
-    return Gf2Basis(gray_images(C).values())
+    return Gf2Basis(gray_codewords(C))
 
 
 @_memoized
@@ -279,11 +280,10 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     T = torsion(C)
     Z = center(C)
 
-    images = gray_images(C)
     xs: List[GroupWord] = []
     basis = Gf2Basis()
     for w in T.sorted_elements():
-        if not w.is_identity() and basis.add(images[w]):
+        if not w.is_identity() and basis.add(w.bits):
             xs.append(w)
     if len(xs) != T.log2_order:
         raise RuntimeError("torsion basis extraction failed")
@@ -360,12 +360,12 @@ def group_kernel(C: CodeGroup, full: bool = False) -> CodeGroup:
     generators suffices; ``full`` forces the |C|^2 cross-check.  Gray is
     injective, so [x, y] lies in C exactly when its Gray bits lie in Gray(C).
     """
-    images, codewords = gray_images(C), gray_codewords(C)
+    codewords = gray_codewords(C)
     probes = list(C.elements) if full else list(C.generators)
     members = [
         x
         for x in C.elements
-        if all(_swapper_bits(images, x, y) in codewords for y in probes)
+        if all(_swapper_bits(x, y) in codewords for y in probes)
     ]
     K = C.subgroup(members)
     if not torsion(C).elements <= K.elements:

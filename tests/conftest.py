@@ -9,6 +9,7 @@ import pytest
 
 from z2z4q8 import CodeGroup, GroupSignature, GroupWord, word, word_from_tokens
 from z2z4q8.fixtures import load_fixture
+from z2z4q8.groups import Q8_MUL
 
 _CRITERION_LINES: List[str] = []
 
@@ -30,6 +31,32 @@ def random_word(sig: GroupSignature, rng: random.Random) -> GroupWord:
     coords += [rng.randrange(4) for _ in range(sig.k2)]
     coords += [rng.randrange(8) for _ in range(sig.k3)]
     return word(sig, coords)
+
+
+def reference_product(sig: GroupSignature, a: tuple, b: tuple) -> tuple:
+    """Coordinate-wise product: Z2 XOR, Z4 addition mod 4, Q8 by ``Q8_MUL``."""
+    out = []
+    for idx, (x, y) in enumerate(zip(a, b)):
+        kind = sig.kind(idx)
+        if kind == "z2":
+            out.append(x ^ y)
+        elif kind == "z4":
+            out.append((x + y) % 4)
+        else:
+            out.append(Q8_MUL[x][y])
+    return tuple(out)
+
+
+def assert_matches_reference(x: GroupWord, y: GroupWord) -> None:
+    """Product, inverse and order of words against ``reference_product``."""
+    sig = x.sig
+    assert (x * y).coords == reference_product(sig, x.coords, y.coords)
+    assert reference_product(sig, x.coords, x.inverse().coords) == (0,) * sig.l
+    power, order = x.coords, 1
+    while any(power):
+        power = reference_product(sig, power, x.coords)
+        order += 1
+    assert x.order() == order
 
 
 def random_subgroup(

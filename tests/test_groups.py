@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
 from z2z4q8 import (
+    CodeGroup,
     GroupSignature,
+    GroupWord,
     SignatureMismatch,
     commutator,
     conjugate,
@@ -18,7 +21,7 @@ from z2z4q8 import (
 )
 from z2z4q8.groups import Q8_TOKENS, parse_q8_token
 
-from conftest import Q8, all_words, q8_word, random_word
+from conftest import Q8, all_words, assert_matches_reference, q8_word, random_word
 
 MIXED = GroupSignature(1, 1, 1)
 
@@ -55,6 +58,23 @@ def test_word_orders():
         power = power * w
         count += 1
     assert count == 4 and w.order() == 4
+
+
+def test_product_inverse_order_match_coordinatewise_reference():
+    """Exhaustive over Z2 x Z4 x Q8: the product on Gray images agrees with
+    Z2 XOR, Z4 addition and the Q8 table, coordinate by coordinate."""
+    words = all_words(MIXED)
+    for x in words:
+        for y in words:
+            assert_matches_reference(x, y)
+
+
+def test_coords_round_trip_and_sorted_order():
+    tuples = list(product(range(2), range(4), range(8)))
+    for coords in tuples:
+        assert word(MIXED, coords).coords == coords
+    ambient = CodeGroup.generate(all_words(MIXED))
+    assert [w.coords for w in ambient.sorted_elements()] == tuples
 
 
 def test_every_word_has_exponent_four():
@@ -149,12 +169,15 @@ def test_signature_validation():
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
-        word(Q8, (8,))
-    with pytest.raises(ValueError):
-        word(MIXED, (0, 0))
-    with pytest.raises(ValueError):
-        word(MIXED, (2, 0, 0))
+    for make in (word, GroupWord):
+        with pytest.raises(ValueError):
+            make(Q8, (8,))
+        with pytest.raises(ValueError):
+            make(Q8, (-1,))
+        with pytest.raises(ValueError):
+            make(MIXED, (0, 0))
+        with pytest.raises(ValueError):
+            make(MIXED, (2, 0, 0))
 
 
 def test_q8_token_round_trip():

@@ -246,7 +246,7 @@ def test_derived_facts_are_computed_once(monkeypatch):
         )
 
     first = query()
-    assert calls["mul"] > 0 and calls["gray"] > 0
+    assert calls["mul"] > 0
     calls.clear()
     assert query() == first
     assert calls == Counter()

@@ -39,9 +39,9 @@ from z2z4q8.constructions import generalized_kronecker
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
-from z2z4q8.subgroup import _swapper_bits, gray_images
+from z2z4q8.subgroup import _swapper_bits
 
-from conftest import random_subgroup
+from conftest import assert_matches_reference, random_subgroup
 
 SIGNATURES = [
     GroupSignature(0, 0, 2),
@@ -248,11 +248,13 @@ signatures = st.one_of(
 )
 
 
-def words_of(sig: GroupSignature):
+def coords_of(sig: GroupSignature):
     mods = [2] * sig.k1 + [4] * sig.k2 + [8] * sig.k3
-    return st.tuples(*(st.integers(0, m - 1) for m in mods)).map(
-        lambda coords: word(sig, coords)
-    )
+    return st.tuples(*(st.integers(0, m - 1) for m in mods))
+
+
+def words_of(sig: GroupSignature):
+    return coords_of(sig).map(lambda coords: word(sig, coords))
 
 
 @PROPERTY_SETTINGS
@@ -266,16 +268,25 @@ def test_property_gray_inverse_and_propelinear_product(data):
 
 @PROPERTY_SETTINGS
 @given(st.data())
+def test_property_product_matches_coordinatewise_reference(data):
+    sig = data.draw(signatures)
+    cx, cy = data.draw(coords_of(sig)), data.draw(coords_of(sig))
+    x, y = word(sig, cx), word(sig, cy)
+    assert x.coords == cx and y.coords == cy
+    assert_matches_reference(x, y)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
 def test_property_table_swapper_bits_match_swapper(data):
     sig = data.draw(signatures)
     gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
     C = generate(gens)
     words = C.sorted_elements()
-    images = gray_images(C)
     for _ in range(4):
         x = words[data.draw(st.integers(0, len(words) - 1))]
         y = words[data.draw(st.integers(0, len(words) - 1))]
-        assert _swapper_bits(images, x, y) == gray(swapper(x, y)).bits
+        assert _swapper_bits(x, y) == gray(swapper(x, y)).bits
 
 
 @PROPERTY_SETTINGS

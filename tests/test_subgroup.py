@@ -29,7 +29,8 @@ from z2z4q8 import (
     word_from_tokens,
 )
 from z2z4q8.fixtures import load_fixture
-from z2z4q8.subgroup import gray_images, verify_standard
+import z2z4q8.subgroup as subgroup_module
+from z2z4q8.subgroup import verify_standard
 
 from conftest import Q8, q8_word, random_subgroup
 
@@ -231,9 +232,9 @@ def test_group_kernel_matches_word_level_reference_on_random_groups(sig):
 
 
 def test_group_kernel_reads_the_gray_table(monkeypatch):
-    """Once Gray(C) is tabled, both kernel routes map no word either way."""
+    """Words are stored as their Gray images, so both kernel routes map no
+    word either way, even on a fresh group."""
     C = load_fixture("hadamard32_q8_shape5")  # a fresh group, nothing cached
-    gray_images(C)
     calls = Counter()
     originals = {"gray": gray, "gray_inv": gray_inv}
 
@@ -252,6 +253,30 @@ def test_group_kernel_reads_the_gray_table(monkeypatch):
     group_kernel(C)
     group_kernel(C, full=True)
     assert calls == Counter()
+
+
+def test_wrapped_subgroups_derive_generators_on_first_read(monkeypatch):
+    """Type and kernel wrap T, Z and K without deriving their generators;
+    equality and hashing do not derive them either."""
+    C = load_fixture("hadamard32_q8_shape5")  # a fresh group, nothing cached
+    calls = Counter()
+    original = subgroup_module._first_independent
+
+    def counting(*args):
+        calls["first_independent"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(subgroup_module, "_first_independent", counting)
+    code_type(C)
+    group_kernel(C)
+    T = torsion(C)
+    assert T == C.subgroup(T.elements) and hash(T) == hash(C.subgroup(T.elements))
+    assert calls == Counter()
+    gens = T.generators
+    assert calls["first_independent"] == 1
+    assert T.generators is gens
+    assert generate(gens).elements == T.elements
+    assert gens == tuple(sorted(gens, key=lambda w: w.coords))
 
 
 def test_group_kernel_abelian_z4():
