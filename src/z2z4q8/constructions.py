@@ -31,6 +31,7 @@ from .subgroup import (
     DEFAULT_MAX_ORDER,
     CodeGroup,
     CodeType,
+    _coset_reps,
     center,
     code_type,
 )
@@ -157,15 +158,6 @@ class KroneckerResult:
     predicted_type: CodeType
 
 
-def diagonal_word(w: GroupWord) -> GroupWord:
-    """(w, w) in the doubled signature, concatenated blockwise."""
-    sig = w.sig
-    x = w.coords[: sig.k1]
-    y = w.coords[sig.k1: sig.k1 + sig.k2]
-    z = w.coords[sig.k1 + sig.k2:]
-    return GroupWord(sig.doubled(), x + x + y + y + z + z)
-
-
 def _pair_word(w1: GroupWord, w2: GroupWord) -> GroupWord:
     sig = w1.sig
     k1, k2 = sig.k1, sig.k2
@@ -184,19 +176,18 @@ def _predict_kronecker_type(C: CodeGroup, g: GroupWord) -> Tuple[CodeType, bool]
     order-2 g); some g*c centralizes C; otherwise the centralizer of g in
     Z(C) decides.  Also returns whether the first case applies: exactly
     then every swapper of g against the group collapses into S(C), which
-    forces the rank of the doubled code to grow by exactly 1.
+    forces the rank of the doubled code to grow by exactly 1.  Every case
+    is decided on one word c per T-coset of C.
     """
     ct = code_type(C)
-    if any((g * c).order() <= 2 for c in C.elements):
+    reps = _coset_reps(C)
+    if any((g * c).order() <= 2 for c in reps):
         return CodeType(ct.sigma + 1, ct.delta, ct.rho), True
     gens = C.generators
-    if any(
-        all((g * c) * h == h * (g * c) for h in gens) for c in C.elements
-    ):
+    if any(all((g * c) * h == h * (g * c) for h in gens) for c in reps):
         return CodeType(ct.sigma, ct.delta + 1, ct.rho), False
-    delta1 = sum(
-        1 for w in center(C).elements if w * g == g * w
-    ).bit_length() - 1 - ct.sigma
+    Z = center(C)
+    delta1 = sum(1 for w in reps if w in Z and w * g == g * w).bit_length() - 1
     return CodeType(ct.sigma, delta1, ct.rho + ct.delta - delta1 + 1), False
 
 
@@ -220,7 +211,7 @@ def generalized_kronecker(
         if conjugate(h, g) not in C:
             raise ConstructionError(f"{g} does not normalize the group (moves {h})")
     u = u_element(C.sig)
-    gens = tuple(diagonal_word(w) for w in C.generators) + (_pair_word(g, g * u),)
+    gens = tuple(_pair_word(w, w) for w in C.generators) + (_pair_word(g, g * u),)
     out = CodeGroup.generate(gens, max_order)
     if out.order != 2 * C.order:
         raise RuntimeError("Kronecker output order is not 2|C|")

@@ -658,11 +658,9 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
 
 
 def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
-    """Pair and triple facts, exhausted over T-coset representatives.
+    """Pair and triple facts, exhausted over one word per T-coset.
 
-    Squares, commutators and swappers are constant on T-cosets, so the
-    quotient scan is exhaustive at every code size.  Swappers have order
-    <= 2, so pi is trivial on them and Gray(s1 * s2) = Gray(s1) + Gray(s2).
+    Swappers have order <= 2, so Gray(s1 * s2) = Gray(s1) + Gray(s2).
     """
     u = u_element(C.sig)
     # index in the transversal doubles as the GF(2) coordinate vector of

@@ -13,13 +13,14 @@ from .subgroup import (
     CodeGroup,
     CodeType,
     _closure,
+    _coset_reps,
+    _cosets_where,
     _memoized,
     code_type,
     gray_basis,
     gray_codewords,
     group_kernel,
     torsion,
-    torsion_cosets,
 )
 
 
@@ -71,17 +72,24 @@ def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
     """K(Gray(C)) = {z : Gray(C) + z = Gray(C)}, by translation test.
 
     Since the zero vector is a codeword the kernel is contained in the
-    code, so only codewords are tested; ``full_space`` scans all of Z2^n
-    (for n <= 16).  The result is checked against Gray(K(C)).
+    code; it is linear and contains Gray(T(C)), so one codeword per T-coset
+    is tested.  ``full_space`` scans all of Z2^n instead (for n <= 16).
+    The result is checked against Gray(K(C)).
     """
     codewords = gray_codewords(C)
     n = C.sig.n
     if full_space and n > 16:
         raise ValueError(f"full-space kernel scan needs n <= 16, got n={n}")
-    candidates = range(1 << n) if full_space else codewords
-    members = frozenset(
-        z for z in candidates if all((c ^ z) in codewords for c in codewords)
-    )
+
+    def translates(z: int) -> bool:
+        return all((c ^ z) in codewords for c in codewords)
+
+    if full_space:
+        members = frozenset(filter(translates, range(1 << n)))
+    else:
+        members = frozenset(
+            w.bits for w in _cosets_where(C, lambda w: translates(w.bits))
+        )
     group_route = frozenset(w.bits for w in group_kernel(C).elements)
     if members != group_route:
         raise RuntimeError("translation-test kernel disagrees with the swapper kernel")
@@ -184,12 +192,8 @@ def check_bounds(C: CodeGroup) -> BoundReport:
 
 
 def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
-    """Pair facts for a, b outside T(C), checked over T-coset representatives.
-
-    Squares and commutators are constant on T-cosets, so scanning coset
-    representatives is exhaustive.
-    """
-    reps = [w for w in torsion_cosets(C) if not (w * w).is_identity()]
+    """Pair facts for a, b outside T(C), checked on one word per T-coset."""
+    reps = [w for w in _coset_reps(C) if not (w * w).is_identity()]
     square_weight_bad = 0
     commuting_squares_bad = 0
     T = torsion(C)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple
 
 from .groups import GroupSignature, GroupWord, parse_token
@@ -17,17 +18,25 @@ class ParseError(ValueError):
 
 
 def _tokenize(line: str) -> List[Tuple[str, int]]:
-    """Tokens with their 1-based column, comments stripped."""
-    if "#" in line:
-        line = line[: line.index("#")]
-    out = []
-    col = 0
-    for raw in line.split(" "):
-        token = raw.strip()
-        if token:
-            out.append((token, col + 1))
-        col += len(raw) + 1
-    return out
+    """Whitespace-separated tokens with their 1-based column."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+
+
+def _parse_word(
+    sig: GroupSignature, tokens: List[Tuple[str, int]], line: int, column: int
+) -> GroupWord:
+    """One word from (token, column) pairs; ``column`` locates a count error."""
+    if len(tokens) != sig.l:
+        raise ParseError(
+            f"expected {sig.l} coordinate tokens, got {len(tokens)}", line, column
+        )
+    coords = []
+    for index, (token, col) in enumerate(tokens):
+        try:
+            coords.append(parse_token(sig, index, token))
+        except ValueError as exc:
+            raise ParseError(str(exc), line, col) from exc
+    return GroupWord(sig, tuple(coords))
 
 
 def parse_generators(text: str) -> Tuple[GroupSignature, List[GroupWord]]:
@@ -35,7 +44,7 @@ def parse_generators(text: str) -> Tuple[GroupSignature, List[GroupWord]]:
     sig: Optional[GroupSignature] = None
     gens: List[GroupWord] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(line.replace("\t", " "))
+        tokens = _tokenize(line.split("#", 1)[0])
         if not tokens:
             continue
         keyword, col0 = tokens[0]
@@ -59,19 +68,7 @@ def parse_generators(text: str) -> Tuple[GroupSignature, List[GroupWord]]:
         elif keyword == "gen":
             if sig is None:
                 raise ParseError("gen line before sig line", lineno, col0)
-            if len(args) != sig.l:
-                raise ParseError(
-                    f"expected {sig.l} coordinate tokens, got {len(args)}",
-                    lineno,
-                    col0,
-                )
-            coords = []
-            for index, (token, col) in enumerate(args):
-                try:
-                    coords.append(parse_token(sig, index, token))
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno, col) from exc
-            gens.append(GroupWord(sig, tuple(coords)))
+            gens.append(_parse_word(sig, args, lineno, col0))
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, col0)
     if sig is None:
@@ -100,15 +97,4 @@ def format_generators(
 
 def parse_element(text: str, sig: GroupSignature) -> GroupWord:
     """Parse one element literal: whitespace-separated coordinate tokens."""
-    tokens = text.split()
-    if len(tokens) != sig.l:
-        raise ParseError(
-            f"expected {sig.l} coordinate tokens, got {len(tokens)}", 1, 1
-        )
-    coords = []
-    for index, token in enumerate(tokens):
-        try:
-            coords.append(parse_token(sig, index, token))
-        except ValueError as exc:
-            raise ParseError(str(exc), 1, index + 1) from exc
-    return GroupWord(sig, tuple(coords))
+    return _parse_word(sig, _tokenize(text), 1, 1)

@@ -5,14 +5,15 @@ it was built from; a wrapped subset derives greedy ones on first read.
 Every derived fact is computed once and kept on the instance
 (``_memoized``); element iteration order is always lexicographic on the
 coordinate tuples so that every derived choice (bases, generating sets,
-reports) is deterministic.  Every closure runs through ``_closure``.
+reports) is deterministic.  Every closure runs through ``_closure``, and
+every fact constant on the cosets of T(C) is decided on one word per coset
+(``_coset_reps``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from itertools import product as iter_product
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis
@@ -242,10 +243,37 @@ def torsion(C: CodeGroup) -> CodeGroup:
 
 
 @_memoized
+def _coset_reps(C: CodeGroup) -> Tuple[GroupWord, ...]:
+    """One word of C per coset of T(C).
+
+    Every word of order <= 2 in Z2^k1 x Z4^k2 x Q8^k3 is central in the
+    ambient group, and pi fixes its Gray image, so Gray(w t) = Gray(w) +
+    Gray(t) for t in T(C).  A T-coset is thus an affine translate of the
+    linear space Gray(T), named by Gray(w) reduced modulo a basis of it.
+    Squares, centrality, commutators, swappers and membership in K(C) and
+    in the binary kernel are constant on T-cosets, so they are decided on
+    these words and expanded with ``_cosets_where``.
+    """
+    basis = Gf2Basis(gray_codewords(torsion(C)))
+    return tuple({basis.reduce(w.bits): w for w in C.elements}.values())
+
+
+def _cosets_where(C: CodeGroup, test: Callable[[GroupWord], bool]) -> frozenset:
+    """The words of the T-cosets whose representative passes ``test``."""
+    tbits = gray_codewords(torsion(C))
+    return frozenset(
+        GroupWord._from_bits(C.sig, r.bits ^ t)
+        for r in _coset_reps(C)
+        if test(r)
+        for t in tbits
+    )
+
+
+@_memoized
 def center(C: CodeGroup) -> CodeGroup:
-    """Z(C), computed by testing commutation against the generators."""
+    """Z(C): the T-cosets whose representative commutes with the generators."""
     gens = C.generators
-    return C.subgroup(w for w in C.elements if all(w * g == g * w for g in gens))
+    return C.subgroup(_cosets_where(C, lambda w: all(w * g == g * w for g in gens)))
 
 
 @_memoized
@@ -299,7 +327,14 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
 
 
 def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
-    """Check the defining invariants of a standard generating set."""
+    """Check the defining invariants of a standard generating set.
+
+    With each generator in its layer, the x's span T(C) exactly when their
+    Gray images are independent, and the y/z products factor C uniquely
+    exactly when their T-cosets tile Gray(C).  The 2^delta products of y's
+    then fill the 2^delta T-cosets of Z(C), so every product that uses a z
+    lies outside Z(C).
+    """
     T = torsion(C)
     Z = center(C)
     ct = code_type(C)
@@ -319,24 +354,20 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     for z in gens.zs:
         if z in Z or z.order() != 4:
             raise ValueError(f"z generator {z} not an order-4 non-central element")
-    seen = {}
-    e = identity(C.sig)
-    for exps in iter_product((0, 1), repeat=ct.total):
-        w = e
-        for g, a in zip(gens.all(), exps):
-            if a:
-                w = w * g
-        if w in seen:
-            raise ValueError(f"products {seen[w]} and {exps} collide at {w}")
-        seen[w] = exps
-        if w not in C:
-            raise ValueError(f"product {w} escapes the group")
-        in_t = all(a == 0 for a in exps[ct.sigma:])
-        in_z = all(a == 0 for a in exps[ct.sigma + ct.delta:])
-        if (w in T) != in_t or (w in Z) != in_z:
-            raise ValueError(f"membership pattern violated at exponents {exps}")
-    if len(seen) != C.order:
-        raise ValueError("products do not exhaust the group")
+    if Gf2Basis(x.bits for x in gens.xs).rank != ct.sigma:
+        raise ValueError("x generators are dependent")
+    products = _products(C.sig, gens.ys + gens.zs)
+    tbits = gray_codewords(T)
+    if {p.bits ^ t for p in products for t in tbits} != gray_codewords(C):
+        raise ValueError("y/z products do not meet each T-coset of C once")
+
+
+def _products(sig: GroupSignature, gens: Sequence[GroupWord]) -> List[GroupWord]:
+    """Products of the subsets of gens, in order; bit i of the index picks gens[i]."""
+    out = [identity(sig)]
+    for g in gens:
+        out += [w * g for w in out]
+    return out
 
 
 def torsion_cosets(C: CodeGroup) -> List[GroupWord]:
@@ -346,10 +377,7 @@ def torsion_cosets(C: CodeGroup) -> List[GroupWord]:
     of the standard y/z generators selected by v; index 0 is the identity.
     """
     gens = standard_generators(C)
-    reps = [identity(C.sig)]
-    for g in gens.ys + gens.zs:
-        reps += [r * g for r in reps]
-    return reps
+    return _products(C.sig, gens.ys + gens.zs)
 
 
 @_memoized
@@ -357,16 +385,17 @@ def group_kernel(C: CodeGroup, full: bool = False) -> CodeGroup:
     """K(C) = {x in C : the swapper [x, y] lies in C for every y in C}.
 
     Swappers are homomorphisms in each slot, so testing y over the
-    generators suffices; ``full`` forces the |C|^2 cross-check.  Gray is
-    injective, so [x, y] lies in C exactly when its Gray bits lie in Gray(C).
+    generators suffices, and x over one word per T-coset; ``full`` forces
+    the |C|^2 cross-check.  Gray is injective, so [x, y] lies in C exactly
+    when its Gray bits lie in Gray(C).
     """
     codewords = gray_codewords(C)
-    probes = list(C.elements) if full else list(C.generators)
-    members = [
-        x
-        for x in C.elements
-        if all(_swapper_bits(x, y) in codewords for y in probes)
-    ]
+    probes = C.elements if full else C.generators
+
+    def passes(x: GroupWord) -> bool:
+        return all(_swapper_bits(x, y) in codewords for y in probes)
+
+    members = filter(passes, C.elements) if full else _cosets_where(C, passes)
     K = C.subgroup(members)
     if not torsion(C).elements <= K.elements:
         raise RuntimeError("T(C) escaped K(C); swapper arithmetic is broken")

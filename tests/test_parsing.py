@@ -83,5 +83,9 @@ def test_parse_element_literal():
     assert w.tokens() == ("1", "2", "a2b")
     with pytest.raises(ParseError):
         parse_element("1 2", sig)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_element("1 7 b", sig)
+    assert err.value.column == 3
+    with pytest.raises(ParseError) as err:
+        parse_element("  1 2 zz", sig)
+    assert err.value.column == 7

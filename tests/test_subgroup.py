@@ -30,9 +30,10 @@ from z2z4q8 import (
 )
 from z2z4q8.fixtures import load_fixture
 import z2z4q8.subgroup as subgroup_module
-from z2z4q8.subgroup import verify_standard
+from z2z4q8.report import analyze
+from z2z4q8.subgroup import StandardGenSet, _coset_reps, verify_standard
 
-from conftest import Q8, q8_word, random_subgroup
+from conftest import Q8, all_words, q8_word, random_subgroup
 
 Q8_PAIR = GroupSignature(0, 0, 2)
 
@@ -292,3 +293,105 @@ def test_power_of_two_validation():
     sig = GroupSignature(2, 0, 0)
     with pytest.raises(ValueError):
         CodeGroup(sig, frozenset({identity(sig), word(sig, (1, 0)), word(sig, (0, 1))}), ())
+
+
+# -- the T-coset quotient C/T(C) ----------------------------------------
+
+COSET_SIGNATURES = [
+    GroupSignature(4, 0, 0),
+    GroupSignature(0, 3, 0),
+    GroupSignature(0, 0, 2),
+    GroupSignature(1, 1, 1),
+    GroupSignature(2, 2, 1),
+]
+
+
+def _coset_groups():
+    for name in SHIPPED_FIXTURES:
+        yield name, load_fixture(name)
+    for sig in COSET_SIGNATURES:
+        rng = random.Random(7 * sig.l + sig.n)
+        for i in range(8):
+            C = random_subgroup(sig, rng, rng.choice((1, 2, 3)), max_order=64)
+            yield f"{sig}#{i}", C
+
+
+def test_coset_reps_are_a_transversal_of_torsion():
+    for name, C in _coset_groups():
+        T = torsion(C)
+        reps = _coset_reps(C)
+        assert len(reps) * T.order == C.order, name
+        # |reps| cosets of |T| words each cover C only if no two coincide
+        cosets = [frozenset(r * t for t in T.elements) for r in reps]
+        assert frozenset().union(*cosets) == C.elements, name
+
+
+def test_gray_is_additive_on_torsion_translates():
+    for name, C in _coset_groups():
+        for t in torsion(C).elements:
+            for w in C.elements:
+                assert gray(w * t).bits == gray(w).bits ^ gray(t).bits, name
+
+
+def test_center_and_kernel_from_cosets_match_whole_group_scans():
+    for name, C in _coset_groups():
+        whole = frozenset(
+            w for w in C.elements if all(w * c == c * w for c in C.elements)
+        )
+        assert center(C).elements == whole, name
+        assert group_kernel(C) == group_kernel(C, full=True), name
+
+
+def _mixed_group_with_y_and_z():
+    """A seeded random group of type (sigma, delta >= 1, rho >= 1)."""
+    rng = random.Random(11)
+    while True:
+        C = random_subgroup(GroupSignature(1, 2, 2), rng, 3, max_order=256)
+        ct = code_type(C)
+        if ct.delta and ct.rho:
+            return C
+
+
+def _bad_sets():
+    """(name, group, generating set) violating one condition each."""
+    h16 = load_fixture("hadamard16_q8")  # type (2, 0, 3)
+    g = standard_generators(h16)
+    (x1, x2), (z1, z2, z3) = g.xs, g.zs
+    outside = next(
+        w for w in all_words(h16.sig) if w.order() == 4 and w not in h16
+    )
+    mixed = _mixed_group_with_y_and_z()
+    m = standard_generators(mixed)
+    return [
+        ("x outside T", h16, StandardGenSet((z1, x2), (), g.zs)),
+        ("dependent x's", h16, StandardGenSet((x1, x1), (), g.zs)),
+        ("non-central y", mixed, StandardGenSet(m.xs, (m.zs[0],) + m.ys[1:], m.zs)),
+        ("central z", mixed, StandardGenSet(m.xs, m.ys, (m.ys[0],) + m.zs[1:])),
+        ("two products in one coset", h16, StandardGenSet(g.xs, (), (z1, z2, z1 * z2))),
+        ("product outside C", h16, StandardGenSet(g.xs, (), (z1, z2, outside))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_verify_standard_rejects_each_violation(case):
+    name, C, gens = _bad_sets()[case]
+    with pytest.raises(ValueError):
+        verify_standard(C, gens)
+
+
+def test_non_hadamard_analyze_builds_no_standard_generators(monkeypatch):
+    """Pair checks read the T-cosets directly, so a non-Hadamard analysis
+    never derives a standard generating set."""
+    C = load_fixture("pure_q8_n8")  # a fresh group, not Hadamard
+    calls = Counter()
+    original = subgroup_module.standard_generators
+
+    def counting(*args):
+        calls["standard_generators"] += 1
+        return original(*args)
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "z2z4q8"]:
+        if getattr(module, "standard_generators", None) is original:
+            monkeypatch.setattr(module, "standard_generators", counting)
+    assert analyze(C)["shape"] is None
+    assert calls == Counter()
