@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from .gray import gray
 from .groups import (
     GroupSignature,
     GroupWord,
@@ -31,6 +30,7 @@ from .subgroup import (
     DEFAULT_MAX_ORDER,
     CodeGroup,
     CodeType,
+    EnumerationLimit,
     _coset_reps,
     center,
     code_type,
@@ -85,7 +85,8 @@ def extend(
 
     Preconditions: x lies outside Cq with x^2 in Cq, conjugation by x
     preserves Cq, and every coset word x*c has Gray weight exactly half
-    the binary length.  The result must be a Hadamard code.
+    the binary length.  The first two make <Cq, x> = Cq u x*Cq, which is
+    built directly.  The result must be a Hadamard code.
     """
     if x.sig != Cq.sig:
         raise ConstructionError(f"element signature {x.sig} != group {Cq.sig}")
@@ -99,13 +100,17 @@ def extend(
     n = Cq.sig.n
     if n % 2:
         raise ConstructionError(f"binary length {n} is odd; no middle weight")
-    for c in Cq.sorted_elements():
-        wt = gray(x * c).weight()
+    elements = Cq.sorted_elements()
+    coset = [x * c for c in elements]
+    for c, xc in zip(elements, coset):
+        wt = xc.bits.bit_count()
         if wt != n // 2:
             raise ConstructionError(
                 f"weight condition fails at c={c}: |Gray(x c)| = {wt} != {n // 2}"
             )
-    out = CodeGroup.generate(tuple(Cq.generators) + (x,), max_order)
+    if 2 * Cq.order > max_order:
+        raise EnumerationLimit(f"extension order exceeds max_order={max_order}")
+    out = CodeGroup(Cq.sig, Cq.elements.union(coset), Cq.generators + (x,))
     if out.order != 2 * Cq.order:
         raise RuntimeError("extension did not double the group order")
     if not is_hadamard(out):
@@ -158,15 +163,26 @@ class KroneckerResult:
     predicted_type: CodeType
 
 
+def _pair_bits(sig: GroupSignature, a: int, b: int) -> int:
+    """Gray bits of the pair (w1, w2) in ``sig.doubled()``, from Gray(w1) = a
+    and Gray(w2) = b.
+
+    Each of the Z2, Z4 and Q8 sections of the doubled word is that section
+    of w1 followed by the same section of w2.
+    """
+    out = pos = 0
+    for width in (sig.k1, 2 * sig.k2, 4 * sig.k3):
+        mask = (1 << width) - 1
+        out |= (a & mask) << 2 * pos | (b & mask) << 2 * pos + width
+        a >>= width
+        b >>= width
+        pos += width
+    return out
+
+
 def _pair_word(w1: GroupWord, w2: GroupWord) -> GroupWord:
     sig = w1.sig
-    k1, k2 = sig.k1, sig.k2
-    a, b = w1.coords, w2.coords
-    return GroupWord(
-        sig.doubled(),
-        a[:k1] + b[:k1] + a[k1: k1 + k2] + b[k1: k1 + k2]
-        + a[k1 + k2:] + b[k1 + k2:],
-    )
+    return GroupWord._from_bits(sig.doubled(), _pair_bits(sig, w1.bits, w2.bits))
 
 
 def _predict_kronecker_type(C: CodeGroup, g: GroupWord) -> Tuple[CodeType, bool]:
@@ -196,12 +212,13 @@ def generalized_kronecker(
 ) -> KroneckerResult:
     """K_g(C) = <diag(C), (g, g*u)> for g normalizing C with g^2 in C.
 
-    Doubles length and cardinality.  The kernel dimension grows by at
-    most 1 and the type follows the predicted case split; the rank grows
-    by at least 1, and by exactly 1 whenever some coset word g*c has
-    order <= 2 (then the swappers of g against the group collapse into
-    S(C)).  Order-4 doubling elements outside that case can raise the
-    rank further.
+    As u is central of order 2, the output is diag(C) u (g, g*u) diag(C),
+    built directly.  Doubles length and cardinality.  The kernel dimension
+    grows by at most 1 and the type follows the predicted case split; the
+    rank grows by at least 1, and by exactly 1 whenever some coset word g*c
+    has order <= 2 (then the swappers of g against the group collapse into
+    S(C)).  Order-4 doubling elements outside that case can raise the rank
+    further.
     """
     if g.sig != C.sig:
         raise ConstructionError(f"element signature {g.sig} != group {C.sig}")
@@ -210,9 +227,20 @@ def generalized_kronecker(
     for h in C.generators:
         if conjugate(h, g) not in C:
             raise ConstructionError(f"{g} does not normalize the group (moves {h})")
-    u = u_element(C.sig)
+    if 2 * C.order > max_order:
+        raise EnumerationLimit(
+            f"Kronecker output order exceeds max_order={max_order}"
+        )
+    sig, dsig = C.sig, C.sig.doubled()
+    u = u_element(sig)
     gens = tuple(_pair_word(w, w) for w in C.generators) + (_pair_word(g, g * u),)
-    out = CodeGroup.generate(gens, max_order)
+    # (g, gu) diag(c) = (gc, gc u), and Gray(gc u) = Gray(gc) + 1...1
+    pairs = [_pair_bits(sig, c.bits, c.bits) for c in C.elements]
+    coset = [(g * c).bits for c in C.elements]
+    pairs += [_pair_bits(sig, b, b ^ u.bits) for b in coset]
+    out = CodeGroup(
+        dsig, frozenset(GroupWord._from_bits(dsig, b) for b in pairs), gens
+    )
     if out.order != 2 * C.order:
         raise RuntimeError("Kronecker output order is not 2|C|")
     predicted, torsion_coset = _predict_kronecker_type(C, g)

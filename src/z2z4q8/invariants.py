@@ -16,6 +16,7 @@ from .subgroup import (
     _coset_reps,
     _cosets_where,
     _memoized,
+    _swapper_bits,
     code_type,
     gray_basis,
     gray_codewords,
@@ -44,11 +45,11 @@ def span_group(C: CodeGroup) -> CodeGroup:
     """
     gens = list(C.generators)
     extra = []
-    for x in C.generators:
-        for y in C.generators:
-            s = swapper(x, y)
-            if not s.is_identity():
-                extra.append(s)
+    for x in gens:
+        for y in gens:
+            s = _swapper_bits(x, y)
+            if s:
+                extra.append(GroupWord._from_bits(C.sig, s))
     elems = _closure(C.elements, extra, stage="span group")
     D = CodeGroup(C.sig, frozenset(elems), tuple(gens + extra))
     # dual route: the Gray image must equal the GF(2) row space of C

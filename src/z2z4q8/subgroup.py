@@ -239,7 +239,7 @@ def gray_basis(C: CodeGroup) -> Gf2Basis:
 @_memoized
 def torsion(C: CodeGroup) -> CodeGroup:
     """T(C) = {z in C : z^2 = e}; elementary abelian and central."""
-    return C.subgroup(w for w in C.elements if (w * w).is_identity())
+    return C.subgroup(w for w in C.elements if w.order() <= 2)
 
 
 @_memoized

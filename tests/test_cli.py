@@ -125,6 +125,16 @@ def test_construct_kronecker(tmp_path, capsys):
     assert payload["rank"] == 8 and payload["kernel_dim"] == 3
 
 
+def test_construct_max_order_names_the_refusing_stage(tmp_path, capsys):
+    path = _write(tmp_path, fixture_text("hadamard16_q8"))  # 32 words
+    assert main(["construct", "kronecker", path, "--max-order", "32"]) == 1
+    assert capsys.readouterr().err == (
+        "error: Kronecker output order exceeds max_order=32\n"
+    )
+    assert main(["construct", "kronecker", path, "--max-order", "16"]) == 1
+    assert "subgroup order exceeds max_order=16" in capsys.readouterr().err
+
+
 def test_construct_generalized_kronecker(tmp_path, capsys):
     path = _write(tmp_path, fixture_text("hadamard16_q8"))
     code = main(

@@ -8,6 +8,7 @@ import pytest
 
 from z2z4q8 import (
     ConstructionError,
+    EnumerationLimit,
     GroupSignature,
     classify_shape,
     code_type,
@@ -26,11 +27,16 @@ from z2z4q8 import (
     word,
     xi_lift,
 )
+import z2z4q8.hadamard as hadamard_module
+import z2z4q8.invariants as invariants_module
+import z2z4q8.subgroup as subgroup_module
 from z2z4q8.constructions import lift_word, q8_automorphisms
-from z2z4q8.fixtures import load_fixture
+from z2z4q8.fixtures import fixtures, load_fixture
 from z2z4q8.parsing import parse_element
+from z2z4q8.search import _random_abelian_base, _random_torsion_word
+from z2z4q8.subgroup import DEFAULT_MAX_ORDER
 
-from conftest import random_subgroup
+from conftest import random_subgroup, random_word
 
 
 def test_lift_word_values():
@@ -324,3 +330,125 @@ def test_random_kronecker_laws_small():
         assert result.output.order == 2 * C.order
         assert kernel_dim(result.output) <= kernel_dim(C) + 1
         assert rank(result.output) >= rank(C) + 1
+
+
+# -- the outputs are built as C u xC, never closed: the closure is the oracle --
+
+def test_fixture_construction_outputs_equal_their_generator_closure():
+    for case_id, fx in sorted(fixtures().items()):
+        C = fx.build()
+        assert C == generate(C.generators), case_id
+
+
+def _search_draw(base, rng):
+    """One construction output, drawn as ``search`` draws it."""
+    if rng.random() < 0.7:
+        lifted = xi_lift(base)
+        return extend(lifted, random_doubling_element(lifted.sig, rng))
+    g = rng.choice(base.sorted_elements()) * _random_torsion_word(base.sig, rng)
+    return generalized_kronecker(base, g).output
+
+
+@pytest.mark.parametrize("length", [8, 16])
+def test_search_draws_equal_their_generator_closure(length):
+    rng = random.Random(length)
+    drawn = 0
+    while drawn < 50:
+        # the abelian bases are Kronecker outputs too
+        base = _random_abelian_base(length // 2, rng)
+        assert base == generate(base.generators)
+        try:
+            C = _search_draw(base, rng)
+        except ConstructionError:
+            continue
+        assert C == generate(C.generators)
+        drawn += 1
+
+
+MIXED_SIGNATURES = [
+    GroupSignature(1, 1, 1),
+    GroupSignature(0, 1, 1),
+    GroupSignature(1, 0, 1),
+    GroupSignature(2, 1, 1),
+    GroupSignature(0, 0, 2),
+]
+
+
+def test_random_mixed_kronecker_outputs_equal_their_generator_closure():
+    rng = random.Random(2048)
+    built = 0
+    while built < 60:
+        sig = rng.choice(MIXED_SIGNATURES)
+        C = random_subgroup(sig, rng, rng.choice((1, 2, 3)), max_order=64)
+        if rng.random() < 0.5:
+            g = random_word(sig, rng)  # often fails a precondition
+        else:
+            g = rng.choice(C.sorted_elements()) * _random_torsion_word(sig, rng)
+        try:
+            out = generalized_kronecker(C, g).output
+        except ConstructionError:
+            continue
+        assert out == generate(out.generators), (sig, g)
+        built += 1
+
+
+def test_constructions_close_no_subgroup(monkeypatch):
+    """extend and generalized_kronecker build their output and close
+    nothing; only the rank postcondition closes the span group D."""
+    stages = []
+    real = subgroup_module._closure
+
+    def counting(base, gens, max_order=DEFAULT_MAX_ORDER, stage="subgroup"):
+        stages.append(stage)
+        return real(base, gens, max_order, stage)
+
+    for module in (subgroup_module, invariants_module, hadamard_module):
+        monkeypatch.setattr(module, "_closure", counting)
+
+    lifted = xi_lift(load_fixture("hadamard8_z4"))
+    x = parse_element("b ab b ab", lifted.sig)
+    stages.clear()
+    extend(lifted, x)
+    assert stages == []
+
+    C = load_fixture("hadamard16_q8")
+    g = parse_element("b ab 1 1", C.sig)
+    stages.clear()
+    generalized_kronecker(C, g)
+    assert stages == ["span group", "span group"]  # rank(C), rank(output)
+
+
+def test_construction_max_order_names_the_stage():
+    lifted = xi_lift(load_fixture("hadamard8_z4"))
+    x = parse_element("b ab b ab", lifted.sig)
+    limit = 2 * lifted.order
+    with pytest.raises(
+        EnumerationLimit, match=f"extension order exceeds max_order={limit - 1}$"
+    ):
+        extend(lifted, x, max_order=limit - 1)
+    assert extend(lifted, x, max_order=limit).order == limit
+
+    C = load_fixture("hadamard16_q8")
+    g = parse_element("b ab 1 1", C.sig)
+    limit = 2 * C.order
+    with pytest.raises(
+        EnumerationLimit, match=f"Kronecker output order exceeds max_order={limit - 1}$"
+    ):
+        generalized_kronecker(C, g, max_order=limit - 1)
+    with pytest.raises(EnumerationLimit, match="Kronecker"):
+        kronecker(C, max_order=C.order)
+    assert generalized_kronecker(C, g, max_order=limit).output.order == limit
+
+
+def test_extend_weight_witness_is_first_sorted_failure():
+    lifted = xi_lift(load_fixture("hadamard8_z4"))
+    n = lifted.sig.n
+    for literal in ("a2 1 1 1", "1 1 b b", "a a a2 1"):
+        x = parse_element(literal, lifted.sig)
+        weights = [(c, gray(x * c).weight()) for c in lifted.sorted_elements()]
+        c, wt = next((c, wt) for c, wt in weights if wt != n // 2)
+        with pytest.raises(ConstructionError) as err:
+            extend(lifted, x)
+        assert str(err.value) == (
+            f"weight condition fails at c={c}: |Gray(x c)| = {wt} != {n // 2}"
+        )

@@ -36,7 +36,7 @@ from z2z4q8 import (
     word_from_tokens,
     xi_lift,
 )
-from z2z4q8.constructions import generalized_kronecker
+from z2z4q8.constructions import _pair_bits, _pair_word, generalized_kronecker
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
@@ -168,9 +168,12 @@ def test_small_mixed_codes_are_linear():
         frontier = [generate([identity(sig)])]
         while frontier:
             S = frontier.pop()
+            # <S, g> = <S, s*g>: close once per right coset S*g
+            tried = set(S.elements)
             for g in ambient_words:
-                if g in S:
+                if g in tried:
                     continue
+                tried.update(s * g for s in S.elements)
                 try:
                     T = generate(list(S.generators) + [g], max_order=8)
                 except EnumerationLimit:
@@ -289,6 +292,27 @@ def test_property_table_swapper_bits_match_swapper(data):
         x = words[data.draw(st.integers(0, len(words) - 1))]
         y = words[data.draw(st.integers(0, len(words) - 1))]
         assert _swapper_bits(x, y) == gray(swapper(x, y)).bits
+
+
+def _reference_pair(w1, w2):
+    """(w1, w2) in the doubled signature, spliced coordinate by coordinate."""
+    sig = w1.sig
+    k1, k2 = sig.k1, sig.k2
+    a, b = w1.coords, w2.coords
+    return word(
+        sig.doubled(),
+        a[:k1] + b[:k1] + a[k1 : k1 + k2] + b[k1 : k1 + k2]
+        + a[k1 + k2 :] + b[k1 + k2 :],
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_pair_bits_match_coordinate_splice(data):
+    sig = data.draw(signatures)
+    x, y = data.draw(words_of(sig)), data.draw(words_of(sig))
+    assert _pair_bits(sig, x.bits, y.bits) == _reference_pair(x, y).bits
+    assert _pair_word(x, y) == _reference_pair(x, y)
 
 
 @PROPERTY_SETTINGS

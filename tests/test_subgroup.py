@@ -333,6 +333,13 @@ def test_gray_is_additive_on_torsion_translates():
                 assert gray(w * t).bits == gray(w).bits ^ gray(t).bits, name
 
 
+def test_torsion_is_the_words_squaring_to_e():
+    for name, C in _coset_groups():
+        e = identity(C.sig)
+        whole = frozenset(w for w in C.elements if w * w == e)
+        assert torsion(C).elements == whole, name
+
+
 def test_center_and_kernel_from_cosets_match_whole_group_scans():
     for name, C in _coset_groups():
         whole = frozenset(
