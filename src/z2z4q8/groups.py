@@ -136,6 +136,42 @@ def _pi(sig: GroupSignature, x: int, y: int) -> int:
     return y ^ d ^ (d << 1)
 
 
+def _nu(sig: GroupSignature, x: int) -> int:
+    """The map mod Omega, Omega = {w : w^2 = e}, on the Gray image x.
+
+    Bit pos of a Z4 block is b0^b1 (the value mod 2); bits pos and pos+1
+    of a Q8 block are p = b0^b1 and q = b0^b2, which send <a>, <b>, <ab>
+    minus {1, a2} to (1,0), (1,1), (0,1) and {1, a2} to (0,0); Z2 blocks
+    give nothing.  So nu(x) = 0 exactly when every Z4 entry is in {0,2} and
+    every Q8 entry in {1, a2}, i.e. when x has order <= 2.  nu is XOR-linear
+    in the bits, and it is a homomorphism G -> GF(2)^(k2+2k3):
+    nu(Gray(x y)) = nu(Gray(x)) + nu(pi_x(Gray(y))), and pi keeps nu.  A Z4
+    swap keeps b0^b1; valid Q8 blocks satisfy b0^b1 = b2^b3 and
+    b0^b2 = b1^b3, so (0 1)(2 3) and (0 2)(1 3), and their product
+    (0 3)(1 2), keep p and q.
+    """
+    _, z4, q8 = _tables(sig)
+    return (x ^ (x >> 1)) & (z4 | q8) | ((x ^ (x >> 2)) & q8) << 1
+
+
+def _sort_key(w: "GroupWord") -> int:
+    """An int whose order is the order of ``w.coords``.
+
+    Each block is rewritten so that its bit 0 is the most significant bit
+    of the coordinate value: a Z4 block (b0, b1) becomes (b0, b0^b1), and a
+    Q8 block i + 4j becomes (j, i>>1, i&1, 0) = (q, b0^(q&~p), p^q, 0) with
+    p = b0^b1 and q = b0^b2.  Reversing the n-bit string then puts
+    coordinate 0 first and each block's bit 0 above its others.
+    """
+    sig, x = w.sig, w.bits
+    _, z4, q8 = _tables(sig)
+    p = (x ^ (x >> 1)) & q8
+    q = (x ^ (x >> 2)) & q8
+    y = (x & ~(q8 * 0b1111)) ^ ((x & z4) << 1)
+    y |= q | (((x & q8) ^ (q & ~p)) << 1) | ((p ^ q) << 2)
+    return int(format(y, f"0{sig.n}b")[::-1], 2)
+
+
 class GroupWord:
     """One element of Z2^k1 x Z4^k2 x Q8^k3, stored as its Gray image.
 
@@ -214,13 +250,9 @@ class GroupWord:
         return result
 
     def order(self) -> int:
-        x = self.bits
-        if not x:
+        if not self.bits:
             return 1
-        _, z4, q8 = _tables(self.sig)
-        # order 4: a Z4 block 01/10, or a Q8 block other than 0000/1111
-        order4 = (x ^ (x >> 1)) & (z4 | q8) or (x ^ (x >> 2)) & q8
-        return 4 if order4 else 2
+        return 4 if _nu(self.sig, self.bits) else 2
 
     def is_identity(self) -> bool:
         return not self.bits

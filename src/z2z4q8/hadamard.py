@@ -27,13 +27,14 @@ from .subgroup import (
     CodeGroup,
     StandardGenSet,
     _closure,
+    _commutator_row,
+    _coset_reps,
     _memoized,
     _swapper_bits,
     center,
     code_type,
     gray_codewords,
     standard_generators,
-    torsion_cosets,
     verify_standard,
 )
 
@@ -662,43 +663,40 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
 
     Swappers have order <= 2, so Gray(s1 * s2) = Gray(s1) + Gray(s2).
     """
-    u = u_element(C.sig)
-    # index in the transversal doubles as the GF(2) coordinate vector of
-    # the coset in C/T (representatives are built in exponent order)
-    reps = [
-        (vec, w)
-        for vec, w in enumerate(torsion_cosets(C))
-        if not (w * w).is_identity()
-    ]
+    u = u_element(C.sig).bits
+    # the index of a transversal word is the GF(2) coordinate vector of its
+    # coset in C/T; index 0 is T itself
+    words = _coset_reps(C)
+    squares = [(w * w).bits for w in words]
+    outside = range(1, len(words))
+    rows = [_commutator_row(C, w) for w in words]
 
     pair_bad = 0
-    for _, a in reps:
-        a2 = a * a
-        for _, b in reps:
-            c = commutator(a, b)
-            if not (c.is_identity() or c == a2 or a2 == u):
-                pair_bad += 1
+    for v in outside:
+        a2 = squares[v]
+        if a2 != u:
+            pair_bad += sum(rows[v][j] not in (0, a2) for j in outside)
 
     by_square: dict = {}
-    for vec, a in reps:
-        sq = a * a
-        if sq != u:
-            by_square.setdefault(sq, []).append((vec, a))
+    for v in outside:
+        if squares[v] != u:
+            by_square.setdefault(squares[v], []).append(v)
 
     triple2_bad = sum(
-        Gf2Basis(vec for vec, _ in members).rank > 2 for members in by_square.values()
+        Gf2Basis(members).rank > 2 for members in by_square.values()
     )
 
     codewords = gray_codewords(C)
     triple3_bad = 0
-    for members in by_square.values():
+    for a2, members in by_square.items():
         for ai in range(len(members)):
             for bi in range(ai + 1, len(members)):
-                a, b = members[ai][1], members[bi][1]
-                if commutator(a, b) != a * a:
+                if rows[members[ai]][members[bi]] != a2:
                     continue
-                for _, c in reps:
-                    if c * c == a * a:
+                a, b = words[members[ai]], words[members[bi]]
+                for j in outside:
+                    c = words[j]
+                    if squares[j] == a2:
                         continue
                     s1 = _swapper_bits(a, c)
                     s2 = _swapper_bits(b, c)

@@ -8,11 +8,12 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .gray import BinaryVector, gray, gray_inv
-from .groups import GroupWord, SignatureMismatch, commutator
+from .groups import GroupWord, SignatureMismatch
 from .subgroup import (
     CodeGroup,
     CodeType,
     _closure,
+    _commutator_row,
     _coset_reps,
     _cosets_where,
     _memoized,
@@ -21,7 +22,6 @@ from .subgroup import (
     gray_basis,
     gray_codewords,
     group_kernel,
-    torsion,
 )
 
 
@@ -193,19 +193,24 @@ def check_bounds(C: CodeGroup) -> BoundReport:
 
 
 def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
-    """Pair facts for a, b outside T(C), checked on one word per T-coset."""
-    reps = [w for w in _coset_reps(C) if not (w * w).is_identity()]
+    """Pair facts for a, b outside T(C), checked on one word per T-coset.
+
+    The words of ``_coset_reps`` outside T(C) are those at index v >= 1,
+    and the product ab lies in T(C) exactly when a and b share an index.
+    """
+    reps = _coset_reps(C)
+    squares = [(a * a).bits for a in reps]
+    outside = range(1, len(reps))
     square_weight_bad = 0
     commuting_squares_bad = 0
-    T = torsion(C)
-    for a in reps:
-        wa = (a * a).bits.bit_count()
-        for b in reps:
-            c = commutator(a, b)
-            if c.bits.bit_count() > wa:
-                square_weight_bad += 1
-            if c.is_identity() and (a * b) not in T and a * a == b * b:
-                commuting_squares_bad += 1
+    for u in outside:
+        row = _commutator_row(C, reps[u])
+        sq = squares[u]
+        wa = sq.bit_count()
+        square_weight_bad += sum(row[v].bit_count() > wa for v in outside)
+        commuting_squares_bad += sum(
+            not row[v] and v != u and squares[v] == sq for v in outside
+        )
     return [
         BoundCheck(
             "commutator weight <= square weight (pairs outside T)",

@@ -5,9 +5,12 @@ it was built from; a wrapped subset derives greedy ones on first read.
 Every derived fact is computed once and kept on the instance
 (``_memoized``); element iteration order is always lexicographic on the
 coordinate tuples so that every derived choice (bases, generating sets,
-reports) is deterministic.  Every closure runs through ``_closure``, and
-every fact constant on the cosets of T(C) is decided on one word per coset
-(``_coset_reps``).
+reports) is deterministic.  Each group has one GF(2) presentation read
+from its generators (``_presentation``): ``generate`` enumerates C from it,
+T(C) and the type are read from it, and every fact constant on the cosets
+of T(C) is decided on one word per coset (``_coset_reps``).  Other
+closures run through ``_closure``, which the tests also use as the oracle
+for ``generate``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import wraps
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis
-from .groups import GroupSignature, GroupWord, commutator, identity
+from .groups import GroupSignature, GroupWord, _nu, _pi, _sort_key, commutator, identity
 
 DEFAULT_MAX_ORDER = 1 << 20
 
@@ -165,7 +168,14 @@ class CodeGroup:
         generators: Sequence[GroupWord],
         max_order: int = DEFAULT_MAX_ORDER,
     ) -> "CodeGroup":
-        """Smallest subgroup containing the generators (worklist closure)."""
+        """Smallest subgroup containing the generators.
+
+        C = N x {ordered products of b_1..b_k} (``_present``), and N lies in
+        Omega, so Gray(n p) = Gray(n) + Gray(p) as in ``_coset_reps``: the
+        words are p + t for p over the 2^k products and t over Gray(N).  The
+        order 2^(dim N + k) is known, and checked against ``max_order``,
+        before any word is built.
+        """
         gens = tuple(generators)
         if not gens:
             raise ValueError("at least one generator is required")
@@ -173,7 +183,17 @@ class CodeGroup:
         for g in gens[1:]:
             if g.sig != sig:
                 raise ValueError(f"inconsistent signatures {sig} and {g.sig}")
-        return cls(sig, frozenset(_closure([identity(sig)], gens, max_order)), gens)
+        basis, nrows = _present(sig, [g.bits for g in gens])
+        if 1 << (len(basis) + len(nrows)) > max_order:
+            raise EnumerationLimit(f"subgroup order exceeds max_order={max_order}")
+        words = [GroupWord._from_bits(sig, b) for b in basis]
+        tbits = _span(nrows)
+        elements = frozenset(
+            GroupWord._from_bits(sig, p.bits ^ t)
+            for p in _products(sig, words)
+            for t in tbits
+        )
+        return cls(sig, elements, gens)
 
     # -- basic container behaviour ------------------------------------
 
@@ -206,7 +226,7 @@ class CodeGroup:
 
     @_memoized
     def sorted_elements(self) -> List[GroupWord]:
-        return sorted(self.elements, key=lambda w: w.coords)
+        return sorted(self.elements, key=_sort_key)
 
     def subgroup(self, elements: Iterable[GroupWord]) -> "CodeGroup":
         """Wrap an already-closed subset as a CodeGroup (greedy gens on read)."""
@@ -230,6 +250,94 @@ def _swapper_bits(x: GroupWord, y: GroupWord) -> int:
     return x.bits ^ y.bits ^ (x * y).bits
 
 
+def _commutator_bits(sig: GroupSignature, x: int, y: int) -> int:
+    """Gray((x, y)) for words given by their Gray images x and y.
+
+    xy = yx (x, y), and (x, y) has order <= 2: it is central and pi fixes
+    its image, so Gray(xy) = Gray(yx) + Gray((x, y)).
+    """
+    return x ^ y ^ _pi(sig, x, y) ^ _pi(sig, y, x)
+
+
+def _span(rows: Sequence[int]) -> List[int]:
+    """Every XOR of a subset of rows; bit i of the index picks rows[i]."""
+    out = [0]
+    for r in rows:
+        out += [v ^ r for v in out]
+    return out
+
+
+def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """A GF(2) presentation of <gens>, on Gray images: (b_1..b_k, rows of N).
+
+    ``_nu`` is a homomorphism onto GF(2)^(k2+2k3) with kernel Omega, the
+    words of order <= 2.  Each generator is multiplied on the right by the
+    basis words whose pivot its nu has, which reduces nu; a nonzero
+    residue is a new basis word b_i, a zero one lies in Omega.  Those
+    residues, the squares b_i^2 and the commutators (b_i, b_j) lie in
+    Omega, and generate a subgroup N that is central and elementary
+    abelian, with Gray(N) the GF(2) span of their images; the rows returned
+    are an independent subset of those images.
+
+    The set N {b_1^e1 ... b_k^ek} is closed: a product of such words is
+    put back in order by commutators, and squares (and b^-1 = b b^2) fold
+    into N.  It holds
+    every generator (g times its reducing basis words is a residue or a
+    b_i), so it is C.  The 2^k ordered products have independent nu, so
+    they lie in distinct cosets of Omega; hence T(C) = C n Omega = N and
+    |C| = 2^(dim N + k).
+    """
+    pivots: List[Tuple[int, int, int]] = []  # (pivot bit, nu, word)
+    torsion_basis = Gf2Basis()
+    rows: List[int] = []
+
+    def into_n(t: int) -> None:
+        if torsion_basis.add(t):
+            rows.append(t)
+
+    for w in gens:
+        v = _nu(sig, w)
+        for pivot, vb, b in pivots:
+            if v & pivot:
+                w ^= _pi(sig, w, b)
+                v ^= vb
+        if v:
+            pivots.append((1 << (v.bit_length() - 1), v, w))
+        else:
+            into_n(w)
+    basis = [b for _, _, b in pivots]
+    for i, b in enumerate(basis):
+        into_n(b ^ _pi(sig, b, b))
+        for c in basis[:i]:
+            into_n(_commutator_bits(sig, c, b))
+    return basis, rows
+
+
+@dataclass(frozen=True)
+class _Presentation:
+    basis: Tuple[GroupWord, ...]  # b_1..b_k, a basis of C/T(C)
+    torsion_bits: frozenset  # Gray(T(C))
+
+
+@_memoized
+def _presentation(C: CodeGroup) -> _Presentation:
+    """C's presentation (``_present``) from its generators.
+
+    Raises RuntimeError when the order it gives is not |C|, i.e. when the
+    generators do not generate the elements.
+    """
+    basis, rows = _present(C.sig, [g.bits for g in C.generators])
+    if len(basis) + len(rows) != C.log2_order:
+        raise RuntimeError(
+            f"generators give order 2^{len(basis) + len(rows)}, "
+            f"but the group has {C.order} words"
+        )
+    return _Presentation(
+        tuple(GroupWord._from_bits(C.sig, b) for b in basis),
+        frozenset(_span(rows)),
+    )
+
+
 @_memoized
 def gray_basis(C: CodeGroup) -> Gf2Basis:
     """GF(2) row basis of Gray(C); callers only read it."""
@@ -239,28 +347,42 @@ def gray_basis(C: CodeGroup) -> Gf2Basis:
 @_memoized
 def torsion(C: CodeGroup) -> CodeGroup:
     """T(C) = {z in C : z^2 = e}; elementary abelian and central."""
-    return C.subgroup(w for w in C.elements if w.order() <= 2)
+    return C.subgroup(
+        GroupWord._from_bits(C.sig, t) for t in _presentation(C).torsion_bits
+    )
 
 
 @_memoized
 def _coset_reps(C: CodeGroup) -> Tuple[GroupWord, ...]:
-    """One word of C per coset of T(C).
+    """One word of C per coset of T(C): the ordered products of the basis
+    b_1..b_k of ``_presentation``; bit i of the index picks b_i, and
+    index 0 is the identity.
 
     Every word of order <= 2 in Z2^k1 x Z4^k2 x Q8^k3 is central in the
     ambient group, and pi fixes its Gray image, so Gray(w t) = Gray(w) +
     Gray(t) for t in T(C).  A T-coset is thus an affine translate of the
-    linear space Gray(T), named by Gray(w) reduced modulo a basis of it.
-    Squares, centrality, commutators, swappers and membership in K(C) and
-    in the binary kernel are constant on T-cosets, so they are decided on
-    these words and expanded with ``_cosets_where``.
+    linear space Gray(T).  Squares, centrality, commutators, swappers and
+    membership in K(C) and in the binary kernel are constant on T-cosets,
+    so they are decided on these words and expanded with ``_cosets_where``.
     """
-    basis = Gf2Basis(gray_codewords(torsion(C)))
-    return tuple({basis.reduce(w.bits): w for w in C.elements}.values())
+    return tuple(_products(C.sig, _presentation(C).basis))
+
+
+def _commutator_row(C: CodeGroup, a: GroupWord) -> List[int]:
+    """Gray((a, w)) for each word w of ``_coset_reps``, by index.
+
+    C has class 2: its commutators have order <= 2, so they are central,
+    (a, xy) = (a, x)(a, y), and Gray adds on them.  So the row is the span
+    of the k commutators (a, b_j), indexed like the products.
+    """
+    return _span(
+        [_commutator_bits(C.sig, a.bits, b.bits) for b in _presentation(C).basis]
+    )
 
 
 def _cosets_where(C: CodeGroup, test: Callable[[GroupWord], bool]) -> frozenset:
     """The words of the T-cosets whose representative passes ``test``."""
-    tbits = gray_codewords(torsion(C))
+    tbits = _presentation(C).torsion_bits
     return frozenset(
         GroupWord._from_bits(C.sig, r.bits ^ t)
         for r in _coset_reps(C)
@@ -291,10 +413,24 @@ def commutator_subgroup(C: CodeGroup) -> CodeGroup:
 
 @_memoized
 def code_type(C: CodeGroup) -> CodeType:
-    sigma = torsion(C).log2_order
-    delta = center(C).log2_order - sigma
-    rho = C.log2_order - center(C).log2_order
-    return CodeType(sigma, delta, rho)
+    """(sigma, delta, rho) from the presentation.
+
+    sigma = dim T(C).  A word n p_v lies in Z(C) exactly when v is in the
+    radical of the commutator form on C/T(C) = GF(2)^k, i.e. when the sum
+    of the rows sum_j Gray((b_i, b_j)) << j*n picked by v is zero; so rho
+    is the GF(2) rank of those rows and delta = k - rho.
+    """
+    P = _presentation(C)
+    sig, n = C.sig, C.sig.n
+    form = Gf2Basis(
+        sum(
+            _commutator_bits(sig, a.bits, b.bits) << (j * n)
+            for j, b in enumerate(P.basis)
+        )
+        for a in P.basis
+    )
+    sigma = len(P.torsion_bits).bit_length() - 1
+    return CodeType(sigma, len(P.basis) - form.rank, form.rank)
 
 
 @_memoized

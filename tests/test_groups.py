@@ -19,7 +19,7 @@ from z2z4q8 import (
     word,
     word_from_tokens,
 )
-from z2z4q8.groups import Q8_TOKENS, parse_q8_token
+from z2z4q8.groups import Q8_TOKENS, _nu, _sort_key, parse_q8_token
 
 from conftest import Q8, all_words, assert_matches_reference, q8_word, random_word
 
@@ -195,3 +195,20 @@ def test_q8_token_normalization():
         parse_q8_token("c")
     with pytest.raises(ValueError):
         parse_q8_token("")
+
+
+def test_nu_is_a_homomorphism_with_kernel_the_words_of_order_at_most_2():
+    """Exhaustive on Z2 x Z4 x Q8: nu(xy) = nu(x) + nu(y), and nu(x) = 0
+    exactly when x^2 = e."""
+    words = all_words(MIXED)
+    e = identity(MIXED)
+    for x in words:
+        assert (_nu(MIXED, x.bits) == 0) == (x * x == e), x
+        for y in words:
+            assert _nu(MIXED, (x * y).bits) == _nu(MIXED, x.bits) ^ _nu(MIXED, y.bits)
+
+
+def test_sort_key_order_is_coordinate_order():
+    words = all_words(GroupSignature(1, 2, 2))
+    random.Random(3).shuffle(words)
+    assert sorted(words, key=_sort_key) == sorted(words, key=lambda w: w.coords)

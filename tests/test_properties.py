@@ -39,8 +39,9 @@ from z2z4q8 import (
 from z2z4q8.constructions import _pair_bits, _pair_word, generalized_kronecker
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
+from z2z4q8.groups import _nu
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
-from z2z4q8.subgroup import _swapper_bits
+from z2z4q8.subgroup import _closure, _swapper_bits
 
 from conftest import assert_matches_reference, random_subgroup
 
@@ -292,6 +293,23 @@ def test_property_table_swapper_bits_match_swapper(data):
         x = words[data.draw(st.integers(0, len(words) - 1))]
         y = words[data.draw(st.integers(0, len(words) - 1))]
         assert _swapper_bits(x, y) == gray(swapper(x, y)).bits
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_nu_is_a_homomorphism_with_kernel_omega(data):
+    sig = data.draw(signatures)
+    x, y = data.draw(words_of(sig)), data.draw(words_of(sig))
+    assert _nu(sig, (x * y).bits) == _nu(sig, x.bits) ^ _nu(sig, y.bits)
+    assert (_nu(sig, x.bits) == 0) == (x.order() <= 2) == ((x * x).is_identity())
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_generate_equals_the_closure(data):
+    sig = data.draw(signatures)
+    gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
+    assert generate(gens).elements == _closure([identity(sig)], gens)
 
 
 def _reference_pair(w1, w2):

@@ -13,6 +13,7 @@ from z2z4q8 import (
     CodeGroup,
     EnumerationLimit,
     GroupSignature,
+    GroupWord,
     center,
     code_type,
     commutator_subgroup,
@@ -20,7 +21,9 @@ from z2z4q8 import (
     gray,
     gray_inv,
     group_kernel,
+    commutator,
     identity,
+    parse_generators,
     standard_generators,
     swapper,
     torsion,
@@ -28,10 +31,17 @@ from z2z4q8 import (
     word,
     word_from_tokens,
 )
-from z2z4q8.fixtures import load_fixture
+from z2z4q8.fixtures import fixture_text, load_fixture
 import z2z4q8.subgroup as subgroup_module
 from z2z4q8.report import analyze
-from z2z4q8.subgroup import StandardGenSet, _coset_reps, verify_standard
+from z2z4q8.subgroup import (
+    StandardGenSet,
+    _closure,
+    _commutator_bits,
+    _commutator_row,
+    _coset_reps,
+    verify_standard,
+)
 
 from conftest import Q8, all_words, q8_word, random_subgroup
 
@@ -386,19 +396,84 @@ def test_verify_standard_rejects_each_violation(case):
         verify_standard(C, gens)
 
 
+def _count_calls(monkeypatch, name: str) -> Counter:
+    """Count calls of ``subgroup.<name>`` through every module that binds it."""
+    calls = Counter()
+    original = getattr(subgroup_module, name)
+
+    def counting(*args):
+        calls[name] += 1
+        return original(*args)
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "z2z4q8"]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_non_hadamard_analyze_builds_no_standard_generators(monkeypatch):
     """Pair checks read the T-cosets directly, so a non-Hadamard analysis
     never derives a standard generating set."""
     C = load_fixture("pure_q8_n8")  # a fresh group, not Hadamard
-    calls = Counter()
-    original = subgroup_module.standard_generators
-
-    def counting(*args):
-        calls["standard_generators"] += 1
-        return original(*args)
-
-    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "z2z4q8"]:
-        if getattr(module, "standard_generators", None) is original:
-            monkeypatch.setattr(module, "standard_generators", counting)
+    calls = _count_calls(monkeypatch, "standard_generators")
     assert analyze(C)["shape"] is None
+    assert calls == Counter()
+
+
+# -- the GF(2) presentation ----------------------------------------------
+
+
+def test_generate_equals_the_closure_on_fixtures():
+    for name in SHIPPED_FIXTURES:
+        sig, gens = parse_generators(fixture_text(name))
+        assert generate(gens).elements == _closure([identity(sig)], gens), name
+
+
+def test_generate_refuses_before_building_a_word(monkeypatch):
+    gens = [word_from_tokens(Q8_PAIR, t) for t in (("a", "1"), ("1", "a"), ("b", "b"))]
+    built = Counter()
+    original = GroupWord._from_bits
+
+    def counting(cls, sig, bits):
+        built["words"] += 1
+        return original(sig, bits)
+
+    monkeypatch.setattr(GroupWord, "_from_bits", classmethod(counting))
+    with pytest.raises(EnumerationLimit, match="subgroup order exceeds max_order=16"):
+        generate(gens, max_order=16)
+    assert built == Counter()
+    assert generate(gens, max_order=32).order == 32
+
+
+def test_torsion_refuses_generators_that_miss_elements(hadamard16):
+    C = CodeGroup(hadamard16.sig, hadamard16.elements, hadamard16.generators[:1])
+    with pytest.raises(RuntimeError, match="generators give order"):
+        torsion(C)
+
+
+def test_commutator_rows_match_word_commutators():
+    """The doubled rows read by both pair checks, and the Gray form of the
+    commutator, against commutator() word by word."""
+    for name, C in _coset_groups():
+        reps = _coset_reps(C)
+        for a in C.sorted_elements()[:: max(1, C.order // 16)]:
+            expected = [commutator(a, b).bits for b in reps]
+            assert _commutator_row(C, a) == expected, name
+            assert [_commutator_bits(C.sig, a.bits, b.bits) for b in reps] == expected
+
+
+def test_center_order_matches_the_type_from_the_commutator_form():
+    for name, C in _coset_groups():
+        ct = code_type(C)
+        assert center(C).log2_order == ct.sigma + ct.delta, name
+        assert torsion(C).log2_order == ct.sigma, name
+
+
+def test_non_hadamard_analyze_computes_no_center(monkeypatch):
+    """code_type reads delta and rho from the commutator form."""
+    C = random_subgroup(GroupSignature(1, 2, 2), random.Random(5), 4, max_order=1 << 10)
+    C = generate(C.generators)  # a fresh group, nothing cached
+    calls = _count_calls(monkeypatch, "center")
+    assert analyze(C)["shape"] is None
+    assert C.order >= 64
     assert calls == Counter()
