@@ -83,7 +83,6 @@ from .subgroup import (
     group_kernel,
     standard_generators,
     torsion,
-    torsion_cosets,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,10 +26,10 @@ from .invariants import (
 from .subgroup import (
     CodeGroup,
     StandardGenSet,
-    _closure,
     _commutator_row,
     _coset_reps,
     _memoized,
+    _present,
     _swapper_bits,
     center,
     code_type,
@@ -631,8 +631,9 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
             "sigma >= delta + rho - epsilon - 1", lower, ct.sigma, ct.sigma >= lower
         )
     )
-    u_span = _closure([identity(C.sig)], u_set)
-    if u not in u_span:
+    # u has order 2, so it lies in <U> exactly when it lies in T(<U>)
+    _, u_rows = _present(C.sig, [w.bits for w in u_set])
+    if not Gf2Basis(u_rows).contains(u.bits):
         checks.append(
             BoundCheck(
                 "u outside <U>: log2|<W>| = delta + rho - epsilon",

@@ -7,16 +7,19 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
+from .gf2 import Gf2Basis
 from .gray import BinaryVector, gray, gray_inv
 from .groups import GroupWord, SignatureMismatch
 from .subgroup import (
+    DEFAULT_MAX_ORDER,
     CodeGroup,
     CodeType,
-    _closure,
+    EnumerationLimit,
     _commutator_row,
     _coset_reps,
-    _cosets_where,
     _memoized,
+    _presentation,
+    _span,
     _swapper_bits,
     code_type,
     gray_basis,
@@ -40,18 +43,35 @@ def span_group(C: CodeGroup) -> CodeGroup:
     """D = <C u S(C)>, whose Gray image is the binary linear span of C.
 
     Swappers factor through products ([xy,z] = [x,z][y,z] and symmetric),
-    so generator-pair swappers already generate <S(C)>; they are central,
-    so closing C under them is a coset closure.
+    so generator-pair swappers already generate <S(C)>.  They have order
+    <= 2, so they are central and Gray adds on them: D is C times the span
+    E of the swappers independent of Gray(T), with Gray(c s) = Gray(c) +
+    Gray(s).  Its 2^(log2|C| + dim E) sums are distinct, as c s = c' s'
+    puts s s' in C n Omega = T.  With E = 0, D has the words of C.
     """
-    gens = list(C.generators)
+    gens = C.generators
+    independent = Gf2Basis(_presentation(C).torsion_rows)
     extra = []
     for x in gens:
         for y in gens:
             s = _swapper_bits(x, y)
-            if s:
-                extra.append(GroupWord._from_bits(C.sig, s))
-    elems = _closure(C.elements, extra, stage="span group")
-    D = CodeGroup(C.sig, frozenset(elems), tuple(gens + extra))
+            if independent.add(s):
+                extra.append(s)
+    if C.order << len(extra) > DEFAULT_MAX_ORDER:
+        raise EnumerationLimit(
+            f"span group order exceeds max_order={DEFAULT_MAX_ORDER}"
+        )
+    elems = C.elements
+    if extra:
+        elems = frozenset(
+            GroupWord._from_bits(C.sig, c ^ s)
+            for c in gray_codewords(C)
+            for s in _span(extra)
+        )
+    # a new group even with C's words: C's cache holding C would be a cycle
+    D = CodeGroup(
+        C.sig, elems, gens + tuple(GroupWord._from_bits(C.sig, s) for s in extra)
+    )
     # dual route: the Gray image must equal the GF(2) row space of C
     basis = gray_basis(C)
     if D.log2_order != basis.rank:
@@ -88,8 +108,9 @@ def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
     if full_space:
         members = frozenset(filter(translates, range(1 << n)))
     else:
+        tbits = _presentation(C).torsion_bits
         members = frozenset(
-            w.bits for w in _cosets_where(C, lambda w: translates(w.bits))
+            r.bits ^ t for r in _coset_reps(C) if translates(r.bits) for t in tbits
         )
     group_route = frozenset(w.bits for w in group_kernel(C).elements)
     if members != group_route:

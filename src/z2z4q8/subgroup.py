@@ -1,26 +1,25 @@
 """Subgroup enumeration and structural subgroups T, Z, C', K.
 
-A ``CodeGroup`` is a fully enumerated subgroup together with the generators
-it was built from; a wrapped subset derives greedy ones on first read.
-Every derived fact is computed once and kept on the instance
+A ``CodeGroup`` is a fully enumerated subgroup together with generators of
+it.  Every derived fact is computed once and kept on the instance
 (``_memoized``); element iteration order is always lexicographic on the
 coordinate tuples so that every derived choice (bases, generating sets,
 reports) is deterministic.  Each group has one GF(2) presentation read
 from its generators (``_presentation``): ``generate`` enumerates C from it,
-T(C) and the type are read from it, and every fact constant on the cosets
-of T(C) is decided on one word per coset (``_coset_reps``).  Other
-closures run through ``_closure``, which the tests also use as the oracle
-for ``generate``.
+T(C), C' and the type are read from it, every fact constant on the cosets
+of T(C) is decided on one word per coset (``_coset_reps``), and the
+standard generators are picked by GF(2) independence mod T(C).  Each
+subgroup built here carries generators read from the same presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis
-from .groups import GroupSignature, GroupWord, _nu, _pi, _sort_key, commutator, identity
+from .groups import GroupSignature, GroupWord, _nu, _pi, _sort_key, identity
 
 DEFAULT_MAX_ORDER = 1 << 20
 
@@ -44,58 +43,6 @@ def _memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
         return cache[key]
 
     return memoized
-
-
-def _closure(
-    base: Iterable[GroupWord],
-    gens: Sequence[GroupWord],
-    max_order: int = DEFAULT_MAX_ORDER,
-    stage: str = "subgroup",
-) -> set:
-    """<base, gens> for a subgroup ``base`` that the gens generate or normalize.
-
-    A worklist over right cosets base*r: each representative meets every
-    generator, and a product outside the cosets found so far brings in its
-    whole coset.  With base = {e} it is the element-by-element closure.
-    ``stage`` names the closure when it outgrows ``max_order``.
-    """
-    base = list(base)
-    others = [h for h in base if not h.is_identity()]
-    seen = set(base)
-    frontier = [base[0]]  # any element of base represents the coset base itself
-    while frontier:
-        rep = frontier.pop()
-        for g in gens:
-            nxt = rep * g
-            if nxt not in seen:
-                if len(seen) + len(base) > max_order:
-                    raise EnumerationLimit(
-                        f"{stage} order exceeds max_order={max_order}"
-                    )
-                seen.add(nxt)
-                for h in others:
-                    seen.add(h * nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def _first_independent(
-    start: Iterable[GroupWord], candidates: Iterable[GroupWord], order: int
-) -> List[GroupWord]:
-    """Candidates, in order, that each enlarge <start, picked so far>.
-
-    ``start`` is a subgroup normalized by every candidate; the scan stops at
-    ``order`` elements.
-    """
-    picked: List[GroupWord] = []
-    have = set(start)
-    for w in candidates:
-        if len(have) == order:
-            break
-        if w not in have:
-            picked.append(w)
-            have = _closure(have, picked)
-    return picked
 
 
 @dataclass(frozen=True)
@@ -141,7 +88,7 @@ class CodeGroup:
         self,
         sig: GroupSignature,
         elements: frozenset,
-        generators: Optional[Tuple[GroupWord, ...]],
+        generators: Tuple[GroupWord, ...],
     ) -> None:
         self.sig = sig
         self.elements = elements
@@ -149,18 +96,7 @@ class CodeGroup:
         if order == 0 or order & (order - 1):
             raise ValueError(f"subgroup order {order} is not a power of 2")
         self._cache: dict = {}
-        self._generators = generators
-
-    @property
-    def generators(self) -> Tuple[GroupWord, ...]:
-        """The generators given, or for a wrapped subset (``generators`` None)
-        the greedy first-independent ones in sorted order, derived on first
-        read."""
-        if self._generators is None:
-            e = identity(self.sig)
-            picked = _first_independent([e], self.sorted_elements(), self.order)
-            self._generators = tuple(picked) or (e,)
-        return self._generators
+        self.generators = generators
 
     @classmethod
     def generate(
@@ -227,10 +163,6 @@ class CodeGroup:
     @_memoized
     def sorted_elements(self) -> List[GroupWord]:
         return sorted(self.elements, key=_sort_key)
-
-    def subgroup(self, elements: Iterable[GroupWord]) -> "CodeGroup":
-        """Wrap an already-closed subset as a CodeGroup (greedy gens on read)."""
-        return CodeGroup(self.sig, frozenset(elements), None)
 
 
 def generate(
@@ -316,6 +248,7 @@ def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[List[int], List[
 @dataclass(frozen=True)
 class _Presentation:
     basis: Tuple[GroupWord, ...]  # b_1..b_k, a basis of C/T(C)
+    torsion_rows: Tuple[int, ...]  # a GF(2) basis of Gray(T(C))
     torsion_bits: frozenset  # Gray(T(C))
 
 
@@ -334,6 +267,7 @@ def _presentation(C: CodeGroup) -> _Presentation:
         )
     return _Presentation(
         tuple(GroupWord._from_bits(C.sig, b) for b in basis),
+        tuple(rows),
         frozenset(_span(rows)),
     )
 
@@ -344,12 +278,22 @@ def gray_basis(C: CodeGroup) -> Gf2Basis:
     return Gf2Basis(gray_codewords(C))
 
 
+def _elementary(sig: GroupSignature, rows: Sequence[int]) -> CodeGroup:
+    """The subgroup of Omega generated by the independent images ``rows``.
+
+    Words of order <= 2 are central and pi fixes their images, so Gray
+    adds on them and the subgroup's images are the span of the rows.
+    """
+    words = [GroupWord._from_bits(sig, r) for r in rows]
+    elements = frozenset(GroupWord._from_bits(sig, t) for t in _span(rows))
+    return CodeGroup(sig, elements, tuple(words) or (identity(sig),))
+
+
 @_memoized
 def torsion(C: CodeGroup) -> CodeGroup:
-    """T(C) = {z in C : z^2 = e}; elementary abelian and central."""
-    return C.subgroup(
-        GroupWord._from_bits(C.sig, t) for t in _presentation(C).torsion_bits
-    )
+    """T(C) = {z in C : z^2 = e}; elementary abelian and central, generated
+    by the rows of the presentation."""
+    return _elementary(C.sig, _presentation(C).torsion_rows)
 
 
 @_memoized
@@ -363,7 +307,7 @@ def _coset_reps(C: CodeGroup) -> Tuple[GroupWord, ...]:
     Gray(t) for t in T(C).  A T-coset is thus an affine translate of the
     linear space Gray(T).  Squares, centrality, commutators, swappers and
     membership in K(C) and in the binary kernel are constant on T-cosets,
-    so they are decided on these words and expanded with ``_cosets_where``.
+    so they are decided on these words and expanded by XOR with Gray(T).
     """
     return tuple(_products(C.sig, _presentation(C).basis))
 
@@ -380,35 +324,47 @@ def _commutator_row(C: CodeGroup, a: GroupWord) -> List[int]:
     )
 
 
-def _cosets_where(C: CodeGroup, test: Callable[[GroupWord], bool]) -> frozenset:
-    """The words of the T-cosets whose representative passes ``test``."""
-    tbits = _presentation(C).torsion_bits
-    return frozenset(
-        GroupWord._from_bits(C.sig, r.bits ^ t)
-        for r in _coset_reps(C)
-        if test(r)
-        for t in tbits
+def _cosets_where(C: CodeGroup, test: Callable[[GroupWord], bool]) -> CodeGroup:
+    """The subgroup made of the T-cosets whose representative passes ``test``.
+
+    The index of a representative is its coset's vector in C/T = GF(2)^k,
+    so the passing indices form a subspace, and T's generators with the
+    representatives at a basis of it generate the subgroup.
+    """
+    reps = _coset_reps(C)
+    passing = [v for v, r in enumerate(reps) if test(r)]
+    picked = Gf2Basis()
+    gens = torsion(C).generators + tuple(reps[v] for v in passing if picked.add(v))
+    elements = frozenset(
+        GroupWord._from_bits(C.sig, reps[v].bits ^ t)
+        for v in passing
+        for t in _presentation(C).torsion_bits
     )
+    return CodeGroup(C.sig, elements, gens)
 
 
 @_memoized
 def center(C: CodeGroup) -> CodeGroup:
     """Z(C): the T-cosets whose representative commutes with the generators."""
     gens = C.generators
-    return C.subgroup(_cosets_where(C, lambda w: all(w * g == g * w for g in gens)))
+    return _cosets_where(C, lambda w: all(w * g == g * w for g in gens))
 
 
 @_memoized
 def commutator_subgroup(C: CodeGroup) -> CodeGroup:
-    """C' = <(x, y) : x, y in C>.
+    """C' = <(x, y) : x, y in C>, the span of the generator-pair commutators.
 
     Commutators are central of order <= 2 and biadditive in each slot, so
     generator pairs already generate C'.
     """
-    gens = C.generators
-    comms = [commutator(x, y) for x in gens for y in gens]
-    nontrivial = [c for c in comms if not c.is_identity()]
-    return C.subgroup(_closure([identity(C.sig)], nontrivial))
+    gens = [g.bits for g in C.generators]
+    span, rows = Gf2Basis(), []
+    for x in gens:
+        for y in gens:
+            c = _commutator_bits(C.sig, x, y)
+            if span.add(c):
+                rows.append(c)
+    return _elementary(C.sig, rows)
 
 
 @_memoized
@@ -429,8 +385,7 @@ def code_type(C: CodeGroup) -> CodeType:
         )
         for a in P.basis
     )
-    sigma = len(P.torsion_bits).bit_length() - 1
-    return CodeType(sigma, len(P.basis) - form.rank, form.rank)
+    return CodeType(len(P.torsion_rows), len(P.basis) - form.rank, form.rank)
 
 
 @_memoized
@@ -439,7 +394,10 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
 
     Scans elements in sorted order: x's are picked to enlarge the GF(2)
     span of Gray(T(C)), y's to enlarge <T, ys> within Z(C), z's to enlarge
-    <Z, zs> within C.  The unique-product property is verified.
+    <Z, zs> within C.  nu is a homomorphism with kernel Omega, and
+    C n Omega = T, so a word lies in <T, picked> exactly when its nu lies
+    in the span of the picked words' nu; Z = <T, ys> gives the same for
+    the z's.  The unique-product property is verified.
     """
     T = torsion(C)
     Z = center(C)
@@ -452,10 +410,19 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     if len(xs) != T.log2_order:
         raise RuntimeError("torsion basis extraction failed")
 
-    # commutators have order <= 2, so they lie in T and every subgroup
-    # containing T is normal in C
-    ys = _first_independent(T.elements, Z.sorted_elements(), Z.order)
-    zs = _first_independent(Z.elements, C.sorted_elements(), C.order)
+    nus = Gf2Basis()
+
+    def pick(candidates: Sequence[GroupWord], dim: int) -> List[GroupWord]:
+        picked = []
+        for w in candidates:
+            if nus.rank == dim:
+                break
+            if nus.add(_nu(C.sig, w.bits)):
+                picked.append(w)
+        return picked
+
+    ys = pick(Z.sorted_elements(), Z.log2_order - T.log2_order)
+    zs = pick(C.sorted_elements(), C.log2_order - T.log2_order)
 
     gens = StandardGenSet(tuple(xs), tuple(ys), tuple(zs))
     verify_standard(C, gens)
@@ -506,33 +473,27 @@ def _products(sig: GroupSignature, gens: Sequence[GroupWord]) -> List[GroupWord]
     return out
 
 
-def torsion_cosets(C: CodeGroup) -> List[GroupWord]:
-    """Coset representatives of T(C) in C, in exponent order.
-
-    Representative at index v (bits little-endian over ys+zs) is the product
-    of the standard y/z generators selected by v; index 0 is the identity.
-    """
-    gens = standard_generators(C)
-    return _products(C.sig, gens.ys + gens.zs)
-
-
 @_memoized
 def group_kernel(C: CodeGroup, full: bool = False) -> CodeGroup:
     """K(C) = {x in C : the swapper [x, y] lies in C for every y in C}.
 
     Swappers are homomorphisms in each slot, so testing y over the
-    generators suffices, and x over one word per T-coset; ``full`` forces
-    the |C|^2 cross-check.  Gray is injective, so [x, y] lies in C exactly
+    generators suffices, and x over one word per T-coset.  ``full`` also
+    runs the |C|^2 scan over every x and y, and raises RuntimeError when
+    its set is not that K.  Gray is injective, so [x, y] lies in C exactly
     when its Gray bits lie in Gray(C).
     """
     codewords = gray_codewords(C)
-    probes = C.elements if full else C.generators
 
-    def passes(x: GroupWord) -> bool:
+    def passes(x: GroupWord, probes: Sequence[GroupWord]) -> bool:
         return all(_swapper_bits(x, y) in codewords for y in probes)
 
-    members = filter(passes, C.elements) if full else _cosets_where(C, passes)
-    K = C.subgroup(members)
+    if full:
+        K = group_kernel(C)
+        if frozenset(x for x in C.elements if passes(x, C.elements)) != K.elements:
+            raise RuntimeError("full kernel scan disagrees with the coset route")
+        return K
+    K = _cosets_where(C, lambda x: passes(x, C.generators))
     if not torsion(C).elements <= K.elements:
         raise RuntimeError("T(C) escaped K(C); swapper arithmetic is broken")
     return K

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from z2z4q8 import (
+    CodeGroup,
     ConstructionError,
     EnumerationLimit,
     GroupSignature,
@@ -27,9 +28,7 @@ from z2z4q8 import (
     word,
     xi_lift,
 )
-import z2z4q8.hadamard as hadamard_module
 import z2z4q8.invariants as invariants_module
-import z2z4q8.subgroup as subgroup_module
 from z2z4q8.constructions import lift_word, q8_automorphisms
 from z2z4q8.fixtures import fixtures, load_fixture
 from z2z4q8.parsing import parse_element
@@ -296,7 +295,7 @@ def test_abelian_index2_subgroup_dichotomy(shape5_32, hadamard16):
                 for w, exps in table.items()
                 if sum(e for e, b in zip(exps, range(d)) if (mask >> b) & 1) % 2 == 0
             ]
-            if is_abelian(C.subgroup(members)):
+            if is_abelian(generate(members)):
                 return True
         return False
 
@@ -394,16 +393,22 @@ def test_random_mixed_kronecker_outputs_equal_their_generator_closure():
 
 def test_constructions_close_no_subgroup(monkeypatch):
     """extend and generalized_kronecker build their output and close
-    nothing; only the rank postcondition closes the span group D."""
+    nothing: neither enumerates a group through ``generate``, and only the
+    rank postcondition builds the span group D."""
     stages = []
-    real = subgroup_module._closure
+    real_generate = CodeGroup.generate.__func__
+    real_span_group = invariants_module.span_group
 
-    def counting(base, gens, max_order=DEFAULT_MAX_ORDER, stage="subgroup"):
-        stages.append(stage)
-        return real(base, gens, max_order, stage)
+    def counting_generate(cls, gens, max_order=DEFAULT_MAX_ORDER):
+        stages.append("generate")
+        return real_generate(cls, gens, max_order)
 
-    for module in (subgroup_module, invariants_module, hadamard_module):
-        monkeypatch.setattr(module, "_closure", counting)
+    def counting_span_group(C):
+        stages.append("span group")
+        return real_span_group(C)
+
+    monkeypatch.setattr(CodeGroup, "generate", classmethod(counting_generate))
+    monkeypatch.setattr(invariants_module, "span_group", counting_span_group)
 
     lifted = xi_lift(load_fixture("hadamard8_z4"))
     x = parse_element("b ab b ab", lifted.sig)

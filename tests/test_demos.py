@@ -1,8 +1,4 @@
-"""The narrative demos run to completion and print their story.
-
-``demos/06_search.py`` is left out: it takes seconds, and
-``test_length16_rank_cap_and_search`` covers the search path it shows.
-"""
+"""The narrative demos run to completion and print their story."""
 
 from __future__ import annotations
 
@@ -20,6 +16,7 @@ DEMOS = [
     "03_hadamard_shapes.py",
     "04_lift_and_extend.py",
     "05_kronecker.py",
+    "06_search.py",
 ]
 
 

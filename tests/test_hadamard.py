@@ -18,14 +18,15 @@ from z2z4q8 import (
     gray,
     normalize_generators,
     rank,
+    swapper,
     u_element,
     word_from_tokens,
 )
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import Q8_MUL
-from z2z4q8.hadamard import _pair_reorder
-from z2z4q8.subgroup import verify_standard
+from z2z4q8.hadamard import _hadamard_pair_triple_checks, _pair_reorder
+from z2z4q8.subgroup import _coset_reps, verify_standard
 
 from conftest import q8_word
 
@@ -282,12 +283,14 @@ def test_normalization_substitutions_over_all_u_square_triples(shape5_32):
 
     from z2z4q8 import StandardGenSet, normalize_generators, standard_generators
     from z2z4q8.gf2 import Gf2Basis
-    from z2z4q8.subgroup import torsion_cosets
+    from z2z4q8.subgroup import _products
 
     C = shape5_32
     u = u_element(C.sig)
-    xs = standard_generators(C).xs
-    reps = list(enumerate(torsion_cosets(C)))[1:]
+    gens = standard_generators(C)
+    xs = gens.xs
+    # a T-coset transversal indexed by exponent vectors over the y's and z's
+    reps = list(enumerate(_products(C.sig, gens.ys + gens.zs)))[1:]
     u_squares = [(v, w) for v, w in reps if w * w == u]
     others = [(v, w) for v, w in reps if w * w != u]
     assert len(u_squares) >= 3
@@ -406,3 +409,42 @@ def test_shape2_witness_keeps_u_outside_tail_square_span(name):
             assert z.coords[i] in {0, a2, pq, Q8_MUL[pq][a2]}
     tail_squares = Gf2Basis(gray(z * z).bits for z in zs[2:])
     assert not tail_squares.contains(gray(u_element(C.sig)).bits)
+
+
+def _reference_triple_count(C, commutator_is_square=True):
+    """Word-level count of the third pair/triple check: pairs a, b from
+    distinct T-cosets with a^2 = b^2 != u, taken when (a, b) = a^2 is
+    ``commutator_is_square``, against each c with c^2 != a^2 for which
+    none of [a,c], [b,c], [a,c][b,c] lies in C."""
+    u = u_element(C.sig)
+    reps = _coset_reps(C)[1:]
+    count = 0
+    for i, a in enumerate(reps):
+        for b in reps[i + 1 :]:
+            a2 = a * a
+            if a2 == u or b * b != a2:
+                continue
+            if (commutator(a, b) == a2) != commutator_is_square:
+                continue
+            for c in reps:
+                if c * c != a2:
+                    s1, s2 = swapper(a, c), swapper(b, c)
+                    count += s1 not in C and s2 not in C and s1 * s2 not in C
+    return count
+
+
+def test_triple_check_takes_only_pairs_whose_commutator_is_their_square():
+    """On this non-Hadamard group the third count is 6 over the pairs with
+    (a, b) = a^2 and 0 over the others, so it sees the commutator filter."""
+    sig = GroupSignature(0, 0, 5)
+    C = generate(
+        [
+            word_from_tokens(sig, tuple(w.split()))
+            for w in ("a ab a ab 1", "b b b b 1", "a2 1 a3 ab a2b")
+        ]
+    )
+    assert not is_hadamard(C)
+    checks = {c.name: c for c in _hadamard_pair_triple_checks(C)}
+    count = checks["swapper pairs against a third square stay within index 2 mod T"]
+    assert count.lhs == _reference_triple_count(C) == 6
+    assert _reference_triple_count(C, commutator_is_square=False) == 0

@@ -6,7 +6,10 @@ import random
 import sys
 from collections import Counter
 
+import pytest
+
 from z2z4q8 import (
+    EnumerationLimit,
     GroupSignature,
     GroupWord,
     binary_kernel,
@@ -165,6 +168,29 @@ def test_span_group_hadamard16(hadamard16):
     assert swapper(a, c) in hadamard16
     extra = [swapper(a, b), swapper(b, c)]
     assert generate(list(hadamard16.generators) + extra) == D
+
+
+def test_span_group_refuses_before_building_a_word(monkeypatch):
+    """|D| = 128 for hadamard16_q8; the limit is met with the swapper
+    products alone, one per generator pair, and no word of D."""
+    import z2z4q8.invariants as invariants_module
+
+    C = load_fixture("hadamard16_q8")  # a fresh group, nothing cached
+    code_type(C)
+    built = Counter()
+    original = GroupWord._from_bits
+
+    def counting(cls, sig, bits):
+        built["words"] += 1
+        return original(sig, bits)
+
+    monkeypatch.setattr(GroupWord, "_from_bits", classmethod(counting))
+    monkeypatch.setattr(invariants_module, "DEFAULT_MAX_ORDER", 64)
+    with pytest.raises(EnumerationLimit, match="span group order exceeds max_order=64"):
+        span_group(C)
+    assert built["words"] <= len(C.generators) ** 2
+    monkeypatch.setattr(invariants_module, "DEFAULT_MAX_ORDER", 128)
+    assert span_group(C).order == 128
 
 
 def test_span_group_matches_full_swapper_set(pure_q8, hadamard16):

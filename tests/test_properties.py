@@ -41,9 +41,9 @@ from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import _nu
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
-from z2z4q8.subgroup import _closure, _swapper_bits
+from z2z4q8.subgroup import _swapper_bits
 
-from conftest import assert_matches_reference, random_subgroup
+from conftest import assert_matches_reference, closure, random_subgroup
 
 SIGNATURES = [
     GroupSignature(0, 0, 2),
@@ -309,7 +309,7 @@ def test_property_nu_is_a_homomorphism_with_kernel_omega(data):
 def test_property_generate_equals_the_closure(data):
     sig = data.draw(signatures)
     gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
-    assert generate(gens).elements == _closure([identity(sig)], gens)
+    assert generate(gens).elements == closure([identity(sig)], gens)
 
 
 def _reference_pair(w1, w2):

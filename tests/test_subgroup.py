@@ -26,24 +26,31 @@ from z2z4q8 import (
     parse_generators,
     standard_generators,
     swapper,
+    search,
+    span_group,
     torsion,
-    torsion_cosets,
     word,
     word_from_tokens,
 )
-from z2z4q8.fixtures import fixture_text, load_fixture
+from z2z4q8.fixtures import fixture_text, fixtures, load_fixture
 import z2z4q8.subgroup as subgroup_module
 from z2z4q8.report import analyze
 from z2z4q8.subgroup import (
     StandardGenSet,
-    _closure,
     _commutator_bits,
     _commutator_row,
     _coset_reps,
     verify_standard,
 )
 
-from conftest import Q8, all_words, q8_word, random_subgroup
+from conftest import (
+    Q8,
+    all_words,
+    closure,
+    q8_word,
+    random_subgroup,
+    scanned_standard_generators,
+)
 
 Q8_PAIR = GroupSignature(0, 0, 2)
 
@@ -177,15 +184,48 @@ def test_standard_generators_random_groups():
         verify_standard(C, standard_generators(C))
 
 
-def test_torsion_cosets_form_transversal(hadamard16):
-    reps = torsion_cosets(hadamard16)
-    T = torsion(hadamard16)
-    assert len(reps) * T.order == hadamard16.order
-    seen = set()
-    for rep in reps:
-        coset = frozenset((rep * t).coords for t in T.elements)
-        assert coset not in seen
-        seen.add(coset)
+# -- standard generators against the closure scan -----------------------
+
+
+def _assert_scan_matches(C, label):
+    gens = standard_generators(C)
+    assert (gens.xs, gens.ys, gens.zs) == scanned_standard_generators(C), label
+
+
+def test_standard_generators_match_the_closure_scan_on_fixtures_and_cases():
+    for name in SHIPPED_FIXTURES:
+        _assert_scan_matches(load_fixture(name), name)
+    cases = fixtures()
+    assert len(cases) == 24
+    for case_id, fx in sorted(cases.items()):
+        _assert_scan_matches(fx.build(), case_id)
+
+
+MIXED_SIGNATURES = [
+    GroupSignature(1, 1, 1),
+    GroupSignature(0, 1, 1),
+    GroupSignature(2, 1, 1),
+    GroupSignature(1, 2, 1),
+    GroupSignature(0, 2, 2),
+    GroupSignature(1, 0, 2),
+    GroupSignature(2, 2, 0),
+]
+
+
+def test_standard_generators_match_the_closure_scan_on_random_groups():
+    rng = random.Random(339)
+    for i in range(320):
+        sig = MIXED_SIGNATURES[i % len(MIXED_SIGNATURES)]
+        C = random_subgroup(sig, rng, rng.choice((1, 2, 3, 4)), max_order=256)
+        _assert_scan_matches(C, (sig, C.generators))
+
+
+@pytest.mark.parametrize("length", [16, 32])
+def test_standard_generators_match_the_closure_scan_on_search_outputs(length):
+    found = search(length, seed=1, budget=2500 if length == 16 else 300)
+    assert found
+    for f in found:
+        _assert_scan_matches(generate(f.generators), f.generators)
 
 
 def test_group_kernel_of_hadamard16(hadamard16):
@@ -266,28 +306,33 @@ def test_group_kernel_reads_the_gray_table(monkeypatch):
     assert calls == Counter()
 
 
-def test_wrapped_subgroups_derive_generators_on_first_read(monkeypatch):
-    """Type and kernel wrap T, Z and K without deriving their generators;
-    equality and hashing do not derive them either."""
-    C = load_fixture("hadamard32_q8_shape5")  # a fresh group, nothing cached
-    calls = Counter()
-    original = subgroup_module._first_independent
+def test_subgroups_carry_generators_that_generate_them():
+    """T, Z, K, C' and the span group D each carry generators read from
+    the presentation, and those generate exactly its words."""
+    for name, C in _coset_groups():
+        for label, S in (
+            ("T", torsion(C)),
+            ("Z", center(C)),
+            ("K", group_kernel(C)),
+            ("C'", commutator_subgroup(C)),
+            ("D", span_group(C)),
+        ):
+            assert generate(S.generators).elements == S.elements, (name, label)
 
-    def counting(*args):
-        calls["first_independent"] += 1
-        return original(*args)
 
-    monkeypatch.setattr(subgroup_module, "_first_independent", counting)
-    code_type(C)
-    group_kernel(C)
-    T = torsion(C)
-    assert T == C.subgroup(T.elements) and hash(T) == hash(C.subgroup(T.elements))
-    assert calls == Counter()
-    gens = T.generators
-    assert calls["first_independent"] == 1
-    assert T.generators is gens
-    assert generate(gens).elements == T.elements
-    assert gens == tuple(sorted(gens, key=lambda w: w.coords))
+def test_full_kernel_check_raises_when_the_routes_disagree(monkeypatch):
+    """The coset route is made to keep T only; K of this abelian Z4 code is
+    all of C, so the quadratic scan disagrees with it."""
+    C = load_fixture("hadamard8_z4")
+    assert group_kernel(C, full=True) == C
+    real = subgroup_module._cosets_where
+    monkeypatch.setattr(
+        subgroup_module,
+        "_cosets_where",
+        lambda C, test: real(C, lambda w: w.is_identity()),
+    )
+    with pytest.raises(RuntimeError, match="full kernel scan disagrees"):
+        analyze(load_fixture("hadamard8_z4"), full_kernel_check=True)
 
 
 def test_group_kernel_abelian_z4():
@@ -426,7 +471,7 @@ def test_non_hadamard_analyze_builds_no_standard_generators(monkeypatch):
 def test_generate_equals_the_closure_on_fixtures():
     for name in SHIPPED_FIXTURES:
         sig, gens = parse_generators(fixture_text(name))
-        assert generate(gens).elements == _closure([identity(sig)], gens), name
+        assert generate(gens).elements == closure([identity(sig)], gens), name
 
 
 def test_generate_refuses_before_building_a_word(monkeypatch):
