@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .gf2 import Gf2Basis
 from .gray import BinaryVector, gray, gray_inv
-from .groups import GroupWord, SignatureMismatch
+from .groups import GroupWord, SignatureMismatch, _pi
 from .subgroup import (
     DEFAULT_MAX_ORDER,
     CodeGroup,
@@ -24,7 +24,6 @@ from .subgroup import (
     code_type,
     gray_basis,
     gray_codewords,
-    group_kernel,
 )
 
 
@@ -38,16 +37,152 @@ def swapper(x: GroupWord, y: GroupWord) -> GroupWord:
     return gray_inv(gray(x) ^ gray(y) ^ gray(x * y), x.sig)
 
 
+def _swappers(C: CodeGroup) -> List[List[int]]:
+    """s(b_i, b_j) = Gray(b_j) + pi_(b_i)(Gray(b_j)), by (i, j), over the
+    basis b_1..b_k of ``_presentation``: the Gray bits of the swapper
+    [b_i, b_j] (``_swapper_bits``), from two images and one ``_pi``.
+
+    Three facts make rank and kernel linear algebra on these k^2 vectors.
+
+    s lies in Gray(Omega).  Per block, with g the block of Gray(y): a Z2
+    block has pi = 1, so s is 0; a Z4 block gives g + g or g + swap(g),
+    00 or 11, the image of 0 or 2; a valid Q8 block has b0^b1 = b2^b3 and
+    b0^b2 = b1^b3, so g + P(g) under each double transposition P is
+    (p,p,p,p), (q,q,q,q) or (p^q,...), i.e. 0000 or 1111, the image of 1
+    or a2.
+
+    s is bilinear on C, and vanishes when either argument lies in T(C).
+    Applying the product law twice, pi_(xy) = pi_x pi_y; pi fixes every
+    image of Omega (blocks 00/11, 0000/1111), and pi_t = 1 for t in
+    Omega.  So s(xy, z) = s(x, z) + pi_x s(y, z) = s(x, z) + s(y, z), and
+    s(x, yz) = (1 + pi_x)(Gray(y) + pi_y Gray(z)) = s(x, y) + s(x, z) +
+    (1 + pi_x)(1 + pi_y) Gray(z).  The cross term is zero: on a Z4 block
+    it is 0 or (1 + swap)^2 = 0; on a Q8 block it is (1 + P)^2 = 0 for
+    equal P, and for distinct P, Q the sum of g over the Klein group
+    {1, P, Q, PQ}, which is the block's parity in every bit, even for
+    every Q8 image (weights 0, 2, 4).
+
+    A word of Omega lies in C exactly when it lies in T(C) = C n Omega,
+    and Gray is injective: s(x, y) is in C exactly when its bits are in
+    Gray(T).
+    """
+    sig = C.sig
+    basis = [b.bits for b in _presentation(C).basis]
+    return [[y ^ _pi(sig, x, y) for y in basis] for x in basis]
+
+
+@_memoized
+def rank(C: CodeGroup) -> int:
+    """Binary rank of Gray(C): dim(Gray(T) + <Gray(b_i)> + <s(b_i, b_j)>).
+
+    C is the union of the cosets p_v T(C) of the ordered products p_v of
+    the b_i (``_coset_reps``), and Gray(p t) = Gray(p) + Gray(t), so the
+    row space is Gray(T) plus the span of the Gray(p_v).  Gray(xy) =
+    Gray(x) + Gray(y) + s(x, y), so by induction and bilinearity
+    (``_swappers``) Gray(p_v) is the sum of the Gray(b_i) with v_i = 1 and
+    of the s(b_i, b_j) between them; conversely Gray(b_i) and s(b_i, b_j)
+    = Gray(b_i) + Gray(b_j) + Gray(b_i b_j) lie in the row space.  The
+    pairs i < j suffice: s(b, b) = Gray(b^2) and s(b_i, b_j) + s(b_j, b_i)
+    = Gray((b_i, b_j)) lie in Gray(T).  The cost is O(k^2) products; no
+    codeword is read.
+
+    Second route: the row space from one codeword per T-coset, Gray(T)
+    plus the 2^k images of ``_coset_reps``.  It must have the same
+    dimension and hold every Gray(b_i) and s(b_i, b_j); RuntimeError
+    otherwise.  ``span_group`` is the |C|-sized oracle, run in the tests.
+    """
+    P = _presentation(C)
+    swappers = [s for i, row in enumerate(_swappers(C)) for s in row[i + 1 :]]
+    gens = [b.bits for b in P.basis] + swappers
+    span = Gf2Basis(P.torsion_rows)
+    for g in gens:
+        span.add(g)
+    rows = Gf2Basis(P.torsion_rows)
+    for p in _coset_reps(C):
+        rows.add(p.bits)
+    if rows.rank != span.rank:
+        raise RuntimeError(
+            f"presentation rank {span.rank} != coset row-space rank {rows.rank}"
+        )
+    if not all(rows.contains(g) for g in gens):
+        raise RuntimeError("a presentation generator escapes the coset row space")
+    return span.rank
+
+
+@_memoized
+def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
+    """The indices v of ``_coset_reps`` whose T-coset lies in K(C).
+
+    z is in the binary kernel of Gray(C) when z + Gray(C) = Gray(C); as 0
+    is a codeword, z = Gray(x) for some x in C.  Gray(x) + Gray(y) =
+    Gray(xy) + s(x, y) = Gray(s(x, y) xy), as s(x, y) lies in Omega (pi is
+    1 on it and fixes its image), and s(x, y) xy lies in C exactly when
+    s(x, y) does, i.e. when its bits lie in Gray(T) (``_swappers``).  By
+    bilinearity and s = 0 on T, x = p_v t passes for every y exactly when
+    sum_i v_i s(b_i, b_j) lies in Gray(T) for every j: K(C)/T(C) is the
+    null space of v -> (sum_i v_i s(b_i, b_j) mod Gray(T))_j.  The swappers
+    are reduced by the echelon basis of Gray(T), which leaves one residue
+    per class, and row i packs them at bits j*n.
+
+    Second route, the translation test on representatives: z is in the
+    binary kernel exactly when z + Gray(p_w) lies in Gray(C) for every w,
+    since the T-cosets tile Gray(C) as affine translates of Gray(T).  A
+    vector lies in Gray(p_w) + Gray(T) exactly when its residue mod Gray(T)
+    is the residue of Gray(p_w), and residues add, so z = Gray(p_v) passes
+    when res_v + res_w is a coset residue for every w: at most 4^k set
+    lookups, 2^sigma times fewer than testing each representative against
+    all of Gray(C).  The passing indices must be the null space;
+    RuntimeError otherwise.  ``binary_kernel`` and ``group_kernel`` are the
+    |C|-sized oracles, run in the tests.
+    """
+    P = _presentation(C)
+    n = C.sig.n
+    torsion = Gf2Basis(P.torsion_rows)
+    form = [
+        sum(torsion.reduce(s) << (j * n) for j, s in enumerate(row))
+        for row in _swappers(C)
+    ]
+    null = tuple(v for v, image in enumerate(_span(form)) if not image)
+    residues = [torsion.reduce(p.bits) for p in _coset_reps(C)]
+    cosets = frozenset(residues)
+    passing = tuple(
+        v
+        for v, rv in enumerate(residues)
+        if all(rv ^ rw in cosets for rw in residues)
+    )
+    if passing != null:
+        raise RuntimeError(
+            "translation test on representatives disagrees with the swapper null space"
+        )
+    return null
+
+
+def kernel_dim(C: CodeGroup) -> int:
+    """dim K(Gray(C)) = sigma + the dimension of the swapper null space
+    (``_kernel_cosets``); ``binary_kernel`` is the |C|-sized oracle."""
+    null_dim = len(_kernel_cosets(C)).bit_length() - 1
+    return len(_presentation(C).torsion_rows) + null_dim
+
+
+def is_linear(C: CodeGroup) -> bool:
+    """Gray(C) closed under addition, i.e. rank == log2|C|."""
+    return rank(C) == C.log2_order
+
+
 @_memoized
 def span_group(C: CodeGroup) -> CodeGroup:
     """D = <C u S(C)>, whose Gray image is the binary linear span of C.
 
-    Swappers factor through products ([xy,z] = [x,z][y,z] and symmetric),
-    so generator-pair swappers already generate <S(C)>.  They have order
+    A test oracle for ``rank``, which reads the presentation and builds no
+    word of D; ``fixtures.reproduce`` also reads D.  Swappers factor
+    through products ([xy,z] = [x,z][y,z] and symmetric), so
+    generator-pair swappers already generate <S(C)>.  They have order
     <= 2, so they are central and Gray adds on them: D is C times the span
     E of the swappers independent of Gray(T), with Gray(c s) = Gray(c) +
     Gray(s).  Its 2^(log2|C| + dim E) sums are distinct, as c s = c' s'
-    puts s s' in C n Omega = T.  With E = 0, D has the words of C.
+    puts s s' in C n Omega = T.  With E = 0, D has the words of C.  Its
+    order and words are checked against the GF(2) elimination of all of
+    Gray(C) (``gray_basis``).
     """
     gens = C.generators
     independent = Gf2Basis(_presentation(C).torsion_rows)
@@ -83,19 +218,17 @@ def span_group(C: CodeGroup) -> CodeGroup:
     return D
 
 
-def rank(C: CodeGroup) -> int:
-    """Binary rank of Gray(C); span-group and elimination routes must agree."""
-    return span_group(C).log2_order
-
-
 @_memoized
 def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
-    """K(Gray(C)) = {z : Gray(C) + z = Gray(C)}, by translation test.
+    """K(Gray(C)) = {z : Gray(C) + z = Gray(C)}, by translation test over
+    all of Gray(C).
 
-    Since the zero vector is a codeword the kernel is contained in the
-    code; it is linear and contains Gray(T(C)), so one codeword per T-coset
-    is tested.  ``full_space`` scans all of Z2^n instead (for n <= 16).
-    The result is checked against Gray(K(C)).
+    A test oracle for ``kernel_dim``, which reads the presentation.  Since
+    the zero vector is a codeword the kernel is contained in the code; it
+    is linear and contains Gray(T(C)), so one codeword per T-coset is
+    tested.  ``full_space`` scans all of Z2^n instead (for n <= 16).  The
+    result is checked against the swapper null space (``_kernel_cosets``)
+    expanded by XOR with Gray(T).
     """
     codewords = gray_codewords(C)
     n = C.sig.n
@@ -105,28 +238,18 @@ def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
     def translates(z: int) -> bool:
         return all((c ^ z) in codewords for c in codewords)
 
+    reps = _coset_reps(C)
+    tbits = _presentation(C).torsion_bits
     if full_space:
         members = frozenset(filter(translates, range(1 << n)))
     else:
-        tbits = _presentation(C).torsion_bits
         members = frozenset(
-            r.bits ^ t for r in _coset_reps(C) if translates(r.bits) for t in tbits
+            r.bits ^ t for r in reps if translates(r.bits) for t in tbits
         )
-    group_route = frozenset(w.bits for w in group_kernel(C).elements)
-    if members != group_route:
+    null_space = frozenset(reps[v].bits ^ t for v in _kernel_cosets(C) for t in tbits)
+    if members != null_space:
         raise RuntimeError("translation-test kernel disagrees with the swapper kernel")
     return frozenset(BinaryVector(n, z) for z in members)
-
-
-def kernel_dim(C: CodeGroup) -> int:
-    size = len(binary_kernel(C))
-    return size.bit_length() - 1
-
-
-@_memoized
-def is_linear(C: CodeGroup) -> bool:
-    """Gray(C) closed under addition, i.e. rank == log2|C|."""
-    return gray_basis(C).rank == C.log2_order
 
 
 def is_abelian(C: CodeGroup) -> bool:

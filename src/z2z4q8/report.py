@@ -6,8 +6,8 @@ import json
 from typing import Optional
 
 from .hadamard import classify_shape, hadamard_bounds, is_hadamard
-from .invariants import structure_report
-from .subgroup import CodeGroup
+from .invariants import binary_kernel, kernel_dim, structure_report
+from .subgroup import CodeGroup, group_kernel
 
 
 def analyze(C: CodeGroup, full_kernel_check: bool = False) -> dict:
@@ -17,12 +17,17 @@ def analyze(C: CodeGroup, full_kernel_check: bool = False) -> dict:
     are null for non-Hadamard inputs.
     """
     if full_kernel_check:
-        from .invariants import binary_kernel
-        from .subgroup import group_kernel
-
-        group_kernel(C, full=True)
-        if C.sig.n <= 16:
-            binary_kernel(C, full_space=True)
+        # the |C|^2 group-kernel scan, and at n <= 16 the translation scan
+        # of all of Z2^n, each against 2^kernel_dim from the presentation
+        size = 1 << kernel_dim(C)
+        if group_kernel(C, full=True).order != size:
+            raise RuntimeError(
+                "full kernel scan disagrees with the presentation kernel"
+            )
+        if C.sig.n <= 16 and len(binary_kernel(C, full_space=True)) != size:
+            raise RuntimeError(
+                "full-space kernel scan disagrees with the presentation kernel"
+            )
 
     report = structure_report(C)
     shape = None

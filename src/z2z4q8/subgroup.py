@@ -274,7 +274,11 @@ def _presentation(C: CodeGroup) -> _Presentation:
 
 @_memoized
 def gray_basis(C: CodeGroup) -> Gf2Basis:
-    """GF(2) row basis of Gray(C); callers only read it."""
+    """GF(2) row basis of all of Gray(C); callers only read it.
+
+    The |C|-sized elimination behind ``invariants.span_group``: a test
+    oracle for ``invariants.rank``, which reads the presentation.
+    """
     return Gf2Basis(gray_codewords(C))
 
 
@@ -481,7 +485,9 @@ def group_kernel(C: CodeGroup, full: bool = False) -> CodeGroup:
     generators suffices, and x over one word per T-coset.  ``full`` also
     runs the |C|^2 scan over every x and y, and raises RuntimeError when
     its set is not that K.  Gray is injective, so [x, y] lies in C exactly
-    when its Gray bits lie in Gray(C).
+    when its Gray bits lie in Gray(C).  A test oracle for
+    ``invariants.kernel_dim``, which reads the presentation; ``reproduce``
+    and ``analyze(full_kernel_check=True)`` also call it.
     """
     codewords = gray_codewords(C)
 

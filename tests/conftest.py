@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
+from importlib import resources
+from types import ModuleType
 from typing import Iterable, List, Sequence, Tuple
 
 import pytest
@@ -22,6 +26,12 @@ from z2z4q8.groups import Q8_MUL
 
 _CRITERION_LINES: List[str] = []
 
+SHIPPED_FIXTURES = sorted(
+    f.name[: -len(".gens")]
+    for f in resources.files("z2z4q8").joinpath("fixtures").iterdir()
+    if f.name.endswith(".gens")
+)
+
 
 def record_criterion_line(line: str) -> None:
     """Collect acceptance pass lines for the terminal summary."""
@@ -33,6 +43,27 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
         terminalreporter.section("acceptance criteria")
         for line in _CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+def count_calls(monkeypatch, owner: ModuleType, *names: str) -> Counter:
+    """Count calls of ``owner.<name>`` through every module that binds it."""
+    calls = Counter()
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "z2z4q8"]
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        original = getattr(owner, name)
+        wrapper = counting(name, original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def random_word(sig: GroupSignature, rng: random.Random) -> GroupWord:

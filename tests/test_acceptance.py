@@ -375,7 +375,7 @@ def test_criterion_11_kronecker_laws_on_random_inputs():
                 members = sorted(base.elements, key=lambda w: w.coords)
                 g0 = rng.choice(members) * _random_torsion_word(base.sig, rng)
                 C = generalized_kronecker(base, g0).output
-        except Exception:
+        except ConstructionError:
             continue
         assert is_hadamard(C)
         members = sorted(C.elements, key=lambda w: w.coords)
@@ -437,7 +437,7 @@ def test_criterion_12_property_suites():
             base = _random_abelian_base(length // 2, rng2)
             lifted = xi_lift(base)
             C = extend(lifted, random_doubling_element(lifted.sig, rng2))
-        except Exception:
+        except ConstructionError:
             continue
         instances.append(C)
         built += 1
@@ -455,9 +455,10 @@ def test_criterion_12_property_suites():
 # -- criterion 13 ----------------------------------------------------------
 
 def test_criterion_13_cross_oracles():
-    """rank: span group vs elimination; kernel: translation test vs Gray
-    image of the swapper kernel.  Both comparisons also run inside every
-    rank()/binary_kernel() call made by the other suites."""
+    """rank: presentation vs span group vs elimination; kernel: presentation
+    null space vs translation test vs Gray image of the swapper kernel.
+    rank() and kernel_dim() also run their 2^k second routes in every call
+    made by the other suites."""
     names = (
         "pure_q8_n8",
         "hadamard16_q8",
@@ -485,6 +486,7 @@ def test_criterion_13_cross_oracles():
         translation = binary_kernel(C)
         swapper_route = frozenset(gray(w) for w in group_kernel(C, full=True).elements)
         assert translation == swapper_route
+        assert len(translation) == 1 << kernel_dim(C)
     _ok(13, "rank and kernel dual routes agree on every checked code")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -32,10 +33,24 @@ from z2z4q8 import (
     weight_distribution,
     word_from_tokens,
 )
-from z2z4q8.fixtures import load_fixture
+import z2z4q8.invariants as invariants_module
+import z2z4q8.subgroup as subgroup_module
+from z2z4q8.fixtures import fixture_text, load_fixture
 from z2z4q8.gf2 import Gf2Basis
+from z2z4q8.parsing import parse_generators
+from z2z4q8.report import analyze, render_json
+from z2z4q8.search import search
 
-from conftest import Q8, Z4, all_words, q8_word, random_word, z4_word
+from conftest import (
+    Q8,
+    SHIPPED_FIXTURES,
+    Z4,
+    all_words,
+    count_calls,
+    q8_word,
+    random_word,
+    z4_word,
+)
 
 # Frozen swapper oracle: class representatives {1,a2}, {a,a3}, {b,a2b},
 # {ab,a3b}; entry 1 means the swapper is a^2, 0 means it is trivial.
@@ -327,3 +342,76 @@ def test_nonlinear_kernel_gap_random():
 def test_u_translation_preserves_code(hadamard16):
     u = u_element(hadamard16.sig)
     assert all((u * w) in hadamard16 for w in hadamard16.elements)
+
+
+# -- rank and kernel from the presentation ---------------------------------
+
+
+def test_rank_and_kernel_past_the_span_group_limit():
+    """Seven random words of Z4^40 give |C| = 2^14 of type (7,7,0), whose
+    span group D has 2^35 words, past max_order = 2^20.  rank and
+    kernel_dim read the presentation and build no D, so the code is not
+    refused; rank meets the cap log2|C| + C(log2|C| - kernel_dim, 2)."""
+    sig = GroupSignature(0, 40, 0)
+    rng = random.Random(3)
+    gens = [GroupWord(sig, [rng.randrange(4) for _ in range(40)]) for _ in range(7)]
+    C = generate(gens)
+    assert C.order == 1 << 14
+    assert code_type(C).as_tuple() == (7, 7, 0)
+    assert (rank(C), kernel_dim(C)) == (35, 7)
+    assert rank(C) == 14 + comb(14 - 7, 2)
+    assert Gf2Basis(w.bits for w in C.elements).rank == 35
+    payload = analyze(C)
+    assert (payload["rank"], payload["kernel_dim"]) == (35, 7)
+    assert all(b["ok"] for b in payload["bounds"])
+    with pytest.raises(EnumerationLimit, match="span group order exceeds"):
+        span_group(C)
+
+
+def test_rank_second_route_catches_dropped_swappers(monkeypatch):
+    """With the swappers left out of the presentation span, the rank falls
+    below the row space of the coset representatives, and rank raises."""
+    C = load_fixture("hadamard16_q8")  # rank 7 = sigma + k + 2 swappers
+    real = invariants_module._swappers
+    monkeypatch.setattr(
+        invariants_module, "_swappers", lambda C: [[0] * len(r) for r in real(C)]
+    )
+    with pytest.raises(RuntimeError, match="coset row-space rank 7"):
+        rank(C)
+
+
+def test_kernel_second_route_catches_a_wrong_null_space(monkeypatch):
+    """With the swappers zeroed, every T-coset passes the null-space test;
+    the translation test on the representatives keeps only K(C)/T(C), and
+    kernel_dim raises."""
+    C = load_fixture("pure_q8_n8")  # K(C) = T(C), |C/T| = 4
+    real = invariants_module._swappers
+    monkeypatch.setattr(
+        invariants_module, "_swappers", lambda C: [[0] * len(r) for r in real(C)]
+    )
+    with pytest.raises(RuntimeError, match="translation test on representatives"):
+        kernel_dim(C)
+
+
+def test_full_kernel_check_compares_with_the_presentation_kernel(monkeypatch):
+    """The null-space route is made to keep T only; K of this abelian Z4
+    code is all of C, so both full scans disagree with 2^kernel_dim."""
+    C = load_fixture("hadamard8_z4")
+    assert analyze(C, full_kernel_check=True)["kernel_dim"] == C.log2_order
+    monkeypatch.setattr(invariants_module, "_kernel_cosets", lambda C: (0,))
+    with pytest.raises(RuntimeError, match="disagrees with the presentation kernel"):
+        analyze(load_fixture("hadamard8_z4"), full_kernel_check=True)
+
+
+def test_hot_path_runs_no_enumerating_oracle(monkeypatch):
+    """analyze, render_json and search read rank and kernel from the
+    presentation: the span group, the elimination of all of Gray(C) and
+    both |C|-sized kernels are test oracles only."""
+    oracles = count_calls(monkeypatch, invariants_module, "span_group", "binary_kernel")
+    scans = count_calls(monkeypatch, subgroup_module, "gray_basis", "group_kernel")
+    assert len(SHIPPED_FIXTURES) == 21
+    for name in SHIPPED_FIXTURES:
+        _, gens = parse_generators(fixture_text(name))
+        render_json(analyze(generate(gens)))
+    assert search(16, seed=1, budget=200)
+    assert oracles == scans == Counter()

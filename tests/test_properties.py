@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2z4q8 import (
+    ConstructionError,
     EnumerationLimit,
     GroupSignature,
     binary_kernel,
@@ -41,7 +42,8 @@ from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import _nu
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
-from z2z4q8.subgroup import _swapper_bits
+from z2z4q8.invariants import span_group
+from z2z4q8.subgroup import _swapper_bits, gray_basis
 
 from conftest import assert_matches_reference, closure, random_subgroup
 
@@ -65,7 +67,7 @@ def test_random_subgroup_bounds():
 
     check_bounds covers the kernel/rank gap, delta <= sigma <= k, both
     rank caps, sigma >= delta + min(1, rho), and the pair facts; rank()
-    and binary_kernel() internally cross-check their two routes.  The
+    and kernel_dim() internally cross-check their two routes.  The
     acceptance suite runs the same loop at its full count.
     """
     rng = random.Random(2024)
@@ -96,7 +98,7 @@ def _random_hadamard_instances(count: int, seed: int):
                 members = sorted(base.elements, key=lambda w: w.coords)
                 g = rng.choice(members) * _random_torsion_word(base.sig, rng)
                 C = generalized_kronecker(base, g).output
-        except Exception:
+        except ConstructionError:
             continue
         out.append(C)
     return out
@@ -189,8 +191,9 @@ def test_small_mixed_codes_are_linear():
 
 
 def test_cross_oracle_rank_and_kernel():
-    """Span-group rank == elimination rank; translation kernel == Gray of
-    the swapper kernel; checked explicitly on a random batch."""
+    """Presentation rank == elimination rank; translation kernel == Gray of
+    the swapper kernel, of order 2^kernel_dim; checked explicitly on a
+    random batch."""
     rng = random.Random(4096)
     for _ in range(60):
         sig = SIGNATURES[rng.randrange(len(SIGNATURES))]
@@ -199,7 +202,7 @@ def test_cross_oracle_rank_and_kernel():
         assert rank(C) == elimination
         translation = binary_kernel(C)
         assert translation == frozenset(gray(w) for w in group_kernel(C).elements)
-        assert len(translation).bit_count() == 1
+        assert len(translation) == 1 << kernel_dim(C)
 
 
 def test_kernel_full_space_agrees_small():
@@ -310,6 +313,38 @@ def test_property_generate_equals_the_closure(data):
     sig = data.draw(signatures)
     gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
     assert generate(gens).elements == closure([identity(sig)], gens)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_swapper_is_bilinear_and_lies_in_omega(data):
+    """s(x, y) = Gray(y) + pi_x(Gray(y)) is the image of a word of order
+    <= 2, adds in each slot (exactly, hence mod Gray(T)), and is 0 when
+    either argument lies in T(C)."""
+    sig = data.draw(signatures)
+    C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=3)))
+    words = C.sorted_elements()
+    x, y, z = (words[data.draw(st.integers(0, len(words) - 1))] for _ in range(3))
+    s = _swapper_bits
+    assert _nu(sig, s(x, y)) == 0 and s(x, y) == gray(swapper(x, y)).bits
+    assert (swapper(x, y) * swapper(x, y)).is_identity()
+    assert s(x * y, z) == s(x, z) ^ s(y, z)
+    assert s(x, y * z) == s(x, y) ^ s(x, z)
+    for t in (x * x, y * y):  # squares lie in T(C)
+        assert s(t, z) == s(z, t) == 0
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_presentation_rank_and_kernel_match_the_oracles(data):
+    """rank == log2|span group| == elimination of all of Gray(C), and
+    kernel_dim == log2 of both |C|-sized kernels."""
+    sig = data.draw(signatures)
+    C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=3)))
+    r, k = rank(C), kernel_dim(C)
+    assert r == span_group(C).log2_order == gray_basis(C).rank
+    assert is_linear(C) == (r == C.log2_order)
+    assert len(binary_kernel(C)) == group_kernel(C).order == 1 << k
 
 
 def _reference_pair(w1, w2):

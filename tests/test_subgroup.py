@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
-from importlib import resources
 
 import pytest
 
@@ -45,8 +44,10 @@ from z2z4q8.subgroup import (
 
 from conftest import (
     Q8,
+    SHIPPED_FIXTURES,
     all_words,
     closure,
+    count_calls,
     q8_word,
     random_subgroup,
     scanned_standard_generators,
@@ -242,11 +243,6 @@ def _word_level_kernel(C):
     )
 
 
-SHIPPED_FIXTURES = sorted(
-    f.name[: -len(".gens")]
-    for f in resources.files("z2z4q8").joinpath("fixtures").iterdir()
-    if f.name.endswith(".gens")
-)
 
 
 def test_group_kernel_matches_word_level_reference_on_fixtures():
@@ -441,26 +437,11 @@ def test_verify_standard_rejects_each_violation(case):
         verify_standard(C, gens)
 
 
-def _count_calls(monkeypatch, name: str) -> Counter:
-    """Count calls of ``subgroup.<name>`` through every module that binds it."""
-    calls = Counter()
-    original = getattr(subgroup_module, name)
-
-    def counting(*args):
-        calls[name] += 1
-        return original(*args)
-
-    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "z2z4q8"]:
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def test_non_hadamard_analyze_builds_no_standard_generators(monkeypatch):
     """Pair checks read the T-cosets directly, so a non-Hadamard analysis
     never derives a standard generating set."""
     C = load_fixture("pure_q8_n8")  # a fresh group, not Hadamard
-    calls = _count_calls(monkeypatch, "standard_generators")
+    calls = count_calls(monkeypatch, subgroup_module, "standard_generators")
     assert analyze(C)["shape"] is None
     assert calls == Counter()
 
@@ -518,7 +499,7 @@ def test_non_hadamard_analyze_computes_no_center(monkeypatch):
     """code_type reads delta and rho from the commutator form."""
     C = random_subgroup(GroupSignature(1, 2, 2), random.Random(5), 4, max_order=1 << 10)
     C = generate(C.generators)  # a fresh group, nothing cached
-    calls = _count_calls(monkeypatch, "center")
+    calls = count_calls(monkeypatch, subgroup_module, "center")
     assert analyze(C)["shape"] is None
     assert C.order >= 64
     assert calls == Counter()
