@@ -34,6 +34,7 @@ from .subgroup import (
     _coset_reps,
     center,
     code_type,
+    gray_codewords,
 )
 
 
@@ -85,8 +86,10 @@ def extend(
 
     Preconditions: x lies outside Cq with x^2 in Cq, conjugation by x
     preserves Cq, and every coset word x*c has Gray weight exactly half
-    the binary length.  The first two make <Cq, x> = Cq u x*Cq, which is
-    built directly.  The result must be a Hadamard code.
+    the binary length.  The first three make <Cq, x> = Cq u x*Cq, so the
+    output is Cq's generators and x, of order 2|Cq|, and x*Cq is read off
+    as the words of the output outside Cq.  The result must be a Hadamard
+    code.
     """
     if x.sig != Cq.sig:
         raise ConstructionError(f"element signature {x.sig} != group {Cq.sig}")
@@ -100,19 +103,19 @@ def extend(
     n = Cq.sig.n
     if n % 2:
         raise ConstructionError(f"binary length {n} is odd; no middle weight")
-    elements = Cq.sorted_elements()
-    coset = [x * c for c in elements]
-    for c, xc in zip(elements, coset):
-        wt = xc.bits.bit_count()
-        if wt != n // 2:
-            raise ConstructionError(
-                f"weight condition fails at c={c}: |Gray(x c)| = {wt} != {n // 2}"
-            )
-    if 2 * Cq.order > max_order:
-        raise EnumerationLimit(f"extension order exceeds max_order={max_order}")
-    out = CodeGroup(Cq.sig, Cq.elements.union(coset), Cq.generators + (x,))
+    out = CodeGroup(Cq.sig, Cq.generators + (x,))
     if out.order != 2 * Cq.order:
         raise RuntimeError("extension did not double the group order")
+    coset = gray_codewords(out) - gray_codewords(Cq)  # Gray(x Cq)
+    if any(b.bit_count() != n // 2 for b in coset):
+        for c in Cq.sorted_elements():
+            wt = (x * c).bits.bit_count()
+            if wt != n // 2:
+                raise ConstructionError(
+                    f"weight condition fails at c={c}: |Gray(x c)| = {wt} != {n // 2}"
+                )
+    if out.order > max_order:
+        raise EnumerationLimit(f"extension order exceeds max_order={max_order}")
     if not is_hadamard(out):
         raise RuntimeError("extension produced a non-Hadamard code")
     return out
@@ -213,12 +216,12 @@ def generalized_kronecker(
     """K_g(C) = <diag(C), (g, g*u)> for g normalizing C with g^2 in C.
 
     As u is central of order 2, the output is diag(C) u (g, g*u) diag(C),
-    built directly.  Doubles length and cardinality.  The kernel dimension
-    grows by at most 1 and the type follows the predicted case split; the
-    rank grows by at least 1, and by exactly 1 whenever some coset word g*c
-    has order <= 2 (then the swappers of g against the group collapse into
-    S(C)).  Order-4 doubling elements outside that case can raise the rank
-    further.
+    given by the diagonal generators and (g, g*u).  Doubles length and
+    cardinality.  The kernel dimension grows by at most 1 and the type
+    follows the predicted case split; the rank grows by at least 1, and by
+    exactly 1 whenever some coset word g*c has order <= 2 (then the
+    swappers of g against the group collapse into S(C)).  Order-4 doubling
+    elements outside that case can raise the rank further.
     """
     if g.sig != C.sig:
         raise ConstructionError(f"element signature {g.sig} != group {C.sig}")
@@ -234,13 +237,7 @@ def generalized_kronecker(
     sig, dsig = C.sig, C.sig.doubled()
     u = u_element(sig)
     gens = tuple(_pair_word(w, w) for w in C.generators) + (_pair_word(g, g * u),)
-    # (g, gu) diag(c) = (gc, gc u), and Gray(gc u) = Gray(gc) + 1...1
-    pairs = [_pair_bits(sig, c.bits, c.bits) for c in C.elements]
-    coset = [(g * c).bits for c in C.elements]
-    pairs += [_pair_bits(sig, b, b ^ u.bits) for b in coset]
-    out = CodeGroup(
-        dsig, frozenset(GroupWord._from_bits(dsig, b) for b in pairs), gens
-    )
+    out = CodeGroup(dsig, gens)
     if out.order != 2 * C.order:
         raise RuntimeError("Kronecker output order is not 2|C|")
     predicted, torsion_coset = _predict_kronecker_type(C, g)
@@ -369,7 +366,7 @@ def structural_converse_check(
     inner = CodeGroup.generate(abelian_gens)
     if not is_abelian(inner) or 2 * inner.order != C.order:
         raise RuntimeError("index-2 abelian subgroup construction failed")
-    if not inner.elements <= C.elements:
+    if not gray_codewords(inner) <= gray_codewords(C):
         raise RuntimeError("inner subgroup escaped the group")
 
     offset = sig.k1 + sig.k2
@@ -394,30 +391,21 @@ def structural_converse_check(
             )
         autos.append(table)
 
-    relabeled = CodeGroup(
-        sig,
-        frozenset(_relabel_word(w, autos) for w in C.elements),
-        tuple(_relabel_word(g, autos) for g in C.generators),
-    )
-    inner_relabeled = frozenset(_relabel_word(w, autos) for w in inner.elements)
-
-    base_sig = GroupSignature(sig.k2, sig.k3, 0)
-    base_elements = []
-    for w in inner_relabeled:
-        halves = tuple(v // 2 for v in w.coords[: sig.k2])
-        tails = w.coords[sig.k2:]
-        if any(v > 3 for v in tails):
+    relabeled = CodeGroup(sig, tuple(_relabel_word(g, autos) for g in C.generators))
+    for w in inner.elements:
+        if any(v > 3 for v in _relabel_word(w, autos).coords[sig.k2:]):
             raise RuntimeError("relabeled projection escaped <a>")
-        base_elements.append(word(base_sig, halves + tails))
+
+    # halving the even Z4 entries and reading <a> as Z4 maps the relabeled
+    # inner subgroup isomorphically onto base, so base is given by the
+    # images of its generators
+    base_sig = GroupSignature(sig.k2, sig.k3, 0)
+    inner_gens = [_relabel_word(w, autos).coords for w in abelian_gens]
     base = CodeGroup(
         base_sig,
-        frozenset(base_elements),
         tuple(
-            word(
-                base_sig,
-                tuple(v // 2 for v in g.coords[: sig.k2]) + g.coords[sig.k2:],
-            )
-            for g in (_relabel_word(w, autos) for w in abelian_gens)
+            word(base_sig, tuple(v // 2 for v in c[: sig.k2]) + c[sig.k2 :])
+            for c in inner_gens
         ),
     )
     if not is_hadamard(base):

@@ -61,7 +61,7 @@ def _check_extended_perfect(C: CodeGroup) -> Optional[str]:
 
 
 def _check_kernel_is_torsion(C: CodeGroup) -> Optional[str]:
-    if group_kernel(C).elements == torsion(C).elements:
+    if group_kernel(C) == torsion(C):
         return None
     return "swapper kernel differs from the torsion subgroup"
 

@@ -18,7 +18,6 @@ from .subgroup import (
     _commutator_row,
     _coset_reps,
     _memoized,
-    _presentation,
     _span,
     _swapper_bits,
     code_type,
@@ -39,7 +38,7 @@ def swapper(x: GroupWord, y: GroupWord) -> GroupWord:
 
 def _swappers(C: CodeGroup) -> List[List[int]]:
     """s(b_i, b_j) = Gray(b_j) + pi_(b_i)(Gray(b_j)), by (i, j), over the
-    basis b_1..b_k of ``_presentation``: the Gray bits of the swapper
+    presentation basis b_1..b_k: the Gray bits of the swapper
     [b_i, b_j] (``_swapper_bits``), from two images and one ``_pi``.
 
     Three facts make rank and kernel linear algebra on these k^2 vectors.
@@ -66,8 +65,7 @@ def _swappers(C: CodeGroup) -> List[List[int]]:
     and Gray is injective: s(x, y) is in C exactly when its bits are in
     Gray(T).
     """
-    sig = C.sig
-    basis = [b.bits for b in _presentation(C).basis]
+    sig, basis = C.sig, C.basis
     return [[y ^ _pi(sig, x, y) for y in basis] for x in basis]
 
 
@@ -91,13 +89,12 @@ def rank(C: CodeGroup) -> int:
     dimension and hold every Gray(b_i) and s(b_i, b_j); RuntimeError
     otherwise.  ``span_group`` is the |C|-sized oracle, run in the tests.
     """
-    P = _presentation(C)
     swappers = [s for i, row in enumerate(_swappers(C)) for s in row[i + 1 :]]
-    gens = [b.bits for b in P.basis] + swappers
-    span = Gf2Basis(P.torsion_rows)
+    gens = list(C.basis) + swappers
+    span = Gf2Basis(C.torsion_rows)
     for g in gens:
         span.add(g)
-    rows = Gf2Basis(P.torsion_rows)
+    rows = Gf2Basis(C.torsion_rows)
     for p in _coset_reps(C):
         rows.add(p.bits)
     if rows.rank != span.rank:
@@ -135,9 +132,8 @@ def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
     RuntimeError otherwise.  ``binary_kernel`` and ``group_kernel`` are the
     |C|-sized oracles, run in the tests.
     """
-    P = _presentation(C)
     n = C.sig.n
-    torsion = Gf2Basis(P.torsion_rows)
+    torsion = Gf2Basis(C.torsion_rows)
     form = [
         sum(torsion.reduce(s) << (j * n) for j, s in enumerate(row))
         for row in _swappers(C)
@@ -161,7 +157,7 @@ def kernel_dim(C: CodeGroup) -> int:
     """dim K(Gray(C)) = sigma + the dimension of the swapper null space
     (``_kernel_cosets``); ``binary_kernel`` is the |C|-sized oracle."""
     null_dim = len(_kernel_cosets(C)).bit_length() - 1
-    return len(_presentation(C).torsion_rows) + null_dim
+    return len(C.torsion_rows) + null_dim
 
 
 def is_linear(C: CodeGroup) -> bool:
@@ -180,12 +176,11 @@ def span_group(C: CodeGroup) -> CodeGroup:
     <= 2, so they are central and Gray adds on them: D is C times the span
     E of the swappers independent of Gray(T), with Gray(c s) = Gray(c) +
     Gray(s).  Its 2^(log2|C| + dim E) sums are distinct, as c s = c' s'
-    puts s s' in C n Omega = T.  With E = 0, D has the words of C.  Its
-    order and words are checked against the GF(2) elimination of all of
-    Gray(C) (``gray_basis``).
+    puts s s' in C n Omega = T.  Its order and Gray image are checked
+    against the GF(2) elimination of all of Gray(C) (``gray_basis``).
     """
     gens = C.generators
-    independent = Gf2Basis(_presentation(C).torsion_rows)
+    independent = Gf2Basis(C.torsion_rows)
     extra = []
     for x in gens:
         for y in gens:
@@ -196,24 +191,14 @@ def span_group(C: CodeGroup) -> CodeGroup:
         raise EnumerationLimit(
             f"span group order exceeds max_order={DEFAULT_MAX_ORDER}"
         )
-    elems = C.elements
-    if extra:
-        elems = frozenset(
-            GroupWord._from_bits(C.sig, c ^ s)
-            for c in gray_codewords(C)
-            for s in _span(extra)
-        )
-    # a new group even with C's words: C's cache holding C would be a cycle
-    D = CodeGroup(
-        C.sig, elems, gens + tuple(GroupWord._from_bits(C.sig, s) for s in extra)
-    )
+    D = CodeGroup(C.sig, gens + tuple(GroupWord._from_bits(C.sig, s) for s in extra))
     # dual route: the Gray image must equal the GF(2) row space of C
     basis = gray_basis(C)
     if D.log2_order != basis.rank:
         raise RuntimeError(
             f"span group order 2^{D.log2_order} != GF(2) rank {basis.rank}"
         )
-    if not all(basis.contains(w.bits) for w in D.elements):
+    if not all(basis.contains(b) for b in gray_codewords(D)):
         raise RuntimeError("span group escapes the GF(2) row space")
     return D
 
@@ -239,7 +224,7 @@ def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
         return all((c ^ z) in codewords for c in codewords)
 
     reps = _coset_reps(C)
-    tbits = _presentation(C).torsion_bits
+    tbits = _span(C.torsion_rows)
     if full_space:
         members = frozenset(filter(translates, range(1 << n)))
     else:

@@ -24,7 +24,7 @@ from .constructions import (
 from .groups import GroupSignature, GroupWord, word
 from .hadamard import classify_shape, is_hadamard
 from .invariants import kernel_dim, rank
-from .subgroup import CodeGroup, CodeType, code_type
+from .subgroup import CodeGroup, CodeType, code_type, gray_codewords
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def search(
     for _ in range(min(24, max(4, budget // 16))):
         try:
             pool.append(_random_abelian_base(length // 2, rng))
-        except (ConstructionError, RuntimeError, ValueError):
+        except (ConstructionError, ValueError):
             continue
     if not pool:
         return []
@@ -127,9 +127,11 @@ def search(
                 C = generalized_kronecker(base, g).output
         except (ConstructionError, ValueError):
             continue
-        if C.elements in seen_groups:
+        # the group's Gray image, not the group, which would keep its cache alive
+        words = (C.sig, gray_codewords(C))
+        if words in seen_groups:
             continue
-        seen_groups.add(C.elements)
+        seen_groups.add(words)
         if not is_hadamard(C):
             continue
         shape_obj = classify_shape(C)

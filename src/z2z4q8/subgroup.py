@@ -1,21 +1,23 @@
-"""Subgroup enumeration and structural subgroups T, Z, C', K.
+"""Code groups given by their generators, and the subgroups T, Z, C', K.
 
-A ``CodeGroup`` is a fully enumerated subgroup together with generators of
-it.  Every derived fact is computed once and kept on the instance
-(``_memoized``); element iteration order is always lexicographic on the
-coordinate tuples so that every derived choice (bases, generating sets,
-reports) is deterministic.  Each group has one GF(2) presentation read
-from its generators (``_presentation``): ``generate`` enumerates C from it,
-T(C), C' and the type are read from it, every fact constant on the cosets
-of T(C) is decided on one word per coset (``_coset_reps``), and the
-standard generators are picked by GF(2) independence mod T(C).  Each
-subgroup built here carries generators read from the same presentation.
+A ``CodeGroup`` is its generators.  Its constructor reads one GF(2)
+presentation from them (``_present``), and everything else comes from
+that: the order, T(C), C' and the type, Gray(C) as ints (which decides
+membership and equality), and one word per coset of T(C) (``_coset_reps``),
+on which every fact constant on those cosets is decided.  Words are built
+only for the readers that need them: ``sorted_elements`` (the standard
+generators of the Hadamard path), the full kernel scans and the oracles.
+Every derived fact is computed once and kept on the instance
+(``_memoized``); element iteration order is lexicographic on the
+coordinate tuples, so every derived choice (bases, generating sets,
+reports) is deterministic.  Each subgroup built here is given by
+generators read from the same presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property, wraps
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis
@@ -82,21 +84,26 @@ class StandardGenSet:
 
 
 class CodeGroup:
-    """Enumerated subgroup of Z2^k1 x Z4^k2 x Q8^k3."""
+    """A subgroup of Z2^k1 x Z4^k2 x Q8^k3, given by its generators.
 
-    def __init__(
-        self,
-        sig: GroupSignature,
-        elements: frozenset,
-        generators: Tuple[GroupWord, ...],
-    ) -> None:
+    The constructor reads the GF(2) presentation of <generators> once
+    (``_present``): ``basis`` holds the Gray images of b_1..b_k, a basis of
+    C/T(C), and ``torsion_rows`` a GF(2) basis of Gray(T(C)), so the order
+    2^(k + dim T) is known without building a word.  Gray(C), as ints, is
+    read from them on first use (``gray_codewords``), and decides
+    membership and equality.  The words themselves (``elements``) are built
+    only for the readers that need them.
+    """
+
+    def __init__(self, sig: GroupSignature, generators: Sequence[GroupWord]) -> None:
         self.sig = sig
-        self.elements = elements
-        order = len(elements)
-        if order == 0 or order & (order - 1):
-            raise ValueError(f"subgroup order {order} is not a power of 2")
+        self.generators = tuple(generators)
+        basis, rows = _present(sig, [g.bits for g in self.generators])
+        self.basis: Tuple[int, ...] = tuple(basis)
+        self.torsion_rows: Tuple[int, ...] = tuple(rows)
+        self.log2_order = len(basis) + len(rows)
+        self.order = 1 << self.log2_order
         self._cache: dict = {}
-        self.generators = generators
 
     @classmethod
     def generate(
@@ -106,11 +113,8 @@ class CodeGroup:
     ) -> "CodeGroup":
         """Smallest subgroup containing the generators.
 
-        C = N x {ordered products of b_1..b_k} (``_present``), and N lies in
-        Omega, so Gray(n p) = Gray(n) + Gray(p) as in ``_coset_reps``: the
-        words are p + t for p over the 2^k products and t over Gray(N).  The
-        order 2^(dim N + k) is known, and checked against ``max_order``,
-        before any word is built.
+        Its order comes from the presentation, and is checked against
+        ``max_order`` before any word is built.
         """
         gens = tuple(generators)
         if not gens:
@@ -119,33 +123,30 @@ class CodeGroup:
         for g in gens[1:]:
             if g.sig != sig:
                 raise ValueError(f"inconsistent signatures {sig} and {g.sig}")
-        basis, nrows = _present(sig, [g.bits for g in gens])
-        if 1 << (len(basis) + len(nrows)) > max_order:
+        C = cls(sig, gens)
+        if C.order > max_order:
             raise EnumerationLimit(f"subgroup order exceeds max_order={max_order}")
-        words = [GroupWord._from_bits(sig, b) for b in basis]
-        tbits = _span(nrows)
-        elements = frozenset(
-            GroupWord._from_bits(sig, p.bits ^ t)
-            for p in _products(sig, words)
-            for t in tbits
-        )
-        return cls(sig, elements, gens)
+        return C
+
+    @cached_property
+    def _gray(self) -> frozenset:
+        # C = N x {ordered products p of the b_i}, N in Omega, so
+        # Gray(p t) = Gray(p) + Gray(t) as in ``_coset_reps``
+        tbits = _span(self.torsion_rows)
+        return frozenset(p.bits ^ t for p in _coset_reps(self) for t in tbits)
+
+    @cached_property
+    def elements(self) -> frozenset:
+        """The words of C, built from Gray(C) on first read."""
+        return frozenset(GroupWord._from_bits(self.sig, b) for b in self._gray)
 
     # -- basic container behaviour ------------------------------------
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def log2_order(self) -> int:
-        return self.order.bit_length() - 1
-
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __contains__(self, w: GroupWord) -> bool:
-        return w in self.elements
+        return (w.sig is self.sig or w.sig == self.sig) and w.bits in self._gray
 
     def __iter__(self):
         return iter(self.sorted_elements())
@@ -154,11 +155,12 @@ class CodeGroup:
         return (
             isinstance(other, CodeGroup)
             and self.sig == other.sig
-            and self.elements == other.elements
+            and self.order == other.order
+            and self._gray == other._gray
         )
 
     def __hash__(self) -> int:
-        return hash((self.sig, self.elements))
+        return hash((self.sig, self._gray))
 
     @_memoized
     def sorted_elements(self) -> List[GroupWord]:
@@ -171,10 +173,9 @@ def generate(
     return CodeGroup.generate(generators, max_order)
 
 
-@_memoized
 def gray_codewords(C: CodeGroup) -> frozenset:
-    """Gray(C) as a set of image bits."""
-    return frozenset(w.bits for w in C.elements)
+    """Gray(C) as a set of image bits: each coset representative plus Gray(T)."""
+    return C._gray
 
 
 def _swapper_bits(x: GroupWord, y: GroupWord) -> int:
@@ -245,33 +246,6 @@ def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[List[int], List[
     return basis, rows
 
 
-@dataclass(frozen=True)
-class _Presentation:
-    basis: Tuple[GroupWord, ...]  # b_1..b_k, a basis of C/T(C)
-    torsion_rows: Tuple[int, ...]  # a GF(2) basis of Gray(T(C))
-    torsion_bits: frozenset  # Gray(T(C))
-
-
-@_memoized
-def _presentation(C: CodeGroup) -> _Presentation:
-    """C's presentation (``_present``) from its generators.
-
-    Raises RuntimeError when the order it gives is not |C|, i.e. when the
-    generators do not generate the elements.
-    """
-    basis, rows = _present(C.sig, [g.bits for g in C.generators])
-    if len(basis) + len(rows) != C.log2_order:
-        raise RuntimeError(
-            f"generators give order 2^{len(basis) + len(rows)}, "
-            f"but the group has {C.order} words"
-        )
-    return _Presentation(
-        tuple(GroupWord._from_bits(C.sig, b) for b in basis),
-        tuple(rows),
-        frozenset(_span(rows)),
-    )
-
-
 @_memoized
 def gray_basis(C: CodeGroup) -> Gf2Basis:
     """GF(2) row basis of all of Gray(C); callers only read it.
@@ -288,22 +262,21 @@ def _elementary(sig: GroupSignature, rows: Sequence[int]) -> CodeGroup:
     Words of order <= 2 are central and pi fixes their images, so Gray
     adds on them and the subgroup's images are the span of the rows.
     """
-    words = [GroupWord._from_bits(sig, r) for r in rows]
-    elements = frozenset(GroupWord._from_bits(sig, t) for t in _span(rows))
-    return CodeGroup(sig, elements, tuple(words) or (identity(sig),))
+    words = tuple(GroupWord._from_bits(sig, r) for r in rows)
+    return CodeGroup(sig, words or (identity(sig),))
 
 
 @_memoized
 def torsion(C: CodeGroup) -> CodeGroup:
     """T(C) = {z in C : z^2 = e}; elementary abelian and central, generated
     by the rows of the presentation."""
-    return _elementary(C.sig, _presentation(C).torsion_rows)
+    return _elementary(C.sig, C.torsion_rows)
 
 
 @_memoized
 def _coset_reps(C: CodeGroup) -> Tuple[GroupWord, ...]:
     """One word of C per coset of T(C): the ordered products of the basis
-    b_1..b_k of ``_presentation``; bit i of the index picks b_i, and
+    b_1..b_k of the presentation; bit i of the index picks b_i, and
     index 0 is the identity.
 
     Every word of order <= 2 in Z2^k1 x Z4^k2 x Q8^k3 is central in the
@@ -313,7 +286,8 @@ def _coset_reps(C: CodeGroup) -> Tuple[GroupWord, ...]:
     membership in K(C) and in the binary kernel are constant on T-cosets,
     so they are decided on these words and expanded by XOR with Gray(T).
     """
-    return tuple(_products(C.sig, _presentation(C).basis))
+    basis = [GroupWord._from_bits(C.sig, b) for b in C.basis]
+    return tuple(_products(C.sig, basis))
 
 
 def _commutator_row(C: CodeGroup, a: GroupWord) -> List[int]:
@@ -323,9 +297,7 @@ def _commutator_row(C: CodeGroup, a: GroupWord) -> List[int]:
     (a, xy) = (a, x)(a, y), and Gray adds on them.  So the row is the span
     of the k commutators (a, b_j), indexed like the products.
     """
-    return _span(
-        [_commutator_bits(C.sig, a.bits, b.bits) for b in _presentation(C).basis]
-    )
+    return _span([_commutator_bits(C.sig, a.bits, b) for b in C.basis])
 
 
 def _cosets_where(C: CodeGroup, test: Callable[[GroupWord], bool]) -> CodeGroup:
@@ -339,12 +311,7 @@ def _cosets_where(C: CodeGroup, test: Callable[[GroupWord], bool]) -> CodeGroup:
     passing = [v for v, r in enumerate(reps) if test(r)]
     picked = Gf2Basis()
     gens = torsion(C).generators + tuple(reps[v] for v in passing if picked.add(v))
-    elements = frozenset(
-        GroupWord._from_bits(C.sig, reps[v].bits ^ t)
-        for v in passing
-        for t in _presentation(C).torsion_bits
-    )
-    return CodeGroup(C.sig, elements, gens)
+    return CodeGroup(C.sig, gens)
 
 
 @_memoized
@@ -380,16 +347,12 @@ def code_type(C: CodeGroup) -> CodeType:
     of the rows sum_j Gray((b_i, b_j)) << j*n picked by v is zero; so rho
     is the GF(2) rank of those rows and delta = k - rho.
     """
-    P = _presentation(C)
     sig, n = C.sig, C.sig.n
     form = Gf2Basis(
-        sum(
-            _commutator_bits(sig, a.bits, b.bits) << (j * n)
-            for j, b in enumerate(P.basis)
-        )
-        for a in P.basis
+        sum(_commutator_bits(sig, a, b) << (j * n) for j, b in enumerate(C.basis))
+        for a in C.basis
     )
-    return CodeType(len(P.torsion_rows), len(P.basis) - form.rank, form.rank)
+    return CodeType(len(C.torsion_rows), len(C.basis) - form.rank, form.rank)
 
 
 @_memoized
@@ -496,10 +459,11 @@ def group_kernel(C: CodeGroup, full: bool = False) -> CodeGroup:
 
     if full:
         K = group_kernel(C)
-        if frozenset(x for x in C.elements if passes(x, C.elements)) != K.elements:
+        scan = frozenset(x.bits for x in C.elements if passes(x, C.elements))
+        if scan != gray_codewords(K):
             raise RuntimeError("full kernel scan disagrees with the coset route")
         return K
     K = _cosets_where(C, lambda x: passes(x, C.generators))
-    if not torsion(C).elements <= K.elements:
+    if not gray_codewords(torsion(C)) <= gray_codewords(K):
         raise RuntimeError("T(C) escaped K(C); swapper arithmetic is broken")
     return K

@@ -66,6 +66,21 @@ def count_calls(monkeypatch, owner: ModuleType, *names: str) -> Counter:
     return calls
 
 
+def record_word_sets(monkeypatch) -> List[CodeGroup]:
+    """Every group whose words (``CodeGroup.elements``) get built, in the
+    order of their first read; ``count_calls`` for the memoised view."""
+    built: List[CodeGroup] = []
+    view = CodeGroup.elements
+
+    def reading(C):
+        if "elements" not in vars(C):
+            built.append(C)
+        return view.__get__(C, CodeGroup)
+
+    monkeypatch.setattr(CodeGroup, "elements", property(reading))
+    return built
+
+
 def random_word(sig: GroupSignature, rng: random.Random) -> GroupWord:
     coords = [rng.randrange(2) for _ in range(sig.k1)]
     coords += [rng.randrange(4) for _ in range(sig.k2)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,14 +29,16 @@ from z2z4q8 import (
     word,
     xi_lift,
 )
+import z2z4q8.constructions as constructions_module
+import z2z4q8.fixtures as fixtures_module
 import z2z4q8.invariants as invariants_module
-from z2z4q8.constructions import lift_word, q8_automorphisms
+from z2z4q8.constructions import _pair_bits, lift_word, q8_automorphisms
 from z2z4q8.fixtures import fixtures, load_fixture
 from z2z4q8.parsing import parse_element
-from z2z4q8.search import _random_abelian_base, _random_torsion_word
-from z2z4q8.subgroup import DEFAULT_MAX_ORDER
+from z2z4q8.search import _random_abelian_base, _random_torsion_word, search
+from z2z4q8.subgroup import DEFAULT_MAX_ORDER, gray_codewords
 
-from conftest import random_subgroup, random_word
+from conftest import closure, random_subgroup, random_word, record_word_sets
 
 
 def test_lift_word_values():
@@ -331,21 +334,66 @@ def test_random_kronecker_laws_small():
         assert rank(result.output) >= rank(C) + 1
 
 
-# -- the outputs are built as C u xC, never closed: the closure is the oracle --
+# -- the outputs are given by generators; the closure of those generators
+# -- and the index-2 formulas C u xC and diag(C) u (g, gu) diag(C) are the oracles
 
-def test_fixture_construction_outputs_equal_their_generator_closure():
+
+def _closure_bits(C):
+    return {w.bits for w in closure([identity(C.sig)], C.generators)}
+
+
+def _extend_formula(Cq, x):
+    """Gray(Cq) u {Gray(x c) : c in Cq}."""
+    return gray_codewords(Cq) | {(x * c).bits for c in Cq.elements}
+
+
+def _kronecker_formula(C, g):
+    """{pair(c, c)} u {pair(gc, gc + 1...1)}: (g, gu) diag(c) = (gc, gc u),
+    and Gray(w u) = Gray(w) + 1...1."""
+    sig, ones = C.sig, (1 << C.sig.n) - 1
+    pairs = {_pair_bits(sig, c.bits, c.bits) for c in C.elements}
+    coset = [(g * c).bits for c in C.elements]
+    return pairs | {_pair_bits(sig, b, b ^ ones) for b in coset}
+
+
+def test_fixture_construction_outputs_equal_their_generator_closure(monkeypatch):
+    """Each case's group against its closure, and the output of every
+    construction a case builds against the index-2 formula on its input."""
+    checked = Counter()
+
+    def recording(name, formula, output):
+        construction = getattr(constructions_module, name)
+
+        def wrapper(C, g, *args):
+            result = construction(C, g, *args)
+            assert gray_codewords(output(result)) == formula(C, g), (name, g)
+            checked[name] += 1
+            return result
+
+        return wrapper
+
+    for name, formula, output in (
+        ("extend", _extend_formula, lambda out: out),
+        ("generalized_kronecker", _kronecker_formula, lambda result: result.output),
+    ):
+        wrapper = recording(name, formula, output)
+        for module in (constructions_module, fixtures_module):
+            monkeypatch.setattr(module, name, wrapper)
     for case_id, fx in sorted(fixtures().items()):
         C = fx.build()
-        assert C == generate(C.generators), case_id
+        assert gray_codewords(C) == _closure_bits(C), case_id
+    assert set(checked) == {"extend", "generalized_kronecker"}
 
 
 def _search_draw(base, rng):
-    """One construction output, drawn as ``search`` draws it."""
+    """One construction output, drawn as ``search`` draws it, and the
+    index-2 formula for its words."""
     if rng.random() < 0.7:
         lifted = xi_lift(base)
-        return extend(lifted, random_doubling_element(lifted.sig, rng))
+        x = random_doubling_element(lifted.sig, rng)
+        return extend(lifted, x), _extend_formula(lifted, x)
     g = rng.choice(base.sorted_elements()) * _random_torsion_word(base.sig, rng)
-    return generalized_kronecker(base, g).output
+    return generalized_kronecker(base, g).output, _kronecker_formula(base, g)
 
 
 @pytest.mark.parametrize("length", [8, 16])
@@ -355,13 +403,26 @@ def test_search_draws_equal_their_generator_closure(length):
     while drawn < 50:
         # the abelian bases are Kronecker outputs too
         base = _random_abelian_base(length // 2, rng)
-        assert base == generate(base.generators)
+        assert gray_codewords(base) == _closure_bits(base)
         try:
-            C = _search_draw(base, rng)
+            C, formula = _search_draw(base, rng)
         except ConstructionError:
             continue
-        assert C == generate(C.generators)
+        assert gray_codewords(C) == _closure_bits(C) == formula
         drawn += 1
+
+
+def test_search_raises_when_a_construction_self_check_fails(monkeypatch):
+    """A failing arithmetic self-check (RuntimeError) is a bug, not a
+    rejected sample: search raises it, while the base pool is built as
+    well as in the main loop."""
+
+    def broken(C):
+        raise RuntimeError("kernel arithmetic is broken")
+
+    monkeypatch.setattr(constructions_module, "kernel_dim", broken)
+    with pytest.raises(RuntimeError, match="kernel arithmetic is broken"):
+        search(16, seed=1, budget=2500)
 
 
 MIXED_SIGNATURES = [
@@ -387,15 +448,17 @@ def test_random_mixed_kronecker_outputs_equal_their_generator_closure():
             out = generalized_kronecker(C, g).output
         except ConstructionError:
             continue
-        assert out == generate(out.generators), (sig, g)
+        formula = _kronecker_formula(C, g)
+        assert gray_codewords(out) == _closure_bits(out) == formula, (sig, g)
         built += 1
 
 
 def test_constructions_close_no_subgroup(monkeypatch):
-    """extend and generalized_kronecker build their output and close
-    nothing: neither enumerates a group through ``generate``, and the rank
-    postconditions read the presentation, so neither builds the span
-    group D."""
+    """extend and generalized_kronecker give their output by generators
+    and close nothing: neither enumerates a group through ``generate``; the
+    rank postconditions read the presentation, so neither builds the span
+    group D; and the order, Gray image and invariants of the output come
+    from its presentation, so neither builds the output's words."""
     stages = []
     real_generate = CodeGroup.generate.__func__
     real_span_group = invariants_module.span_group
@@ -410,18 +473,20 @@ def test_constructions_close_no_subgroup(monkeypatch):
 
     monkeypatch.setattr(CodeGroup, "generate", classmethod(counting_generate))
     monkeypatch.setattr(invariants_module, "span_group", counting_span_group)
+    built = record_word_sets(monkeypatch)
 
     lifted = xi_lift(load_fixture("hadamard8_z4"))
     x = parse_element("b ab b ab", lifted.sig)
     stages.clear()
-    extend(lifted, x)
+    extended = extend(lifted, x)
     assert stages == []
 
     C = load_fixture("hadamard16_q8")
     g = parse_element("b ab 1 1", C.sig)
     stages.clear()
-    generalized_kronecker(C, g)
+    doubled = generalized_kronecker(C, g).output
     assert stages == []
+    assert not any(b is extended or b is doubled for b in built)
 
 
 def test_construction_max_order_names_the_stage():

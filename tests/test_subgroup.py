@@ -9,7 +9,6 @@ from collections import Counter
 import pytest
 
 from z2z4q8 import (
-    CodeGroup,
     EnumerationLimit,
     GroupSignature,
     GroupWord,
@@ -33,7 +32,7 @@ from z2z4q8 import (
 )
 from z2z4q8.fixtures import fixture_text, fixtures, load_fixture
 import z2z4q8.subgroup as subgroup_module
-from z2z4q8.report import analyze
+from z2z4q8.report import analyze, render_json
 from z2z4q8.subgroup import (
     StandardGenSet,
     _commutator_bits,
@@ -50,6 +49,7 @@ from conftest import (
     count_calls,
     q8_word,
     random_subgroup,
+    record_word_sets,
     scanned_standard_generators,
 )
 
@@ -303,8 +303,9 @@ def test_group_kernel_reads_the_gray_table(monkeypatch):
 
 
 def test_subgroups_carry_generators_that_generate_them():
-    """T, Z, K, C' and the span group D each carry generators read from
-    the presentation, and those generate exactly its words."""
+    """T, Z, K, C' and the span group D are each given by generators read
+    from C's presentation; the words read from their own presentation are
+    the word-by-word closure of those generators."""
     for name, C in _coset_groups():
         for label, S in (
             ("T", torsion(C)),
@@ -313,7 +314,8 @@ def test_subgroups_carry_generators_that_generate_them():
             ("C'", commutator_subgroup(C)),
             ("D", span_group(C)),
         ):
-            assert generate(S.generators).elements == S.elements, (name, label)
+            words = closure([identity(C.sig)], S.generators)
+            assert S.elements == words, (name, label)
 
 
 def test_full_kernel_check_raises_when_the_routes_disagree(monkeypatch):
@@ -338,12 +340,6 @@ def test_group_kernel_abelian_z4():
 
 def test_group_kernel_pure_code(pure_q8):
     assert group_kernel(pure_q8).order == 2
-
-
-def test_power_of_two_validation():
-    sig = GroupSignature(2, 0, 0)
-    with pytest.raises(ValueError):
-        CodeGroup(sig, frozenset({identity(sig), word(sig, (1, 0)), word(sig, (0, 1))}), ())
 
 
 # -- the T-coset quotient C/T(C) ----------------------------------------
@@ -471,12 +467,6 @@ def test_generate_refuses_before_building_a_word(monkeypatch):
     assert generate(gens, max_order=32).order == 32
 
 
-def test_torsion_refuses_generators_that_miss_elements(hadamard16):
-    C = CodeGroup(hadamard16.sig, hadamard16.elements, hadamard16.generators[:1])
-    with pytest.raises(RuntimeError, match="generators give order"):
-        torsion(C)
-
-
 def test_commutator_rows_match_word_commutators():
     """The doubled rows read by both pair checks, and the Gray form of the
     commutator, against commutator() word by word."""
@@ -503,3 +493,23 @@ def test_non_hadamard_analyze_computes_no_center(monkeypatch):
     assert analyze(C)["shape"] is None
     assert C.order >= 64
     assert calls == Counter()
+
+
+def test_non_hadamard_analyze_builds_no_word_set(monkeypatch):
+    """A group is its generators: the report of a non-Hadamard group with
+    2^8..2^10 words reads the presentation, Gray(C) as ints and one word
+    per T-coset, and builds the words of no group."""
+    rng = random.Random(13)
+    wanted = {1 << k for k in (8, 9, 10)}
+    groups = {}
+    while len(groups) < len(wanted):
+        sig = rng.choice((GroupSignature(2, 3, 2), GroupSignature(0, 2, 3)))
+        C = random_subgroup(sig, rng, rng.randint(3, 6), max_order=1 << 10)
+        if C.order in wanted:
+            groups.setdefault(C.order, C)
+    built = record_word_sets(monkeypatch)
+    for order, C in sorted(groups.items()):
+        payload = analyze(C)
+        assert not payload["is_hadamard"] and payload["order"] == order
+        render_json(payload)
+    assert built == []
