@@ -32,7 +32,7 @@ from .subgroup import (
     CodeType,
     EnumerationLimit,
     _coset_reps,
-    center,
+    _radical,
     code_type,
     gray_codewords,
 )
@@ -93,6 +93,8 @@ def extend(
     """
     if x.sig != Cq.sig:
         raise ConstructionError(f"element signature {x.sig} != group {Cq.sig}")
+    if 2 * Cq.order > max_order:
+        raise EnumerationLimit(f"extension order exceeds max_order={max_order}")
     if x in Cq:
         raise ConstructionError(f"extension element {x} already lies in the group")
     if (x * x) not in Cq:
@@ -114,8 +116,6 @@ def extend(
                 raise ConstructionError(
                     f"weight condition fails at c={c}: |Gray(x c)| = {wt} != {n // 2}"
                 )
-    if out.order > max_order:
-        raise EnumerationLimit(f"extension order exceeds max_order={max_order}")
     if not is_hadamard(out):
         raise RuntimeError("extension produced a non-Hadamard code")
     return out
@@ -205,8 +205,7 @@ def _predict_kronecker_type(C: CodeGroup, g: GroupWord) -> Tuple[CodeType, bool]
     gens = C.generators
     if any(all((g * c) * h == h * (g * c) for h in gens) for c in reps):
         return CodeType(ct.sigma, ct.delta + 1, ct.rho), False
-    Z = center(C)
-    delta1 = sum(1 for w in reps if w in Z and w * g == g * w).bit_length() - 1
+    delta1 = sum(1 for v in _radical(C) if reps[v] * g == g * reps[v]).bit_length() - 1
     return CodeType(ct.sigma, delta1, ct.rho + ct.delta - delta1 + 1), False
 
 

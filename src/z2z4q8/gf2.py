@@ -35,6 +35,10 @@ class Gf2Basis:
     def contains(self, vec: int) -> bool:
         return self.reduce(vec) == 0
 
+    def rows(self) -> list[int]:
+        """The stored rows, by increasing pivot."""
+        return [self._pivots[p] for p in sorted(self._pivots)]
+
     @property
     def rank(self) -> int:
         return len(self._pivots)

@@ -15,7 +15,7 @@ from math import ceil, comb, floor
 from typing import List, Optional, Sequence, Tuple
 
 from .gf2 import Gf2Basis
-from .groups import GroupWord, commutator, identity, u_element
+from .groups import GroupWord, _sort_key, commutator, identity, u_element
 from .invariants import (
     BoundCheck,
     BoundReport,
@@ -26,12 +26,14 @@ from .invariants import (
 from .subgroup import (
     CodeGroup,
     StandardGenSet,
-    _commutator_row,
+    _coset_minima,
     _coset_reps,
+    _coset_table,
     _memoized,
     _present,
+    _radical,
+    _span,
     _swapper_bits,
-    center,
     code_type,
     gray_codewords,
     standard_generators,
@@ -464,27 +466,30 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
 def _subset_with_square_product(
     zs: Sequence[GroupWord], target: GroupWord
 ) -> Optional[Tuple[int, ...]]:
-    """Smallest-lexicographic subset of z's whose squares multiply to target."""
-    n = len(zs)
-    squares = [(z * z).bits for z in zs]
+    """Smallest-lexicographic subset of z's whose squares multiply to target.
+
+    Squares have order <= 2, so Gray adds on them: bit i of the index into
+    the span of their images picks z_i, and the first match is the least
+    mask.
+    """
+    products = _span([(z * z).bits for z in zs])
     goal = target.bits
-    for mask in range(1, 1 << n):
-        acc = 0
-        for i in range(n):
-            if (mask >> i) & 1:
-                acc ^= squares[i]
-        if acc == goal:
-            return tuple(i for i in range(n) if (mask >> i) & 1)
-    return None
+    mask = next((m for m in range(1, len(products)) if products[m] == goal), None)
+    return None if mask is None else tuple(i for i in range(len(zs)) if mask >> i & 1)
 
 
 def _order4_central_with_square(
     C: CodeGroup, target: GroupWord
 ) -> Optional[GroupWord]:
-    for w in center(C).sorted_elements():
-        if w.order() == 4 and w * w == target:
-            return w
-    return None
+    """The least order-4 word of Z(C) with square ``target``, or None.
+
+    Squares are constant on T-cosets, and the order-4 words of Z(C) are
+    those of its cosets other than T itself, so this is the least coset
+    minimum over the radical's nonzero indices with that square.
+    """
+    squares, minima = _coset_table(C)[0], _coset_minima(C)
+    central = [minima[v] for v in _radical(C) if v and squares[v] == target.bits]
+    return min(central, key=_sort_key, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +673,8 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
     # the index of a transversal word is the GF(2) coordinate vector of its
     # coset in C/T; index 0 is T itself
     words = _coset_reps(C)
-    squares = [(w * w).bits for w in words]
+    squares, rows = _coset_table(C)
     outside = range(1, len(words))
-    rows = [_commutator_row(C, w) for w in words]
 
     pair_bad = 0
     for v in outside:

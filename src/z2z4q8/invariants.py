@@ -15,9 +15,10 @@ from .subgroup import (
     CodeGroup,
     CodeType,
     EnumerationLimit,
-    _commutator_row,
     _coset_reps,
+    _coset_table,
     _memoized,
+    _null_space,
     _span,
     _swapper_bits,
     code_type,
@@ -138,7 +139,7 @@ def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
         sum(torsion.reduce(s) << (j * n) for j, s in enumerate(row))
         for row in _swappers(C)
     ]
-    null = tuple(v for v, image in enumerate(_span(form)) if not image)
+    null = _null_space(form)
     residues = [torsion.reduce(p.bits) for p in _coset_reps(C)]
     cosets = frozenset(residues)
     passing = tuple(
@@ -327,13 +328,12 @@ def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
     The words of ``_coset_reps`` outside T(C) are those at index v >= 1,
     and the product ab lies in T(C) exactly when a and b share an index.
     """
-    reps = _coset_reps(C)
-    squares = [(a * a).bits for a in reps]
-    outside = range(1, len(reps))
+    squares, rows = _coset_table(C)
+    outside = range(1, len(squares))
     square_weight_bad = 0
     commuting_squares_bad = 0
     for u in outside:
-        row = _commutator_row(C, reps[u])
+        row = rows[u]
         sq = squares[u]
         wa = sq.bit_count()
         square_weight_bad += sum(row[v].bit_count() > wa for v in outside)

@@ -4,11 +4,13 @@ A ``CodeGroup`` is its generators.  Its constructor reads one GF(2)
 presentation from them (``_present``), and everything else comes from
 that: the order, T(C), C' and the type, Gray(C) as ints (which decides
 membership and equality), and one word per coset of T(C) (``_coset_reps``),
-on which every fact constant on those cosets is decided.  Words are built
-only for the readers that need them: ``sorted_elements`` (the standard
-generators of the Hadamard path), the full kernel scans and the oracles.
-Every derived fact is computed once and kept on the instance
-(``_memoized``); element iteration order is lexicographic on the
+on which every fact constant on those cosets is decided: Z(C) is the
+radical of the commutator form (``_radical``), and the standard generators
+are read from the least word of each coset (``_coset_minima``).  Words are
+built only for the readers that need them (``elements``): search's draws,
+``extend``'s failure witness, the full kernel scan, the structural converse
+and the oracles.  Every derived fact is computed once and kept on the
+instance (``_memoized``); element iteration order is lexicographic on the
 coordinate tuples, so every derived choice (bases, generating sets,
 reports) is deterministic.  Each subgroup built here is given by
 generators read from the same presentation.
@@ -300,15 +302,47 @@ def _commutator_row(C: CodeGroup, a: GroupWord) -> List[int]:
     return _span([_commutator_bits(C.sig, a.bits, b) for b in C.basis])
 
 
-def _cosets_where(C: CodeGroup, test: Callable[[GroupWord], bool]) -> CodeGroup:
-    """The subgroup made of the T-cosets whose representative passes ``test``.
+@_memoized
+def _coset_table(C: CodeGroup) -> Tuple[List[int], List[List[int]]]:
+    """(squares, commutator rows) of the ``_coset_reps`` words, by index.
 
-    The index of a representative is its coset's vector in C/T = GF(2)^k,
-    so the passing indices form a subspace, and T's generators with the
+    T(C) is central of exponent 2, so (p t)^2 = p^2 and (p t, w) = (p, w):
+    one table serves both pair checklists and the square lookups of the
+    shape analysis.
+    """
+    reps = _coset_reps(C)
+    return [(w * w).bits for w in reps], [_commutator_row(C, w) for w in reps]
+
+
+def _form_row(sig: GroupSignature, a: int, words: Sequence[int]) -> int:
+    """Gray((a, w_j)) at bits j*n, for words a and w_j given by their images."""
+    return sum(_commutator_bits(sig, a, w) << (j * sig.n) for j, w in enumerate(words))
+
+
+def _null_space(rows: Sequence[int]) -> Tuple[int, ...]:
+    """The v whose rows sum to zero; bit i of v picks rows[i]."""
+    return tuple(v for v, image in enumerate(_span(rows)) if not image)
+
+
+@_memoized
+def _radical(C: CodeGroup) -> Tuple[int, ...]:
+    """The indices v of ``_coset_reps`` whose T-coset lies in Z(C).
+
+    Commutators in C are central of order <= 2 and bilinear, so p_v
+    commutes with every b_j exactly when sum_i v_i Gray((b_i, b_j)) = 0.
+    T(C) is central and C = <T(C), b_1..b_k>, so these v, the radical of
+    the commutator form on C/T(C) = GF(2)^k, are Z(C)/T(C): the null space
+    of the rows sum_j Gray((b_i, b_j)) << j*n.
+    """
+    return _null_space([_form_row(C.sig, a, C.basis) for a in C.basis])
+
+
+def _cosets_where(C: CodeGroup, passing: Sequence[int]) -> CodeGroup:
+    """The subgroup made of the T-cosets at the ``_coset_reps`` indices
+    ``passing``, a subspace of C/T = GF(2)^k: T's generators and the
     representatives at a basis of it generate the subgroup.
     """
     reps = _coset_reps(C)
-    passing = [v for v, r in enumerate(reps) if test(r)]
     picked = Gf2Basis()
     gens = torsion(C).generators + tuple(reps[v] for v in passing if picked.add(v))
     return CodeGroup(C.sig, gens)
@@ -316,9 +350,8 @@ def _cosets_where(C: CodeGroup, test: Callable[[GroupWord], bool]) -> CodeGroup:
 
 @_memoized
 def center(C: CodeGroup) -> CodeGroup:
-    """Z(C): the T-cosets whose representative commutes with the generators."""
-    gens = C.generators
-    return _cosets_where(C, lambda w: all(w * g == g * w for g in gens))
+    """Z(C): the T-cosets of the radical of the commutator form."""
+    return _cosets_where(C, _radical(C))
 
 
 @_memoized
@@ -340,58 +373,89 @@ def commutator_subgroup(C: CodeGroup) -> CodeGroup:
 
 @_memoized
 def code_type(C: CodeGroup) -> CodeType:
-    """(sigma, delta, rho) from the presentation.
+    """(sigma, delta, rho) from the presentation: sigma = dim T(C), delta =
+    dim Z(C)/T(C), read from ``_radical``, and rho = k - delta."""
+    delta = len(_radical(C)).bit_length() - 1
+    return CodeType(len(C.torsion_rows), delta, len(C.basis) - delta)
 
-    sigma = dim T(C).  A word n p_v lies in Z(C) exactly when v is in the
-    radical of the commutator form on C/T(C) = GF(2)^k, i.e. when the sum
-    of the rows sum_j Gray((b_i, b_j)) << j*n picked by v is zero; so rho
-    is the GF(2) rank of those rows and delta = k - rho.
+
+@_memoized
+def _key_basis(C: CodeGroup) -> Gf2Basis:
+    """The rows _sort_key(t) << n | Gray(t) over a basis of T(C), in reduced
+    echelon form; every pivot is the top bit of a key (``_coset_minima``)."""
+    n = C.sig.n
+    return Gf2Basis(_sort_key(t) << n | t.bits for t in torsion(C).generators)
+
+
+@_memoized
+def _coset_minima(C: CodeGroup) -> Tuple[GroupWord, ...]:
+    """The ``_sort_key``-least word of each T-coset, by ``_coset_reps`` index.
+
+    On T-translates the key is additive: key(r t) = key(r) + key(t) for t
+    in T(C).  Gray(r t) = Gray(r) + Gray(t) (``_coset_reps``), and each
+    block of Gray(t) is 0 or the image of the order-2 entry: 1 (Z2), 11
+    (Z4) or 1111 (Q8).  A Z2 key bit is its Gray bit.  Adding 11 to a Z4
+    block (b0, b1) flips b0 and keeps b0^b1, so of its key (b0, b0^b1) only
+    the first bit flips.  Adding 1111 to a Q8 block keeps p = b0^b1 and
+    q = b0^b2 and flips b0, so of its key (q, b0^(q&~p), p^q, 0) only the
+    second bit flips.  Each flip is the block of key(t), and the key's
+    final reversal is a bit permutation.  So the key is linear on Gray(T),
+    and injective, as each order-2 entry sets a key bit of its own, and the
+    keys of the coset r T are key(r) + key(T).
+
+    ``_key_basis`` holds the rows key(t) << n | Gray(t) in reduced echelon
+    form, pivots at the top bit of key(t).  Reducing key(r) << n | Gray(r)
+    by it gives the one vector of the coset whose pivot bits are all clear,
+    and that is the least key: any other differs from it by a nonzero
+    key(t), whose top bit is a pivot, clear in the reduced vector, with
+    every higher bit equal.  The low n bits carry Gray(r) + Gray(t) =
+    Gray(r t) along, for the same t.  The cost is O(sigma) XORs per coset.
     """
-    sig, n = C.sig, C.sig.n
-    form = Gf2Basis(
-        sum(_commutator_bits(sig, a, b) << (j * n) for j, b in enumerate(C.basis))
-        for a in C.basis
+    n, keys = C.sig.n, _key_basis(C)
+    low = (1 << n) - 1
+    return tuple(
+        GroupWord._from_bits(C.sig, keys.reduce(_sort_key(r) << n | r.bits) & low)
+        for r in _coset_reps(C)
     )
-    return CodeType(len(C.torsion_rows), len(C.basis) - form.rank, form.rank)
 
 
 @_memoized
 def standard_generators(C: CodeGroup) -> StandardGenSet:
     """Deterministic standard generating set (first-independent-wins).
 
-    Scans elements in sorted order: x's are picked to enlarge the GF(2)
-    span of Gray(T(C)), y's to enlarge <T, ys> within Z(C), z's to enlarge
-    <Z, zs> within C.  nu is a homomorphism with kernel Omega, and
-    C n Omega = T, so a word lies in <T, picked> exactly when its nu lies
-    in the span of the picked words' nu; Z = <T, ys> gives the same for
-    the z's.  The unique-product property is verified.
+    These are the words a scan in sorted order picks: x's over T(C) that
+    enlarge the GF(2) span of the Gray images, y's over Z(C) that enlarge
+    <T, ys>, z's over C that enlarge <Z, zs> (``tests/conftest.py`` keeps
+    the scan as the oracle).  They are read from the 2^k coset minima
+    (``_coset_minima``) without sorting a group.
+
+    x's: the key is linear and injective on T, so the scan picks the words
+    of T whose key leaves the span of the keys picked before.  Once the
+    rows of ``_key_basis`` at the j least pivots are picked, a key outside
+    their span has a top bit at a later pivot, and the least key with top
+    bit p is the row at p: adding rows at lower pivots sets the top one of
+    those pivot bits, which the reduced row has clear.  So the x's are the
+    rows by increasing pivot.
+
+    y's and z's: nu is a homomorphism with kernel Omega and C n Omega =
+    T(C), so nu(p_v t) = sum_i v_i nu(b_i), with the nu(b_i) independent
+    (``_present``): a word of the coset v lies in <T, picked> exactly when
+    v lies in the span of the picked indices.  The first word of a coset
+    in sorted order is its minimum, and a coset dependent when its minimum
+    is scanned stays dependent, so the scan picks minima only.  The y's are
+    the minima of the radical's cosets (``_radical``), the z's those of all
+    cosets, each in key order, taken when the index is independent of the
+    indices taken before.  The result is checked by ``verify_standard``.
     """
-    T = torsion(C)
-    Z = center(C)
-
-    xs: List[GroupWord] = []
-    basis = Gf2Basis()
-    for w in T.sorted_elements():
-        if not w.is_identity() and basis.add(w.bits):
-            xs.append(w)
-    if len(xs) != T.log2_order:
-        raise RuntimeError("torsion basis extraction failed")
-
-    nus = Gf2Basis()
-
-    def pick(candidates: Sequence[GroupWord], dim: int) -> List[GroupWord]:
-        picked = []
-        for w in candidates:
-            if nus.rank == dim:
-                break
-            if nus.add(_nu(C.sig, w.bits)):
-                picked.append(w)
-        return picked
-
-    ys = pick(Z.sorted_elements(), Z.log2_order - T.log2_order)
-    zs = pick(C.sorted_elements(), C.log2_order - T.log2_order)
-
-    gens = StandardGenSet(tuple(xs), tuple(ys), tuple(zs))
+    low = (1 << C.sig.n) - 1
+    xs = tuple(GroupWord._from_bits(C.sig, row & low) for row in _key_basis(C).rows())
+    minima = _coset_minima(C)
+    radical = frozenset(_radical(C))
+    scan = sorted(range(len(minima)), key=lambda v: _sort_key(minima[v]))
+    picked = Gf2Basis()
+    ys = tuple(minima[v] for v in scan if v in radical and picked.add(v))
+    zs = tuple(minima[v] for v in scan if picked.add(v))
+    gens = StandardGenSet(xs, ys, zs)
     verify_standard(C, gens)
     return gens
 
@@ -399,14 +463,25 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
 def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     """Check the defining invariants of a standard generating set.
 
-    With each generator in its layer, the x's span T(C) exactly when their
-    Gray images are independent, and the y/z products factor C uniquely
-    exactly when their T-cosets tile Gray(C).  The 2^delta products of y's
-    then fill the 2^delta T-cosets of Z(C), so every product that uses a z
-    lies outside Z(C).
+    Every check reads the presentation, and none builds a word or the Gray
+    image of C.  The x's are a basis of T(C) when they are independent and
+    their Gray images lie in the span of ``torsion_rows``.  The y's and z's
+    lie in C when adding them to the presentation keeps the order.
+    Centrality is read from the commutators with the generators of C, not
+    from ``_radical``: a y is central when they all vanish, and, as
+    commutators are bilinear, no product of z's is central when the z's
+    commutator vectors are independent.
+
+    The y/z products meet each T-coset of C once exactly when the nu of the
+    y's and z's have rank delta + rho.  nu is a homomorphism, so the
+    ordered product p_e of the g_i picked by e has nu(p_e) = sum_i e_i
+    nu(g_i).  Two products lie in one T-coset exactly when p_e^-1 p_e'
+    lies in T(C) = C n Omega, i.e. when their nu agree.  So the 2^(delta +
+    rho) products lie in distinct T-cosets exactly when the nu(g_i) are
+    independent, and as C has 2^(delta + rho) T-cosets, they then meet
+    each once.  The 2^delta products of y's are central and those using a
+    z are not, so Z(C) = <T(C), ys>, and delta is checked too.
     """
-    T = torsion(C)
-    Z = center(C)
     ct = code_type(C)
     if (len(gens.xs), len(gens.ys), len(gens.zs)) != ct.as_tuple():
         raise ValueError(
@@ -415,20 +490,22 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
         )
     if ct.sigma < ct.delta:
         raise RuntimeError(f"sigma < delta in type {ct}")
-    for x in gens.xs:
-        if x not in T:
-            raise ValueError(f"x generator {x} not in T(C)")
+    xs = tuple(x.bits for x in gens.xs)
+    if Gf2Basis(xs).rank != ct.sigma or Gf2Basis(C.torsion_rows + xs).rank != ct.sigma:
+        raise ValueError("x generators are not a basis of T(C)")
+    yz = gens.ys + gens.zs
+    basis, rows = _present(C.sig, C.basis + C.torsion_rows + tuple(w.bits for w in yz))
+    if len(basis) + len(rows) != C.log2_order:
+        raise ValueError("a y or z generator lies outside C")
+    if any(w.order() != 4 for w in yz):
+        raise ValueError("a y or z generator does not have order 4")
+    words = [g.bits for g in C.generators]
     for y in gens.ys:
-        if y not in Z or y.order() != 4:
-            raise ValueError(f"y generator {y} not an order-4 central element")
-    for z in gens.zs:
-        if z in Z or z.order() != 4:
-            raise ValueError(f"z generator {z} not an order-4 non-central element")
-    if Gf2Basis(x.bits for x in gens.xs).rank != ct.sigma:
-        raise ValueError("x generators are dependent")
-    products = _products(C.sig, gens.ys + gens.zs)
-    tbits = gray_codewords(T)
-    if {p.bits ^ t for p in products for t in tbits} != gray_codewords(C):
+        if _form_row(C.sig, y.bits, words):
+            raise ValueError(f"y generator {y} is not central")
+    if Gf2Basis(_form_row(C.sig, z.bits, words) for z in gens.zs).rank != ct.rho:
+        raise ValueError("a product of z generators is central")
+    if Gf2Basis(_nu(C.sig, w.bits) for w in yz).rank != ct.delta + ct.rho:
         raise ValueError("y/z products do not meet each T-coset of C once")
 
 
@@ -463,7 +540,8 @@ def group_kernel(C: CodeGroup, full: bool = False) -> CodeGroup:
         if scan != gray_codewords(K):
             raise RuntimeError("full kernel scan disagrees with the coset route")
         return K
-    K = _cosets_where(C, lambda x: passes(x, C.generators))
+    reps = _coset_reps(C)
+    K = _cosets_where(C, [v for v, x in enumerate(reps) if passes(x, C.generators)])
     if not gray_codewords(torsion(C)) <= gray_codewords(K):
         raise RuntimeError("T(C) escaped K(C); swapper arithmetic is broken")
     return K

@@ -22,7 +22,8 @@ from z2z4q8 import (
 )
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
-from z2z4q8.groups import Q8_MUL
+from z2z4q8.groups import Q8_MUL, _sort_key
+from z2z4q8.subgroup import StandardGenSet, _coset_reps, _products, gray_codewords
 
 _CRITERION_LINES: List[str] = []
 
@@ -66,19 +67,24 @@ def count_calls(monkeypatch, owner: ModuleType, *names: str) -> Counter:
     return calls
 
 
-def record_word_sets(monkeypatch) -> List[CodeGroup]:
-    """Every group whose words (``CodeGroup.elements``) get built, in the
-    order of their first read; ``count_calls`` for the memoised view."""
+def record_builds(monkeypatch, name: str) -> List[CodeGroup]:
+    """Every group whose cached view ``CodeGroup.<name>`` gets built, in the
+    order of their first read; ``count_calls`` for a memoised view."""
     built: List[CodeGroup] = []
-    view = CodeGroup.elements
+    view = getattr(CodeGroup, name)
 
     def reading(C):
-        if "elements" not in vars(C):
+        if name not in vars(C):
             built.append(C)
         return view.__get__(C, CodeGroup)
 
-    monkeypatch.setattr(CodeGroup, "elements", property(reading))
+    monkeypatch.setattr(CodeGroup, name, property(reading))
     return built
+
+
+def record_word_sets(monkeypatch) -> List[CodeGroup]:
+    """Every group whose words (``CodeGroup.elements``) get built."""
+    return record_builds(monkeypatch, "elements")
 
 
 def random_word(sig: GroupSignature, rng: random.Random) -> GroupWord:
@@ -167,6 +173,22 @@ def scanned_standard_generators(C: CodeGroup) -> Tuple[tuple, tuple, tuple]:
     ys = first_independent(T.elements, Z.sorted_elements(), Z.order)
     zs = first_independent(Z.elements, C.sorted_elements(), C.order)
     return tuple(xs), tuple(ys), tuple(zs)
+
+
+def least_coset_words(C: CodeGroup) -> Tuple[GroupWord, ...]:
+    """min(coset, key=_sort_key) over the words of each T-coset, by
+    ``_coset_reps`` index; the oracle for ``_coset_minima``."""
+    T = torsion(C).elements
+    return tuple(min((r * t for t in T), key=_sort_key) for r in _coset_reps(C))
+
+
+def tiles(C: CodeGroup, gens: StandardGenSet) -> bool:
+    """The y/z products meet each T-coset of C once: their translates of
+    Gray(T) make up Gray(C) exactly.  The |C|-sized oracle for the rank test
+    of ``verify_standard``."""
+    tbits = gray_codewords(torsion(C))
+    products = _products(C.sig, gens.ys + gens.zs)
+    return {p.bits ^ t for p in products for t in tbits} == gray_codewords(C)
 
 
 def random_subgroup(

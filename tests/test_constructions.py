@@ -38,7 +38,13 @@ from z2z4q8.parsing import parse_element
 from z2z4q8.search import _random_abelian_base, _random_torsion_word, search
 from z2z4q8.subgroup import DEFAULT_MAX_ORDER, gray_codewords
 
-from conftest import closure, random_subgroup, random_word, record_word_sets
+from conftest import (
+    closure,
+    random_subgroup,
+    random_word,
+    record_builds,
+    record_word_sets,
+)
 
 
 def test_lift_word_values():
@@ -509,6 +515,21 @@ def test_construction_max_order_names_the_stage():
     with pytest.raises(EnumerationLimit, match="Kronecker"):
         kronecker(C, max_order=C.order)
     assert generalized_kronecker(C, g, max_order=limit).output.order == limit
+
+
+def test_extend_refuses_by_order_before_building_a_gray_set(monkeypatch):
+    """2|Cq| is read from the presentation, so the order refusal comes
+    before the membership tests, which read Gray(Cq), and before the weight
+    check, which reads Gray(out); a weight-failing x is refused by order
+    too."""
+    lifted = xi_lift(load_fixture("hadamard8_z4"))  # |Cq| = 16
+    built = record_builds(monkeypatch, "_gray")
+    for literal in ("b ab b ab", "a2 1 1 1"):
+        with pytest.raises(
+            EnumerationLimit, match="extension order exceeds max_order=31$"
+        ):
+            extend(lifted, parse_element(literal, lifted.sig), max_order=31)
+    assert built == []
 
 
 def test_extend_weight_witness_is_first_sorted_failure():

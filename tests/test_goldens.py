@@ -1,21 +1,29 @@
 """The byte-stable outputs, against the benchmark's golden files.
 
-``perfbench/goldens/`` holds the report of every shipped fixture and the
-result list of ``search(16, seed=1, budget=2500)``; they are read here,
-never written.
+``perfbench/goldens/`` holds the report of every shipped fixture, the
+result list of ``search(16, seed=1, budget=2500)``, and the reports of
+pass 0 of the ``kronecker-chain`` and ``dense-subgroups`` workloads at the
+default seed; they are read here, never written.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from z2z4q8 import analyze, generate, parse_generators, render_json, search
 from z2z4q8.fixtures import fixture_text
 
 from conftest import SHIPPED_FIXTURES
 
-GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDENS = BENCH / "goldens"
+sys.path.append(str(BENCH))
+
+from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 
 def _golden(name: str):
@@ -39,3 +47,17 @@ def test_search_results_equal_the_goldens():
         for f in search(16, seed=1, budget=2500)
     ]
     assert lines == _golden("search-16")["results"]
+
+
+@pytest.mark.parametrize("name", ["kronecker-chain", "dense-subgroups"])
+def test_workload_reports_equal_the_goldens(name):
+    """Pass 0 at the default seed, run and checked by the workload's own
+    code against its golden file; the chain pins the normalized generators
+    of Hadamard codes up to n=256."""
+    workload = WORKLOADS[name]
+    inputs = workload.make_inputs(DEFAULT_SEED)
+    assert inputs.goldens is not None
+    result = workload.run_pass(inputs)
+    verdict = workload.check(inputs, result)
+    assert verdict.attempted == len(result.outputs) > 0
+    assert verdict.failed == 0, verdict.problems

@@ -43,9 +43,14 @@ from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import _nu
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
 from z2z4q8.invariants import span_group
-from z2z4q8.subgroup import _swapper_bits, gray_basis
+from z2z4q8.subgroup import _coset_minima, _swapper_bits, gray_basis
 
-from conftest import assert_matches_reference, closure, random_subgroup
+from conftest import (
+    assert_matches_reference,
+    closure,
+    least_coset_words,
+    random_subgroup,
+)
 
 SIGNATURES = [
     GroupSignature(0, 0, 2),
@@ -345,6 +350,16 @@ def test_property_presentation_rank_and_kernel_match_the_oracles(data):
     assert r == span_group(C).log2_order == gray_basis(C).rank
     assert is_linear(C) == (r == C.log2_order)
     assert len(binary_kernel(C)) == group_kernel(C).order == 1 << k
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_coset_minima_are_the_least_words(data):
+    """Reducing key(r) << n | Gray(r) by the echelon rows of the keys of
+    T(C) gives the _sort_key-least word of the coset r T(C)."""
+    sig = data.draw(signatures)
+    C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=3)))
+    assert _coset_minima(C) == least_coset_words(C)
 
 
 def _reference_pair(w1, w2):

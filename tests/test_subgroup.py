@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from z2z4q8 import (
+    CodeGroup,
     EnumerationLimit,
     GroupSignature,
     GroupWord,
@@ -16,6 +17,7 @@ from z2z4q8 import (
     code_type,
     commutator_subgroup,
     generate,
+    generalized_kronecker,
     gray,
     gray_inv,
     group_kernel,
@@ -33,10 +35,12 @@ from z2z4q8 import (
 from z2z4q8.fixtures import fixture_text, fixtures, load_fixture
 import z2z4q8.subgroup as subgroup_module
 from z2z4q8.report import analyze, render_json
+from z2z4q8.groups import _sort_key
 from z2z4q8.subgroup import (
     StandardGenSet,
     _commutator_bits,
     _commutator_row,
+    _coset_minima,
     _coset_reps,
     verify_standard,
 )
@@ -47,10 +51,12 @@ from conftest import (
     all_words,
     closure,
     count_calls,
+    least_coset_words,
     q8_word,
     random_subgroup,
     record_word_sets,
     scanned_standard_generators,
+    tiles,
 )
 
 Q8_PAIR = GroupSignature(0, 0, 2)
@@ -221,12 +227,59 @@ def test_standard_generators_match_the_closure_scan_on_random_groups():
         _assert_scan_matches(C, (sig, C.generators))
 
 
-@pytest.mark.parametrize("length", [16, 32])
+@pytest.mark.parametrize("length", [16, 32, 64])
 def test_standard_generators_match_the_closure_scan_on_search_outputs(length):
-    found = search(length, seed=1, budget=2500 if length == 16 else 300)
+    found = search(length, seed=1, budget={16: 2500, 32: 300, 64: 200}[length])
     assert found
     for f in found:
         _assert_scan_matches(generate(f.generators), f.generators)
+
+
+def _kronecker_chain(start, max_n, rng):
+    """The fixture ``start`` and its generalized Kronecker doublings up to
+    length max_n, each g a seeded product of powers of the generators."""
+    C = load_fixture(start)
+    chain = [C]
+    while C.sig.n < max_n:
+        g = identity(C.sig)
+        for w in C.generators:
+            g = g * w ** rng.randrange(4)
+        C = generalized_kronecker(C, g).output
+        chain.append(C)
+    return chain
+
+
+@pytest.mark.parametrize("start", ["hadamard16_q8", "hadamard16_z2z4_delta2"])
+def test_standard_generators_match_the_closure_scan_on_kronecker_chains(start):
+    for C in _kronecker_chain(start, 256, random.Random(start)):
+        _assert_scan_matches(C, (start, C.sig.n))
+
+
+# -- coset minima ----------------------------------------------------------
+
+
+def test_coset_minima_are_the_least_words_on_fixtures():
+    for name in SHIPPED_FIXTURES:
+        C = load_fixture(name)
+        assert _coset_minima(C) == least_coset_words(C), name
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [
+        GroupSignature(5, 0, 0),
+        GroupSignature(0, 4, 0),
+        GroupSignature(0, 0, 3),
+        GroupSignature(1, 2, 1),
+        GroupSignature(2, 1, 2),
+    ],
+    ids=str,
+)
+def test_coset_minima_are_the_least_words_on_random_groups(sig):
+    rng = random.Random(sig.n * 31 + sig.l)
+    for _ in range(16):
+        C = random_subgroup(sig, rng, rng.choice((1, 2, 3, 4)), max_order=256)
+        assert _coset_minima(C) == least_coset_words(C), C.generators
 
 
 def test_group_kernel_of_hadamard16(hadamard16):
@@ -327,7 +380,7 @@ def test_full_kernel_check_raises_when_the_routes_disagree(monkeypatch):
     monkeypatch.setattr(
         subgroup_module,
         "_cosets_where",
-        lambda C, test: real(C, lambda w: w.is_identity()),
+        lambda C, passing: real(C, [0]),
     )
     with pytest.raises(RuntimeError, match="full kernel scan disagrees"):
         analyze(load_fixture("hadamard8_z4"), full_kernel_check=True)
@@ -431,6 +484,71 @@ def test_verify_standard_rejects_each_violation(case):
     name, C, gens = _bad_sets()[case]
     with pytest.raises(ValueError):
         verify_standard(C, gens)
+
+
+def test_tiling_oracle_agrees_with_verify_standard():
+    """verify_standard decides the tiling by the rank of the nu of the y's
+    and z's; on random central and non-central order-4 picks its verdict is
+    the |C|-sized tiling oracle's, and the two tiling violations fail both."""
+    rng = random.Random(29)
+    verdicts = Counter()
+    for name, C in _coset_groups():
+        gens = standard_generators(C)
+        assert tiles(C, gens), name
+        Z = center(C)
+        order4 = sorted((w for w in C.elements if w.order() == 4), key=_sort_key)
+        central = [w for w in order4 if w in Z]
+        other = [w for w in order4 if w not in Z]
+        for _ in range(6):
+            ys = tuple(rng.choice(central) for _ in gens.ys)
+            zs = tuple(rng.choice(other) for _ in gens.zs)
+            trial = StandardGenSet(gens.xs, ys, zs)
+            try:
+                verify_standard(C, trial)
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == tiles(C, trial), (name, trial)
+            verdicts[ok] += 1
+    assert verdicts[True] and verdicts[False]
+    for name, C, gens in _bad_sets()[4:]:  # the two tiling violations
+        assert not tiles(C, gens), name
+
+
+def test_verify_standard_catches_a_wrong_radical(monkeypatch):
+    """verify_standard decides centrality by commuting with the generators,
+    not from ``_radical``: a radical that keeps T only leaves Z(C) to the
+    z's, and no product of z's may be central."""
+    C = generate(_mixed_group_with_y_and_z().generators)  # nothing cached
+    monkeypatch.setattr(subgroup_module, "_radical", lambda C: (0,))
+    with pytest.raises(ValueError, match="a product of z generators is central"):
+        standard_generators(C)
+
+
+def test_analyze_builds_no_word_set_and_sorts_no_group(monkeypatch):
+    """The Hadamard path reads the T-cosets too: the reports of the shipped
+    fixtures and of a Kronecker chain to n=1024 build the words of no
+    group, and neither compute Z(C) as a group nor sort one."""
+    chain = _kronecker_chain("hadamard16_q8", 1024, random.Random(1024))
+    inputs = [parse_generators(fixture_text(name))[1] for name in SHIPPED_FIXTURES]
+    inputs += [C.generators for C in chain[1:]]
+    built = record_word_sets(monkeypatch)
+    calls = count_calls(monkeypatch, subgroup_module, "center")
+    real = CodeGroup.sorted_elements
+
+    def sorting(C):
+        calls["sorted_elements"] += 1
+        return real(C)
+
+    monkeypatch.setattr(CodeGroup, "sorted_elements", sorting)
+    hadamard = 0
+    for gens in inputs:
+        payload = analyze(generate(gens))
+        hadamard += payload["is_hadamard"]
+        render_json(payload)
+    assert hadamard >= 20
+    assert built == []
+    assert calls == Counter()
 
 
 def test_non_hadamard_analyze_builds_no_standard_generators(monkeypatch):
