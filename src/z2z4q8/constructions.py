@@ -10,6 +10,7 @@ both length and cardinality via the diagonal embedding.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -25,7 +26,7 @@ from .groups import (
     word,
 )
 from .hadamard import Shape, classify_shape, is_hadamard
-from .invariants import is_abelian, kernel_dim, rank
+from .invariants import is_abelian, kernel_dim, rank, weight_distribution
 from .subgroup import (
     DEFAULT_MAX_ORDER,
     CodeGroup,
@@ -34,7 +35,6 @@ from .subgroup import (
     _coset_reps,
     _radical,
     code_type,
-    gray_codewords,
 )
 
 
@@ -86,36 +86,44 @@ def extend(
 
     Preconditions: x lies outside Cq with x^2 in Cq, conjugation by x
     preserves Cq, and every coset word x*c has Gray weight exactly half
-    the binary length.  The first three make <Cq, x> = Cq u x*Cq, so the
-    output is Cq's generators and x, of order 2|Cq|, and x*Cq is read off
-    as the words of the output outside Cq.  The result must be a Hadamard
-    code.
+    the binary length.  The first three hold exactly when |<Cq, x>| =
+    2|Cq|.  They make <Cq, x> = Cq u x*Cq with x*Cq disjoint from Cq.
+    Conversely, Cq of index 2 in <Cq, x> is normal there, so x normalizes
+    it; the quotient has order 2, so x^2 lies in Cq; and x lies outside
+    Cq, or <Cq, x> = Cq.  So the output is Cq's generators and x, the
+    three are one order comparison on its presentation, and the tests
+    word by word run only to name the one that fails.  The weights of
+    Gray(x Cq) are those of the output less those of Cq.  The result must
+    be a Hadamard code.
     """
     if x.sig != Cq.sig:
         raise ConstructionError(f"element signature {x.sig} != group {Cq.sig}")
     if 2 * Cq.order > max_order:
         raise EnumerationLimit(f"extension order exceeds max_order={max_order}")
-    if x in Cq:
-        raise ConstructionError(f"extension element {x} already lies in the group")
-    if (x * x) not in Cq:
-        raise ConstructionError(f"square of {x} lies outside the group")
-    for g in Cq.generators:
-        if conjugate(g, x) not in Cq:
-            raise ConstructionError(f"{x} does not normalize the group (moves {g})")
+    out = CodeGroup(Cq.sig, Cq.generators + (x,))
+    if out.order != 2 * Cq.order:
+        if x in Cq:
+            raise ConstructionError(f"extension element {x} already lies in the group")
+        if (x * x) not in Cq:
+            raise ConstructionError(f"square of {x} lies outside the group")
+        for g in Cq.generators:
+            if conjugate(g, x) not in Cq:
+                raise ConstructionError(f"{x} does not normalize the group (moves {g})")
     n = Cq.sig.n
     if n % 2:
         raise ConstructionError(f"binary length {n} is odd; no middle weight")
-    out = CodeGroup(Cq.sig, Cq.generators + (x,))
     if out.order != 2 * Cq.order:
         raise RuntimeError("extension did not double the group order")
-    coset = gray_codewords(out) - gray_codewords(Cq)  # Gray(x Cq)
-    if any(b.bit_count() != n // 2 for b in coset):
+    coset = Counter(weight_distribution(out))  # less Cq's, the weights of Gray(x Cq)
+    coset.subtract(weight_distribution(Cq))
+    if any(count for wt, count in coset.items() if wt != n // 2):
         for c in Cq.sorted_elements():
             wt = (x * c).bits.bit_count()
             if wt != n // 2:
                 raise ConstructionError(
                     f"weight condition fails at c={c}: |Gray(x c)| = {wt} != {n // 2}"
                 )
+        raise RuntimeError("weights of Gray(x Cq) disagree with its words")
     if not is_hadamard(out):
         raise RuntimeError("extension produced a non-Hadamard code")
     return out
@@ -216,27 +224,38 @@ def generalized_kronecker(
 
     As u is central of order 2, the output is diag(C) u (g, g*u) diag(C),
     given by the diagonal generators and (g, g*u).  Doubles length and
-    cardinality.  The kernel dimension grows by at most 1 and the type
-    follows the predicted case split; the rank grows by at least 1, and by
-    exactly 1 whenever some coset word g*c has order <= 2 (then the
-    swappers of g against the group collapse into S(C)).  Order-4 doubling
-    elements outside that case can raise the rank further.
+    cardinality.
+
+    The preconditions hold exactly when the output has order at most
+    2|C|: then it is that union; conversely its projection on the first
+    half, <C, g>, has order at most 2|C|, so C has index 1 or 2 in it, is
+    normal there and holds g^2.  The output holds diag(C), and (g, g*u)
+    outside it (u != e), so its order is at least 2|C|: the preconditions
+    are one order comparison on its presentation, and the tests word by
+    word run only to name the one that fails.
+
+    The kernel dimension grows by at most 1 and the type follows the
+    predicted case split; the rank grows by at least 1, and by exactly 1
+    whenever some coset word g*c has order <= 2 (then the swappers of g
+    against the group collapse into S(C)).  Order-4 doubling elements
+    outside that case can raise the rank further.
     """
     if g.sig != C.sig:
         raise ConstructionError(f"element signature {g.sig} != group {C.sig}")
-    if (g * g) not in C:
-        raise ConstructionError(f"square of {g} lies outside the group")
-    for h in C.generators:
-        if conjugate(h, g) not in C:
-            raise ConstructionError(f"{g} does not normalize the group (moves {h})")
-    if 2 * C.order > max_order:
-        raise EnumerationLimit(
-            f"Kronecker output order exceeds max_order={max_order}"
-        )
     sig, dsig = C.sig, C.sig.doubled()
     u = u_element(sig)
     gens = tuple(_pair_word(w, w) for w in C.generators) + (_pair_word(g, g * u),)
     out = CodeGroup(dsig, gens)
+    if out.order != 2 * C.order:
+        if (g * g) not in C:
+            raise ConstructionError(f"square of {g} lies outside the group")
+        for h in C.generators:
+            if conjugate(h, g) not in C:
+                raise ConstructionError(f"{g} does not normalize the group (moves {h})")
+    if 2 * C.order > max_order:
+        raise EnumerationLimit(
+            f"Kronecker output order exceeds max_order={max_order}"
+        )
     if out.order != 2 * C.order:
         raise RuntimeError("Kronecker output order is not 2|C|")
     predicted, torsion_coset = _predict_kronecker_type(C, g)
@@ -365,7 +384,7 @@ def structural_converse_check(
     inner = CodeGroup.generate(abelian_gens)
     if not is_abelian(inner) or 2 * inner.order != C.order:
         raise RuntimeError("index-2 abelian subgroup construction failed")
-    if not gray_codewords(inner) <= gray_codewords(C):
+    if not all(w in C for w in inner.generators):
         raise RuntimeError("inner subgroup escaped the group")
 
     offset = sig.k1 + sig.k2

@@ -210,12 +210,21 @@ class GroupWord:
 
     @property
     def coords(self) -> Tuple[int, ...]:
-        """One value per coordinate: Z2 in {0,1}, Z4 in {0..3}, Q8 ``i + 4*j``."""
-        bits = self.bits
-        return tuple(
-            values[(bits >> pos) & ((1 << width) - 1)]
-            for pos, width, _, values in _tables(self.sig)[0]
-        )
+        """One value per coordinate: Z2 in {0,1}, Z4 in {0..3}, Q8 ``i + 4*j``.
+
+        The blocks are read through a 64-bit window moved along the bytes
+        of the image, so decoding takes time linear in n rather than one
+        shift of the whole image per coordinate.
+        """
+        data = self.bits.to_bytes((self.sig.n + 7) // 8, "little")
+        out = []
+        base = window = -64  # the first block refills the window
+        for pos, width, _, values in _tables(self.sig)[0]:
+            if pos + width > base + 64:
+                base = pos & ~7
+                window = int.from_bytes(data[base >> 3 : (base >> 3) + 8], "little")
+            out.append(values[(window >> (pos - base)) & ((1 << width) - 1)])
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupWord):
@@ -259,13 +268,9 @@ class GroupWord:
 
     def tokens(self) -> Tuple[str, ...]:
         """Canonical token per coordinate (Z2/Z4 digits, Q8 names)."""
-        out = []
-        for idx, value in enumerate(self.coords):
-            if self.sig.kind(idx) == "q8":
-                out.append(Q8_TOKENS[value])
-            else:
-                out.append(str(value))
-        return tuple(out)
+        coords = self.coords
+        q8 = self.sig.k1 + self.sig.k2  # the Q8 section starts here
+        return tuple(map(str, coords[:q8])) + tuple(Q8_TOKENS[v] for v in coords[q8:])
 
     def __str__(self) -> str:
         return "(" + " ".join(self.tokens()) + ")"

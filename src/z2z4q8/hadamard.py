@@ -30,7 +30,6 @@ from .subgroup import (
     _coset_reps,
     _coset_table,
     _memoized,
-    _present,
     _radical,
     _span,
     _swapper_bits,
@@ -636,9 +635,7 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
             "sigma >= delta + rho - epsilon - 1", lower, ct.sigma, ct.sigma >= lower
         )
     )
-    # u has order 2, so it lies in <U> exactly when it lies in T(<U>)
-    _, u_rows = _present(C.sig, [w.bits for w in u_set])
-    if not Gf2Basis(u_rows).contains(u.bits):
+    if u not in CodeGroup(C.sig, u_set):
         checks.append(
             BoundCheck(
                 "u outside <U>: log2|<W>| = delta + rho - epsilon",
@@ -667,7 +664,8 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
 def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
     """Pair and triple facts, exhausted over one word per T-coset.
 
-    Swappers have order <= 2, so Gray(s1 * s2) = Gray(s1) + Gray(s2).
+    Swappers have order <= 2, so Gray(s1 * s2) = Gray(s1) + Gray(s2), and
+    each is tested for membership in C by its image (``_has_image``).
     """
     u = u_element(C.sig).bits
     # the index of a transversal word is the GF(2) coordinate vector of its
@@ -691,7 +689,6 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
         Gf2Basis(members).rank > 2 for members in by_square.values()
     )
 
-    codewords = gray_codewords(C)
     triple3_bad = 0
     for a2, members in by_square.items():
         for ai in range(len(members)):
@@ -705,7 +702,7 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
                         continue
                     s1 = _swapper_bits(a, c)
                     s2 = _swapper_bits(b, c)
-                    if codewords.isdisjoint((s1, s2, s1 ^ s2)):
+                    if not any(C._has_image(s) for s in (s1, s2, s1 ^ s2)):
                         triple3_bad += 1
     return [
         BoundCheck(

@@ -17,6 +17,7 @@ from .subgroup import (
     EnumerationLimit,
     _coset_reps,
     _coset_table,
+    _gray_stream,
     _memoized,
     _null_space,
     _span,
@@ -245,7 +246,7 @@ def is_abelian(C: CodeGroup) -> bool:
 
 @_memoized
 def _weight_counts(C: CodeGroup) -> Tuple[Tuple[int, int], ...]:
-    counts = Counter(b.bit_count() for b in gray_codewords(C))
+    counts = Counter(b.bit_count() for b in _gray_stream(C))
     return tuple(sorted(counts.items()))
 
 

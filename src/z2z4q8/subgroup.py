@@ -2,25 +2,28 @@
 
 A ``CodeGroup`` is its generators.  Its constructor reads one GF(2)
 presentation from them (``_present``), and everything else comes from
-that: the order, T(C), C' and the type, Gray(C) as ints (which decides
-membership and equality), and one word per coset of T(C) (``_coset_reps``),
-on which every fact constant on those cosets is decided: Z(C) is the
-radical of the commutator form (``_radical``), and the standard generators
-are read from the least word of each coset (``_coset_minima``).  Words are
-built only for the readers that need them (``elements``): search's draws,
-``extend``'s failure witness, the full kernel scan, the structural converse
-and the oracles.  Every derived fact is computed once and kept on the
-instance (``_memoized``); element iteration order is lexicographic on the
-coordinate tuples, so every derived choice (bases, generating sets,
-reports) is deterministic.  Each subgroup built here is given by
-generators read from the same presentation.
+that: the order, membership (``w in C``, reduced by the presentation as a
+generator is) and so equality, T(C), C' and the type, and one word per
+coset of T(C) (``_coset_reps``), on which every fact constant on those
+cosets is decided: Z(C) is the radical of the commutator form
+(``_radical``), and the standard generators are read from the least word
+of each coset (``_coset_minima``).  No group keeps its Gray image:
+Gray(C) is a stream, one T-coset at a time (``_gray_stream``), read by
+the weight count, by the words (``elements``) and by the |C|-sized
+oracles (``gray_codewords``).  Words are built only for the readers that
+need them: search's draws, ``extend``'s failure witness, the full kernel
+scan, the structural converse and the oracles.  Every derived fact is
+computed once and kept on the instance (``_memoized``); element iteration
+order is lexicographic on the coordinate tuples, so every derived choice
+(bases, generating sets, reports) is deterministic.  Each subgroup built
+here is given by generators read from the same presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis
 from .groups import GroupSignature, GroupWord, _nu, _pi, _sort_key, identity
@@ -91,19 +94,22 @@ class CodeGroup:
     The constructor reads the GF(2) presentation of <generators> once
     (``_present``): ``basis`` holds the Gray images of b_1..b_k, a basis of
     C/T(C), and ``torsion_rows`` a GF(2) basis of Gray(T(C)), so the order
-    2^(k + dim T) is known without building a word.  Gray(C), as ints, is
-    read from them on first use (``gray_codewords``), and decides
-    membership and equality.  The words themselves (``elements``) are built
-    only for the readers that need them.
+    2^(k + dim T) is known without building a word.  Membership reduces a
+    word by the same presentation (``_has_image``), and equality reads the
+    order and the membership of the other group's generators.  Gray(C) is
+    not kept: it is streamed one T-coset at a time (``_gray_stream``), and
+    the words themselves (``elements``) are built only for the readers
+    that need them.
     """
 
     def __init__(self, sig: GroupSignature, generators: Sequence[GroupWord]) -> None:
         self.sig = sig
         self.generators = tuple(generators)
-        basis, rows = _present(sig, [g.bits for g in self.generators])
-        self.basis: Tuple[int, ...] = tuple(basis)
+        pivots, self._torsion, rows = _present(sig, [g.bits for g in self.generators])
+        self._pivots: Tuple[Tuple[int, int, int], ...] = tuple(pivots)
+        self.basis: Tuple[int, ...] = tuple(b for _, _, b in pivots)
         self.torsion_rows: Tuple[int, ...] = tuple(rows)
-        self.log2_order = len(basis) + len(rows)
+        self.log2_order = len(self.basis) + len(rows)
         self.order = 1 << self.log2_order
         self._cache: dict = {}
 
@@ -130,17 +136,25 @@ class CodeGroup:
             raise EnumerationLimit(f"subgroup order exceeds max_order={max_order}")
         return C
 
-    @cached_property
-    def _gray(self) -> frozenset:
-        # C = N x {ordered products p of the b_i}, N in Omega, so
-        # Gray(p t) = Gray(p) + Gray(t) as in ``_coset_reps``
-        tbits = _span(self.torsion_rows)
-        return frozenset(p.bits ^ t for p in _coset_reps(self) for t in tbits)
+    def _has_image(self, x: int) -> bool:
+        """Whether the word whose Gray image is x lies in C; O(k + sigma)
+        XORs, and no word of C is read.
+
+        ``_reduce`` multiplies x on the right by basis words b_i of C until
+        nu of the product has no pivot bit; that nu is 0 exactly when nu(x)
+        lies in nu(C), the span of the nu(b_i) (``_present``).  If it does
+        not, x is not in C.  If it does, the product lies in Omega, and in
+        C exactly when x does, as the b_i do; Omega n C = T(C), and Gray is
+        linear and injective on Omega, so it lies in C exactly when its
+        image lies in the span of ``torsion_rows``.
+        """
+        y, v = _reduce(self.sig, self._pivots, x)
+        return not v and self._torsion.contains(y)
 
     @cached_property
     def elements(self) -> frozenset:
-        """The words of C, built from Gray(C) on first read."""
-        return frozenset(GroupWord._from_bits(self.sig, b) for b in self._gray)
+        """The words of C, built from the Gray stream on first read."""
+        return frozenset(GroupWord._from_bits(self.sig, b) for b in _gray_stream(self))
 
     # -- basic container behaviour ------------------------------------
 
@@ -148,21 +162,22 @@ class CodeGroup:
         return self.order
 
     def __contains__(self, w: GroupWord) -> bool:
-        return (w.sig is self.sig or w.sig == self.sig) and w.bits in self._gray
+        return (w.sig is self.sig or w.sig == self.sig) and self._has_image(w.bits)
 
     def __iter__(self):
         return iter(self.sorted_elements())
 
     def __eq__(self, other) -> bool:
+        # a subgroup of D of D's order is D
         return (
             isinstance(other, CodeGroup)
             and self.sig == other.sig
             and self.order == other.order
-            and self._gray == other._gray
+            and all(other._has_image(g.bits) for g in self.generators)
         )
 
     def __hash__(self) -> int:
-        return hash((self.sig, self._gray))
+        return hash((self.sig, self.order))
 
     @_memoized
     def sorted_elements(self) -> List[GroupWord]:
@@ -175,9 +190,32 @@ def generate(
     return CodeGroup.generate(generators, max_order)
 
 
+def _gray_stream(C: CodeGroup) -> Iterator[int]:
+    """Gray(C), one T-coset at a time, holding one image at a time.
+
+    C = N x {ordered products p_v of the b_i}, N = T(C) in Omega, so
+    Gray(p_v t) = Gray(p_v) + Gray(t) (``_coset_reps``).  Each coset is
+    walked in Gray-code order over ``torsion_rows``: step i adds the row
+    at the lowest set bit of i, so the 2^sigma steps visit every sum of
+    rows once.
+    """
+    rows = C.torsion_rows
+    steps = [rows[(i & -i).bit_length() - 1] for i in range(1, 1 << len(rows))]
+    for p in _coset_reps(C):
+        x = p.bits
+        yield x
+        for r in steps:
+            x ^= r
+            yield x
+
+
 def gray_codewords(C: CodeGroup) -> frozenset:
-    """Gray(C) as a set of image bits: each coset representative plus Gray(T)."""
-    return C._gray
+    """Gray(C) as a set of image bits, built anew on every call.
+
+    |C|-sized: read only by the oracles (``gray_basis``, ``span_group``,
+    the kernel scans, the perfect-code checks) and by search's dedupe key.
+    """
+    return frozenset(_gray_stream(C))
 
 
 def _swapper_bits(x: GroupWord, y: GroupWord) -> int:
@@ -202,15 +240,38 @@ def _span(rows: Sequence[int]) -> List[int]:
     return out
 
 
-def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """A GF(2) presentation of <gens>, on Gray images: (b_1..b_k, rows of N).
+def _reduce(
+    sig: GroupSignature, pivots: Sequence[Tuple[int, int, int]], x: int
+) -> Tuple[int, int]:
+    """(x b_i1 ... b_ir, its nu): x times each basis word, in order, whose
+    pivot the running nu has (``_present``)."""
+    v = _nu(sig, x)
+    for pivot, vb, b in pivots:
+        if v & pivot:
+            x ^= _pi(sig, x, b)
+            v ^= vb
+    return x, v
+
+
+def _present(
+    sig: GroupSignature, gens: Sequence[int]
+) -> Tuple[List[Tuple[int, int, int]], Gf2Basis, List[int]]:
+    """A GF(2) presentation of <gens>, on Gray images: the (pivot bit, nu,
+    image) of b_1..b_k, and a basis of Gray(N) with its rows.
 
     ``_nu`` is a homomorphism onto GF(2)^(k2+2k3) with kernel Omega, the
     words of order <= 2.  Each generator is multiplied on the right by the
-    basis words whose pivot its nu has, which reduces nu; a nonzero
-    residue is a new basis word b_i, a zero one lies in Omega.  Those
-    residues, the squares b_i^2 and the commutators (b_i, b_j) lie in
-    Omega, and generate a subgroup N that is central and elementary
+    basis words whose pivot its nu has, which reduces nu (``_reduce``); a
+    nonzero residue is a new basis word b_i, with the top bit of its nu as
+    pivot, and a zero one lies in Omega.  The nu(b_i) are in echelon form:
+    nu(b_i) has the pivots of the earlier b's clear (each step of the
+    reduction clears its pivot and sets no earlier one), so in a nonzero
+    sum of them the pivot of the earliest term is set.  So the reduction
+    ends at nu = 0 exactly when nu of the input lies in the span of the
+    nu(b_i), and the nu(b_i) are independent.
+
+    Those residues, the squares b_i^2 and the commutators (b_i, b_j) lie
+    in Omega, and generate a subgroup N that is central and elementary
     abelian, with Gray(N) the GF(2) span of their images; the rows returned
     are an independent subset of those images.
 
@@ -231,11 +292,7 @@ def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[List[int], List[
             rows.append(t)
 
     for w in gens:
-        v = _nu(sig, w)
-        for pivot, vb, b in pivots:
-            if v & pivot:
-                w ^= _pi(sig, w, b)
-                v ^= vb
+        w, v = _reduce(sig, pivots, w)
         if v:
             pivots.append((1 << (v.bit_length() - 1), v, w))
         else:
@@ -245,7 +302,7 @@ def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[List[int], List[
         into_n(b ^ _pi(sig, b, b))
         for c in basis[:i]:
             into_n(_commutator_bits(sig, c, b))
-    return basis, rows
+    return pivots, torsion_basis, rows
 
 
 @_memoized
@@ -466,7 +523,7 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     Every check reads the presentation, and none builds a word or the Gray
     image of C.  The x's are a basis of T(C) when they are independent and
     their Gray images lie in the span of ``torsion_rows``.  The y's and z's
-    lie in C when adding them to the presentation keeps the order.
+    are tested by ``w in C``.
     Centrality is read from the commutators with the generators of C, not
     from ``_radical``: a y is central when they all vanish, and, as
     commutators are bilinear, no product of z's is central when the z's
@@ -494,8 +551,7 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     if Gf2Basis(xs).rank != ct.sigma or Gf2Basis(C.torsion_rows + xs).rank != ct.sigma:
         raise ValueError("x generators are not a basis of T(C)")
     yz = gens.ys + gens.zs
-    basis, rows = _present(C.sig, C.basis + C.torsion_rows + tuple(w.bits for w in yz))
-    if len(basis) + len(rows) != C.log2_order:
+    if not all(w in C for w in yz):
         raise ValueError("a y or z generator lies outside C")
     if any(w.order() != 4 for w in yz):
         raise ValueError("a y or z generator does not have order 4")

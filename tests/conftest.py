@@ -67,24 +67,19 @@ def count_calls(monkeypatch, owner: ModuleType, *names: str) -> Counter:
     return calls
 
 
-def record_builds(monkeypatch, name: str) -> List[CodeGroup]:
-    """Every group whose cached view ``CodeGroup.<name>`` gets built, in the
-    order of their first read; ``count_calls`` for a memoised view."""
+def record_word_sets(monkeypatch) -> List[CodeGroup]:
+    """Every group whose words (``CodeGroup.elements``) get built, in the
+    order of their first read."""
     built: List[CodeGroup] = []
-    view = getattr(CodeGroup, name)
+    view = CodeGroup.elements
 
     def reading(C):
-        if name not in vars(C):
+        if "elements" not in vars(C):
             built.append(C)
         return view.__get__(C, CodeGroup)
 
-    monkeypatch.setattr(CodeGroup, name, property(reading))
+    monkeypatch.setattr(CodeGroup, "elements", property(reading))
     return built
-
-
-def record_word_sets(monkeypatch) -> List[CodeGroup]:
-    """Every group whose words (``CodeGroup.elements``) get built."""
-    return record_builds(monkeypatch, "elements")
 
 
 def random_word(sig: GroupSignature, rng: random.Random) -> GroupWord:

@@ -32,6 +32,7 @@ from z2z4q8 import (
 import z2z4q8.constructions as constructions_module
 import z2z4q8.fixtures as fixtures_module
 import z2z4q8.invariants as invariants_module
+import z2z4q8.subgroup as subgroup_module
 from z2z4q8.constructions import _pair_bits, lift_word, q8_automorphisms
 from z2z4q8.fixtures import fixtures, load_fixture
 from z2z4q8.parsing import parse_element
@@ -40,9 +41,9 @@ from z2z4q8.subgroup import DEFAULT_MAX_ORDER, gray_codewords
 
 from conftest import (
     closure,
+    count_calls,
     random_subgroup,
     random_word,
-    record_builds,
     record_word_sets,
 )
 
@@ -519,17 +520,39 @@ def test_construction_max_order_names_the_stage():
 
 def test_extend_refuses_by_order_before_building_a_gray_set(monkeypatch):
     """2|Cq| is read from the presentation, so the order refusal comes
-    before the membership tests, which read Gray(Cq), and before the weight
-    check, which reads Gray(out); a weight-failing x is refused by order
-    too."""
+    before any enumeration: neither the order test of the preconditions nor
+    the weight check has streamed Gray(Cq) or Gray(out) by then, and a
+    weight-failing x is refused by order too."""
     lifted = xi_lift(load_fixture("hadamard8_z4"))  # |Cq| = 16
-    built = record_builds(monkeypatch, "_gray")
+    calls = count_calls(monkeypatch, subgroup_module, "_gray_stream")
     for literal in ("b ab b ab", "a2 1 1 1"):
         with pytest.raises(
             EnumerationLimit, match="extension order exceeds max_order=31$"
         ):
             extend(lifted, parse_element(literal, lifted.sig), max_order=31)
-    assert built == []
+    assert calls["_gray_stream"] == 0
+    extend(lifted, parse_element("b ab b ab", lifted.sig))
+    assert calls["_gray_stream"] > 0  # the count sees the weight check
+
+
+def test_extend_raises_when_the_weight_scan_finds_no_witness(monkeypatch):
+    """The weights of Gray(x Cq) are those of the output less those of Cq.
+    When they put a word off the middle weight but no word x c is off it,
+    the count is wrong, and extend raises rather than go on to the
+    Hadamard check."""
+    lifted = xi_lift(load_fixture("hadamard8_z4"))
+    x = parse_element("b ab b ab", lifted.sig)
+    real = constructions_module.weight_distribution
+
+    def miscount(C):
+        counts = real(C)
+        if C.order == 2 * lifted.order:
+            counts[1] = counts.get(1, 0) + 1
+        return counts
+
+    monkeypatch.setattr(constructions_module, "weight_distribution", miscount)
+    with pytest.raises(RuntimeError, match=r"^weights of Gray\(x Cq\) disagree with its words$"):
+        extend(lifted, x)
 
 
 def test_extend_weight_witness_is_first_sorted_failure():

@@ -212,3 +212,31 @@ def test_sort_key_order_is_coordinate_order():
     words = all_words(GroupSignature(1, 2, 2))
     random.Random(3).shuffle(words)
     assert sorted(words, key=_sort_key) == sorted(words, key=lambda w: w.coords)
+
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [
+        GroupSignature(63, 3, 20),
+        GroupSignature(1, 0, 17),
+        GroupSignature(65, 0, 0),
+        GroupSignature(1, 40, 9),
+        GroupSignature(0, 0, 40),
+    ],
+    ids=str,
+)
+def test_coords_and_tokens_round_trip_across_64_bit_windows(sig):
+    """``coords`` reads the image through a moving 64-bit window: blocks
+    that straddle a window edge (a Z4 block at bit 63, Q8 blocks at odd
+    offsets) decode like any other, and ``tokens`` spells each section by
+    its kind."""
+    rng = random.Random(sig.n)
+    mods = [2] * sig.k1 + [4] * sig.k2 + [8] * sig.k3
+    for _ in range(40):
+        coords = tuple(rng.randrange(m) for m in mods)
+        w = word(sig, coords)
+        assert w.coords == coords
+        assert w.tokens() == tuple(
+            Q8_TOKENS[v] if sig.kind(i) == "q8" else str(v) for i, v in enumerate(coords)
+        )

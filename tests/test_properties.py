@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2z4q8 import (
+    CodeGroup,
     ConstructionError,
     EnumerationLimit,
     GroupSignature,
@@ -15,6 +17,7 @@ from z2z4q8 import (
     check_bounds,
     classify_shape,
     code_type,
+    conjugate,
     extend,
     format_generators,
     generate,
@@ -40,7 +43,7 @@ from z2z4q8 import (
 from z2z4q8.constructions import _pair_bits, _pair_word, generalized_kronecker
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
-from z2z4q8.groups import _nu
+from z2z4q8.groups import GroupWord, _nu
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
 from z2z4q8.invariants import span_group
 from z2z4q8.subgroup import _coset_minima, _swapper_bits, gray_basis
@@ -360,6 +363,150 @@ def test_property_coset_minima_are_the_least_words(data):
     sig = data.draw(signatures)
     C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=3)))
     assert _coset_minima(C) == least_coset_words(C)
+
+
+def _omega_words(sig: GroupSignature):
+    """Words of order <= 2: central, so s * o keeps nu(s) for s in C."""
+    mods = [(0, 1)] * sig.k1 + [(0, 2)] * (sig.k2 + sig.k3)
+    return st.tuples(*(st.sampled_from(m) for m in mods)).map(lambda c: word(sig, c))
+
+
+def _near(sig: GroupSignature, members: list):
+    """A random ambient word, a word of the group, or one times a word of
+    order <= 2: the last passes the nu test of membership, so only
+    T(C) decides it."""
+    return st.one_of(
+        words_of(sig),
+        st.sampled_from(members),
+        st.tuples(st.sampled_from(members), _omega_words(sig)).map(lambda p: p[0] * p[1]),
+    )
+
+
+def _other_signature(sig: GroupSignature) -> GroupSignature:
+    """Another signature in which each image of ``sig`` is again the image
+    of a word: a Z4 block read as two Z2 bits, a Q8 block as two Z4
+    blocks, or one more Z2 coordinate."""
+    if sig.k2:
+        return GroupSignature(sig.k1 + 2, sig.k2 - 1, sig.k3)
+    if sig.k3:
+        return GroupSignature(sig.k1, sig.k2 + 2, sig.k3 - 1)
+    return GroupSignature(sig.k1 + 1, 0, 0)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_membership_matches_the_closure(data):
+    """``w in C`` (nu reduced by the presentation, then the residue tested
+    against Gray(T)) agrees with the word closure of the generators, and a
+    word of another signature is never in C."""
+    sig = data.draw(signatures)
+    gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
+    C = generate(gens)
+    members = closure([identity(sig)], gens)
+    assert all(w in C for w in members)
+    ordered = sorted(members, key=lambda w: w.coords)
+    for w in data.draw(st.lists(_near(sig, ordered), min_size=8, max_size=8)):
+        assert (w in C) == (w in members), (sig, w)
+    other = _other_signature(sig)
+    for w in ordered[:4] + ordered[-4:]:
+        alien = GroupWord._from_bits(other, w.bits)
+        assert alien not in C
+        assert alien in CodeGroup(other, (alien,))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_equality_and_hash_match_the_closure(data):
+    """C == D exactly when their closures are equal, and equal groups hash
+    alike; a group given by its generators shuffled and with redundant
+    products added is the same group."""
+    sig = data.draw(signatures)
+    gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
+    C = generate(gens)
+    members = frozenset(closure([identity(sig)], gens))
+    extra = data.draw(st.lists(st.sampled_from(sorted(members, key=lambda w: w.coords)), max_size=3))
+    redundant = data.draw(st.permutations(list(gens) + extra + [gens[0] * gens[-1]]))
+    D = generate(redundant)
+    assert C == D and D == C and hash(C) == hash(D)
+    # one generator swapped for a near word: often the same order, not always the group
+    swapped = list(gens[:-1]) + [data.draw(_near(sig, sorted(members, key=lambda w: w.coords)))]
+    E = generate(swapped)
+    same = members == frozenset(closure([identity(sig)], swapped))
+    assert (C == E) == (E == C) == same, (sig, gens, swapped)
+    if same:
+        assert hash(C) == hash(E)
+    other = _other_signature(sig)
+    assert C != generate([GroupWord._from_bits(other, g.bits) for g in gens])
+    assert C != C.generators
+
+
+def _precondition_messages(S, gens, x, label):
+    """The failing preconditions of a doubling by x, word by word against
+    the closure S, as the messages extend/generalized_kronecker give."""
+    failing = []
+    if label == "extend" and x in S:
+        failing.append(f"extension element {x} already lies in the group")
+    if x * x not in S:
+        failing.append(f"square of {x} lies outside the group")
+    failing += [
+        f"{x} does not normalize the group (moves {g})"
+        for g in gens
+        if conjugate(g, x) not in S
+    ]
+    return failing
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_extend_order_test_matches_its_preconditions(data):
+    """x outside Cq, x^2 in Cq and x normalizing Cq, each tested word by
+    word on the closure, hold together exactly when |<Cq, x>| = 2|Cq|; and
+    extend refuses with the first failing test's message, or refuses none."""
+    sig = data.draw(signatures)
+    gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
+    Cq = generate(gens)
+    S = closure([identity(sig)], gens)
+    near = _near(sig, sorted(S, key=lambda w: w.coords))
+    for x in data.draw(st.lists(near, min_size=6, max_size=6)):
+        failing = _precondition_messages(S, gens, x, "extend")
+        doubled = CodeGroup(sig, Cq.generators + (x,)).order == 2 * Cq.order
+        assert doubled == (not failing), (sig, gens, x)
+        try:
+            extend(Cq, x)
+            raised = None
+        except (ConstructionError, RuntimeError) as err:
+            raised = str(err)
+        if failing:
+            assert raised == failing[0]
+        else:
+            assert raised is None or raised.startswith(
+                ("weight", "binary length", "extension produced")
+            )
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_kronecker_order_test_matches_its_preconditions(data):
+    """g^2 in C and g normalizing C, each tested word by word on the
+    closure, hold together exactly when |<diag(C), (g, g u)>| <= 2|C|; and
+    generalized_kronecker refuses with the first failing test's message,
+    or builds the doubled group."""
+    sig = data.draw(signatures)
+    gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
+    C = generate(gens)
+    S = closure([identity(sig)], gens)
+    pairs = tuple(_pair_word(w, w) for w in C.generators)
+    near = _near(sig, sorted(S, key=lambda w: w.coords))
+    for g in data.draw(st.lists(near, min_size=6, max_size=6)):
+        failing = _precondition_messages(S, gens, g, "kronecker")
+        out = CodeGroup(sig.doubled(), pairs + (_pair_word(g, g * u_element(sig)),))
+        assert (out.order <= 2 * C.order) == (not failing), (sig, gens, g)
+        if failing:
+            with pytest.raises(ConstructionError) as err:
+                generalized_kronecker(C, g)
+            assert str(err.value) == failing[0]
+        else:
+            assert generalized_kronecker(C, g).output == out
 
 
 def _reference_pair(w1, w2):

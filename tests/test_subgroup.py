@@ -551,6 +551,30 @@ def test_analyze_builds_no_word_set_and_sorts_no_group(monkeypatch):
     assert calls == Counter()
 
 
+def test_analyze_leaves_no_gray_image_on_the_group():
+    """A group keeps no Gray image: after the report of every shipped
+    fixture and of a Kronecker chain to n=1024, no attribute of the group
+    and no memoised fact is a collection of |C| or more entries.  The
+    per-coset tables have 2^k entries, and 2^k < |C| as sigma >= 1; the
+    two-word group ``rep4_q8`` is left out, as any pair of facts (its two
+    weights, the squares and commutators table) has |C| entries there."""
+    chain = _kronecker_chain("hadamard16_q8", 1024, random.Random(1024))
+    inputs = [parse_generators(fixture_text(name))[1] for name in SHIPPED_FIXTURES]
+    inputs += [C.generators for C in chain[1:]]
+    checked = 0
+    for gens in inputs:
+        C = generate(gens)
+        render_json(analyze(C))
+        if C.order == 2:
+            continue
+        checked += 1
+        held = [v for k, v in vars(C).items() if k != "_cache"]
+        held += C._cache.values()
+        sizes = [len(v) for v in held if isinstance(v, (tuple, list, dict, frozenset, set))]
+        assert max(sizes) < C.order, (C.sig, C.order, sizes)
+    assert checked == len(inputs) - 1
+
+
 def test_non_hadamard_analyze_builds_no_standard_generators(monkeypatch):
     """Pair checks read the T-cosets directly, so a non-Hadamard analysis
     never derives a standard generating set."""
@@ -615,7 +639,7 @@ def test_non_hadamard_analyze_computes_no_center(monkeypatch):
 
 def test_non_hadamard_analyze_builds_no_word_set(monkeypatch):
     """A group is its generators: the report of a non-Hadamard group with
-    2^8..2^10 words reads the presentation, Gray(C) as ints and one word
+    2^8..2^10 words reads the presentation, the Gray stream and one word
     per T-coset, and builds the words of no group."""
     rng = random.Random(13)
     wanted = {1 << k for k in (8, 9, 10)}
