@@ -33,6 +33,7 @@ from .subgroup import (
     CodeType,
     EnumerationLimit,
     _coset_reps,
+    _coset_word,
     _radical,
     code_type,
 )
@@ -95,11 +96,22 @@ def extend(
     word by word run only to name the one that fails.  The weights of
     Gray(x Cq) are those of the output less those of Cq.  The result must
     be a Hadamard code.
+
+    Every x' in x Cq gives the same output, <Cq, x'> = <Cq, x>, and passes
+    or fails with x: x' Cq = x Cq.  So the output is built and checked
+    once per coset and kept on Cq, keyed by ``_coset_word``; a later
+    element of that coset returns the same group, whose generators are
+    Cq's and the first element drawn from the coset.  The signature and
+    ``max_order`` checks run on every call, and a failure is not kept, so
+    its message names the caller's element.
     """
     if x.sig != Cq.sig:
         raise ConstructionError(f"element signature {x.sig} != group {Cq.sig}")
     if 2 * Cq.order > max_order:
         raise EnumerationLimit(f"extension order exceeds max_order={max_order}")
+    key = ("extend", _coset_word(Cq, x.bits))
+    if key in Cq._cache:
+        return Cq._cache[key]
     out = CodeGroup(Cq.sig, Cq.generators + (x,))
     if out.order != 2 * Cq.order:
         if x in Cq:
@@ -126,6 +138,7 @@ def extend(
         raise RuntimeError("weights of Gray(x Cq) disagree with its words")
     if not is_hadamard(out):
         raise RuntimeError("extension produced a non-Hadamard code")
+    Cq._cache[key] = out
     return out
 
 
@@ -239,23 +252,43 @@ def generalized_kronecker(
     whenever some coset word g*c has order <= 2 (then the swappers of g
     against the group collapse into S(C)).  Order-4 doubling elements
     outside that case can raise the rank further.
+
+    Every g' = g c in g C gives the same output, as (g c, g c u) = (g, g u)
+    (c, c), and passes or fails with g: g' C = g C.  So the output and its
+    predicted type are built and checked once per coset and kept on C,
+    keyed by ``_coset_word``; a later element of that coset gets the same
+    output group, whose last generator is the pair of the first element
+    drawn from the coset, while the result's ``g`` is the caller's.  The
+    signature and ``max_order`` checks run on every call, and a failure is
+    not kept, so its message names the caller's element.
     """
     if g.sig != C.sig:
         raise ConstructionError(f"element signature {g.sig} != group {C.sig}")
-    sig, dsig = C.sig, C.sig.doubled()
-    u = u_element(sig)
-    gens = tuple(_pair_word(w, w) for w in C.generators) + (_pair_word(g, g * u),)
-    out = CodeGroup(dsig, gens)
-    if out.order != 2 * C.order:
-        if (g * g) not in C:
-            raise ConstructionError(f"square of {g} lies outside the group")
-        for h in C.generators:
-            if conjugate(h, g) not in C:
-                raise ConstructionError(f"{g} does not normalize the group (moves {h})")
+    key = ("generalized_kronecker", _coset_word(C, g.bits))
+    checked = C._cache.get(key)  # (output, predicted type) of the coset g C
+    if checked is None:
+        sig, dsig = C.sig, C.sig.doubled()
+        u = u_element(sig)
+        gens = tuple(_pair_word(w, w) for w in C.generators) + (_pair_word(g, g * u),)
+        out = CodeGroup(dsig, gens)
+        if out.order != 2 * C.order:
+            if (g * g) not in C:
+                raise ConstructionError(f"square of {g} lies outside the group")
+            for h in C.generators:
+                if conjugate(h, g) not in C:
+                    raise ConstructionError(f"{g} does not normalize the group (moves {h})")
     if 2 * C.order > max_order:
         raise EnumerationLimit(
             f"Kronecker output order exceeds max_order={max_order}"
         )
+    if checked is None:
+        checked = C._cache[key] = (out, _checked_kronecker_type(C, g, out))
+    return KroneckerResult(C, g, *checked)
+
+
+def _checked_kronecker_type(C: CodeGroup, g: GroupWord, out: CodeGroup) -> CodeType:
+    """The predicted type of K_g(C), after checking the order, type, rank,
+    kernel and Hadamard laws of ``generalized_kronecker`` on its output."""
     if out.order != 2 * C.order:
         raise RuntimeError("Kronecker output order is not 2|C|")
     predicted, torsion_coset = _predict_kronecker_type(C, g)
@@ -275,7 +308,7 @@ def generalized_kronecker(
         raise RuntimeError("Kronecker kernel dimension grew by more than 1")
     if is_hadamard(C) and not is_hadamard(out):
         raise RuntimeError("Kronecker output of a Hadamard input is not Hadamard")
-    return KroneckerResult(C, g, out, predicted)
+    return predicted
 
 
 def kronecker(C: CodeGroup, max_order: int = DEFAULT_MAX_ORDER) -> KroneckerResult:

@@ -50,6 +50,7 @@ _GRAY_BLOCKS = {
 }
 
 Q8_TOKENS: Tuple[str, ...] = ("1", "a", "a2", "a3", "b", "ab", "a2b", "a3b")
+_Q8_VALUES = {token: v for v, token in enumerate(Q8_TOKENS)}
 
 _Q8_TOKEN_RE = re.compile(r"^(?:(?:a(?:\^?(\d+))?)?(?:b(?:\^?(\d+))?)?|1)$")
 
@@ -308,7 +309,14 @@ def conjugate(x: GroupWord, y: GroupWord) -> GroupWord:
 
 
 def parse_q8_token(token: str) -> int:
-    """Parse a Q8 token, accepting non-canonical forms like 'b3' or 'a^2b'."""
+    """Parse a Q8 token, accepting non-canonical forms like 'b3' or 'a^2b'.
+
+    Canonical tokens are looked up; only the other spellings go through
+    the regex.
+    """
+    value = _Q8_VALUES.get(token)
+    if value is not None:
+        return value
     m = _Q8_TOKEN_RE.match(token)
     if m is None or token == "":
         raise ValueError(f"invalid Q8 token {token!r}")
@@ -325,9 +333,8 @@ def parse_q8_token(token: str) -> int:
     return i | ((j % 2) << 2)
 
 
-def parse_token(sig: GroupSignature, index: int, token: str) -> int:
-    """Parse one coordinate token for the 0-based coordinate index."""
-    kind = sig.kind(index)
+def parse_value(kind: str, token: str) -> int:
+    """Parse one coordinate token of the kind 'z2', 'z4' or 'q8'."""
     if kind == "q8":
         return parse_q8_token(token)
     if not token.isdigit():
@@ -342,4 +349,4 @@ def parse_token(sig: GroupSignature, index: int, token: str) -> int:
 def word_from_tokens(sig: GroupSignature, tokens: Sequence[str]) -> GroupWord:
     if len(tokens) != sig.l:
         raise ValueError(f"expected {sig.l} tokens, got {len(tokens)}")
-    return GroupWord(sig, tuple(parse_token(sig, i, t) for i, t in enumerate(tokens)))
+    return GroupWord(sig, tuple(parse_value(sig.kind(i), t) for i, t in enumerate(tokens)))

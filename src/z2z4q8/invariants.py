@@ -38,7 +38,8 @@ def swapper(x: GroupWord, y: GroupWord) -> GroupWord:
     return gray_inv(gray(x) ^ gray(y) ^ gray(x * y), x.sig)
 
 
-def _swappers(C: CodeGroup) -> List[List[int]]:
+@_memoized
+def _swappers(C: CodeGroup) -> Tuple[Tuple[int, ...], ...]:
     """s(b_i, b_j) = Gray(b_j) + pi_(b_i)(Gray(b_j)), by (i, j), over the
     presentation basis b_1..b_k: the Gray bits of the swapper
     [b_i, b_j] (``_swapper_bits``), from two images and one ``_pi``.
@@ -65,10 +66,10 @@ def _swappers(C: CodeGroup) -> List[List[int]]:
 
     A word of Omega lies in C exactly when it lies in T(C) = C n Omega,
     and Gray is injective: s(x, y) is in C exactly when its bits are in
-    Gray(T).
+    Gray(T).  Built once per group, for ``rank`` and ``_kernel_cosets``.
     """
     sig, basis = C.sig, C.basis
-    return [[y ^ _pi(sig, x, y) for y in basis] for x in basis]
+    return tuple(tuple(y ^ _pi(sig, x, y) for y in basis) for x in basis)
 
 
 @_memoized

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from .groups import GroupSignature, GroupWord, parse_token
+from .groups import GroupSignature, GroupWord, parse_value
 
 
 class ParseError(ValueError):
@@ -31,11 +31,14 @@ def _parse_word(
             f"expected {sig.l} coordinate tokens, got {len(tokens)}", line, column
         )
     coords = []
-    for index, (token, col) in enumerate(tokens):
-        try:
-            coords.append(parse_token(sig, index, token))
-        except ValueError as exc:
-            raise ParseError(str(exc), line, col) from exc
+    start = 0
+    for kind, count in (("z2", sig.k1), ("z4", sig.k2), ("q8", sig.k3)):
+        for token, col in tokens[start : start + count]:
+            try:
+                coords.append(parse_value(kind, token))
+            except ValueError as exc:
+                raise ParseError(str(exc), line, col) from exc
+        start += count
     return GroupWord(sig, tuple(coords))
 
 

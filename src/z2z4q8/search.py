@@ -127,7 +127,9 @@ def search(
                 C = generalized_kronecker(base, g).output
         except (ConstructionError, ValueError):
             continue
-        # the group's Gray image, not the group, which would keep its cache alive
+        # keyed by the Gray image: a group hashes by signature and order only.
+        # The checked outputs stay alive anyway, kept on the pool bases (and
+        # their lifts) by the constructions, one per coset drawn
         words = (C.sig, gray_codewords(C))
         if words in seen_groups:
             continue

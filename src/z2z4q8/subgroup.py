@@ -2,10 +2,13 @@
 
 A ``CodeGroup`` is its generators.  Its constructor reads one GF(2)
 presentation from them (``_present``), and everything else comes from
-that: the order, membership (``w in C``, reduced by the presentation as a
-generator is) and so equality, T(C), C' and the type, and one word per
-coset of T(C) (``_coset_reps``), on which every fact constant on those
-cosets is decided: Z(C) is the radical of the commutator form
+that: the order; one canonical word per coset x C (``_coset_word``,
+reduced by the presentation as a generator is, then by Gray(T)), which
+is 0 exactly on C, so it gives membership (``w in C``) and equality, and
+keys the constructions' outputs by the coset of the doubling element;
+T(C), C' and the type; and one word per coset of T(C)
+(``_coset_reps``), on which every fact constant on those cosets is
+decided: Z(C) is the radical of the commutator form
 (``_radical``), and the standard generators are read from the least word
 of each coset (``_coset_minima``).  No group keeps its Gray image:
 Gray(C) is a stream, one T-coset at a time (``_gray_stream``), read by
@@ -95,11 +98,11 @@ class CodeGroup:
     (``_present``): ``basis`` holds the Gray images of b_1..b_k, a basis of
     C/T(C), and ``torsion_rows`` a GF(2) basis of Gray(T(C)), so the order
     2^(k + dim T) is known without building a word.  Membership reduces a
-    word by the same presentation (``_has_image``), and equality reads the
-    order and the membership of the other group's generators.  Gray(C) is
-    not kept: it is streamed one T-coset at a time (``_gray_stream``), and
-    the words themselves (``elements``) are built only for the readers
-    that need them.
+    word by the same presentation to its coset word (``_has_image``,
+    ``_coset_word``), and equality reads the order and the membership of
+    the other group's generators.  Gray(C) is not kept: it is streamed one
+    T-coset at a time (``_gray_stream``), and the words themselves
+    (``elements``) are built only for the readers that need them.
     """
 
     def __init__(self, sig: GroupSignature, generators: Sequence[GroupWord]) -> None:
@@ -137,19 +140,9 @@ class CodeGroup:
         return C
 
     def _has_image(self, x: int) -> bool:
-        """Whether the word whose Gray image is x lies in C; O(k + sigma)
-        XORs, and no word of C is read.
-
-        ``_reduce`` multiplies x on the right by basis words b_i of C until
-        nu of the product has no pivot bit; that nu is 0 exactly when nu(x)
-        lies in nu(C), the span of the nu(b_i) (``_present``).  If it does
-        not, x is not in C.  If it does, the product lies in Omega, and in
-        C exactly when x does, as the b_i do; Omega n C = T(C), and Gray is
-        linear and injective on Omega, so it lies in C exactly when its
-        image lies in the span of ``torsion_rows``.
-        """
-        y, v = _reduce(self.sig, self._pivots, x)
-        return not v and self._torsion.contains(y)
+        """Whether the word whose Gray image is x lies in C: its coset word
+        is 0 (``_coset_word``); O(k + sigma) XORs, and no word of C is read."""
+        return not _coset_word(self, x)
 
     @cached_property
     def elements(self) -> frozenset:
@@ -251,6 +244,31 @@ def _reduce(
             x ^= _pi(sig, x, b)
             v ^= vb
     return x, v
+
+
+def _coset_word(C: CodeGroup, x: int) -> int:
+    """A canonical image of the coset x C, for the word x given by its Gray
+    image: one int per coset, and 0 exactly on C.
+
+    ``_reduce`` multiplies x on the right by basis words b_i of C, giving
+    y in x C whose nu(y) has no pivot bit of the nu(b_i).  nu is a
+    homomorphism, so nu(x c) = nu(x) + nu(c) runs over the coset nu(x) +
+    nu(C) of the span of the nu(b_i), and that coset holds one vector with
+    every pivot bit clear (``_present``: a nonzero sum of the nu(b_i) has
+    the pivot of its earliest term set).  So for x' in x C the reduction
+    y' has nu(y') = nu(y), and y^-1 y' lies in C n Omega = T(C): y' = y t
+    with t in T(C).  t has order <= 2, so pi fixes its image and Gray(y t)
+    = Gray(y) + Gray(t).  The echelon basis of Gray(T) reduces every
+    vector of Gray(y) + Gray(T) to the one with its pivot bits clear, so
+    the result is the same for x and x'.
+
+    Conversely, if x and x' give the same result, Gray(y') = Gray(y) +
+    Gray(t) = Gray(y t) for some t in T(C); Gray is injective, so y' = y t,
+    and x' lies in y' C = y C = x C.  The identity gives 0, so the result
+    is 0 exactly on C.  The cost is O(k + sigma) XORs.
+    """
+    y, _ = _reduce(C.sig, C._pivots, x)
+    return C._torsion.reduce(y)
 
 
 def _present(

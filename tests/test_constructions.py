@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -567,3 +568,139 @@ def test_extend_weight_witness_is_first_sorted_failure():
         assert str(err.value) == (
             f"weight condition fails at c={c}: |Gray(x c)| = {wt} != {n // 2}"
         )
+
+
+# ---------------------------------------------------------------------------
+# One build per coset of the doubling element
+# ---------------------------------------------------------------------------
+
+def _copy(C):
+    """A group equal to C with no construction kept on it."""
+    return CodeGroup(C.sig, C.generators)
+
+
+def test_kronecker_coset_hit_equals_a_fresh_build(hadamard16):
+    """Every g c with c in C gets the output built for g, and it equals the
+    output of g c on a fresh copy of C, with the same predicted type; the
+    result names the caller's element."""
+    C = _copy(hadamard16)
+    rng = random.Random(16)
+    members = C.sorted_elements()
+    doubling = [parse_element("b ab 1 1", C.sig), identity(C.sig)]
+    doubling += [rng.choice(members) * _random_torsion_word(C.sig, rng) for _ in range(4)]
+    for g in doubling:
+        first = generalized_kronecker(C, g)
+        for c in rng.sample(members, 6):
+            hit = generalized_kronecker(C, g * c)
+            fresh = generalized_kronecker(_copy(C), g * c)
+            assert hit.output is first.output
+            assert hit.g == g * c and hit.input is C
+            assert hit.output == fresh.output
+            assert gray_codewords(hit.output) == gray_codewords(fresh.output)
+            assert hit.predicted_type == fresh.predicted_type == code_type(fresh.output)
+
+
+def test_extend_coset_hit_is_the_first_output():
+    lifted = xi_lift(load_fixture("hadamard8_z4"))
+    rng = random.Random(8)
+    for _ in range(4):
+        x = random_doubling_element(lifted.sig, rng)
+        first = extend(lifted, x)
+        # its last generator is the first element drawn from x's coset
+        assert first.generators[-1].inverse() * x in lifted
+        for c in rng.sample(lifted.sorted_elements(), 6):
+            hit = extend(lifted, x * c)
+            assert hit is first
+            fresh = extend(_copy(lifted), x * c)
+            assert hit == fresh and gray_codewords(hit) == gray_codewords(fresh)
+
+
+def test_a_failing_coset_names_the_callers_element_on_every_call(hadamard16):
+    """Failures are not kept: each element of a failing coset gets the
+    message a fresh copy of the group gives it, naming that element."""
+    C = _copy(hadamard16)
+    bad = parse_element("a 1 1 1", C.sig)
+    for c in C.sorted_elements()[:8]:
+        g = bad * c
+        with pytest.raises(ConstructionError) as err:
+            generalized_kronecker(C, g)
+        with pytest.raises(ConstructionError) as fresh:
+            generalized_kronecker(_copy(C), g)
+        assert str(err.value) == str(fresh.value)
+        assert str(g) in str(err.value)
+
+    lifted = xi_lift(load_fixture("hadamard8_z4"))
+    for literal in ("1 1 a2 a2", "a2 1 1 1"):  # inside the group; off the middle weight
+        x = parse_element(literal, lifted.sig)
+        for c in lifted.sorted_elements()[:8]:
+            with pytest.raises(ConstructionError) as err:
+                extend(lifted, x * c)
+            with pytest.raises(ConstructionError) as fresh:
+                extend(_copy(lifted), x * c)
+            assert str(err.value) == str(fresh.value)
+    inside = parse_element("1 1 a2 a2", lifted.sig)
+    with pytest.raises(ConstructionError, match=r"already lies in the group"):
+        extend(lifted, inside * lifted.sorted_elements()[5])
+
+
+def test_a_coset_hit_still_checks_max_order(hadamard16):
+    C = _copy(hadamard16)
+    g = parse_element("b ab 1 1", C.sig)
+    c = C.sorted_elements()[7]
+    generalized_kronecker(C, g)
+    with pytest.raises(EnumerationLimit, match="Kronecker output order exceeds"):
+        generalized_kronecker(C, g * c, max_order=C.order)
+    assert generalized_kronecker(C, g * c, max_order=2 * C.order).output.order == 2 * C.order
+
+    lifted = xi_lift(load_fixture("hadamard8_z4"))
+    x = parse_element("b ab b ab", lifted.sig)
+    extend(lifted, x)
+    with pytest.raises(EnumerationLimit, match="extension order exceeds"):
+        extend(lifted, x * lifted.sorted_elements()[3], max_order=lifted.order)
+
+
+def test_search_checks_each_passing_coset_once(monkeypatch):
+    """In search(16, seed=1, budget=2500) the Kronecker type prediction and
+    extend's weight check run once per distinct (input, coset) that passes,
+    though most draws repeat one.  An output is the union of its input and
+    the coset (for Kronecker, its pairs with their first halves in g C), so
+    its Gray image tells the cosets of one input apart."""
+    search_module = sys.modules["z2z4q8.search"]  # the package's ``search`` is the function
+    passing = {"extend": [], "generalized_kronecker": []}
+    inputs = []  # keeps every input alive, so its id stays its own
+
+    def recording(name, construction, output):
+        def wrapper(C, g, *args):
+            result = construction(C, g, *args)
+            inputs.append(C)
+            passing[name].append((id(C), gray_codewords(output(result))))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(
+        search_module, "extend", recording("extend", extend, lambda out: out)
+    )
+    monkeypatch.setattr(
+        search_module,
+        "generalized_kronecker",
+        recording("generalized_kronecker", generalized_kronecker, lambda r: r.output),
+    )
+    predictions = count_calls(monkeypatch, constructions_module, "_predict_kronecker_type")
+    weighed = Counter()
+    real_weights = constructions_module.weight_distribution
+
+    def weighing(C):
+        weighed[id(C)] += 1
+        return real_weights(C)
+
+    monkeypatch.setattr(constructions_module, "weight_distribution", weighing)
+    search(16, seed=1, budget=2500)
+
+    kron = passing["generalized_kronecker"]
+    assert predictions["_predict_kronecker_type"] == len(set(kron)) < len(kron)
+    ext = passing["extend"]
+    assert len(set(ext)) < len(ext)
+    # each extend input is weighed once with each of its distinct outputs
+    lifted = {key for key, _ in ext}
+    assert sum(weighed[key] for key in lifted) == len(set(ext))

@@ -3,7 +3,8 @@
 ``perfbench/goldens/`` holds the report of every shipped fixture, the
 result list of ``search(16, seed=1, budget=2500)``, and the reports of
 pass 0 of the ``kronecker-chain`` and ``dense-subgroups`` workloads at the
-default seed; they are read here, never written.
+default seed; they are read here, never written.  ``tests/goldens/search.json``
+pins search's result lines at three more (length, seed, budget) triples.
 """
 
 from __future__ import annotations
@@ -38,15 +39,30 @@ def test_fixture_reports_equal_the_goldens():
         assert render_json(analyze(generate(gens))) == reports[name], name
 
 
-def test_search_results_equal_the_goldens():
-    """One line per result, in the golden file's format."""
-    lines = [
+def _search_lines(length: int, seed: int, budget: int):
+    """One line per result, in the golden files' format."""
+    return [
         f"sig {f.signature.k1} {f.signature.k2} {f.signature.k3} | type {f.type}"
         f" | rank {f.rank} | kernel {f.kernel_dim} | shape {f.shape} | "
         + "; ".join(" ".join(w.tokens()) for w in f.generators)
-        for f in search(16, seed=1, budget=2500)
+        for f in search(length, seed=seed, budget=budget)
     ]
-    assert lines == _golden("search-16")["results"]
+
+
+def test_search_results_equal_the_goldens():
+    assert _search_lines(16, 1, 2500) == _golden("search-16")["results"]
+
+
+SEARCH_RUNS = json.loads(
+    (Path(__file__).resolve().parent / "goldens" / "search.json").read_text()
+)["runs"]
+
+
+@pytest.mark.parametrize(
+    "run", SEARCH_RUNS, ids=lambda r: f"{r['length']}-{r['seed']}-{r['budget']}"
+)
+def test_search_results_at_more_seeds_equal_the_goldens(run):
+    assert _search_lines(run["length"], run["seed"], run["budget"]) == run["results"]
 
 
 @pytest.mark.parametrize("name", ["kronecker-chain", "dense-subgroups"])

@@ -46,7 +46,7 @@ from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import GroupWord, _nu
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
 from z2z4q8.invariants import span_group
-from z2z4q8.subgroup import _coset_minima, _swapper_bits, gray_basis
+from z2z4q8.subgroup import _coset_minima, _coset_word, _swapper_bits, gray_basis
 
 from conftest import (
     assert_matches_reference,
@@ -412,6 +412,28 @@ def test_property_membership_matches_the_closure(data):
         alien = GroupWord._from_bits(other, w.bits)
         assert alien not in C
         assert alien in CodeGroup(other, (alien,))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_coset_word_is_constant_on_cosets_and_zero_on_the_group(data):
+    """``_coset_word(C, x)`` is the same for x and x c with c in C, is 0
+    exactly when x lies in the word closure of the generators, and tells
+    cosets apart: two words share it exactly when x^-1 y lies in C."""
+    sig = data.draw(signatures)
+    gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
+    C = generate(gens)
+    members = closure([identity(sig)], gens)
+    ordered = sorted(members, key=lambda w: w.coords)
+    xs = data.draw(st.lists(_near(sig, ordered), min_size=6, max_size=6))
+    cs = data.draw(st.lists(st.sampled_from(ordered), min_size=4, max_size=4))
+    for x in xs:
+        key = _coset_word(C, x.bits)
+        assert (key == 0) == (x in members), (sig, x)
+        assert all(_coset_word(C, (x * c).bits) == key for c in cs), (sig, x)
+        for y in xs:
+            same = _coset_word(C, y.bits) == key
+            assert same == (x.inverse() * y in members), (sig, x, y)
 
 
 @PROPERTY_SETTINGS
