@@ -20,6 +20,7 @@ from .groups import (
     GroupWord,
     Q8_MUL,
     Q8_ORDER,
+    _sections,
     conjugate,
     identity,
     u_element,
@@ -59,10 +60,8 @@ def lift_word(w: GroupWord) -> GroupWord:
     """Componentwise doubling embedding of one word."""
     sig = w.sig
     out = lifted_signature(sig)
-    coords = tuple(2 * v for v in w.coords[: sig.k1]) + tuple(
-        v for v in w.coords[sig.k1:]
-    )
-    return word(out, coords)
+    coords = w.coords
+    return word(out, tuple(2 * v for v in coords[: sig.k1]) + coords[sig.k1 :])
 
 
 def xi_lift(C: CodeGroup, max_order: int = DEFAULT_MAX_ORDER) -> CodeGroup:
@@ -194,13 +193,11 @@ def _pair_bits(sig: GroupSignature, a: int, b: int) -> int:
     Each of the Z2, Z4 and Q8 sections of the doubled word is that section
     of w1 followed by the same section of w2.
     """
-    out = pos = 0
-    for width in (sig.k1, 2 * sig.k2, 4 * sig.k3):
-        mask = (1 << width) - 1
-        out |= (a & mask) << 2 * pos | (b & mask) << 2 * pos + width
-        a >>= width
-        b >>= width
-        pos += width
+    out = 0
+    for _, _, count, offset, width in _sections(sig):
+        size = count * width
+        mask = (1 << size) - 1
+        out |= (a >> offset & mask | (b >> offset & mask) << size) << 2 * offset
     return out
 
 
@@ -366,12 +363,10 @@ def q8_automorphisms() -> Tuple[Tuple[int, ...], ...]:
 
 
 def _relabel_word(w: GroupWord, autos: Sequence[Tuple[int, ...]]) -> GroupWord:
-    sig = w.sig
-    offset = sig.k1 + sig.k2
-    coords = list(w.coords)
-    for i, table in enumerate(autos):
-        coords[offset + i] = table[coords[offset + i]]
-    return GroupWord(sig, tuple(coords))
+    """w with the automorphism autos[i] applied to its Q8 coordinate i."""
+    sig, coords = w.sig, w.coords
+    q8 = sig.k1 + sig.k2
+    return GroupWord(sig, coords[:q8] + tuple(t[v] for t, v in zip(autos, coords[q8:])))
 
 
 @dataclass(frozen=True)
@@ -420,14 +415,12 @@ def structural_converse_check(
     if not all(w in C for w in inner.generators):
         raise RuntimeError("inner subgroup escaped the group")
 
-    offset = sig.k1 + sig.k2
-    for w in inner.elements:
-        for i in range(sig.k2):
-            if w.coords[sig.k1 + i] % 2:
-                raise RuntimeError("inner subgroup has an odd Z4 coordinate")
+    inner_coords = [w.coords for w in inner.elements]  # Z4 entries first, as k1 = 0
+    if any(v % 2 for c in inner_coords for v in c[: sig.k2]):
+        raise RuntimeError("inner subgroup has an odd Z4 coordinate")
     autos: List[Tuple[int, ...]] = []
     for i in range(sig.k3):
-        values = {w.coords[offset + i] for w in inner.elements}
+        values = {c[sig.k2 + i] for c in inner_coords}
         table = next(
             (
                 t
@@ -443,22 +436,16 @@ def structural_converse_check(
         autos.append(table)
 
     relabeled = CodeGroup(sig, tuple(_relabel_word(g, autos) for g in C.generators))
-    for w in inner.elements:
-        if any(v > 3 for v in _relabel_word(w, autos).coords[sig.k2:]):
-            raise RuntimeError("relabeled projection escaped <a>")
+    if any(t[v] > 3 for c in inner_coords for t, v in zip(autos, c[sig.k2 :])):
+        raise RuntimeError("relabeled projection escaped <a>")
 
     # halving the even Z4 entries and reading <a> as Z4 maps the relabeled
     # inner subgroup isomorphically onto base, so base is given by the
     # images of its generators
     base_sig = GroupSignature(sig.k2, sig.k3, 0)
     inner_gens = [_relabel_word(w, autos).coords for w in abelian_gens]
-    base = CodeGroup(
-        base_sig,
-        tuple(
-            word(base_sig, tuple(v // 2 for v in c[: sig.k2]) + c[sig.k2 :])
-            for c in inner_gens
-        ),
-    )
+    halved = [tuple(v // 2 for v in c[: sig.k2]) + c[sig.k2 :] for c in inner_gens]
+    base = CodeGroup(base_sig, tuple(word(base_sig, c) for c in halved))
     if not is_hadamard(base):
         raise RuntimeError("recovered base is not a Hadamard code")
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Tuple
 
-from .groups import GroupSignature, GroupWord, _tables
+from .groups import GroupSignature, GroupWord, _decode, _sections
 
 # Per kind: the bit pairs of a coordinate's Gray block that pi swaps for
 # each value (the blocks themselves are ``groups._GRAY_BLOCKS``).  Order-2
@@ -89,11 +89,11 @@ def complement(v: BinaryVector) -> BinaryVector:
 def _offsets(sig: GroupSignature) -> Tuple[tuple, ...]:
     """pi's pair table for ``sig``: per coordinate, the bit pairs that pi
     swaps for each value, as absolute positions."""
-    out = []
-    for idx, (pos, _, _, _) in enumerate(_tables(sig)[0]):
-        pairs = _PI_PAIRS[sig.kind(idx)]
-        out.append(tuple(tuple((pos + p, pos + q) for p, q in ps) for ps in pairs))
-    return tuple(out)
+    return tuple(
+        tuple(tuple((pos + p, pos + q) for p, q in ps) for ps in _PI_PAIRS[kind])
+        for kind, _, count, offset, width in _sections(sig)
+        for pos in range(offset, offset + count * width, width)
+    )
 
 
 def gray(w: GroupWord) -> BinaryVector:
@@ -105,17 +105,12 @@ def gray_inv(v: BinaryVector, sig: GroupSignature) -> GroupWord:
     """Inverse Gray map on the image; requires v.n == sig.n.
 
     The map is injective but, when Q8 coordinates are present, not onto
-    Z2^n; vectors outside the image are rejected.
+    Z2^n; the decoder rejects a vector outside the image and names its
+    first bad coordinate.
     """
     if v.n != sig.n:
         raise ValueError(f"vector length {v.n} does not match signature n={sig.n}")
-    for idx, (pos, width, _, values) in enumerate(_tables(sig)[0]):
-        block = (v.bits >> pos) & ((1 << width) - 1)
-        if block not in values:
-            raise ValueError(
-                f"coordinate {idx + 1}: block {block:04b} is not a Gray "
-                f"image of a Q8 element"
-            )
+    _decode(sig, v.bits)
     return GroupWord._from_bits(sig, v.bits)
 
 

@@ -2,8 +2,15 @@
 
 A word is stored as its Gray image, packed little-endian into an int
 (``GroupWord.bits``), and the product is the propelinear law
-Gray(x y) = Gray(x) + pi_x(Gray(y)), written once in ``_pi``.  Coordinates
-are decoded on demand: Z2 entries live in {0,1}, Z4 entries in {0..3}, and
+Gray(x y) = Gray(x) + pi_x(Gray(y)), written once in ``_pi``.  The Gray
+map works one coordinate at a time, so the image is three runs of equal
+blocks: the Z2, Z4 and Q8 sections, of 1, 2 and 4 bits a coordinate.
+``_sections(sig)`` states that layout once (kind, first coordinate,
+count, bit offset, block width), and every reader of the layout reads
+it: the block masks (``_tables``), the codec (``_encode``,
+``_decode``), the token parser (``word_from_tokens``), ``gray`` and the
+pair map of the constructions.  Coordinates are decoded on demand, one
+section at a time: Z2 entries live in {0,1}, Z4 entries in {0..3}, and
 Q8 entries are encoded as ``i + 4*j`` for the canonical form ``a^i b^j``
 (i mod 4, j in {0,1}).
 """
@@ -13,7 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from itertools import product
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 
 class SignatureMismatch(ValueError):
@@ -50,9 +58,36 @@ _GRAY_BLOCKS = {
 }
 
 Q8_TOKENS: Tuple[str, ...] = ("1", "a", "a2", "a3", "b", "ab", "a2b", "a3b")
-_Q8_VALUES = {token: v for v, token in enumerate(Q8_TOKENS)}
+# Per kind: the canonical token of each value.
+_NAMES = {"z2": ("0", "1"), "z4": ("0", "1", "2", "3"), "q8": Q8_TOKENS}
 
-_Q8_TOKEN_RE = re.compile(r"^(?:(?:a(?:\^?(\d+))?)?(?:b(?:\^?(\d+))?)?|1)$")
+_Q8_TOKEN_RE = re.compile(r"(?:(a)(?:\^?(\d+))?)?(?:(b)(?:\^?(\d+))?)?|1")
+
+# The encoder's tables: per role and kind, the Gray block of each value or
+# canonical token as text, highest bit first.
+_BLOCK_TEXT = {
+    kind: [format(b, f"0{w}b") for b in blocks] for kind, (w, blocks) in _GRAY_BLOCKS.items()
+}
+_TEXT = {
+    "value": {kind: dict(enumerate(texts)) for kind, texts in _BLOCK_TEXT.items()},
+    "token": {kind: dict(zip(_NAMES[kind], texts)) for kind, texts in _BLOCK_TEXT.items()},
+}
+
+
+def _byte_table(kind: str, names: Sequence) -> Dict[int, tuple]:
+    """The decoder's table: each byte of a ``kind`` section whose blocks
+    are all Gray images, mapped to the names of its blocks, lowest first;
+    built from the same table for a nibble."""
+    width, blocks = _GRAY_BLOCKS[kind]
+    nibble = {
+        sum(blocks[v] << width * i for i, v in enumerate(vs)): tuple(names[v] for v in vs)
+        for vs in product(range(len(blocks)), repeat=4 // width)
+    }
+    return {lo | hi << 4: a + b for lo, a in nibble.items() for hi, b in nibble.items()}
+
+
+_BYTE_VALUES = {kind: _byte_table(kind, range(8)) for kind in _GRAY_BLOCKS}
+_BYTE_TOKENS = {kind: _byte_table(kind, _NAMES[kind]) for kind in _GRAY_BLOCKS}
 
 
 @dataclass(frozen=True)
@@ -79,16 +114,6 @@ class GroupSignature:
         """Number of coordinates."""
         return self.k1 + self.k2 + self.k3
 
-    def kind(self, index: int) -> str:
-        """Return 'z2', 'z4' or 'q8' for the 0-based coordinate index."""
-        if index < self.k1:
-            return "z2"
-        if index < self.k1 + self.k2:
-            return "z4"
-        if index < self.l:
-            return "q8"
-        raise IndexError(f"coordinate {index} out of range for {self}")
-
     def doubled(self) -> "GroupSignature":
         return GroupSignature(2 * self.k1, 2 * self.k2, 2 * self.k3)
 
@@ -96,24 +121,100 @@ class GroupSignature:
         return f"Z2^{self.k1} x Z4^{self.k2} x Q8^{self.k3}"
 
 
-@lru_cache(maxsize=None)
-def _tables(sig: GroupSignature):
-    """The Gray encoding of ``sig``.
+def _low_bits(count: int, width: int) -> int:
+    """``count`` blocks of ``width`` bits, each with only its low bit set.
 
-    Returns (per coordinate (bit offset, bit width, Gray block of each
-    value, value of each block), mask of the low bit of every Z4 block,
-    mask of the low bit of every Q8 block).
+    The run of set blocks doubles until it covers ``count``, and the
+    surplus blocks are shifted out: O(count * width) in all.
     """
-    coords = []
-    low = {"z2": 0, "z4": 0, "q8": 0}
-    pos = 0
-    for idx in range(sig.l):
-        kind = sig.kind(idx)
-        width, blocks = _GRAY_BLOCKS[kind]
-        coords.append((pos, width, blocks, {b: v for v, b in enumerate(blocks)}))
-        low[kind] |= 1 << pos
-        pos += width
-    return tuple(coords), low["z4"], low["q8"]
+    mask, done = 1, 1
+    while done < count:
+        mask |= mask << done * width
+        done *= 2
+    return mask >> (done - count) * width
+
+
+@lru_cache(maxsize=None)
+def _sections(sig: GroupSignature) -> Tuple[Tuple[str, int, int, int, int], ...]:
+    """The layout of the Gray image, stated once: for each of the Z2, Z4
+    and Q8 sections that has coordinates, in that order, (kind, first
+    coordinate, count, bit offset, block width).  Coordinate first + i is
+    the block of ``width`` bits at bit offset + i * width.
+
+    Kept in a cache rather than on the signature: once a signature's
+    instance dict has been touched, every product on it runs slower.
+    """
+    k1, k2, k3 = sig.k1, sig.k2, sig.k3
+    runs = ("z2", 0, k1, 0, 1), ("z4", k1, k2, k1, 2), ("q8", k1 + k2, k3, k1 + 2 * k2, 4)
+    return tuple(run for run in runs if run[2])
+
+
+@lru_cache(maxsize=None)
+def _texts(sig: GroupSignature) -> Dict[str, tuple]:
+    """The encoder's lookup, built from the sections on first use: per
+    role, and per coordinate from the last, the table of its kind."""
+    kinds = [kind for kind, _, n, _, _ in reversed(_sections(sig)) for _ in range(n)]
+    return {role: tuple(map(tables.get, kinds)) for role, tables in _TEXT.items()}
+
+
+@lru_cache(maxsize=None)
+def _tables(sig: GroupSignature) -> Tuple[int, int]:
+    """Masks of the low bit of every Z4 block and of every Q8 block."""
+    low = {kind: _low_bits(n, w) << offset for kind, _, n, offset, w in _sections(sig) if w > 1}
+    return low.get("z4", 0), low.get("q8", 0)
+
+
+def _encode(sig: GroupSignature, items: Sequence, role: str, value_of: Callable) -> int:
+    """The Gray image of one item per coordinate, read by one ``int(text, 2)``.
+
+    ``role`` is "value" or "token", and ``_TEXT[role][kind]`` maps an item
+    to its block as text; the image is the blocks, last coordinate first
+    (``_texts``).  An item the table lacks goes to
+    ``value_of(kind, index, item)``, coordinates in order, which returns
+    the item's value or raises.
+    """
+    try:
+        text = "".join(map(dict.__getitem__, _texts(sig)[role], reversed(items)))
+    except KeyError:
+        blocks = [
+            _TEXT[role][kind].get(item) or _TEXT["value"][kind][value_of(kind, index, item)]
+            for kind, first, count, _, _ in _sections(sig)
+            for index, item in enumerate(items[first : first + count], first)
+        ]
+        text = "".join(reversed(blocks))
+    return int(text, 2)
+
+
+def _decode(sig: GroupSignature, bits: int, names: dict = _BYTE_VALUES) -> list:
+    """The name of every coordinate of the image ``bits``, a section at a
+    time: each section is shifted to bit 0 and read a byte at a time
+    (``_BYTE_VALUES`` or ``_BYTE_TOKENS``), and the blocks past its end
+    are dropped.
+
+    Every Z2 and Z4 block is a Gray image; a Q8 block is one exactly when
+    its weight is even.  A Q8 block of odd weight raises ValueError naming
+    the first such coordinate.
+    """
+    out: List = []
+    for kind, first, count, offset, width in _sections(sig):
+        size, table = width * count, names[kind]
+        sec = (bits >> offset) & ((1 << size) - 1)
+        try:
+            for byte in sec.to_bytes(size + 7 >> 3, "little"):
+                out += table[byte]
+        except KeyError:
+            odd = (sec ^ sec >> 1 ^ sec >> 2 ^ sec >> 3) & _low_bits(count, 4)
+            pos = (odd & -odd).bit_length() - 1
+            message = f"block {sec >> pos & 15:04b} is not a Gray image of a Q8 element"
+            raise ValueError(f"coordinate {first + pos // 4 + 1}: {message}") from None
+        del out[first + count :]
+    return out
+
+
+def _out_of_range(kind: str, index: int, value) -> int:
+    """Refuse a coordinate value that its kind does not have."""
+    limit = len(_NAMES[kind])
+    raise ValueError(f"coordinate {index + 1} value {value} out of range 0..{limit - 1}")
 
 
 def _pi(sig: GroupSignature, x: int, y: int) -> int:
@@ -127,7 +228,7 @@ def _pi(sig: GroupSignature, x: int, y: int) -> int:
     (0 2)(1 3) applies where q is set (<b>, <ab>) and then (0 1)(2 3) where
     p ^ q is set (<a>, <ab>, and order-4 Z4 entries, where q is 0).
     """
-    _, z4, q8 = _tables(sig)
+    z4, q8 = _tables(sig)
     p = (x ^ (x >> 1)) & (z4 | q8)
     q = (x ^ (x >> 2)) & q8
     d = (y ^ (y >> 2)) & (q | (q << 1))
@@ -151,7 +252,7 @@ def _nu(sig: GroupSignature, x: int) -> int:
     b0^b2 = b1^b3, so (0 1)(2 3) and (0 2)(1 3), and their product
     (0 3)(1 2), keep p and q.
     """
-    _, z4, q8 = _tables(sig)
+    z4, q8 = _tables(sig)
     return (x ^ (x >> 1)) & (z4 | q8) | ((x ^ (x >> 2)) & q8) << 1
 
 
@@ -165,7 +266,7 @@ def _sort_key(w: "GroupWord") -> int:
     coordinate 0 first and each block's bit 0 above its others.
     """
     sig, x = w.sig, w.bits
-    _, z4, q8 = _tables(sig)
+    z4, q8 = _tables(sig)
     p = (x ^ (x >> 1)) & q8
     q = (x ^ (x >> 2)) & q8
     y = (x & ~(q8 * 0b1111)) ^ ((x & z4) << 1)
@@ -189,15 +290,8 @@ class GroupWord:
         values = tuple(coords)
         if len(values) != sig.l:
             raise ValueError(f"expected {sig.l} coordinates, got {len(values)}")
-        bits = 0
-        for idx, ((pos, _, blocks, _), v) in enumerate(zip(_tables(sig)[0], values)):
-            if not 0 <= v < len(blocks):
-                raise ValueError(
-                    f"coordinate {idx + 1} value {v} out of range 0..{len(blocks) - 1}"
-                )
-            bits |= blocks[v] << pos
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", _encode(sig, values, "value", _out_of_range))
 
     @classmethod
     def _from_bits(cls, sig: GroupSignature, bits: int) -> "GroupWord":
@@ -211,21 +305,8 @@ class GroupWord:
 
     @property
     def coords(self) -> Tuple[int, ...]:
-        """One value per coordinate: Z2 in {0,1}, Z4 in {0..3}, Q8 ``i + 4*j``.
-
-        The blocks are read through a 64-bit window moved along the bytes
-        of the image, so decoding takes time linear in n rather than one
-        shift of the whole image per coordinate.
-        """
-        data = self.bits.to_bytes((self.sig.n + 7) // 8, "little")
-        out = []
-        base = window = -64  # the first block refills the window
-        for pos, width, _, values in _tables(self.sig)[0]:
-            if pos + width > base + 64:
-                base = pos & ~7
-                window = int.from_bytes(data[base >> 3 : (base >> 3) + 8], "little")
-            out.append(values[(window >> (pos - base)) & ((1 << width) - 1)])
-        return tuple(out)
+        """One value per coordinate: Z2 in {0,1}, Z4 in {0..3}, Q8 ``i + 4*j``."""
+        return tuple(_decode(self.sig, self.bits))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupWord):
@@ -269,9 +350,7 @@ class GroupWord:
 
     def tokens(self) -> Tuple[str, ...]:
         """Canonical token per coordinate (Z2/Z4 digits, Q8 names)."""
-        coords = self.coords
-        q8 = self.sig.k1 + self.sig.k2  # the Q8 section starts here
-        return tuple(map(str, coords[:q8])) + tuple(Q8_TOKENS[v] for v in coords[q8:])
+        return tuple(_decode(self.sig, self.bits, _BYTE_TOKENS))
 
     def __str__(self) -> str:
         return "(" + " ".join(self.tokens()) + ")"
@@ -309,44 +388,49 @@ def conjugate(x: GroupWord, y: GroupWord) -> GroupWord:
 
 
 def parse_q8_token(token: str) -> int:
-    """Parse a Q8 token, accepting non-canonical forms like 'b3' or 'a^2b'.
-
-    Canonical tokens are looked up; only the other spellings go through
-    the regex.
-    """
-    value = _Q8_VALUES.get(token)
-    if value is not None:
-        return value
-    m = _Q8_TOKEN_RE.match(token)
+    """Parse a Q8 token ``a^i b^j``, accepting non-canonical forms like 'b3'
+    or 'a^2b'."""
+    m = _Q8_TOKEN_RE.fullmatch(token)
     if m is None or token == "":
         raise ValueError(f"invalid Q8 token {token!r}")
-    if token == "1":
-        return 0
-    has_a = token[0] == "a"
-    i = int(m.group(1)) if m.group(1) else (1 if has_a else 0)
-    has_b = "b" in token
-    j = int(m.group(2)) if m.group(2) else (1 if has_b else 0)
-    if not has_a:
-        i = 0
+    a, i, b, j = m.groups()
+    i, j = int(i or 1) if a else 0, int(j or 1) if b else 0
     # b^2 = a^2 folds surplus b's into the a-exponent
-    i = (i + 2 * (j // 2)) % 4
-    return i | ((j % 2) << 2)
+    return (i + 2 * (j // 2)) % 4 | (j % 2) << 2
 
 
-def parse_value(kind: str, token: str) -> int:
-    """Parse one coordinate token of the kind 'z2', 'z4' or 'q8'."""
-    if kind == "q8":
-        return parse_q8_token(token)
-    if not token.isdigit():
-        raise ValueError(f"invalid {kind} token {token!r}")
-    value = int(token)
-    limit = 2 if kind == "z2" else 4
-    if value >= limit:
-        raise ValueError(f"{kind} token {token!r} out of range 0..{limit - 1}")
-    return value
+class TokenError(ValueError):
+    """A token that names no value of its coordinate, at 0-based ``index``."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def _token_value(kind: str, index: int, token: str) -> int:
+    """The value of a token outside the canonical spellings: Q8 names by
+    ``parse_q8_token``, Z2/Z4 digits by value; TokenError if there is none."""
+    try:
+        if kind == "q8":
+            return parse_q8_token(token)
+        if not token.isdigit():
+            raise ValueError(f"invalid {kind} token {token!r}")
+        limit = len(_NAMES[kind])
+        if int(token) >= limit:
+            raise ValueError(f"{kind} token {token!r} out of range 0..{limit - 1}")
+        return int(token)
+    except ValueError as exc:
+        raise TokenError(str(exc), index) from exc
 
 
 def word_from_tokens(sig: GroupSignature, tokens: Sequence[str]) -> GroupWord:
+    """The word with one token per coordinate: the one token parser.
+
+    Canonical tokens are read straight into the image (``_encode``); if
+    any token is not canonical, the tokens are read a section at a time,
+    the others through ``_token_value``, and one that names no value
+    raises ``TokenError`` with its index.
+    """
     if len(tokens) != sig.l:
         raise ValueError(f"expected {sig.l} tokens, got {len(tokens)}")
-    return GroupWord(sig, tuple(parse_value(sig.kind(i), t) for i, t in enumerate(tokens)))
+    return GroupWord._from_bits(sig, _encode(sig, tokens, "token", _token_value))

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import List, Optional, Sequence, Tuple
 
-from .groups import GroupSignature, GroupWord, parse_value
+from .groups import GroupSignature, GroupWord, TokenError, word_from_tokens
 
 
 class ParseError(ValueError):
@@ -17,63 +18,61 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _tokenize(line: str) -> List[Tuple[str, int]]:
-    """Whitespace-separated tokens with their 1-based column."""
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+def _column(text: str, index: int) -> int:
+    """1-based column of the whitespace-separated token ``index`` of text.
+
+    Tokens are read with ``str.split``; a column is found only for an error.
+    """
+    return next(islice(re.finditer(r"\S+", text), index, None)).start() + 1
 
 
 def _parse_word(
-    sig: GroupSignature, tokens: List[Tuple[str, int]], line: int, column: int
+    sig: GroupSignature, tokens: Sequence[str], text: str, start: int, line: int
 ) -> GroupWord:
-    """One word from (token, column) pairs; ``column`` locates a count error."""
+    """One word from ``tokens``, the tokens of ``text`` from index ``start``
+    on.  A count error points at the token before them (a line's keyword),
+    or at column 1 if there is none."""
     if len(tokens) != sig.l:
-        raise ParseError(
-            f"expected {sig.l} coordinate tokens, got {len(tokens)}", line, column
-        )
-    coords = []
-    start = 0
-    for kind, count in (("z2", sig.k1), ("z4", sig.k2), ("q8", sig.k3)):
-        for token, col in tokens[start : start + count]:
-            try:
-                coords.append(parse_value(kind, token))
-            except ValueError as exc:
-                raise ParseError(str(exc), line, col) from exc
-        start += count
-    return GroupWord(sig, tuple(coords))
+        message = f"expected {sig.l} coordinate tokens, got {len(tokens)}"
+        raise ParseError(message, line, _column(text, start - 1) if start else 1)
+    try:
+        return word_from_tokens(sig, tokens)
+    except TokenError as exc:
+        raise ParseError(str(exc), line, _column(text, start + exc.index)) from exc
 
 
 def parse_generators(text: str) -> Tuple[GroupSignature, List[GroupWord]]:
     """Parse a generator file into its signature and generator words."""
     sig: Optional[GroupSignature] = None
     gens: List[GroupWord] = []
+
+    def error(message: str, index: int = 0) -> ParseError:
+        return ParseError(message, lineno, _column(line, index))
+
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(line.split("#", 1)[0])
+        line = line.split("#", 1)[0]
+        tokens = line.split()
         if not tokens:
             continue
-        keyword, col0 = tokens[0]
-        args = tokens[1:]
+        keyword, args = tokens[0], tokens[1:]
         if keyword == "sig":
             if sig is not None:
-                raise ParseError("duplicate sig line", lineno, col0)
+                raise error("duplicate sig line")
             if len(args) != 3:
-                raise ParseError(
-                    f"sig needs 3 counts, got {len(args)}", lineno, col0
-                )
-            counts = []
-            for token, col in args:
+                raise error(f"sig needs 3 counts, got {len(args)}")
+            for index, token in enumerate(args, 1):
                 if not token.isdigit():
-                    raise ParseError(f"invalid count {token!r}", lineno, col)
-                counts.append(int(token))
+                    raise error(f"invalid count {token!r}", index)
             try:
-                sig = GroupSignature(*counts)
+                sig = GroupSignature(*map(int, args))
             except ValueError as exc:
-                raise ParseError(str(exc), lineno, col0) from exc
+                raise error(str(exc)) from exc
         elif keyword == "gen":
             if sig is None:
-                raise ParseError("gen line before sig line", lineno, col0)
-            gens.append(_parse_word(sig, args, lineno, col0))
+                raise error("gen line before sig line")
+            gens.append(_parse_word(sig, args, line, 1, lineno))
         else:
-            raise ParseError(f"unknown keyword {keyword!r}", lineno, col0)
+            raise error(f"unknown keyword {keyword!r}")
     if sig is None:
         raise ParseError("missing sig line", 1, 1)
     if not gens:
@@ -100,4 +99,4 @@ def format_generators(
 
 def parse_element(text: str, sig: GroupSignature) -> GroupWord:
     """Parse one element literal: whitespace-separated coordinate tokens."""
-    return _parse_word(sig, _tokenize(text), 1, 1)
+    return _parse_word(sig, text.split(), text, 0, 1)

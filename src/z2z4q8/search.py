@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .constructions import (
     ConstructionError,
@@ -24,7 +24,7 @@ from .constructions import (
 from .groups import GroupSignature, GroupWord, word
 from .hadamard import classify_shape, is_hadamard
 from .invariants import kernel_dim, rank
-from .subgroup import CodeGroup, CodeType, code_type, gray_codewords
+from .subgroup import CodeGroup, CodeType, code_type
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def search(
     lifted_cache: Dict[int, CodeGroup] = {}
 
     found: List[FoundCode] = []
-    seen_groups: set = set()
+    seen_groups: Set[CodeGroup] = set()
     seen_keys: set = set()
     for _ in range(budget):
         if len(found) >= max_results:
@@ -127,13 +127,9 @@ def search(
                 C = generalized_kronecker(base, g).output
         except (ConstructionError, ValueError):
             continue
-        # keyed by the Gray image: a group hashes by signature and order only.
-        # The checked outputs stay alive anyway, kept on the pool bases (and
-        # their lifts) by the constructions, one per coset drawn
-        words = (C.sig, gray_codewords(C))
-        if words in seen_groups:
+        if C in seen_groups:
             continue
-        seen_groups.add(words)
+        seen_groups.add(C)
         if not is_hadamard(C):
             continue
         shape_obj = classify_shape(C)

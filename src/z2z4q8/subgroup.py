@@ -4,9 +4,10 @@ A ``CodeGroup`` is its generators.  Its constructor reads one GF(2)
 presentation from them (``_present``), and everything else comes from
 that: the order; one canonical word per coset x C (``_coset_word``,
 reduced by the presentation as a generator is, then by Gray(T)), which
-is 0 exactly on C, so it gives membership (``w in C``) and equality, and
-keys the constructions' outputs by the coset of the doubling element;
-T(C), C' and the type; and one word per coset of T(C)
+is 0 exactly on C, so it gives membership (``w in C``) and keys the
+constructions' outputs by the coset of the doubling element; one
+canonical key of the group (``CodeGroup._key``), read by ``==`` and
+``hash``; T(C), C' and the type; and one word per coset of T(C)
 (``_coset_reps``), on which every fact constant on those cosets is
 decided: Z(C) is the radical of the commutator form
 (``_radical``), and the standard generators are read from the least word
@@ -99,8 +100,8 @@ class CodeGroup:
     C/T(C), and ``torsion_rows`` a GF(2) basis of Gray(T(C)), so the order
     2^(k + dim T) is known without building a word.  Membership reduces a
     word by the same presentation to its coset word (``_has_image``,
-    ``_coset_word``), and equality reads the order and the membership of
-    the other group's generators.  Gray(C) is not kept: it is streamed one
+    ``_coset_word``), and equality and the hash read one canonical key
+    (``_key``).  Gray(C) is not kept: it is streamed one
     T-coset at a time (``_gray_stream``), and the words themselves
     (``elements``) are built only for the readers that need them.
     """
@@ -160,17 +161,40 @@ class CodeGroup:
     def __iter__(self):
         return iter(self.sorted_elements())
 
+    @cached_property
+    def _key(self) -> tuple:
+        """A canonical key of the group: equal exactly when the groups are.
+
+        It holds the signature, the rows of Gray(T(C)) and the reduced
+        echelon basis of nu(C), each row with the image of a word of C over
+        it, reduced by Gray(T).  The basis comes from back-substitution:
+        ``_reduce`` multiplies each b_i by the later basis words b_j whose
+        pivot its running nu has, in order.  nu(b_j) has the pivots before
+        it clear, so step j clears pivot j and sets no pivot before j, b_i's
+        own among them; and as pivot j lies below the top bit of b_i's nu,
+        b_i keeps its pivot as top bit.  So every pivot ends up set in its own
+        row only: the reduced echelon form, unique for the space nu(C).  The
+        words stay in C, so each row r carries a word y of C with nu(y) = r;
+        the words of C over r form the coset y T(C), and Gray(T) reduces all
+        their images to one (``_coset_word``).  That is O(k^2) products.
+
+        The key is complete.  Equal groups have equal T, whose reduced
+        echelon rows (``Gf2Basis.rows``) are unique, equal nu(C) and equal
+        cosets over each row.  Conversely, the reduced images are images of
+        words z_1..z_k of C, and C = <T(C), z_1..z_k>: T(C) is the kernel of
+        nu on C, and the nu(z_i) span nu(C).  So equal keys give equal
+        generators, T(C) and the z_i, and equal groups.
+        """
+        sig, pivots, torsion = self.sig, self._pivots, self._torsion
+        rows = (_reduce(sig, pivots[i + 1 :], b) for i, (_, _, b) in enumerate(pivots))
+        lifts = tuple(sorted((v, torsion.reduce(x)) for x, v in rows))
+        return sig, tuple(torsion.rows()), lifts
+
     def __eq__(self, other) -> bool:
-        # a subgroup of D of D's order is D
-        return (
-            isinstance(other, CodeGroup)
-            and self.sig == other.sig
-            and self.order == other.order
-            and all(other._has_image(g.bits) for g in self.generators)
-        )
+        return isinstance(other, CodeGroup) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.sig, self.order))
+        return hash(self._key)
 
     @_memoized
     def sorted_elements(self) -> List[GroupWord]:
@@ -206,7 +230,7 @@ def gray_codewords(C: CodeGroup) -> frozenset:
     """Gray(C) as a set of image bits, built anew on every call.
 
     |C|-sized: read only by the oracles (``gray_basis``, ``span_group``,
-    the kernel scans, the perfect-code checks) and by search's dedupe key.
+    the kernel scans, the perfect-code checks).
     """
     return frozenset(_gray_stream(C))
 

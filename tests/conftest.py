@@ -89,11 +89,16 @@ def random_word(sig: GroupSignature, rng: random.Random) -> GroupWord:
     return word(sig, coords)
 
 
+def kind_of(sig: GroupSignature, index: int) -> str:
+    """'z2', 'z4' or 'q8' for the 0-based coordinate index, from the counts."""
+    return "z2" if index < sig.k1 else "z4" if index < sig.k1 + sig.k2 else "q8"
+
+
 def reference_product(sig: GroupSignature, a: tuple, b: tuple) -> tuple:
     """Coordinate-wise product: Z2 XOR, Z4 addition mod 4, Q8 by ``Q8_MUL``."""
     out = []
     for idx, (x, y) in enumerate(zip(a, b)):
-        kind = sig.kind(idx)
+        kind = kind_of(sig, idx)
         if kind == "z2":
             out.append(x ^ y)
         elif kind == "z4":

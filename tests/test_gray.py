@@ -78,6 +78,30 @@ def test_gray_inv_rejects_non_image_vectors():
         gray_inv(BinaryVector(4, 0b1000), Q8)
 
 
+@pytest.mark.parametrize("counts", [(0, 0, 9), (3, 2, 7), (0, 1, 2)], ids=str)
+def test_gray_inv_names_the_first_bad_block(counts):
+    """A block outside the Q8 image at the first, a middle or the last Q8
+    coordinate is rejected, and the message names that coordinate and its
+    block; with two bad blocks the earlier one is named."""
+    sig = GroupSignature(*counts)
+    first_q8 = sig.k1 + sig.k2
+    rng = random.Random(sum(counts))
+    w = random_word(sig, rng)
+    for index in sorted({first_q8, (first_q8 + sig.l - 1) // 2, sig.l - 1}):
+        pos = sig.k1 + 2 * sig.k2 + 4 * (index - first_q8)
+        for block in (0b0001, 0b0111, 0b1101):
+            bits = w.bits & ~(0b1111 << pos) | block << pos
+            with pytest.raises(ValueError) as err:
+                gray_inv(BinaryVector(sig.n, bits), sig)
+            assert str(err.value) == (
+                f"coordinate {index + 1}: block {block:04b} is not a Gray image of a Q8 element"
+            )
+            if index > first_q8:
+                with pytest.raises(ValueError) as err:
+                    gray_inv(BinaryVector(sig.n, bits ^ 1 << pos - 4), sig)
+                assert str(err.value).startswith(f"coordinate {index}: ")
+
+
 def test_gray_inv_round_trip_random():
     sig = GroupSignature(2, 2, 2)
     rng = random.Random(3)

@@ -19,9 +19,9 @@ from z2z4q8 import (
     word,
     word_from_tokens,
 )
-from z2z4q8.groups import Q8_TOKENS, _nu, _sort_key, parse_q8_token
+from z2z4q8.groups import Q8_TOKENS, _nu, _sections, _sort_key, _tables, parse_q8_token
 
-from conftest import Q8, all_words, assert_matches_reference, q8_word, random_word
+from conftest import Q8, all_words, assert_matches_reference, kind_of, q8_word, random_word
 
 MIXED = GroupSignature(1, 1, 1)
 
@@ -227,10 +227,11 @@ def test_sort_key_order_is_coordinate_order():
     ids=str,
 )
 def test_coords_and_tokens_round_trip_across_64_bit_windows(sig):
-    """``coords`` reads the image through a moving 64-bit window: blocks
-    that straddle a window edge (a Z4 block at bit 63, Q8 blocks at odd
-    offsets) decode like any other, and ``tokens`` spells each section by
-    its kind."""
+    """``coords`` and ``tokens`` decode a section at a time, shifting it to
+    bit 0 and reading it a byte at a time: sections that start at any bit
+    (a Z4 section at bit 63, a Q8 section at an odd bit) and run past 64
+    bits decode like any other, and ``tokens`` spells each section by its
+    kind."""
     rng = random.Random(sig.n)
     mods = [2] * sig.k1 + [4] * sig.k2 + [8] * sig.k3
     for _ in range(40):
@@ -238,5 +239,40 @@ def test_coords_and_tokens_round_trip_across_64_bit_windows(sig):
         w = word(sig, coords)
         assert w.coords == coords
         assert w.tokens() == tuple(
-            Q8_TOKENS[v] if sig.kind(i) == "q8" else str(v) for i, v in enumerate(coords)
+            Q8_TOKENS[v] if kind_of(sig, i) == "q8" else str(v) for i, v in enumerate(coords)
         )
+
+
+def _masks_by_coordinate(sig):
+    """The two masks of ``_tables``, built one coordinate at a time."""
+    low = {"z2": 0, "z4": 0, "q8": 0}
+    pos = 0
+    for i in range(sig.l):
+        kind = kind_of(sig, i)
+        low[kind] |= 1 << pos
+        pos += {"z2": 1, "z4": 2, "q8": 4}[kind]
+    return low["z4"], low["q8"]
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (7, 0, 3), (0, 5, 0),
+        (3, 2, 0), (0, 9, 17), (2, 3, 2), (63, 3, 20),
+        (3000, 0, 0), (0, 2500, 0), (0, 0, 2000), (1001, 0, 1999), (0, 1234, 777),
+        (4097, 2049, 1025),
+    ],
+    ids=str,
+)
+def test_masks_by_pattern_equal_the_masks_by_coordinate(counts):
+    """The closed-form masks of ``_tables`` equal the masks grown one
+    coordinate at a time, over empty sections, odd counts and thousands of
+    coordinates; the sections tile the image in coordinate order."""
+    sig = GroupSignature(*counts)
+    assert _tables(sig) == _masks_by_coordinate(sig)
+    coordinate = bit = 0
+    for kind, first, count, offset, width in _sections(sig):
+        assert (first, offset) == (coordinate, bit) and count > 0
+        assert all(kind_of(sig, i) == kind for i in (first, first + count - 1))
+        coordinate, bit = first + count, offset + count * width
+    assert (coordinate, bit) == (sig.l, sig.n)

@@ -89,3 +89,21 @@ def test_parse_element_literal():
     with pytest.raises(ParseError) as err:
         parse_element("  1 2 zz", sig)
     assert err.value.column == 7
+
+
+@pytest.mark.parametrize("bad", [0, 2, 5, 1203, 1399, 1402])
+def test_bad_token_late_in_a_long_line_gives_its_column(bad):
+    """Tokens are split without their positions; a bad token is still
+    located, however late in the line and whatever the spacing."""
+    sig = GroupSignature(3, 600, 800)
+    tokens = ["1"] * 3 + ["3"] * 600 + ["a3b"] * 800
+    tokens[bad] = "q" if bad >= 603 else "7"
+    seps = [" ", "  ", "\t", " \t "]
+    body = "".join(t + seps[i % 4] for i, t in enumerate(tokens))
+    column = len("gen ") + len("".join(t + seps[i % 4] for i, t in enumerate(tokens[:bad]))) + 1
+    with pytest.raises(ParseError) as err:
+        parse_generators(f"sig 3 600 800\ngen {body}# comment\n")
+    assert (err.value.line, err.value.column) == (2, column)
+    with pytest.raises(ParseError) as err:
+        parse_element(body, sig)
+    assert (err.value.line, err.value.column) == (1, column - len("gen "))

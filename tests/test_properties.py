@@ -29,6 +29,7 @@ from z2z4q8 import (
     is_hadamard,
     is_linear,
     kernel_dim,
+    parse_element,
     parse_generators,
     pi_of,
     random_doubling_element,
@@ -43,7 +44,7 @@ from z2z4q8 import (
 from z2z4q8.constructions import _pair_bits, _pair_word, generalized_kronecker
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
-from z2z4q8.groups import GroupWord, _nu
+from z2z4q8.groups import _GRAY_BLOCKS, Q8_TOKENS, GroupWord, _nu
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
 from z2z4q8.invariants import span_group
 from z2z4q8.subgroup import _coset_minima, _coset_word, _swapper_bits, gray_basis
@@ -51,6 +52,7 @@ from z2z4q8.subgroup import _coset_minima, _coset_word, _swapper_bits, gray_basi
 from conftest import (
     assert_matches_reference,
     closure,
+    kind_of,
     least_coset_words,
     random_subgroup,
 )
@@ -274,6 +276,38 @@ def words_of(sig: GroupSignature):
     return coords_of(sig).map(lambda coords: word(sig, coords))
 
 
+_long = st.integers(1, 40)
+long_signatures = st.one_of(
+    _long.map(lambda k: GroupSignature(k, 0, 0)),
+    _long.map(lambda k: GroupSignature(0, k, 0)),
+    _long.map(lambda k: GroupSignature(0, 0, k)),
+    st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40))
+    .filter(lambda ks: sum(1 for k in ks if k) >= 2)
+    .map(lambda ks: GroupSignature(*ks)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_codec_round_trips(data):
+    """Encoding, decoding, tokens and the token parser agree with the Gray
+    blocks laid down one coordinate at a time, over Z2-only, Z4-only,
+    Q8-only and mixed signatures whose sections run over several bytes."""
+    sig = data.draw(long_signatures)
+    coords = data.draw(coords_of(sig))
+    w = word(sig, coords)
+    bits, pos = 0, 0
+    for i, v in enumerate(coords):
+        width, blocks = _GRAY_BLOCKS[kind_of(sig, i)]
+        bits |= blocks[v] << pos
+        pos += width
+    assert w.bits == bits and w.coords == coords
+    tokens = tuple(Q8_TOKENS[v] if kind_of(sig, i) == "q8" else str(v) for i, v in enumerate(coords))
+    assert w.tokens() == tokens
+    assert word_from_tokens(sig, tokens) == w == parse_element(" ".join(tokens), sig)
+    assert gray_inv(gray(w), sig) == w
+
+
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_property_gray_inverse_and_propelinear_product(data):
@@ -439,9 +473,10 @@ def test_property_coset_word_is_constant_on_cosets_and_zero_on_the_group(data):
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_property_equality_and_hash_match_the_closure(data):
-    """C == D exactly when their closures are equal, and equal groups hash
-    alike; a group given by its generators shuffled and with redundant
-    products added is the same group."""
+    """C == D exactly when their closures are equal, and so are their
+    canonical keys (``_key``), so equal groups hash alike; a group given by
+    its generators shuffled and with redundant products added is the same
+    group."""
     sig = data.draw(signatures)
     gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
     C = generate(gens)
@@ -449,12 +484,12 @@ def test_property_equality_and_hash_match_the_closure(data):
     extra = data.draw(st.lists(st.sampled_from(sorted(members, key=lambda w: w.coords)), max_size=3))
     redundant = data.draw(st.permutations(list(gens) + extra + [gens[0] * gens[-1]]))
     D = generate(redundant)
-    assert C == D and D == C and hash(C) == hash(D)
+    assert C == D and D == C and hash(C) == hash(D) and C._key == D._key
     # one generator swapped for a near word: often the same order, not always the group
     swapped = list(gens[:-1]) + [data.draw(_near(sig, sorted(members, key=lambda w: w.coords)))]
     E = generate(swapped)
     same = members == frozenset(closure([identity(sig)], swapped))
-    assert (C == E) == (E == C) == same, (sig, gens, swapped)
+    assert (C == E) == (E == C) == (C._key == E._key) == same, (sig, gens, swapped)
     if same:
         assert hash(C) == hash(E)
     other = _other_signature(sig)
