@@ -58,10 +58,14 @@ def lifted_signature(sig: GroupSignature) -> GroupSignature:
 
 def lift_word(w: GroupWord) -> GroupWord:
     """Componentwise doubling embedding of one word."""
-    sig = w.sig
-    out = lifted_signature(sig)
-    coords = w.coords
-    return word(out, tuple(2 * v for v in coords[: sig.k1]) + coords[sig.k1 :])
+    return _lift_into(lifted_signature(w.sig), w)
+
+
+def _lift_into(out: GroupSignature, w: GroupWord) -> GroupWord:
+    """The lift of ``w`` in ``out``, its lifted signature, given by the
+    caller so that the words of one lift share one signature."""
+    k1, coords = w.sig.k1, w.coords
+    return word(out, tuple(2 * v for v in coords[:k1]) + coords[k1:])
 
 
 def xi_lift(C: CodeGroup, max_order: int = DEFAULT_MAX_ORDER) -> CodeGroup:
@@ -70,7 +74,8 @@ def xi_lift(C: CodeGroup, max_order: int = DEFAULT_MAX_ORDER) -> CodeGroup:
     The embedding is injective and order-preserving, so the image has the
     same order and type; Gray weights double coordinatewise.
     """
-    gens = tuple(lift_word(g) for g in C.generators)
+    out = lifted_signature(C.sig)
+    gens = tuple(_lift_into(out, g) for g in C.generators)
     lifted = CodeGroup.generate(gens, max_order)
     if lifted.order != C.order:
         raise RuntimeError("lift changed the group order; embedding is broken")
@@ -201,9 +206,10 @@ def _pair_bits(sig: GroupSignature, a: int, b: int) -> int:
     return out
 
 
-def _pair_word(w1: GroupWord, w2: GroupWord) -> GroupWord:
-    sig = w1.sig
-    return GroupWord._from_bits(sig.doubled(), _pair_bits(sig, w1.bits, w2.bits))
+def _pair_word(dsig: GroupSignature, w1: GroupWord, w2: GroupWord) -> GroupWord:
+    """The pair (w1, w2) in ``dsig``, the doubled signature, given by the
+    caller so that the words of one construction share one signature."""
+    return GroupWord._from_bits(dsig, _pair_bits(w1.sig, w1.bits, w2.bits))
 
 
 def _predict_kronecker_type(C: CodeGroup, g: GroupWord) -> Tuple[CodeType, bool]:
@@ -266,8 +272,8 @@ def generalized_kronecker(
     if checked is None:
         sig, dsig = C.sig, C.sig.doubled()
         u = u_element(sig)
-        gens = tuple(_pair_word(w, w) for w in C.generators) + (_pair_word(g, g * u),)
-        out = CodeGroup(dsig, gens)
+        diagonal = tuple(_pair_word(dsig, w, w) for w in C.generators)
+        out = CodeGroup(dsig, diagonal + (_pair_word(dsig, g, g * u),))
         if out.order != 2 * C.order:
             if (g * g) not in C:
                 raise ConstructionError(f"square of {g} lies outside the group")

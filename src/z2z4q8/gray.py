@@ -7,7 +7,6 @@ the vector is bit 0.  Printing puts coordinate 1 leftmost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Tuple
 
 from .groups import GroupSignature, GroupWord, _decode, _sections
@@ -85,14 +84,13 @@ def complement(v: BinaryVector) -> BinaryVector:
     return v.complement()
 
 
-@lru_cache(maxsize=None)
 def _offsets(sig: GroupSignature) -> Tuple[tuple, ...]:
-    """pi's pair table for ``sig``: per coordinate, the bit pairs that pi
-    swaps for each value, as absolute positions."""
+    """pi's pair table for ``sig``, one entry per section: (first
+    coordinate, count, bit offset, block width, the bit pairs within a
+    block that pi swaps for each value)."""
     return tuple(
-        tuple(tuple((pos + p, pos + q) for p, q in ps) for ps in _PI_PAIRS[kind])
-        for kind, _, count, offset, width in _sections(sig)
-        for pos in range(offset, offset + count * width, width)
+        (first, count, offset, width, _PI_PAIRS[kind])
+        for kind, first, count, offset, width in _sections(sig)
     )
 
 
@@ -154,11 +152,15 @@ class CoordinatePermutation:
 
 
 def pi_of(w: GroupWord) -> CoordinatePermutation:
-    """The coordinate permutation associated to a word (see ``_PI_PAIRS``)."""
+    """The coordinate permutation associated to a word (see ``_PI_PAIRS``),
+    built a section at a time from the pairs of each coordinate's value."""
     image = list(range(w.sig.n))
-    for swaps, value in zip(_offsets(w.sig), w.coords):
-        for p, q in swaps[value]:
-            image[p], image[q] = image[q], image[p]
+    values = w.coords
+    for first, count, offset, width, pairs in _offsets(w.sig):
+        positions = range(offset, offset + count * width, width)
+        for pos, value in zip(positions, values[first : first + count]):
+            for p, q in pairs[value]:
+                image[pos + p], image[pos + q] = image[pos + q], image[pos + p]
     return CoordinatePermutation(tuple(image))
 
 

@@ -5,14 +5,18 @@ A word is stored as its Gray image, packed little-endian into an int
 Gray(x y) = Gray(x) + pi_x(Gray(y)), written once in ``_pi``.  The Gray
 map works one coordinate at a time, so the image is three runs of equal
 blocks: the Z2, Z4 and Q8 sections, of 1, 2 and 4 bits a coordinate.
-``_sections(sig)`` states that layout once (kind, first coordinate,
-count, bit offset, block width), and every reader of the layout reads
-it: the block masks (``_tables``), the codec (``_encode``,
-``_decode``), the token parser (``word_from_tokens``), ``gray`` and the
-pair map of the constructions.  Coordinates are decoded on demand, one
-section at a time: Z2 entries live in {0,1}, Z4 entries in {0..3}, and
-Q8 entries are encoded as ``i + 4*j`` for the canonical form ``a^i b^j``
-(i mod 4, j in {0,1}).
+A ``GroupSignature`` states that layout once, when it is built, and keeps
+it in its slots with the two masks the product kernel reads: the
+sections (kind, first coordinate, count, bit offset, block width; read
+through ``_sections``) and the low bit of every Z4 and of every Q8 block
+(``_z4``, ``_q8``).  The kernel (``_pi``, ``_nu``, ``_sort_key``) reads
+the masks off the signature, with no lookup; every other reader of the
+layout reads the sections: the codec (``_encode``, ``_decode``), the
+token parser (``word_from_tokens``), ``gray`` and the pair map of the
+constructions.  Coordinates are decoded on demand, one section at a
+time: Z2 entries live in {0,1}, Z4 entries in {0..3}, and Q8 entries are
+encoded as ``i + 4*j`` for the canonical form ``a^i b^j`` (i mod 4, j in
+{0,1}).
 """
 
 from __future__ import annotations
@@ -92,17 +96,34 @@ _BYTE_TOKENS = {kind: _byte_table(kind, _NAMES[kind]) for kind in _GRAY_BLOCKS}
 
 @dataclass(frozen=True)
 class GroupSignature:
-    """Shape of the ambient group: counts of Z2, Z4 and Q8 coordinates."""
+    """Shape of the ambient group: counts of Z2, Z4 and Q8 coordinates.
 
+    Besides the counts, the slots hold the layout of the Gray image
+    (``_sections``) and the low-bit masks of the Z4 and Q8 blocks that
+    the product reads (``_tables``), computed once in ``__post_init__``.
+    A signature has no instance dict, and pickles as its three counts.
+    """
+
+    __slots__ = ("k1", "k2", "k3", "_layout", "_z4", "_q8")
     k1: int
     k2: int
     k3: int
 
     def __post_init__(self) -> None:
-        if self.k1 < 0 or self.k2 < 0 or self.k3 < 0:
+        k1, k2, k3 = self.k1, self.k2, self.k3
+        if k1 < 0 or k2 < 0 or k3 < 0:
             raise ValueError(f"coordinate counts must be >= 0, got {self}")
         if self.l < 1:
             raise ValueError("signature must have at least one coordinate")
+        runs = ("z2", 0, k1, 0, 1), ("z4", k1, k2, k1, 2), ("q8", k1 + k2, k3, k1 + 2 * k2, 4)
+        layout = tuple(run for run in runs if run[2])
+        low = {kind: _low_bits(n, w) << offset for kind, _, n, offset, w in layout if w > 1}
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_z4", low.get("z4", 0))
+        object.__setattr__(self, "_q8", low.get("q8", 0))
+
+    def __reduce__(self):
+        return GroupSignature, (self.k1, self.k2, self.k3)
 
     @property
     def n(self) -> int:
@@ -134,19 +155,16 @@ def _low_bits(count: int, width: int) -> int:
     return mask >> (done - count) * width
 
 
-@lru_cache(maxsize=None)
 def _sections(sig: GroupSignature) -> Tuple[Tuple[str, int, int, int, int], ...]:
     """The layout of the Gray image, stated once: for each of the Z2, Z4
     and Q8 sections that has coordinates, in that order, (kind, first
     coordinate, count, bit offset, block width).  Coordinate first + i is
     the block of ``width`` bits at bit offset + i * width.
 
-    Kept in a cache rather than on the signature: once a signature's
-    instance dict has been touched, every product on it runs slower.
+    Built with the signature and kept in its slots, so reading it costs
+    no hash and no cache lookup.
     """
-    k1, k2, k3 = sig.k1, sig.k2, sig.k3
-    runs = ("z2", 0, k1, 0, 1), ("z4", k1, k2, k1, 2), ("q8", k1 + k2, k3, k1 + 2 * k2, 4)
-    return tuple(run for run in runs if run[2])
+    return sig._layout
 
 
 @lru_cache(maxsize=None)
@@ -157,11 +175,10 @@ def _texts(sig: GroupSignature) -> Dict[str, tuple]:
     return {role: tuple(map(tables.get, kinds)) for role, tables in _TEXT.items()}
 
 
-@lru_cache(maxsize=None)
 def _tables(sig: GroupSignature) -> Tuple[int, int]:
-    """Masks of the low bit of every Z4 block and of every Q8 block."""
-    low = {kind: _low_bits(n, w) << offset for kind, _, n, offset, w in _sections(sig) if w > 1}
-    return low.get("z4", 0), low.get("q8", 0)
+    """Masks of the low bit of every Z4 block and of every Q8 block, as
+    the product kernel reads them (``sig._z4``, ``sig._q8``)."""
+    return sig._z4, sig._q8
 
 
 def _encode(sig: GroupSignature, items: Sequence, role: str, value_of: Callable) -> int:
@@ -228,7 +245,7 @@ def _pi(sig: GroupSignature, x: int, y: int) -> int:
     (0 2)(1 3) applies where q is set (<b>, <ab>) and then (0 1)(2 3) where
     p ^ q is set (<a>, <ab>, and order-4 Z4 entries, where q is 0).
     """
-    z4, q8 = _tables(sig)
+    z4, q8 = sig._z4, sig._q8
     p = (x ^ (x >> 1)) & (z4 | q8)
     q = (x ^ (x >> 2)) & q8
     d = (y ^ (y >> 2)) & (q | (q << 1))
@@ -252,7 +269,7 @@ def _nu(sig: GroupSignature, x: int) -> int:
     b0^b2 = b1^b3, so (0 1)(2 3) and (0 2)(1 3), and their product
     (0 3)(1 2), keep p and q.
     """
-    z4, q8 = _tables(sig)
+    z4, q8 = sig._z4, sig._q8
     return (x ^ (x >> 1)) & (z4 | q8) | ((x ^ (x >> 2)) & q8) << 1
 
 
@@ -266,7 +283,7 @@ def _sort_key(w: "GroupWord") -> int:
     coordinate 0 first and each block's bit 0 above its others.
     """
     sig, x = w.sig, w.bits
-    z4, q8 = _tables(sig)
+    z4, q8 = sig._z4, sig._q8
     p = (x ^ (x >> 1)) & q8
     q = (x ^ (x >> 2)) & q8
     y = (x & ~(q8 * 0b1111)) ^ ((x & z4) << 1)
@@ -290,18 +307,21 @@ class GroupWord:
         values = tuple(coords)
         if len(values) != sig.l:
             raise ValueError(f"expected {sig.l} coordinates, got {len(values)}")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "bits", _encode(sig, values, "value", _out_of_range))
+        _set_sig(self, sig)
+        _set_bits(self, _encode(sig, values, "value", _out_of_range))
 
     @classmethod
     def _from_bits(cls, sig: GroupSignature, bits: int) -> "GroupWord":
         w = object.__new__(cls)
-        object.__setattr__(w, "sig", sig)
-        object.__setattr__(w, "bits", bits)
+        _set_sig(w, sig)
+        _set_bits(w, bits)
         return w
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"GroupWord is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return GroupWord._from_bits, (self.sig, self.bits)
 
     @property
     def coords(self) -> Tuple[int, ...]:
@@ -354,6 +374,10 @@ class GroupWord:
 
     def __str__(self) -> str:
         return "(" + " ".join(self.tokens()) + ")"
+
+
+# The slots' own setters: the class's __setattr__ refuses every write.
+_set_sig, _set_bits = GroupWord.sig.__set__, GroupWord.bits.__set__
 
 
 def word(sig: GroupSignature, coords: Iterable[int]) -> GroupWord:

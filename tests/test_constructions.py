@@ -106,6 +106,17 @@ def test_xi_lift_doubles_weights():
         assert w.order() == lookup[w].order()
 
 
+def test_construction_outputs_share_one_signature_object():
+    """A lift and a Kronecker step build their output signature once, so
+    every generator carries that one object and products on the output
+    take the identity check of ``GroupWord.__mul__``."""
+    lifted = xi_lift(load_fixture("hadamard16_z2z4_delta2"))
+    C = load_fixture("hadamard16_q8")
+    doubled = generalized_kronecker(C, C.generators[-1]).output
+    for G in (lifted, doubled):
+        assert all(w.sig is G.sig for w in G.generators)
+
+
 def test_extend_produces_hadamard_and_detects_violations():
     lifted = xi_lift(load_fixture("hadamard8_z4"))
     C = extend(lifted, parse_element("b ab b ab", lifted.sig))

@@ -179,11 +179,15 @@ def test_propelinear_law_exhaustive_small():
 
 
 def test_propelinear_law_random():
-    sig = GroupSignature(2, 2, 2)
+    """The mask product agrees with ``pi_of``, built a section at a time
+    from the pair table, on a small signature and on long pure-Q8 and
+    mixed ones."""
     rng = random.Random(9)
-    for _ in range(500):
-        w, v = random_word(sig, rng), random_word(sig, rng)
-        assert gray(w * v) == gray(w) ^ pi_of(w).apply(gray(v))
+    for counts, trials in ((2, 2, 2), 500), ((0, 0, 1500), 10), ((301, 702, 1203), 10):
+        sig = GroupSignature(*counts)
+        for _ in range(trials):
+            w, v = random_word(sig, rng), random_word(sig, rng)
+            assert gray(w * v) == gray(w) ^ pi_of(w).apply(gray(v))
 
 
 def test_permutation_composition_matches_products():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -19,9 +21,18 @@ from z2z4q8 import (
     word,
     word_from_tokens,
 )
+import z2z4q8.groups as groups_module
 from z2z4q8.groups import Q8_TOKENS, _nu, _sections, _sort_key, _tables, parse_q8_token
 
-from conftest import Q8, all_words, assert_matches_reference, kind_of, q8_word, random_word
+from conftest import (
+    Q8,
+    all_words,
+    assert_matches_reference,
+    count_calls,
+    kind_of,
+    q8_word,
+    random_word,
+)
 
 MIXED = GroupSignature(1, 1, 1)
 
@@ -168,6 +179,40 @@ def test_signature_validation():
     assert sig.l == 9
 
 
+def test_signatures_and_words_survive_pickle_and_deepcopy():
+    """A signature rebuilds from its counts, masks and layout included,
+    and a word from its signature and bits; the copies compare equal and
+    multiply like the originals."""
+    sig = GroupSignature(2, 3, 2)
+    rng = random.Random(4)
+    x, y = random_word(sig, rng), random_word(sig, rng)
+    for clone in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy):
+        sig2 = clone(sig)
+        assert sig2 == sig and hash(sig2) == hash(sig)
+        assert (_sections(sig2), _tables(sig2)) == (_sections(sig), _tables(sig))
+        x2, y2 = clone(x), clone(y)
+        assert (x2, y2) == (x, y) and x2.coords == x.coords
+        assert x2 * y2 == x * y and y2 * x2 == y * x
+
+
+def test_signatures_keep_no_instance_dict():
+    """The product reads its masks from the signature's slots; writing a
+    signature's instance dict made every product on it slower."""
+    sig = GroupSignature(1, 2, 3)
+    assert not hasattr(sig, "__dict__")
+    assert not hasattr(identity(sig), "__dict__")
+
+
+def test_the_product_kernel_looks_nothing_up(monkeypatch):
+    """Products, inverses, orders and sort keys read the masks off the
+    signature: no call into ``_tables`` or ``_sections``."""
+    rng = random.Random(8)
+    w, v = random_word(MIXED, rng), random_word(MIXED, rng)
+    calls = count_calls(monkeypatch, groups_module, "_tables", "_sections")
+    w * v, w.inverse(), w.order(), _sort_key(w)
+    assert not calls
+
+
 def test_word_validation():
     for make in (word, GroupWord):
         with pytest.raises(ValueError):
@@ -265,11 +310,12 @@ def _masks_by_coordinate(sig):
     ids=str,
 )
 def test_masks_by_pattern_equal_the_masks_by_coordinate(counts):
-    """The closed-form masks of ``_tables`` equal the masks grown one
-    coordinate at a time, over empty sections, odd counts and thousands of
-    coordinates; the sections tile the image in coordinate order."""
+    """The closed-form masks of ``_tables``, which are the signature's own
+    mask slots, equal the masks grown one coordinate at a time, over empty
+    sections, odd counts and thousands of coordinates; the sections tile
+    the image in coordinate order."""
     sig = GroupSignature(*counts)
-    assert _tables(sig) == _masks_by_coordinate(sig)
+    assert _tables(sig) == (sig._z4, sig._q8) == _masks_by_coordinate(sig)
     coordinate = bit = 0
     for kind, first, count, offset, width in _sections(sig):
         assert (first, offset) == (coordinate, bit) and count > 0

@@ -1,8 +1,8 @@
 """The benchmark still finds the names of the package it reaches into.
 
 ``perfbench/worker.py`` imports ``groups._tables`` and ``gray._offsets``;
-its ``--setup-only`` mode imports the package, builds the fixtures and warms
-those tables, and prints one JSON line.  ``perfbench/tracer.py`` wraps every
+its ``--setup-only`` mode imports the package, builds the fixtures, calls
+both for the workloads' signatures, and prints one JSON line.  ``perfbench/tracer.py`` wraps every
 ``(module, function)`` of its ``SPANNED`` list, so a rename in the package
 would break ``--trace 1``.  These tests read ``perfbench/`` and change
 nothing there.

@@ -552,11 +552,11 @@ def test_property_kronecker_order_test_matches_its_preconditions(data):
     gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
     C = generate(gens)
     S = closure([identity(sig)], gens)
-    pairs = tuple(_pair_word(w, w) for w in C.generators)
+    pairs = tuple(_pair_word(sig.doubled(), w, w) for w in C.generators)
     near = _near(sig, sorted(S, key=lambda w: w.coords))
     for g in data.draw(st.lists(near, min_size=6, max_size=6)):
         failing = _precondition_messages(S, gens, g, "kronecker")
-        out = CodeGroup(sig.doubled(), pairs + (_pair_word(g, g * u_element(sig)),))
+        out = CodeGroup(sig.doubled(), pairs + (_pair_word(sig.doubled(), g, g * u_element(sig)),))
         assert (out.order <= 2 * C.order) == (not failing), (sig, gens, g)
         if failing:
             with pytest.raises(ConstructionError) as err:
@@ -584,7 +584,7 @@ def test_property_pair_bits_match_coordinate_splice(data):
     sig = data.draw(signatures)
     x, y = data.draw(words_of(sig)), data.draw(words_of(sig))
     assert _pair_bits(sig, x.bits, y.bits) == _reference_pair(x, y).bits
-    assert _pair_word(x, y) == _reference_pair(x, y)
+    assert _pair_word(sig.doubled(), x, y) == _reference_pair(x, y)
 
 
 @PROPERTY_SETTINGS
