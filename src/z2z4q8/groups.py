@@ -397,11 +397,23 @@ def u_element(sig: GroupSignature) -> GroupWord:
     return GroupWord._from_bits(sig, (1 << sig.n) - 1)
 
 
+def _commutator_bits(sig: GroupSignature, x: int, y: int) -> int:
+    """Gray((x, y)) for words given by their Gray images x and y: the one
+    statement of the commutator law, two applications of pi.
+
+    xy = yx (x, y), and (x, y) has order <= 2 (every coordinate group has
+    class 2 with commutators in {1, a2}): it is central and pi fixes its
+    image, so Gray(xy) = Gray(yx) + Gray((x, y)), with Gray(xy) = x +
+    pi_x(y) and Gray(yx) = y + pi_y(x).
+    """
+    return x ^ y ^ _pi(sig, x, y) ^ _pi(sig, y, x)
+
+
 def commutator(x: GroupWord, y: GroupWord) -> GroupWord:
-    """(x, y) = x^-1 y^-1 x y."""
+    """(x, y) = x^-1 y^-1 x y, read from the images (``_commutator_bits``)."""
     if x.sig != y.sig:
         raise SignatureMismatch(f"cannot combine {x.sig} with {y.sig}")
-    return x.inverse() * y.inverse() * x * y
+    return GroupWord._from_bits(x.sig, _commutator_bits(x.sig, x.bits, y.bits))
 
 
 def conjugate(x: GroupWord, y: GroupWord) -> GroupWord:

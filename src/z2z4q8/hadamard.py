@@ -676,9 +676,11 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
 
     pair_bad = 0
     for v in outside:
-        a2 = squares[v]
+        a2, row = squares[v], rows[v]
         if a2 != u:
-            pair_bad += sum(rows[v][j] not in (0, a2) for j in outside)
+            # the entries at j >= 1 outside {0, a2}, counted in C
+            good = row.count(0) + (row.count(a2) if a2 else 0) - (row[0] in (0, a2))
+            pair_bad += len(outside) - good
 
     by_square: dict = {}
     for v in outside:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .gf2 import Gf2Basis
 from .gray import BinaryVector, gray, gray_inv
-from .groups import GroupWord, SignatureMismatch, _pi
+from .groups import GroupWord, SignatureMismatch
 from .subgroup import (
     DEFAULT_MAX_ORDER,
     CodeGroup,
@@ -17,6 +18,7 @@ from .subgroup import (
     EnumerationLimit,
     _coset_reps,
     _coset_table,
+    _form,
     _gray_stream,
     _memoized,
     _null_space,
@@ -38,7 +40,6 @@ def swapper(x: GroupWord, y: GroupWord) -> GroupWord:
     return gray_inv(gray(x) ^ gray(y) ^ gray(x * y), x.sig)
 
 
-@_memoized
 def _swappers(C: CodeGroup) -> Tuple[Tuple[int, ...], ...]:
     """s(b_i, b_j) = Gray(b_j) + pi_(b_i)(Gray(b_j)), by (i, j), over the
     presentation basis b_1..b_k: the Gray bits of the swapper
@@ -66,10 +67,11 @@ def _swappers(C: CodeGroup) -> Tuple[Tuple[int, ...], ...]:
 
     A word of Omega lies in C exactly when it lies in T(C) = C n Omega,
     and Gray is injective: s(x, y) is in C exactly when its bits are in
-    Gray(T).  Built once per group, for ``rank`` and ``_kernel_cosets``.
+    Gray(T).  The table is built with the presentation, from the same k^2
+    applications of pi as its squares and commutators (``_present``), and
+    kept on the group; ``rank`` and ``_kernel_cosets`` read it here.
     """
-    sig, basis = C.sig, C.basis
-    return tuple(tuple(y ^ _pi(sig, x, y) for y in basis) for x in basis)
+    return C.swappers
 
 
 @_memoized
@@ -121,8 +123,9 @@ def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
     bilinearity and s = 0 on T, x = p_v t passes for every y exactly when
     sum_i v_i s(b_i, b_j) lies in Gray(T) for every j: K(C)/T(C) is the
     null space of v -> (sum_i v_i s(b_i, b_j) mod Gray(T))_j.  The swappers
-    are reduced by the echelon basis of Gray(T), which leaves one residue
-    per class, and row i packs them at bits j*n.
+    are reduced by the echelon basis of Gray(T) that the presentation
+    keeps (``C._torsion``), which leaves one residue per class, and row i
+    packs them at bits j*n.
 
     Second route, the translation test on representatives: z is in the
     binary kernel exactly when z + Gray(p_w) lies in Gray(C) for every w,
@@ -135,8 +138,7 @@ def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
     RuntimeError otherwise.  ``binary_kernel`` and ``group_kernel`` are the
     |C|-sized oracles, run in the tests.
     """
-    n = C.sig.n
-    torsion = Gf2Basis(C.torsion_rows)
+    n, torsion = C.sig.n, C._torsion
     form = [
         sum(torsion.reduce(s) << (j * n) for j, s in enumerate(row))
         for row in _swappers(C)
@@ -147,7 +149,7 @@ def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
     passing = tuple(
         v
         for v, rv in enumerate(residues)
-        if all(rv ^ rw in cosets for rw in residues)
+        if cosets.issuperset(map(rv.__xor__, residues))
     )
     if passing != null:
         raise RuntimeError(
@@ -241,8 +243,14 @@ def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
 
 
 def is_abelian(C: CodeGroup) -> bool:
-    gens = C.generators
-    return all(x * y == y * x for x in gens for y in gens)
+    """Whether the commutator form on the basis is zero (``_form``).
+
+    T(C) is central and C = <T(C), b_1..b_k> (``_present``), so C is
+    abelian exactly when the b_i commute pairwise, i.e. when every
+    Gray((b_i, b_j)) = s(b_i, b_j) + s(b_j, b_i) is 0: when the swapper
+    table is symmetric.
+    """
+    return not any(map(any, _form(C)))
 
 
 @_memoized
@@ -329,6 +337,12 @@ def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
 
     The words of ``_coset_reps`` outside T(C) are those at index v >= 1,
     and the product ab lies in T(C) exactly when a and b share an index.
+
+    Both counts are exact, and each 4^k scan runs in C: the weight count
+    is taken over the row only when the row's heaviest commutator
+    exceeds the square's weight, and the commuting pairs with equal
+    squares are the zeros of the row at the equal squares (``compress``),
+    less the terms at v = 0 and v = u, which the count leaves out.
     """
     squares, rows = _coset_table(C)
     outside = range(1, len(squares))
@@ -338,10 +352,11 @@ def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
         row = rows[u]
         sq = squares[u]
         wa = sq.bit_count()
-        square_weight_bad += sum(row[v].bit_count() > wa for v in outside)
-        commuting_squares_bad += sum(
-            not row[v] and v != u and squares[v] == sq for v in outside
-        )
+        if max(map(int.bit_count, row)) > wa:
+            square_weight_bad += sum(row[v].bit_count() > wa for v in outside)
+        zeros = list(compress(row, map(sq.__eq__, squares))).count(0)
+        commuting_squares_bad += zeros - (not row[u])
+        commuting_squares_bad -= not row[0] and squares[0] == sq
     return [
         BoundCheck(
             "commutator weight <= square weight (pairs outside T)",

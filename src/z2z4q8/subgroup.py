@@ -9,12 +9,16 @@ constructions' outputs by the coset of the doubling element; one
 canonical key of the group (``CodeGroup._key``), read by ``==`` and
 ``hash``; T(C), C' and the type; and one word per coset of T(C)
 (``_coset_reps``), on which every fact constant on those cosets is
-decided: Z(C) is the radical of the commutator form
-(``_radical``), and the standard generators are read from the least word
-of each coset (``_coset_minima``).  No group keeps its Gray image:
-Gray(C) is a stream, one T-coset at a time (``_gray_stream``), read by
-the weight count, by the words (``elements``) and by the |C|-sized
-oracles (``gray_codewords``).  Words are built only for the readers that
+decided.  Squares, commutators and swappers of the basis are read by
+XOR from the swapper table that ``_present`` keeps
+(``CodeGroup.swappers``): Z(C) is the radical of the commutator form
+(``_form``, ``_radical``), the squares and commutator rows of the coset
+words come from it by the class-2 laws (``_coset_table``), and the
+standard generators are read from the least word of each coset
+(``_coset_minima``).  No group keeps its Gray image: Gray(C) is a
+stream, one T-coset at a time (``_gray_stream``), read by the weight
+count, by the words (``elements``) and by the |C|-sized oracles
+(``gray_codewords``).  Words are built only for the readers that
 need them: search's draws, ``extend``'s failure witness, the full kernel
 scan, the structural converse and the oracles.  Every derived fact is
 computed once and kept on the instance (``_memoized``); element iteration
@@ -30,7 +34,15 @@ from functools import cached_property, wraps
 from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis
-from .groups import GroupSignature, GroupWord, _nu, _pi, _sort_key, identity
+from .groups import (
+    GroupSignature,
+    GroupWord,
+    _commutator_bits,
+    _nu,
+    _pi,
+    _sort_key,
+    identity,
+)
 
 DEFAULT_MAX_ORDER = 1 << 20
 
@@ -97,11 +109,12 @@ class CodeGroup:
 
     The constructor reads the GF(2) presentation of <generators> once
     (``_present``): ``basis`` holds the Gray images of b_1..b_k, a basis of
-    C/T(C), and ``torsion_rows`` a GF(2) basis of Gray(T(C)), so the order
-    2^(k + dim T) is known without building a word.  Membership reduces a
-    word by the same presentation to its coset word (``_has_image``,
-    ``_coset_word``), and equality and the hash read one canonical key
-    (``_key``).  Gray(C) is not kept: it is streamed one
+    C/T(C), ``torsion_rows`` a GF(2) basis of Gray(T(C)), so the order
+    2^(k + dim T) is known without building a word, and ``swappers`` the
+    k x k table s(b_i, b_j) = Gray(b_j) + pi_(b_i)(Gray(b_j)).  Membership
+    reduces a word by the same presentation to its coset word
+    (``_has_image``, ``_coset_word``), and equality and the hash read one
+    canonical key (``_key``).  Gray(C) is not kept: it is streamed one
     T-coset at a time (``_gray_stream``), and the words themselves
     (``elements``) are built only for the readers that need them.
     """
@@ -109,10 +122,13 @@ class CodeGroup:
     def __init__(self, sig: GroupSignature, generators: Sequence[GroupWord]) -> None:
         self.sig = sig
         self.generators = tuple(generators)
-        pivots, self._torsion, rows = _present(sig, [g.bits for g in self.generators])
+        pivots, self._torsion, rows, swappers = _present(
+            sig, [g.bits for g in self.generators]
+        )
         self._pivots: Tuple[Tuple[int, int, int], ...] = tuple(pivots)
         self.basis: Tuple[int, ...] = tuple(b for _, _, b in pivots)
         self.torsion_rows: Tuple[int, ...] = tuple(rows)
+        self.swappers: Tuple[Tuple[int, ...], ...] = swappers
         self.log2_order = len(self.basis) + len(rows)
         self.order = 1 << self.log2_order
         self._cache: dict = {}
@@ -240,15 +256,6 @@ def _swapper_bits(x: GroupWord, y: GroupWord) -> int:
     return x.bits ^ y.bits ^ (x * y).bits
 
 
-def _commutator_bits(sig: GroupSignature, x: int, y: int) -> int:
-    """Gray((x, y)) for words given by their Gray images x and y.
-
-    xy = yx (x, y), and (x, y) has order <= 2: it is central and pi fixes
-    its image, so Gray(xy) = Gray(yx) + Gray((x, y)).
-    """
-    return x ^ y ^ _pi(sig, x, y) ^ _pi(sig, y, x)
-
-
 def _span(rows: Sequence[int]) -> List[int]:
     """Every XOR of a subset of rows; bit i of the index picks rows[i]."""
     out = [0]
@@ -295,11 +302,12 @@ def _coset_word(C: CodeGroup, x: int) -> int:
     return C._torsion.reduce(y)
 
 
-def _present(
-    sig: GroupSignature, gens: Sequence[int]
-) -> Tuple[List[Tuple[int, int, int]], Gf2Basis, List[int]]:
+def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[
+    List[Tuple[int, int, int]], Gf2Basis, List[int], Tuple[Tuple[int, ...], ...]
+]:
     """A GF(2) presentation of <gens>, on Gray images: the (pivot bit, nu,
-    image) of b_1..b_k, and a basis of Gray(N) with its rows.
+    image) of b_1..b_k, a basis of Gray(N) with its rows, and the swapper
+    table of the b_i.
 
     ``_nu`` is a homomorphism onto GF(2)^(k2+2k3) with kernel Omega, the
     words of order <= 2.  Each generator is multiplied on the right by the
@@ -324,6 +332,19 @@ def _present(
     b_i), so it is C.  The 2^k ordered products have independent nu, so
     they lie in distinct cosets of Omega; hence T(C) = C n Omega = N and
     |C| = 2^(dim N + k).
+
+    The squares and commutators are read from the k x k swapper table
+    s(b_i, b_j) = Gray(b_j) + pi_(b_i)(Gray(b_j)), the Gray bits of the
+    swapper [b_i, b_j] (``invariants._swappers``): s(b_i, b_i) = Gray(b_i)
+    + pi_(b_i)(Gray(b_i)) = Gray(b_i^2), and, as s(x, y) = Gray(x) +
+    Gray(y) + Gray(xy), s(b_j, b_i) + s(b_i, b_j) = Gray(b_j b_i) +
+    Gray(b_i b_j) = Gray((b_j, b_i)) (``_commutator_bits``).  They
+    enter N in the same order as before the table was kept: b_i^2, then
+    (b_j, b_i) for j < i, so the rows are unchanged.  The table costs k^2
+    applications of pi, one per square and two per commutator, as the
+    squares and commutators alone did, and every later reader of squares,
+    commutators and swappers of the b_i (``_radical``, ``_coset_table``,
+    ``is_abelian``, ``rank``, ``_kernel_cosets``) works on it by XOR.
     """
     pivots: List[Tuple[int, int, int]] = []  # (pivot bit, nu, word)
     torsion_basis = Gf2Basis()
@@ -340,11 +361,12 @@ def _present(
         else:
             into_n(w)
     basis = [b for _, _, b in pivots]
-    for i, b in enumerate(basis):
-        into_n(b ^ _pi(sig, b, b))
-        for c in basis[:i]:
-            into_n(_commutator_bits(sig, c, b))
-    return pivots, torsion_basis, rows
+    table = tuple(tuple(y ^ _pi(sig, x, y) for y in basis) for x in basis)
+    for i, row in enumerate(table):
+        into_n(row[i])
+        for j in range(i):
+            into_n(table[j][i] ^ row[j])
+    return pivots, torsion_basis, rows, table
 
 
 @_memoized
@@ -391,26 +413,43 @@ def _coset_reps(C: CodeGroup) -> Tuple[GroupWord, ...]:
     return tuple(_products(C.sig, basis))
 
 
-def _commutator_row(C: CodeGroup, a: GroupWord) -> List[int]:
-    """Gray((a, w)) for each word w of ``_coset_reps``, by index.
-
-    C has class 2: its commutators have order <= 2, so they are central,
-    (a, xy) = (a, x)(a, y), and Gray adds on them.  So the row is the span
-    of the k commutators (a, b_j), indexed like the products.
-    """
-    return _span([_commutator_bits(C.sig, a.bits, b) for b in C.basis])
+def _form(C: CodeGroup) -> List[List[int]]:
+    """F(i, j) = Gray((b_i, b_j)) = s(b_i, b_j) + s(b_j, b_i): the
+    commutator form on the basis, by XOR of the swapper table with its
+    transpose (``_present``)."""
+    table = C.swappers
+    return [[a ^ b for a, b in zip(row, col)] for row, col in zip(table, zip(*table))]
 
 
 @_memoized
 def _coset_table(C: CodeGroup) -> Tuple[List[int], List[List[int]]]:
-    """(squares, commutator rows) of the ``_coset_reps`` words, by index.
+    """(squares, commutator rows) of the ``_coset_reps`` words, by index,
+    by XOR on the swapper table: no product and no pi is evaluated.
+
+    Rows, by bilinearity.  C has class 2: its commutators have order <= 2,
+    so they are central, (xy, z) = (x, z)(y, z) = (z, xy), and Gray adds
+    on them.  So (p_w, b_j) has the image c_w(j) = sum_(i in w) F(i, j), a
+    sum of rows of the form (``_form``), and c_(w + 2^i) = c_w + F(i, .);
+    the row of p_w, Gray((p_w, p_v)) = sum_(j in v) c_w(j), is the span of
+    c_w indexed like the products (``_span``, ``_products``).
+
+    Squares, by the class-2 square law (xy)^2 = x^2 y^2 (x, y):
+    xyxy = x^2 (x^-1 y x) y = x^2 y (y, x) y = x^2 y^2 (y, x), as (y, x)
+    is central, and (y, x) = (x, y)^-1 = (x, y), of order <= 2.  For
+    w < 2^i the product p_(w + 2^i) is p_w b_i, so its square has the
+    image squares[w] + s(b_i, b_i) + c_w(i): all three factors have order
+    <= 2, so they are central, pi fixes their images, and Gray adds.
 
     T(C) is central of exponent 2, so (p t)^2 = p^2 and (p t, w) = (p, w):
     one table serves both pair checklists and the square lookups of the
     shape analysis.
     """
-    reps = _coset_reps(C)
-    return [(w * w).bits for w in reps], [_commutator_row(C, w) for w in reps]
+    table, form = C.swappers, _form(C)
+    columns, squares = [[0] * len(form)], [0]
+    for i, row in enumerate(form):
+        squares += [sq ^ table[i][i] ^ c[i] for sq, c in zip(squares, columns)]
+        columns += [[a ^ f for a, f in zip(c, row)] for c in columns]
+    return squares, [_span(c) for c in columns]
 
 
 def _form_row(sig: GroupSignature, a: int, words: Sequence[int]) -> int:
@@ -431,9 +470,12 @@ def _radical(C: CodeGroup) -> Tuple[int, ...]:
     commutes with every b_j exactly when sum_i v_i Gray((b_i, b_j)) = 0.
     T(C) is central and C = <T(C), b_1..b_k>, so these v, the radical of
     the commutator form on C/T(C) = GF(2)^k, are Z(C)/T(C): the null space
-    of the rows sum_j Gray((b_i, b_j)) << j*n.
+    of the rows sum_j F(i, j) << j*n, with F(i, j) = Gray((b_i, b_j)) read
+    from the swapper table (``_form``).
     """
-    return _null_space([_form_row(C.sig, a, C.basis) for a in C.basis])
+    n = C.sig.n
+    rows = [sum(f << (j * n) for j, f in enumerate(row)) for row in _form(C)]
+    return _null_space(rows)
 
 
 def _cosets_where(C: CodeGroup, passing: Sequence[int]) -> CodeGroup:
@@ -480,10 +522,12 @@ def code_type(C: CodeGroup) -> CodeType:
 
 @_memoized
 def _key_basis(C: CodeGroup) -> Gf2Basis:
-    """The rows _sort_key(t) << n | Gray(t) over a basis of T(C), in reduced
-    echelon form; every pivot is the top bit of a key (``_coset_minima``)."""
-    n = C.sig.n
-    return Gf2Basis(_sort_key(t) << n | t.bits for t in torsion(C).generators)
+    """The rows _sort_key(t) << n | Gray(t) over a basis of T(C), the
+    ``torsion_rows``, in reduced echelon form; every pivot is the top bit of
+    a key (``_coset_minima``)."""
+    sig = C.sig
+    keys = (_sort_key(GroupWord._from_bits(sig, t)) for t in C.torsion_rows)
+    return Gf2Basis(key << sig.n | t for key, t in zip(keys, C.torsion_rows))
 
 
 @_memoized
@@ -559,6 +603,7 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     return gens
 
 
+@_memoized
 def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     """Check the defining invariants of a standard generating set.
 
@@ -580,6 +625,13 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     independent, and as C has 2^(delta + rho) T-cosets, they then meet
     each once.  The 2^delta products of y's are central and those using a
     z are not, so Z(C) = <T(C), ys>, and delta is checked too.
+
+    The check is a pure function of C and the set: it reads only their
+    words and facts memoized on C, and returns nothing.  So it is kept per
+    (group, generating set) (``_memoized``), and the shape analysis, which
+    verifies the standard, normalized and witness sets and often finds
+    them equal, runs the body once per distinct set.  A failure raises
+    before anything is kept, so a failing set raises on every call.
     """
     ct = code_type(C)
     if (len(gens.xs), len(gens.ys), len(gens.zs)) != ct.as_tuple():

@@ -89,6 +89,12 @@ def random_word(sig: GroupSignature, rng: random.Random) -> GroupWord:
     return word(sig, coords)
 
 
+def word_commutator(x: GroupWord, y: GroupWord) -> GroupWord:
+    """x^-1 y^-1 x y by word products: the oracle for ``commutator``, which
+    reads the images (``groups._commutator_bits``)."""
+    return x.inverse() * y.inverse() * x * y
+
+
 def kind_of(sig: GroupSignature, index: int) -> str:
     """'z2', 'z4' or 'q8' for the 0-based coordinate index, from the counts."""
     return "z2" if index < sig.k1 else "z4" if index < sig.k1 + sig.k2 else "q8"

@@ -17,6 +17,7 @@ from z2z4q8 import (
     check_bounds,
     classify_shape,
     code_type,
+    commutator,
     conjugate,
     extend,
     format_generators,
@@ -26,6 +27,7 @@ from z2z4q8 import (
     group_kernel,
     hadamard_bounds,
     identity,
+    is_abelian,
     is_hadamard,
     is_linear,
     kernel_dim,
@@ -44,10 +46,20 @@ from z2z4q8 import (
 from z2z4q8.constructions import _pair_bits, _pair_word, generalized_kronecker
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
-from z2z4q8.groups import _GRAY_BLOCKS, Q8_TOKENS, GroupWord, _nu
+from z2z4q8.groups import _GRAY_BLOCKS, Q8_TOKENS, GroupWord, _nu, _pi
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
 from z2z4q8.invariants import span_group
-from z2z4q8.subgroup import _coset_minima, _coset_word, _swapper_bits, gray_basis
+from z2z4q8.subgroup import (
+    _coset_minima,
+    _coset_reps,
+    _coset_table,
+    _coset_word,
+    _form_row,
+    _null_space,
+    _radical,
+    _swapper_bits,
+    gray_basis,
+)
 
 from conftest import (
     assert_matches_reference,
@@ -55,6 +67,7 @@ from conftest import (
     kind_of,
     least_coset_words,
     random_subgroup,
+    word_commutator,
 )
 
 SIGNATURES = [
@@ -397,6 +410,41 @@ def test_property_coset_minima_are_the_least_words(data):
     sig = data.draw(signatures)
     C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=3)))
     assert _coset_minima(C) == least_coset_words(C)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_swapper_table_and_its_readers_match_word_products(data):
+    """The table kept by the presentation is y + pi_x(y) over the basis,
+    recomputed; the squares and commutator rows read from it by XOR are
+    the word products over the representatives; the radical read from it
+    is the null space of the ``_form_row`` rows; and ``is_abelian`` agrees
+    with the generator-pair products and with rho = 0."""
+    sig = data.draw(signatures)
+    C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=3)))
+    basis = C.basis
+    assert C.swappers == tuple(tuple(y ^ _pi(sig, x, y) for y in basis) for x in basis)
+    reps = _coset_reps(C)
+    assert _coset_table(C) == (
+        [(p * p).bits for p in reps],
+        [[word_commutator(p, q).bits for q in reps] for p in reps],
+    )
+    form = [_form_row(sig, b, basis) for b in basis]
+    assert _radical(C) == _null_space(form)
+    gens = C.generators
+    pairs = all(x * y == y * x for x in gens for y in gens)
+    assert is_abelian(C) == pairs == (code_type(C).rho == 0)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_commutator_matches_the_word_products(data):
+    """(x, y) from two applications of pi equals x^-1 y^-1 x y on random
+    ambient words, whose group need not be a code of any kind."""
+    sig = data.draw(signatures)
+    x, y = data.draw(words_of(sig)), data.draw(words_of(sig))
+    assert commutator(x, y) == word_commutator(x, y)
+    assert commutator(x, x).is_identity()
 
 
 def _omega_words(sig: GroupSignature):

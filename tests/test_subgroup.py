@@ -14,6 +14,7 @@ from z2z4q8 import (
     GroupSignature,
     GroupWord,
     center,
+    classify_shape,
     code_type,
     commutator_subgroup,
     generate,
@@ -35,13 +36,12 @@ from z2z4q8 import (
 from z2z4q8.fixtures import fixture_text, fixtures, load_fixture
 import z2z4q8.subgroup as subgroup_module
 from z2z4q8.report import analyze, render_json
-from z2z4q8.groups import _sort_key
+from z2z4q8.groups import _commutator_bits, _sort_key
 from z2z4q8.subgroup import (
     StandardGenSet,
-    _commutator_bits,
-    _commutator_row,
     _coset_minima,
     _coset_reps,
+    _coset_table,
     verify_standard,
 )
 
@@ -57,6 +57,7 @@ from conftest import (
     record_word_sets,
     scanned_standard_generators,
     tiles,
+    word_commutator,
 )
 
 Q8_PAIR = GroupSignature(0, 0, 2)
@@ -486,6 +487,28 @@ def test_verify_standard_rejects_each_violation(case):
         verify_standard(C, gens)
 
 
+def test_a_failing_set_raises_on_every_call():
+    """verify_standard keeps only what passed: a set that fails raises on a
+    second call too, and a passing set stays accepted."""
+    for name, C, gens in _bad_sets():
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                verify_standard(C, gens)
+        verify_standard(C, standard_generators(C))
+
+
+def test_shape_analysis_verifies_each_distinct_set_once(monkeypatch):
+    """On ``hadamard16_z2z4_delta2``, of type (3,2,0) and shape 1, the
+    standard, normalized and witness sets coincide, so the check body runs
+    once: one ``_form_row`` per y and none for the empty z's."""
+    C = load_fixture("hadamard16_z2z4_delta2")
+    calls = count_calls(monkeypatch, subgroup_module, "_form_row")
+    shape = classify_shape(C)
+    assert code_type(C).as_tuple() == (3, 2, 0) and shape.tag == 1
+    assert shape.witness.base == standard_generators(C)
+    assert calls == Counter({"_form_row": 2})
+
+
 def test_tiling_oracle_agrees_with_verify_standard():
     """verify_standard decides the tiling by the rank of the nu of the y's
     and z's; on random central and non-central order-4 picks its verdict is
@@ -610,14 +633,19 @@ def test_generate_refuses_before_building_a_word(monkeypatch):
 
 
 def test_commutator_rows_match_word_commutators():
-    """The doubled rows read by both pair checks, and the Gray form of the
-    commutator, against commutator() word by word."""
+    """The squares and commutator rows that both pair checks read, built by
+    XOR from the swapper table (``_coset_table``), and the Gray form of the
+    commutator, against word products: every row and square over
+    ``_coset_reps``, and sampled words of C against the representatives."""
     for name, C in _coset_groups():
         reps = _coset_reps(C)
+        squares, rows = _coset_table(C)
+        assert squares == [(p * p).bits for p in reps], name
+        assert rows == [[word_commutator(p, q).bits for q in reps] for p in reps], name
         for a in C.sorted_elements()[:: max(1, C.order // 16)]:
-            expected = [commutator(a, b).bits for b in reps]
-            assert _commutator_row(C, a) == expected, name
+            expected = [word_commutator(a, b).bits for b in reps]
             assert [_commutator_bits(C.sig, a.bits, b.bits) for b in reps] == expected
+            assert [commutator(a, b).bits for b in reps] == expected, name
 
 
 def test_center_order_matches_the_type_from_the_commutator_form():
