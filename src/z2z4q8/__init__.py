@@ -47,9 +47,7 @@ from .hadamard import (
     Shape,
     classify_shape,
     hadamard_bounds,
-    is_extended_perfect,
     is_hadamard,
-    is_perfect,
     normalize_generators,
 )
 from .invariants import (
@@ -67,6 +65,7 @@ from .invariants import (
     swapper,
     weight_distribution,
 )
+from .oracles import is_extended_perfect, is_perfect
 from .parsing import ParseError, format_generators, parse_element, parse_generators
 from .report import analyze, render_json, render_summary
 from .search import FoundCode, search
@@ -85,6 +84,8 @@ from .subgroup import (
     torsion,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the test oracles stay importable as ``z2z4q8.oracles``; of them only the
+# perfect-code checks, imported above, are public names
+__all__ = [name for name in dir() if not name.startswith("_") and name != "oracles"]
 
 __version__ = "0.1.0"

@@ -18,8 +18,9 @@ from .constructions import (
     structural_converse_check,
     xi_lift,
 )
-from .hadamard import is_extended_perfect, is_hadamard, is_perfect
+from .hadamard import is_hadamard
 from .invariants import span_group, swapper
+from .oracles import is_extended_perfect, is_perfect
 from .parsing import parse_element, parse_generators
 from .report import analyze
 from .subgroup import CodeGroup, group_kernel, torsion

@@ -27,14 +27,11 @@ from .subgroup import (
     CodeGroup,
     StandardGenSet,
     _coset_minima,
-    _coset_reps,
     _coset_table,
     _memoized,
     _radical,
     _span,
-    _swapper_bits,
     code_type,
-    gray_codewords,
     standard_generators,
     verify_standard,
 )
@@ -661,18 +658,35 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
     return checks
 
 
+@_memoized
+def _coset_swappers(C: CodeGroup) -> List[List[int]]:
+    """s(p_v, p_w) by (v, w), for the ``_coset_reps`` words, by XOR on the
+    swapper table: no product and no pi is evaluated.
+
+    s is exactly bilinear on words (``invariants._swappers``), so
+    s(p_v, b_j) = sum_(i in v) s(b_i, b_j), a sum of rows of the table
+    built like the products (c_(v + 2^i) = c_v + row i), and s(p_v, p_w)
+    is the span of c_v indexed like the products (``_span``).
+    """
+    table = C.swappers
+    columns = [[0] * len(table)]
+    for row in table:
+        columns += [[a ^ s for a, s in zip(c, row)] for c in columns]
+    return [_span(c) for c in columns]
+
+
 def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
     """Pair and triple facts, exhausted over one word per T-coset.
 
     Swappers have order <= 2, so Gray(s1 * s2) = Gray(s1) + Gray(s2), and
-    each is tested for membership in C by its image (``_has_image``).
+    each is tested for membership in C by its image (``_has_image``); the
+    swappers of the coset words are read from ``_coset_swappers``.
     """
     u = u_element(C.sig).bits
     # the index of a transversal word is the GF(2) coordinate vector of its
     # coset in C/T; index 0 is T itself
-    words = _coset_reps(C)
     squares, rows = _coset_table(C)
-    outside = range(1, len(words))
+    outside = range(1, len(squares))
 
     pair_bad = 0
     for v in outside:
@@ -697,13 +711,12 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
             for bi in range(ai + 1, len(members)):
                 if rows[members[ai]][members[bi]] != a2:
                     continue
-                a, b = words[members[ai]], words[members[bi]]
+                swappers = _coset_swappers(C)
+                sa, sb = swappers[members[ai]], swappers[members[bi]]
                 for j in outside:
-                    c = words[j]
                     if squares[j] == a2:
                         continue
-                    s1 = _swapper_bits(a, c)
-                    s2 = _swapper_bits(b, c)
+                    s1, s2 = sa[j], sb[j]
                     if not any(C._has_image(s) for s in (s1, s2, s1 ^ s2)):
                         triple3_bad += 1
     return [
@@ -726,49 +739,3 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
             triple3_bad == 0,
         ),
     ]
-
-
-# ---------------------------------------------------------------------------
-# Perfect and extended perfect codes (covering-radius brute force)
-# ---------------------------------------------------------------------------
-
-_BRUTE_FORCE_LIMIT = 16
-
-
-def _is_perfect_set(codewords: frozenset, n: int) -> bool:
-    """Radius-1 spheres around the codewords partition Z2^n."""
-    if len(codewords) * (n + 1) != 1 << n:
-        return False
-    # the balls have n + 1 words each, so they partition iff they cover
-    balls = {c ^ e for c in codewords for e in (0, *(1 << i for i in range(n)))}
-    return len(balls) == 1 << n
-
-
-def is_perfect(C: CodeGroup) -> bool:
-    n = C.sig.n
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"perfect-code brute force needs n <= {_BRUTE_FORCE_LIMIT}")
-    return _is_perfect_set(gray_codewords(C), n)
-
-
-def is_extended_perfect(C: CodeGroup, try_all_positions: bool = False) -> bool:
-    """Puncture one binary coordinate and test perfection.
-
-    All codewords must have even weight; by default only the first binary
-    coordinate is punctured, matching the construction convention.
-    """
-    n = C.sig.n
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"perfect-code brute force needs n <= {_BRUTE_FORCE_LIMIT}")
-    codewords = gray_codewords(C)
-    if any(b.bit_count() % 2 for b in codewords):
-        return False
-    positions = range(1, n + 1) if try_all_positions else (1,)
-    for pos in positions:
-        low_mask = (1 << (pos - 1)) - 1
-        punctured = frozenset(
-            (b & low_mask) | ((b >> pos) << (pos - 1)) for b in codewords
-        )
-        if len(punctured) == len(codewords) and _is_perfect_set(punctured, n - 1):
-            return True
-    return False

@@ -1,4 +1,12 @@
-"""Swappers, binary span, rank, kernel, linearity and structural bounds."""
+"""Swappers, binary span, rank, kernel, linearity and structural bounds.
+
+Every quantity here is read from the GF(2) presentation of C
+(``subgroup._present``): the Gray images of a basis b_1..b_k of C/T(C),
+the rows of Gray(T(C)) and the swapper table s(b_i, b_j).  The span
+group D and the binary kernel are built from the same table; only the
+weight count reads all of Gray(C), as a stream.  The routes that build
+all of Gray(C) as a set are in ``oracles``, run by the tests.
+"""
 
 from __future__ import annotations
 
@@ -23,10 +31,7 @@ from .subgroup import (
     _memoized,
     _null_space,
     _span,
-    _swapper_bits,
     code_type,
-    gray_basis,
-    gray_codewords,
 )
 
 
@@ -42,8 +47,9 @@ def swapper(x: GroupWord, y: GroupWord) -> GroupWord:
 
 def _swappers(C: CodeGroup) -> Tuple[Tuple[int, ...], ...]:
     """s(b_i, b_j) = Gray(b_j) + pi_(b_i)(Gray(b_j)), by (i, j), over the
-    presentation basis b_1..b_k: the Gray bits of the swapper
-    [b_i, b_j] (``_swapper_bits``), from two images and one ``_pi``.
+    presentation basis b_1..b_k: the Gray bits Gray(b_i) + Gray(b_j) +
+    Gray(b_i b_j) of the swapper [b_i, b_j], from two images and one
+    ``_pi``.
 
     Three facts make rank and kernel linear algebra on these k^2 vectors.
 
@@ -69,7 +75,8 @@ def _swappers(C: CodeGroup) -> Tuple[Tuple[int, ...], ...]:
     and Gray is injective: s(x, y) is in C exactly when its bits are in
     Gray(T).  The table is built with the presentation, from the same k^2
     applications of pi as its squares and commutators (``_present``), and
-    kept on the group; ``rank`` and ``_kernel_cosets`` read it here.
+    kept on the group; ``rank``, ``_kernel_cosets`` and ``span_group``
+    read it here.
     """
     return C.swappers
 
@@ -92,7 +99,8 @@ def rank(C: CodeGroup) -> int:
     Second route: the row space from one codeword per T-coset, Gray(T)
     plus the 2^k images of ``_coset_reps``.  It must have the same
     dimension and hold every Gray(b_i) and s(b_i, b_j); RuntimeError
-    otherwise.  ``span_group`` is the |C|-sized oracle, run in the tests.
+    otherwise.  ``oracles.gray_basis``, the elimination of all of Gray(C),
+    is the |C|-sized oracle, run in the tests.
     """
     swappers = [s for i, row in enumerate(_swappers(C)) for s in row[i + 1 :]]
     gens = list(C.basis) + swappers
@@ -135,8 +143,9 @@ def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
     when res_v + res_w is a coset residue for every w: at most 4^k set
     lookups, 2^sigma times fewer than testing each representative against
     all of Gray(C).  The passing indices must be the null space;
-    RuntimeError otherwise.  ``binary_kernel`` and ``group_kernel`` are the
-    |C|-sized oracles, run in the tests.
+    RuntimeError otherwise.  ``oracles.translation_kernel`` and
+    ``oracles.swapper_scan_kernel`` are the |C|-sized oracles, run in the
+    tests.
     """
     n, torsion = C.sig.n, C._torsion
     form = [
@@ -160,7 +169,8 @@ def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
 
 def kernel_dim(C: CodeGroup) -> int:
     """dim K(Gray(C)) = sigma + the dimension of the swapper null space
-    (``_kernel_cosets``); ``binary_kernel`` is the |C|-sized oracle."""
+    (``_kernel_cosets``); ``oracles.translation_kernel`` is the |C|-sized
+    oracle."""
     null_dim = len(_kernel_cosets(C)).bit_length() - 1
     return len(C.torsion_rows) + null_dim
 
@@ -174,72 +184,44 @@ def is_linear(C: CodeGroup) -> bool:
 def span_group(C: CodeGroup) -> CodeGroup:
     """D = <C u S(C)>, whose Gray image is the binary linear span of C.
 
-    A test oracle for ``rank``, which reads the presentation and builds no
-    word of D; ``fixtures.reproduce`` also reads D.  Swappers factor
-    through products ([xy,z] = [x,z][y,z] and symmetric), so
-    generator-pair swappers already generate <S(C)>.  They have order
-    <= 2, so they are central and Gray adds on them: D is C times the span
-    E of the swappers independent of Gray(T), with Gray(c s) = Gray(c) +
-    Gray(s).  Its 2^(log2|C| + dim E) sums are distinct, as c s = c' s'
-    puts s s' in C n Omega = T.  Its order and Gray image are checked
-    against the GF(2) elimination of all of Gray(C) (``gray_basis``).
+    Swappers have order <= 2, so they are central and Gray adds on them.
+    They are bilinear and vanish on T(C) (``_swappers``), so every
+    swapper of C is a sum of entries s(b_i, b_j) of the table, and the
+    entries i < j suffice modulo Gray(T), as s(b, b) = Gray(b^2) and
+    s(b_i, b_j) + s(b_j, b_i) = Gray((b_i, b_j)) lie in Gray(T).  So D =
+    C E, with E the span of the entries i < j, generated by C's
+    generators and those entries independent of Gray(T) and of each
+    other; its 2^(log2|C| + dim E) words are distinct, as c s = c' s'
+    puts s s' in C n Omega = T.  The order is checked against
+    ``DEFAULT_MAX_ORDER`` before any word is built.  ``oracles.gray_basis``
+    is the |C|-sized oracle, run in the tests.
     """
-    gens = C.generators
     independent = Gf2Basis(C.torsion_rows)
-    extra = []
-    for x in gens:
-        for y in gens:
-            s = _swapper_bits(x, y)
-            if independent.add(s):
-                extra.append(s)
+    extra = [
+        s
+        for i, row in enumerate(_swappers(C))
+        for s in row[i + 1 :]
+        if independent.add(s)
+    ]
     if C.order << len(extra) > DEFAULT_MAX_ORDER:
         raise EnumerationLimit(
             f"span group order exceeds max_order={DEFAULT_MAX_ORDER}"
         )
-    D = CodeGroup(C.sig, gens + tuple(GroupWord._from_bits(C.sig, s) for s in extra))
-    # dual route: the Gray image must equal the GF(2) row space of C
-    basis = gray_basis(C)
-    if D.log2_order != basis.rank:
-        raise RuntimeError(
-            f"span group order 2^{D.log2_order} != GF(2) rank {basis.rank}"
-        )
-    if not all(basis.contains(b) for b in gray_codewords(D)):
-        raise RuntimeError("span group escapes the GF(2) row space")
-    return D
+    words = tuple(GroupWord._from_bits(C.sig, s) for s in extra)
+    return CodeGroup(C.sig, C.generators + words)
 
 
 @_memoized
-def binary_kernel(C: CodeGroup, full_space: bool = False) -> frozenset:
-    """K(Gray(C)) = {z : Gray(C) + z = Gray(C)}, by translation test over
-    all of Gray(C).
-
-    A test oracle for ``kernel_dim``, which reads the presentation.  Since
-    the zero vector is a codeword the kernel is contained in the code; it
-    is linear and contains Gray(T(C)), so one codeword per T-coset is
-    tested.  ``full_space`` scans all of Z2^n instead (for n <= 16).  The
-    result is checked against the swapper null space (``_kernel_cosets``)
-    expanded by XOR with Gray(T).
+def binary_kernel(C: CodeGroup) -> frozenset:
+    """K(Gray(C)) = {z : Gray(C) + z = Gray(C)}: the T-cosets of the
+    swapper null space (``_kernel_cosets``), expanded by XOR with the span
+    of Gray(T).  ``oracles.translation_kernel`` is the |C|-sized oracle,
+    run in the tests.
     """
-    codewords = gray_codewords(C)
-    n = C.sig.n
-    if full_space and n > 16:
-        raise ValueError(f"full-space kernel scan needs n <= 16, got n={n}")
-
-    def translates(z: int) -> bool:
-        return all((c ^ z) in codewords for c in codewords)
-
-    reps = _coset_reps(C)
-    tbits = _span(C.torsion_rows)
-    if full_space:
-        members = frozenset(filter(translates, range(1 << n)))
-    else:
-        members = frozenset(
-            r.bits ^ t for r in reps if translates(r.bits) for t in tbits
-        )
-    null_space = frozenset(reps[v].bits ^ t for v in _kernel_cosets(C) for t in tbits)
-    if members != null_space:
-        raise RuntimeError("translation-test kernel disagrees with the swapper kernel")
-    return frozenset(BinaryVector(n, z) for z in members)
+    n, reps, tbits = C.sig.n, _coset_reps(C), _span(C.torsion_rows)
+    return frozenset(
+        BinaryVector(n, reps[v].bits ^ t) for v in _kernel_cosets(C) for t in tbits
+    )
 
 
 def is_abelian(C: CodeGroup) -> bool:
@@ -255,7 +237,7 @@ def is_abelian(C: CodeGroup) -> bool:
 
 @_memoized
 def _weight_counts(C: CodeGroup) -> Tuple[Tuple[int, int], ...]:
-    counts = Counter(b.bit_count() for b in _gray_stream(C))
+    counts = Counter(map(int.bit_count, _gray_stream(C)))
     return tuple(sorted(counts.items()))
 
 

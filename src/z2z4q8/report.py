@@ -6,8 +6,9 @@ import json
 from typing import Optional
 
 from .hadamard import classify_shape, hadamard_bounds, is_hadamard
-from .invariants import binary_kernel, kernel_dim, structure_report
-from .subgroup import CodeGroup, group_kernel
+from .invariants import kernel_dim, structure_report
+from .oracles import _BRUTE_FORCE_LIMIT, full_space_kernel, swapper_scan_kernel
+from .subgroup import CodeGroup
 
 
 def analyze(C: CodeGroup, full_kernel_check: bool = False) -> dict:
@@ -17,14 +18,14 @@ def analyze(C: CodeGroup, full_kernel_check: bool = False) -> dict:
     are null for non-Hadamard inputs.
     """
     if full_kernel_check:
-        # the |C|^2 group-kernel scan, and at n <= 16 the translation scan
+        # the |C|^2 swapper scan, and at n <= 16 the translation scan
         # of all of Z2^n, each against 2^kernel_dim from the presentation
         size = 1 << kernel_dim(C)
-        if group_kernel(C, full=True).order != size:
+        if len(swapper_scan_kernel(C)) != size:
             raise RuntimeError(
                 "full kernel scan disagrees with the presentation kernel"
             )
-        if C.sig.n <= 16 and len(binary_kernel(C, full_space=True)) != size:
+        if C.sig.n <= _BRUTE_FORCE_LIMIT and len(full_space_kernel(C)) != size:
             raise RuntimeError(
                 "full-space kernel scan disagrees with the presentation kernel"
             )

@@ -26,6 +26,8 @@ from .hadamard import classify_shape, is_hadamard
 from .invariants import kernel_dim, rank
 from .subgroup import CodeGroup, CodeType, code_type
 
+MAX_RESULTS = 32
+
 
 @dataclass(frozen=True)
 class FoundCode:
@@ -82,16 +84,12 @@ def _random_abelian_base(length: int, rng: random.Random) -> CodeGroup:
 
 
 def search(
-    length: int,
-    shape: Optional[int] = None,
-    seed: int = 0,
-    budget: int = 1000,
-    max_results: int = 32,
+    length: int, shape: Optional[int] = None, seed: int = 0, budget: int = 1000
 ) -> List[FoundCode]:
     """Sample Hadamard code groups of the given binary length.
 
     Returns results deduplicated by (signature, type, rank, kernel, shape),
-    at most ``max_results``, deterministic for a fixed seed.
+    at most ``MAX_RESULTS``, deterministic for a fixed seed.
     """
     if length < 4 or length & (length - 1):
         raise ValueError(f"length must be a power of two >= 4, got {length}")
@@ -110,7 +108,7 @@ def search(
     seen_groups: Set[CodeGroup] = set()
     seen_keys: set = set()
     for _ in range(budget):
-        if len(found) >= max_results:
+        if len(found) >= MAX_RESULTS:
             break
         index = rng.randrange(len(pool))
         base = pool[index]

@@ -15,16 +15,17 @@ XOR from the swapper table that ``_present`` keeps
 (``_form``, ``_radical``), the squares and commutator rows of the coset
 words come from it by the class-2 laws (``_coset_table``), and the
 standard generators are read from the least word of each coset
-(``_coset_minima``).  No group keeps its Gray image: Gray(C) is a
+(``_coset_minima``), and K(C) is the T-cosets of the swapper null space
+(``group_kernel``).  No group keeps its Gray image: Gray(C) is a
 stream, one T-coset at a time (``_gray_stream``), read by the weight
-count, by the words (``elements``) and by the |C|-sized oracles
-(``gray_codewords``).  Words are built only for the readers that
-need them: search's draws, ``extend``'s failure witness, the full kernel
-scan, the structural converse and the oracles.  Every derived fact is
-computed once and kept on the instance (``_memoized``); element iteration
-order is lexicographic on the coordinate tuples, so every derived choice
-(bases, generating sets, reports) is deterministic.  Each subgroup built
-here is given by generators read from the same presentation.
+count, by the words (``elements``) and by the |C|-sized routes of
+``oracles``.  Words are built only for the readers that need them:
+search's draws, ``extend``'s failure witness, the structural converse
+and the oracles.  Every derived fact is computed once and kept on the
+instance (``_memoized``); element iteration order is lexicographic on
+the coordinate tuples, so every derived choice (bases, generating sets,
+reports) is deterministic.  Each subgroup built here is given by
+generators read from the same presentation.
 """
 
 from __future__ import annotations
@@ -242,20 +243,6 @@ def _gray_stream(C: CodeGroup) -> Iterator[int]:
             yield x
 
 
-def gray_codewords(C: CodeGroup) -> frozenset:
-    """Gray(C) as a set of image bits, built anew on every call.
-
-    |C|-sized: read only by the oracles (``gray_basis``, ``span_group``,
-    the kernel scans, the perfect-code checks).
-    """
-    return frozenset(_gray_stream(C))
-
-
-def _swapper_bits(x: GroupWord, y: GroupWord) -> int:
-    """Gray bits of the swapper [x, y]: Gray(x) + Gray(y) + Gray(xy)."""
-    return x.bits ^ y.bits ^ (x * y).bits
-
-
 def _span(rows: Sequence[int]) -> List[int]:
     """Every XOR of a subset of rows; bit i of the index picks rows[i]."""
     out = [0]
@@ -344,7 +331,8 @@ def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[
     applications of pi, one per square and two per commutator, as the
     squares and commutators alone did, and every later reader of squares,
     commutators and swappers of the b_i (``_radical``, ``_coset_table``,
-    ``is_abelian``, ``rank``, ``_kernel_cosets``) works on it by XOR.
+    ``is_abelian``, ``rank``, ``_kernel_cosets``, ``span_group`` and the
+    Hadamard triple check) works on it by XOR.
     """
     pivots: List[Tuple[int, int, int]] = []  # (pivot bit, nu, word)
     torsion_basis = Gf2Basis()
@@ -367,16 +355,6 @@ def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[
         for j in range(i):
             into_n(table[j][i] ^ row[j])
     return pivots, torsion_basis, rows, table
-
-
-@_memoized
-def gray_basis(C: CodeGroup) -> Gf2Basis:
-    """GF(2) row basis of all of Gray(C); callers only read it.
-
-    The |C|-sized elimination behind ``invariants.span_group``: a test
-    oracle for ``invariants.rank``, which reads the presentation.
-    """
-    return Gf2Basis(gray_codewords(C))
 
 
 def _elementary(sig: GroupSignature, rows: Sequence[int]) -> CodeGroup:
@@ -668,30 +646,15 @@ def _products(sig: GroupSignature, gens: Sequence[GroupWord]) -> List[GroupWord]
 
 
 @_memoized
-def group_kernel(C: CodeGroup, full: bool = False) -> CodeGroup:
-    """K(C) = {x in C : the swapper [x, y] lies in C for every y in C}.
+def group_kernel(C: CodeGroup) -> CodeGroup:
+    """K(C) = {x in C : the swapper [x, y] lies in C for every y in C}: the
+    T-cosets of the swapper null space (``invariants._kernel_cosets``).
 
-    Swappers are homomorphisms in each slot, so testing y over the
-    generators suffices, and x over one word per T-coset.  ``full`` also
-    runs the |C|^2 scan over every x and y, and raises RuntimeError when
-    its set is not that K.  Gray is injective, so [x, y] lies in C exactly
-    when its Gray bits lie in Gray(C).  A test oracle for
-    ``invariants.kernel_dim``, which reads the presentation; ``reproduce``
-    and ``analyze(full_kernel_check=True)`` also call it.
+    Gray is injective, so [x, y] lies in C exactly when its Gray bits lie
+    in Gray(C), and Gray(K(C)) is the binary kernel of Gray(C).  The
+    |C|^2 scan of every pair is ``oracles.swapper_scan_kernel``, run in
+    the tests and by ``analyze(full_kernel_check=True)``.
     """
-    codewords = gray_codewords(C)
+    from .invariants import _kernel_cosets  # cycle: invariants builds on subgroup
 
-    def passes(x: GroupWord, probes: Sequence[GroupWord]) -> bool:
-        return all(_swapper_bits(x, y) in codewords for y in probes)
-
-    if full:
-        K = group_kernel(C)
-        scan = frozenset(x.bits for x in C.elements if passes(x, C.elements))
-        if scan != gray_codewords(K):
-            raise RuntimeError("full kernel scan disagrees with the coset route")
-        return K
-    reps = _coset_reps(C)
-    K = _cosets_where(C, [v for v, x in enumerate(reps) if passes(x, C.generators)])
-    if not gray_codewords(torsion(C)) <= gray_codewords(K):
-        raise RuntimeError("T(C) escaped K(C); swapper arithmetic is broken")
-    return K
+    return _cosets_where(C, _kernel_cosets(C))

@@ -23,7 +23,8 @@ from z2z4q8 import (
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import Q8_MUL, _sort_key
-from z2z4q8.subgroup import StandardGenSet, _coset_reps, _products, gray_codewords
+from z2z4q8.oracles import gray_codewords
+from z2z4q8.subgroup import StandardGenSet, _coset_reps, _products
 
 _CRITERION_LINES: List[str] = []
 

@@ -47,6 +47,12 @@ from z2z4q8 import (
 from z2z4q8.constructions import random_doubling_element
 from z2z4q8.fixtures import load_fixture, reproduce
 from z2z4q8.gf2 import Gf2Basis
+from z2z4q8.oracles import (
+    gray_basis,
+    gray_codewords,
+    swapper_scan_kernel,
+    translation_kernel,
+)
 from z2z4q8.parsing import parse_element
 from z2z4q8.search import _random_abelian_base, _random_torsion_word, search
 
@@ -455,8 +461,9 @@ def test_criterion_12_property_suites():
 # -- criterion 13 ----------------------------------------------------------
 
 def test_criterion_13_cross_oracles():
-    """rank: presentation vs span group vs elimination; kernel: presentation
-    null space vs translation test vs Gray image of the swapper kernel.
+    """rank: presentation vs span group vs elimination, and the span group's
+    image inside the row space; kernel: presentation null space vs
+    translation test vs Gray image of the |C|^2 swapper scan.
     rank() and kernel_dim() also run their 2^k second routes in every call
     made by the other suites."""
     names = (
@@ -483,9 +490,11 @@ def test_criterion_13_cross_oracles():
         elimination = Gf2Basis(gray(w).bits for w in C.elements).rank
         assert span_group(C).log2_order == elimination
         assert rank(C) == elimination
-        translation = binary_kernel(C)
-        swapper_route = frozenset(gray(w) for w in group_kernel(C, full=True).elements)
-        assert translation == swapper_route
+        D, basis = span_group(C), gray_basis(C)
+        assert all(basis.contains(b) for b in gray_codewords(D))
+        translation, scan = translation_kernel(C), swapper_scan_kernel(C)
+        assert translation == frozenset(gray(w) for w in scan) == binary_kernel(C)
+        assert scan == group_kernel(C).elements
         assert len(translation) == 1 << kernel_dim(C)
     _ok(13, "rank and kernel dual routes agree on every checked code")
 

@@ -36,9 +36,10 @@ import z2z4q8.invariants as invariants_module
 import z2z4q8.subgroup as subgroup_module
 from z2z4q8.constructions import _pair_bits, lift_word, q8_automorphisms
 from z2z4q8.fixtures import fixtures, load_fixture
+from z2z4q8.oracles import gray_codewords
 from z2z4q8.parsing import parse_element
 from z2z4q8.search import _random_abelian_base, _random_torsion_word, search
-from z2z4q8.subgroup import DEFAULT_MAX_ORDER, gray_codewords
+from z2z4q8.subgroup import DEFAULT_MAX_ORDER
 
 from conftest import (
     closure,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from z2z4q8 import (
@@ -25,10 +27,11 @@ from z2z4q8 import (
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import Q8_MUL
-from z2z4q8.hadamard import _hadamard_pair_triple_checks, _pair_reorder
+from z2z4q8.hadamard import _coset_swappers, _hadamard_pair_triple_checks, _pair_reorder
+from z2z4q8.oracles import _is_perfect_set, _swapper_bits, gray_codewords
 from z2z4q8.subgroup import _coset_reps, verify_standard
 
-from conftest import q8_word
+from conftest import SHIPPED_FIXTURES, q8_word, random_subgroup
 
 
 def test_is_hadamard_positive(hadamard16, shape5_32):
@@ -175,8 +178,15 @@ def test_extended_perfect_instances():
 
 
 def test_extended_perfect_any_position():
+    """Puncturing any one coordinate of an extended perfect code leaves a
+    perfect code: the sphere partition holds at every position."""
     C = load_fixture("ext_hamming8_q8q8")
-    assert is_extended_perfect(C, try_all_positions=True)
+    codewords = gray_codewords(C)
+    for pos in range(C.sig.n):
+        low = (1 << pos) - 1
+        punctured = frozenset((b & low) | (b >> (pos + 1) << pos) for b in codewords)
+        assert len(punctured) == len(codewords), pos
+        assert _is_perfect_set(punctured, C.sig.n - 1), pos
 
 
 def test_perfect_rejects_large_lengths(shape5_32):
@@ -448,3 +458,19 @@ def test_triple_check_takes_only_pairs_whose_commutator_is_their_square():
     count = checks["swapper pairs against a third square stay within index 2 mod T"]
     assert count.lhs == _reference_triple_count(C) == 6
     assert _reference_triple_count(C, commutator_is_square=False) == 0
+
+
+def test_coset_swappers_match_the_word_products():
+    """The 2^k x 2^k swapper table of the coset words, read by XOR from
+    ``C.swappers``, equals Gray(a) + Gray(c) + Gray(ac) over every pair of
+    ``_coset_reps`` words, on the shipped fixtures and mixed random groups."""
+    rng = random.Random(5)
+    groups = [load_fixture(name) for name in SHIPPED_FIXTURES]
+    groups += [
+        random_subgroup(sig, rng, 3, max_order=1 << 10)
+        for sig in (GroupSignature(1, 2, 2), GroupSignature(0, 0, 5)) * 4
+    ]
+    for C in groups:
+        reps = _coset_reps(C)
+        expected = [[_swapper_bits(a, c) for c in reps] for a in reps]
+        assert _coset_swappers(C) == expected, C.generators

@@ -34,9 +34,16 @@ from z2z4q8 import (
     word_from_tokens,
 )
 import z2z4q8.invariants as invariants_module
+import z2z4q8.oracles as oracles_module
 import z2z4q8.subgroup as subgroup_module
 from z2z4q8.fixtures import fixture_text, load_fixture
 from z2z4q8.gf2 import Gf2Basis
+from z2z4q8.oracles import (
+    full_space_kernel,
+    gray_basis,
+    gray_codewords,
+    translation_kernel,
+)
 from z2z4q8.parsing import parse_generators
 from z2z4q8.report import analyze, render_json
 from z2z4q8.search import search
@@ -186,8 +193,8 @@ def test_span_group_hadamard16(hadamard16):
 
 
 def test_span_group_refuses_before_building_a_word(monkeypatch):
-    """|D| = 128 for hadamard16_q8; the limit is met with the swapper
-    products alone, one per generator pair, and no word of D."""
+    """|D| = 128 for hadamard16_q8; the limit is met on the swapper table
+    alone, and no word of D is built."""
     import z2z4q8.invariants as invariants_module
 
     C = load_fixture("hadamard16_q8")  # a fresh group, nothing cached
@@ -203,7 +210,7 @@ def test_span_group_refuses_before_building_a_word(monkeypatch):
     monkeypatch.setattr(invariants_module, "DEFAULT_MAX_ORDER", 64)
     with pytest.raises(EnumerationLimit, match="span group order exceeds max_order=64"):
         span_group(C)
-    assert built["words"] <= len(C.generators) ** 2
+    assert built["words"] == 0
     monkeypatch.setattr(invariants_module, "DEFAULT_MAX_ORDER", 128)
     assert span_group(C).order == 128
 
@@ -213,6 +220,16 @@ def test_span_group_matches_full_swapper_set(pure_q8, hadamard16):
         swappers = [swapper(x, y) for x in C.elements for y in C.elements]
         full = generate(list(C.generators) + [s for s in swappers if not s.is_identity()])
         assert full == span_group(C)
+
+
+def test_span_group_image_is_the_row_space_of_the_code():
+    """Gray(D) is the GF(2) row space of all of Gray(C): the same dimension,
+    and every image of D lies in it, on every shipped fixture."""
+    for name in SHIPPED_FIXTURES:
+        C = load_fixture(name)
+        D, basis = span_group(C), gray_basis(C)
+        assert D.log2_order == basis.rank, name
+        assert all(basis.contains(b) for b in gray_codewords(D)), name
 
 
 def test_rank_cross_oracle_random():
@@ -230,11 +247,25 @@ def test_binary_kernel_values(pure_q8, hadamard16):
     assert kernel_dim(pure_q8) == 1
     assert kernel_dim(hadamard16) == 2
     K = binary_kernel(hadamard16)
+    assert translation_kernel(hadamard16) == K
     assert frozenset(gray(w) for w in group_kernel(hadamard16).elements) == K
 
 
 def test_binary_kernel_full_space_small(pure_q8):
-    assert binary_kernel(pure_q8, full_space=True) == binary_kernel(pure_q8)
+    assert full_space_kernel(pure_q8) == binary_kernel(pure_q8)
+
+
+def test_full_space_kernel_refuses_long_codes():
+    with pytest.raises(ValueError, match="needs n <= 16, got n=32"):
+        full_space_kernel(load_fixture("hadamard32_q8_shape5"))
+
+
+def test_binary_kernel_matches_the_translation_test_on_fixtures():
+    """The binary kernel, read from the presentation, equals the translation
+    test over all of Gray(C) on every shipped fixture."""
+    for name in SHIPPED_FIXTURES:
+        C = load_fixture(name)
+        assert binary_kernel(C) == translation_kernel(C), name
 
 
 def test_rank_kernel_examples():
@@ -336,7 +367,7 @@ def test_nonlinear_kernel_gap_random():
         C = random_subgroup(sig, rng, 2)
         if not is_linear(C):
             assert rank(C) >= kernel_dim(C) + 3
-            assert C.order >= 4 * len(binary_kernel(C))
+            assert C.order >= 4 * len(translation_kernel(C))
 
 
 def test_u_translation_preserves_code(hadamard16):
@@ -405,13 +436,20 @@ def test_full_kernel_check_compares_with_the_presentation_kernel(monkeypatch):
 
 def test_hot_path_runs_no_enumerating_oracle(monkeypatch):
     """analyze, render_json and search read rank and kernel from the
-    presentation: the span group, the elimination of all of Gray(C) and
-    both |C|-sized kernels are test oracles only."""
-    oracles = count_calls(monkeypatch, invariants_module, "span_group", "binary_kernel")
-    scans = count_calls(monkeypatch, subgroup_module, "gray_basis", "group_kernel")
+    presentation: no function of ``oracles`` runs, nor do the span group
+    and the two kernels, which nothing there needs."""
+    names = [
+        name
+        for name, fn in vars(oracles_module).items()
+        if callable(fn) and getattr(fn, "__module__", None) == oracles_module.__name__
+    ]
+    assert {"gray_codewords", "swapper_scan_kernel", "is_perfect"} <= set(names)
+    oracles = count_calls(monkeypatch, oracles_module, *names)
+    readers = count_calls(monkeypatch, invariants_module, "span_group", "binary_kernel")
+    kernels = count_calls(monkeypatch, subgroup_module, "group_kernel")
     assert len(SHIPPED_FIXTURES) == 21
     for name in SHIPPED_FIXTURES:
         _, gens = parse_generators(fixture_text(name))
         render_json(analyze(generate(gens)))
     assert search(16, seed=1, budget=200)
-    assert oracles == scans == Counter()
+    assert oracles == readers == kernels == Counter()

@@ -49,6 +49,14 @@ from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import _GRAY_BLOCKS, Q8_TOKENS, GroupWord, _nu, _pi
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
 from z2z4q8.invariants import span_group
+from z2z4q8.oracles import (
+    _swapper_bits,
+    full_space_kernel,
+    gray_basis,
+    gray_codewords,
+    swapper_scan_kernel,
+    translation_kernel,
+)
 from z2z4q8.subgroup import (
     _coset_minima,
     _coset_reps,
@@ -57,8 +65,6 @@ from z2z4q8.subgroup import (
     _form_row,
     _null_space,
     _radical,
-    _swapper_bits,
-    gray_basis,
 )
 
 from conftest import (
@@ -214,8 +220,9 @@ def test_small_mixed_codes_are_linear():
 
 
 def test_cross_oracle_rank_and_kernel():
-    """Presentation rank == elimination rank; translation kernel == Gray of
-    the swapper kernel, of order 2^kernel_dim; checked explicitly on a
+    """Presentation rank == elimination rank; the translation test over
+    Gray(C) == the binary kernel == Gray of the group kernel, both read
+    from the presentation, of order 2^kernel_dim; checked explicitly on a
     random batch."""
     rng = random.Random(4096)
     for _ in range(60):
@@ -223,16 +230,19 @@ def test_cross_oracle_rank_and_kernel():
         C = random_subgroup(sig, rng, 2, max_order=1 << 10)
         elimination = Gf2Basis(gray(w).bits for w in C.elements).rank
         assert rank(C) == elimination
-        translation = binary_kernel(C)
+        translation = translation_kernel(C)
+        assert translation == binary_kernel(C)
         assert translation == frozenset(gray(w) for w in group_kernel(C).elements)
         assert len(translation) == 1 << kernel_dim(C)
 
 
 def test_kernel_full_space_agrees_small():
+    """The scan of all of Z2^n, the translation test over Gray(C) and the
+    binary kernel read from the presentation give one set."""
     rng = random.Random(11)
     for _ in range(10):
         C = random_subgroup(GroupSignature(1, 1, 1), rng, 2, max_order=1 << 8)
-        assert binary_kernel(C, full_space=True) == binary_kernel(C)
+        assert full_space_kernel(C) == translation_kernel(C) == binary_kernel(C)
 
 
 def test_nonlinear_gap_and_kernel_index():
@@ -392,13 +402,19 @@ def test_property_swapper_is_bilinear_and_lies_in_omega(data):
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_property_presentation_rank_and_kernel_match_the_oracles(data):
-    """rank == log2|span group| == elimination of all of Gray(C), and
-    kernel_dim == log2 of both |C|-sized kernels."""
+    """rank == log2|span group| == elimination of all of Gray(C), and the
+    span group's image lies in that row space; the binary kernel and the
+    group kernel equal the translation test and the |C|^2 swapper scan,
+    of order 2^kernel_dim."""
     sig = data.draw(signatures)
     C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=3)))
     r, k = rank(C), kernel_dim(C)
-    assert r == span_group(C).log2_order == gray_basis(C).rank
+    basis, D = gray_basis(C), span_group(C)
+    assert r == D.log2_order == basis.rank
+    assert all(basis.contains(b) for b in gray_codewords(D))
     assert is_linear(C) == (r == C.log2_order)
+    assert binary_kernel(C) == translation_kernel(C)
+    assert group_kernel(C).elements == swapper_scan_kernel(C)
     assert len(binary_kernel(C)) == group_kernel(C).order == 1 << k
 
 

@@ -35,6 +35,7 @@ from z2z4q8 import (
 )
 from z2z4q8.fixtures import fixture_text, fixtures, load_fixture
 import z2z4q8.subgroup as subgroup_module
+from z2z4q8.oracles import swapper_scan_kernel
 from z2z4q8.report import analyze, render_json
 from z2z4q8.groups import _commutator_bits, _sort_key
 from z2z4q8.subgroup import (
@@ -286,8 +287,8 @@ def test_coset_minima_are_the_least_words_on_random_groups(sig):
 def test_group_kernel_of_hadamard16(hadamard16):
     K = group_kernel(hadamard16)
     assert K.elements == torsion(hadamard16).elements
-    # generator-probe route agrees with the full quadratic scan
-    assert group_kernel(hadamard16, full=True).elements == K.elements
+    # the coset route agrees with the full quadratic scan
+    assert swapper_scan_kernel(hadamard16) == K.elements
 
 
 def _word_level_kernel(C):
@@ -307,7 +308,7 @@ def test_group_kernel_matches_word_level_reference_on_fixtures():
             continue
         reference = _word_level_kernel(C)
         assert group_kernel(C).elements == reference, name
-        assert group_kernel(C, full=True).elements == reference, name
+        assert swapper_scan_kernel(C) == reference, name
         checked += 1
     assert checked >= 15
 
@@ -329,12 +330,12 @@ def test_group_kernel_matches_word_level_reference_on_random_groups(sig):
         C = random_subgroup(sig, rng, rng.choice((1, 2, 3)), max_order=64)
         reference = _word_level_kernel(C)
         assert group_kernel(C).elements == reference
-        assert group_kernel(C, full=True).elements == reference
+        assert swapper_scan_kernel(C) == reference
 
 
 def test_group_kernel_reads_the_gray_table(monkeypatch):
-    """Words are stored as their Gray images, so both kernel routes map no
-    word either way, even on a fresh group."""
+    """Words are stored as their Gray images, so the coset route and the
+    quadratic scan map no word either way, even on a fresh group."""
     C = load_fixture("hadamard32_q8_shape5")  # a fresh group, nothing cached
     calls = Counter()
     originals = {"gray": gray, "gray_inv": gray_inv}
@@ -352,7 +353,7 @@ def test_group_kernel_reads_the_gray_table(monkeypatch):
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counting(name))
     group_kernel(C)
-    group_kernel(C, full=True)
+    swapper_scan_kernel(C)
     assert calls == Counter()
 
 
@@ -372,19 +373,20 @@ def test_subgroups_carry_generators_that_generate_them():
             assert S.elements == words, (name, label)
 
 
-def test_full_kernel_check_raises_when_the_routes_disagree(monkeypatch):
+def test_swapper_scan_catches_a_wrong_coset_route(monkeypatch):
     """The coset route is made to keep T only; K of this abelian Z4 code is
     all of C, so the quadratic scan disagrees with it."""
     C = load_fixture("hadamard8_z4")
-    assert group_kernel(C, full=True) == C
+    assert swapper_scan_kernel(C) == group_kernel(C).elements == C.elements
     real = subgroup_module._cosets_where
     monkeypatch.setattr(
         subgroup_module,
         "_cosets_where",
         lambda C, passing: real(C, [0]),
     )
-    with pytest.raises(RuntimeError, match="full kernel scan disagrees"):
-        analyze(load_fixture("hadamard8_z4"), full_kernel_check=True)
+    broken = load_fixture("hadamard8_z4")
+    assert group_kernel(broken) == torsion(broken) != broken
+    assert swapper_scan_kernel(broken) == broken.elements
 
 
 def test_group_kernel_abelian_z4():
@@ -447,7 +449,7 @@ def test_center_and_kernel_from_cosets_match_whole_group_scans():
             w for w in C.elements if all(w * c == c * w for c in C.elements)
         )
         assert center(C).elements == whole, name
-        assert group_kernel(C) == group_kernel(C, full=True), name
+        assert group_kernel(C).elements == swapper_scan_kernel(C), name
 
 
 def _mixed_group_with_y_and_z():
