@@ -84,8 +84,26 @@ from .subgroup import (
     torsion,
 )
 
-# the test oracles stay importable as ``z2z4q8.oracles``; of them only the
+# the oracles stay importable as ``z2z4q8.oracles``; of them only the
 # perfect-code checks, imported above, are public names
-__all__ = [name for name in dir() if not name.startswith("_") and name != "oracles"]
+__all__ = [
+    "BinaryVector", "BoundCheck", "BoundReport", "ClassificationError",
+    "CodeGroup", "CodeType", "ConstructionError", "ConverseResult",
+    "CoordinatePermutation", "DEFAULT_MAX_ORDER", "EnumerationLimit",
+    "FoundCode", "GroupSignature", "GroupWord", "KroneckerResult",
+    "LiftResult", "NormalizedGenSet", "ParseError", "Shape",
+    "SignatureMismatch", "StandardGenSet", "StructureReport", "analyze",
+    "binary_kernel", "center", "check_bounds", "classify_shape", "code_type",
+    "commutator", "commutator_subgroup", "complement", "conjugate", "distance",
+    "extend", "format_generators", "generalized_kronecker", "generate", "gray",
+    "gray_inv", "group_kernel", "hadamard_bounds", "identity", "is_abelian",
+    "is_extended_perfect", "is_hadamard", "is_linear", "is_perfect",
+    "kernel_dim", "kronecker", "lift_and_extend", "normalize_generators",
+    "parse_element", "parse_generators", "pi_of", "propelinear_product",
+    "random_doubling_element", "rank", "render_json", "render_summary",
+    "search", "span_group", "standard_generators", "structural_converse_check",
+    "structure_report", "swapper", "torsion", "u_element", "weight",
+    "weight_distribution", "word", "word_from_tokens", "xi_lift",
+]
 
 __version__ = "0.1.0"

@@ -420,7 +420,7 @@ def reproduce(case_ids: Optional[List[str]] = None) -> List[CaseResult]:
     else:
         unknown = [c for c in case_ids if c not in table]
         if unknown:
-            raise KeyError(f"unknown case ids: {', '.join(unknown)}")
+            raise ValueError(f"unknown case ids: {', '.join(unknown)}")
         selected = [table[c] for c in case_ids]
     results = []
     for fixture in selected:

@@ -4,8 +4,9 @@ Every quantity here is read from the GF(2) presentation of C
 (``subgroup._present``): the Gray images of a basis b_1..b_k of C/T(C),
 the rows of Gray(T(C)) and the swapper table s(b_i, b_j).  The span
 group D and the binary kernel are built from the same table; only the
-weight count reads all of Gray(C), as a stream.  The routes that build
-all of Gray(C) as a set are in ``oracles``, run by the tests.
+weight count reads all of Gray(C), as a stream.  Each fact is computed
+once, by one route; the second routes are in ``oracles``, and
+``oracles.verify`` runs them.
 """
 
 from __future__ import annotations
@@ -94,29 +95,11 @@ def rank(C: CodeGroup) -> int:
     = Gray(b_i) + Gray(b_j) + Gray(b_i b_j) lie in the row space.  The
     pairs i < j suffice: s(b, b) = Gray(b^2) and s(b_i, b_j) + s(b_j, b_i)
     = Gray((b_i, b_j)) lie in Gray(T).  The cost is O(k^2) products; no
-    codeword is read.
-
-    Second route: the row space from one codeword per T-coset, Gray(T)
-    plus the 2^k images of ``_coset_reps``.  It must have the same
-    dimension and hold every Gray(b_i) and s(b_i, b_j); RuntimeError
-    otherwise.  ``oracles.gray_basis``, the elimination of all of Gray(C),
-    is the |C|-sized oracle, run in the tests.
+    codeword is read.  ``oracles.verify`` runs the second routes
+    (``coset_row_space``, ``gray_basis``).
     """
-    swappers = [s for i, row in enumerate(_swappers(C)) for s in row[i + 1 :]]
-    gens = list(C.basis) + swappers
-    span = Gf2Basis(C.torsion_rows)
-    for g in gens:
-        span.add(g)
-    rows = Gf2Basis(C.torsion_rows)
-    for p in _coset_reps(C):
-        rows.add(p.bits)
-    if rows.rank != span.rank:
-        raise RuntimeError(
-            f"presentation rank {span.rank} != coset row-space rank {rows.rank}"
-        )
-    if not all(rows.contains(g) for g in gens):
-        raise RuntimeError("a presentation generator escapes the coset row space")
-    return span.rank
+    swappers = (s for i, row in enumerate(_swappers(C)) for s in row[i + 1 :])
+    return Gf2Basis((*C.torsion_rows, *C.basis, *swappers)).rank
 
 
 @_memoized
@@ -133,44 +116,22 @@ def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
     null space of v -> (sum_i v_i s(b_i, b_j) mod Gray(T))_j.  The swappers
     are reduced by the echelon basis of Gray(T) that the presentation
     keeps (``C._torsion``), which leaves one residue per class, and row i
-    packs them at bits j*n.
-
-    Second route, the translation test on representatives: z is in the
-    binary kernel exactly when z + Gray(p_w) lies in Gray(C) for every w,
-    since the T-cosets tile Gray(C) as affine translates of Gray(T).  A
-    vector lies in Gray(p_w) + Gray(T) exactly when its residue mod Gray(T)
-    is the residue of Gray(p_w), and residues add, so z = Gray(p_v) passes
-    when res_v + res_w is a coset residue for every w: at most 4^k set
-    lookups, 2^sigma times fewer than testing each representative against
-    all of Gray(C).  The passing indices must be the null space;
-    RuntimeError otherwise.  ``oracles.translation_kernel`` and
-    ``oracles.swapper_scan_kernel`` are the |C|-sized oracles, run in the
-    tests.
+    packs them at bits j*n.  ``oracles.verify`` runs the second routes
+    (``representative_kernel_cosets``, ``translation_kernel``,
+    ``swapper_scan_kernel``).
     """
     n, torsion = C.sig.n, C._torsion
     form = [
         sum(torsion.reduce(s) << (j * n) for j, s in enumerate(row))
         for row in _swappers(C)
     ]
-    null = _null_space(form)
-    residues = [torsion.reduce(p.bits) for p in _coset_reps(C)]
-    cosets = frozenset(residues)
-    passing = tuple(
-        v
-        for v, rv in enumerate(residues)
-        if cosets.issuperset(map(rv.__xor__, residues))
-    )
-    if passing != null:
-        raise RuntimeError(
-            "translation test on representatives disagrees with the swapper null space"
-        )
-    return null
+    return _null_space(form)
 
 
 def kernel_dim(C: CodeGroup) -> int:
     """dim K(Gray(C)) = sigma + the dimension of the swapper null space
-    (``_kernel_cosets``); ``oracles.translation_kernel`` is the |C|-sized
-    oracle."""
+    (``_kernel_cosets``); ``oracles.verify`` compares 2^kernel_dim with the
+    |C|-sized oracles."""
     null_dim = len(_kernel_cosets(C)).bit_length() - 1
     return len(C.torsion_rows) + null_dim
 
@@ -193,8 +154,8 @@ def span_group(C: CodeGroup) -> CodeGroup:
     generators and those entries independent of Gray(T) and of each
     other; its 2^(log2|C| + dim E) words are distinct, as c s = c' s'
     puts s s' in C n Omega = T.  The order is checked against
-    ``DEFAULT_MAX_ORDER`` before any word is built.  ``oracles.gray_basis``
-    is the |C|-sized oracle, run in the tests.
+    ``DEFAULT_MAX_ORDER`` before any word is built.  ``oracles.verify``
+    compares its order with ``rank`` and ``oracles.gray_basis``.
     """
     independent = Gf2Basis(C.torsion_rows)
     extra = [
@@ -216,7 +177,7 @@ def binary_kernel(C: CodeGroup) -> frozenset:
     """K(Gray(C)) = {z : Gray(C) + z = Gray(C)}: the T-cosets of the
     swapper null space (``_kernel_cosets``), expanded by XOR with the span
     of Gray(T).  ``oracles.translation_kernel`` is the |C|-sized oracle,
-    run in the tests.
+    run in the tests and, by size, by ``oracles.verify``.
     """
     n, reps, tbits = C.sig.n, _coset_reps(C), _span(C.torsion_rows)
     return frozenset(

@@ -1,21 +1,41 @@
-"""The routes that build all of Gray(C) or scan Z2^n.
+"""Second routes to the facts the rest of the package reads from the GF(2)
+presentation (``subgroup._present``), and ``verify``, which runs them.
 
-Each is an independent second route to a fact that the rest of the
-package reads from the GF(2) presentation (``subgroup._present``), and
-each costs |C| or more: the tests assert that the two routes agree.
-Nothing on the hot path imports this module; ``report`` calls the two
-full kernel scans for ``--full-kernel-check``, and ``fixtures`` the
-perfect-code brute force for its sphere-partition cases.
+Each route here reaches a fact by another way than the hot path does: by
+building all of Gray(C) or the words of C, by scanning Z2^n, or by testing
+the 2^k coset representatives one against another.  ``verify(C)`` runs
+every pair of routes and raises ``RuntimeError`` naming the pair that
+disagrees; ``analyze(C, verify=True)`` and ``analyze --verify`` call it,
+and the tests call it and the routes themselves.  Nothing on the hot path
+imports this module; ``fixtures`` also reads the perfect-code brute force
+for its sphere-partition cases.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, List, Sequence, Tuple
+
 from .gf2 import Gf2Basis
 from .gray import BinaryVector
-from .groups import GroupWord
-from .subgroup import CodeGroup, _coset_reps, _gray_stream, _memoized, _span
+from .groups import GroupWord, _sort_key, identity
+from .invariants import _kernel_cosets, kernel_dim, rank, span_group
+from .subgroup import (
+    CodeGroup,
+    EnumerationLimit,
+    StandardGenSet,
+    _coset_minima,
+    _coset_reps,
+    _gray_stream,
+    _memoized,
+    _products,
+    _span,
+    center,
+    standard_generators,
+    torsion,
+)
 
 _BRUTE_FORCE_LIMIT = 16
+_VERIFY_MAX_ORDER = 1 << 10
 
 
 def gray_codewords(C: CodeGroup) -> frozenset:
@@ -35,6 +55,18 @@ def gray_basis(C: CodeGroup) -> Gf2Basis:
 def _swapper_bits(x: GroupWord, y: GroupWord) -> int:
     """Gray bits of the swapper [x, y]: Gray(x) + Gray(y) + Gray(xy)."""
     return x.bits ^ y.bits ^ (x * y).bits
+
+
+def coset_row_space(C: CodeGroup) -> Gf2Basis:
+    """The row space of Gray(C) from one codeword per T-coset: Gray(T)
+    plus the 2^k images of ``_coset_reps``.
+
+    The T-cosets tile C and Gray(p t) = Gray(p) + Gray(t), so these rows
+    span all of Gray(C).  The second route to ``invariants.rank``, which
+    spans the presentation instead; ``verify`` asks for the same dimension
+    and for every Gray(b_i) and s(b_i, b_j) to lie in it.
+    """
+    return Gf2Basis(C.torsion_rows + tuple(p.bits for p in _coset_reps(C)))
 
 
 def translation_kernel(C: CodeGroup) -> frozenset:
@@ -58,19 +90,45 @@ def translation_kernel(C: CodeGroup) -> frozenset:
     return frozenset(BinaryVector(C.sig.n, z) for z in members)
 
 
+def representative_kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
+    """The indices v of ``_coset_reps`` whose T-coset lies in the binary
+    kernel, by the translation test on the representatives.
+
+    z is in the binary kernel exactly when z + Gray(p_w) lies in Gray(C)
+    for every w, since the T-cosets tile Gray(C) as affine translates of
+    Gray(T).  A vector lies in Gray(p_w) + Gray(T) exactly when its
+    residue mod Gray(T) is the residue of Gray(p_w), and residues add, so
+    z = Gray(p_v) passes when res_v + res_w is a coset residue for every
+    w: at most 4^k set lookups, 2^sigma times fewer than testing each
+    representative against all of Gray(C).  The second route to
+    ``invariants._kernel_cosets``, the swapper null space.
+    """
+    residues = [C._torsion.reduce(p.bits) for p in _coset_reps(C)]
+    cosets = frozenset(residues)
+    return tuple(
+        v
+        for v, rv in enumerate(residues)
+        if cosets.issuperset(map(rv.__xor__, residues))
+    )
+
+
 def full_space_kernel(C: CodeGroup) -> frozenset:
-    """K(Gray(C)) by the translation test of every vector of Z2^n, n <= 16."""
+    """K(Gray(C)) by the translation test of every vector of Z2^n, n <= 16.
+
+    The test runs one codeword at a time over the vectors that passed the
+    codewords before it, so the first pass scans Z2^n and leaves a coset
+    of C, and the rest cost |C| lookups each.
+    """
     n = C.sig.n
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"full-space kernel scan needs n <= {_BRUTE_FORCE_LIMIT}, got n={n}"
         )
     codewords = gray_codewords(C)
-    return frozenset(
-        BinaryVector(n, z)
-        for z in range(1 << n)
-        if all((c ^ z) in codewords for c in codewords)
-    )
+    passing = range(1 << n)
+    for c in codewords:
+        passing = [z for z in passing if (c ^ z) in codewords]
+    return frozenset(BinaryVector(n, z) for z in passing)
 
 
 def swapper_scan_kernel(C: CodeGroup) -> frozenset:
@@ -85,6 +143,159 @@ def swapper_scan_kernel(C: CodeGroup) -> frozenset:
         x
         for x in C.elements
         if all(_swapper_bits(x, y) in codewords for y in C.elements)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Words and standard generators by closure
+# ---------------------------------------------------------------------------
+
+
+def closure(base: Iterable[GroupWord], gens: Sequence[GroupWord]) -> set:
+    """<base, gens> for a subgroup ``base`` that the gens generate or normalize.
+
+    A worklist over right cosets base*r: each representative meets every
+    generator, and a product outside the cosets found so far brings in its
+    whole coset.  With base = {e} it is the element-by-element closure, the
+    oracle for ``CodeGroup.elements``.
+    """
+    base = list(base)
+    others = [h for h in base if not h.is_identity()]
+    seen = set(base)
+    frontier = [base[0]]  # any element of base represents the coset base itself
+    while frontier:
+        rep = frontier.pop()
+        for g in gens:
+            nxt = rep * g
+            if nxt not in seen:
+                seen.add(nxt)
+                for h in others:
+                    seen.add(h * nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def first_independent(
+    start: Iterable[GroupWord], candidates: Iterable[GroupWord], order: int
+) -> List[GroupWord]:
+    """Candidates, in order, that each enlarge <start, picked so far>.
+
+    ``start`` is a subgroup normalized by every candidate; the scan stops at
+    ``order`` elements.
+    """
+    picked: List[GroupWord] = []
+    have = set(start)
+    for w in candidates:
+        if len(have) == order:
+            break
+        if w not in have:
+            picked.append(w)
+            have = closure(have, picked)
+    return picked
+
+
+def scanned_standard_generators(C: CodeGroup) -> Tuple[tuple, tuple, tuple]:
+    """(xs, ys, zs) by closures: the x's enlarge the GF(2) span of Gray(T)
+    over sorted T, the y's enlarge <T, ys> over sorted Z, the z's enlarge
+    <Z, zs> over sorted C; the oracle for ``standard_generators``."""
+    T, Z = torsion(C), center(C)
+    span = Gf2Basis()
+    xs = [w for w in T.sorted_elements() if span.add(w.bits)]
+    ys = first_independent(T.elements, Z.sorted_elements(), Z.order)
+    zs = first_independent(Z.elements, C.sorted_elements(), C.order)
+    return tuple(xs), tuple(ys), tuple(zs)
+
+
+def least_coset_words(C: CodeGroup) -> Tuple[GroupWord, ...]:
+    """min(coset, key=_sort_key) over the words of each T-coset, by
+    ``_coset_reps`` index; the oracle for ``_coset_minima``."""
+    T = torsion(C).elements
+    return tuple(min((r * t for t in T), key=_sort_key) for r in _coset_reps(C))
+
+
+def tiles(C: CodeGroup, gens: StandardGenSet) -> bool:
+    """The y/z products meet each T-coset of C once: their translates of
+    Gray(T) make up Gray(C) exactly.  The |C|-sized oracle for the rank test
+    of ``verify_standard``."""
+    tbits = gray_codewords(torsion(C))
+    products = _products(C.sig, gens.ys + gens.zs)
+    return {p.bits ^ t for p in products for t in tbits} == gray_codewords(C)
+
+
+# ---------------------------------------------------------------------------
+# Every pair of routes
+# ---------------------------------------------------------------------------
+
+
+def _agree(ok: bool, route: str, oracle: str) -> None:
+    if not ok:
+        raise RuntimeError(f"verify: {route} disagrees with {oracle}")
+
+
+def verify(C: CodeGroup) -> None:
+    """Run every pair of routes on C; RuntimeError names the pair that
+    disagrees.
+
+    - the words: ``CodeGroup.elements`` against the closure of the
+      generators;
+    - the rank: ``invariants.rank`` against ``coset_row_space`` (the same
+      dimension, holding every Gray(b_i) and s(b_i, b_j)), ``gray_basis``
+      and the order of ``span_group``;
+    - the kernel: ``invariants._kernel_cosets`` against
+      ``representative_kernel_cosets``, and 2^kernel_dim against the sizes
+      of ``translation_kernel``, ``swapper_scan_kernel`` and, at n <= 16,
+      ``full_space_kernel``;
+    - the standard generators: ``tiles``, ``scanned_standard_generators``,
+      and ``_coset_minima`` against ``least_coset_words``.
+
+    The |C|^2 swapper scan sets the cost, about 4x per doubling of |C|, so
+    C is refused with ``EnumerationLimit`` past ``_VERIFY_MAX_ORDER``
+    before any route runs, and a span group past ``DEFAULT_MAX_ORDER`` is
+    refused (by ``span_group``) before any scan.  At the limit, on a linear
+    code of 2^10 words in Z2^16, ``verify`` took 2.4-2.9 s and the swapper
+    scan alone 2.2-2.7 s, over five runs (2-core shared VM, Python 3.11.7).
+    """
+    if C.order > _VERIFY_MAX_ORDER:
+        raise EnumerationLimit(
+            f"verify: the |C|^2 swapper scan needs |C| <= {_VERIFY_MAX_ORDER}, "
+            f"got |C| = {C.order}"
+        )
+    D = span_group(C)  # refuses a D past DEFAULT_MAX_ORDER before any scan
+    _agree(
+        C.elements == closure([identity(C.sig)], C.generators),
+        "C.elements",
+        "the closure of the generators",
+    )
+    r, rows = rank(C), coset_row_space(C)
+    swappers = (s for i, row in enumerate(C.swappers) for s in row[i + 1 :])
+    _agree(
+        r == rows.rank and all(map(rows.contains, (*C.basis, *swappers))),
+        "rank",
+        "coset_row_space",
+    )
+    _agree(r == gray_basis(C).rank, "rank", "gray_basis")
+    _agree(r == D.log2_order, "rank", "span_group")
+    _agree(
+        _kernel_cosets(C) == representative_kernel_cosets(C),
+        "_kernel_cosets",
+        "representative_kernel_cosets",
+    )
+    size = 1 << kernel_dim(C)
+    _agree(len(translation_kernel(C)) == size, "kernel_dim", "translation_kernel")
+    _agree(len(swapper_scan_kernel(C)) == size, "kernel_dim", "swapper_scan_kernel")
+    if C.sig.n <= _BRUTE_FORCE_LIMIT:
+        _agree(len(full_space_kernel(C)) == size, "kernel_dim", "full_space_kernel")
+    gens = standard_generators(C)
+    _agree(tiles(C, gens), "standard_generators", "tiles")
+    _agree(
+        (gens.xs, gens.ys, gens.zs) == scanned_standard_generators(C),
+        "standard_generators",
+        "scanned_standard_generators",
+    )
+    _agree(
+        _coset_minima(C) == least_coset_words(C),
+        "_coset_minima",
+        "least_coset_words",
     )
 
 

@@ -5,31 +5,22 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from . import oracles
 from .hadamard import classify_shape, hadamard_bounds, is_hadamard
-from .invariants import kernel_dim, structure_report
-from .oracles import _BRUTE_FORCE_LIMIT, full_space_kernel, swapper_scan_kernel
+from .invariants import structure_report
 from .subgroup import CodeGroup
 
 
-def analyze(C: CodeGroup, full_kernel_check: bool = False) -> dict:
+def analyze(C: CodeGroup, verify: bool = False) -> dict:
     """Full analysis pipeline as a plain dict with a fixed field set.
 
     Fields are always present; shape, epsilon and normalized_generators
-    are null for non-Hadamard inputs.
+    are null for non-Hadamard inputs.  With ``verify`` every pair of routes
+    runs first (``oracles.verify``), so a disagreement raises before any
+    report is built; the report itself does not depend on it.
     """
-    if full_kernel_check:
-        # the |C|^2 swapper scan, and at n <= 16 the translation scan
-        # of all of Z2^n, each against 2^kernel_dim from the presentation
-        size = 1 << kernel_dim(C)
-        if len(swapper_scan_kernel(C)) != size:
-            raise RuntimeError(
-                "full kernel scan disagrees with the presentation kernel"
-            )
-        if C.sig.n <= _BRUTE_FORCE_LIMIT and len(full_space_kernel(C)) != size:
-            raise RuntimeError(
-                "full-space kernel scan disagrees with the presentation kernel"
-            )
-
+    if verify:
+        oracles.verify(C)
     report = structure_report(C)
     shape = None
     epsilon: Optional[int] = None

@@ -546,9 +546,9 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
 
     These are the words a scan in sorted order picks: x's over T(C) that
     enlarge the GF(2) span of the Gray images, y's over Z(C) that enlarge
-    <T, ys>, z's over C that enlarge <Z, zs> (``tests/conftest.py`` keeps
-    the scan as the oracle).  They are read from the 2^k coset minima
-    (``_coset_minima``) without sorting a group.
+    <T, ys>, z's over C that enlarge <Z, zs> (the scan is the oracle
+    ``oracles.scanned_standard_generators``).  They are read from the 2^k
+    coset minima (``_coset_minima``) without sorting a group.
 
     x's: the key is linear and injective on T, so the scan picks the words
     of T whose key leaves the span of the keys picked before.  Once the
@@ -653,7 +653,7 @@ def group_kernel(C: CodeGroup) -> CodeGroup:
     Gray is injective, so [x, y] lies in C exactly when its Gray bits lie
     in Gray(C), and Gray(K(C)) is the binary kernel of Gray(C).  The
     |C|^2 scan of every pair is ``oracles.swapper_scan_kernel``, run in
-    the tests and by ``analyze(full_kernel_check=True)``.
+    the tests and by ``oracles.verify`` (``analyze(verify=True)``).
     """
     from .invariants import _kernel_cosets  # cycle: invariants builds on subgroup
 

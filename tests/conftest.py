@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from importlib import resources
 from types import ModuleType
-from typing import Iterable, List, Sequence, Tuple
+from typing import List
 
 import pytest
 
@@ -15,16 +15,11 @@ from z2z4q8 import (
     CodeGroup,
     GroupSignature,
     GroupWord,
-    center,
-    torsion,
     word,
     word_from_tokens,
 )
 from z2z4q8.fixtures import load_fixture
-from z2z4q8.gf2 import Gf2Basis
-from z2z4q8.groups import Q8_MUL, _sort_key
-from z2z4q8.oracles import gray_codewords
-from z2z4q8.subgroup import StandardGenSet, _coset_reps, _products
+from z2z4q8.groups import Q8_MUL
 
 _CRITERION_LINES: List[str] = []
 
@@ -125,77 +120,6 @@ def assert_matches_reference(x: GroupWord, y: GroupWord) -> None:
         power = reference_product(sig, power, x.coords)
         order += 1
     assert x.order() == order
-
-
-def closure(base: Iterable[GroupWord], gens: Sequence[GroupWord]) -> set:
-    """<base, gens> for a subgroup ``base`` that the gens generate or normalize.
-
-    A worklist over right cosets base*r: each representative meets every
-    generator, and a product outside the cosets found so far brings in its
-    whole coset.  With base = {e} it is the element-by-element closure, the
-    oracle for ``generate``.
-    """
-    base = list(base)
-    others = [h for h in base if not h.is_identity()]
-    seen = set(base)
-    frontier = [base[0]]  # any element of base represents the coset base itself
-    while frontier:
-        rep = frontier.pop()
-        for g in gens:
-            nxt = rep * g
-            if nxt not in seen:
-                seen.add(nxt)
-                for h in others:
-                    seen.add(h * nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def first_independent(
-    start: Iterable[GroupWord], candidates: Iterable[GroupWord], order: int
-) -> List[GroupWord]:
-    """Candidates, in order, that each enlarge <start, picked so far>.
-
-    ``start`` is a subgroup normalized by every candidate; the scan stops at
-    ``order`` elements.
-    """
-    picked: List[GroupWord] = []
-    have = set(start)
-    for w in candidates:
-        if len(have) == order:
-            break
-        if w not in have:
-            picked.append(w)
-            have = closure(have, picked)
-    return picked
-
-
-def scanned_standard_generators(C: CodeGroup) -> Tuple[tuple, tuple, tuple]:
-    """(xs, ys, zs) by closures: the x's enlarge the GF(2) span of Gray(T)
-    over sorted T, the y's enlarge <T, ys> over sorted Z, the z's enlarge
-    <Z, zs> over sorted C; the oracle for ``standard_generators``."""
-    T, Z = torsion(C), center(C)
-    span = Gf2Basis()
-    xs = [w for w in T.sorted_elements() if span.add(w.bits)]
-    ys = first_independent(T.elements, Z.sorted_elements(), Z.order)
-    zs = first_independent(Z.elements, C.sorted_elements(), C.order)
-    return tuple(xs), tuple(ys), tuple(zs)
-
-
-def least_coset_words(C: CodeGroup) -> Tuple[GroupWord, ...]:
-    """min(coset, key=_sort_key) over the words of each T-coset, by
-    ``_coset_reps`` index; the oracle for ``_coset_minima``."""
-    T = torsion(C).elements
-    return tuple(min((r * t for t in T), key=_sort_key) for r in _coset_reps(C))
-
-
-def tiles(C: CodeGroup, gens: StandardGenSet) -> bool:
-    """The y/z products meet each T-coset of C once: their translates of
-    Gray(T) make up Gray(C) exactly.  The |C|-sized oracle for the rank test
-    of ``verify_standard``."""
-    tbits = gray_codewords(torsion(C))
-    products = _products(C.sig, gens.ys + gens.zs)
-    return {p.bits ^ t for p in products for t in tbits} == gray_codewords(C)
 
 
 def random_subgroup(

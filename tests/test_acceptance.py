@@ -47,11 +47,15 @@ from z2z4q8 import (
 from z2z4q8.constructions import random_doubling_element
 from z2z4q8.fixtures import load_fixture, reproduce
 from z2z4q8.gf2 import Gf2Basis
+from z2z4q8.invariants import _kernel_cosets
 from z2z4q8.oracles import (
+    coset_row_space,
     gray_basis,
     gray_codewords,
+    representative_kernel_cosets,
     swapper_scan_kernel,
     translation_kernel,
+    verify,
 )
 from z2z4q8.parsing import parse_element
 from z2z4q8.search import _random_abelian_base, _random_torsion_word, search
@@ -420,6 +424,8 @@ def test_criterion_12_property_suites():
         C = random_subgroup(sig, rng, n_gens, max_order=1 << 10)
         report = check_bounds(C)  # covers the rank/kernel/type inequalities
         assert report.all_ok, [c.name for c in report.failures()]
+        assert rank(C) == coset_row_space(C).rank
+        assert _kernel_cosets(C) == representative_kernel_cosets(C)
 
     # Hadamard instances: sharpened bounds, classification, converse
     instances = [
@@ -463,9 +469,10 @@ def test_criterion_12_property_suites():
 def test_criterion_13_cross_oracles():
     """rank: presentation vs span group vs elimination, and the span group's
     image inside the row space; kernel: presentation null space vs
-    translation test vs Gray image of the |C|^2 swapper scan.
-    rank() and kernel_dim() also run their 2^k second routes in every call
-    made by the other suites."""
+    translation test vs Gray image of the |C|^2 swapper scan; and every
+    pair of routes that ``verify`` runs.  Criterion 12 runs the two 2^k
+    second routes, on the coset representatives, on its 500 random
+    subgroups."""
     names = (
         "pure_q8_n8",
         "hadamard16_q8",
@@ -487,6 +494,7 @@ def test_criterion_13_cross_oracles():
         random_subgroup(GroupSignature(0, 0, 4), rng, 2),
     ]
     for C in groups:
+        verify(C)
         elimination = Gf2Basis(gray(w).bits for w in C.elements).rank
         assert span_group(C).log2_order == elimination
         assert rank(C) == elimination

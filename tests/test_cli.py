@@ -64,10 +64,15 @@ def test_analyze_summary(tmp_path, capsys):
     assert "0 failed" in out
 
 
-def test_analyze_full_kernel_check(tmp_path, capsys):
+def test_analyze_verify(tmp_path, capsys):
     path = _write(tmp_path, PURE)
-    assert main(["analyze", path, "--full-kernel-check", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["kernel_dim"] == 1
+    assert main(["analyze", path, "--json"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["analyze", path, "--verify", "--json"]) == 0
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["kernel_dim"] == 1
+    with pytest.raises(SystemExit):  # the flag it replaces is gone
+        main(["analyze", path, "--full-kernel-check"])
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -152,7 +157,10 @@ def test_reproduce_single_case(capsys):
 
 
 def test_reproduce_unknown_case(capsys):
-    assert main(["reproduce", "no-such-case"]) == 1
+    assert main(["reproduce", "no-such-case", "pure-q8-n8", "nosuch"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown case ids: no-such-case, nosuch\n"
+    assert captured.out == ""
 
 
 def test_reproduce_mismatch_exit_code(monkeypatch, capsys):

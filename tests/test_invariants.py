@@ -13,6 +13,7 @@ from z2z4q8 import (
     EnumerationLimit,
     GroupSignature,
     GroupWord,
+    StandardGenSet,
     binary_kernel,
     check_bounds,
     code_type,
@@ -38,11 +39,15 @@ import z2z4q8.oracles as oracles_module
 import z2z4q8.subgroup as subgroup_module
 from z2z4q8.fixtures import fixture_text, load_fixture
 from z2z4q8.gf2 import Gf2Basis
+from z2z4q8.invariants import _kernel_cosets
 from z2z4q8.oracles import (
+    coset_row_space,
     full_space_kernel,
     gray_basis,
     gray_codewords,
+    representative_kernel_cosets,
     translation_kernel,
+    verify,
 )
 from z2z4q8.parsing import parse_generators
 from z2z4q8.report import analyze, render_json
@@ -401,37 +406,179 @@ def test_rank_and_kernel_past_the_span_group_limit():
 
 def test_rank_second_route_catches_dropped_swappers(monkeypatch):
     """With the swappers left out of the presentation span, the rank falls
-    below the row space of the coset representatives, and rank raises."""
+    below the row space of the coset representatives, and verify names
+    that pair."""
     C = load_fixture("hadamard16_q8")  # rank 7 = sigma + k + 2 swappers
+    assert coset_row_space(C).rank == rank(C) == 7
     real = invariants_module._swappers
     monkeypatch.setattr(
         invariants_module, "_swappers", lambda C: [[0] * len(r) for r in real(C)]
     )
-    with pytest.raises(RuntimeError, match="coset row-space rank 7"):
-        rank(C)
+    C = load_fixture("hadamard16_q8")
+    assert rank(C) == 5
+    with pytest.raises(RuntimeError, match="rank disagrees with coset_row_space"):
+        verify(C)
 
 
 def test_kernel_second_route_catches_a_wrong_null_space(monkeypatch):
-    """With the swappers zeroed, every T-coset passes the null-space test;
-    the translation test on the representatives keeps only K(C)/T(C), and
-    kernel_dim raises."""
+    """With the swapper null space made to hold every T-coset, the
+    translation test on the representatives keeps only K(C)/T(C), and
+    verify names that pair."""
     C = load_fixture("pure_q8_n8")  # K(C) = T(C), |C/T| = 4
-    real = invariants_module._swappers
+    assert representative_kernel_cosets(C) == _kernel_cosets(C) == (0,)
     monkeypatch.setattr(
-        invariants_module, "_swappers", lambda C: [[0] * len(r) for r in real(C)]
+        invariants_module, "_null_space", lambda rows: tuple(range(1 << len(rows)))
     )
-    with pytest.raises(RuntimeError, match="translation test on representatives"):
-        kernel_dim(C)
+    C = load_fixture("pure_q8_n8")
+    assert _kernel_cosets(C) == (0, 1, 2, 3)
+    with pytest.raises(
+        RuntimeError,
+        match="_kernel_cosets disagrees with representative_kernel_cosets",
+    ):
+        verify(C)
 
 
-def test_full_kernel_check_compares_with_the_presentation_kernel(monkeypatch):
+def test_analyze_verify_compares_with_the_presentation_kernel(monkeypatch):
     """The null-space route is made to keep T only; K of this abelian Z4
-    code is all of C, so both full scans disagree with 2^kernel_dim."""
+    code is all of C, so ``analyze(verify=True)`` raises before it builds a
+    report, and without ``verify`` it reports the wrong kernel."""
     C = load_fixture("hadamard8_z4")
-    assert analyze(C, full_kernel_check=True)["kernel_dim"] == C.log2_order
+    assert analyze(C, verify=True) == analyze(C)
+    assert analyze(C)["kernel_dim"] == C.log2_order
     monkeypatch.setattr(invariants_module, "_kernel_cosets", lambda C: (0,))
-    with pytest.raises(RuntimeError, match="disagrees with the presentation kernel"):
-        analyze(load_fixture("hadamard8_z4"), full_kernel_check=True)
+    C = load_fixture("hadamard8_z4")
+    built = count_calls(monkeypatch, invariants_module, "structure_report")
+    with pytest.raises(RuntimeError, match="kernel_dim disagrees with"):
+        analyze(C, verify=True)
+    assert built == Counter()
+    assert analyze(C)["kernel_dim"] < C.log2_order
+
+
+def test_verify_passes_on_every_fixture():
+    assert len(SHIPPED_FIXTURES) == 21
+    for name in SHIPPED_FIXTURES:
+        verify(load_fixture(name))
+
+
+def _drop_one(words):
+    return words - {next(iter(words))}
+
+
+def _lose_a_word(monkeypatch, C):
+    vars(C)["elements"] = _drop_one(C.elements)
+
+
+def _patch(name, wrong):
+    """Make the function ``verify`` reads as ``name`` return wrong(real, C)."""
+
+    def mutate(monkeypatch, C):
+        real = getattr(oracles_module, name)
+        monkeypatch.setattr(oracles_module, name, lambda C: wrong(real, C))
+
+    return mutate
+
+
+def _zs(pick):
+    """Standard generators with the z's replaced by pick(zs)."""
+    return lambda real, C: StandardGenSet(real(C).xs, real(C).ys, pick(real(C).zs))
+
+
+PAIR_MUTATIONS = [
+    ("pure_q8_n8", _lose_a_word, "C.elements", "the closure of the generators"),
+    (
+        "hadamard16_q8",
+        _patch("gray_basis", lambda real, C: Gf2Basis(C.torsion_rows)),
+        "rank",
+        "gray_basis",
+    ),
+    ("hadamard16_q8", _patch("span_group", lambda real, C: C), "rank", "span_group"),
+    (
+        "hadamard8_z4",
+        _patch("_kernel_cosets", lambda real, C: (0,)),
+        "_kernel_cosets",
+        "representative_kernel_cosets",
+    ),
+    (
+        "hadamard8_z4",
+        _patch("kernel_dim", lambda real, C: real(C) - 1),
+        "kernel_dim",
+        "translation_kernel",
+    ),
+    (
+        "hadamard8_z4",
+        _patch("swapper_scan_kernel", lambda real, C: _drop_one(real(C))),
+        "kernel_dim",
+        "swapper_scan_kernel",
+    ),
+    (
+        "hadamard8_z4",
+        _patch("full_space_kernel", lambda real, C: _drop_one(real(C))),
+        "kernel_dim",
+        "full_space_kernel",
+    ),
+    (
+        "pure_q8_n8",  # z1 twice: the products miss two T-cosets
+        _patch("standard_generators", _zs(lambda zs: zs[:1] * 2)),
+        "standard_generators",
+        "tiles",
+    ),
+    (
+        "pure_q8_n8",  # the z's swapped: they still tile, out of scan order
+        _patch("standard_generators", _zs(lambda zs: zs[::-1])),
+        "standard_generators",
+        "scanned_standard_generators",
+    ),
+    (
+        "pure_q8_n8",
+        _patch("_coset_minima", lambda real, C: real(C)[::-1]),
+        "_coset_minima",
+        "least_coset_words",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, mutate, route, oracle",
+    PAIR_MUTATIONS,
+    ids=[f"{route}-{oracle}" for _, _, route, oracle in PAIR_MUTATIONS],
+)
+def test_verify_names_the_pair_that_disagrees(
+    monkeypatch, fixture, mutate, route, oracle
+):
+    """One route of each pair is made wrong, and the message names the
+    pair; rank against ``coset_row_space`` is
+    ``test_rank_second_route_catches_dropped_swappers``."""
+    verify(load_fixture(fixture))
+    C = load_fixture(fixture)
+    mutate(monkeypatch, C)
+    with pytest.raises(RuntimeError) as raised:
+        verify(C)
+    assert str(raised.value) == f"verify: {route} disagrees with {oracle}"
+
+
+def test_verify_refuses_large_groups_before_any_route_runs(monkeypatch):
+    """The |C|^2 swapper scan sets verify's limit: the 2^14 group of
+    ``test_rank_and_kernel_past_the_span_group_limit`` is refused at once,
+    with no word built and no other oracle run."""
+    names = [
+        name
+        for name, fn in vars(oracles_module).items()
+        if callable(fn)
+        and getattr(fn, "__module__", None) == oracles_module.__name__
+        and name != "verify"
+    ]
+    oracles = count_calls(monkeypatch, oracles_module, *names)
+    sig = GroupSignature(0, 40, 0)
+    rng = random.Random(3)
+    gens = [GroupWord(sig, [rng.randrange(4) for _ in range(40)]) for _ in range(7)]
+    C = generate(gens)
+    assert C.order == 1 << 14
+    with pytest.raises(EnumerationLimit, match=r"\|C\|\^2 swapper scan needs"):
+        verify(C)
+    with pytest.raises(EnumerationLimit, match="swapper scan"):
+        analyze(C, verify=True)
+    assert "elements" not in vars(C)
+    assert oracles == Counter()
 
 
 def test_hot_path_runs_no_enumerating_oracle(monkeypatch):

@@ -1,9 +1,11 @@
-"""The enumerating routes stay in ``oracles``, and the public names are fixed."""
+"""The second routes stay in ``oracles``, each with a caller, and the public
+names are fixed."""
 
 from __future__ import annotations
 
 import ast
 from importlib import resources
+from pathlib import Path
 
 import z2z4q8
 
@@ -17,17 +19,15 @@ PUBLIC_NAMES = [
     "LiftResult", "NormalizedGenSet", "ParseError", "Shape",
     "SignatureMismatch", "StandardGenSet", "StructureReport", "analyze",
     "binary_kernel", "center", "check_bounds", "classify_shape", "code_type",
-    "commutator", "commutator_subgroup", "complement", "conjugate",
-    "constructions", "distance", "extend", "format_generators",
-    "generalized_kronecker", "generate", "gf2", "gray", "gray_inv",
-    "group_kernel", "groups", "hadamard", "hadamard_bounds", "identity",
-    "invariants", "is_abelian", "is_extended_perfect", "is_hadamard",
-    "is_linear", "is_perfect", "kernel_dim", "kronecker", "lift_and_extend",
-    "normalize_generators", "parse_element", "parse_generators", "parsing",
-    "pi_of", "propelinear_product", "random_doubling_element", "rank",
-    "render_json", "render_summary", "report", "search", "span_group",
-    "standard_generators", "structural_converse_check", "structure_report",
-    "subgroup", "swapper", "torsion", "u_element", "weight",
+    "commutator", "commutator_subgroup", "complement", "conjugate", "distance",
+    "extend", "format_generators", "generalized_kronecker", "generate", "gray",
+    "gray_inv", "group_kernel", "hadamard_bounds", "identity", "is_abelian",
+    "is_extended_perfect", "is_hadamard", "is_linear", "is_perfect",
+    "kernel_dim", "kronecker", "lift_and_extend", "normalize_generators",
+    "parse_element", "parse_generators", "pi_of", "propelinear_product",
+    "random_doubling_element", "rank", "render_json", "render_summary",
+    "search", "span_group", "standard_generators", "structural_converse_check",
+    "structure_report", "swapper", "torsion", "u_element", "weight",
     "weight_distribution", "word", "word_from_tokens", "xi_lift",
 ]
 
@@ -66,6 +66,39 @@ def test_hot_modules_import_no_oracle_and_define_no_moved_name():
         tree = _tree(module)
         assert not any(_imports_oracles(node) for node in ast.walk(tree)), module
         assert not moved & _top_level_names(tree), module
+
+
+def test_conftest_defines_no_oracle():
+    oracles = _top_level_names(_tree("oracles"))
+    conftest = (Path(__file__).parent / "conftest.py").read_text()
+    assert not oracles & _top_level_names(ast.parse(conftest))
+
+
+def test_every_oracle_is_reached_by_verify_or_the_fixtures():
+    """Walk the calls between the functions of ``oracles.py`` from
+    ``verify`` and from the names ``fixtures.py`` imports from it."""
+    functions = {
+        node.name: node
+        for node in _tree("oracles").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    roots = {"verify"}
+    for node in ast.walk(_tree("fixtures")):
+        if _imports_oracles(node):
+            roots.update(a.name for a in node.names)
+    assert {"is_perfect", "is_extended_perfect"} <= roots
+    reached, frontier = set(), list(roots)
+    while frontier:
+        name = frontier.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        frontier += [
+            node.id
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Name) and node.id in functions
+        ]
+    assert reached == set(functions)
 
 
 def test_public_names_are_pinned():

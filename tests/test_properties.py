@@ -48,14 +48,19 @@ from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import _GRAY_BLOCKS, Q8_TOKENS, GroupWord, _nu, _pi
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
-from z2z4q8.invariants import span_group
+from z2z4q8.invariants import _kernel_cosets, span_group
 from z2z4q8.oracles import (
     _swapper_bits,
+    closure,
+    coset_row_space,
     full_space_kernel,
     gray_basis,
     gray_codewords,
+    least_coset_words,
+    representative_kernel_cosets,
     swapper_scan_kernel,
     translation_kernel,
+    verify,
 )
 from z2z4q8.subgroup import (
     _coset_minima,
@@ -69,9 +74,7 @@ from z2z4q8.subgroup import (
 
 from conftest import (
     assert_matches_reference,
-    closure,
     kind_of,
-    least_coset_words,
     random_subgroup,
     word_commutator,
 )
@@ -95,9 +98,10 @@ def test_random_subgroup_bounds():
     """Every structural inequality holds on random subgroups (n <= 32).
 
     check_bounds covers the kernel/rank gap, delta <= sigma <= k, both
-    rank caps, sigma >= delta + min(1, rho), and the pair facts; rank()
-    and kernel_dim() internally cross-check their two routes.  The
-    acceptance suite runs the same loop at its full count.
+    rank caps, sigma >= delta + min(1, rho), and the pair facts; rank
+    and the kernel's T-cosets are checked against their 2^k second
+    routes on the coset representatives.  The acceptance suite runs the
+    same loop at its full count.
     """
     rng = random.Random(2024)
     for i in range(150):
@@ -110,6 +114,8 @@ def test_random_subgroup_bounds():
             [g.tokens() for g in C.generators],
             [c.name for c in report.failures()],
         )
+        assert rank(C) == coset_row_space(C).rank
+        assert _kernel_cosets(C) == representative_kernel_cosets(C)
 
 
 def _random_hadamard_instances(count: int, seed: int):
@@ -402,20 +408,18 @@ def test_property_swapper_is_bilinear_and_lies_in_omega(data):
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_property_presentation_rank_and_kernel_match_the_oracles(data):
-    """rank == log2|span group| == elimination of all of Gray(C), and the
-    span group's image lies in that row space; the binary kernel and the
-    group kernel equal the translation test and the |C|^2 swapper scan,
-    of order 2^kernel_dim."""
+    """Every pair of routes agrees (``verify``).  Beyond the sizes that
+    ``verify`` compares, the binary kernel and the group kernel equal the
+    translation test and the |C|^2 swapper scan as sets, and the span
+    group's image lies in the row space of all of Gray(C)."""
     sig = data.draw(signatures)
     C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=3)))
-    r, k = rank(C), kernel_dim(C)
-    basis, D = gray_basis(C), span_group(C)
-    assert r == D.log2_order == basis.rank
-    assert all(basis.contains(b) for b in gray_codewords(D))
-    assert is_linear(C) == (r == C.log2_order)
+    verify(C)
+    basis = gray_basis(C)
+    assert all(basis.contains(b) for b in gray_codewords(span_group(C)))
+    assert is_linear(C) == (rank(C) == C.log2_order)
     assert binary_kernel(C) == translation_kernel(C)
     assert group_kernel(C).elements == swapper_scan_kernel(C)
-    assert len(binary_kernel(C)) == group_kernel(C).order == 1 << k
 
 
 @PROPERTY_SETTINGS

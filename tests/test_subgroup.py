@@ -35,7 +35,13 @@ from z2z4q8 import (
 )
 from z2z4q8.fixtures import fixture_text, fixtures, load_fixture
 import z2z4q8.subgroup as subgroup_module
-from z2z4q8.oracles import swapper_scan_kernel
+from z2z4q8.oracles import (
+    closure,
+    least_coset_words,
+    scanned_standard_generators,
+    swapper_scan_kernel,
+    tiles,
+)
 from z2z4q8.report import analyze, render_json
 from z2z4q8.groups import _commutator_bits, _sort_key
 from z2z4q8.subgroup import (
@@ -50,14 +56,10 @@ from conftest import (
     Q8,
     SHIPPED_FIXTURES,
     all_words,
-    closure,
     count_calls,
-    least_coset_words,
     q8_word,
     random_subgroup,
     record_word_sets,
-    scanned_standard_generators,
-    tiles,
     word_commutator,
 )
 
