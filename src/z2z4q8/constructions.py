@@ -4,7 +4,9 @@ The lift embeds Z2 -> Z4 (i -> 2i) and Z4 -> <a> <= Q8 (i -> a^i),
 doubling the binary length while preserving the group structure.  The
 extension adjoins one element that is valid exactly when every extended
 codeword lands on the middle weight.  The (generalized) Kronecker doubles
-both length and cardinality via the diagonal embedding.
+both length and cardinality via the diagonal embedding.  Both doublings
+are index-2 extensions, refused, built and kept once per coset by one
+routine (``_index_two``), each with its own laws.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from .groups import (
     GroupSignature,
     GroupWord,
     Q8_MUL,
     Q8_ORDER,
+    _commutator_bits,
     _sections,
     conjugate,
     identity,
@@ -33,9 +36,12 @@ from .subgroup import (
     CodeGroup,
     CodeType,
     EnumerationLimit,
-    _coset_reps,
+    _coset_table,
     _coset_word,
+    _memoized,
     _radical,
+    _reduce,
+    _span,
     code_type,
 )
 
@@ -68,8 +74,9 @@ def _lift_into(out: GroupSignature, w: GroupWord) -> GroupWord:
     return word(out, tuple(2 * v for v in coords[:k1]) + coords[k1:])
 
 
+@_memoized
 def xi_lift(C: CodeGroup, max_order: int = DEFAULT_MAX_ORDER) -> CodeGroup:
-    """Image of a Z2/Z4 code group under the doubling embedding.
+    """Image of a Z2/Z4 code group under the doubling embedding, kept on C.
 
     The embedding is injective and order-preserving, so the image has the
     same order and type; Gray weights double coordinatewise.
@@ -84,52 +91,93 @@ def xi_lift(C: CodeGroup, max_order: int = DEFAULT_MAX_ORDER) -> CodeGroup:
     return lifted
 
 
+_T = TypeVar("_T")
+
+
+def _index_two(
+    C: CodeGroup,
+    x: GroupWord,
+    noun: str,
+    build: Callable[[CodeGroup, GroupWord], CodeGroup],
+    laws: Callable[[CodeGroup, GroupWord, CodeGroup], _T],
+    max_order: int,
+) -> Tuple[CodeGroup, _T]:
+    """(H, laws(C, x, H)) for the doubling H = build(C, x) of C by x, kept
+    on C once per coset x C.
+
+    H = <D, y>: D is a copy of C (C itself for ``extend``, diag(C) for
+    ``generalized_kronecker``) and y is x or (x, x u).  A map p (the
+    identity, or the projection on the first half) takes H onto <C, x>, D
+    isomorphically onto C and y to x.
+
+    The order test: |H| = 2|C| exactly when x^2 lies in C, x normalizes C
+    and y lies outside D.  If the first two hold, then y^2 lies in D and y
+    normalizes D (u is central of order 2, so (x, x u)^2 = (x^2, x^2) and
+    (c, c)^(x, x u) = (c^x, c^x)), so H = D u yD, of order 2|C| exactly
+    when y is outside D.  Conversely, if |H| = 2|C|, D has index 2 in H: it
+    is normal there and holds y^2 but not y, so C = p(D) is normal in
+    p(H) = <C, x> and holds x^2 = p(y^2).  For ``extend`` y outside D is x
+    outside C; for ``generalized_kronecker`` it always holds (u != e), so
+    there an x in C gives order 2|C| and the test of x in C below never
+    fires.  So the preconditions are one order comparison on the
+    presentation of H, and the tests word by word run only to name the
+    first that fails.  ``laws`` checks the construction's own laws on H.
+
+    Every x' = x c in x C gives the same output, as y' = y d with d the
+    copy of c in D, and passes or fails with x.  So H is built and checked
+    once per coset and kept on C, keyed by ``build`` and ``_coset_word``;
+    a later element of the coset gets the kept pair, whose H has the first
+    element drawn from the coset in its last generator.  The signature and
+    ``max_order`` checks run first, on every call, and a failure is not
+    kept, so its message names the caller's element.
+    """
+    if x.sig != C.sig:
+        raise ConstructionError(f"element signature {x.sig} != group {C.sig}")
+    if 2 * C.order > max_order:
+        raise EnumerationLimit(f"{noun} order exceeds max_order={max_order}")
+    key = (build, _coset_word(C, x.bits))
+    if key not in C._cache:
+        out = build(C, x)
+        if out.order != 2 * C.order:
+            if x in C:
+                raise ConstructionError(f"extension element {x} already lies in the group")
+            if (x * x) not in C:
+                raise ConstructionError(f"square of {x} lies outside the group")
+            for g in C.generators:
+                if conjugate(g, x) not in C:
+                    raise ConstructionError(f"{x} does not normalize the group (moves {g})")
+            raise RuntimeError(f"{noun} order is not 2|C|")
+        C._cache[key] = out, laws(C, x, out)
+    return C._cache[key]
+
+
 def extend(
     Cq: CodeGroup, x: GroupWord, max_order: int = DEFAULT_MAX_ORDER
 ) -> CodeGroup:
     """C^(x) = <Cq, x>: double the code with one new element.
 
-    Preconditions: x lies outside Cq with x^2 in Cq, conjugation by x
-    preserves Cq, and every coset word x*c has Gray weight exactly half
-    the binary length.  The first three hold exactly when |<Cq, x>| =
-    2|Cq|.  They make <Cq, x> = Cq u x*Cq with x*Cq disjoint from Cq.
-    Conversely, Cq of index 2 in <Cq, x> is normal there, so x normalizes
-    it; the quotient has order 2, so x^2 lies in Cq; and x lies outside
-    Cq, or <Cq, x> = Cq.  So the output is Cq's generators and x, the
-    three are one order comparison on its presentation, and the tests
-    word by word run only to name the one that fails.  The weights of
-    Gray(x Cq) are those of the output less those of Cq.  The result must
-    be a Hadamard code.
-
-    Every x' in x Cq gives the same output, <Cq, x'> = <Cq, x>, and passes
-    or fails with x: x' Cq = x Cq.  So the output is built and checked
-    once per coset and kept on Cq, keyed by ``_coset_word``; a later
-    element of that coset returns the same group, whose generators are
-    Cq's and the first element drawn from the coset.  The signature and
-    ``max_order`` checks run on every call, and a failure is not kept, so
-    its message names the caller's element.
+    Preconditions: x lies outside Cq with x^2 in Cq, and conjugation by x
+    preserves Cq; ``_index_two`` tests the three as one order comparison,
+    and keeps the output once per coset x Cq, so a later element of that
+    coset gets the same group, whose generators are Cq's and the first
+    element drawn from the coset.  Then C^(x) = Cq u x*Cq, and every coset
+    word x*c must have Gray weight exactly half the binary length.  The
+    weights of Gray(x Cq) are those of the output less those of Cq.  The
+    result must be a Hadamard code.
     """
-    if x.sig != Cq.sig:
-        raise ConstructionError(f"element signature {x.sig} != group {Cq.sig}")
-    if 2 * Cq.order > max_order:
-        raise EnumerationLimit(f"extension order exceeds max_order={max_order}")
-    key = ("extend", _coset_word(Cq, x.bits))
-    if key in Cq._cache:
-        return Cq._cache[key]
-    out = CodeGroup(Cq.sig, Cq.generators + (x,))
-    if out.order != 2 * Cq.order:
-        if x in Cq:
-            raise ConstructionError(f"extension element {x} already lies in the group")
-        if (x * x) not in Cq:
-            raise ConstructionError(f"square of {x} lies outside the group")
-        for g in Cq.generators:
-            if conjugate(g, x) not in Cq:
-                raise ConstructionError(f"{x} does not normalize the group (moves {g})")
+    return _index_two(Cq, x, "extension", _adjoin, _extension_laws, max_order)[0]
+
+
+def _adjoin(Cq: CodeGroup, x: GroupWord) -> CodeGroup:
+    """<Cq, x>, given by Cq's generators and x."""
+    return CodeGroup(Cq.sig, Cq.generators + (x,))
+
+
+def _extension_laws(Cq: CodeGroup, x: GroupWord, out: CodeGroup) -> None:
+    """The weight and Hadamard laws of ``extend`` on its output."""
     n = Cq.sig.n
     if n % 2:
         raise ConstructionError(f"binary length {n} is odd; no middle weight")
-    if out.order != 2 * Cq.order:
-        raise RuntimeError("extension did not double the group order")
     coset = Counter(weight_distribution(out))  # less Cq's, the weights of Gray(x Cq)
     coset.subtract(weight_distribution(Cq))
     if any(count for wt, count in coset.items() if wt != n // 2):
@@ -142,8 +190,6 @@ def extend(
         raise RuntimeError("weights of Gray(x Cq) disagree with its words")
     if not is_hadamard(out):
         raise RuntimeError("extension produced a non-Hadamard code")
-    Cq._cache[key] = out
-    return out
 
 
 @dataclass(frozen=True)
@@ -213,23 +259,36 @@ def _pair_word(dsig: GroupSignature, w1: GroupWord, w2: GroupWord) -> GroupWord:
 
 
 def _predict_kronecker_type(C: CodeGroup, g: GroupWord) -> Tuple[CodeType, bool]:
-    """Type of the doubled group from how g sits against C.
+    """Type of the doubled group from how g sits against C, read from the
+    presentation: no word product is made.
 
     Three exclusive cases: some coset word g*c has order <= 2 (covers
     order-2 g); some g*c centralizes C; otherwise the centralizer of g in
     Z(C) decides.  Also returns whether the first case applies: exactly
     then every swapper of g against the group collapses into S(C), which
-    forces the rank of the doubled code to grow by exactly 1.  Every case
-    is decided on one word c per T-coset of C.
+    forces the rank of the doubled code to grow by exactly 1.
+
+    Case 1: g*c has order <= 2 when nu(g c) = nu(g) + nu(c) = 0, so some
+    c gives it exactly when nu(g) lies in nu(C): when ``_reduce`` of g by
+    the basis ends at nu = 0 (``_present``).  The ambient group has class
+    2, so commutators are central of order <= 2, (g c, b) = (g, b)(c, b),
+    and Gray adds on them; g's row is Gray((g, b_j)) over the basis words
+    b_j, and its span (``_span``) holds Gray((g, p_v)) at index v.  Case 2:
+    T(C) is central, so g*c centralizes C when (g c, b_j) = e for every j,
+    that is when g's row equals c's; (p t, b_j) = (p, b_j) for t in T(C),
+    so some c gives it exactly when g's row is the row of some coset word
+    p_v, the entries 1 << j of its commutator row in ``_coset_table``: when
+    the two spans are equal.  Case 3: the indices v of ``_radical`` at which
+    g's row sums to 0 are the T-cosets of Z(C) that commute with g, 2^delta1
+    of them.  That is k commutators (``_commutator_bits``) and XOR.
     """
-    ct = code_type(C)
-    reps = _coset_reps(C)
-    if any((g * c).order() <= 2 for c in reps):
+    ct, sig = code_type(C), C.sig
+    if not _reduce(sig, C._pivots, g.bits)[1]:
         return CodeType(ct.sigma + 1, ct.delta, ct.rho), True
-    gens = C.generators
-    if any(all((g * c) * h == h * (g * c) for h in gens) for c in reps):
+    sums = _span([_commutator_bits(sig, g.bits, b) for b in C.basis])
+    if sums in _coset_table(C)[1]:
         return CodeType(ct.sigma, ct.delta + 1, ct.rho), False
-    delta1 = sum(1 for v in _radical(C) if reps[v] * g == g * reps[v]).bit_length() - 1
+    delta1 = sum(1 for v in _radical(C) if not sums[v]).bit_length() - 1
     return CodeType(ct.sigma, delta1, ct.rho + ct.delta - delta1 + 1), False
 
 
@@ -240,60 +299,34 @@ def generalized_kronecker(
 
     As u is central of order 2, the output is diag(C) u (g, g*u) diag(C),
     given by the diagonal generators and (g, g*u).  Doubles length and
-    cardinality.
-
-    The preconditions hold exactly when the output has order at most
-    2|C|: then it is that union; conversely its projection on the first
-    half, <C, g>, has order at most 2|C|, so C has index 1 or 2 in it, is
-    normal there and holds g^2.  The output holds diag(C), and (g, g*u)
-    outside it (u != e), so its order is at least 2|C|: the preconditions
-    are one order comparison on its presentation, and the tests word by
-    word run only to name the one that fails.
+    cardinality.  ``_index_two`` tests the preconditions as one order
+    comparison, and keeps the output and its predicted type once per coset
+    g C: a later element of that coset gets the same output group, whose
+    last generator is the pair of the first element drawn from the coset,
+    while the result's ``g`` is the caller's.
 
     The kernel dimension grows by at most 1 and the type follows the
     predicted case split; the rank grows by at least 1, and by exactly 1
     whenever some coset word g*c has order <= 2 (then the swappers of g
     against the group collapse into S(C)).  Order-4 doubling elements
     outside that case can raise the rank further.
-
-    Every g' = g c in g C gives the same output, as (g c, g c u) = (g, g u)
-    (c, c), and passes or fails with g: g' C = g C.  So the output and its
-    predicted type are built and checked once per coset and kept on C,
-    keyed by ``_coset_word``; a later element of that coset gets the same
-    output group, whose last generator is the pair of the first element
-    drawn from the coset, while the result's ``g`` is the caller's.  The
-    signature and ``max_order`` checks run on every call, and a failure is
-    not kept, so its message names the caller's element.
     """
-    if g.sig != C.sig:
-        raise ConstructionError(f"element signature {g.sig} != group {C.sig}")
-    key = ("generalized_kronecker", _coset_word(C, g.bits))
-    checked = C._cache.get(key)  # (output, predicted type) of the coset g C
-    if checked is None:
-        sig, dsig = C.sig, C.sig.doubled()
-        u = u_element(sig)
-        diagonal = tuple(_pair_word(dsig, w, w) for w in C.generators)
-        out = CodeGroup(dsig, diagonal + (_pair_word(dsig, g, g * u),))
-        if out.order != 2 * C.order:
-            if (g * g) not in C:
-                raise ConstructionError(f"square of {g} lies outside the group")
-            for h in C.generators:
-                if conjugate(h, g) not in C:
-                    raise ConstructionError(f"{g} does not normalize the group (moves {h})")
-    if 2 * C.order > max_order:
-        raise EnumerationLimit(
-            f"Kronecker output order exceeds max_order={max_order}"
-        )
-    if checked is None:
-        checked = C._cache[key] = (out, _checked_kronecker_type(C, g, out))
-    return KroneckerResult(C, g, *checked)
+    out, predicted = _index_two(
+        C, g, "Kronecker output", _kronecker_output, _checked_kronecker_type, max_order
+    )
+    return KroneckerResult(C, g, out, predicted)
+
+
+def _kronecker_output(C: CodeGroup, g: GroupWord) -> CodeGroup:
+    """<diag(C), (g, g*u)>, given by the diagonal generators and (g, g*u)."""
+    dsig = C.sig.doubled()
+    diagonal = tuple(_pair_word(dsig, w, w) for w in C.generators)
+    return CodeGroup(dsig, diagonal + (_pair_word(dsig, g, g * u_element(C.sig)),))
 
 
 def _checked_kronecker_type(C: CodeGroup, g: GroupWord, out: CodeGroup) -> CodeType:
-    """The predicted type of K_g(C), after checking the order, type, rank,
-    kernel and Hadamard laws of ``generalized_kronecker`` on its output."""
-    if out.order != 2 * C.order:
-        raise RuntimeError("Kronecker output order is not 2|C|")
+    """The predicted type of K_g(C), after checking the type, rank, kernel
+    and Hadamard laws of ``generalized_kronecker`` on its output."""
     predicted, torsion_coset = _predict_kronecker_type(C, g)
     actual = code_type(out)
     if actual != predicted:
@@ -336,36 +369,24 @@ def kronecker(C: CodeGroup, max_order: int = DEFAULT_MAX_ORDER) -> KroneckerResu
 
 @lru_cache(maxsize=1)
 def q8_automorphisms() -> Tuple[Tuple[int, ...], ...]:
-    """All 24 automorphisms of Q8 as value-permutation tuples, sorted."""
+    """All 24 automorphisms of Q8 as value-permutation tuples, sorted.
+
+    Q8 = <a, b>, and an automorphism is fixed by the images A of a and B
+    of b: A of order 4 and B of order 4 outside <A>, 6 * 4 pairs.  Every
+    such pair generates Q8 and satisfies the relations of a and b (A^2 =
+    B^2, the one element of order 2, and B^-1 A B = A^-1), so the value
+    a^i b^j maps to A^i B^j.
+    """
     order4 = [v for v in range(8) if Q8_ORDER[v] == 4]
     autos = []
-    for img_a in order4:
-        pow_a = [0, img_a, Q8_MUL[img_a][img_a]]
-        pow_a.append(Q8_MUL[pow_a[2]][img_a])
-        for img_b in order4:
-            if img_b in pow_a:
-                continue
-            table = [0] * 8
-            ok = True
-            for v in range(8):
-                i, j = v & 3, v >> 2
-                image = pow_a[i] if i else 0
-                if j:
-                    image = Q8_MUL[image][img_b]
-                table[v] = image
-            if len(set(table)) != 8:
-                ok = False
-            if ok:
-                for p in range(8):
-                    for q in range(8):
-                        if table[Q8_MUL[p][q]] != Q8_MUL[table[p]][table[q]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                autos.append(tuple(table))
-    return tuple(sorted(set(autos)))
+    for A in order4:
+        powers = [0, A, Q8_MUL[A][A], Q8_MUL[Q8_MUL[A][A]][A]]
+        autos += [
+            tuple(Q8_MUL[powers[v & 3]][B if v & 4 else 0] for v in range(8))
+            for B in order4
+            if B not in powers
+        ]
+    return tuple(sorted(autos))
 
 
 def _relabel_word(w: GroupWord, autos: Sequence[Tuple[int, ...]]) -> GroupWord:
@@ -397,6 +418,14 @@ def structural_converse_check(
     preserve element orders, hence Gray weights, type, rank and kernel.
     The round trip extend(xi_lift(base), z1) must re-create the relabeled
     group exactly.
+
+    Both facts are read from the generators of the inner subgroup, not its
+    words: the words with even Z4 entries form a subgroup, and so do the
+    words whose Q8 coordinate i an automorphism t maps into <a> (t is a
+    homomorphism, so that set is the preimage of <a> under t).  So every
+    inner word lies in them exactly when every generator does, and the
+    first automorphism that maps each generator's coordinate i into <a> is
+    the first that maps every inner word's coordinate i there.
     """
     if shape is None:
         shape = classify_shape(C)
@@ -421,29 +450,21 @@ def structural_converse_check(
     if not all(w in C for w in inner.generators):
         raise RuntimeError("inner subgroup escaped the group")
 
-    inner_coords = [w.coords for w in inner.elements]  # Z4 entries first, as k1 = 0
-    if any(v % 2 for c in inner_coords for v in c[: sig.k2]):
+    gen_coords = [w.coords for w in abelian_gens]  # Z4 entries first, as k1 = 0
+    if any(v % 2 for c in gen_coords for v in c[: sig.k2]):
         raise RuntimeError("inner subgroup has an odd Z4 coordinate")
     autos: List[Tuple[int, ...]] = []
     for i in range(sig.k3):
-        values = {c[sig.k2 + i] for c in inner_coords}
+        values = {c[sig.k2 + i] for c in gen_coords}
         table = next(
-            (
-                t
-                for t in q8_automorphisms()
-                if all(t[v] <= 3 for v in values)
-            ),
-            None,
+            (t for t in q8_automorphisms() if all(t[v] <= 3 for v in values)), None
         )
         if table is None:
             raise RuntimeError(
                 f"Q8 coordinate {i + 1} projection is not cyclic; cannot relabel"
             )
         autos.append(table)
-
     relabeled = CodeGroup(sig, tuple(_relabel_word(g, autos) for g in C.generators))
-    if any(t[v] > 3 for c in inner_coords for t, v in zip(autos, c[sig.k2 :])):
-        raise RuntimeError("relabeled projection escaped <a>")
 
     # halving the even Z4 entries and reading <a> as Z4 maps the relabeled
     # inner subgroup isomorphically onto base, so base is given by the

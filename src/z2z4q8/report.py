@@ -6,7 +6,7 @@ import json
 from typing import Optional
 
 from . import oracles
-from .hadamard import classify_shape, hadamard_bounds, is_hadamard
+from .hadamard import classify_shape, hadamard_bounds
 from .invariants import structure_report
 from .subgroup import CodeGroup
 

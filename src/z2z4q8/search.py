@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .constructions import (
     ConstructionError,
@@ -102,8 +102,6 @@ def search(
             continue
     if not pool:
         return []
-    lifted_cache: Dict[int, CodeGroup] = {}
-
     found: List[FoundCode] = []
     seen_groups: Set[CodeGroup] = set()
     seen_keys: set = set()
@@ -114,9 +112,7 @@ def search(
         base = pool[index]
         try:
             if rng.random() < 0.7:
-                if index not in lifted_cache:
-                    lifted_cache[index] = xi_lift(base)
-                lifted = lifted_cache[index]
+                lifted = xi_lift(base)
                 x = random_doubling_element(lifted.sig, rng)
                 C = extend(lifted, x)
             else:

@@ -15,6 +15,7 @@ from z2z4q8 import (
     GroupSignature,
     classify_shape,
     code_type,
+    conjugate,
     extend,
     generalized_kronecker,
     generate,
@@ -34,8 +35,14 @@ import z2z4q8.constructions as constructions_module
 import z2z4q8.fixtures as fixtures_module
 import z2z4q8.invariants as invariants_module
 import z2z4q8.subgroup as subgroup_module
-from z2z4q8.constructions import _pair_bits, lift_word, q8_automorphisms
+from z2z4q8.constructions import (
+    _pair_bits,
+    _predict_kronecker_type,
+    lift_word,
+    q8_automorphisms,
+)
 from z2z4q8.fixtures import fixtures, load_fixture
+from z2z4q8.groups import GroupWord
 from z2z4q8.oracles import closure, gray_codewords
 from z2z4q8.parsing import parse_element
 from z2z4q8.search import _random_abelian_base, _random_torsion_word, search
@@ -715,3 +722,57 @@ def test_search_checks_each_passing_coset_once(monkeypatch):
     # each extend input is weighed once with each of its distinct outputs
     lifted = {key for key, _ in ext}
     assert sum(weighed[key] for key in lifted) == len(set(ext))
+
+
+def test_kronecker_type_prediction_multiplies_no_words(monkeypatch):
+    """The prediction reads nu, k commutators and the coset table of a fresh
+    group: no ``GroupWord.__mul__`` call in any of its three cases."""
+    rng = random.Random(5)
+    pairs, cases = [], set()
+    for sig in (GroupSignature(0, 0, 2), GroupSignature(0, 1, 1), GroupSignature(1, 1, 1)):
+        for _ in range(6):
+            C = random_subgroup(sig, rng, 2)
+            for g in (random_word(sig, rng) for _ in range(6)):
+                if g * g in C and all(conjugate(h, g) in C for h in C.generators):
+                    predicted, torsion_coset = _predict_kronecker_type(C, g)
+                    grown = predicted.delta > code_type(C).delta
+                    cases.add(1 if torsion_coset else 2 if grown else 3)
+                    pairs.append((C.sig, C.generators, g, (predicted, torsion_coset)))
+    assert cases == {1, 2, 3}
+    calls = Counter()
+    mul = GroupWord.__mul__
+
+    def counting_mul(x, y):
+        calls["mul"] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(GroupWord, "__mul__", counting_mul)
+    for sig, gens, g, predicted in pairs:
+        assert _predict_kronecker_type(CodeGroup(sig, gens), g) == predicted
+    assert calls["mul"] == 0
+    g * g  # the counter sees a product
+    assert calls["mul"] == 1
+
+
+@pytest.mark.parametrize("construct", ["extend", "generalized_kronecker"])
+def test_constructions_check_signature_then_max_order_then_the_kept_coset(
+    construct, hadamard16
+):
+    """Both doublings run one sequence of checks: the element's signature,
+    then ``max_order``, then the coset test, so an invalid element with a
+    ``max_order`` too small is refused by the limit, and a kept coset is
+    refused by it too."""
+    construction = {"extend": extend, "generalized_kronecker": generalized_kronecker}[construct]
+    C = _copy(xi_lift(load_fixture("hadamard8_z4")) if construct == "extend" else hadamard16)
+    good = parse_element("b ab b ab" if construct == "extend" else "b ab 1 1", C.sig)
+    bad = parse_element("a b 1 1", C.sig)  # it moves a generator of C
+    other = word(GroupSignature(0, 1, 0), (1,))
+    with pytest.raises(ConstructionError, match="normalize"):
+        construction(C, bad)
+    with pytest.raises(ConstructionError, match="element signature"):
+        construction(C, other, max_order=1)
+    with pytest.raises(EnumerationLimit, match="order exceeds max_order=1"):
+        construction(C, bad, max_order=1)
+    construction(C, good)
+    with pytest.raises(EnumerationLimit, match="order exceeds max_order=1"):
+        construction(C, good * C.sorted_elements()[3], max_order=1)

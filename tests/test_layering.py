@@ -103,3 +103,16 @@ def test_every_oracle_is_reached_by_verify_or_the_fixtures():
 
 def test_public_names_are_pinned():
     assert z2z4q8.__all__ == PUBLIC_NAMES
+
+
+def test_constructions_read_no_coset_scan_and_no_words_of_a_group():
+    """The constructions decide from presentations: ``constructions.py``
+    neither imports ``_coset_reps`` nor reads ``.elements``."""
+    tree = _tree("constructions")
+    imported = {
+        a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names
+    }
+    assert "_coset_reps" not in imported
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "elements" for node in ast.walk(tree)
+    )

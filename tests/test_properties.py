@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from z2z4q8 import (
     CodeGroup,
+    CodeType,
     ConstructionError,
     EnumerationLimit,
     GroupSignature,
@@ -43,7 +45,12 @@ from z2z4q8 import (
     word_from_tokens,
     xi_lift,
 )
-from z2z4q8.constructions import _pair_bits, _pair_word, generalized_kronecker
+from z2z4q8.constructions import (
+    _pair_bits,
+    _pair_word,
+    _predict_kronecker_type,
+    generalized_kronecker,
+)
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import _GRAY_BLOCKS, Q8_TOKENS, GroupWord, _nu, _pi
@@ -73,6 +80,7 @@ from z2z4q8.subgroup import (
 )
 
 from conftest import (
+    SHIPPED_FIXTURES,
     assert_matches_reference,
     kind_of,
     random_subgroup,
@@ -632,6 +640,61 @@ def test_property_kronecker_order_test_matches_its_preconditions(data):
             assert str(err.value) == failing[0]
         else:
             assert generalized_kronecker(C, g).output == out
+
+
+def _scanned_kronecker_type(C, g):
+    """(case, (type, torsion coset)) of K_g(C) by a scan of the words g*c,
+    one c per T-coset: the word-level reference of
+    ``_predict_kronecker_type``, about 2^k (2|gens| + 1) products."""
+    ct = code_type(C)
+    reps = _coset_reps(C)
+    if any((g * c).order() <= 2 for c in reps):
+        return 1, (CodeType(ct.sigma + 1, ct.delta, ct.rho), True)
+    gens = C.generators
+    if any(all((g * c) * h == h * (g * c) for h in gens) for c in reps):
+        return 2, (CodeType(ct.sigma, ct.delta + 1, ct.rho), False)
+    delta1 = sum(1 for v in _radical(C) if reps[v] * g == g * reps[v]).bit_length() - 1
+    return 3, (CodeType(ct.sigma, delta1, ct.rho + ct.delta - delta1 + 1), False)
+
+
+def _kronecker_cases(groups, examples: int, cases: Counter) -> Counter:
+    """Count the cases of the word scan hit by the g that ``_near`` draws
+    and that pass the preconditions, after asserting that the prediction
+    read from the presentation equals the scan on each; ``groups`` draws
+    (C, its generators)."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=examples)
+    @given(st.data())
+    def check(data):
+        C, gens = data.draw(groups)
+        near = _near(C.sig, sorted(C.elements, key=lambda w: w.coords))
+        for g in data.draw(st.lists(near, min_size=6, max_size=6)):
+            if _precondition_messages(C, gens, g, "kronecker"):
+                continue
+            case, scanned = _scanned_kronecker_type(C, g)
+            assert _predict_kronecker_type(C, g) == scanned, (C.sig, gens, g)
+            cases[case] += 1
+
+    check()
+    return cases
+
+
+def test_property_kronecker_type_prediction_matches_the_word_scan():
+    """Over the Z2-only, Z4-only, Q8-only and mixed strategies the
+    prediction equals the scan, and each of its three cases is hit."""
+    groups = signatures.flatmap(
+        lambda sig: st.lists(words_of(sig), min_size=1, max_size=3)
+    ).map(lambda gens: (generate(gens), gens))
+    assert set(_kronecker_cases(groups, 40, Counter())) == {1, 2, 3}
+
+
+def test_kronecker_type_prediction_matches_the_word_scan_on_fixtures():
+    assert len(SHIPPED_FIXTURES) == 21
+    cases = Counter()
+    for name in SHIPPED_FIXTURES:
+        C = load_fixture(name)
+        _kronecker_cases(st.just((C, C.generators)), 5, cases)
+    assert set(cases) == {1, 2, 3}
 
 
 def _reference_pair(w1, w2):
