@@ -41,6 +41,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    if args.operation == "lift" and args.element is not None:
+        raise ValueError("construct lift takes no --element")
+    if args.operation != "extend" and args.lift_first:
+        raise ValueError(f"--lift-first applies to extend only, not {args.operation}")
     C = _load_group(args.file, args.max_order)
     if args.operation == "lift":
         out = xi_lift(C, args.max_order)

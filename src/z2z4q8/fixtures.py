@@ -8,8 +8,10 @@ computed invariants against frozen expected values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from .constructions import (
     extend,
@@ -42,8 +44,12 @@ class Fixture:
     case_id: str
     description: str
     build: Callable[[], CodeGroup]
-    expected: Dict[str, object]
+    expected: Mapping[str, object]
     extra: Tuple[Callable[[CodeGroup], Optional[str]], ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        # the registry is shared, so its expected values are read-only
+        object.__setattr__(self, "expected", MappingProxyType(dict(self.expected)))
 
 
 @dataclass(frozen=True)
@@ -408,8 +414,10 @@ def _registry() -> List[Fixture]:
     ]
 
 
-def fixtures() -> Dict[str, Fixture]:
-    return {f.case_id: f for f in _registry()}
+@lru_cache(maxsize=1)
+def fixtures() -> Mapping[str, Fixture]:
+    """The 24 reproduce cases by id: one read-only table, built once."""
+    return MappingProxyType({f.case_id: f for f in _registry()})
 
 
 def reproduce(case_ids: Optional[List[str]] = None) -> List[CaseResult]:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import json
-from typing import Optional
+from json.encoder import encode_basestring_ascii as _string
+from typing import List, Optional
 
 from . import oracles
 from .hadamard import classify_shape, hadamard_bounds
@@ -65,9 +65,113 @@ def analyze(C: CodeGroup, verify: bool = False) -> dict:
     }
 
 
+_FIELDS = frozenset({
+    "bounds", "epsilon", "is_abelian", "is_hadamard", "is_linear",
+    "kernel_dim", "normalized_generators", "order", "rank", "shape",
+    "signature", "type", "weight_distribution",
+})
+
+# The layout of json.dumps(indent=2, sort_keys=True): keys in string order,
+# two spaces per level.
+_REPORT = """{
+  "bounds": %s,
+  "epsilon": %s,
+  "is_abelian": %s,
+  "is_hadamard": %s,
+  "is_linear": %s,
+  "kernel_dim": %d,
+  "normalized_generators": %s,
+  "order": %d,
+  "rank": %d,
+  "shape": %s,
+  "signature": {
+    "k1": %d,
+    "k2": %d,
+    "k3": %d,
+    "l": %d,
+    "n": %d
+  },
+  "type": %s,
+  "weight_distribution": %s
+}
+"""
+_BOUND = """{
+      "lhs": %d,
+      "name": %s,
+      "ok": %s,
+      "rhs": %d
+    }"""
+_GENERATORS = """{
+    "structure": %s,
+    "xs": %s,
+    "ys": %s,
+    "zs": %s
+  }"""
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _optional_int(value: Optional[int]) -> str:
+    return "null" if value is None else "%d" % value
+
+
+def _block(items: List[str], depth: int, brackets: str = "[]") -> str:
+    """JSON texts ``items`` as one member a line between ``brackets``, the
+    closing one at ``depth`` spaces."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 2)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
+
+
 def render_json(payload: dict) -> str:
-    """Deterministic JSON text (sorted keys, fixed separators)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
+    for a payload that ``analyze`` returns, written from fixed templates.
+
+    The payload must have exactly the field set of ``analyze`` with its
+    value types: ints, bools, None where ``analyze`` allows it, and str
+    names and generators, escaped to ASCII as ``json.dumps`` does.  A
+    payload with other top-level fields raises ``ValueError``.
+    """
+    if payload.keys() != _FIELDS:
+        raise ValueError(
+            "render_json takes an analyze() payload; fields differ by "
+            f"{sorted(payload.keys() ^ _FIELDS)}"
+        )
+    normalized = payload["normalized_generators"]
+    if normalized is not None:
+        normalized = _GENERATORS % (
+            _string(normalized["structure"]),
+            _block([_string(w) for w in normalized["xs"]], 4),
+            _block([_string(w) for w in normalized["ys"]], 4),
+            _block([_string(w) for w in normalized["zs"]], 4),
+        )
+    else:
+        normalized = "null"
+    sig = payload["signature"]
+    return _REPORT % (
+        _block([
+            _BOUND % (b["lhs"], _string(b["name"]), _bool(b["ok"]), b["rhs"])
+            for b in payload["bounds"]
+        ], 2),
+        _optional_int(payload["epsilon"]),
+        _bool(payload["is_abelian"]),
+        _bool(payload["is_hadamard"]),
+        _bool(payload["is_linear"]),
+        payload["kernel_dim"],
+        normalized,
+        payload["order"],
+        payload["rank"],
+        _optional_int(payload["shape"]),
+        sig["k1"], sig["k2"], sig["k3"], sig["l"], sig["n"],
+        _block(["%d" % t for t in payload["type"]], 2),
+        _block([
+            "%s: %d" % (_string(w), c)
+            for w, c in sorted(payload["weight_distribution"].items())
+        ], 2, "{}"),
+    )
 
 
 def render_summary(payload: dict) -> str:

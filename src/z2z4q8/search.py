@@ -93,6 +93,8 @@ def search(
     """
     if length < 4 or length & (length - 1):
         raise ValueError(f"length must be a power of two >= 4, got {length}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     rng = random.Random(seed)
     pool: List[CodeGroup] = []
     for _ in range(min(24, max(4, budget // 16))):

@@ -45,7 +45,7 @@ from z2z4q8 import (
     xi_lift,
 )
 from z2z4q8.constructions import random_doubling_element
-from z2z4q8.fixtures import load_fixture, reproduce
+from z2z4q8.fixtures import fixtures, load_fixture, reproduce
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.invariants import _kernel_cosets
 from z2z4q8.oracles import (
@@ -539,3 +539,13 @@ def test_reproduce_all_fixtures():
     failed = [r.case_id for r in results if not r.ok]
     assert not failed, failed
     _ok("reproduce", f"{len(results)}/{len(results)} fixtures pass")
+
+
+def test_fixture_registry_is_built_once_and_read_only():
+    table = fixtures()
+    assert fixtures() is table and len(table) == 24
+    case = next(iter(table.values()))
+    with pytest.raises(TypeError):
+        table["another"] = case
+    with pytest.raises(TypeError):
+        case.expected["rank"] = 0

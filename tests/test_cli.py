@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from z2z4q8 import search
 from z2z4q8.cli import main
 from z2z4q8.fixtures import fixture_text
 
@@ -122,6 +123,22 @@ def test_construct_extend_error(tmp_path, capsys):
     assert "already lies in the group" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lift", "--element", "1 1 1 1"], "construct lift takes no --element"),
+        (["lift", "--lift-first"], "--lift-first applies to extend only, not lift"),
+        (["kronecker", "--lift-first"], "--lift-first applies to extend only, not kronecker"),
+    ],
+)
+def test_construct_refuses_an_option_it_would_ignore(tmp_path, capsys, argv, message):
+    path = _write(tmp_path, fixture_text("hadamard8_z4"))
+    assert main(["construct", argv[0], path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_construct_kronecker(tmp_path, capsys):
     path = _write(tmp_path, fixture_text("hadamard16_q8"))
     assert main(["construct", "kronecker", path, "--json"]) == 0
@@ -194,6 +211,15 @@ def test_search_deterministic(capsys):
     assert main(["search", "--length", "8", "--seed", "3", "--budget", "60"]) == 0
     assert capsys.readouterr().out == first
     assert "distinct codes found" in first
+
+
+def test_search_refuses_a_negative_budget(capsys):
+    assert main(["search", "--length", "16", "--budget", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: budget must be >= 0, got -5\n"
+    assert captured.out == ""
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        search(16, budget=-1)
 
 
 def test_max_order_only_on_enumerating_commands(capsys):

@@ -116,3 +116,25 @@ def test_constructions_read_no_coset_scan_and_no_words_of_a_group():
     assert not any(
         isinstance(node, ast.Attribute) and node.attr == "elements" for node in ast.walk(tree)
     )
+
+
+def test_report_writes_its_json_without_the_json_encoder():
+    """``render_json`` fills templates: ``report.py`` calls no ``dumps`` and
+    takes from ``json`` only the C string escape."""
+    tree = _tree("report")
+    assert not any(
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "dumps"
+        for node in ast.walk(tree)
+    )
+    json_imports = [
+        (node.module, a.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"
+        for a in node.names
+    ]
+    assert json_imports == [("json.encoder", "encode_basestring_ascii")]
+    assert not any(
+        isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names)
+        for node in ast.walk(tree)
+    )
