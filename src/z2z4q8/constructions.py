@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .groups import (
     GroupSignature,
@@ -103,7 +103,7 @@ def _index_two(
     max_order: int,
 ) -> Tuple[CodeGroup, _T]:
     """(H, laws(C, x, H)) for the doubling H = build(C, x) of C by x, kept
-    on C once per coset x C.
+    in C's table of doublings once per coset x C.
 
     H = <D, y>: D is a copy of C (C itself for ``extend``, diag(C) for
     ``generalized_kronecker``) and y is x or (x, x u).  A map p (the
@@ -125,9 +125,15 @@ def _index_two(
 
     Every x' = x c in x C gives the same output, as y' = y d with d the
     copy of c in D, and passes or fails with x.  So H is built and checked
-    once per coset and kept on C, keyed by ``build`` and ``_coset_word``;
-    a later element of the coset gets the kept pair, whose H has the first
-    element drawn from the coset in its last generator.  The signature and
+    once per coset and kept in the table (``_doublings``), keyed by
+    ``build`` and ``_coset_word``; a later element of the coset gets the
+    kept pair, whose H has the first element drawn from the coset in its
+    last generator.  The coset word depends on the group only, not on its
+    generators: the pivots of an echelon basis are the top bits of the
+    space it spans, and the reductions clear them.  So groups that
+    ``_share_doublings`` ties to one table, all equal, read each other's
+    pairs: the H kept for a coset equals, as a group, the one a fresh
+    build would give, and its laws are the same.  The signature and
     ``max_order`` checks run first, on every call, and a failure is not
     kept, so its message names the caller's element.
     """
@@ -135,8 +141,8 @@ def _index_two(
         raise ConstructionError(f"element signature {x.sig} != group {C.sig}")
     if 2 * C.order > max_order:
         raise EnumerationLimit(f"{noun} order exceeds max_order={max_order}")
-    key = (build, _coset_word(C, x.bits))
-    if key not in C._cache:
+    kept, key = _doublings(C), (build, _coset_word(C, x.bits))
+    if key not in kept:
         out = build(C, x)
         if out.order != 2 * C.order:
             if x in C:
@@ -147,8 +153,25 @@ def _index_two(
                 if conjugate(g, x) not in C:
                     raise ConstructionError(f"{x} does not normalize the group (moves {g})")
             raise RuntimeError(f"{noun} order is not 2|C|")
-        C._cache[key] = out, laws(C, x, out)
-    return C._cache[key]
+        kept[key] = out, laws(C, x, out)
+    return kept[key]
+
+
+def _doublings(C: CodeGroup) -> dict:
+    """C's table of kept doublings, (build, coset word) -> (H, laws), held
+    on C: its own, unless ``_share_doublings`` tied it to an equal group's."""
+    return C._cache.setdefault(_doublings, {})
+
+
+def _share_doublings(C: CodeGroup, tables: Dict[CodeGroup, dict]) -> None:
+    """Tie C to the table of doublings of the first group equal to C that
+    ``tables`` met, C's own if none; ``tables`` maps each group met to it.
+
+    A kept H carries the generators of the group and element that built
+    it, so the caller decides where a table may be shared: ``search``
+    shares one per call, among the groups of its own pool.
+    """
+    C._cache[_doublings] = tables.setdefault(C, _doublings(C))
 
 
 def extend(

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .constructions import (
     ConstructionError,
+    _share_doublings,
     extend,
     generalized_kronecker,
     random_doubling_element,
@@ -89,13 +90,32 @@ def search(
     """Sample Hadamard code groups of the given binary length.
 
     Returns results deduplicated by (signature, type, rank, kernel, shape),
-    at most ``MAX_RESULTS``, deterministic for a fixed seed.
+    at most ``MAX_RESULTS``, deterministic for a fixed seed.  ``shape``,
+    if given, keeps only results of that shape tag, 1..5.
+
+    Equal pool entries, and equal lifts of them, share one table of kept
+    doublings for this call (``_share_doublings``), so each (group, coset)
+    is built and checked once, not once per equal entry.  The output is
+    the one each entry would give with its own table.  A pair kept by an
+    equal entry was built by an earlier sample of this call, and that
+    sample put its output into ``seen_groups``: the sample that gets the
+    pair is a duplicate group, as it would be after a fresh build of an
+    equal group.  So every group that reaches a ``FoundCode`` is built on
+    the drawing entry with the drawing element.  Failures are never kept,
+    so they raise with the caller's element; no rng draw reads a table;
+    and the tables are this call's own, so what other groups are alive
+    outside it does not matter.
     """
     if length < 4 or length & (length - 1):
         raise ValueError(f"length must be a power of two >= 4, got {length}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    if shape is not None and not 1 <= shape <= 5:
+        raise ValueError(f"shape must be in 1..5, got {shape}")
     rng = random.Random(seed)
+    # Equal entries stay separate objects: each keeps its own generators,
+    # which the groups built on it carry into the results.  Only their
+    # tables of kept doublings are shared, below.
     pool: List[CodeGroup] = []
     for _ in range(min(24, max(4, budget // 16))):
         try:
@@ -107,6 +127,7 @@ def search(
     found: List[FoundCode] = []
     seen_groups: Set[CodeGroup] = set()
     seen_keys: set = set()
+    tables: Dict[CodeGroup, dict] = {}
     for _ in range(budget):
         if len(found) >= MAX_RESULTS:
             break
@@ -116,10 +137,12 @@ def search(
             if rng.random() < 0.7:
                 lifted = xi_lift(base)
                 x = random_doubling_element(lifted.sig, rng)
+                _share_doublings(lifted, tables)
                 C = extend(lifted, x)
             else:
                 g = rng.choice(base.sorted_elements())
                 g = g * _random_torsion_word(base.sig, rng)
+                _share_doublings(base, tables)
                 C = generalized_kronecker(base, g).output
         except (ConstructionError, ValueError):
             continue

@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from importlib import resources
 from types import ModuleType
-from typing import List
+from typing import List, Tuple
 
 import pytest
 
@@ -61,6 +61,27 @@ def count_calls(monkeypatch, owner: ModuleType, *names: str) -> Counter:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def watch_search_pool(monkeypatch) -> Tuple[list, List[CodeGroup]]:
+    """(building, pool): ``building`` is non-empty exactly while ``search``
+    builds a base of its pool (``_random_abelian_base``), so a wrapper can
+    tell the pool from the sample loop; ``pool`` collects the bases built."""
+    search_module = sys.modules["z2z4q8.search"]  # the package's ``search`` is the function
+    make_base = search_module._random_abelian_base
+    building: list = []
+    pool: List[CodeGroup] = []
+
+    def pooled(*args):
+        building.append(True)
+        try:
+            pool.append(make_base(*args))
+        finally:
+            building.pop()
+        return pool[-1]
+
+    monkeypatch.setattr(search_module, "_random_abelian_base", pooled)
+    return building, pool
 
 
 def record_word_sets(monkeypatch) -> List[CodeGroup]:

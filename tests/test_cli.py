@@ -13,6 +13,8 @@ from z2z4q8 import search
 from z2z4q8.cli import main
 from z2z4q8.fixtures import fixture_text
 
+from conftest import count_calls
+
 PURE = "sig 0 0 2\ngen a a\ngen ab b\n"
 
 
@@ -220,6 +222,19 @@ def test_search_refuses_a_negative_budget(capsys):
     assert captured.out == ""
     with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
         search(16, budget=-1)
+
+
+def test_search_refuses_a_shape_outside_1_to_5(monkeypatch):
+    """No result has a shape tag outside 1..5, so such a filter is refused
+    before the base pool is built, not after the whole budget."""
+    search_module = sys.modules["z2z4q8.search"]  # the package's ``search`` is the function
+    calls = count_calls(monkeypatch, search_module, "_random_abelian_base")
+    for shape in (0, 6, 7, -1):
+        with pytest.raises(ValueError, match=rf"^shape must be in 1\.\.5, got {shape}$"):
+            search(16, shape=shape, seed=1, budget=200)
+    assert calls["_random_abelian_base"] == 0
+    assert search(8, shape=1, seed=3, budget=60)
+    assert calls["_random_abelian_base"] > 0
 
 
 def test_max_order_only_on_enumerating_commands(capsys):

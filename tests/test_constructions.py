@@ -53,6 +53,7 @@ from conftest import (
     random_subgroup,
     random_word,
     record_word_sets,
+    watch_search_pool,
 )
 
 
@@ -678,20 +679,40 @@ def test_a_coset_hit_still_checks_max_order(hadamard16):
 
 
 def test_search_checks_each_passing_coset_once(monkeypatch):
-    """In search(16, seed=1, budget=2500) the Kronecker type prediction and
-    extend's weight check run once per distinct (input, coset) that passes,
-    though most draws repeat one.  An output is the union of its input and
-    the coset (for Kronecker, its pairs with their first halves in g C), so
-    its Gray image tells the cosets of one input apart."""
+    """In the sample loop of search(16, seed=1, budget=2500) each distinct
+    (input group, coset) is built once, and its Kronecker type prediction or
+    extend's weight check runs once, though most draws repeat one and equal
+    pool entries, separate objects, draw the same pairs.  Inputs are keyed
+    by the group, so equal entries count as one.  An output is the union of
+    its input and the coset (for Kronecker, its pairs with their first
+    halves in g C), so its Gray image tells the cosets of one input apart.
+    The base pool is built before the loop, on fresh seed groups, and is
+    left out."""
     search_module = sys.modules["z2z4q8.search"]  # the package's ``search`` is the function
+    in_pool, _ = watch_search_pool(monkeypatch)
+    loop = Counter()  # calls in the sample loop, by name and first argument
+
+    def counting(name):
+        original = getattr(constructions_module, name)
+
+        def wrapper(C, *args):
+            if not in_pool:
+                loop[name, C] += 1
+            return original(C, *args)
+
+        monkeypatch.setattr(constructions_module, name, wrapper)
+
+    for name in ("_adjoin", "_kronecker_output", "_predict_kronecker_type", "weight_distribution"):
+        counting(name)
     passing = {"extend": [], "generalized_kronecker": []}
     inputs = []  # keeps every input alive, so its id stays its own
 
     def recording(name, construction, output):
         def wrapper(C, g, *args):
             result = construction(C, g, *args)
-            inputs.append(C)
-            passing[name].append((id(C), gray_codewords(output(result))))
+            if not in_pool:
+                inputs.append(C)
+                passing[name].append((C, gray_codewords(output(result))))
             return result
 
         return wrapper
@@ -704,24 +725,21 @@ def test_search_checks_each_passing_coset_once(monkeypatch):
         "generalized_kronecker",
         recording("generalized_kronecker", generalized_kronecker, lambda r: r.output),
     )
-    predictions = count_calls(monkeypatch, constructions_module, "_predict_kronecker_type")
-    weighed = Counter()
-    real_weights = constructions_module.weight_distribution
-
-    def weighing(C):
-        weighed[id(C)] += 1
-        return real_weights(C)
-
-    monkeypatch.setattr(constructions_module, "weight_distribution", weighing)
     search(16, seed=1, budget=2500)
 
-    kron = passing["generalized_kronecker"]
-    assert predictions["_predict_kronecker_type"] == len(set(kron)) < len(kron)
-    ext = passing["extend"]
-    assert len(set(ext)) < len(ext)
+    def calls(name):
+        return sum(n for (fn, _), n in loop.items() if fn == name)
+
+    kron, ext = passing["generalized_kronecker"], passing["extend"]
+    assert calls("_kronecker_output") == calls("_predict_kronecker_type") == len(set(kron)) < len(kron)
+    assert calls("_adjoin") == len(set(ext)) < len(ext)
     # each extend input is weighed once with each of its distinct outputs
-    lifted = {key for key, _ in ext}
-    assert sum(weighed[key] for key in lifted) == len(set(ext))
+    lifted = {C for C, _ in ext}
+    assert sum(loop["weight_distribution", C] for C in lifted) == len(set(ext))
+    # equal pool entries are separate objects: keyed by object, more pairs
+    for drawn in (kron, ext):
+        assert len({(id(C), out) for C, out in drawn}) > len(set(drawn))
+    assert len({id(C) for C in inputs}) > len(set(inputs))
 
 
 def test_kronecker_type_prediction_multiplies_no_words(monkeypatch):

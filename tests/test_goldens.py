@@ -10,15 +10,29 @@ pins search's result lines at three more (length, seed, budget) triples.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from z2z4q8 import analyze, generate, parse_generators, render_json, search
+import z2z4q8.constructions as constructions_module
+from z2z4q8 import (
+    CodeGroup,
+    ConstructionError,
+    analyze,
+    extend,
+    generalized_kronecker,
+    generate,
+    parse_generators,
+    render_json,
+    search,
+    xi_lift,
+)
 from z2z4q8.fixtures import fixture_text
 
-from conftest import SHIPPED_FIXTURES
+from conftest import SHIPPED_FIXTURES, count_calls, watch_search_pool
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDENS = BENCH / "goldens"
@@ -63,6 +77,85 @@ SEARCH_RUNS = json.loads(
 )
 def test_search_results_at_more_seeds_equal_the_goldens(run):
     assert _search_lines(run["length"], run["seed"], run["budget"]) == run["results"]
+
+
+def _draws(monkeypatch, length: int, seed: int, budget: int):
+    """The inputs search(length, seed, budget) draws from, its pool bases
+    and their lifts, as (signature, generators); and the construction,
+    input index and element of every draw of its sample loop.  No group of
+    the run is returned, so none of them outlives the call."""
+    search_module = sys.modules["z2z4q8.search"]  # the package's ``search`` is the function
+    draws = []
+
+    def drawing(construction):
+        def wrapper(C, g, *args):
+            if not building:
+                draws.append((construction, C, g))
+            return construction(C, g, *args)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        building, pool = watch_search_pool(patch)
+        patch.setattr(search_module, "extend", drawing(extend))
+        patch.setattr(search_module, "generalized_kronecker", drawing(generalized_kronecker))
+        search(length, seed=seed, budget=budget)
+    inputs = pool + [xi_lift(C) for C in pool]
+    index = {id(C): i for i, C in enumerate(inputs)}
+    return (
+        [(C.sig, C.generators) for C in inputs],
+        [(construction, index[id(C)], g) for construction, C, g in draws],
+    )
+
+
+def _fresh_process_lines(length: int, seed: int, budget: int):
+    code = (
+        "import json, sys; from test_goldens import _search_lines; "
+        f"json.dump(_search_lines({length}, {seed}, {budget}), sys.stdout)"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [{"length": 16, "seed": 1, "budget": 2500, "results": _golden("search-16")["results"]}]
+    + SEARCH_RUNS,
+    ids=lambda r: f"{r['length']}-{r['seed']}-{r['budget']}",
+)
+def test_search_output_does_not_depend_on_what_else_is_alive(monkeypatch, run):
+    """Copies of search's pool bases and of their lifts, alive through the
+    call, with an output kept on each for every coset search draws, lend
+    search nothing: its result lines equal the goldens and those of a fresh
+    process.  Each kept output was built from another element of the coset
+    (g c, c the last word of the input), so its last generator differs from
+    the one search builds; a table of doublings shared by every equal group
+    alive would hand it to search.  After search returns, a copy of an
+    input builds afresh."""
+    length, seed, budget = run["length"], run["seed"], run["budget"]
+    inputs, draws = _draws(monkeypatch, length, seed, budget)
+    copies = [CodeGroup(sig, gens) for sig, gens in inputs]
+    kept = []
+    for construction, i, g in draws:
+        try:
+            kept.append(construction(copies[i], g * copies[i].sorted_elements()[-1]))
+        except ConstructionError:
+            pass
+    assert kept
+    lines = _search_lines(length, seed, budget)
+    assert lines == run["results"]
+    assert lines == _fresh_process_lines(length, seed, budget)
+
+    builds = count_calls(monkeypatch, constructions_module, "_adjoin", "_kronecker_output")
+    for construction, build in ((generalized_kronecker, "_kronecker_output"), (extend, "_adjoin")):
+        _, i, g = next(d for d in draws if d[0] is construction)
+        construction(CodeGroup(*inputs[i]), g)
+        assert builds[build] == 1
 
 
 @pytest.mark.parametrize("name", ["kronecker-chain", "dense-subgroups"])

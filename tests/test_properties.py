@@ -533,7 +533,10 @@ def test_property_membership_matches_the_closure(data):
 def test_property_coset_word_is_constant_on_cosets_and_zero_on_the_group(data):
     """``_coset_word(C, x)`` is the same for x and x c with c in C, is 0
     exactly when x lies in the word closure of the generators, and tells
-    cosets apart: two words share it exactly when x^-1 y lies in C."""
+    cosets apart: two words share it exactly when x^-1 y lies in C.  It
+    reads the group, not its generators: the same group given by its
+    generators shuffled, with redundant products added, gives the same
+    word, so equal groups can share the outputs kept by coset."""
     sig = data.draw(signatures)
     gens = data.draw(st.lists(words_of(sig), min_size=1, max_size=3))
     C = generate(gens)
@@ -541,8 +544,10 @@ def test_property_coset_word_is_constant_on_cosets_and_zero_on_the_group(data):
     ordered = sorted(members, key=lambda w: w.coords)
     xs = data.draw(st.lists(_near(sig, ordered), min_size=6, max_size=6))
     cs = data.draw(st.lists(st.sampled_from(ordered), min_size=4, max_size=4))
+    D = generate(data.draw(st.permutations(list(gens) + cs + [gens[0] * gens[-1]])))
     for x in xs:
         key = _coset_word(C, x.bits)
+        assert _coset_word(D, x.bits) == key, (sig, x)
         assert (key == 0) == (x in members), (sig, x)
         assert all(_coset_word(C, (x * c).bits) == key for c in cs), (sig, x)
         for y in xs:
