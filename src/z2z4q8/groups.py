@@ -398,15 +398,21 @@ def u_element(sig: GroupSignature) -> GroupWord:
 
 
 def _commutator_bits(sig: GroupSignature, x: int, y: int) -> int:
-    """Gray((x, y)) for words given by their Gray images x and y: the one
-    statement of the commutator law, two applications of pi.
+    """Gray((x, y)) for words given by their Gray images x and y, in closed
+    form; as (x, y) is central, it is also Gray(xy) + Gray(yx).
 
-    xy = yx (x, y), and (x, y) has order <= 2 (every coordinate group has
-    class 2 with commutators in {1, a2}): it is central and pi fixes its
-    image, so Gray(xy) = Gray(yx) + Gray((x, y)), with Gray(xy) = x +
-    pi_x(y) and Gray(yx) = y + pi_y(x).
+    Z2 and Z4 are abelian, so their blocks are 0.  Two Q8 entries commute
+    exactly when one is in {1, a2} or both lie in one of <a>, <b>, <ab>;
+    otherwise their commutator is a2, of block 1111.  The classes in
+    Q8/<a2> are p = b0^b1, q = b0^b2 at each block's low bit (``_nu``):
+    (0,0) on {1, a2}, one nonzero class per cyclic subgroup.  So the block
+    is 1111 exactly when both classes are nonzero and different, and those
+    low bits times 0b1111 fill it.
     """
-    return x ^ y ^ _pi(sig, x, y) ^ _pi(sig, y, x)
+    q8 = sig._q8
+    px, qx = (x ^ (x >> 1)) & q8, (x ^ (x >> 2)) & q8
+    py, qy = (y ^ (y >> 1)) & q8, (y ^ (y >> 2)) & q8
+    return ((px | qx) & (py | qy) & ((px ^ py) | (qx ^ qy))) * 0b1111
 
 
 def commutator(x: GroupWord, y: GroupWord) -> GroupWord:

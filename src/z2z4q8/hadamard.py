@@ -6,6 +6,12 @@ be normalized (at most two z-generators square to the all-order-2 word u,
 and such a pair has commutator u), and the group falls into one of five
 structural shapes, decided here by a deterministic sequence of generator
 substitutions with every claimed relation machine-verified.
+
+The walk carries each z with the index of its T-coset (``_coset_index``),
+and reads every square and commutator it branches on or requires from
+``_coset_table``: they are constant on T-cosets.  Words are multiplied
+only to build the witness, which is checked on its words
+(``verify_standard``, ``_verify_shape``).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from math import ceil, comb, floor
 from typing import List, Optional, Sequence, Tuple
 
 from .gf2 import Gf2Basis
-from .groups import GroupWord, _sort_key, commutator, identity, u_element
+from .groups import GroupWord, commutator, u_element
 from .invariants import (
     BoundCheck,
     BoundReport,
@@ -26,9 +32,11 @@ from .invariants import (
 from .subgroup import (
     CodeGroup,
     StandardGenSet,
+    _coset_index,
     _coset_minima,
     _coset_table,
     _memoized,
+    _minimum_keys,
     _radical,
     _span,
     code_type,
@@ -74,14 +82,24 @@ class NormalizedGenSet:
         return self.base.zs
 
 
-def _pair_reorder(
-    C: CodeGroup, zs: Sequence[GroupWord]
-) -> Tuple[List[GroupWord], int]:
-    """Sort z's so equal-square pairs come first; return (zs, epsilon)."""
-    u = u_element(C.sig)
+Indexed = Tuple[GroupWord, int]  # a z and its ``_coset_reps`` index
+
+
+def _indexed(C: CodeGroup, words: Sequence[GroupWord]) -> List[Indexed]:
+    return [(w, _coset_index(C, w.bits)) for w in words]
+
+
+def _times(a: Indexed, b: Indexed) -> Indexed:
+    return a[0] * b[0], a[1] ^ b[1]
+
+
+def _pair_reorder(C: CodeGroup, zs: Sequence[Indexed]) -> Tuple[List[Indexed], int]:
+    """Sort z's so equal-square pairs come first; return (zs, epsilon).
+    Three z's with one square raise, so at most two square to u."""
+    squares, rows = _coset_table(C)
     by_square: dict = {}
-    for pos, z in enumerate(zs):
-        by_square.setdefault(z * z, []).append(pos)
+    for pos, (_, v) in enumerate(zs):
+        by_square.setdefault(squares[v], []).append(pos)
     pairs: List[List[int]] = []
     singles: List[int] = []
     for square, positions in by_square.items():
@@ -90,19 +108,16 @@ def _pair_reorder(
         elif len(positions) == 2:
             pairs.append(positions)
             p, q = positions
-            if commutator(zs[p], zs[q]) != square:
+            if rows[zs[p][1]][zs[q][1]] != square:
                 raise ClassificationError(
-                    f"equal-square generators {zs[p]} and {zs[q]} must have "
-                    f"commutator equal to their square"
+                    f"equal-square generators {zs[p][0]} and {zs[q][0]} must "
+                    f"have commutator equal to their square"
                 )
         else:
             raise ClassificationError(
-                f"{len(positions)} generators share the square {square}; "
-                f"at most two may"
+                f"{len(positions)} generators share the square "
+                f"{GroupWord._from_bits(C.sig, square)}; at most two may"
             )
-    u_count = len(by_square.get(u, ()))
-    if u_count > 2:
-        raise ClassificationError("more than two generators square to u")
     order = [p for pair in sorted(pairs) for p in pair] + sorted(singles)
     return [zs[p] for p in order], len(pairs)
 
@@ -113,39 +128,43 @@ def normalize_generators(
     """Normalized generating set for a Hadamard code group.
 
     Applies the square-u substitutions z_i -> z1*z_i / z2*z_i / z1*z2*z_i,
-    then reorders equal-square pairs to the front.  The result is verified
-    to be a standard generating set again.
+    then reorders equal-square pairs to the front, reading squares and
+    commutators by index.  A caller's ``base`` is verified first, as
+    indices mean something only for words of C; so is the result.
     """
     if not is_hadamard(C):
         raise ValueError("not a Hadamard code")
+    if base is not None:
+        verify_standard(C, base)
     gens = base if base is not None else standard_generators(C)
-    u = u_element(C.sig)
-    front = [z for z in gens.zs if z * z == u]
-    rest = [z for z in gens.zs if z * z != u]
+    u = (1 << C.sig.n) - 1
+    squares, rows = _coset_table(C)
+    zs = _indexed(C, gens.zs)
+    front = [z for z in zs if squares[z[1]] == u]
+    rest = [z for z in zs if squares[z[1]] != u]
     if len(front) >= 2:
         for i in range(1, len(front)):
-            if commutator(front[0], front[i]) == u:
+            if rows[front[0][1]][front[i][1]] == u:
                 front[1], front[i] = front[i], front[1]
                 break
         z1, z2 = front[0], front[1]
-        pair_commutes_to_u = commutator(z1, z2) == u
+        pair_commutes_to_u = rows[z1[1]][z2[1]] == u
         replaced = [z1]
         for i, z in enumerate(front[1:], start=2):
             if i == 2 and pair_commutes_to_u:
                 replaced.append(z)
-            elif commutator(z1, z) != u:
-                replaced.append(z1 * z)
-            elif commutator(z2, z) != u:
-                replaced.append(z2 * z)
+            elif rows[z1[1]][z[1]] != u:
+                replaced.append(_times(z1, z))
+            elif rows[z2[1]][z[1]] != u:
+                replaced.append(_times(z2, z))
             else:
-                replaced.append(z1 * z2 * z)
+                replaced.append(_times(_times(z1, z2), z))
         front = replaced
     zs = front + rest
-    for z in zs:
-        if (z * z).is_identity():
-            raise ClassificationError("normalization produced an order-2 generator")
+    if not all(squares[v] for _, v in zs):
+        raise ClassificationError("normalization produced an order-2 generator")
     zs, eps = _pair_reorder(C, zs)
-    out = StandardGenSet(gens.xs, gens.ys, tuple(zs))
+    out = StandardGenSet(gens.xs, gens.ys, tuple(w for w, _ in zs))
     verify_standard(C, out)
     return NormalizedGenSet(out, eps)
 
@@ -283,16 +302,21 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
     generator-index order, first applicable wins, and every step is
     recorded in the trail.  Termination within a few passes is guaranteed;
     failure to classify indicates an arithmetic bug.  ``base`` starts the
-    analysis from a caller-supplied standard generating set.
+    analysis from a caller-supplied standard generating set.  Squares
+    and commutators are read by index; the witness is checked on words.
     """
     ngs = normalize_generators(C, base)
     ct = code_type(C)
-    u = u_element(C.sig)
+    u = (1 << C.sig.n) - 1
+    squares, rows = _coset_table(C)
     trail: List[str] = []
 
-    def finish(tag: int, zs: Sequence[GroupWord]) -> Shape:
-        zs2, eps = _pair_reorder(C, list(zs))
-        out = StandardGenSet(ngs.xs, ngs.ys, tuple(zs2))
+    def comm(a: Indexed, b: Indexed) -> int:
+        return rows[a[1]][b[1]]
+
+    def finish(tag: int, zs: List[Indexed]) -> Shape:
+        zs2, eps = _pair_reorder(C, zs)
+        out = StandardGenSet(ngs.xs, ngs.ys, tuple(w for w, _ in zs2))
         verify_standard(C, out)
         witness = NormalizedGenSet(out, eps)
         _verify_shape(C, witness, tag)
@@ -303,13 +327,13 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
             tuple(trail),
         )
 
+    zs = _indexed(C, ngs.zs)
     if ct.rho == 0:
-        return finish(1, ngs.zs)
+        return finish(1, zs)
 
-    zs = list(ngs.zs)
     for _ in range(8):
         zs, eps = _pair_reorder(C, zs)
-        sq = [z * z for z in zs]
+        sq = [squares[v] for _, v in zs]
         rho = len(zs)
 
         if eps == 2:
@@ -320,7 +344,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
                 zs = [zs[2], zs[3], zs[0], zs[1]]
                 trail.append("moved the square-u pair to the front")
             else:
-                zs = [zs[0] * zs[2], zs[1] * zs[3], zs[2], zs[3]]
+                zs = [_times(zs[0], zs[2]), _times(zs[1], zs[3]), zs[2], zs[3]]
                 trail.append("merged the two pairs into a square-u pair")
             return finish(5, zs)
 
@@ -328,30 +352,26 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
             _require(ct.delta == 0, "a square-u pair forces delta = 0")
             if rho == 2:
                 return finish(2, zs)
-            c1 = commutator(zs[0], zs[-1])
-            c2 = commutator(zs[1], zs[-1])
+            c1, c2 = comm(zs[0], zs[-1]), comm(zs[1], zs[-1])
             _require(
-                not (c1.is_identity() and c2.is_identity()),
+                bool(c1 or c2),
                 "the last generator cannot commute with the whole square-u pair",
             )
-            if c1.is_identity():
-                zs[0] = zs[0] * zs[1]
+            if not c1:
+                zs[0] = _times(zs[0], zs[1])
                 trail.append("replaced z1 by z1*z2 to reach (z1,z_rho) = z_rho^2")
-            elif c2.is_identity():
-                zs[1] = zs[0] * zs[1]
+            elif not c2:
+                zs[1] = _times(zs[0], zs[1])
                 trail.append("replaced z2 by z1*z2 to reach (z2,z_rho) = z_rho^2")
             _require(
-                commutator(zs[0], zs[-1]) == sq[-1]
-                and commutator(zs[1], zs[-1]) == sq[-1],
+                comm(zs[0], zs[-1]) == sq[-1] and comm(zs[1], zs[-1]) == sq[-1],
                 "pair-versus-last commutators must equal the last square",
             )
-            tail = Gf2Basis((s * s).bits for s in zs[2:])
-            if not tail.contains(u.bits):
+            if not Gf2Basis(sq[2:]).contains(u):
                 return finish(2, zs)
             special = None
             for i in range(2, rho - 1):
-                ci1 = commutator(zs[0], zs[i]).is_identity()
-                ci2 = commutator(zs[1], zs[i]).is_identity()
+                ci1, ci2 = not comm(zs[0], zs[i]), not comm(zs[1], zs[i])
                 if ci1 != ci2:
                     special = i
                     swap_pair = ci2
@@ -368,7 +388,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
                 zs[2], zs[special] = zs[special], zs[2]
                 trail.append("moved the one-sided generator to position 3")
             _require(rho == 4, "this configuration forces rho = 4")
-            zs = [zs[0] * zs[1], zs[1], zs[0] * zs[2], zs[3]]
+            zs = [_times(zs[0], zs[1]), zs[1], _times(zs[0], zs[2]), zs[3]]
             trail.append("rebuilt generators to exhibit two equal-square pairs")
             continue
 
@@ -386,29 +406,22 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
             if j != 2:
                 zs[2], zs[j] = zs[j], zs[2]
                 trail.append("moved the square-u generator to position 3")
-            if commutator(zs[0], zs[2]).is_identity():
+            if not comm(zs[0], zs[2]):
                 zs[0], zs[1] = zs[1], zs[0]
                 trail.append("swapped z1 and z2")
-            if commutator(zs[1], zs[2]).is_identity():
-                zs[1] = zs[0] * zs[1]
+            if not comm(zs[1], zs[2]):
+                zs[1] = _times(zs[0], zs[1])
                 trail.append("replaced z2 by z1*z2")
             _require(
-                commutator(zs[0], zs[2]) == zs[0] * zs[0]
-                and commutator(zs[1], zs[2]) == zs[1] * zs[1],
+                comm(zs[0], zs[2]) == squares[zs[0][1]]
+                and comm(zs[1], zs[2]) == squares[zs[1][1]],
                 "pair members must have (z_i,z3) = z_i^2",
             )
-            candidate = None
-            for i in range(3, rho):
-                trial = zs[0] * zs[i]
-                if trial * trial == u and commutator(zs[2], trial) == u:
-                    candidate = (i, trial)
-                    break
-            _require(
-                candidate is not None,
-                "no tail generator completes a second square-u pair",
-            )
-            i, trial = candidate
-            zs[i] = trial
+            v0, v2 = zs[0][1], zs[2][1]
+            trials = [(i, v0 ^ zs[i][1]) for i in range(3, rho)]
+            i = next((i for i, t in trials if squares[t] == u == rows[v2][t]), None)
+            _require(i is not None, "no tail generator completes a second square-u pair")
+            zs[i] = _times(zs[0], zs[i])
             if i != 3:
                 zs[3], zs[i] = zs[i], zs[3]
             trail.append("replaced a tail generator by z1*z_i to pair with z3")
@@ -424,34 +437,37 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
         if j != 0:
             zs[0], zs[j] = zs[j], zs[0]
             trail.append("moved the square-u generator to the front")
-            sq = [z * z for z in zs]
+            sq = [squares[v] for _, v in zs]
         for i in range(1, rho):
             _require(
-                commutator(zs[0], zs[i]) == sq[i],
+                comm(zs[0], zs[i]) == sq[i],
                 "the square-u generator must realize (z1,z_i) = z_i^2",
             )
             for k in range(i + 1, rho):
                 _require(
-                    commutator(zs[i], zs[k]).is_identity(),
+                    not comm(zs[i], zs[k]),
                     "tail generators with distinct squares must commute",
                 )
-        subset = _subset_with_square_product(zs[1:], u)
-        if subset is not None:
-            positions = [p + 1 for p in subset]
-            merged = identity(C.sig)
-            for p in positions:
-                merged = merged * zs[p]
+        # the least subset of tail z's whose squares (of order <= 2, so Gray
+        # adds) multiply to u: bit i of the span's index picks z_(i+2)
+        products = _span(sq[1:])
+        if u in products:
+            mask = products.index(u)
+            positions = [p + 1 for p in range(rho - 1) if mask >> p & 1]
+            merged = zs[positions[0]]
+            for p in positions[1:]:
+                merged = _times(merged, zs[p])
             zs[positions[0]] = merged
             trail.append("merged tail generators into a second square-u generator")
             continue
         if ct.delta > 0:
-            y = _order4_central_with_square(C, u * sq[1])
+            v = _central_with_square(C, u ^ sq[1])
             _require(
-                y is not None,
+                v is not None,
                 "delta > 0 here requires a central order-4 element matching "
                 "u * z2^2",
             )
-            zs[0] = y * zs[0]
+            zs[0] = _times((_coset_minima(C)[v], v), zs[0])
             trail.append("replaced z1 by y*z1 to pair its square with z2^2")
             continue
         return finish(3, zs)
@@ -459,33 +475,13 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
     raise ClassificationError("shape analysis did not terminate")
 
 
-def _subset_with_square_product(
-    zs: Sequence[GroupWord], target: GroupWord
-) -> Optional[Tuple[int, ...]]:
-    """Smallest-lexicographic subset of z's whose squares multiply to target.
-
-    Squares have order <= 2, so Gray adds on them: bit i of the index into
-    the span of their images picks z_i, and the first match is the least
-    mask.
-    """
-    products = _span([(z * z).bits for z in zs])
-    goal = target.bits
-    mask = next((m for m in range(1, len(products)) if products[m] == goal), None)
-    return None if mask is None else tuple(i for i in range(len(zs)) if mask >> i & 1)
-
-
-def _order4_central_with_square(
-    C: CodeGroup, target: GroupWord
-) -> Optional[GroupWord]:
-    """The least order-4 word of Z(C) with square ``target``, or None.
-
-    Squares are constant on T-cosets, and the order-4 words of Z(C) are
-    those of its cosets other than T itself, so this is the least coset
-    minimum over the radical's nonzero indices with that square.
-    """
-    squares, minima = _coset_table(C)[0], _coset_minima(C)
-    central = [minima[v] for v in _radical(C) if v and squares[v] == target.bits]
-    return min(central, key=_sort_key, default=None)
+def _central_with_square(C: CodeGroup, target: int) -> Optional[int]:
+    """The index of the T-coset of the least order-4 word of Z(C) with the
+    square ``target``, or None: the order-4 words of Z(C) are its cosets
+    other than T, and squares are constant on T-cosets."""
+    squares, keys = _coset_table(C)[0], _minimum_keys(C)
+    central = [v for v in _radical(C) if v and squares[v] == target]
+    return min(central, key=keys.__getitem__, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +569,13 @@ def hadamard_bounds(C: CodeGroup, shape: Optional[Shape] = None) -> BoundReport:
 
 
 def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundCheck]:
-    u = u_element(C.sig)
+    """The checks on the normalized witness, reading squares by index."""
+    u = (1 << C.sig.n) - 1
     ct = code_type(C)
     eps = ngs.epsilon
-    zs = ngs.zs
+    squares, rows = _coset_table(C)
+    zs = _indexed(C, ngs.zs)
+    sq = [squares[v] for _, v in zs]
     checks = [BoundCheck("epsilon <= 2", eps, 2, eps <= 2)]
     if eps == 2:
         checks.append(
@@ -587,12 +586,11 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
                 ct.delta == 0 and ct.rho == 4,
             )
         )
-        sq = [z * z for z in zs]
         if len(zs) == 4 and sq[0] != u and sq[2] != u:
             # neither pair squares to u: the pairs must commute crosswise
-            # and their squares must multiply to u
+            # and their squares, of order <= 2, must add up to u
             cross_ok = all(
-                commutator(zs[i], zs[j]).is_identity() and sq[i] * sq[j] == u
+                not rows[zs[i][1]][zs[j][1]] and sq[i] ^ sq[j] == u
                 for i in (0, 1)
                 for j in (2, 3)
             )
@@ -605,7 +603,7 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
                     cross_ok,
                 )
             )
-    if any((zs[i] * zs[i]) == u for i in range(min(2 * eps, len(zs)))):
+    if any(sq[i] == u for i in range(min(2 * eps, len(zs)))):
         checks.append(
             BoundCheck(
                 "square-u inside the paired block forces delta = 0",
@@ -615,9 +613,9 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
             )
         )
     lead = [zs[2 * t] for t in range(eps)]
-    v_set = list(ngs.ys) + lead + list(zs[2 * eps:])
-    w_basis = Gf2Basis((w * w).bits for w in v_set)
-    u_set = [w for w in v_set if w * w != u]
+    v_set = _indexed(C, ngs.ys) + lead + zs[2 * eps:]
+    w_basis = Gf2Basis(squares[v] for _, v in v_set)
+    u_set = [w for w, v in v_set if squares[v] != u]
     lower = ct.delta + ct.rho - eps - 1
     checks.append(
         BoundCheck(
@@ -632,7 +630,7 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
             "sigma >= delta + rho - epsilon - 1", lower, ct.sigma, ct.sigma >= lower
         )
     )
-    if u not in CodeGroup(C.sig, u_set):
+    if not CodeGroup(C.sig, u_set)._has_image(u):
         checks.append(
             BoundCheck(
                 "u outside <U>: log2|<W>| = delta + rho - epsilon",
@@ -658,31 +656,36 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
     return checks
 
 
-@_memoized
-def _coset_swappers(C: CodeGroup) -> List[List[int]]:
-    """s(p_v, p_w) by (v, w), for the ``_coset_reps`` words, by XOR on the
-    swapper table: no product and no pi is evaluated.
+def _reduced_swappers(C: CodeGroup) -> List[List[int]]:
+    """s(p_v, p_w) mod Gray(T) by (v, w), for the ``_coset_reps`` words, by
+    XOR on the swapper table reduced once: no product and no pi is evaluated.
 
     s is exactly bilinear on words (``invariants._swappers``), so
     s(p_v, b_j) = sum_(i in v) s(b_i, b_j), a sum of rows of the table
     built like the products (c_(v + 2^i) = c_v + row i), and s(p_v, p_w)
-    is the span of c_v indexed like the products (``_span``).
+    is the span of c_v indexed like the products (``_span``).  Reduction
+    (``Gf2Basis.reduce``) is linear, so the sums of residues are residues.
     """
-    table = C.swappers
-    columns = [[0] * len(table)]
-    for row in table:
-        columns += [[a ^ s for a, s in zip(c, row)] for c in columns]
+    reduce = C._torsion.reduce
+    columns = [[0] * len(C.swappers)]
+    for row in C.swappers:
+        residues = [reduce(s) for s in row]
+        columns += [[a ^ r for a, r in zip(c, residues)] for c in columns]
     return [_span(c) for c in columns]
 
 
 def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
     """Pair and triple facts, exhausted over one word per T-coset.
 
-    Swappers have order <= 2, so Gray(s1 * s2) = Gray(s1) + Gray(s2), and
-    each is tested for membership in C by its image (``_has_image``); the
-    swappers of the coset words are read from ``_coset_swappers``.
+    The third counts a, b against each c with none of s1 = [a, c], s2 =
+    [b, c], s1 s2 in C.  Swappers lie in Omega (pi_x swaps bits of equal
+    sums in a valid block, so y + pi_x(y) has blocks 0 or all-one), where
+    Gray adds, and a word of Omega is in C exactly when it is in T(C) = C n
+    Omega, i.e. its image reduces to 0 by Gray(T).  Reduction is linear,
+    so with the residues r1, r2 (``_reduced_swappers``) one of the three
+    is in C exactly when r1 = 0, r2 = 0 or r1 + r2 = 0, i.e. r1 = r2.
     """
-    u = u_element(C.sig).bits
+    u = (1 << C.sig.n) - 1
     # the index of a transversal word is the GF(2) coordinate vector of its
     # coset in C/T; index 0 is T itself
     squares, rows = _coset_table(C)
@@ -706,19 +709,16 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
     )
 
     triple3_bad = 0
+    residues = _reduced_swappers(C)
     for a2, members in by_square.items():
         for ai in range(len(members)):
             for bi in range(ai + 1, len(members)):
                 if rows[members[ai]][members[bi]] != a2:
                     continue
-                swappers = _coset_swappers(C)
-                sa, sb = swappers[members[ai]], swappers[members[bi]]
-                for j in outside:
-                    if squares[j] == a2:
-                        continue
-                    s1, s2 = sa[j], sb[j]
-                    if not any(C._has_image(s) for s in (s1, s2, s1 ^ s2)):
-                        triple3_bad += 1
+                ra, rb = residues[members[ai]], residues[members[bi]]
+                triple3_bad += sum(
+                    0 != ra[j] != rb[j] != 0 for j in outside if squares[j] != a2
+                )
     return [
         BoundCheck(
             "pairs outside T: commutator in <a^2> unless a^2 = u",

@@ -60,7 +60,7 @@ def _memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
 
     @wraps(fn)
     def memoized(C: "CodeGroup", *args, **kwargs) -> _T:
-        key = (fn, args, tuple(sorted(kwargs.items())))
+        key = (fn, args, tuple(sorted(kwargs.items())) if kwargs else ())
         cache = C._cache
         if key not in cache:
             cache[key] = fn(C, *args, **kwargs)
@@ -211,6 +211,10 @@ class CodeGroup:
         return isinstance(other, CodeGroup) and self._key == other._key
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash(self._key)
 
     @_memoized
@@ -391,6 +395,18 @@ def _coset_reps(C: CodeGroup) -> Tuple[GroupWord, ...]:
     return tuple(_products(C.sig, basis))
 
 
+def _coset_index(C: CodeGroup, x: int) -> int:
+    """The ``_coset_reps`` index of the T-coset of x, a word of C by image:
+    x lies in p_v T(C) exactly when nu(x) = sum_(i in v) nu(b_i), as C n
+    Omega = T(C), and v is read by clearing the echelon pivots of nu(x)
+    (``_present``).  The index of a product is the XOR of the indices."""
+    v, index = _nu(C.sig, x), 0
+    for i, (pivot, vb, _) in enumerate(C._pivots):
+        if v & pivot:
+            v, index = v ^ vb, index | 1 << i
+    return index
+
+
 def _form(C: CodeGroup) -> List[List[int]]:
     """F(i, j) = Gray((b_i, b_j)) = s(b_i, b_j) + s(b_j, b_i): the
     commutator form on the basis, by XOR of the swapper table with its
@@ -509,8 +525,9 @@ def _key_basis(C: CodeGroup) -> Gf2Basis:
 
 
 @_memoized
-def _coset_minima(C: CodeGroup) -> Tuple[GroupWord, ...]:
-    """The ``_sort_key``-least word of each T-coset, by ``_coset_reps`` index.
+def _minimum_keys(C: CodeGroup) -> Tuple[int, ...]:
+    """key << n | Gray of the ``_sort_key``-least word of each T-coset
+    (``_coset_minima``), by ``_coset_reps`` index; they order like the keys.
 
     On T-translates the key is additive: key(r t) = key(r) + key(t) for t
     in T(C).  Gray(r t) = Gray(r) + Gray(t) (``_coset_reps``), and each
@@ -533,11 +550,14 @@ def _coset_minima(C: CodeGroup) -> Tuple[GroupWord, ...]:
     Gray(r t) along, for the same t.  The cost is O(sigma) XORs per coset.
     """
     n, keys = C.sig.n, _key_basis(C)
-    low = (1 << n) - 1
-    return tuple(
-        GroupWord._from_bits(C.sig, keys.reduce(_sort_key(r) << n | r.bits) & low)
-        for r in _coset_reps(C)
-    )
+    return tuple(keys.reduce(_sort_key(r) << n | r.bits) for r in _coset_reps(C))
+
+
+def _coset_minima(C: CodeGroup) -> Tuple[GroupWord, ...]:
+    """The ``_sort_key``-least word of each T-coset, by ``_coset_reps`` index
+    (``_minimum_keys``)."""
+    low = (1 << C.sig.n) - 1
+    return tuple(GroupWord._from_bits(C.sig, k & low) for k in _minimum_keys(C))
 
 
 @_memoized
@@ -548,7 +568,8 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     enlarge the GF(2) span of the Gray images, y's over Z(C) that enlarge
     <T, ys>, z's over C that enlarge <Z, zs> (the scan is the oracle
     ``oracles.scanned_standard_generators``).  They are read from the 2^k
-    coset minima (``_coset_minima``) without sorting a group.
+    coset minima (``_coset_minima``), ordered by the reduced keys they
+    were read from (``_minimum_keys``), without sorting a group.
 
     x's: the key is linear and injective on T, so the scan picks the words
     of T whose key leaves the span of the keys picked before.  Once the
@@ -570,9 +591,9 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     """
     low = (1 << C.sig.n) - 1
     xs = tuple(GroupWord._from_bits(C.sig, row & low) for row in _key_basis(C).rows())
-    minima = _coset_minima(C)
+    minima, keys = _coset_minima(C), _minimum_keys(C)
     radical = frozenset(_radical(C))
-    scan = sorted(range(len(minima)), key=lambda v: _sort_key(minima[v]))
+    scan = sorted(range(len(keys)), key=keys.__getitem__)
     picked = Gf2Basis()
     ys = tuple(minima[v] for v in scan if v in radical and picked.add(v))
     zs = tuple(minima[v] for v in scan if picked.add(v))
@@ -586,13 +607,15 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     """Check the defining invariants of a standard generating set.
 
     Every check reads the presentation, and none builds a word or the Gray
-    image of C.  The x's are a basis of T(C) when they are independent and
-    their Gray images lie in the span of ``torsion_rows``.  The y's and z's
-    are tested by ``w in C``.
-    Centrality is read from the commutators with the generators of C, not
-    from ``_radical``: a y is central when they all vanish, and, as
-    commutators are bilinear, no product of z's is central when the z's
-    commutator vectors are independent.
+    image of C.  The x's are a basis of T(C) when they are sigma
+    independent images in Gray(T).  The y's and z's are tested by ``w in
+    C``; as words have order 1, 2 or 4 and ``_nu`` vanishes exactly on
+    order <= 2, order 4 is nu != 0.  Centrality is read from commutators
+    with the presentation basis, not from ``_radical``: y is central in C
+    exactly when it commutes with each b_i, as C = <T(C), b_1..b_k> and
+    words of order <= 2 are central in the ambient group.  As commutators
+    are bilinear, no product of z's is central when the z's commutator
+    vectors are independent.
 
     The y/z products meet each T-coset of C once exactly when the nu of the
     y's and z's have rank delta + rho.  nu is a homomorphism, so the
@@ -619,21 +642,21 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
         )
     if ct.sigma < ct.delta:
         raise RuntimeError(f"sigma < delta in type {ct}")
-    xs = tuple(x.bits for x in gens.xs)
-    if Gf2Basis(xs).rank != ct.sigma or Gf2Basis(C.torsion_rows + xs).rank != ct.sigma:
+    xs = [x.bits for x in gens.xs]
+    if Gf2Basis(xs).rank != ct.sigma or not all(map(C._torsion.contains, xs)):
         raise ValueError("x generators are not a basis of T(C)")
     yz = gens.ys + gens.zs
     if not all(w in C for w in yz):
         raise ValueError("a y or z generator lies outside C")
-    if any(w.order() != 4 for w in yz):
+    nus = [_nu(C.sig, w.bits) for w in yz]
+    if not all(nus):
         raise ValueError("a y or z generator does not have order 4")
-    words = [g.bits for g in C.generators]
     for y in gens.ys:
-        if _form_row(C.sig, y.bits, words):
+        if _form_row(C.sig, y.bits, C.basis):
             raise ValueError(f"y generator {y} is not central")
-    if Gf2Basis(_form_row(C.sig, z.bits, words) for z in gens.zs).rank != ct.rho:
+    if Gf2Basis(_form_row(C.sig, z.bits, C.basis) for z in gens.zs).rank != ct.rho:
         raise ValueError("a product of z generators is central")
-    if Gf2Basis(_nu(C.sig, w.bits) for w in yz).rank != ct.delta + ct.rho:
+    if Gf2Basis(nus).rank != ct.delta + ct.rho:
         raise ValueError("y/z products do not meet each T-coset of C once")
 
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
+import z2z4q8.hadamard as hadamard
 from z2z4q8 import (
     GroupSignature,
     classify_shape,
@@ -22,14 +24,21 @@ from z2z4q8 import (
     rank,
     swapper,
     u_element,
+    word,
     word_from_tokens,
 )
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
-from z2z4q8.groups import Q8_MUL
-from z2z4q8.hadamard import _coset_swappers, _hadamard_pair_triple_checks, _pair_reorder
+from z2z4q8.groups import Q8_MUL, GroupWord
+from z2z4q8.hadamard import (
+    ClassificationError,
+    _hadamard_pair_triple_checks,
+    _indexed,
+    _pair_reorder,
+    _reduced_swappers,
+)
 from z2z4q8.oracles import _is_perfect_set, _swapper_bits, gray_codewords
-from z2z4q8.subgroup import _coset_reps, verify_standard
+from z2z4q8.subgroup import StandardGenSet, _coset_reps, standard_generators, verify_standard
 
 from conftest import SHIPPED_FIXTURES, q8_word, random_subgroup
 
@@ -88,7 +97,7 @@ def test_listed_shape5_generators_are_normalized(shape5_32):
     assert zs[0] * zs[0] == u and zs[1] * zs[1] == u
     assert commutator(zs[0], zs[1]) == u
     assert zs[2] * zs[2] == zs[3] * zs[3] != u
-    _, eps = _pair_reorder(shape5_32, zs)
+    _, eps = _pair_reorder(shape5_32, _indexed(shape5_32, zs))
     assert eps == 2
 
 
@@ -460,10 +469,11 @@ def test_triple_check_takes_only_pairs_whose_commutator_is_their_square():
     assert _reference_triple_count(C, commutator_is_square=False) == 0
 
 
-def test_coset_swappers_match_the_word_products():
-    """The 2^k x 2^k swapper table of the coset words, read by XOR from
-    ``C.swappers``, equals Gray(a) + Gray(c) + Gray(ac) over every pair of
-    ``_coset_reps`` words, on the shipped fixtures and mixed random groups."""
+def test_reduced_swappers_match_the_word_products():
+    """The 2^k x 2^k swapper table of the coset words reduced mod Gray(T),
+    read by XOR from ``C.swappers``, equals the residue of Gray(a) +
+    Gray(c) + Gray(ac) over every pair of ``_coset_reps`` words, on the
+    shipped fixtures and mixed random groups."""
     rng = random.Random(5)
     groups = [load_fixture(name) for name in SHIPPED_FIXTURES]
     groups += [
@@ -472,5 +482,76 @@ def test_coset_swappers_match_the_word_products():
     ]
     for C in groups:
         reps = _coset_reps(C)
-        expected = [[_swapper_bits(a, c) for c in reps] for a in reps]
-        assert _coset_swappers(C) == expected, C.generators
+        expected = [[C._torsion.reduce(_swapper_bits(a, c)) for c in reps] for a in reps]
+        assert _reduced_swappers(C) == expected, C.generators
+
+
+HADAMARD_FIXTURES = [name for name in SHIPPED_FIXTURES if is_hadamard(load_fixture(name))]
+NON_ABELIAN_HADAMARD_FIXTURES = [
+    name for name in HADAMARD_FIXTURES if code_type(load_fixture(name)).rho >= 1
+]
+
+
+def test_a_caller_base_with_a_z_outside_c_raises_value_error(hadamard16):
+    """The walk reads T-coset indices, which mean something only for words
+    of C, so a caller's base is verified before the walk reads it.  Each z
+    of the standard set of ``hadamard16_q8`` is replaced by each of the
+    first 200 order-4 words outside C, in coordinate order: 600 bases, and
+    every one raises ValueError from both entry points, never the
+    ClassificationError that reports an arithmetic bug (76 of them did when
+    the substitutions ran before the check)."""
+    C = hadamard16
+    gens = standard_generators(C)
+    ambient = (word(C.sig, c) for c in product(range(8), repeat=C.sig.k3))
+    outside = [w for w in ambient if w.order() == 4 and w not in C][:200]
+    tries = 0
+    for w in outside:
+        for i in range(len(gens.zs)):
+            base = StandardGenSet(gens.xs, gens.ys, gens.zs[:i] + (w,) + gens.zs[i + 1 :])
+            for entry in (classify_shape, normalize_generators):
+                with pytest.raises(ValueError, match="a y or z generator lies outside C"):
+                    entry(C, base=base)
+            tries += 1
+    assert tries == 600
+
+
+@pytest.mark.parametrize("corruption", ["commutator rows zeroed", "squares moved by u"])
+def test_a_corrupted_coset_table_is_caught_on_the_words(monkeypatch, corruption):
+    """The walk branches on ``_coset_table``, and the witness is checked on
+    its words, so a table with every commutator 0, or with every square at
+    v != 0 moved by u, makes ``classify_shape`` raise on each of the
+    non-abelian Hadamard fixtures."""
+    real = hadamard._coset_table
+
+    def corrupted(C):
+        squares, rows = real(C)
+        if corruption == "commutator rows zeroed":
+            return squares, [[0] * len(row) for row in rows]
+        u = (1 << C.sig.n) - 1
+        return [s ^ u if v else s for v, s in enumerate(squares)], rows
+
+    monkeypatch.setattr(hadamard, "_coset_table", corrupted)
+    assert len(NON_ABELIAN_HADAMARD_FIXTURES) == 15
+    for name in NON_ABELIAN_HADAMARD_FIXTURES:
+        with pytest.raises(ClassificationError):
+            classify_shape(load_fixture(name))
+
+
+def test_the_shape_layer_multiplies_few_words(monkeypatch):
+    """Squares and commutators of the walk and of the normalized-set checks
+    are read by index, so ``classify_shape`` and ``hadamard_bounds`` on the
+    18 Hadamard fixtures make at most 100 word products (469 when they were
+    word products), counted after ``is_hadamard`` built the coset words."""
+    groups = [load_fixture(name) for name in HADAMARD_FIXTURES]
+    assert len(groups) == 18 and all(is_hadamard(C) for C in groups)
+    products = []
+    multiply = GroupWord.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(GroupWord, "__mul__", counting)
+    for C in groups:
+        hadamard_bounds(C, classify_shape(C))
+    assert 0 < len(products) <= 100

@@ -56,7 +56,7 @@ from z2z4q8.constructions import (
 )
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
-from z2z4q8.groups import _GRAY_BLOCKS, Q8_TOKENS, GroupWord, _nu, _pi
+from z2z4q8.groups import _GRAY_BLOCKS, Q8_TOKENS, GroupWord, _commutator_bits, _nu, _pi
 from z2z4q8.search import _random_abelian_base, _random_torsion_word
 from z2z4q8.invariants import _kernel_cosets, span_group
 from z2z4q8.oracles import (
@@ -466,6 +466,17 @@ def test_property_swapper_table_and_its_readers_match_word_products(data):
     gens = C.generators
     pairs = all(x * y == y * x for x in gens for y in gens)
     assert is_abelian(C) == pairs == (code_type(C).rho == 0)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_closed_form_commutator_matches_the_pi_law(data):
+    """The closed form of ``_commutator_bits`` equals x + y + pi_x(y) +
+    pi_y(x), the law Gray(xy) = Gray(yx) + Gray((x, y)), over the Z2-only,
+    Z4-only, Q8-only and mixed strategies, short and long."""
+    sig = data.draw(st.one_of(signatures, long_signatures))
+    x, y = data.draw(words_of(sig)).bits, data.draw(words_of(sig)).bits
+    assert _commutator_bits(sig, x, y) == x ^ y ^ _pi(sig, x, y) ^ _pi(sig, y, x)
 
 
 @PROPERTY_SETTINGS

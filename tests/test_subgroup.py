@@ -47,6 +47,7 @@ from z2z4q8.groups import _commutator_bits, _sort_key
 from z2z4q8.subgroup import (
     StandardGenSet,
     _coset_minima,
+    _coset_index,
     _coset_reps,
     _coset_table,
     verify_standard,
@@ -429,6 +430,43 @@ def test_coset_reps_are_a_transversal_of_torsion():
         # |reps| cosets of |T| words each cover C only if no two coincide
         cosets = [frozenset(r * t for t in T.elements) for r in reps]
         assert frozenset().union(*cosets) == C.elements, name
+
+
+def test_coset_index_names_the_coset_of_a_word():
+    """``_coset_index`` reads the T-coset of a word of C from nu alone: the
+    representative p_v has index v, and a sampled word a of C lies in the
+    coset of its index, p_v^-1 a having order <= 2."""
+    for name, C in _coset_groups():
+        reps = _coset_reps(C)
+        assert [_coset_index(C, p.bits) for p in reps] == list(range(len(reps))), name
+        for a in C.sorted_elements()[:: max(1, C.order // 16)]:
+            assert (reps[_coset_index(C, a.bits)].inverse() * a).order() <= 2, name
+
+
+def test_equal_groups_hash_equal_and_hash_their_key_once(monkeypatch):
+    """Groups built from shuffled generators, with a redundant product
+    added, equal the original and hash equal to it; and however often a
+    group is hashed, its ``_key`` tuple is hashed once."""
+    hashed = []
+
+    class CountingKey(tuple):
+        def __hash__(self):
+            hashed.append(1)
+            return tuple.__hash__(self)
+
+    key = CodeGroup._key.func
+    monkeypatch.setattr(CodeGroup, "_key", property(lambda C: CountingKey(key(C))))
+    rng = random.Random(11)
+    for name in SHIPPED_FIXTURES:
+        C = load_fixture(name)
+        gens = list(C.generators) + [C.generators[0] * C.generators[-1]]
+        rng.shuffle(gens)
+        D = generate(gens)
+        del hashed[:]
+        for _ in range(3):
+            assert hash(C) == hash(D), name
+        assert C == D and len({C, D, C}) == 1, name
+        assert len(hashed) == 2, name
 
 
 def test_gray_is_additive_on_torsion_translates():
