@@ -23,6 +23,8 @@ from .groups import (
     Q8_MUL,
     Q8_ORDER,
     _commutator_bits,
+    _gray_choices,
+    _random_word,
     _sections,
     conjugate,
     identity,
@@ -69,9 +71,14 @@ def lift_word(w: GroupWord) -> GroupWord:
 
 def _lift_into(out: GroupSignature, w: GroupWord) -> GroupWord:
     """The lift of ``w`` in ``out``, its lifted signature, given by the
-    caller so that the words of one lift share one signature."""
-    k1, coords = w.sig.k1, w.coords
-    return word(out, tuple(2 * v for v in coords[:k1]) + coords[k1:])
+    caller so that the words of one lift share one signature.  Z2 v -> 2v
+    and Z4 i -> a^i write each Gray block, at bit p, twice at bit 2p."""
+    bits, image = w.bits, 0
+    for _, _, count, offset, width in _sections(w.sig):
+        for p in range(offset, offset + count * width, width):
+            block = bits >> p & (1 << width) - 1
+            image |= (block | block << width) << 2 * p
+    return GroupWord._from_bits(out, image)
 
 
 @_memoized
@@ -137,7 +144,7 @@ def _index_two(
     ``max_order`` checks run first, on every call, and a failure is not
     kept, so its message names the caller's element.
     """
-    if x.sig != C.sig:
+    if x.sig is not C.sig and x.sig != C.sig:
         raise ConstructionError(f"element signature {x.sig} != group {C.sig}")
     if 2 * C.order > max_order:
         raise EnumerationLimit(f"{noun} order exceeds max_order={max_order}")
@@ -239,13 +246,15 @@ def random_doubling_element(
     """Sample x with odd Z4 entries and Q8 entries outside <a>.
 
     For lifted inputs every coset word x*c then has all coordinates of
-    order 4, so the weight condition holds automatically.
+    order 4, so the weight condition holds automatically.  Each entry is
+    drawn straight as the Gray block of an allowed value (``_random_word``).
     """
     if sig.k1 != 0:
         raise ConstructionError("doubling elements live in Z4/Q8 signatures")
-    coords = [rng.choice((1, 3)) for _ in range(sig.k2)]
-    coords += [rng.choice((4, 5, 6, 7)) for _ in range(sig.k3)]
-    return word(sig, coords)
+    return _random_word(_DOUBLING_CHOICES, sig, rng)
+
+
+_DOUBLING_CHOICES = _gray_choices(z4=(1, 3), q8=(4, 5, 6, 7))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ through ``_sections``) and the low bit of every Z4 and of every Q8 block
 (``_z4``, ``_q8``).  The kernel (``_pi``, ``_nu``, ``_sort_key``) reads
 the masks off the signature, with no lookup; every other reader of the
 layout reads the sections: the codec (``_encode``, ``_decode``), the
-token parser (``word_from_tokens``), ``gray`` and the pair map of the
-constructions.  Coordinates are decoded on demand, one section at a
-time: Z2 entries live in {0,1}, Z4 entries in {0..3}, and Q8 entries are
-encoded as ``i + 4*j`` for the canonical form ``a^i b^j`` (i mod 4, j in
-{0,1}).
+token parser (``word_from_tokens``), the random draw (``_random_word``),
+``gray`` and the pair map of the constructions.  Coordinates are decoded
+on demand, one section at a time: Z2 entries live in {0,1}, Z4 entries
+in {0..3}, and Q8 entries are encoded as ``i + 4*j`` for the canonical
+form ``a^i b^j`` (i mod 4, j in {0,1}).
 """
 
 from __future__ import annotations
@@ -60,6 +60,23 @@ _GRAY_BLOCKS = {
     "z4": (2, (0b00, 0b10, 0b11, 0b01)),
     "q8": (4, (0b0000, 0b1010, 0b1111, 0b0101, 0b0110, 0b0011, 0b1001, 0b1100)),
 }
+
+
+def _gray_choices(**values: Sequence[int]) -> Dict[str, tuple]:
+    """Per kind, the Gray blocks of the given values, in order."""
+    return {kind: tuple(_GRAY_BLOCKS[kind][1][v] for v in vs) for kind, vs in values.items()}
+
+
+def _random_word(choices: Dict[str, tuple], sig: "GroupSignature", rng) -> "GroupWord":
+    """A word drawn into its Gray image: per coordinate, in order, the block
+    ``rng.choice(choices[kind])``; the rng calls and word of ``rng.choice``
+    over the values ``_gray_choices`` read (over all m: ``randrange(m)``)."""
+    choice, bits = rng.choice, 0
+    for kind, _, count, offset, width in _sections(sig):
+        blocks = choices[kind]
+        for shift in range(offset, offset + count * width, width):
+            bits |= choice(blocks) << shift
+    return GroupWord._from_bits(sig, bits)
 
 Q8_TOKENS: Tuple[str, ...] = ("1", "a", "a2", "a3", "b", "ab", "a2b", "a3b")
 # Per kind: the canonical token of each value.

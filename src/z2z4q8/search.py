@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from .constructions import (
@@ -22,7 +23,7 @@ from .constructions import (
     random_doubling_element,
     xi_lift,
 )
-from .groups import GroupSignature, GroupWord, word
+from .groups import GroupSignature, GroupWord, _gray_choices, _random_word
 from .hadamard import classify_shape, is_hadamard
 from .invariants import kernel_dim, rank
 from .subgroup import CodeGroup, CodeType, code_type
@@ -41,26 +42,17 @@ class FoundCode:
 
 
 def _seed_groups() -> List[CodeGroup]:
+    """Z2^2 by (1, 0) and (0, 1), and Z4 by 1, given by their Gray images."""
     z2 = GroupSignature(2, 0, 0)
-    z4 = GroupSignature(0, 1, 0)
     return [
-        CodeGroup.generate([word(z2, (1, 0)), word(z2, (0, 1))]),
-        CodeGroup.generate([word(z4, (1,))]),
+        CodeGroup.generate([GroupWord._from_bits(z2, 0b01), GroupWord._from_bits(z2, 0b10)]),
+        CodeGroup.generate([GroupWord._from_bits(GroupSignature(0, 1, 0), 0b10)]),
     ]
 
 
-def _random_ambient_word(sig: GroupSignature, rng: random.Random) -> GroupWord:
-    coords = [rng.randrange(2) for _ in range(sig.k1)]
-    coords += [rng.randrange(4) for _ in range(sig.k2)]
-    coords += [rng.randrange(8) for _ in range(sig.k3)]
-    return word(sig, coords)
-
-
-def _random_torsion_word(sig: GroupSignature, rng: random.Random) -> GroupWord:
-    coords = [rng.choice((0, 1)) for _ in range(sig.k1)]
-    coords += [rng.choice((0, 2)) for _ in range(sig.k2)]
-    coords += [rng.choice((0, 2)) for _ in range(sig.k3)]
-    return word(sig, coords)
+# f(sig, rng): a uniform word, and a word of order <= 2
+_random_ambient_word = partial(_random_word, _gray_choices(z2=range(2), z4=range(4), q8=range(8)))
+_random_torsion_word = partial(_random_word, _gray_choices(z2=(0, 1), z4=(0, 2), q8=(0, 2)))
 
 
 def _random_abelian_base(length: int, rng: random.Random) -> CodeGroup:
@@ -94,17 +86,17 @@ def search(
     if given, keeps only results of that shape tag, 1..5.
 
     Equal pool entries, and equal lifts of them, share one table of kept
-    doublings for this call (``_share_doublings``), so each (group, coset)
-    is built and checked once, not once per equal entry.  The output is
-    the one each entry would give with its own table.  A pair kept by an
-    equal entry was built by an earlier sample of this call, and that
-    sample put its output into ``seen_groups``: the sample that gets the
-    pair is a duplicate group, as it would be after a fresh build of an
-    equal group.  So every group that reaches a ``FoundCode`` is built on
-    the drawing entry with the drawing element.  Failures are never kept,
-    so they raise with the caller's element; no rng draw reads a table;
-    and the tables are this call's own, so what other groups are alive
-    outside it does not matter.
+    doublings for this call (``_share_doublings``), each bound once, at
+    its first use: each (group, coset) is built and checked once, not once
+    per equal entry.  The output is the one each entry would give with its
+    own table.  A pair kept by an equal entry was built by an earlier
+    sample of this call, and that sample put its output into
+    ``seen_groups``: the sample that gets the pair is a duplicate group,
+    as it would be after a fresh build of an equal group.  So every group
+    that reaches a ``FoundCode`` is built on the drawing entry with the
+    drawing element.  Failures are never kept, so they raise with the
+    caller's element; no rng draw reads a table; and the tables are this
+    call's own, so what other groups are alive outside it does not matter.
     """
     if length < 4 or length & (length - 1):
         raise ValueError(f"length must be a power of two >= 4, got {length}")
@@ -128,6 +120,7 @@ def search(
     seen_groups: Set[CodeGroup] = set()
     seen_keys: set = set()
     tables: Dict[CodeGroup, dict] = {}
+    bound: Set[int] = set()  # ids of the pool entries and lifts tied to ``tables``
     for _ in range(budget):
         if len(found) >= MAX_RESULTS:
             break
@@ -135,15 +128,15 @@ def search(
         base = pool[index]
         try:
             if rng.random() < 0.7:
-                lifted = xi_lift(base)
-                x = random_doubling_element(lifted.sig, rng)
-                _share_doublings(lifted, tables)
-                C = extend(lifted, x)
+                source = xi_lift(base)
+                x = random_doubling_element(source.sig, rng)
             else:
-                g = rng.choice(base.sorted_elements())
-                g = g * _random_torsion_word(base.sig, rng)
-                _share_doublings(base, tables)
-                C = generalized_kronecker(base, g).output
+                source = base
+                x = rng.choice(base.sorted_elements()) * _random_torsion_word(base.sig, rng)
+            if id(source) not in bound:
+                bound.add(id(source))
+                _share_doublings(source, tables)
+            C = generalized_kronecker(base, x).output if source is base else extend(source, x)
         except (ConstructionError, ValueError):
             continue
         if C in seen_groups:

@@ -13,6 +13,7 @@ import pytest
 
 from z2z4q8 import (
     CodeGroup,
+    ConstructionError,
     GroupSignature,
     GroupWord,
     word,
@@ -100,9 +101,30 @@ def record_word_sets(monkeypatch) -> List[CodeGroup]:
 
 
 def random_word(sig: GroupSignature, rng: random.Random) -> GroupWord:
+    """A uniform word drawn as coordinates: the oracle for
+    ``search._random_ambient_word``, which draws its Gray blocks."""
     coords = [rng.randrange(2) for _ in range(sig.k1)]
     coords += [rng.randrange(4) for _ in range(sig.k2)]
     coords += [rng.randrange(8) for _ in range(sig.k3)]
+    return word(sig, coords)
+
+
+def coordinate_torsion_word(sig: GroupSignature, rng: random.Random) -> GroupWord:
+    """A word of order <= 2 drawn as coordinates: the oracle for
+    ``search._random_torsion_word``, which draws its Gray blocks."""
+    coords = [rng.choice((0, 1)) for _ in range(sig.k1)]
+    coords += [rng.choice((0, 2)) for _ in range(sig.k2)]
+    coords += [rng.choice((0, 2)) for _ in range(sig.k3)]
+    return word(sig, coords)
+
+
+def coordinate_doubling_element(sig: GroupSignature, rng: random.Random) -> GroupWord:
+    """Odd Z4 entries and Q8 entries outside <a>, drawn as coordinates: the
+    oracle for ``random_doubling_element``, which draws its Gray blocks."""
+    if sig.k1 != 0:
+        raise ConstructionError("doubling elements live in Z4/Q8 signatures")
+    coords = [rng.choice((1, 3)) for _ in range(sig.k2)]
+    coords += [rng.choice((4, 5, 6, 7)) for _ in range(sig.k3)]
     return word(sig, coords)
 
 

@@ -4,7 +4,7 @@
 result list of ``search(16, seed=1, budget=2500)``, and the reports of
 pass 0 of the ``kronecker-chain`` and ``dense-subgroups`` workloads at the
 default seed; they are read here, never written.  ``tests/goldens/search.json``
-pins search's result lines at three more (length, seed, budget) triples.
+pins search's result lines at six more (length, seed, budget) triples.
 """
 
 from __future__ import annotations

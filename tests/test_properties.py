@@ -57,7 +57,7 @@ from z2z4q8.constructions import (
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import _GRAY_BLOCKS, Q8_TOKENS, GroupWord, _commutator_bits, _nu, _pi
-from z2z4q8.search import _random_abelian_base, _random_torsion_word
+from z2z4q8.search import _random_abelian_base, _random_ambient_word, _random_torsion_word
 from z2z4q8.invariants import _kernel_cosets, span_group
 from z2z4q8.oracles import (
     _swapper_bits,
@@ -85,6 +85,8 @@ from z2z4q8.subgroup import (
 from conftest import (
     SHIPPED_FIXTURES,
     assert_matches_reference,
+    coordinate_doubling_element,
+    coordinate_torsion_word,
     kind_of,
     random_subgroup,
     random_word,
@@ -347,6 +349,23 @@ def test_property_codec_round_trips(data):
     assert w.tokens() == tokens
     assert word_from_tokens(sig, tokens) == w == parse_element(" ".join(tokens), sig)
     assert gray_inv(gray(w), sig) == w
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_block_draws_equal_the_coordinate_draws(data):
+    """Search's draws into Gray blocks make the rng calls of their
+    coordinate oracles: twin rngs give one word and one state after, over
+    Z2-only, Z4-only, Q8-only and mixed signatures (no Z2 for doubling
+    elements, which refuse it)."""
+    sig, seed = data.draw(long_signatures), data.draw(st.integers(0, 2**32))
+    draws = [(_random_ambient_word, random_word), (_random_torsion_word, coordinate_torsion_word)]
+    if not sig.k1:
+        draws.append((random_doubling_element, coordinate_doubling_element))
+    for draw, oracle in draws:
+        rng, twin = random.Random(seed), random.Random(seed)
+        assert draw(sig, rng) == oracle(sig, twin)
+        assert rng.getstate() == twin.getstate()
 
 
 @PROPERTY_SETTINGS
