@@ -247,7 +247,8 @@ def random_doubling_element(
 
     For lifted inputs every coset word x*c then has all coordinates of
     order 4, so the weight condition holds automatically.  Each entry is
-    drawn straight as the Gray block of an allowed value (``_random_word``).
+    drawn straight as the Gray block of an allowed value (``_random_word``);
+    the draw reads only ``rng.getrandbits``.
     """
     if sig.k1 != 0:
         raise ConstructionError("doubling elements live in Z4/Q8 signatures")

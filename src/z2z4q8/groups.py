@@ -69,13 +69,21 @@ def _gray_choices(**values: Sequence[int]) -> Dict[str, tuple]:
 
 def _random_word(choices: Dict[str, tuple], sig: "GroupSignature", rng) -> "GroupWord":
     """A word drawn into its Gray image: per coordinate, in order, the block
-    ``rng.choice(choices[kind])``; the rng calls and word of ``rng.choice``
-    over the values ``_gray_choices`` read (over all m: ``randrange(m)``)."""
-    choice, bits = rng.choice, 0
+    ``blocks[r]`` of ``blocks = choices[kind]``, ``r`` the first draw of
+    ``getrandbits(len(blocks).bit_length())`` below ``len(blocks)``: the
+    rule of ``Random.choice`` (``_randbelow_with_getrandbits``).  So the word
+    and ``rng.getstate()`` after are those of ``rng.choice(blocks)`` per
+    coordinate, and only ``rng.getrandbits`` is read."""
+    getrandbits, bits = rng.getrandbits, 0
     for kind, _, count, offset, width in _sections(sig):
         blocks = choices[kind]
+        n = len(blocks)
+        k = n.bit_length()
         for shift in range(offset, offset + count * width, width):
-            bits |= choice(blocks) << shift
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            bits |= blocks[r] << shift
     return GroupWord._from_bits(sig, bits)
 
 Q8_TOKENS: Tuple[str, ...] = ("1", "a", "a2", "a3", "b", "ab", "a2b", "a3b")

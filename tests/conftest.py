@@ -20,7 +20,7 @@ from z2z4q8 import (
     word_from_tokens,
 )
 from z2z4q8.fixtures import load_fixture
-from z2z4q8.groups import Q8_MUL
+from z2z4q8.groups import _GRAY_BLOCKS, Q8_MUL
 
 _CRITERION_LINES: List[str] = []
 
@@ -132,6 +132,18 @@ def word_commutator(x: GroupWord, y: GroupWord) -> GroupWord:
     """x^-1 y^-1 x y by word products: the oracle for ``commutator``, which
     reads the images (``groups._commutator_bits``)."""
     return x.inverse() * y.inverse() * x * y
+
+
+def choice_word(choices: dict, sig: GroupSignature, rng: random.Random) -> GroupWord:
+    """Per coordinate, in order, the Gray block ``rng.choice(choices[kind])``:
+    the oracle for ``groups._random_word``, which reads ``getrandbits`` by
+    ``choice``'s rule."""
+    bits, pos = 0, 0
+    for i in range(sig.l):
+        kind = kind_of(sig, i)
+        bits |= rng.choice(choices[kind]) << pos
+        pos += _GRAY_BLOCKS[kind][0]
+    return GroupWord._from_bits(sig, bits)
 
 
 def kind_of(sig: GroupSignature, index: int) -> str:

@@ -1,10 +1,14 @@
 """Search draws its random words straight into their Gray images.
 
-Each draw makes the rng calls of the coordinate draw it replaced, in the
-same order; those coordinate draws stay in ``conftest`` as the oracles
-(``random_word``, ``coordinate_torsion_word``,
-``coordinate_doubling_element``).  So the words, the rng stream and every
-search output are unchanged, and no sample goes through the text encoder.
+``groups._random_word`` reads ``rng.getrandbits`` by ``Random.choice``'s
+own rule: per coordinate, ``getrandbits(n.bit_length())`` until the result
+is below the n blocks on offer.  Its oracle is ``rng.choice`` per
+coordinate, and the coordinate draws it replaced stay in ``conftest``
+(``choice_word``, ``random_word``, ``coordinate_torsion_word``,
+``coordinate_doubling_element``).  Twin rngs give one word and one state
+after, so the rng stream and every search output are unchanged, and no
+sample goes through the text encoder.  A canary checks the stdlib rule
+itself, which search's goldens were written under.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from z2z4q8.constructions import lift_word
 from z2z4q8.search import _random_ambient_word, _random_torsion_word
 
 from conftest import (
+    choice_word,
     coordinate_doubling_element,
     coordinate_torsion_word,
     count_calls,
@@ -71,6 +76,80 @@ def test_random_doubling_element_refuses_before_drawing(sig):
     with pytest.raises(ConstructionError, match="^doubling elements live in Z4/Q8 signatures$"):
         random_doubling_element(sig, rng)
     assert rng.getstate() == state
+
+
+def test_random_choice_reads_getrandbits_by_the_rule():
+    """The stdlib rule ``_random_word`` inlines: ``Random.choice(range(n))``
+    is the first ``getrandbits(n.bit_length())`` below n."""
+    for n in range(1, 65):
+        k = n.bit_length()
+        for seed in range(20):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                r = twin.getrandbits(k)
+                while r >= n:
+                    r = twin.getrandbits(k)
+                assert rng.choice(range(n)) == r and rng.getstate() == twin.getstate(), (
+                    f"Random.choice(range({n})) at seed {seed} no longer reads getrandbits by "
+                    "the rule of random.Random._randbelow_with_getrandbits; search's goldens "
+                    "were written under that rule, and groups._random_word inlines it"
+                )
+
+
+def test_a_one_block_choice_redraws_until_a_zero_bit():
+    """With one block on offer ``choice`` still draws ``getrandbits(1)``
+    until it gives 0, and so does ``_random_word``: at some seeds one bit a
+    coordinate is not enough."""
+    sig, choices = GroupSignature(0, 3, 0), {"z4": (0b10,)}
+    short = 0
+    for seed in range(50):
+        rng, twin, once = random.Random(seed), random.Random(seed), random.Random(seed)
+        assert groups_module._random_word(choices, sig, rng) == choice_word(choices, sig, twin)
+        assert rng.getstate() == twin.getstate()
+        for _ in range(sig.l):
+            once.getrandbits(1)
+        short += once.getstate() != rng.getstate()
+    assert short
+
+
+class RandomOnly(random.Random):
+    """Overrides only ``random()``, so its own ``choice`` goes through
+    ``_randbelow_without_getrandbits``; counts each ``random()`` call."""
+
+    calls = 0
+
+    def random(self):
+        RandomOnly.calls += 1
+        return super().random()
+
+
+@pytest.mark.parametrize(
+    "make", [random.SystemRandom, lambda: RandomOnly(3)], ids=["system", "random-only"]
+)
+def test_draws_read_only_getrandbits(make, monkeypatch):
+    """200 draws a signature from rngs whose ``choice`` would not read
+    ``getrandbits``; a Z2 signature is refused before any draw.  The
+    ``random()`` counter is live: one ``RandomOnly.choice`` after is one call."""
+    monkeypatch.setattr(RandomOnly, "calls", 0)
+    rng = make()
+    for sig in (GroupSignature(0, 5, 0), GroupSignature(0, 0, 4), GroupSignature(0, 3, 2)):
+        for _ in range(200):
+            x = random_doubling_element(sig, rng)
+            assert all(v in (1, 3) for v in x.coords[: sig.k2])
+            assert all(v >= 4 for v in x.coords[sig.k2 :])  # a^i b, outside <a>
+    for sig in SINGLE_KIND + MIXED:
+        for _ in range(200):
+            assert _random_torsion_word(sig, rng).order() <= 2
+    assert RandomOnly.calls == 0
+    RandomOnly(3).choice(range(5))
+    assert RandomOnly.calls == 1
+
+    def no_draw(k):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(rng, "getrandbits", no_draw)
+    with pytest.raises(ConstructionError, match="^doubling elements live in Z4/Q8 signatures$"):
+        random_doubling_element(GroupSignature(2, 3, 1), rng)
 
 
 def test_the_lift_from_gray_bits_equals_the_coordinate_lift():

@@ -4,7 +4,8 @@
 result list of ``search(16, seed=1, budget=2500)``, and the reports of
 pass 0 of the ``kronecker-chain`` and ``dense-subgroups`` workloads at the
 default seed; they are read here, never written.  ``tests/goldens/search.json``
-pins search's result lines at six more (length, seed, budget) triples.
+pins search's result lines at nine more runs: (length, seed, budget)
+triples, one of them with a ``shape`` filter.
 """
 
 from __future__ import annotations
@@ -53,13 +54,13 @@ def test_fixture_reports_equal_the_goldens():
         assert render_json(analyze(generate(gens))) == reports[name], name
 
 
-def _search_lines(length: int, seed: int, budget: int):
+def _search_lines(length: int, seed: int, budget: int, shape=None):
     """One line per result, in the golden files' format."""
     return [
         f"sig {f.signature.k1} {f.signature.k2} {f.signature.k3} | type {f.type}"
         f" | rank {f.rank} | kernel {f.kernel_dim} | shape {f.shape} | "
         + "; ".join(" ".join(w.tokens()) for w in f.generators)
-        for f in search(length, seed=seed, budget=budget)
+        for f in search(length, shape=shape, seed=seed, budget=budget)
     ]
 
 
@@ -72,15 +73,19 @@ SEARCH_RUNS = json.loads(
 )["runs"]
 
 
-@pytest.mark.parametrize(
-    "run", SEARCH_RUNS, ids=lambda r: f"{r['length']}-{r['seed']}-{r['budget']}"
-)
+def _run_id(run) -> str:
+    shape = f"-shape{run['shape']}" if "shape" in run else ""
+    return f"{run['length']}-{run['seed']}-{run['budget']}{shape}"
+
+
+@pytest.mark.parametrize("run", SEARCH_RUNS, ids=_run_id)
 def test_search_results_at_more_seeds_equal_the_goldens(run):
-    assert _search_lines(run["length"], run["seed"], run["budget"]) == run["results"]
+    lines = _search_lines(run["length"], run["seed"], run["budget"], run.get("shape"))
+    assert lines == run["results"]
 
 
-def _draws(monkeypatch, length: int, seed: int, budget: int):
-    """The inputs search(length, seed, budget) draws from, its pool bases
+def _draws(monkeypatch, length: int, seed: int, budget: int, shape=None):
+    """The inputs search(length, shape, seed, budget) draws from, its pool bases
     and their lifts, as (signature, generators); and the construction,
     input index and element of every draw of its sample loop.  No group of
     the run is returned, so none of them outlives the call."""
@@ -99,7 +104,7 @@ def _draws(monkeypatch, length: int, seed: int, budget: int):
         building, pool = watch_search_pool(patch)
         patch.setattr(search_module, "extend", drawing(extend))
         patch.setattr(search_module, "generalized_kronecker", drawing(generalized_kronecker))
-        search(length, seed=seed, budget=budget)
+        search(length, shape=shape, seed=seed, budget=budget)
     inputs = pool + [xi_lift(C) for C in pool]
     index = {id(C): i for i, C in enumerate(inputs)}
     return (
@@ -108,10 +113,10 @@ def _draws(monkeypatch, length: int, seed: int, budget: int):
     )
 
 
-def _fresh_process_lines(length: int, seed: int, budget: int):
+def _fresh_process_lines(length: int, seed: int, budget: int, shape=None):
     code = (
         "import json, sys; from test_goldens import _search_lines; "
-        f"json.dump(_search_lines({length}, {seed}, {budget}), sys.stdout)"
+        f"json.dump(_search_lines({length}, {seed}, {budget}, {shape}), sys.stdout)"
     )
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
@@ -126,7 +131,7 @@ def _fresh_process_lines(length: int, seed: int, budget: int):
     "run",
     [{"length": 16, "seed": 1, "budget": 2500, "results": _golden("search-16")["results"]}]
     + SEARCH_RUNS,
-    ids=lambda r: f"{r['length']}-{r['seed']}-{r['budget']}",
+    ids=_run_id,
 )
 def test_search_output_does_not_depend_on_what_else_is_alive(monkeypatch, run):
     """Copies of search's pool bases and of their lifts, alive through the
@@ -137,8 +142,8 @@ def test_search_output_does_not_depend_on_what_else_is_alive(monkeypatch, run):
     the one search builds; a table of doublings shared by every equal group
     alive would hand it to search.  After search returns, a copy of an
     input builds afresh."""
-    length, seed, budget = run["length"], run["seed"], run["budget"]
-    inputs, draws = _draws(monkeypatch, length, seed, budget)
+    length, seed, budget, shape = run["length"], run["seed"], run["budget"], run.get("shape")
+    inputs, draws = _draws(monkeypatch, length, seed, budget, shape)
     copies = [CodeGroup(sig, gens) for sig, gens in inputs]
     kept = []
     for construction, i, g in draws:
@@ -147,9 +152,9 @@ def test_search_output_does_not_depend_on_what_else_is_alive(monkeypatch, run):
         except ConstructionError:
             pass
     assert kept
-    lines = _search_lines(length, seed, budget)
+    lines = _search_lines(length, seed, budget, shape)
     assert lines == run["results"]
-    assert lines == _fresh_process_lines(length, seed, budget)
+    assert lines == _fresh_process_lines(length, seed, budget, shape)
 
     builds = count_calls(monkeypatch, constructions_module, "_adjoin", "_kronecker_output")
     for construction, build in ((generalized_kronecker, "_kronecker_output"), (extend, "_adjoin")):

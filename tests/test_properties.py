@@ -56,7 +56,15 @@ from z2z4q8.constructions import (
 )
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
-from z2z4q8.groups import _GRAY_BLOCKS, Q8_TOKENS, GroupWord, _commutator_bits, _nu, _pi
+from z2z4q8.groups import (
+    _GRAY_BLOCKS,
+    Q8_TOKENS,
+    GroupWord,
+    _commutator_bits,
+    _nu,
+    _pi,
+    _random_word,
+)
 from z2z4q8.search import _random_abelian_base, _random_ambient_word, _random_torsion_word
 from z2z4q8.invariants import _kernel_cosets, span_group
 from z2z4q8.oracles import (
@@ -85,6 +93,7 @@ from z2z4q8.subgroup import (
 from conftest import (
     SHIPPED_FIXTURES,
     assert_matches_reference,
+    choice_word,
     coordinate_doubling_element,
     coordinate_torsion_word,
     kind_of,
@@ -366,6 +375,24 @@ def test_property_block_draws_equal_the_coordinate_draws(data):
         rng, twin = random.Random(seed), random.Random(seed)
         assert draw(sig, rng) == oracle(sig, twin)
         assert rng.getstate() == twin.getstate()
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_random_word_reads_getrandbits_by_the_choice_rule(data):
+    """``_random_word`` over any choice tuples, of 1 to 9 valid Gray blocks
+    with repeats, equals ``rng.choice`` per coordinate on a twin rng and
+    leaves the same state, over Z2-only, Z4-only, Q8-only and mixed
+    signatures.  A one-block tuple still redraws ``getrandbits(1)`` until
+    it gives 0, as ``choice`` does."""
+    sig, seed = data.draw(long_signatures), data.draw(st.integers(0, 2**32))
+    choices = {
+        kind: tuple(data.draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=9)))
+        for kind, (_, blocks) in _GRAY_BLOCKS.items()
+    }
+    rng, twin = random.Random(seed), random.Random(seed)
+    assert _random_word(choices, sig, rng) == choice_word(choices, sig, twin)
+    assert rng.getstate() == twin.getstate()
 
 
 @PROPERTY_SETTINGS
