@@ -53,7 +53,6 @@ from .hadamard import (
 from .invariants import (
     BoundCheck,
     BoundReport,
-    StructureReport,
     binary_kernel,
     check_bounds,
     is_abelian,
@@ -61,13 +60,12 @@ from .invariants import (
     kernel_dim,
     rank,
     span_group,
-    structure_report,
     swapper,
     weight_distribution,
 )
 from .oracles import is_extended_perfect, is_perfect
 from .parsing import ParseError, format_generators, parse_element, parse_generators
-from .report import analyze, render_json, render_summary
+from .report import StructureReport, analyze, render_json, render_summary, structure_report
 from .search import FoundCode, search
 from .subgroup import (
     DEFAULT_MAX_ORDER,

@@ -122,6 +122,10 @@ class CoordinatePermutation:
 
     image: Tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if sorted(self.image) != list(range(len(self.image))):
+            raise ValueError(f"image {self.image} is not a permutation of 0..n-1")
+
     @classmethod
     def identity(cls, n: int) -> "CoordinatePermutation":
         return cls(tuple(range(n)))

@@ -25,6 +25,8 @@ from .groups import GroupWord, commutator, u_element
 from .invariants import (
     BoundCheck,
     BoundReport,
+    _eq,
+    _le,
     kernel_dim,
     rank,
     weight_distribution,
@@ -509,36 +511,20 @@ def hadamard_bounds(C: CodeGroup, shape: Optional[Shape] = None) -> BoundReport:
         shape = classify_shape(C)
     exempt = (m, sigma, delta, rho) in _EXCEPTION_PARAMS
 
-    checks: List[BoundCheck] = [
-        BoundCheck("m + 1 = sigma + delta + rho", m + 1, ct.total, m + 1 == ct.total),
-        BoundCheck(
-            "ceil(m/2) <= sigma" + (" [exempt parameter set]" if exempt else ""),
-            ceil(m / 2),
-            sigma,
-            exempt or ceil(m / 2) <= sigma,
-        ),
-        BoundCheck("sigma <= kernel_dim", sigma, k, sigma <= k),
-        BoundCheck("kernel_dim <= m + 1", k, m + 1, k <= m + 1),
-        BoundCheck("m + 1 <= rank", m + 1, r, m + 1 <= r),
-        BoundCheck(
-            "rank <= m + 1 + C(delta+rho, 2)",
-            r,
-            m + 1 + comb(delta + rho, 2),
-            r <= m + 1 + comb(delta + rho, 2),
-        ),
-        BoundCheck(
-            "delta + rho <= floor((m+2)/2)"
-            + (" [exempt parameter set]" if exempt else ""),
-            delta + rho,
-            floor((m + 2) / 2),
-            exempt or delta + rho <= floor((m + 2) / 2),
-        ),
+    checks = [
+        _eq("m + 1 = sigma + delta + rho", m + 1, ct.total),
+        _le("ceil(m/2) <= sigma", ceil(m / 2), sigma, exempt=exempt),
+        _le("sigma <= kernel_dim", sigma, k),
+        _le("kernel_dim <= m + 1", k, m + 1),
+        _le("m + 1 <= rank", m + 1, r),
+        _le("rank <= m + 1 + C(delta+rho, 2)", r, m + 1 + comb(delta + rho, 2)),
+        _le("delta + rho <= floor((m+2)/2)", delta + rho, floor((m + 2) / 2), exempt=exempt),
     ]
 
     global_cap = (
         m + 1 + comb((m + 1) // 2, 2) if m % 2 else m + 2 + comb(m // 2, 2)
     )
-    checks.append(BoundCheck("rank <= parity cap", r, global_cap, r <= global_cap))
+    checks.append(_le("rank <= parity cap", r, global_cap))
 
     h = r - (m + 1)
     shape_cap = {
@@ -548,12 +534,10 @@ def hadamard_bounds(C: CodeGroup, shape: Optional[Shape] = None) -> BoundReport:
         4: 1,
         5: 3,
     }[shape.tag]
-    checks.append(
-        BoundCheck(
-            f"rank - (m+1) <= shape-{shape.tag} cap", h, shape_cap, h <= shape_cap
-        )
-    )
+    checks.append(_le(f"rank - (m+1) <= shape-{shape.tag} cap", h, shape_cap))
     if shape.tag == 4:
+        # a chain of two relations: the row shows the first, and its
+        # verdict needs both, so it is not a ``_le`` row
         checks.append(
             BoundCheck(
                 "shape 4 chain: rank <= sigma+delta+rho+1 <= sigma+4",
@@ -576,16 +560,10 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
     squares, rows = _coset_table(C)
     zs = _indexed(C, ngs.zs)
     sq = [squares[v] for _, v in zs]
-    checks = [BoundCheck("epsilon <= 2", eps, 2, eps <= 2)]
+    checks = [_le("epsilon <= 2", eps, 2)]
     if eps == 2:
-        checks.append(
-            BoundCheck(
-                "epsilon=2 forces (delta, rho) = (0, 4)",
-                int(ct.delta == 0 and ct.rho == 4),
-                1,
-                ct.delta == 0 and ct.rho == 4,
-            )
-        )
+        forced = ct.delta == 0 and ct.rho == 4
+        checks.append(_eq("epsilon=2 forces (delta, rho) = (0, 4)", int(forced), 1))
         if len(zs) == 4 and sq[0] != u and sq[2] != u:
             # neither pair squares to u: the pairs must commute crosswise
             # and their squares, of order <= 2, must add up to u
@@ -595,64 +573,30 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
                 for j in (2, 3)
             )
             checks.append(
-                BoundCheck(
+                _eq(
                     "epsilon=2 with non-u pairs: cross pairs commute and "
                     "squares multiply to u",
                     int(cross_ok),
                     1,
-                    cross_ok,
                 )
             )
     if any(sq[i] == u for i in range(min(2 * eps, len(zs)))):
-        checks.append(
-            BoundCheck(
-                "square-u inside the paired block forces delta = 0",
-                ct.delta,
-                0,
-                ct.delta == 0,
-            )
-        )
+        checks.append(_eq("square-u inside the paired block forces delta = 0", ct.delta, 0))
     lead = [zs[2 * t] for t in range(eps)]
     v_set = _indexed(C, ngs.ys) + lead + zs[2 * eps:]
     w_basis = Gf2Basis(squares[v] for _, v in v_set)
     u_set = [w for w, v in v_set if squares[v] != u]
-    lower = ct.delta + ct.rho - eps - 1
-    checks.append(
-        BoundCheck(
-            "log2|<W>| >= delta + rho - epsilon - 1",
-            lower,
-            w_basis.rank,
-            w_basis.rank >= lower,
-        )
-    )
-    checks.append(
-        BoundCheck(
-            "sigma >= delta + rho - epsilon - 1", lower, ct.sigma, ct.sigma >= lower
-        )
-    )
+    paired = ct.delta + ct.rho - eps
+    checks.append(_le("log2|<W>| >= delta + rho - epsilon - 1", paired - 1, w_basis.rank))
+    checks.append(_le("sigma >= delta + rho - epsilon - 1", paired - 1, ct.sigma))
     if not CodeGroup(C.sig, u_set)._has_image(u):
-        checks.append(
-            BoundCheck(
-                "u outside <U>: log2|<W>| = delta + rho - epsilon",
-                w_basis.rank,
-                ct.delta + ct.rho - eps,
-                w_basis.rank == ct.delta + ct.rho - eps,
-            )
-        )
-        checks.append(
-            BoundCheck(
-                "u outside <U>: sigma >= delta + rho - epsilon",
-                ct.delta + ct.rho - eps,
-                ct.sigma,
-                ct.sigma >= ct.delta + ct.rho - eps,
-            )
-        )
-    r = rank(C)
-    h = r - ct.total
-    h_cap = eps + comb(ct.delta + ct.rho - eps, 2) if eps <= 1 else 3
-    checks.append(
-        BoundCheck("rank - (sigma+delta+rho) <= swapper cap", h, h_cap, h <= h_cap)
-    )
+        checks += [
+            _eq("u outside <U>: log2|<W>| = delta + rho - epsilon", w_basis.rank, paired),
+            _le("u outside <U>: sigma >= delta + rho - epsilon", paired, ct.sigma),
+        ]
+    h = rank(C) - ct.total
+    h_cap = eps + comb(paired, 2) if eps <= 1 else 3
+    checks.append(_le("rank - (sigma+delta+rho) <= swapper cap", h, h_cap))
     return checks
 
 
@@ -720,22 +664,7 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
                     0 != ra[j] != rb[j] != 0 for j in outside if squares[j] != a2
                 )
     return [
-        BoundCheck(
-            "pairs outside T: commutator in <a^2> unless a^2 = u",
-            pair_bad,
-            0,
-            pair_bad == 0,
-        ),
-        BoundCheck(
-            "equal non-u squares span at most 2 dimensions mod T",
-            triple2_bad,
-            0,
-            triple2_bad == 0,
-        ),
-        BoundCheck(
-            "swapper pairs against a third square stay within index 2 mod T",
-            triple3_bad,
-            0,
-            triple3_bad == 0,
-        ),
+        _eq("pairs outside T: commutator in <a^2> unless a^2 = u", pair_bad, 0),
+        _eq("equal non-u squares span at most 2 dimensions mod T", triple2_bad, 0),
+        _eq("swapper pairs against a third square stay within index 2 mod T", triple3_bad, 0),
     ]

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .gf2 import Gf2Basis
 from .gray import BinaryVector, gray, gray_inv
@@ -23,14 +23,13 @@ from .groups import GroupWord, SignatureMismatch
 from .subgroup import (
     DEFAULT_MAX_ORDER,
     CodeGroup,
-    CodeType,
     EnumerationLimit,
     _coset_reps,
     _coset_table,
     _form,
     _gray_stream,
+    _kernel_cosets,
     _memoized,
-    _null_space,
     _span,
     code_type,
 )
@@ -76,8 +75,8 @@ def _swappers(C: CodeGroup) -> Tuple[Tuple[int, ...], ...]:
     and Gray is injective: s(x, y) is in C exactly when its bits are in
     Gray(T).  The table is built with the presentation, from the same k^2
     applications of pi as its squares and commutators (``_present``), and
-    kept on the group; ``rank``, ``_kernel_cosets`` and ``span_group``
-    read it here.
+    kept on the group; ``rank`` and ``span_group`` read it here, and
+    ``subgroup._kernel_cosets`` reads it there.
     """
     return C.swappers
 
@@ -100,32 +99,6 @@ def rank(C: CodeGroup) -> int:
     """
     swappers = (s for i, row in enumerate(_swappers(C)) for s in row[i + 1 :])
     return Gf2Basis((*C.torsion_rows, *C.basis, *swappers)).rank
-
-
-@_memoized
-def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
-    """The indices v of ``_coset_reps`` whose T-coset lies in K(C).
-
-    z is in the binary kernel of Gray(C) when z + Gray(C) = Gray(C); as 0
-    is a codeword, z = Gray(x) for some x in C.  Gray(x) + Gray(y) =
-    Gray(xy) + s(x, y) = Gray(s(x, y) xy), as s(x, y) lies in Omega (pi is
-    1 on it and fixes its image), and s(x, y) xy lies in C exactly when
-    s(x, y) does, i.e. when its bits lie in Gray(T) (``_swappers``).  By
-    bilinearity and s = 0 on T, x = p_v t passes for every y exactly when
-    sum_i v_i s(b_i, b_j) lies in Gray(T) for every j: K(C)/T(C) is the
-    null space of v -> (sum_i v_i s(b_i, b_j) mod Gray(T))_j.  The swappers
-    are reduced by the echelon basis of Gray(T) that the presentation
-    keeps (``C._torsion``), which leaves one residue per class, and row i
-    packs them at bits j*n.  ``oracles.verify`` runs the second routes
-    (``representative_kernel_cosets``, ``translation_kernel``,
-    ``swapper_scan_kernel``).
-    """
-    n, torsion = C.sig.n, C._torsion
-    form = [
-        sum(torsion.reduce(s) << (j * n) for j, s in enumerate(row))
-        for row in _swappers(C)
-    ]
-    return _null_space(form)
 
 
 def kernel_dim(C: CodeGroup) -> int:
@@ -230,8 +203,16 @@ class BoundReport:
         return BoundReport(self.checks + other.checks)
 
 
-def _le(name: str, lhs: int, rhs: int) -> BoundCheck:
-    return BoundCheck(name, lhs, rhs, lhs <= rhs)
+def _le(name: str, lhs: int, rhs: int, exempt: bool = False) -> BoundCheck:
+    """The row of lhs <= rhs; an ``exempt`` row is named so and holds."""
+    if exempt:
+        name += " [exempt parameter set]"
+    return BoundCheck(name, lhs, rhs, exempt or lhs <= rhs)
+
+
+def _eq(name: str, lhs: int, rhs: int) -> BoundCheck:
+    """The row of lhs == rhs."""
+    return BoundCheck(name, lhs, rhs, lhs == rhs)
 
 
 def check_bounds(C: CodeGroup) -> BoundReport:
@@ -248,18 +229,13 @@ def check_bounds(C: CodeGroup) -> BoundReport:
     l = C.sig.l
     linear = is_linear(C)
 
+    # a linear code reports the nonlinear rows as r <= r and 0 <= 0
     checks = [
-        BoundCheck(
-            "nonlinear => rank >= kernel_dim + 3",
-            k + 3 if not linear else r,
-            r,
-            linear or k + 3 <= r,
-        ),
-        BoundCheck(
+        _le("nonlinear => rank >= kernel_dim + 3", r if linear else k + 3, r),
+        _le(
             "nonlinear => kernel_dim <= log2|C| - 2",
-            k if not linear else 0,
-            m - 2 if not linear else 0,
-            linear or k <= m - 2,
+            0 if linear else k,
+            0 if linear else m - 2,
         ),
         _le("delta <= sigma", delta, sigma),
         _le("sigma <= kernel_dim", sigma, k),
@@ -301,53 +277,10 @@ def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
         commuting_squares_bad += zeros - (not row[u])
         commuting_squares_bad -= not row[0] and squares[0] == sq
     return [
-        BoundCheck(
-            "commutator weight <= square weight (pairs outside T)",
-            square_weight_bad,
-            0,
-            square_weight_bad == 0,
-        ),
-        BoundCheck(
+        _eq("commutator weight <= square weight (pairs outside T)", square_weight_bad, 0),
+        _eq(
             "commuting pairs outside T with product outside T have distinct squares",
             commuting_squares_bad,
             0,
-            commuting_squares_bad == 0,
         ),
     ]
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Full invariant summary of one code group."""
-
-    type: CodeType
-    m: Optional[int]  # length exponent when n is a power of two
-    rank: int
-    kernel_dim: int
-    h: int
-    is_linear: bool
-    is_abelian: bool
-    is_hadamard: bool
-    weight_distribution: Dict[int, int]
-    bounds: BoundReport
-
-
-def structure_report(C: CodeGroup) -> StructureReport:
-    from .hadamard import is_hadamard  # cycle: hadamard builds on invariants
-
-    ct = code_type(C)
-    r = rank(C)
-    n = C.sig.n
-    m = n.bit_length() - 1 if n & (n - 1) == 0 else None
-    return StructureReport(
-        type=ct,
-        m=m,
-        rank=r,
-        kernel_dim=kernel_dim(C),
-        h=r - ct.total,
-        is_linear=is_linear(C),
-        is_abelian=is_abelian(C),
-        is_hadamard=is_hadamard(C),
-        weight_distribution=weight_distribution(C),
-        bounds=check_bounds(C),
-    )

@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .gf2 import Gf2Basis
 from .gray import BinaryVector
 from .groups import GroupWord, _sort_key, identity
-from .invariants import _kernel_cosets, kernel_dim, rank, span_group
+from .invariants import kernel_dim, rank, span_group
 from .subgroup import (
     CodeGroup,
     EnumerationLimit,
@@ -26,6 +26,7 @@ from .subgroup import (
     _coset_minima,
     _coset_reps,
     _gray_stream,
+    _kernel_cosets,
     _memoized,
     _products,
     _span,
@@ -101,7 +102,7 @@ def representative_kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
     z = Gray(p_v) passes when res_v + res_w is a coset residue for every
     w: at most 4^k set lookups, 2^sigma times fewer than testing each
     representative against all of Gray(C).  The second route to
-    ``invariants._kernel_cosets``, the swapper null space.
+    ``subgroup._kernel_cosets``, the swapper null space.
     """
     residues = [C._torsion.reduce(p.bits) for p in _coset_reps(C)]
     cosets = frozenset(residues)
@@ -241,7 +242,7 @@ def verify(C: CodeGroup) -> None:
     - the rank: ``invariants.rank`` against ``coset_row_space`` (the same
       dimension, holding every Gray(b_i) and s(b_i, b_j)), ``gray_basis``
       and the order of ``span_group``;
-    - the kernel: ``invariants._kernel_cosets`` against
+    - the kernel: ``subgroup._kernel_cosets`` against
       ``representative_kernel_cosets``, and 2^kernel_dim against the sizes
       of ``translation_kernel``, ``swapper_scan_kernel`` and, at n <= 16,
       ``full_space_kernel``;

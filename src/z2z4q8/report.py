@@ -1,14 +1,58 @@
-"""Schema-stable JSON reports for analyzed code groups."""
+"""Structure reports and schema-stable JSON reports for analyzed code groups."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import oracles
-from .hadamard import classify_shape, hadamard_bounds
-from .invariants import structure_report
-from .subgroup import CodeGroup
+from .hadamard import classify_shape, hadamard_bounds, is_hadamard
+from .invariants import (
+    BoundReport,
+    check_bounds,
+    is_abelian,
+    is_linear,
+    kernel_dim,
+    rank,
+    weight_distribution,
+)
+from .subgroup import CodeGroup, CodeType, code_type
+
+
+@dataclass(frozen=True)
+class StructureReport:
+    """Full invariant summary of one code group."""
+
+    type: CodeType
+    m: Optional[int]  # length exponent when n is a power of two
+    rank: int
+    kernel_dim: int
+    h: int
+    is_linear: bool
+    is_abelian: bool
+    is_hadamard: bool
+    weight_distribution: Dict[int, int]
+    bounds: BoundReport
+
+
+def structure_report(C: CodeGroup) -> StructureReport:
+    ct = code_type(C)
+    r = rank(C)
+    n = C.sig.n
+    m = n.bit_length() - 1 if n & (n - 1) == 0 else None
+    return StructureReport(
+        type=ct,
+        m=m,
+        rank=r,
+        kernel_dim=kernel_dim(C),
+        h=r - ct.total,
+        is_linear=is_linear(C),
+        is_abelian=is_abelian(C),
+        is_hadamard=is_hadamard(C),
+        weight_distribution=weight_distribution(C),
+        bounds=check_bounds(C),
+    )
 
 
 def analyze(C: CodeGroup, verify: bool = False) -> dict:

@@ -472,6 +472,33 @@ def _radical(C: CodeGroup) -> Tuple[int, ...]:
     return _null_space(rows)
 
 
+@_memoized
+def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
+    """The indices v of ``_coset_reps`` whose T-coset lies in K(C).
+
+    z is in the binary kernel of Gray(C) when z + Gray(C) = Gray(C); as 0
+    is a codeword, z = Gray(x) for some x in C.  Gray(x) + Gray(y) =
+    Gray(xy) + s(x, y) = Gray(s(x, y) xy), as s(x, y) lies in Omega (pi is
+    1 on it and fixes its image), and s(x, y) xy lies in C exactly when
+    s(x, y) does, i.e. when its bits lie in Gray(T)
+    (``invariants._swappers``).  By bilinearity and s = 0 on T, x = p_v t
+    passes for every y exactly when sum_i v_i s(b_i, b_j) lies in Gray(T)
+    for every j: K(C)/T(C) is the null space of v -> (sum_i v_i s(b_i,
+    b_j) mod Gray(T))_j.  The swappers are reduced by the echelon basis of
+    Gray(T) that the presentation keeps (``C._torsion``), which leaves one
+    residue per class, and row i packs them at bits j*n.
+    ``oracles.verify`` runs the second routes
+    (``representative_kernel_cosets``, ``translation_kernel``,
+    ``swapper_scan_kernel``).
+    """
+    n, torsion = C.sig.n, C._torsion
+    form = [
+        sum(torsion.reduce(s) << (j * n) for j, s in enumerate(row))
+        for row in C.swappers
+    ]
+    return _null_space(form)
+
+
 def _cosets_where(C: CodeGroup, passing: Sequence[int]) -> CodeGroup:
     """The subgroup made of the T-cosets at the ``_coset_reps`` indices
     ``passing``, a subspace of C/T = GF(2)^k: T's generators and the
@@ -671,13 +698,11 @@ def _products(sig: GroupSignature, gens: Sequence[GroupWord]) -> List[GroupWord]
 @_memoized
 def group_kernel(C: CodeGroup) -> CodeGroup:
     """K(C) = {x in C : the swapper [x, y] lies in C for every y in C}: the
-    T-cosets of the swapper null space (``invariants._kernel_cosets``).
+    T-cosets of the swapper null space (``_kernel_cosets``).
 
     Gray is injective, so [x, y] lies in C exactly when its Gray bits lie
     in Gray(C), and Gray(K(C)) is the binary kernel of Gray(C).  The
     |C|^2 scan of every pair is ``oracles.swapper_scan_kernel``, run in
     the tests and by ``oracles.verify`` (``analyze(verify=True)``).
     """
-    from .invariants import _kernel_cosets  # cycle: invariants builds on subgroup
-
     return _cosets_where(C, _kernel_cosets(C))

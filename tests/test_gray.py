@@ -198,6 +198,15 @@ def test_permutation_composition_matches_products():
         assert pi_of(w * v).image == pi_of(w).compose(pi_of(v)).image
 
 
+@pytest.mark.parametrize("image", [(0, 0, 5), (0, 0, 1), (1, 2, 3), (0, -1)])
+def test_coordinate_permutation_refuses_an_image_that_is_not_a_permutation(image):
+    """A repeated or out-of-range image would drop or misplace a coordinate
+    in ``apply`` (``(0, 0, 5)`` once sent 011 to 100), and ``compose`` would
+    pass it on."""
+    with pytest.raises(ValueError, match="is not a permutation"):
+        CoordinatePermutation(image)
+
+
 def test_distance_invariance():
     # d(u, v) = d(x + pi_x(u), x + pi_x(v)) for codeword images x
     for sig in (Q8, Z4):

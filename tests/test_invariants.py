@@ -36,6 +36,7 @@ from z2z4q8 import (
 )
 import z2z4q8.invariants as invariants_module
 import z2z4q8.oracles as oracles_module
+import z2z4q8.report as report_module
 import z2z4q8.subgroup as subgroup_module
 from z2z4q8.fixtures import fixture_text, load_fixture
 from z2z4q8.gf2 import Gf2Basis
@@ -427,7 +428,7 @@ def test_kernel_second_route_catches_a_wrong_null_space(monkeypatch):
     C = load_fixture("pure_q8_n8")  # K(C) = T(C), |C/T| = 4
     assert representative_kernel_cosets(C) == _kernel_cosets(C) == (0,)
     monkeypatch.setattr(
-        invariants_module, "_null_space", lambda rows: tuple(range(1 << len(rows)))
+        subgroup_module, "_null_space", lambda rows: tuple(range(1 << len(rows)))
     )
     C = load_fixture("pure_q8_n8")
     assert _kernel_cosets(C) == (0, 1, 2, 3)
@@ -447,7 +448,7 @@ def test_analyze_verify_compares_with_the_presentation_kernel(monkeypatch):
     assert analyze(C)["kernel_dim"] == C.log2_order
     monkeypatch.setattr(invariants_module, "_kernel_cosets", lambda C: (0,))
     C = load_fixture("hadamard8_z4")
-    built = count_calls(monkeypatch, invariants_module, "structure_report")
+    built = count_calls(monkeypatch, report_module, "structure_report")
     with pytest.raises(RuntimeError, match="kernel_dim disagrees with"):
         analyze(C, verify=True)
     assert built == Counter()

@@ -1,5 +1,6 @@
-"""The second routes stay in ``oracles``, each with a caller, and the public
-names are fixed."""
+"""The second routes stay in ``oracles``, each with a caller; the public
+names are fixed; every bound row states its relation once; and the package
+modules import one another only at module level, without a cycle."""
 
 from __future__ import annotations
 
@@ -138,3 +139,76 @@ def test_report_writes_its_json_without_the_json_encoder():
         isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names)
         for node in ast.walk(tree)
     )
+
+
+def _package_modules() -> list:
+    return sorted(
+        path.name[:-3]
+        for path in resources.files("z2z4q8").iterdir()
+        if path.name.endswith(".py")
+    )
+
+
+def _package_imports(node: ast.AST) -> list:
+    """The package modules an import statement names: ``from .x import``,
+    ``from . import x`` and the absolute forms of both."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("z2z4q8.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = node.module or ""
+    if node.level == 0 and module.split(".")[0] != "z2z4q8":
+        return []
+    parts = module.split(".")[1:] if node.level == 0 else module.split(".")
+    if parts and parts[0]:
+        return [parts[0]]
+    return [a.name for a in node.names]
+
+
+def test_bound_rows_are_built_by_the_relation_helpers():
+    """Each bound row states its relation once: ``BoundCheck`` is called only
+    by ``_le`` and ``_eq``, and by the shape-4 chain row, whose verdict is a
+    chain of two relations and not its lhs/rhs relation."""
+    calls = []
+    for module in ("invariants", "hadamard"):
+        for fn in _tree(module).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BoundCheck":
+                    first = node.args[0]
+                    name = first.value if isinstance(first, ast.Constant) else ast.unparse(first)
+                    calls.append((module, fn.name, name))
+    assert sorted(calls) == [
+        ("hadamard", "hadamard_bounds", "shape 4 chain: rank <= sigma+delta+rho+1 <= sigma+4"),
+        ("invariants", "_eq", "name"),
+        ("invariants", "_le", "name"),
+    ]
+
+
+def test_package_modules_import_at_module_level_and_without_a_cycle():
+    """No module of the package imports another inside a function, and the
+    graph of the module-level imports between them has no cycle."""
+    graph = {}
+    for module in _package_modules():
+        tree = _tree(module)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [m for node in ast.walk(fn) for m in _package_imports(node)]
+                assert not inner, (module, fn.name, inner)
+        graph[module] = {m for node in ast.walk(tree) for m in _package_imports(node)}
+    assert graph["report"] >= {"hadamard", "invariants", "oracles", "subgroup"}
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, path[path.index(module):] + [module]
+        if module in done:
+            return
+        path.append(module)
+        for target in sorted(graph[module]):
+            visit(target)
+        path.pop()
+        done.add(module)
+
+    for module in graph:
+        visit(module)
