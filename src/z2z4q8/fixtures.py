@@ -28,7 +28,10 @@ from .report import analyze
 from .subgroup import CodeGroup, group_kernel, torsion
 
 
+@lru_cache(maxsize=None)
 def fixture_text(name: str) -> str:
+    """The text of a shipped ``.gens`` file, read once per process; each
+    ``load_fixture`` still parses it and builds a new group."""
     return (
         resources.files("z2z4q8").joinpath("fixtures", f"{name}.gens").read_text()
     )

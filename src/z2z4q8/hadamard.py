@@ -41,6 +41,7 @@ from .subgroup import (
     _minimum_keys,
     _radical,
     _span,
+    _span_table,
     code_type,
     standard_generators,
     verify_standard,
@@ -605,21 +606,29 @@ def _reduced_swappers(C: CodeGroup) -> List[List[int]]:
     XOR on the swapper table reduced once: no product and no pi is evaluated.
 
     s is exactly bilinear on words (``invariants._swappers``), so
-    s(p_v, b_j) = sum_(i in v) s(b_i, b_j), a sum of rows of the table
-    built like the products (c_(v + 2^i) = c_v + row i), and s(p_v, p_w)
-    is the span of c_v indexed like the products (``_span``).  Reduction
-    (``Gf2Basis.reduce``) is linear, so the sums of residues are residues.
+    s(p_v, p_w) is the sum of s(b_i, b_j) over i in v and j in w: the sum
+    over i in v of the rows _span(s(b_i, .)), indexed like the products
+    (``_span``), and the table is their ``_span_table``.  Reduction
+    (``Gf2Basis.reduce``) is linear, so it is applied once per entry of
+    the k x k table, and the sums of residues are the residues of the sums.
     """
     reduce = C._torsion.reduce
-    columns = [[0] * len(C.swappers)]
-    for row in C.swappers:
-        residues = [reduce(s) for s in row]
-        columns += [[a ^ r for a, r in zip(c, residues)] for c in columns]
-    return [_span(c) for c in columns]
+    return _span_table([_span([reduce(s) for s in row]) for row in C.swappers])
 
 
 def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
     """Pair and triple facts, exhausted over one word per T-coset.
+
+    The first counts, for each a outside T(C) with a^2 != u, the b outside
+    T(C) whose commutator (a, b) lies outside <a^2> = {0, a^2} (by image).
+    Row a of ``_coset_table`` is the span of its k unit entries
+    Gray((a, b_j)): every entry is a sum of them.  {0, a^2} is closed
+    under XOR, so when every unit entry lies in it, so does every entry,
+    and the row adds 0; otherwise its entries in {0, a^2} are counted
+    exactly, by C-level ``count``.
+
+    The second counts the non-u square classes whose members span more
+    than 2 dimensions of C/T(C).
 
     The third counts a, b against each c with none of s1 = [a, c], s2 =
     [b, c], s1 s2 in C.  Swappers lie in Omega (pi_x swaps bits of equal
@@ -634,11 +643,12 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
     # coset in C/T; index 0 is T itself
     squares, rows = _coset_table(C)
     outside = range(1, len(squares))
+    units = [1 << j for j in range(len(C.basis))]
 
     pair_bad = 0
     for v in outside:
         a2, row = squares[v], rows[v]
-        if a2 != u:
+        if a2 != u and any(row[j] and row[j] != a2 for j in units):
             # the entries at j >= 1 outside {0, a2}, counted in C
             good = row.count(0) + (row.count(a2) if a2 else 0) - (row[0] in (0, a2))
             pair_bad += len(outside) - good

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from math import comb
 from typing import Dict, List, Tuple
 
@@ -256,24 +255,40 @@ def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
 
     The words of ``_coset_reps`` outside T(C) are those at index v >= 1,
     and the product ab lies in T(C) exactly when a and b share an index.
+    Both counts are exact, and each row is scanned by C-level counts.
 
-    Both counts are exact, and each 4^k scan runs in C: the weight count
-    is taken over the row only when the row's heaviest commutator
-    exceeds the square's weight, and the commuting pairs with equal
-    squares are the zeros of the row at the equal squares (``compress``),
-    less the terms at v = 0 and v = u, which the count leaves out.
+    Commuting pairs: the pairs (u, v) with equal squares are the entries
+    of row u at the indices of u's square class, grouped once; the count
+    is the zeros among them, less the terms at v = 0 and v = u, which the
+    checklist leaves out.
+
+    Weights: row u adds the v >= 1 whose commutator outweighs a^2 =
+    squares[u].  Its entries are Gray((p_u, p_v)), the sum over j in v of
+    the unit entries rows[u][2^j] (``_coset_table``: the row is the span
+    of its units), so the support of every entry lies inside the OR of
+    the k unit entries.  When that OR lies inside supp(a^2), no entry has
+    a bit outside a^2, hence none outweighs it, and the row adds 0.
+    Otherwise the exact count runs over the row, less the term at v = 0.
     """
     squares, rows = _coset_table(C)
     outside = range(1, len(squares))
+    units = [1 << j for j in range(len(C.basis))]
+    classes: Dict[int, List[int]] = {}
+    for v, sq in enumerate(squares):
+        classes.setdefault(sq, []).append(v)
     square_weight_bad = 0
     commuting_squares_bad = 0
     for u in outside:
         row = rows[u]
         sq = squares[u]
-        wa = sq.bit_count()
-        if max(map(int.bit_count, row)) > wa:
-            square_weight_bad += sum(row[v].bit_count() > wa for v in outside)
-        zeros = list(compress(row, map(sq.__eq__, squares))).count(0)
+        spread = 0
+        for unit in units:
+            spread |= row[unit]
+        if spread & ~sq:
+            wa = sq.bit_count()
+            heavier = sum(map(wa.__lt__, map(int.bit_count, row)))
+            square_weight_bad += heavier - (row[0].bit_count() > wa)
+        zeros = list(map(row.__getitem__, classes[sq])).count(0)
         commuting_squares_bad += zeros - (not row[u])
         commuting_squares_bad -= not row[0] and squares[0] == sq
     return [

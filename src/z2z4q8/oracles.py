@@ -17,7 +17,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .gf2 import Gf2Basis
 from .gray import BinaryVector
-from .groups import GroupWord, _sort_key, identity
+from .groups import GroupWord, _sort_key, commutator, identity
+from .hadamard import _reduced_swappers
 from .invariants import kernel_dim, rank, span_group
 from .subgroup import (
     CodeGroup,
@@ -25,6 +26,7 @@ from .subgroup import (
     StandardGenSet,
     _coset_minima,
     _coset_reps,
+    _coset_table,
     _gray_stream,
     _kernel_cosets,
     _memoized,
@@ -68,6 +70,26 @@ def coset_row_space(C: CodeGroup) -> Gf2Basis:
     and for every Gray(b_i) and s(b_i, b_j) to lie in it.
     """
     return Gf2Basis(C.torsion_rows + tuple(p.bits for p in _coset_reps(C)))
+
+
+def coset_tables_by_products(
+    C: CodeGroup,
+) -> Tuple[List[int], List[List[int]], List[List[int]]]:
+    """(squares, commutator rows, reduced swappers) of the ``_coset_reps``
+    words, by index, from the words themselves: (p p), commutator(p, q)
+    and the swapper bits of (p, q) reduced by Gray(T) (``C._torsion``).
+
+    The second route to ``subgroup._coset_table`` and
+    ``hadamard._reduced_swappers``, which read the same tables by XOR from
+    the k x k swapper table, by the class-2 laws and bilinearity; the pair
+    checklists read them, and their shortcuts read each row's k unit
+    entries.  The cost is 4^k <= |C|^2 word products of each kind.
+    """
+    reps, reduce = _coset_reps(C), C._torsion.reduce
+    squares = [(p * p).bits for p in reps]
+    rows = [[commutator(p, q).bits for q in reps] for p in reps]
+    residues = [[reduce(_swapper_bits(p, q)) for q in reps] for p in reps]
+    return squares, rows, residues
 
 
 def translation_kernel(C: CodeGroup) -> frozenset:
@@ -247,7 +269,9 @@ def verify(C: CodeGroup) -> None:
       of ``translation_kernel``, ``swapper_scan_kernel`` and, at n <= 16,
       ``full_space_kernel``;
     - the standard generators: ``tiles``, ``scanned_standard_generators``,
-      and ``_coset_minima`` against ``least_coset_words``.
+      and ``_coset_minima`` against ``least_coset_words``;
+    - the 4^k tables of the pair checklists: ``subgroup._coset_table`` and
+      ``hadamard._reduced_swappers`` against ``coset_tables_by_products``.
 
     The |C|^2 swapper scan sets the cost, about 4x per doubling of |C|, so
     C is refused with ``EnumerationLimit`` past ``_VERIFY_MAX_ORDER``
@@ -297,6 +321,11 @@ def verify(C: CodeGroup) -> None:
         _coset_minima(C) == least_coset_words(C),
         "_coset_minima",
         "least_coset_words",
+    )
+    squares, rows, residues = coset_tables_by_products(C)
+    _agree(_coset_table(C) == (squares, rows), "_coset_table", "coset_tables_by_products")
+    _agree(
+        _reduced_swappers(C) == residues, "_reduced_swappers", "coset_tables_by_products"
     )
 
 

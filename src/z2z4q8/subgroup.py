@@ -13,7 +13,8 @@ decided.  Squares, commutators and swappers of the basis are read by
 XOR from the swapper table that ``_present`` keeps
 (``CodeGroup.swappers``): Z(C) is the radical of the commutator form
 (``_form``, ``_radical``), the squares and commutator rows of the coset
-words come from it by the class-2 laws (``_coset_table``), and the
+words come from it by the class-2 laws, the rows by XOR doubling
+(``_coset_table``, ``_span_table``), and the
 standard generators are read from the least word of each coset
 (``_coset_minima``), and K(C) is the T-cosets of the swapper null space
 (``group_kernel``).  No group keeps its Gray image: Gray(C) is a
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from operator import xor
 from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis
@@ -255,6 +257,20 @@ def _span(rows: Sequence[int]) -> List[int]:
     return out
 
 
+def _span_table(base: Sequence[List[int]]) -> List[List[int]]:
+    """The 2^k rows T[w] = sum of base[i] over the bits i of w, entry by
+    entry, for k equal-length rows base[i] of 2^k entries.
+
+    Built by XOR doubling, T[0] = 0 and T[w + 2^i] = T[w] + base[i] for
+    w < 2^i, each row one C-level ``map`` of ``xor``: 4^k XORs, and no
+    Python step per entry.
+    """
+    table = [[0] * (1 << len(base))]
+    for b in base:
+        table += [list(map(xor, row, b)) for row in table]
+    return table
+
+
 def _reduce(
     sig: GroupSignature, pivots: Sequence[Tuple[int, int, int]], x: int
 ) -> Tuple[int, int]:
@@ -422,10 +438,12 @@ def _coset_table(C: CodeGroup) -> Tuple[List[int], List[List[int]]]:
 
     Rows, by bilinearity.  C has class 2: its commutators have order <= 2,
     so they are central, (xy, z) = (x, z)(y, z) = (z, xy), and Gray adds
-    on them.  So (p_w, b_j) has the image c_w(j) = sum_(i in w) F(i, j), a
-    sum of rows of the form (``_form``), and c_(w + 2^i) = c_w + F(i, .);
-    the row of p_w, Gray((p_w, p_v)) = sum_(j in v) c_w(j), is the span of
-    c_w indexed like the products (``_span``, ``_products``).
+    on them.  So with F(i, j) = Gray((b_i, b_j)) (``_form``), the entry
+    Gray((p_w, p_v)) is the sum of F(i, j) over i in w and j in v: the
+    sum over i in w of the rows _span(F(i, .)), indexed like the products
+    (``_span``, ``_products``), and the table is their ``_span_table``.
+    Its unit entries are c_w(j) = rows[w][2^j] = Gray((p_w, b_j)), the sum
+    of F(i, j) over i in w.
 
     Squares, by the class-2 square law (xy)^2 = x^2 y^2 (x, y):
     xyxy = x^2 (x^-1 y x) y = x^2 y (y, x) y = x^2 y^2 (y, x), as (y, x)
@@ -438,12 +456,12 @@ def _coset_table(C: CodeGroup) -> Tuple[List[int], List[List[int]]]:
     one table serves both pair checklists and the square lookups of the
     shape analysis.
     """
-    table, form = C.swappers, _form(C)
-    columns, squares = [[0] * len(form)], [0]
-    for i, row in enumerate(form):
-        squares += [sq ^ table[i][i] ^ c[i] for sq, c in zip(squares, columns)]
-        columns += [[a ^ f for a, f in zip(c, row)] for c in columns]
-    return squares, [_span(c) for c in columns]
+    rows = _span_table([_span(f) for f in _form(C)])
+    squares = [0]
+    for i, swappers in enumerate(C.swappers):
+        s, unit = swappers[i], 1 << i
+        squares += [sq ^ s ^ row[unit] for sq, row in zip(squares, rows)]
+    return squares, rows
 
 
 def _form_row(sig: GroupSignature, a: int, words: Sequence[int]) -> int:
