@@ -38,9 +38,10 @@ from .subgroup import (
     CodeGroup,
     CodeType,
     EnumerationLimit,
-    _coset_table,
+    _coset_squares,
     _coset_word,
     _memoized,
+    _polar,
     _radical,
     _reduce,
     _span,
@@ -310,17 +311,20 @@ def _predict_kronecker_type(C: CodeGroup, g: GroupWord) -> Tuple[CodeType, bool]
     T(C) is central, so g*c centralizes C when (g c, b_j) = e for every j,
     that is when g's row equals c's; (p t, b_j) = (p, b_j) for t in T(C),
     so some c gives it exactly when g's row is the row of some coset word
-    p_v, the entries 1 << j of its commutator row in ``_coset_table``: when
-    the two spans are equal.  Case 3: the indices v of ``_radical`` at which
-    g's row sums to 0 are the T-cosets of Z(C) that commute with g, 2^delta1
-    of them.  That is k commutators (``_commutator_bits``) and XOR.
+    p_v, whose entries Gray((p_v, b_j)) are the polar form of the squares
+    (``_polar``).  Case 3: the indices v of ``_radical`` at which g's row
+    sums to 0 are the T-cosets of Z(C) that commute with g, 2^delta1 of
+    them.  That is k commutators (``_commutator_bits``) and XOR.
     """
     ct, sig = code_type(C), C.sig
     if not _reduce(sig, C._pivots, g.bits)[1]:
         return CodeType(ct.sigma + 1, ct.delta, ct.rho), True
-    sums = _span([_commutator_bits(sig, g.bits, b) for b in C.basis])
-    if sums in _coset_table(C)[1]:
+    row = [_commutator_bits(sig, g.bits, b) for b in C.basis]
+    squares = _coset_squares(C)
+    units = [1 << j for j in range(len(row))]
+    if any([_polar(squares, v, j) for j in units] == row for v in range(len(squares))):
         return CodeType(ct.sigma, ct.delta + 1, ct.rho), False
+    sums = _span(row)
     delta1 = sum(1 for v in _radical(C) if not sums[v]).bit_length() - 1
     return CodeType(ct.sigma, delta1, ct.rho + ct.delta - delta1 + 1), False
 

@@ -8,10 +8,12 @@ structural shapes, decided here by a deterministic sequence of generator
 substitutions with every claimed relation machine-verified.
 
 The walk carries each z with the index of its T-coset (``_coset_index``),
-and reads every square and commutator it branches on or requires from
-``_coset_table``: they are constant on T-cosets.  Words are multiplied
-only to build the witness, which is checked on its words
-(``verify_standard``, ``_verify_shape``).
+and reads every square it branches on or requires from the square list
+``_coset_squares``, and every commutator as its polar form (``_polar``):
+they are constant on T-cosets.  Words are multiplied only to build the
+witness, which is checked on its words (``verify_standard``,
+``_verify_shape``).  Only the pair and triple checks read 4^k tables
+(``_coset_table``, ``_reduced_swappers``).
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ from .subgroup import (
     StandardGenSet,
     _coset_index,
     _coset_minima,
+    _coset_squares,
     _coset_table,
     _memoized,
     _minimum_keys,
+    _polar,
     _radical,
     _span,
     _span_table,
@@ -99,7 +103,7 @@ def _times(a: Indexed, b: Indexed) -> Indexed:
 def _pair_reorder(C: CodeGroup, zs: Sequence[Indexed]) -> Tuple[List[Indexed], int]:
     """Sort z's so equal-square pairs come first; return (zs, epsilon).
     Three z's with one square raise, so at most two square to u."""
-    squares, rows = _coset_table(C)
+    squares = _coset_squares(C)
     by_square: dict = {}
     for pos, (_, v) in enumerate(zs):
         by_square.setdefault(squares[v], []).append(pos)
@@ -111,7 +115,7 @@ def _pair_reorder(C: CodeGroup, zs: Sequence[Indexed]) -> Tuple[List[Indexed], i
         elif len(positions) == 2:
             pairs.append(positions)
             p, q = positions
-            if rows[zs[p][1]][zs[q][1]] != square:
+            if _polar(squares, zs[p][1], zs[q][1]) != square:
                 raise ClassificationError(
                     f"equal-square generators {zs[p][0]} and {zs[q][0]} must "
                     f"have commutator equal to their square"
@@ -141,24 +145,28 @@ def normalize_generators(
         verify_standard(C, base)
     gens = base if base is not None else standard_generators(C)
     u = (1 << C.sig.n) - 1
-    squares, rows = _coset_table(C)
+    squares = _coset_squares(C)
     zs = _indexed(C, gens.zs)
+
+    def comm(a: Indexed, b: Indexed) -> int:
+        return _polar(squares, a[1], b[1])
+
     front = [z for z in zs if squares[z[1]] == u]
     rest = [z for z in zs if squares[z[1]] != u]
     if len(front) >= 2:
         for i in range(1, len(front)):
-            if rows[front[0][1]][front[i][1]] == u:
+            if comm(front[0], front[i]) == u:
                 front[1], front[i] = front[i], front[1]
                 break
         z1, z2 = front[0], front[1]
-        pair_commutes_to_u = rows[z1[1]][z2[1]] == u
+        pair_commutes_to_u = comm(z1, z2) == u
         replaced = [z1]
         for i, z in enumerate(front[1:], start=2):
             if i == 2 and pair_commutes_to_u:
                 replaced.append(z)
-            elif rows[z1[1]][z[1]] != u:
+            elif comm(z1, z) != u:
                 replaced.append(_times(z1, z))
-            elif rows[z2[1]][z[1]] != u:
+            elif comm(z2, z) != u:
                 replaced.append(_times(z2, z))
             else:
                 replaced.append(_times(_times(z1, z2), z))
@@ -311,11 +319,11 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
     ngs = normalize_generators(C, base)
     ct = code_type(C)
     u = (1 << C.sig.n) - 1
-    squares, rows = _coset_table(C)
+    squares = _coset_squares(C)
     trail: List[str] = []
 
     def comm(a: Indexed, b: Indexed) -> int:
-        return rows[a[1]][b[1]]
+        return _polar(squares, a[1], b[1])
 
     def finish(tag: int, zs: List[Indexed]) -> Shape:
         zs2, eps = _pair_reorder(C, zs)
@@ -422,7 +430,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
             )
             v0, v2 = zs[0][1], zs[2][1]
             trials = [(i, v0 ^ zs[i][1]) for i in range(3, rho)]
-            i = next((i for i, t in trials if squares[t] == u == rows[v2][t]), None)
+            i = next((i for i, t in trials if squares[t] == u == _polar(squares, v2, t)), None)
             _require(i is not None, "no tail generator completes a second square-u pair")
             zs[i] = _times(zs[0], zs[i])
             if i != 3:
@@ -482,7 +490,7 @@ def _central_with_square(C: CodeGroup, target: int) -> Optional[int]:
     """The index of the T-coset of the least order-4 word of Z(C) with the
     square ``target``, or None: the order-4 words of Z(C) are its cosets
     other than T, and squares are constant on T-cosets."""
-    squares, keys = _coset_table(C)[0], _minimum_keys(C)
+    squares, keys = _coset_squares(C), _minimum_keys(C)
     central = [v for v in _radical(C) if v and squares[v] == target]
     return min(central, key=keys.__getitem__, default=None)
 
@@ -558,7 +566,7 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
     u = (1 << C.sig.n) - 1
     ct = code_type(C)
     eps = ngs.epsilon
-    squares, rows = _coset_table(C)
+    squares = _coset_squares(C)
     zs = _indexed(C, ngs.zs)
     sq = [squares[v] for _, v in zs]
     checks = [_le("epsilon <= 2", eps, 2)]
@@ -569,7 +577,7 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
             # neither pair squares to u: the pairs must commute crosswise
             # and their squares, of order <= 2, must add up to u
             cross_ok = all(
-                not rows[zs[i][1]][zs[j][1]] and sq[i] ^ sq[j] == u
+                not _polar(squares, zs[i][1], zs[j][1]) and sq[i] ^ sq[j] == u
                 for i in (0, 1)
                 for j in (2, 3)
             )

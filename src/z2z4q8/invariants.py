@@ -3,8 +3,10 @@
 Every quantity here is read from the GF(2) presentation of C
 (``subgroup._present``): the Gray images of a basis b_1..b_k of C/T(C),
 the rows of Gray(T(C)) and the swapper table s(b_i, b_j).  The span
-group D and the binary kernel are built from the same table; only the
-weight count reads all of Gray(C), as a stream.  Each fact is computed
+group D and the binary kernel are built from the same table; the pair
+checklist of ``check_bounds`` reads the 2^k squares of the coset words
+(``_coset_squares``); only the weight count reads all of Gray(C), as a
+stream.  Each fact is computed
 once, by one route; the second routes are in ``oracles``, and
 ``oracles.verify`` runs them.
 """
@@ -23,8 +25,8 @@ from .subgroup import (
     DEFAULT_MAX_ORDER,
     CodeGroup,
     EnumerationLimit,
-    _coset_reps,
-    _coset_table,
+    _coset_images,
+    _coset_squares,
     _form,
     _gray_stream,
     _kernel_cosets,
@@ -151,9 +153,9 @@ def binary_kernel(C: CodeGroup) -> frozenset:
     of Gray(T).  ``oracles.translation_kernel`` is the |C|-sized oracle,
     run in the tests and, by size, by ``oracles.verify``.
     """
-    n, reps, tbits = C.sig.n, _coset_reps(C), _span(C.torsion_rows)
+    n, images, tbits = C.sig.n, _coset_images(C), _span(C.torsion_rows)
     return frozenset(
-        BinaryVector(n, reps[v].bits ^ t) for v in _kernel_cosets(C) for t in tbits
+        BinaryVector(n, images[v] ^ t) for v in _kernel_cosets(C) for t in tbits
     )
 
 
@@ -251,46 +253,47 @@ def check_bounds(C: CodeGroup) -> BoundReport:
 
 
 def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
-    """Pair facts for a, b outside T(C), checked on one word per T-coset.
+    """Pair facts for a, b outside T(C), checked on one word per T-coset,
+    from the square list alone (``_coset_squares``).
 
     The words of ``_coset_reps`` outside T(C) are those at index v >= 1,
     and the product ab lies in T(C) exactly when a and b share an index.
-    Both counts are exact, and each row is scanned by C-level counts.
+    The commutator of p_u and p_v is the polar form of the squares,
+    Gray((p_u, p_v)) = sq[u] + sq[v] + sq[u ^ v] (``_polar``).  Both
+    counts are exact.
 
-    Commuting pairs: the pairs (u, v) with equal squares are the entries
-    of row u at the indices of u's square class, grouped once; the count
-    is the zeros among them, less the terms at v = 0 and v = u, which the
-    checklist leaves out.
+    Commuting pairs: for u and v in one square class, sq[u] = sq[v], so
+    the commutator is sq[u ^ v], and the count is the zeros of sq[u ^ v]
+    over u's class, grouped once, less the terms at v = u and at v = 0,
+    which the checklist leaves out: v = u gives sq[0] = 0, and v = 0 lies
+    in the class exactly when sq[u] = 0, and then gives sq[u] = 0.
 
     Weights: row u adds the v >= 1 whose commutator outweighs a^2 =
-    squares[u].  Its entries are Gray((p_u, p_v)), the sum over j in v of
-    the unit entries rows[u][2^j] (``_coset_table``: the row is the span
-    of its units), so the support of every entry lies inside the OR of
-    the k unit entries.  When that OR lies inside supp(a^2), no entry has
-    a bit outside a^2, hence none outweighs it, and the row adds 0.
-    Otherwise the exact count runs over the row, less the term at v = 0.
+    sq[u].  Commutators are bilinear, so row u is the span (``_span``) of
+    its k unit entries Gray((p_u, b_j)) = sq[u ^ 2^j] + sq[2^j] + sq[u],
+    and the support of every entry lies inside their OR.  When that OR
+    lies inside supp(a^2), no entry has a bit outside a^2, hence none
+    outweighs it, and the row adds 0.  Otherwise the exact count runs over
+    the span; its entry at v = 0 is 0, which outweighs nothing.
     """
-    squares, rows = _coset_table(C)
-    outside = range(1, len(squares))
-    units = [1 << j for j in range(len(C.basis))]
+    squares = _coset_squares(C)
+    bits = [1 << j for j in range(len(C.basis))]
     classes: Dict[int, List[int]] = {}
     for v, sq in enumerate(squares):
         classes.setdefault(sq, []).append(v)
     square_weight_bad = 0
     commuting_squares_bad = 0
-    for u in outside:
-        row = rows[u]
+    for u in range(1, len(squares)):
         sq = squares[u]
+        units = [squares[u ^ b] ^ squares[b] ^ sq for b in bits]
         spread = 0
         for unit in units:
-            spread |= row[unit]
+            spread |= unit
         if spread & ~sq:
             wa = sq.bit_count()
-            heavier = sum(map(wa.__lt__, map(int.bit_count, row)))
-            square_weight_bad += heavier - (row[0].bit_count() > wa)
-        zeros = list(map(row.__getitem__, classes[sq])).count(0)
-        commuting_squares_bad += zeros - (not row[u])
-        commuting_squares_bad -= not row[0] and squares[0] == sq
+            square_weight_bad += sum(map(wa.__lt__, map(int.bit_count, _span(units))))
+        zeros = list(map(squares.__getitem__, map(u.__xor__, classes[sq]))).count(0)
+        commuting_squares_bad += zeros - 1 - (not sq)
     return [
         _eq("commutator weight <= square weight (pairs outside T)", square_weight_bad, 0),
         _eq(

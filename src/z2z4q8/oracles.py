@@ -2,8 +2,9 @@
 presentation (``subgroup._present``), and ``verify``, which runs them.
 
 Each route here reaches a fact by another way than the hot path does: by
-building all of Gray(C) or the words of C, by scanning Z2^n, or by testing
-the 2^k coset representatives one against another.  ``verify(C)`` runs
+building all of Gray(C) or the words of C, by scanning Z2^n, by testing
+the 2^k coset representatives one against another, or by relabeling the
+ambient group.  ``verify(C)`` runs
 every pair of routes and raises ``RuntimeError`` naming the pair that
 disagrees; ``analyze(C, verify=True)`` and ``analyze --verify`` call it,
 and the tests call it and the routes themselves.  Nothing on the hot path
@@ -13,26 +14,35 @@ for its sphere-partition cases.
 
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, List, Sequence, Tuple
 
+from .constructions import q8_automorphisms
 from .gf2 import Gf2Basis
 from .gray import BinaryVector
-from .groups import GroupWord, _sort_key, commutator, identity
+from .groups import GroupSignature, GroupWord, _sort_key, commutator, identity, word
 from .hadamard import _reduced_swappers
-from .invariants import kernel_dim, rank, span_group
+from .invariants import check_bounds, kernel_dim, rank, span_group, weight_distribution
 from .subgroup import (
     CodeGroup,
     EnumerationLimit,
     StandardGenSet,
+    _coset_images,
     _coset_minima,
     _coset_reps,
+    _coset_squares,
     _coset_table,
     _gray_stream,
     _kernel_cosets,
     _memoized,
+    _polar,
     _products,
     _span,
     center,
+    code_type,
     standard_generators,
     torsion,
 )
@@ -74,22 +84,28 @@ def coset_row_space(C: CodeGroup) -> Gf2Basis:
 
 def coset_tables_by_products(
     C: CodeGroup,
-) -> Tuple[List[int], List[List[int]], List[List[int]]]:
-    """(squares, commutator rows, reduced swappers) of the ``_coset_reps``
-    words, by index, from the words themselves: (p p), commutator(p, q)
-    and the swapper bits of (p, q) reduced by Gray(T) (``C._torsion``).
+) -> Tuple[List[int], List[int], List[List[int]], List[List[int]]]:
+    """(images, squares, commutator rows, reduced swappers) of the 2^k
+    ordered products p_v of the basis words, by index, from the words
+    themselves: Gray(p), (p p), commutator(p, q) and the swapper bits of
+    (p, q) reduced by Gray(T) (``C._torsion``).
 
-    The second route to ``subgroup._coset_table`` and
-    ``hadamard._reduced_swappers``, which read the same tables by XOR from
-    the k x k swapper table, by the class-2 laws and bilinearity; the pair
-    checklists read them, and their shortcuts read each row's k unit
-    entries.  The cost is 4^k <= |C|^2 word products of each kind.
+    The words are multiplied out here (``_products``), not read from
+    ``_coset_reps``, which is built from ``subgroup._coset_images``.  The
+    second route to ``_coset_images`` and ``_coset_squares``, to the
+    commutators as the polar form of the squares (``_polar``), and to
+    ``subgroup._coset_table`` and ``hadamard._reduced_swappers``, which
+    read the same tables by XOR from the k x k swapper table, by the
+    class-2 laws and bilinearity.  The cost is 4^k <= |C|^2 word products
+    of each kind.
     """
-    reps, reduce = _coset_reps(C), C._torsion.reduce
+    basis = [GroupWord._from_bits(C.sig, b) for b in C.basis]
+    reps, reduce = _products(C.sig, basis), C._torsion.reduce
+    images = [p.bits for p in reps]
     squares = [(p * p).bits for p in reps]
     rows = [[commutator(p, q).bits for q in reps] for p in reps]
     residues = [[reduce(_swapper_bits(p, q)) for q in reps] for p in reps]
-    return squares, rows, residues
+    return images, squares, rows, residues
 
 
 def translation_kernel(C: CodeGroup) -> frozenset:
@@ -246,6 +262,82 @@ def tiles(C: CodeGroup, gens: StandardGenSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Relabelings: the symmetries of the ambient group that keep Gray weights
+# ---------------------------------------------------------------------------
+
+_Z4_SIGNS = ((0, 1, 2, 3), (0, 3, 2, 1))
+
+
+@lru_cache(maxsize=1)
+def q8_bit_automorphisms() -> Tuple[Tuple[int, ...], ...]:
+    """The automorphisms of Q8 (``q8_automorphisms``) that act on the Gray
+    image of a Q8 block as a permutation of its four bits: 12 of the 24.
+
+    The other 12 keep the weight of every image, but not sums of images,
+    and applied to one coordinate they can change the binary code: the
+    diagonal Q8 = <(a, a), (b, b)> in Q8^2 has (rank, kernel_dim) = (3, 3),
+    and (4, 1) after a -> a, b -> ab on its second coordinate.
+    """
+    sig = GroupSignature(0, 0, 1)
+    image = [word(sig, (v,)).bits for v in range(8)]
+    permuted = {
+        tuple(sum((x >> p[i] & 1) << i for i in range(4)) for x in image)
+        for p in permutations(range(4))
+    }
+    return tuple(
+        t for t in q8_automorphisms() if tuple(image[t[v]] for v in range(8)) in permuted
+    )
+
+
+@dataclass(frozen=True)
+class Relabeling:
+    """An automorphism of Z2^k1 x Z4^k2 x Q8^k3, coordinate by coordinate,
+    that permutes the bits of every Gray image in one way: coordinate i of
+    the image is ``tables[i]`` applied to coordinate ``source[i]`` of the
+    word.  ``source`` permutes the coordinates within each kind, and each
+    table is the identity (Z2), x -> x or x -> -x (Z4), or one of the 12
+    automorphisms of Q8 that permute the bits of its block
+    (``q8_bit_automorphisms``).
+
+    On a Z4 block, x -> -x swaps the two bits (1 and 3 have the images 10
+    and 01; 0 and 2 are 00 and 11).  So Gray(phi(w)) is Gray(w) with its n
+    bits permuted by one permutation P, for every word w, and Gray(phi(C))
+    = P(Gray(C)): the same binary code up to the order of its
+    coordinates, with the same rank, kernel dimension and weights.  phi is
+    a group automorphism, so phi(C) has the type of C, and it maps each
+    square and commutator of C to those of the images, of the same
+    weight, so every row of ``check_bounds`` is kept: a non-Hadamard
+    report is the same, byte for byte.
+    """
+
+    source: Tuple[int, ...]
+    tables: Tuple[Tuple[int, ...], ...]
+
+    def __call__(self, w: GroupWord) -> GroupWord:
+        coords = w.coords
+        return word(w.sig, (t[coords[i]] for i, t in zip(self.source, self.tables)))
+
+    def group(self, C: CodeGroup) -> CodeGroup:
+        """phi(C), given by the images of C's generators."""
+        return CodeGroup(C.sig, [self(g) for g in C.generators])
+
+
+def random_relabeling(sig: GroupSignature, rng: random.Random) -> Relabeling:
+    """A ``Relabeling`` of ``sig`` drawn uniformly by ``rng``."""
+    source: List[int] = []
+    tables: List[Tuple[int, ...]] = []
+    kinds = ((sig.k1, ((0, 1),)), (sig.k2, _Z4_SIGNS), (sig.k3, q8_bit_automorphisms()))
+    start = 0
+    for count, choices in kinds:
+        block = list(range(start, start + count))
+        rng.shuffle(block)
+        source += block
+        tables += [rng.choice(choices) for _ in block]
+        start += count
+    return Relabeling(tuple(source), tuple(tables))
+
+
+# ---------------------------------------------------------------------------
 # Every pair of routes
 # ---------------------------------------------------------------------------
 
@@ -270,8 +362,15 @@ def verify(C: CodeGroup) -> None:
       ``full_space_kernel``;
     - the standard generators: ``tiles``, ``scanned_standard_generators``,
       and ``_coset_minima`` against ``least_coset_words``;
-    - the 4^k tables of the pair checklists: ``subgroup._coset_table`` and
-      ``hadamard._reduced_swappers`` against ``coset_tables_by_products``.
+    - the coset words and their tables against ``coset_tables_by_products``,
+      which multiplies the basis words out: the images (``_coset_images``),
+      the squares (``_coset_squares``), every commutator as the polar form
+      of the squares (``_polar``), and the 4^k tables of the Hadamard pair
+      and triple checks (``subgroup._coset_table``,
+      ``hadamard._reduced_swappers``);
+    - the relabeling: the type, rank, kernel dimension, weights and
+      ``check_bounds`` of C against those of its image under a
+      ``Relabeling`` drawn from a fixed seed.
 
     The |C|^2 swapper scan sets the cost, about 4x per doubling of |C|, so
     C is refused with ``EnumerationLimit`` past ``_VERIFY_MAX_ORDER``
@@ -322,11 +421,30 @@ def verify(C: CodeGroup) -> None:
         "_coset_minima",
         "least_coset_words",
     )
-    squares, rows, residues = coset_tables_by_products(C)
+    images, squares, rows, residues = coset_tables_by_products(C)
+    _agree(_coset_images(C) == images, "_coset_images", "coset_tables_by_products")
+    _agree(_coset_squares(C) == squares, "_coset_squares", "coset_tables_by_products")
+    indices = range(len(squares))
+    _agree(
+        [[_polar(squares, v, w) for w in indices] for v in indices] == rows,
+        "_polar",
+        "coset_tables_by_products",
+    )
     _agree(_coset_table(C) == (squares, rows), "_coset_table", "coset_tables_by_products")
     _agree(
         _reduced_swappers(C) == residues, "_reduced_swappers", "coset_tables_by_products"
     )
+    image = random_relabeling(C.sig, random.Random(0)).group(C)
+    _agree(
+        _relabeled_facts(C) == _relabeled_facts(image),
+        "the invariants",
+        "those of a relabeled copy",
+    )
+
+
+def _relabeled_facts(C: CodeGroup) -> tuple:
+    """The facts of C that every ``Relabeling`` keeps."""
+    return code_type(C), rank(C), kernel_dim(C), weight_distribution(C), check_bounds(C)
 
 
 # ---------------------------------------------------------------------------

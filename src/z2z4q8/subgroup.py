@@ -12,27 +12,31 @@ canonical key of the group (``CodeGroup._key``), read by ``==`` and
 decided.  Squares, commutators and swappers of the basis are read by
 XOR from the swapper table that ``_present`` keeps
 (``CodeGroup.swappers``): Z(C) is the radical of the commutator form
-(``_form``, ``_radical``), the squares and commutator rows of the coset
-words come from it by the class-2 laws, the rows by XOR doubling
-(``_coset_table``, ``_span_table``), and the
-standard generators are read from the least word of each coset
+(``_form``, ``_radical``).  The images and the squares of the 2^k coset
+words are two lists built by XOR doubling on the table
+(``_coset_images``, ``_coset_squares``), with no product: C has class
+2, so the square map on C/T(C) is quadratic and every commutator is its
+polar form (``_polar``).  Only the Hadamard pair and triple checks read
+a 2^k x 2^k table (``_coset_table``, ``_span_table``).  The standard
+generators are read from the least word of each coset
 (``_coset_minima``), and K(C) is the T-cosets of the swapper null space
 (``group_kernel``).  No group keeps its Gray image: Gray(C) is a
-stream, one T-coset at a time (``_gray_stream``), read by the weight
-count, by the words (``elements``) and by the |C|-sized routes of
-``oracles``.  Words are built only for the readers that need them:
-search's draws, ``extend``'s failure witness, the structural converse
-and the oracles.  Every derived fact is computed once and kept on the
-instance (``_memoized``); element iteration order is lexicographic on
-the coordinate tuples, so every derived choice (bases, generating sets,
-reports) is deterministic.  Each subgroup built here is given by
-generators read from the same presentation.
+stream, one T-coset at a time from its image (``_gray_stream``), read
+by the weight count, by the words (``elements``) and by the |C|-sized
+routes of ``oracles``.  Words are built only for the readers that need
+them: search's draws, ``extend``'s failure witness, the structural
+converse and the oracles.  Every derived fact is computed once and kept
+on the instance (``_memoized``); element iteration order is
+lexicographic on the coordinate tuples, so every derived choice (bases,
+generating sets, reports) is deterministic.  Each subgroup built here is
+given by generators read from the same presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import chain, product, starmap
 from operator import xor
 from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
@@ -230,23 +234,40 @@ def generate(
     return CodeGroup.generate(generators, max_order)
 
 
+_SPAN_BITS = 20
+
+
 def _gray_stream(C: CodeGroup) -> Iterator[int]:
-    """Gray(C), one T-coset at a time, holding one image at a time.
+    """Gray(C), one T-coset at a time, in C-level steps.
 
     C = N x {ordered products p_v of the b_i}, N = T(C) in Omega, so
-    Gray(p_v t) = Gray(p_v) + Gray(t) (``_coset_reps``).  Each coset is
-    walked in Gray-code order over ``torsion_rows``: step i adds the row
-    at the lowest set bit of i, so the 2^sigma steps visit every sum of
-    rows once.
+    Gray(p_v t) = Gray(p_v) + Gray(t) (``_coset_reps``), and the images
+    Gray(p_v) are ``_coset_images``.  Each coset is its image plus every
+    sum of the ``torsion_rows``.  The sums of the first ``cut`` rows are
+    spanned once (``_span``), and ``starmap(xor, product(...))`` adds them
+    to every image.  The span holds 2^cut sums, with 2^cut * 2^bitlen(n)
+    <= 2^20: all of Gray(T) at the lengths of the benchmark, and at most
+    about 2^20 bits of images at any length.  The sums of the rows past the
+    cut are walked one at a time (``_walk``), each added to the images
+    before the span is.
     """
     rows = C.torsion_rows
-    steps = [rows[(i & -i).bit_length() - 1] for i in range(1, 1 << len(rows))]
-    for p in _coset_reps(C):
-        x = p.bits
+    cut = max(0, _SPAN_BITS - C.sig.n.bit_length())
+    images, inner = _coset_images(C), _span(rows[:cut])
+    return chain.from_iterable(
+        starmap(xor, product([o ^ x for x in images], inner)) for o in _walk(rows[cut:])
+    )
+
+
+def _walk(rows: Sequence[int]) -> Iterator[int]:
+    """Every sum of rows, one at a time, in Gray-code order: step i adds the
+    row at the lowest set bit of i, so the 2^len(rows) steps visit every sum
+    once."""
+    x = 0
+    yield x
+    for i in range(1, 1 << len(rows)):
+        x ^= rows[(i & -i).bit_length() - 1]
         yield x
-        for r in steps:
-            x ^= r
-            yield x
 
 
 def _span(rows: Sequence[int]) -> List[int]:
@@ -350,9 +371,10 @@ def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[
     (b_j, b_i) for j < i, so the rows are unchanged.  The table costs k^2
     applications of pi, one per square and two per commutator, as the
     squares and commutators alone did, and every later reader of squares,
-    commutators and swappers of the b_i (``_radical``, ``_coset_table``,
-    ``is_abelian``, ``rank``, ``_kernel_cosets``, ``span_group`` and the
-    Hadamard triple check) works on it by XOR.
+    commutators and swappers of the b_i (``_radical``, ``_coset_images``,
+    ``_coset_squares``, ``_coset_table``, ``is_abelian``, ``rank``,
+    ``_kernel_cosets``, ``span_group`` and the Hadamard triple check) works
+    on it by XOR.
     """
     pivots: List[Tuple[int, int, int]] = []  # (pivot bit, nu, word)
     torsion_basis = Gf2Basis()
@@ -396,9 +418,10 @@ def torsion(C: CodeGroup) -> CodeGroup:
 
 @_memoized
 def _coset_reps(C: CodeGroup) -> Tuple[GroupWord, ...]:
-    """One word of C per coset of T(C): the ordered products of the basis
-    b_1..b_k of the presentation; bit i of the index picks b_i, and
-    index 0 is the identity.
+    """One word of C per coset of T(C): the ordered products p_v of the
+    basis b_1..b_k of the presentation, built from their images
+    (``_coset_images``); bit i of the index picks b_i, and index 0 is the
+    identity.
 
     Every word of order <= 2 in Z2^k1 x Z4^k2 x Q8^k3 is central in the
     ambient group, and pi fixes its Gray image, so Gray(w t) = Gray(w) +
@@ -407,8 +430,74 @@ def _coset_reps(C: CodeGroup) -> Tuple[GroupWord, ...]:
     membership in K(C) and in the binary kernel are constant on T-cosets,
     so they are decided on these words and expanded by XOR with Gray(T).
     """
-    basis = [GroupWord._from_bits(C.sig, b) for b in C.basis]
-    return tuple(_products(C.sig, basis))
+    return tuple(GroupWord._from_bits(C.sig, x) for x in _coset_images(C))
+
+
+def _doubling(diagonal: Sequence[int], table: Sequence[Sequence[int]]) -> List[int]:
+    """The 2^k values q[0] = 0 and q[w + 2^i] = q[w] + diagonal[i] + the sum
+    of table[j][i] over the bits j of w, for w < 2^i.
+
+    Built by XOR doubling: step i spans the i entries table[j][i], j < i,
+    into the 2^i sums over w (``_span``) and adds each to q[w]; 2^k XORs
+    in all, and no product.
+    """
+    out = [0]
+    for i, d in enumerate(diagonal):
+        column = _span([table[j][i] for j in range(i)])
+        out += [q ^ d ^ c for q, c in zip(out, column)]
+    return out
+
+
+@_memoized
+def _coset_images(C: CodeGroup) -> List[int]:
+    """Gray(p_v) of the ``_coset_reps`` words, by index, by XOR doubling on
+    the swapper table (``_doubling``): no product and no pi is evaluated.
+
+    For w < 2^i the product p_(w + 2^i) is p_w b_i, and Gray(x y) =
+    Gray(x) + Gray(y) + s(x, y) (``_present``), so its image is Gray(p_w) +
+    Gray(b_i) + s(p_w, b_i).  s is exactly bilinear on words, s(xy, z) =
+    s(x, z) + s(y, z) (``invariants._swappers``), so s(p_w, b_i) is the sum
+    of s(b_j, b_i) over j in w.  ``oracles.verify`` compares the images
+    with the word products (``coset_tables_by_products``).
+    """
+    return _doubling(C.basis, C.swappers)
+
+
+@_memoized
+def _coset_squares(C: CodeGroup) -> List[int]:
+    """Gray(p_v^2) of the ``_coset_reps`` words, by index, by XOR doubling
+    on the swapper table (``_doubling``): no product and no pi is evaluated.
+
+    By the class-2 square law (xy)^2 = x^2 y^2 (x, y): xyxy = x^2 (x^-1 y
+    x) y = x^2 y (y, x) y = x^2 y^2 (y, x), as (y, x) is central, and (y, x)
+    = (x, y)^-1 = (x, y), of order <= 2.  For w < 2^i the product p_(w +
+    2^i) is p_w b_i, so its square has the image squares[w] + s(b_i, b_i) +
+    Gray((p_w, b_i)): all three factors have order <= 2, so they are
+    central, pi fixes their images, and Gray adds.  s(b, b) = Gray(b^2)
+    (``_present``).  C has class 2, so its commutators are central of order
+    <= 2 and bilinear, and Gray((p_w, b_i)) is the sum of F(j, i) =
+    Gray((b_j, b_i)) over j in w (``_form``).
+
+    T(C) is central of exponent 2, so (p t)^2 = p^2: the list is the square
+    map on C/T(C), and its polar form is the commutator (``_polar``).
+    """
+    diagonal = [row[i] for i, row in enumerate(C.swappers)]
+    return _doubling(diagonal, _form(C))
+
+
+def _polar(squares: Sequence[int], v: int, w: int) -> int:
+    """Gray((p_v, p_w)) = squares[v] + squares[w] + squares[v ^ w], for the
+    ``_coset_squares`` list: the commutator is the polar form of the
+    square map on C/T(C).
+
+    nu is a homomorphism and the nu(b_i) are independent (``_present``),
+    so p_v p_w lies in the T-coset of index v ^ w: p_v p_w = p_(v ^ w) t
+    with t in T(C), central of order <= 2, and (p t)^2 = p^2.  By the
+    square law (``_coset_squares``) (p_v p_w)^2 = p_v^2 p_w^2 (p_v, p_w),
+    three words of order <= 2, on which Gray adds.  So squares[v ^ w] =
+    squares[v] + squares[w] + Gray((p_v, p_w)).
+    """
+    return squares[v] ^ squares[w] ^ squares[v ^ w]
 
 
 def _coset_index(C: CodeGroup, x: int) -> int:
@@ -423,6 +512,7 @@ def _coset_index(C: CodeGroup, x: int) -> int:
     return index
 
 
+@_memoized
 def _form(C: CodeGroup) -> List[List[int]]:
     """F(i, j) = Gray((b_i, b_j)) = s(b_i, b_j) + s(b_j, b_i): the
     commutator form on the basis, by XOR of the swapper table with its
@@ -433,35 +523,22 @@ def _form(C: CodeGroup) -> List[List[int]]:
 
 @_memoized
 def _coset_table(C: CodeGroup) -> Tuple[List[int], List[List[int]]]:
-    """(squares, commutator rows) of the ``_coset_reps`` words, by index,
-    by XOR on the swapper table: no product and no pi is evaluated.
+    """(squares, commutator rows) of the ``_coset_reps`` words, by index:
+    the 4^k table that only the Hadamard pair and triple checks read
+    (``hadamard._hadamard_pair_triple_checks``); every other reader of a
+    commutator polarizes the squares (``_polar``).
 
-    Rows, by bilinearity.  C has class 2: its commutators have order <= 2,
-    so they are central, (xy, z) = (x, z)(y, z) = (z, xy), and Gray adds
-    on them.  So with F(i, j) = Gray((b_i, b_j)) (``_form``), the entry
-    Gray((p_w, p_v)) is the sum of F(i, j) over i in w and j in v: the
-    sum over i in w of the rows _span(F(i, .)), indexed like the products
-    (``_span``, ``_products``), and the table is their ``_span_table``.
-    Its unit entries are c_w(j) = rows[w][2^j] = Gray((p_w, b_j)), the sum
-    of F(i, j) over i in w.
-
-    Squares, by the class-2 square law (xy)^2 = x^2 y^2 (x, y):
-    xyxy = x^2 (x^-1 y x) y = x^2 y (y, x) y = x^2 y^2 (y, x), as (y, x)
-    is central, and (y, x) = (x, y)^-1 = (x, y), of order <= 2.  For
-    w < 2^i the product p_(w + 2^i) is p_w b_i, so its square has the
-    image squares[w] + s(b_i, b_i) + c_w(i): all three factors have order
-    <= 2, so they are central, pi fixes their images, and Gray adds.
-
-    T(C) is central of exponent 2, so (p t)^2 = p^2 and (p t, w) = (p, w):
-    one table serves both pair checklists and the square lookups of the
-    shape analysis.
+    The squares are ``_coset_squares``.  The rows are by bilinearity: C
+    has class 2, so its commutators have order <= 2, they are central,
+    (xy, z) = (x, z)(y, z) = (z, xy), and Gray adds on them.  So with
+    F(i, j) = Gray((b_i, b_j)) (``_form``), the entry Gray((p_w, p_v)) is
+    the sum of F(i, j) over i in w and j in v: the sum over i in w of the
+    rows _span(F(i, .)), indexed like the products (``_span``,
+    ``_products``), and the table is their ``_span_table``.  Its unit
+    entries are rows[w][2^j] = Gray((p_w, b_j)), the sum of F(i, j) over i
+    in w.  T(C) is central of exponent 2, so (p t, w) = (p, w).
     """
-    rows = _span_table([_span(f) for f in _form(C)])
-    squares = [0]
-    for i, swappers in enumerate(C.swappers):
-        s, unit = swappers[i], 1 << i
-        squares += [sq ^ s ^ row[unit] for sq, row in zip(squares, rows)]
-    return squares, rows
+    return _coset_squares(C), _span_table([_span(f) for f in _form(C)])
 
 
 def _form_row(sig: GroupSignature, a: int, words: Sequence[int]) -> int:

@@ -541,18 +541,21 @@ def test_construction_max_order_names_the_stage():
 def test_extend_refuses_by_order_before_building_a_gray_set(monkeypatch):
     """2|Cq| is read from the presentation, so the order refusal comes
     before any enumeration: neither the order test of the preconditions nor
-    the weight check has streamed Gray(Cq) or Gray(out) by then, and a
+    the weight check has counted the weights of Gray(Cq) or Gray(out) by
+    then (``_weight_counts``), nor streamed either (``_gray_stream``), and a
     weight-failing x is refused by order too."""
     lifted = xi_lift(load_fixture("hadamard8_z4"))  # |Cq| = 16
-    calls = count_calls(monkeypatch, subgroup_module, "_gray_stream")
+    counts = count_calls(monkeypatch, invariants_module, "_weight_counts")
+    streams = count_calls(monkeypatch, subgroup_module, "_gray_stream")
     for literal in ("b ab b ab", "a2 1 1 1"):
         with pytest.raises(
             EnumerationLimit, match="extension order exceeds max_order=31$"
         ):
             extend(lifted, parse_element(literal, lifted.sig), max_order=31)
-    assert calls["_gray_stream"] == 0
+    assert counts["_weight_counts"] == 0 and streams["_gray_stream"] == 0
     extend(lifted, parse_element("b ab b ab", lifted.sig))
-    assert calls["_gray_stream"] > 0  # the count sees the weight check
+    # the counters see the weight check
+    assert counts["_weight_counts"] > 0 and streams["_gray_stream"] > 0
 
 
 def test_extend_raises_when_the_weight_scan_finds_no_witness(monkeypatch):

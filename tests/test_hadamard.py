@@ -38,7 +38,14 @@ from z2z4q8.hadamard import (
     _reduced_swappers,
 )
 from z2z4q8.oracles import _is_perfect_set, _swapper_bits, gray_codewords
-from z2z4q8.subgroup import StandardGenSet, _coset_reps, standard_generators, verify_standard
+from z2z4q8.subgroup import (
+    StandardGenSet,
+    _coset_reps,
+    _polar,
+    _span,
+    standard_generators,
+    verify_standard,
+)
 
 from conftest import SHIPPED_FIXTURES, q8_word, random_subgroup
 
@@ -517,20 +524,27 @@ def test_a_caller_base_with_a_z_outside_c_raises_value_error(hadamard16):
 
 @pytest.mark.parametrize("corruption", ["commutator rows zeroed", "squares moved by u"])
 def test_a_corrupted_coset_table_is_caught_on_the_words(monkeypatch, corruption):
-    """The walk branches on ``_coset_table``, and the witness is checked on
-    its words, so a table with every commutator 0, or with every square at
-    v != 0 moved by u, makes ``classify_shape`` raise on each of the
-    non-abelian Hadamard fixtures."""
-    real = hadamard._coset_table
+    """The walk branches on the square list ``_coset_squares`` and reads
+    each commutator as its polar form, and the witness is checked on its
+    words, so a list with every commutator 0 (the sums of the basis
+    squares, whose polar form vanishes), or with every commutator kept and
+    the square of each product of an odd number of basis words moved by u
+    (a linear term, which leaves the polar form alone), makes
+    ``classify_shape`` raise on each of the non-abelian Hadamard
+    fixtures."""
+    real = hadamard._coset_squares
 
     def corrupted(C):
-        squares, rows = real(C)
+        squares = real(C)
         if corruption == "commutator rows zeroed":
-            return squares, [[0] * len(row) for row in rows]
+            linear = _span([squares[1 << i] for i in range(len(C.basis))])
+            indices = range(len(linear))
+            assert not any(_polar(linear, v, w) for v in indices for w in indices)
+            return linear
         u = (1 << C.sig.n) - 1
-        return [s ^ u if v else s for v, s in enumerate(squares)], rows
+        return [s ^ u if v.bit_count() & 1 else s for v, s in enumerate(squares)]
 
-    monkeypatch.setattr(hadamard, "_coset_table", corrupted)
+    monkeypatch.setattr(hadamard, "_coset_squares", corrupted)
     assert len(NON_ABELIAN_HADAMARD_FIXTURES) == 15
     for name in NON_ABELIAN_HADAMARD_FIXTURES:
         with pytest.raises(ClassificationError):

@@ -295,10 +295,13 @@ def test_weight_distribution(hadamard16):
 
 
 def test_derived_facts_are_computed_once(monkeypatch):
-    """A second round of queries on one group multiplies no words and maps
-    no word through Gray: every fact is kept on the group."""
+    """A second round of queries on one group multiplies no words, maps no
+    word through Gray and spans no rows: every fact is kept on the group.
+    The first round multiplies no word either (the coset images and
+    squares come by XOR doubling), so its work is witnessed by the
+    ``_span`` calls that build them."""
     C = load_fixture("hadamard32_q8_shape5")  # a fresh group, nothing cached
-    calls = Counter()
+    calls = count_calls(monkeypatch, subgroup_module, "_span")
     mul, gray_map = GroupWord.__mul__, gray
 
     def counting_mul(x, y):
@@ -324,7 +327,7 @@ def test_derived_facts_are_computed_once(monkeypatch):
         )
 
     first = query()
-    assert calls["mul"] > 0
+    assert calls["_span"] > 0 and calls["mul"] == 0
     calls.clear()
     assert query() == first
     assert calls == Counter()

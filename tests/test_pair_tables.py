@@ -1,12 +1,15 @@
-"""The 4^k tables of the pair checklists at the dense groups' k, and the
-shortcuts that read each row's k unit entries, against brute force.
+"""The pair checklists at the dense groups' k, the square list and coset
+images they read, and the shortcuts that read each row's k unit entries,
+against brute force.
 
-``_coset_table`` and ``_reduced_swappers`` are built by XOR doubling
-(``_span_table``); ``_pairwise_checks`` and the pair count of
-``_hadamard_pair_triple_checks`` skip a row from its unit entries when a
-span argument allows.  Here the tables are compared with word products,
-and every count with a count over each pair of the table, on real groups
-and on tables with a planted fault.
+``_coset_images`` and ``_coset_squares`` are built by XOR doubling
+(``_doubling``), and ``_pairwise_checks`` reads every commutator as the
+polar form of the squares (``_polar``).  Only the Hadamard pair and
+triple checks read the 4^k tables ``_coset_table`` and
+``_reduced_swappers`` (``_span_table``).  Both checklists skip a row from
+its unit entries when a span argument allows.  Here the lists and tables
+are compared with word products, and every count with a count over each
+pair, on real groups and with a planted fault.
 """
 
 from __future__ import annotations
@@ -18,15 +21,23 @@ import pytest
 import z2z4q8.hadamard as hadamard
 import z2z4q8.invariants as invariants
 import z2z4q8.oracles as oracles
-from z2z4q8 import GroupSignature, hadamard_bounds, is_hadamard
+import z2z4q8.subgroup as subgroup
+from z2z4q8 import GroupSignature, GroupWord, analyze, hadamard_bounds, is_hadamard
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.hadamard import _hadamard_pair_triple_checks, _reduced_swappers
 from z2z4q8.invariants import _pairwise_checks
 from z2z4q8.oracles import _swapper_bits, verify
-from z2z4q8.subgroup import _coset_reps, _coset_table, _span
+from z2z4q8.subgroup import (
+    _coset_images,
+    _coset_squares,
+    _coset_table,
+    _polar,
+    _products,
+    _span,
+)
 
-from conftest import random_subgroup, word_commutator
+from conftest import count_calls, random_subgroup, word_commutator
 
 DENSE_SIGNATURES = (GroupSignature(0, 0, 4), GroupSignature(4, 2, 2))
 
@@ -47,10 +58,15 @@ def _dense_groups():
     return groups
 
 
-def _brute_counts(C, squares, rows, residues):
-    """The five pair and triple counts over every pair of the tables, in the
-    order of ``_pairwise_checks`` then ``_hadamard_pair_triple_checks``."""
-    u = (1 << C.sig.n) - 1
+def _polar_rows(squares):
+    """Every commutator of the 2^k coset words, as the polar form of the
+    squares, pair by pair."""
+    indices = range(len(squares))
+    return [[squares[a] ^ squares[b] ^ squares[a ^ b] for b in indices] for a in indices]
+
+
+def _brute_pairwise(squares, rows):
+    """The two counts of ``_pairwise_checks`` over every pair of the tables."""
     outside = range(1, len(squares))
     weight = sum(
         rows[a][b].bit_count() > squares[a].bit_count() for a in outside for b in outside
@@ -60,6 +76,14 @@ def _brute_counts(C, squares, rows, residues):
         for a in outside
         for b in outside
     )
+    return [weight, commuting]
+
+
+def _brute_hadamard(C, squares, rows, residues):
+    """The three counts of ``_hadamard_pair_triple_checks`` over every pair
+    of the tables."""
+    u = (1 << C.sig.n) - 1
+    outside = range(1, len(squares))
     pair = sum(
         rows[a][b] not in (0, squares[a])
         for a in outside
@@ -80,11 +104,15 @@ def _brute_counts(C, squares, rows, residues):
         for c in outside
         if squares[c] != a2
     )
-    return [weight, commuting, pair, wide, triple]
+    return [pair, wide, triple]
 
 
-def _counts(C):
-    return [c.lhs for c in _pairwise_checks(C) + _hadamard_pair_triple_checks(C)]
+def _pairwise_counts(C):
+    return [c.lhs for c in _pairwise_checks(C)]
+
+
+def _hadamard_counts(C):
+    return [c.lhs for c in _hadamard_pair_triple_checks(C)]
 
 
 def test_dense_groups_reach_k_5_and_6():
@@ -96,18 +124,21 @@ def test_dense_groups_reach_k_5_and_6():
 
 
 def test_tables_at_k_5_and_6_match_the_word_products():
-    """Squares, commutator rows and reduced swappers of the 2^k coset
-    words, read by XOR doubling, equal p p, p^-1 q^-1 p q and the swapper
+    """The images, squares, commutators and reduced swappers of the 2^k
+    coset words, read by XOR doubling and by polarizing the squares, equal
+    the products of the basis words, p p, p^-1 q^-1 p q and the swapper
     bits of (p, q) reduced by Gray(T), over every pair."""
     for C in _dense_groups():
-        reps = _coset_reps(C)
+        words = _products(C.sig, [GroupWord._from_bits(C.sig, b) for b in C.basis])
         reduce = C._torsion.reduce
-        assert _coset_table(C) == (
-            [(p * p).bits for p in reps],
-            [[word_commutator(p, q).bits for q in reps] for p in reps],
-        ), C.generators
+        squares = [(p * p).bits for p in words]
+        rows = [[word_commutator(p, q).bits for q in words] for p in words]
+        assert _coset_images(C) == [p.bits for p in words], C.generators
+        assert _coset_squares(C) == squares, C.generators
+        assert _polar_rows(squares) == rows, C.generators
+        assert _coset_table(C) == (squares, rows), C.generators
         assert _reduced_swappers(C) == [
-            [reduce(_swapper_bits(p, q)) for q in reps] for p in reps
+            [reduce(_swapper_bits(p, q)) for q in words] for p in words
         ], C.generators
 
 
@@ -119,15 +150,50 @@ def test_pair_counts_at_k_5_and_6_equal_the_brute_force():
     for C in _dense_groups():
         assert not is_hadamard(C)
         squares, rows = _coset_table(C)
-        brute = _brute_counts(C, squares, rows, _reduced_swappers(C))
-        assert _counts(C) == brute, C.generators
-        pair_counts.append(brute[2])
+        assert _pairwise_counts(C) == _brute_pairwise(squares, rows), C.generators
+        brute = _brute_hadamard(C, squares, rows, _reduced_swappers(C))
+        assert _hadamard_counts(C) == brute, C.generators
+        pair_counts.append(brute[0])
     assert any(pair_counts)
 
 
-def _plant(monkeypatch, fault):
-    """Patch ``_coset_table`` where the pair checklists read it with a copy
-    in which ``fault(C, squares, rows)``, a pair (v, row), replaces row v."""
+def test_a_non_hadamard_analysis_builds_no_4k_table(monkeypatch):
+    """``analyze`` of a non-Hadamard code reads only the 2^k lists: it
+    calls ``_span_table`` zero times, while the Hadamard pair and triple
+    checks still build their tables."""
+    calls = count_calls(monkeypatch, subgroup, "_span_table")
+    for C in _dense_groups():
+        analyze(C)
+    assert calls["_span_table"] == 0
+    hadamard_bounds(load_fixture("hadamard16_q8"))
+    assert calls["_span_table"] == 2
+
+
+def _plant_squares(monkeypatch, fault):
+    """Patch ``_coset_squares`` where ``_pairwise_checks`` reads it with the
+    squares of one planted fault: ``fault(C, squares)`` gives (d, i, j),
+    and the square of each p_v with bits i and j of v set moves by d.
+    That is what a fault d in the entry s(b_i, b_i) (i = j) or in the
+    commutator form F(i, j) of the swapper table gives: the list stays a
+    quadratic form, so each row of its polar form stays the span of its
+    unit entries.  Returns a reader of the tables each checklist then
+    sees: (its squares, the Hadamard squares and rows)."""
+    real = _coset_squares
+
+    def corrupted(C):
+        squares = real(C)
+        d, i, j = fault(C, squares)
+        mask = 1 << i | 1 << j
+        return [sq ^ d if v & mask == mask else sq for v, sq in enumerate(squares)]
+
+    monkeypatch.setattr(invariants, "_coset_squares", corrupted)
+    return lambda C: (corrupted(C), *_coset_table(C))
+
+
+def _plant_rows(monkeypatch, fault):
+    """Patch ``_coset_table`` where the Hadamard pair checks read it with a
+    copy in which ``fault(C, squares, rows)``, a pair (v, row), replaces
+    row v.  Returns a reader like ``_plant_squares``'s."""
     real = _coset_table
 
     def corrupted(C):
@@ -137,9 +203,8 @@ def _plant(monkeypatch, fault):
         rows[v] = row
         return squares, rows
 
-    monkeypatch.setattr(invariants, "_coset_table", corrupted)
     monkeypatch.setattr(hadamard, "_coset_table", corrupted)
-    return corrupted
+    return lambda C: (_coset_squares(C), *corrupted(C))
 
 
 def _with_unit(rows, v, k, j, value):
@@ -151,22 +216,23 @@ def _with_unit(rows, v, k, j, value):
     return _span(units)
 
 
-def _bits_outside_square(C, squares, rows):
-    u = (1 << C.sig.n) - 1
-    v = next(v for v in range(1, len(squares)) if squares[v] != u)
-    return v, _with_unit(rows, v, len(C.basis), 0, u)
+def _square_cleared(C, squares):
+    """The square of b_1 cleared: its commutators, nonzero on
+    ``hadamard16_q8``, then have bits outside its square."""
+    return squares[1], 0, 0
 
 
-def _zero_in_square_class(C, squares, rows):
-    v, w = next(
-        (v, w)
-        for v in range(1, len(squares))
-        for w in range(1, len(squares))
-        if v != w and squares[v] == squares[w] and rows[v][w]
+def _commuting_pair_in_a_square_class(C, squares):
+    """The commutator of the first two basis words with one square and a
+    nonzero commutator cancelled: they then commute."""
+    k = len(C.basis)
+    i, j = next(
+        (i, j)
+        for j in range(k)
+        for i in range(j)
+        if squares[1 << i] == squares[1 << j] and _polar(squares, 1 << i, 1 << j)
     )
-    row = list(rows[v])
-    row[w] = 0
-    return v, row
+    return _polar(squares, 1 << i, 1 << j), i, j
 
 
 def _unit_outside_square_pair(C, squares, rows):
@@ -176,34 +242,58 @@ def _unit_outside_square_pair(C, squares, rows):
 
 
 @pytest.mark.parametrize(
-    "fault, counted",
+    "plant, fault, counted",
     [
-        (_bits_outside_square, 0),
-        (_zero_in_square_class, 1),
-        (_unit_outside_square_pair, 2),
+        (_plant_squares, _square_cleared, 0),
+        (_plant_squares, _commuting_pair_in_a_square_class, 1),
+        (_plant_rows, _unit_outside_square_pair, 2),
     ],
     ids=["bits outside the square", "zero inside a square class", "unit outside {0, a^2}"],
 )
-def test_a_planted_fault_is_counted_exactly(monkeypatch, fault, counted):
+def test_a_planted_fault_is_counted_exactly(monkeypatch, plant, fault, counted):
     """A shortcut cannot hide a violation: on ``hadamard16_q8``, where every
-    count is 0, a row with a unit entry u outside its square (weight n
-    above it), a zero between two words of one square class, or a unit
-    entry u outside {0, a^2} makes its count nonzero, and every count
-    equals the brute force over the same corrupted table."""
+    count is 0, a square cleared under a nonzero commutator (weight n
+    above it), a commutator cancelled between two basis words of one
+    square class (both planted in the squares, and so in their polar
+    form), or a unit entry u outside {0, a^2} in the Hadamard pair table
+    makes its count nonzero, and every count equals the brute force over
+    every pair of the corrupted tables."""
     C = load_fixture("hadamard16_q8")
-    assert _counts(C) == [0] * 5 and hadamard_bounds(C).all_ok
-    table = _plant(monkeypatch, fault)
-    squares, rows = table(C)
-    counts = _counts(C)
-    assert counts == _brute_counts(C, squares, rows, _reduced_swappers(C))
+    assert _pairwise_counts(C) + _hadamard_counts(C) == [0] * 5
+    assert hadamard_bounds(C).all_ok
+    pair_squares, squares, rows = plant(monkeypatch, fault)(C)
+    assert (pair_squares, rows) != _coset_table(C)
+    counts = _pairwise_counts(C) + _hadamard_counts(C)
+    brute = _brute_pairwise(pair_squares, _polar_rows(pair_squares))
+    assert counts == brute + _brute_hadamard(C, squares, rows, _reduced_swappers(C))
     assert counts[counted] > 0
 
 
 def test_verify_names_a_corrupted_table(monkeypatch):
-    """``verify`` compares both tables with the word products, and names
-    the table in which one entry moved by one bit."""
+    """``verify`` compares the coset images, the squares, their polar form
+    and both tables with the word products, and names the list or table
+    in which one entry moved by one bit."""
     C = load_fixture("hadamard16_q8")
     verify(C)
+    images, squares = list(_coset_images(C)), list(_coset_squares(C))
+    images[-1] ^= 1
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "_coset_images", lambda C: images)
+        with pytest.raises(
+            RuntimeError, match="_coset_images disagrees with coset_tables_by_products"
+        ):
+            verify(C)
+    squares[-1] ^= 1
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "_coset_squares", lambda C: squares)
+        with pytest.raises(
+            RuntimeError, match="_coset_squares disagrees with coset_tables_by_products"
+        ):
+            verify(C)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "_polar", lambda squares, v, w: _polar(squares, v, w) ^ (v == w))
+        with pytest.raises(RuntimeError, match="_polar disagrees with coset_tables_by_products"):
+            verify(C)
     squares, rows = _coset_table(C)
     rows = [list(row) for row in rows]
     rows[-1][1] ^= 1

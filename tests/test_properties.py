@@ -53,6 +53,7 @@ from z2z4q8.constructions import (
     _pair_word,
     _predict_kronecker_type,
     generalized_kronecker,
+    q8_automorphisms,
 )
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
@@ -66,8 +67,9 @@ from z2z4q8.groups import (
     _random_word,
 )
 from z2z4q8.search import _random_abelian_base, _random_ambient_word, _random_torsion_word
-from z2z4q8.invariants import _kernel_cosets, span_group
+from z2z4q8.invariants import _kernel_cosets, _pairwise_checks, span_group
 from z2z4q8.oracles import (
+    Relabeling,
     _swapper_bits,
     closure,
     coset_row_space,
@@ -75,18 +77,24 @@ from z2z4q8.oracles import (
     gray_basis,
     gray_codewords,
     least_coset_words,
+    q8_bit_automorphisms,
+    random_relabeling,
     representative_kernel_cosets,
     swapper_scan_kernel,
     translation_kernel,
     verify,
 )
 from z2z4q8.subgroup import (
+    _coset_images,
     _coset_minima,
     _coset_reps,
+    _coset_squares,
     _coset_table,
     _coset_word,
     _form_row,
     _null_space,
+    _polar,
+    _products,
     _radical,
 )
 
@@ -514,6 +522,56 @@ def test_property_swapper_table_and_its_readers_match_word_products(data):
     assert is_abelian(C) == pairs == (code_type(C).rho == 0)
 
 
+def _assert_squares_polarize(C):
+    """The coset images are the products of the basis words
+    (``_products``), the squares are their squares, the polar form of the
+    squares is ``word_commutator`` on every pair, and both counts of
+    ``_pairwise_checks`` equal the brute force over the pairs of words."""
+    sig = C.sig
+    words = _products(sig, [GroupWord._from_bits(sig, b) for b in C.basis])
+    assert _coset_images(C) == [p.bits for p in words]
+    squares = [(p * p).bits for p in words]
+    assert _coset_squares(C) == squares
+    rows = [[word_commutator(p, q).bits for q in words] for p in words]
+    indices = range(len(words))
+    assert all(_polar(squares, v, w) == rows[v][w] for v in indices for w in indices)
+    outside = indices[1:]
+    weight = sum(
+        rows[a][b].bit_count() > squares[a].bit_count() for a in outside for b in outside
+    )
+    commuting = sum(
+        a != b and squares[a] == squares[b] and not rows[a][b]
+        for a in outside
+        for b in outside
+    )
+    assert [c.lhs for c in _pairwise_checks(C)] == [weight, commuting]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(st.data())
+def test_property_squares_polarize_to_the_word_commutators(data):
+    """Over the Z2-only, Z4-only, Q8-only and mixed strategies, on groups of
+    up to 7 drawn words: the images, the squares, their polar form and the
+    pair counts against the words (``_assert_squares_polarize``)."""
+    sig = data.draw(signatures)
+    _assert_squares_polarize(generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=7))))
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [GroupSignature(0, 7, 0), GroupSignature(0, 0, 4), GroupSignature(1, 1, 3)],
+    ids=["Z4-only", "Q8-only", "mixed"],
+)
+def test_squares_polarize_at_k_7(sig):
+    """The same at k = 7, the most the drawn strategies reach in few
+    examples: the first group of 7 random words with k = 7 (a Z2-only
+    group has k = 0; Z4^7 at k = 7 is all of its 2^14 words)."""
+    rng = random.Random(7)
+    draws = iter(lambda: random_subgroup(sig, rng, 7, max_order=1 << 14), None)
+    C = next(C for C in draws if len(C.basis) == 7)
+    _assert_squares_polarize(C)
+
+
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_property_closed_form_commutator_matches_the_pi_law(data):
@@ -871,3 +929,88 @@ def test_property_noncanonical_q8_tokens_normalise(i, j, caret_a, caret_b):
     _, (parsed,) = parse_generators(f"sig 0 0 1\ngen {token}\n")
     assert parsed == expected
     assert parse_generators(format_generators(sig, [parsed])) == (sig, [parsed])
+
+
+# -- relabelings: the ambient's symmetries that keep every Gray image's bits --
+
+
+def test_relabelings_are_automorphisms_that_permute_gray_bits():
+    """The symmetry action, tested once.  ``q8_bit_automorphisms`` is the
+    subgroup of order 12 of the automorphisms of Q8 that permute the bits
+    of the block.  Over the wider ``SIGNATURES``, a drawn ``Relabeling`` is
+    a homomorphism, and on Gray images it adds and keeps weights; over the
+    draws every kind of move occurs: a coordinate moved within its kind, a
+    Z4 negation, and each of the 12 Q8 maps."""
+    autos = q8_bit_automorphisms()
+    assert len(autos) == 12 and autos[0] == tuple(range(8))
+    assert set(autos) <= set(q8_automorphisms())
+    assert {tuple(s[t[v]] for v in range(8)) for s in autos for t in autos} == set(autos)
+    rng = random.Random(12)
+    moved = negated = 0
+    q8_maps = set()
+    for sig in SIGNATURES:
+        for _ in range(8):
+            phi = random_relabeling(sig, rng)
+            starts = [0, sig.k1, sig.k1 + sig.k2, sig.l]
+            for lo, hi in zip(starts, starts[1:]):
+                assert sorted(phi.source[lo:hi]) == list(range(lo, hi))
+            moved += phi.source != tuple(range(sig.l))
+            negated += (0, 3, 2, 1) in phi.tables
+            q8_maps.update(phi.tables[sig.k1 + sig.k2 :])
+            for _ in range(4):
+                x, y = random_word(sig, rng), random_word(sig, rng)
+                assert phi(x * y) == phi(x) * phi(y)
+                assert phi(x).bits ^ phi(y).bits == _image_of(phi, x.bits ^ y.bits, sig)
+                assert phi(x).bits.bit_count() == x.bits.bit_count()
+    assert moved and negated and q8_maps == set(autos)
+
+
+def _image_of(phi, bits, sig):
+    """phi on a vector of the image space, read through the word whose
+    image it is: Z2 bits, Z4 pairs and even Q8 blocks are all images."""
+    return phi(GroupWord._from_bits(sig, bits)).bits
+
+
+def test_a_q8_automorphism_off_the_bit_permutations_changes_the_code():
+    """Why the relabelings keep to 12 of the 24 automorphisms of Q8: the
+    diagonal Q8 <(a, a), (b, b)> has (rank, kernel_dim) = (3, 3), and with
+    a -> a, b -> ab on its second coordinate only, (4, 1)."""
+    sig = GroupSignature(0, 0, 2)
+    C = generate([parse_element("a a", sig), parse_element("b b", sig)])
+    twist = (0, 1, 2, 3, 5, 6, 7, 4)  # a^i b^j -> a^i (ab)^j
+    assert twist in q8_automorphisms() and twist not in q8_bit_automorphisms()
+    image = Relabeling((0, 1), (tuple(range(8)), twist)).group(C)
+    assert (rank(C), kernel_dim(C)) == (3, 3)
+    assert (rank(image), kernel_dim(image)) == (4, 1)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_a_relabeled_non_hadamard_report_is_byte_identical(data):
+    """The report of a non-Hadamard code depends on the code only up to the
+    ambient's relabelings: the ``render_json`` bytes of C and of its image
+    under a drawn ``Relabeling`` are equal, over the Z2-only, Z4-only,
+    Q8-only and mixed strategies.  Hadamard codes stay out: two rows of
+    their bounds depend on the normalized witness (ROADMAP item 12)."""
+    sig = data.draw(signatures)
+    C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=4)))
+    phi = random_relabeling(sig, data.draw(st.randoms(use_true_random=False)))
+    if not is_hadamard(C):
+        assert render_json(analyze(phi.group(C))) == render_json(analyze(C))
+
+
+def test_relabeled_dense_and_fixture_reports_are_byte_identical():
+    """The same on the non-Hadamard fixtures and on random subgroups of
+    2^8..2^10 words at n = 16, like the benchmark's dense groups, under six
+    relabelings each."""
+    rng = random.Random(16)
+    groups = [load_fixture(name) for name in SHIPPED_FIXTURES]
+    for sig in (GroupSignature(2, 3, 2), GroupSignature(0, 0, 4), GroupSignature(8, 4, 0)):
+        draws = iter(lambda: random_subgroup(sig, rng, rng.randint(3, 6), max_order=1 << 10), None)
+        groups += [C for C, _ in zip((C for C in draws if C.order >= 1 << 8), range(3))]
+    groups = [C for C in groups if not is_hadamard(C)]
+    assert len(groups) == 12
+    for C in groups:
+        report = render_json(analyze(C))
+        for _ in range(6):
+            assert render_json(analyze(random_relabeling(C.sig, rng).group(C))) == report

@@ -658,6 +658,22 @@ def test_generate_equals_the_closure_on_fixtures():
         assert generate(gens).elements == closure([identity(sig)], gens), name
 
 
+@pytest.mark.parametrize("span_bits", [0, 7, 20])
+def test_the_gray_stream_cut_walks_the_same_words(monkeypatch, span_bits):
+    """``_gray_stream`` spans the torsion rows up to a cut set by n and
+    walks the rest in Gray-code order.  Wherever the cut falls, as low as
+    no spanned row (0) or part of Gray(T) at n = 16..64 (7), the stream
+    visits each word once, and the words are the closure of the
+    generators."""
+    monkeypatch.setattr(subgroup_module, "_SPAN_BITS", span_bits)
+    for name in SHIPPED_FIXTURES:
+        sig, gens = parse_generators(fixture_text(name))
+        C = generate(gens)
+        stream = list(subgroup_module._gray_stream(C))
+        assert len(stream) == C.order == len(set(stream)), name
+        assert C.elements == closure([identity(sig)], gens), name
+
+
 def test_generate_refuses_before_building_a_word(monkeypatch):
     gens = [word_from_tokens(Q8_PAIR, t) for t in (("a", "1"), ("1", "a"), ("b", "b"))]
     built = Counter()
