@@ -42,3 +42,23 @@ class Gf2Basis:
     @property
     def rank(self) -> int:
         return len(self._pivots)
+
+
+def dimension(rows: Iterable[int]) -> int:
+    """dim of the span of rows, by elimination on leading bits alone.
+
+    Each row is reduced by the kept rows whose top bit it has, until its
+    top bit is new or it is 0.  The kept rows have distinct top bits, so
+    they are independent, and each row is a sum of kept rows or kept
+    itself: they are a basis of the span.  Unlike ``Gf2Basis.add``, no
+    kept row is reduced further.
+    """
+    kept: dict[int, int] = {}  # top bit -> row
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in kept:
+                kept[top] = row
+                break
+            row ^= kept[top]
+    return len(kept)

@@ -298,22 +298,33 @@ def _nu(sig: GroupSignature, x: int) -> int:
     return (x ^ (x >> 1)) & (z4 | q8) | ((x ^ (x >> 2)) & q8) << 1
 
 
-def _sort_key(w: "GroupWord") -> int:
-    """An int whose order is the order of ``w.coords``.
+# Each byte with its 8 bits in reverse order, for ``bytes.translate``.
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _sort_key(sig: GroupSignature, x: int) -> int:
+    """An int whose order is the order of the coordinate tuples, for the
+    word of ``sig`` whose Gray image is x.
 
     Each block is rewritten so that its bit 0 is the most significant bit
     of the coordinate value: a Z4 block (b0, b1) becomes (b0, b0^b1), and a
     Q8 block i + 4j becomes (j, i>>1, i&1, 0) = (q, b0^(q&~p), p^q, 0) with
     p = b0^b1 and q = b0^b2.  Reversing the n-bit string then puts
-    coordinate 0 first and each block's bit 0 above its others.
+    coordinate 0 first and each block's bit 0 above its others.  The
+    reversal reverses the bits of each little-endian byte by table
+    (``_REVERSED_BYTES``) and reads the bytes big-endian: bit i of a
+    size-byte int goes to 8*size - 1 - i, so the shift by 8*size - n puts
+    it at n - 1 - i.  ``oracles.string_sort_key`` reverses the binary
+    string instead.
     """
-    sig, x = w.sig, w.bits
-    z4, q8 = sig._z4, sig._q8
+    z4, q8, n = sig._z4, sig._q8, sig.n
     p = (x ^ (x >> 1)) & q8
     q = (x ^ (x >> 2)) & q8
     y = (x & ~(q8 * 0b1111)) ^ ((x & z4) << 1)
     y |= q | (((x & q8) ^ (q & ~p)) << 1) | ((p ^ q) << 2)
-    return int(format(y, f"0{sig.n}b")[::-1], 2)
+    size = (n + 7) >> 3
+    reversed_bytes = y.to_bytes(size, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(reversed_bytes, "big") >> (8 * size - n)
 
 
 class GroupWord:
@@ -434,7 +445,16 @@ def _commutator_bits(sig: GroupSignature, x: int, y: int) -> int:
     is 1111 exactly when both classes are nonzero and different, and those
     low bits times 0b1111 fill it.
     """
-    q8 = sig._q8
+    return _commutator_blocks(sig._q8, x, y)
+
+
+def _commutator_blocks(q8: int, x: int, y: int) -> int:
+    """The closed form of ``_commutator_bits``, for Q8 blocks whose low bits
+    are the set bits of q8.  It reads each block through shifts by 1 and 2
+    that stay inside the block, and spreads its result over the block by a
+    product with 0b1111 that carries nothing, as the low bits are at least
+    4 apart.  So it works block by block on any layout of blocks, such as
+    several words side by side (``subgroup._form_row``)."""
     px, qx = (x ^ (x >> 1)) & q8, (x ^ (x >> 2)) & q8
     py, qy = (y ^ (y >> 1)) & q8, (y ^ (y >> 2)) & q8
     return ((px | qx) & (py | qy) & ((px ^ py) | (qx ^ qy))) * 0b1111

@@ -7,23 +7,28 @@ and such a pair has commutator u), and the group falls into one of five
 structural shapes, decided here by a deterministic sequence of generator
 substitutions with every claimed relation machine-verified.
 
-The walk carries each z with the index of its T-coset (``_coset_index``),
-and reads every square it branches on or requires from the square list
-``_coset_squares``, and every commutator as its polar form (``_polar``):
-they are constant on T-cosets.  Words are multiplied only to build the
-witness, which is checked on its words (``verify_standard``,
-``_verify_shape``).  Only the pair and triple checks read 4^k tables
-(``_coset_table``, ``_reduced_swappers``).
+The layer works on T-coset indices.  The standard set carries the index
+of each y and z it was read from (``StandardGenSet.indices``), and the
+normalization, the walk and the checks on the normalized set carry them
+along: every square they branch on or require is read from the square
+list ``_coset_squares``, and every commutator as its polar form
+(``_polar``), as both are constant on T-cosets.  Words are multiplied
+only to build the witness, which is checked on its words
+(``verify_standard`` on every distinct set, ``_verify_shape`` on the
+witness).  u in <U> is decided by elimination on indices
+(``_generates``), and the pair and triple checks polarize the square
+list too, so the layer builds no 4^k table and no subgroup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, comb, floor
+from operator import xor
 from typing import List, Optional, Sequence, Tuple
 
-from .gf2 import Gf2Basis
-from .groups import GroupWord, commutator, u_element
+from .gf2 import Gf2Basis, dimension
+from .groups import GroupWord, _commutator_bits, _pi
 from .invariants import (
     BoundCheck,
     BoundReport,
@@ -37,15 +42,13 @@ from .subgroup import (
     CodeGroup,
     StandardGenSet,
     _coset_index,
-    _coset_minima,
+    _coset_minimum,
     _coset_squares,
-    _coset_table,
     _memoized,
     _minimum_keys,
     _polar,
     _radical,
     _span,
-    _span_table,
     code_type,
     standard_generators,
     verify_standard,
@@ -96,6 +99,31 @@ def _indexed(C: CodeGroup, words: Sequence[GroupWord]) -> List[Indexed]:
     return [(w, _coset_index(C, w.bits)) for w in words]
 
 
+def _with_indices(C: CodeGroup, gens: StandardGenSet) -> StandardGenSet:
+    """gens, carrying the index of each y and z: a set read from C has
+    them, and a caller's set, verified first, gets them here."""
+    if gens.indices is not None:
+        return gens
+    indices = tuple(v for _, v in _indexed(C, gens.ys + gens.zs))
+    return StandardGenSet(gens.xs, gens.ys, gens.zs, indices)
+
+
+def _indexed_zs(gens: StandardGenSet) -> List[Indexed]:
+    """The z's of gens with the indices the set carries."""
+    return list(zip(gens.zs, gens.indices[len(gens.ys) :]))
+
+
+def _with_zs(gens: StandardGenSet, zs: Sequence[Indexed]) -> StandardGenSet:
+    """gens with the z's, and their indices, replaced by zs."""
+    ys = len(gens.ys)
+    return StandardGenSet(
+        gens.xs,
+        gens.ys,
+        tuple(w for w, _ in zs),
+        gens.indices[:ys] + tuple(v for _, v in zs),
+    )
+
+
 def _times(a: Indexed, b: Indexed) -> Indexed:
     return a[0] * b[0], a[1] ^ b[1]
 
@@ -136,17 +164,20 @@ def normalize_generators(
 
     Applies the square-u substitutions z_i -> z1*z_i / z2*z_i / z1*z2*z_i,
     then reorders equal-square pairs to the front, reading squares and
-    commutators by index.  A caller's ``base`` is verified first, as
-    indices mean something only for words of C; so is the result.
+    commutators by the indices the set carries.  A caller's ``base`` is
+    verified first, as indices mean something only for words of C, and
+    indexed after; the result is verified too.
     """
     if not is_hadamard(C):
         raise ValueError("not a Hadamard code")
     if base is not None:
         verify_standard(C, base)
-    gens = base if base is not None else standard_generators(C)
+        gens = _with_indices(C, base)
+    else:
+        gens = standard_generators(C)
     u = (1 << C.sig.n) - 1
     squares = _coset_squares(C)
-    zs = _indexed(C, gens.zs)
+    zs = _indexed_zs(gens)
 
     def comm(a: Indexed, b: Indexed) -> int:
         return _polar(squares, a[1], b[1])
@@ -175,7 +206,7 @@ def normalize_generators(
     if not all(squares[v] for _, v in zs):
         raise ClassificationError("normalization produced an order-2 generator")
     zs, eps = _pair_reorder(C, zs)
-    out = StandardGenSet(gens.xs, gens.ys, tuple(w for w, _ in zs))
+    out = _with_zs(gens, zs)
     verify_standard(C, out)
     return NormalizedGenSet(out, eps)
 
@@ -223,12 +254,27 @@ def _require(condition: bool, message: str) -> None:
         raise ClassificationError(message)
 
 
+@_memoized
 def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
-    """Machine-check the defining relations of the claimed shape."""
-    u = u_element(C.sig)
+    """Machine-check the defining relations of the claimed shape, on the
+    witness's words: each square by the product law, Gray(z z) = Gray(z)
+    + pi_z(Gray(z)), and each commutator in closed form
+    (``_commutator_bits``), with no index and no table read.
+
+    A pure function of C, the set and the tag that returns nothing, kept
+    per (group, set, tag) like ``verify_standard``: ``hadamard_bounds``
+    checks a caller's shape by it, and on the shape ``classify_shape``
+    returned that is a cache hit.  A failure raises before anything is
+    kept."""
+    sig = C.sig
+    u = (1 << sig.n) - 1
     ct = code_type(C)
-    zs = ngs.zs
-    sq = [z * z for z in zs]
+    zs = [z.bits for z in ngs.zs]
+    sq = [z ^ _pi(sig, z, z) for z in zs]
+
+    def comm(i: int, j: int) -> int:
+        return _commutator_bits(sig, zs[i], zs[j])
+
     if tag == 1:
         _require(ct.rho == 0, "shape 1 needs rho = 0")
         return
@@ -241,65 +287,54 @@ def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
         # independence of the z's modulo Z(C) rules out.
         _require(ct.delta == 0 and ct.rho >= 2, "shape 2 needs delta=0, rho>=2")
         _require(sq[0] == u and sq[1] == u, "shape 2 needs z1^2 = z2^2 = u")
-        _require(commutator(zs[0], zs[1]) == u, "shape 2 needs (z1,z2) = u")
+        _require(comm(0, 1) == u, "shape 2 needs (z1,z2) = u")
         for j in range(2, ct.rho):
             _require(sq[j] != u, "shape 2 allows only z1, z2 to square to u")
             _require(
-                commutator(zs[0], zs[j]) == sq[j]
-                and commutator(zs[1], zs[j]) == sq[j],
+                comm(0, j) == sq[j] and comm(1, j) == sq[j],
                 f"shape 2 needs (z1,z_{j + 1}) = (z2,z_{j + 1}) = z_{j + 1}^2",
             )
             for k in range(j + 1, ct.rho):
-                _require(
-                    commutator(zs[j], zs[k]).is_identity(),
-                    "shape 2 needs the tail generators to commute",
-                )
+                _require(not comm(j, k), "shape 2 needs the tail generators to commute")
         return
     if tag == 3:
         _require(ct.delta == 0, "shape 3 needs delta = 0")
         _require(sq[0] == u, "shape 3 needs z1^2 = u")
-        tail_squares = Gf2Basis(s.bits for s in sq[1:])
+        tail_squares = Gf2Basis(sq[1:])
         _require(
             tail_squares.rank == ct.rho - 1,
             "shape 3 needs independent tail squares",
         )
         _require(
-            not tail_squares.contains(u.bits),
+            not tail_squares.contains(u),
             "shape 3 needs u outside <z2^2..z_rho^2>",
         )
         for i in range(1, ct.rho):
-            _require(
-                commutator(zs[0], zs[i]) == sq[i],
-                f"shape 3 needs (z1,z_{i + 1}) = z_{i + 1}^2",
-            )
+            _require(comm(0, i) == sq[i], f"shape 3 needs (z1,z_{i + 1}) = z_{i + 1}^2")
             for j in range(i + 1, ct.rho):
-                _require(
-                    commutator(zs[i], zs[j]).is_identity(),
-                    "shape 3 needs the tail generators to commute",
-                )
+                _require(not comm(i, j), "shape 3 needs the tail generators to commute")
         return
     if tag == 4:
         _require(ct.rho == 2 and ct.delta <= 1, "shape 4 needs rho=2, delta<=1")
         _require(
-            sq[0] == sq[1] and sq[0] != u and commutator(zs[0], zs[1]) == sq[0],
+            sq[0] == sq[1] and sq[0] != u and comm(0, 1) == sq[0],
             "shape 4 needs z1^2 = z2^2 = (z1,z2) != u",
         )
         return
     if tag == 5:
         _require(ct.delta == 0 and ct.rho == 4, "shape 5 needs delta=0, rho=4")
         _require(
-            sq[0] == u and sq[1] == u and commutator(zs[0], zs[1]) == u,
+            sq[0] == u and sq[1] == u and comm(0, 1) == u,
             "shape 5 needs z1^2 = z2^2 = (z1,z2) = u",
         )
         _require(
-            sq[2] == sq[3] and sq[2] != u and commutator(zs[2], zs[3]) == sq[2],
+            sq[2] == sq[3] and sq[2] != u and comm(2, 3) == sq[2],
             "shape 5 needs z3^2 = z4^2 = (z3,z4) != u",
         )
         for i in (0, 1):
             for j in (2, 3):
-                c = commutator(zs[i], zs[j])
                 _require(
-                    c.is_identity() or c == sq[j],
+                    comm(i, j) in (0, sq[j]),
                     "shape 5 needs (z_i,z_j) in <z_j^2> for i<=2<j",
                 )
         return
@@ -327,7 +362,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
 
     def finish(tag: int, zs: List[Indexed]) -> Shape:
         zs2, eps = _pair_reorder(C, zs)
-        out = StandardGenSet(ngs.xs, ngs.ys, tuple(w for w, _ in zs2))
+        out = _with_zs(ngs.base, zs2)
         verify_standard(C, out)
         witness = NormalizedGenSet(out, eps)
         _verify_shape(C, witness, tag)
@@ -338,12 +373,15 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
             tuple(trail),
         )
 
-    zs = _indexed(C, ngs.zs)
+    # the normalized z's are in pair order already: ``_pair_reorder`` keeps
+    # an ordered list as it is, so the first pass starts from them
+    zs, eps = _indexed_zs(ngs.base), ngs.epsilon
     if ct.rho == 0:
         return finish(1, zs)
 
-    for _ in range(8):
-        zs, eps = _pair_reorder(C, zs)
+    for attempt in range(8):
+        if attempt:
+            zs, eps = _pair_reorder(C, zs)
         sq = [squares[v] for _, v in zs]
         rho = len(zs)
 
@@ -478,7 +516,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
                 "delta > 0 here requires a central order-4 element matching "
                 "u * z2^2",
             )
-            zs[0] = _times((_coset_minima(C)[v], v), zs[0])
+            zs[0] = _times((_coset_minimum(C, v), v), zs[0])
             trail.append("replaced z1 by y*z1 to pair its square with z2^2")
             continue
         return finish(3, zs)
@@ -505,19 +543,28 @@ _EXCEPTION_PARAMS = {(5, 2, 0, 4)}  # (m, sigma, delta, rho) allowed outlier
 def hadamard_bounds(C: CodeGroup, shape: Optional[Shape] = None) -> BoundReport:
     """Every Hadamard-specific inequality, with the known exceptional
     parameter set (m=5, sigma=2, delta=0, rho=4) exempted where it applies.
+
+    A caller's ``shape`` is checked against C before any of its indices is
+    read: its witness by ``verify_standard`` (ValueError when a word, or an
+    index it carries, is not C's) and its tag by ``_verify_shape``
+    (ClassificationError).  Both are kept per set, so the shape that
+    ``classify_shape(C)`` returned passes from the cache.
     """
     n = C.sig.n
     if n & (n - 1):
         raise ValueError(f"binary length {n} is not a power of two")
     if not is_hadamard(C):
         raise ValueError("not a Hadamard code")
+    if shape is None:
+        shape = classify_shape(C)
+    else:
+        verify_standard(C, shape.witness.base)
+        _verify_shape(C, shape.witness, shape.tag)
     m = n.bit_length() - 1
     ct = code_type(C)
     sigma, delta, rho = ct.as_tuple()
     r = rank(C)
     k = kernel_dim(C)
-    if shape is None:
-        shape = classify_shape(C)
     exempt = (m, sigma, delta, rho) in _EXCEPTION_PARAMS
 
     checks = [
@@ -562,12 +609,13 @@ def hadamard_bounds(C: CodeGroup, shape: Optional[Shape] = None) -> BoundReport:
 
 
 def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundCheck]:
-    """The checks on the normalized witness, reading squares by index."""
+    """The checks on the normalized witness, reading squares by the indices
+    it carries, and u in <U> by elimination on them (``_generates``)."""
     u = (1 << C.sig.n) - 1
     ct = code_type(C)
     eps = ngs.epsilon
     squares = _coset_squares(C)
-    zs = _indexed(C, ngs.zs)
+    zs = _indexed_zs(_with_indices(C, ngs.base))
     sq = [squares[v] for _, v in zs]
     checks = [_le("epsilon <= 2", eps, 2)]
     if eps == 2:
@@ -591,16 +639,15 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
             )
     if any(sq[i] == u for i in range(min(2 * eps, len(zs)))):
         checks.append(_eq("square-u inside the paired block forces delta = 0", ct.delta, 0))
-    lead = [zs[2 * t] for t in range(eps)]
-    v_set = _indexed(C, ngs.ys) + lead + zs[2 * eps:]
-    w_basis = Gf2Basis(squares[v] for _, v in v_set)
-    u_set = [w for w, v in v_set if squares[v] != u]
+    v_set = _v_set(C, ngs)
+    w_rank = dimension(squares[v] for _, v in v_set)
+    u_set = [(w, v) for w, v in v_set if squares[v] != u]
     paired = ct.delta + ct.rho - eps
-    checks.append(_le("log2|<W>| >= delta + rho - epsilon - 1", paired - 1, w_basis.rank))
+    checks.append(_le("log2|<W>| >= delta + rho - epsilon - 1", paired - 1, w_rank))
     checks.append(_le("sigma >= delta + rho - epsilon - 1", paired - 1, ct.sigma))
-    if not CodeGroup(C.sig, u_set)._has_image(u):
+    if not _generates(C, u_set, u):
         checks += [
-            _eq("u outside <U>: log2|<W>| = delta + rho - epsilon", w_basis.rank, paired),
+            _eq("u outside <U>: log2|<W>| = delta + rho - epsilon", w_rank, paired),
             _le("u outside <U>: sigma >= delta + rho - epsilon", paired, ct.sigma),
         ]
     h = rank(C) - ct.total
@@ -609,75 +656,139 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
     return checks
 
 
-def _reduced_swappers(C: CodeGroup) -> List[List[int]]:
-    """s(p_v, p_w) mod Gray(T) by (v, w), for the ``_coset_reps`` words, by
-    XOR on the swapper table reduced once: no product and no pi is evaluated.
+def _v_set(C: CodeGroup, ngs: NormalizedGenSet) -> List[Indexed]:
+    """The y's, the first z of each of the epsilon pairs and the z's after
+    the pairs, with their indices: W is the span of their squares, and U
+    those of them whose square is not u."""
+    gens = _with_indices(C, ngs.base)
+    zs = _indexed_zs(gens)
+    lead = [zs[2 * t] for t in range(ngs.epsilon)]
+    return list(zip(gens.ys, gens.indices)) + lead + zs[2 * ngs.epsilon :]
 
-    s is exactly bilinear on words (``invariants._swappers``), so
-    s(p_v, p_w) is the sum of s(b_i, b_j) over i in v and j in w: the sum
-    over i in v of the rows _span(s(b_i, .)), indexed like the products
-    (``_span``), and the table is their ``_span_table``.  Reduction
-    (``Gf2Basis.reduce``) is linear, so it is applied once per entry of
-    the k x k table, and the sums of residues are the residues of the sums.
+
+def _generates(C: CodeGroup, words: Sequence[Indexed], x: int) -> bool:
+    """Whether the word of order <= 2 with Gray image x lies in <U>, the
+    subgroup of C generated by the indexed words U, with no subgroup built.
+
+    The index (``_coset_index``) is a homomorphism from C onto GF(2)^k
+    with kernel T(C) (``_present``: the ordered products of the basis
+    words have independent nu).  Run ``_present``'s reduction with the
+    index in place of nu: each word is multiplied on the right by the
+    kept words whose pivot its running index has, and a nonzero residue
+    index is kept with its top bit as pivot.  So the kept indices are
+    independent, and each word is a kept word or, when its index reduces
+    to 0, a word of <U> n T(C) times a product of kept words: a word
+    product along an index relation of U.
+
+    Let N be spanned by those products (the relations), by the squares of
+    the kept words and by their commutators; all lie in T(C), which is
+    central of exponent 2, so Gray adds on N.  N {ordered products of the
+    kept words} is closed (a product is put back in order by commutators,
+    and squares fold into N) and holds U, so it is <U>; the ordered
+    products have independent indices, so they lie in distinct T-cosets,
+    and <U> n T(C) = N.  The squares and commutators of the kept words
+    are those of their indices, ``squares[v]`` and the polar form
+    ``_polar``: by the class-2 square law, they span the squares over the
+    index span of U.  x has order <= 2, so it lies in Omega, and in <U>
+    exactly when it lies in <U> n Omega = N: when it reduces to 0 by the
+    span of the relation images and the squares over the index span.  The
+    second route builds <U> (``CodeGroup(C.sig, U)._has_image``).
     """
-    reduce = C._torsion.reduce
-    return _span_table([_span([reduce(s) for s in row]) for row in C.swappers])
+    sig, squares = C.sig, _coset_squares(C)
+    kept: List[Tuple[int, int, int]] = []  # (pivot bit, index, image)
+    rows: List[int] = []
+    for w, v in words:
+        y = w.bits
+        for pivot, vb, b in kept:
+            if v & pivot:
+                y ^= _pi(sig, y, b)
+                v ^= vb
+        if v:
+            kept.append((1 << (v.bit_length() - 1), v, y))
+        else:
+            rows.append(y)
+    indices = [v for _, v, _ in kept]
+    for i, a in enumerate(indices):
+        rows.append(squares[a])
+        rows += [_polar(squares, a, b) for b in indices[:i]]
+    return dimension(rows + [x]) == dimension(rows)
+
+
+def _swapper_residues(C: CodeGroup, v: int) -> List[int]:
+    """s(p_v, p_w) mod Gray(T) by w: the span (``_span``) of the k unit
+    residues, s(p_v, b_j) = the sum of s(b_i, b_j) over the bits i of v,
+    reduced by Gray(T); s is bilinear (``invariants._swappers``) and
+    reduction linear."""
+    units = [0] * len(C.basis)
+    for i, row in enumerate(C.swappers):
+        if v >> i & 1:
+            units = list(map(xor, units, row))
+    return _span(list(map(C._torsion.reduce, units)))
 
 
 def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
-    """Pair and triple facts, exhausted over one word per T-coset.
+    """Pair and triple facts, exhausted over one word per T-coset, from the
+    square list (``_coset_squares``): every commutator is its polar form
+    (``_polar``), and no 4^k table is built.
 
     The first counts, for each a outside T(C) with a^2 != u, the b outside
     T(C) whose commutator (a, b) lies outside <a^2> = {0, a^2} (by image).
-    Row a of ``_coset_table`` is the span of its k unit entries
-    Gray((a, b_j)): every entry is a sum of them.  {0, a^2} is closed
-    under XOR, so when every unit entry lies in it, so does every entry,
-    and the row adds 0; otherwise its entries in {0, a^2} are counted
-    exactly, by C-level ``count``.
+    Commutators are bilinear, so the row of a's commutators is the span
+    (``_span``) of its k unit entries Gray((a, b_j)), indexed like the
+    coset words.  {0, a^2} is closed under XOR, so when every unit entry
+    lies in it, so does every entry, and the row adds 0; otherwise the
+    row is spanned and its entries in {0, a^2} are counted exactly, by
+    C-level ``count``.
 
     The second counts the non-u square classes whose members span more
     than 2 dimensions of C/T(C).
 
-    The third counts a, b against each c with none of s1 = [a, c], s2 =
-    [b, c], s1 s2 in C.  Swappers lie in Omega (pi_x swaps bits of equal
-    sums in a valid block, so y + pi_x(y) has blocks 0 or all-one), where
-    Gray adds, and a word of Omega is in C exactly when it is in T(C) = C n
-    Omega, i.e. its image reduces to 0 by Gray(T).  Reduction is linear,
-    so with the residues r1, r2 (``_reduced_swappers``) one of the three
-    is in C exactly when r1 = 0, r2 = 0 or r1 + r2 = 0, i.e. r1 = r2.
+    The third counts a, b of one non-u square class with (a, b) = a^2
+    against each c with c^2 != a^2 and none of s1 = [a, c], s2 = [b, c],
+    s1 s2 in C.  In a class, a^2 = b^2, so the polar form (a, b) = a^2 +
+    b^2 + (ab)^2 is the square at the index a ^ b.  Swappers lie in Omega
+    (pi_x swaps bits of equal sums in a valid block, so y + pi_x(y) has
+    blocks 0 or all-one), where Gray adds, and a word of Omega is in C
+    exactly when it is in T(C) = C n Omega, i.e. its image reduces to 0 by
+    Gray(T).  Reduction is linear, so with the residues r1, r2 one of the
+    three is in C exactly when r1 = 0, r2 = 0 or r1 + r2 = 0, i.e. r1 =
+    r2.  The residues of a's swappers (``_swapper_residues``) are built
+    only for a member of a pair.
     """
     u = (1 << C.sig.n) - 1
     # the index of a transversal word is the GF(2) coordinate vector of its
     # coset in C/T; index 0 is T itself
-    squares, rows = _coset_table(C)
+    squares = _coset_squares(C)
     outside = range(1, len(squares))
-    units = [1 << j for j in range(len(C.basis))]
+    bits = [1 << j for j in range(len(C.basis))]
 
     pair_bad = 0
-    for v in outside:
-        a2, row = squares[v], rows[v]
-        if a2 != u and any(row[j] and row[j] != a2 for j in units):
-            # the entries at j >= 1 outside {0, a2}, counted in C
-            good = row.count(0) + (row.count(a2) if a2 else 0) - (row[0] in (0, a2))
-            pair_bad += len(outside) - good
-
     by_square: dict = {}
     for v in outside:
-        if squares[v] != u:
-            by_square.setdefault(squares[v], []).append(v)
+        a2 = squares[v]
+        if a2 == u:
+            continue
+        by_square.setdefault(a2, []).append(v)
+        units = [squares[v ^ b] ^ squares[b] ^ a2 for b in bits]
+        if any(t and t != a2 for t in units):
+            # the entries at w >= 1 outside {0, a2}; the entry at w = 0 is 0
+            row = _span(units)
+            good = row.count(0) + (row.count(a2) if a2 else 0) - 1
+            pair_bad += len(outside) - good
 
-    triple2_bad = sum(
-        Gf2Basis(members).rank > 2 for members in by_square.values()
-    )
+    triple2_bad = sum(dimension(members) > 2 for members in by_square.values())
 
+    residues: dict = {}  # member index -> its swapper residues, on first use
     triple3_bad = 0
-    residues = _reduced_swappers(C)
     for a2, members in by_square.items():
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                if rows[members[ai]][members[bi]] != a2:
+        for ai, a in enumerate(members):
+            for b in members[ai + 1 :]:
+                if squares[a ^ b] != a2:
                     continue
-                ra, rb = residues[members[ai]], residues[members[bi]]
+                for m in (a, b):
+                    if m not in residues:
+                        residues[m] = _swapper_residues(C, m)
+                ra, rb = residues[a], residues[b]
                 triple3_bad += sum(
                     0 != ra[j] != rb[j] != 0 for j in outside if squares[j] != a2
                 )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Tuple
 
-from .gf2 import Gf2Basis
+from .gf2 import Gf2Basis, dimension
 from .gray import BinaryVector, gray, gray_inv
 from .groups import GroupWord, SignatureMismatch
 from .subgroup import (
@@ -99,7 +99,7 @@ def rank(C: CodeGroup) -> int:
     (``coset_row_space``, ``gray_basis``).
     """
     swappers = (s for i, row in enumerate(_swappers(C)) for s in row[i + 1 :])
-    return Gf2Basis((*C.torsion_rows, *C.basis, *swappers)).rank
+    return dimension((*C.torsion_rows, *C.basis, *swappers))
 
 
 def kernel_dim(C: CodeGroup) -> int:

@@ -18,13 +18,20 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from operator import xor
 from typing import Iterable, List, Sequence, Tuple
 
 from .constructions import q8_automorphisms
 from .gf2 import Gf2Basis
 from .gray import BinaryVector
 from .groups import GroupSignature, GroupWord, _sort_key, commutator, identity, word
-from .hadamard import _reduced_swappers
+from .hadamard import (
+    _generates,
+    _hadamard_pair_triple_checks,
+    _v_set,
+    classify_shape,
+    is_hadamard,
+)
 from .invariants import check_bounds, kernel_dim, rank, span_group, weight_distribution
 from .subgroup import (
     CodeGroup,
@@ -34,7 +41,7 @@ from .subgroup import (
     _coset_minima,
     _coset_reps,
     _coset_squares,
-    _coset_table,
+    _form,
     _gray_stream,
     _kernel_cosets,
     _memoized,
@@ -94,10 +101,9 @@ def coset_tables_by_products(
     ``_coset_reps``, which is built from ``subgroup._coset_images``.  The
     second route to ``_coset_images`` and ``_coset_squares``, to the
     commutators as the polar form of the squares (``_polar``), and to
-    ``subgroup._coset_table`` and ``hadamard._reduced_swappers``, which
-    read the same tables by XOR from the k x k swapper table, by the
-    class-2 laws and bilinearity.  The cost is 4^k <= |C|^2 word products
-    of each kind.
+    ``_coset_table`` and ``_reduced_swappers``, which read the same
+    tables by XOR from the k x k swapper table, by the class-2 laws and
+    bilinearity.  The cost is 4^k <= |C|^2 word products of each kind.
     """
     basis = [GroupWord._from_bits(C.sig, b) for b in C.basis]
     reps, reduce = _products(C.sig, basis), C._torsion.reduce
@@ -106,6 +112,87 @@ def coset_tables_by_products(
     rows = [[commutator(p, q).bits for q in reps] for p in reps]
     residues = [[reduce(_swapper_bits(p, q)) for q in reps] for p in reps]
     return images, squares, rows, residues
+
+
+def _span_table(base: Sequence[List[int]]) -> List[List[int]]:
+    """The 2^k rows T[w] = sum of base[i] over the bits i of w, entry by
+    entry, for k equal-length rows base[i] of 2^k entries.
+
+    Built by XOR doubling, T[0] = 0 and T[w + 2^i] = T[w] + base[i] for
+    w < 2^i, each row one C-level ``map`` of ``xor``: 4^k XORs, and no
+    Python step per entry.
+    """
+    table = [[0] * (1 << len(base))]
+    for b in base:
+        table += [list(map(xor, row, b)) for row in table]
+    return table
+
+
+def _coset_table(C: CodeGroup) -> Tuple[List[int], List[List[int]]]:
+    """(squares, commutator rows) of the ``_coset_reps`` words, by index:
+    the 4^k table the Hadamard pair and triple checks read before they
+    polarized the squares.
+
+    The squares are ``_coset_squares``.  The rows are by bilinearity: C
+    has class 2, so its commutators have order <= 2, they are central,
+    (xy, z) = (x, z)(y, z) = (z, xy), and Gray adds on them.  So with
+    F(i, j) = Gray((b_i, b_j)) (``_form``), the entry Gray((p_w, p_v)) is
+    the sum of F(i, j) over i in w and j in v: the sum over i in w of the
+    rows _span(F(i, .)), indexed like the products (``_span``,
+    ``_products``), and the table is their ``_span_table``.  T(C) is
+    central of exponent 2, so (p t, w) = (p, w).
+    """
+    return _coset_squares(C), _span_table([_span(f) for f in _form(C)])
+
+
+def _reduced_swappers(C: CodeGroup) -> List[List[int]]:
+    """s(p_v, p_w) mod Gray(T) by (v, w), for the ``_coset_reps`` words, by
+    XOR on the swapper table reduced once: no product and no pi is evaluated.
+
+    s is exactly bilinear on words (``invariants._swappers``), so
+    s(p_v, p_w) is the sum of s(b_i, b_j) over i in v and j in w: the sum
+    over i in v of the rows _span(s(b_i, .)), indexed like the products
+    (``_span``), and the table is their ``_span_table``.  Reduction
+    (``Gf2Basis.reduce``) is linear, so it is applied once per entry of
+    the k x k table, and the sums of residues are the residues of the sums.
+    """
+    reduce = C._torsion.reduce
+    return _span_table([_span([reduce(s) for s in row]) for row in C.swappers])
+
+
+def table_pair_triple_counts(C: CodeGroup) -> List[int]:
+    """The three counts of ``hadamard._hadamard_pair_triple_checks``, read
+    from the 4^k tables ``_coset_table`` and ``_reduced_swappers``: the
+    commutator (a, b) is the table entry, and the swapper residues of a
+    are its row of the residue table.  The pair count reads a row only
+    when one of its unit entries lies outside {0, a^2}, as every entry is a
+    sum of them; the triple counts walk each square class."""
+    u = (1 << C.sig.n) - 1
+    squares, rows = _coset_table(C)
+    outside = range(1, len(squares))
+    units = [1 << j for j in range(len(C.basis))]
+    pair_bad = 0
+    for v in outside:
+        a2, row = squares[v], rows[v]
+        if a2 != u and any(row[j] and row[j] != a2 for j in units):
+            good = row.count(0) + (row.count(a2) if a2 else 0) - (row[0] in (0, a2))
+            pair_bad += len(outside) - good
+    by_square: dict = {}
+    for v in outside:
+        if squares[v] != u:
+            by_square.setdefault(squares[v], []).append(v)
+    wide = sum(Gf2Basis(members).rank > 2 for members in by_square.values())
+    residues = _reduced_swappers(C)
+    triple = 0
+    for a2, members in by_square.items():
+        for ai, a in enumerate(members):
+            for b in members[ai + 1 :]:
+                if rows[a][b] == a2:
+                    ra, rb = residues[a], residues[b]
+                    triple += sum(
+                        0 != ra[j] != rb[j] != 0 for j in outside if squares[j] != a2
+                    )
+    return [pair_bad, wide, triple]
 
 
 def translation_kernel(C: CodeGroup) -> frozenset:
@@ -246,10 +333,32 @@ def scanned_standard_generators(C: CodeGroup) -> Tuple[tuple, tuple, tuple]:
 
 
 def least_coset_words(C: CodeGroup) -> Tuple[GroupWord, ...]:
-    """min(coset, key=_sort_key) over the words of each T-coset, by
+    """min(coset, key=string_sort_key) over the words of each T-coset, by
     ``_coset_reps`` index; the oracle for ``_coset_minima``."""
     T = torsion(C).elements
-    return tuple(min((r * t for t in T), key=_sort_key) for r in _coset_reps(C))
+    return tuple(
+        min((r * t for t in T), key=lambda w: string_sort_key(w.sig, w.bits))
+        for r in _coset_reps(C)
+    )
+
+
+def string_sort_key(sig: GroupSignature, x: int) -> int:
+    """``groups._sort_key`` with the n-bit reversal made on the binary
+    string, ``format(y, "0nb")[::-1]``, instead of by byte table: the
+    second route to the key that orders words like their coordinates."""
+    z4, q8 = sig._z4, sig._q8
+    p = (x ^ (x >> 1)) & q8
+    q = (x ^ (x >> 2)) & q8
+    y = (x & ~(q8 * 0b1111)) ^ ((x & z4) << 1)
+    y |= q | (((x & q8) ^ (q & ~p)) << 1) | ((p ^ q) << 2)
+    return int(format(y, f"0{sig.n}b")[::-1], 2)
+
+
+def generated_by_presentation(C: CodeGroup, words: Sequence[GroupWord], x: int) -> bool:
+    """Whether the image x is the image of a word of <words>, by building
+    that subgroup's presentation (``CodeGroup(C.sig, words)._has_image``):
+    the second route to ``hadamard._generates``."""
+    return CodeGroup(C.sig, words)._has_image(x)
 
 
 def tiles(C: CodeGroup, gens: StandardGenSet) -> bool:
@@ -362,12 +471,18 @@ def verify(C: CodeGroup) -> None:
       ``full_space_kernel``;
     - the standard generators: ``tiles``, ``scanned_standard_generators``,
       and ``_coset_minima`` against ``least_coset_words``;
+    - the sort key: ``groups._sort_key`` against ``string_sort_key`` on
+      every image of C;
     - the coset words and their tables against ``coset_tables_by_products``,
       which multiplies the basis words out: the images (``_coset_images``),
       the squares (``_coset_squares``), every commutator as the polar form
-      of the squares (``_polar``), and the 4^k tables of the Hadamard pair
-      and triple checks (``subgroup._coset_table``,
-      ``hadamard._reduced_swappers``);
+      of the squares (``_polar``), and the 4^k tables ``_coset_table`` and
+      ``_reduced_swappers``;
+    - the Hadamard pair and triple counts, which polarize the squares,
+      against ``table_pair_triple_counts``, which reads those tables;
+    - on a Hadamard C, u in <U> and in <V> for the shape witness's V
+      (``hadamard._v_set``) and U, those of V whose square is not u, by
+      ``hadamard._generates`` against ``generated_by_presentation``;
     - the relabeling: the type, rank, kernel dimension, weights and
       ``check_bounds`` of C against those of its image under a
       ``Relabeling`` drawn from a fixed seed.
@@ -421,6 +536,11 @@ def verify(C: CodeGroup) -> None:
         "_coset_minima",
         "least_coset_words",
     )
+    _agree(
+        all(_sort_key(C.sig, x) == string_sort_key(C.sig, x) for x in _gray_stream(C)),
+        "_sort_key",
+        "string_sort_key",
+    )
     images, squares, rows, residues = coset_tables_by_products(C)
     _agree(_coset_images(C) == images, "_coset_images", "coset_tables_by_products")
     _agree(_coset_squares(C) == squares, "_coset_squares", "coset_tables_by_products")
@@ -434,6 +554,23 @@ def verify(C: CodeGroup) -> None:
     _agree(
         _reduced_swappers(C) == residues, "_reduced_swappers", "coset_tables_by_products"
     )
+    _agree(
+        [c.lhs for c in _hadamard_pair_triple_checks(C)] == table_pair_triple_counts(C),
+        "_hadamard_pair_triple_checks",
+        "table_pair_triple_counts",
+    )
+    if is_hadamard(C):
+        u = (1 << C.sig.n) - 1
+        witness = classify_shape(C).witness
+        v_set = _v_set(C, witness)
+        u_set = [(w, v) for w, v in v_set if (w * w).bits != u]
+        for words in (u_set, v_set):
+            _agree(
+                _generates(C, words, u)
+                == generated_by_presentation(C, [w for w, _ in words], u),
+                "_generates",
+                "generated_by_presentation",
+            )
     image = random_relabeling(C.sig, random.Random(0)).group(C)
     _agree(
         _relabeled_facts(C) == _relabeled_facts(image),

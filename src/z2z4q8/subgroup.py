@@ -16,35 +16,37 @@ XOR from the swapper table that ``_present`` keeps
 words are two lists built by XOR doubling on the table
 (``_coset_images``, ``_coset_squares``), with no product: C has class
 2, so the square map on C/T(C) is quadratic and every commutator is its
-polar form (``_polar``).  Only the Hadamard pair and triple checks read
-a 2^k x 2^k table (``_coset_table``, ``_span_table``).  The standard
-generators are read from the least word of each coset
-(``_coset_minima``), and K(C) is the T-cosets of the swapper null space
-(``group_kernel``).  No group keeps its Gray image: Gray(C) is a
-stream, one T-coset at a time from its image (``_gray_stream``), read
-by the weight count, by the words (``elements``) and by the |C|-sized
-routes of ``oracles``.  Words are built only for the readers that need
-them: search's draws, ``extend``'s failure witness, the structural
-converse and the oracles.  Every derived fact is computed once and kept
-on the instance (``_memoized``); element iteration order is
-lexicographic on the coordinate tuples, so every derived choice (bases,
-generating sets, reports) is deterministic.  Each subgroup built here is
-given by generators read from the same presentation.
+polar form (``_polar``), and no 2^k x 2^k table is built.  The standard
+generators are read from the sort keys of the least word of each coset,
+computed from images (``_minimum_keys``), and carry the coset index of
+each y and z; ``verify_standard`` checks them, indices included.  K(C)
+is the T-cosets of the swapper null space (``group_kernel``).  No group
+keeps its Gray image: Gray(C) is a stream, one T-coset at a time from
+its image (``_gray_stream``), read by the weight count, by the words
+(``elements``) and by the |C|-sized routes of ``oracles``.  Words are
+built only for the readers that need them: search's draws, ``extend``'s
+failure witness, the standard generators picked, the subgroups Z and K
+(``_coset_reps``), the structural converse and the oracles.  Every
+derived fact is computed once and kept on the instance (``_memoized``);
+element iteration order is lexicographic on the coordinate tuples, so
+every derived choice (bases, generating sets, reports) is deterministic.
+Each subgroup built here is given by generators read from the same presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from itertools import chain, product, starmap
 from operator import xor
-from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from .gf2 import Gf2Basis
+from .gf2 import Gf2Basis, dimension
 from .groups import (
     GroupSignature,
     GroupWord,
     _commutator_bits,
+    _commutator_blocks,
     _nu,
     _pi,
     _sort_key,
@@ -61,16 +63,21 @@ class EnumerationLimit(RuntimeError):
 _T = TypeVar("_T")
 
 
+_MISSING = object()
+
+
 def _memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
-    """Compute fn(C, ...) once per group and arguments, and keep it on C."""
+    """Compute fn(C, ...) once per group and arguments, and keep it on C;
+    a hit is one dict lookup."""
 
     @wraps(fn)
     def memoized(C: "CodeGroup", *args, **kwargs) -> _T:
-        key = (fn, args, tuple(sorted(kwargs.items())) if kwargs else ())
+        key = (fn, args, tuple(sorted(kwargs.items()))) if kwargs else (fn, args)
         cache = C._cache
-        if key not in cache:
-            cache[key] = fn(C, *args, **kwargs)
-        return cache[key]
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = cache[key] = fn(C, *args, **kwargs)
+        return value
 
     return memoized
 
@@ -101,14 +108,32 @@ class StandardGenSet:
     The x's are a GF(2) basis of T(C); the y's lift a basis of Z(C)/T(C);
     the z's lift a basis of C/Z(C).  Every element factors uniquely as
     prod(x^alpha) * prod(y^beta) * prod(z^gamma) with 0/1 exponents.
+
+    ``indices``, when given, holds the ``_coset_reps`` index of the
+    T-coset of each y and z, in the order ys + zs.  The sets read from C
+    carry them (``standard_generators`` and the shape analysis, which
+    reads squares and commutators by index), and ``verify_standard``
+    checks them against the words.
     """
 
     xs: Tuple[GroupWord, ...]
     ys: Tuple[GroupWord, ...]
     zs: Tuple[GroupWord, ...]
+    indices: Optional[Tuple[int, ...]] = None
 
     def all(self) -> Tuple[GroupWord, ...]:
         return self.xs + self.ys + self.zs
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash, taken once: the checks kept per set (``verify_standard``,
+        ``hadamard._verify_shape``) key on it.  Equal sets carry equal
+        indices, so a set that carries them is hashed by them alone, and
+        one that does not by its words."""
+        return hash(self.indices if self.indices is not None else (self.xs, self.ys, self.zs))
 
 
 class CodeGroup:
@@ -225,7 +250,11 @@ class CodeGroup:
 
     @_memoized
     def sorted_elements(self) -> List[GroupWord]:
-        return sorted(self.elements, key=_sort_key)
+        """The words of C in the order of their coordinate tuples, sorted by
+        ``_sort_key`` on the Gray stream and built after the sort."""
+        sig = self.sig
+        images = sorted(_gray_stream(self), key=partial(_sort_key, sig))
+        return [GroupWord._from_bits(sig, x) for x in images]
 
 
 def generate(
@@ -276,20 +305,6 @@ def _span(rows: Sequence[int]) -> List[int]:
     for r in rows:
         out += [v ^ r for v in out]
     return out
-
-
-def _span_table(base: Sequence[List[int]]) -> List[List[int]]:
-    """The 2^k rows T[w] = sum of base[i] over the bits i of w, entry by
-    entry, for k equal-length rows base[i] of 2^k entries.
-
-    Built by XOR doubling, T[0] = 0 and T[w + 2^i] = T[w] + base[i] for
-    w < 2^i, each row one C-level ``map`` of ``xor``: 4^k XORs, and no
-    Python step per entry.
-    """
-    table = [[0] * (1 << len(base))]
-    for b in base:
-        table += [list(map(xor, row, b)) for row in table]
-    return table
 
 
 def _reduce(
@@ -428,7 +443,10 @@ def _coset_reps(C: CodeGroup) -> Tuple[GroupWord, ...]:
     Gray(t) for t in T(C).  A T-coset is thus an affine translate of the
     linear space Gray(T).  Squares, centrality, commutators, swappers and
     membership in K(C) and in the binary kernel are constant on T-cosets,
-    so they are decided on these words and expanded by XOR with Gray(T).
+    so they are decided once per index and expanded by XOR with Gray(T).
+    The analysis reads the index's image and square; these words are
+    built only for the subgroups Z and K (``_cosets_where``) and the
+    oracles.
     """
     return tuple(GroupWord._from_bits(C.sig, x) for x in _coset_images(C))
 
@@ -512,6 +530,20 @@ def _coset_index(C: CodeGroup, x: int) -> int:
     return index
 
 
+def _locate(C: CodeGroup, x: int) -> Tuple[int, int]:
+    """(``_coset_index``, ``_coset_word``) of the word with Gray image x, by
+    one pass over the pivots: the basis words that ``_reduce`` multiplies
+    x by are those whose pivot the running nu has, the bits of the index.
+    The coset word is 0 exactly on C, and the index means something only
+    there."""
+    sig, v, index = C.sig, _nu(C.sig, x), 0
+    for i, (pivot, vb, b) in enumerate(C._pivots):
+        if v & pivot:
+            x ^= _pi(sig, x, b)
+            v, index = v ^ vb, index | 1 << i
+    return index, C._torsion.reduce(x)
+
+
 @_memoized
 def _form(C: CodeGroup) -> List[List[int]]:
     """F(i, j) = Gray((b_i, b_j)) = s(b_i, b_j) + s(b_j, b_i): the
@@ -522,28 +554,23 @@ def _form(C: CodeGroup) -> List[List[int]]:
 
 
 @_memoized
-def _coset_table(C: CodeGroup) -> Tuple[List[int], List[List[int]]]:
-    """(squares, commutator rows) of the ``_coset_reps`` words, by index:
-    the 4^k table that only the Hadamard pair and triple checks read
-    (``hadamard._hadamard_pair_triple_checks``); every other reader of a
-    commutator polarizes the squares (``_polar``).
-
-    The squares are ``_coset_squares``.  The rows are by bilinearity: C
-    has class 2, so its commutators have order <= 2, they are central,
-    (xy, z) = (x, z)(y, z) = (z, xy), and Gray adds on them.  So with
-    F(i, j) = Gray((b_i, b_j)) (``_form``), the entry Gray((p_w, p_v)) is
-    the sum of F(i, j) over i in w and j in v: the sum over i in w of the
-    rows _span(F(i, .)), indexed like the products (``_span``,
-    ``_products``), and the table is their ``_span_table``.  Its unit
-    entries are rows[w][2^j] = Gray((p_w, b_j)), the sum of F(i, j) over i
-    in w.  T(C) is central of exponent 2, so (p t, w) = (p, w).
-    """
-    return _coset_squares(C), _span_table([_span(f) for f in _form(C)])
+def _side_by_side(C: CodeGroup) -> Tuple[int, int, int]:
+    """(R, B, Q): the basis images b_j laid side by side at bits j*n, B =
+    sum b_j << j*n, with R = sum 1 << j*n and Q = R * (the low bit of every
+    Q8 block), the masks ``_form_row`` reads."""
+    n = C.sig.n
+    ones = sum(1 << (j * n) for j in range(len(C.basis)))
+    packed = sum(b << (j * n) for j, b in enumerate(C.basis))
+    return ones, packed, ones * C.sig._q8
 
 
-def _form_row(sig: GroupSignature, a: int, words: Sequence[int]) -> int:
-    """Gray((a, w_j)) at bits j*n, for words a and w_j given by their images."""
-    return sum(_commutator_bits(sig, a, w) << (j * sig.n) for j, w in enumerate(words))
+def _form_row(C: CodeGroup, a: int) -> int:
+    """Gray((a, b_j)) at bits j*n, for the basis words b_j of C and a word a
+    given by its image: one ``_commutator_blocks`` on a * R, a copy of a at
+    each j*n (a < 2^n), against the b_j side by side, with the low bits of
+    all their Q8 blocks (``_side_by_side``)."""
+    ones, packed, q8 = _side_by_side(C)
+    return _commutator_blocks(q8, a * ones, packed)
 
 
 def _null_space(rows: Sequence[int]) -> Tuple[int, ...]:
@@ -640,10 +667,9 @@ def code_type(C: CodeGroup) -> CodeType:
 def _key_basis(C: CodeGroup) -> Gf2Basis:
     """The rows _sort_key(t) << n | Gray(t) over a basis of T(C), the
     ``torsion_rows``, in reduced echelon form; every pivot is the top bit of
-    a key (``_coset_minima``)."""
-    sig = C.sig
-    keys = (_sort_key(GroupWord._from_bits(sig, t)) for t in C.torsion_rows)
-    return Gf2Basis(key << sig.n | t for key, t in zip(keys, C.torsion_rows))
+    a key (``_minimum_keys``)."""
+    sig, n = C.sig, C.sig.n
+    return Gf2Basis(_sort_key(sig, t) << n | t for t in C.torsion_rows)
 
 
 @_memoized
@@ -670,16 +696,24 @@ def _minimum_keys(C: CodeGroup) -> Tuple[int, ...]:
     key(t), whose top bit is a pivot, clear in the reduced vector, with
     every higher bit equal.  The low n bits carry Gray(r) + Gray(t) =
     Gray(r t) along, for the same t.  The cost is O(sigma) XORs per coset.
+    Both keys are read from images (``torsion_rows``, ``_coset_images``),
+    so no word is built.
     """
-    n, keys = C.sig.n, _key_basis(C)
-    return tuple(keys.reduce(_sort_key(r) << n | r.bits) for r in _coset_reps(C))
+    sig, n, keys = C.sig, C.sig.n, _key_basis(C)
+    return tuple(keys.reduce(_sort_key(sig, r) << n | r) for r in _coset_images(C))
+
+
+def _coset_minimum(C: CodeGroup, v: int) -> GroupWord:
+    """The ``_sort_key``-least word of the T-coset of index v
+    (``_minimum_keys``)."""
+    return GroupWord._from_bits(C.sig, _minimum_keys(C)[v] & ((1 << C.sig.n) - 1))
 
 
 def _coset_minima(C: CodeGroup) -> Tuple[GroupWord, ...]:
     """The ``_sort_key``-least word of each T-coset, by ``_coset_reps`` index
-    (``_minimum_keys``)."""
-    low = (1 << C.sig.n) - 1
-    return tuple(GroupWord._from_bits(C.sig, k & low) for k in _minimum_keys(C))
+    (``_coset_minimum``); ``oracles.verify`` compares them with
+    ``least_coset_words``."""
+    return tuple(_coset_minimum(C, v) for v in range(len(_minimum_keys(C))))
 
 
 @_memoized
@@ -690,8 +724,8 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     enlarge the GF(2) span of the Gray images, y's over Z(C) that enlarge
     <T, ys>, z's over C that enlarge <Z, zs> (the scan is the oracle
     ``oracles.scanned_standard_generators``).  They are read from the 2^k
-    coset minima (``_coset_minima``), ordered by the reduced keys they
-    were read from (``_minimum_keys``), without sorting a group.
+    reduced keys of the coset minima (``_minimum_keys``), without sorting
+    a group, and only the picked minima are built as words.
 
     x's: the key is linear and injective on T, so the scan picks the words
     of T whose key leaves the span of the keys picked before.  Once the
@@ -709,17 +743,28 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     is scanned stays dependent, so the scan picks minima only.  The y's are
     the minima of the radical's cosets (``_radical``), the z's those of all
     cosets, each in key order, taken when the index is independent of the
-    indices taken before.  The result is checked by ``verify_standard``.
+    indices taken before.  The set carries those indices, and is checked
+    by ``verify_standard``.
     """
     low = (1 << C.sig.n) - 1
     xs = tuple(GroupWord._from_bits(C.sig, row & low) for row in _key_basis(C).rows())
-    minima, keys = _coset_minima(C), _minimum_keys(C)
+    keys = _minimum_keys(C)
     radical = frozenset(_radical(C))
     scan = sorted(range(len(keys)), key=keys.__getitem__)
-    picked = Gf2Basis()
-    ys = tuple(minima[v] for v in scan if v in radical and picked.add(v))
-    zs = tuple(minima[v] for v in scan if picked.add(v))
-    gens = StandardGenSet(xs, ys, zs)
+    spanned = {0}  # the span of the indices taken so far
+
+    def independent(v: int) -> bool:
+        if v in spanned:
+            return False
+        spanned.update([s ^ v for s in spanned])
+        return True
+
+    ys = [v for v in scan if v in radical and independent(v)]
+    zs = [v for v in scan if independent(v)]
+    minimum = partial(_coset_minimum, C)
+    gens = StandardGenSet(
+        xs, tuple(map(minimum, ys)), tuple(map(minimum, zs)), tuple(ys + zs)
+    )
     verify_standard(C, gens)
     return gens
 
@@ -730,22 +775,28 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
 
     Every check reads the presentation, and none builds a word or the Gray
     image of C.  The x's are a basis of T(C) when they are sigma
-    independent images in Gray(T).  The y's and z's are tested by ``w in
-    C``; as words have order 1, 2 or 4 and ``_nu`` vanishes exactly on
-    order <= 2, order 4 is nu != 0.  Centrality is read from commutators
-    with the presentation basis, not from ``_radical``: y is central in C
+    independent images in Gray(T).  The y's and z's are located in C by
+    one pass each (``_locate``): a word lies in C exactly when its coset
+    word is 0, and then its index is the one the set carries, if it
+    carries any.  For a word w of C, nu(w) is the sum of the nu(b_i) over
+    the bits of its index, and the nu(b_i) are independent (``_present``),
+    so the nu facts below are read from the indices: as words have order
+    1, 2 or 4 and ``_nu`` vanishes exactly on order <= 2, order 4 is a
+    nonzero index, and the nu of a set of words of C have the rank of
+    their indices.  Centrality is read from commutators with the
+    presentation basis, not from ``_radical``: y is central in C
     exactly when it commutes with each b_i, as C = <T(C), b_1..b_k> and
     words of order <= 2 are central in the ambient group.  As commutators
     are bilinear, no product of z's is central when the z's commutator
     vectors are independent.
 
     The y/z products meet each T-coset of C once exactly when the nu of the
-    y's and z's have rank delta + rho.  nu is a homomorphism, so the
-    ordered product p_e of the g_i picked by e has nu(p_e) = sum_i e_i
-    nu(g_i).  Two products lie in one T-coset exactly when p_e^-1 p_e'
-    lies in T(C) = C n Omega, i.e. when their nu agree.  So the 2^(delta +
-    rho) products lie in distinct T-cosets exactly when the nu(g_i) are
-    independent, and as C has 2^(delta + rho) T-cosets, they then meet
+    y's and z's (their indices) have rank delta + rho.  nu is a
+    homomorphism, so the ordered product p_e of the g_i picked by e has
+    nu(p_e) = sum_i e_i nu(g_i).  Two products lie in one T-coset exactly
+    when p_e^-1 p_e' lies in T(C) = C n Omega, i.e. when their nu agree.
+    So the 2^(delta + rho) products lie in distinct T-cosets exactly when
+    the nu(g_i) are independent, and as C has 2^(delta + rho) T-cosets, they then meet
     each once.  The 2^delta products of y's are central and those using a
     z are not, so Z(C) = <T(C), ys>, and delta is checked too.
 
@@ -754,7 +805,9 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     (group, generating set) (``_memoized``), and the shape analysis, which
     verifies the standard, normalized and witness sets and often finds
     them equal, runs the body once per distinct set.  A failure raises
-    before anything is kept, so a failing set raises on every call.
+    before anything is kept, so a failing set raises on every call.  The
+    ranks are taken by elimination on leading bits (``gf2.dimension``),
+    with no reduced echelon basis built.
     """
     ct = code_type(C)
     if (len(gens.xs), len(gens.ys), len(gens.zs)) != ct.as_tuple():
@@ -765,20 +818,22 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     if ct.sigma < ct.delta:
         raise RuntimeError(f"sigma < delta in type {ct}")
     xs = [x.bits for x in gens.xs]
-    if Gf2Basis(xs).rank != ct.sigma or not all(map(C._torsion.contains, xs)):
+    if dimension(xs) != ct.sigma or not all(map(C._torsion.contains, xs)):
         raise ValueError("x generators are not a basis of T(C)")
-    yz = gens.ys + gens.zs
-    if not all(w in C for w in yz):
+    located = [_locate(C, w.bits) for w in gens.ys + gens.zs]
+    if any(residue for _, residue in located):
         raise ValueError("a y or z generator lies outside C")
-    nus = [_nu(C.sig, w.bits) for w in yz]
-    if not all(nus):
+    indices = tuple(v for v, _ in located)
+    if gens.indices is not None and gens.indices != indices:
+        raise ValueError("the coset indices the set carries are not those of its words")
+    if not all(indices):
         raise ValueError("a y or z generator does not have order 4")
     for y in gens.ys:
-        if _form_row(C.sig, y.bits, C.basis):
+        if _form_row(C, y.bits):
             raise ValueError(f"y generator {y} is not central")
-    if Gf2Basis(_form_row(C.sig, z.bits, C.basis) for z in gens.zs).rank != ct.rho:
+    if dimension(_form_row(C, z.bits) for z in gens.zs) != ct.rho:
         raise ValueError("a product of z generators is central")
-    if Gf2Basis(nus).rank != ct.delta + ct.rho:
+    if dimension(indices) != ct.delta + ct.rho:
         raise ValueError("y/z products do not meet each T-coset of C once")
 
 

@@ -209,7 +209,7 @@ def test_the_product_kernel_looks_nothing_up(monkeypatch):
     rng = random.Random(8)
     w, v = random_word(MIXED, rng), random_word(MIXED, rng)
     calls = count_calls(monkeypatch, groups_module, "_tables", "_sections")
-    w * v, w.inverse(), w.order(), _sort_key(w)
+    w * v, w.inverse(), w.order(), _sort_key(w.sig, w.bits)
     assert not calls
 
 
@@ -256,7 +256,8 @@ def test_nu_is_a_homomorphism_with_kernel_the_words_of_order_at_most_2():
 def test_sort_key_order_is_coordinate_order():
     words = all_words(GroupSignature(1, 2, 2))
     random.Random(3).shuffle(words)
-    assert sorted(words, key=_sort_key) == sorted(words, key=lambda w: w.coords)
+    key = lambda w: _sort_key(w.sig, w.bits)
+    assert sorted(words, key=key) == sorted(words, key=lambda w: w.coords)
 
 
 

@@ -32,12 +32,19 @@ from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.groups import Q8_MUL, GroupWord
 from z2z4q8.hadamard import (
     ClassificationError,
+    _generates,
     _hadamard_pair_triple_checks,
     _indexed,
     _pair_reorder,
-    _reduced_swappers,
+    _v_set,
 )
-from z2z4q8.oracles import _is_perfect_set, _swapper_bits, gray_codewords
+from z2z4q8.oracles import (
+    _is_perfect_set,
+    _reduced_swappers,
+    _swapper_bits,
+    generated_by_presentation,
+    gray_codewords,
+)
 from z2z4q8.subgroup import (
     StandardGenSet,
     _coset_reps,
@@ -523,7 +530,7 @@ def test_a_caller_base_with_a_z_outside_c_raises_value_error(hadamard16):
 
 
 @pytest.mark.parametrize("corruption", ["commutator rows zeroed", "squares moved by u"])
-def test_a_corrupted_coset_table_is_caught_on_the_words(monkeypatch, corruption):
+def test_a_corrupted_square_list_is_caught_on_the_words(monkeypatch, corruption):
     """The walk branches on the square list ``_coset_squares`` and reads
     each commutator as its polar form, and the witness is checked on its
     words, so a list with every commutator 0 (the sums of the basis
@@ -569,3 +576,116 @@ def test_the_shape_layer_multiplies_few_words(monkeypatch):
     for C in groups:
         hadamard_bounds(C, classify_shape(C))
     assert 0 < len(products) <= 100
+
+
+# The ordered pairs of same-signature Hadamard fixtures whose shapes
+# ``hadamard_bounds`` once read as the other group's, answering with failed
+# rows instead of an error.
+FOREIGN_SHAPES_WITH_FAILED_ROWS = [
+    (a, b)
+    for group in (
+        ("hadamard32_q8_rank7", "hadamard32_q8_shape5", "kronecker32_plain", "kronecker32_shape5"),
+    )
+    for a in group
+    for b in group
+    if a != b
+]
+
+
+def test_a_shape_of_another_group_is_refused():
+    """``hadamard_bounds(C, shape)`` checks a caller's shape against C
+    before it reads an index: over the 22 ordered pairs of distinct
+    Hadamard fixtures of one signature, the shape of the second raises on
+    the first (ValueError from ``verify_standard``), the 12 pairs that
+    once gave failed rows among them, unless the two groups are equal
+    (``ext_hamming8_z2q8`` and ``hadamard8_z2q8_shape4``), where the
+    shape is the group's own and every row holds.  Each fixture's own
+    shape passes."""
+    groups = {name: load_fixture(name) for name in HADAMARD_FIXTURES}
+    pairs = [
+        (a, b) for a in groups for b in groups if a != b and groups[a].sig == groups[b].sig
+    ]
+    assert len(pairs) == 22 and set(FOREIGN_SHAPES_WITH_FAILED_ROWS) <= set(pairs)
+    refused, equal = [], []
+    for a, b in pairs:
+        C, shape = groups[a], classify_shape(groups[b])
+        if C == groups[b]:
+            assert hadamard_bounds(C, shape).all_ok
+            equal.append((a, b))
+            continue
+        with pytest.raises(ValueError):
+            hadamard_bounds(C, shape)
+        refused.append((a, b))
+    assert len(refused) == 20 and set(FOREIGN_SHAPES_WITH_FAILED_ROWS) <= set(refused)
+    assert equal == [
+        ("ext_hamming8_z2q8", "hadamard8_z2q8_shape4"),
+        ("hadamard8_z2q8_shape4", "ext_hamming8_z2q8"),
+    ]
+    for C in groups.values():
+        assert hadamard_bounds(C, classify_shape(C)).all_ok
+
+
+def test_a_shape_with_a_wrong_tag_or_wrong_indices_is_refused():
+    """A shape whose words are C's is checked too: the witness of
+    ``hadamard16_q8`` (shape 2) under tag 3 fails ``_verify_shape``, and
+    the same words carrying the indices of the z's in another order fail
+    ``verify_standard``."""
+    C = load_fixture("hadamard16_q8")
+    shape = classify_shape(C)
+    wrong_tag = hadamard.Shape(3, shape.witness, shape.structure, shape.trail)
+    with pytest.raises(ClassificationError, match="shape 3 needs"):
+        hadamard_bounds(C, wrong_tag)
+    base = shape.witness.base
+    ys = len(base.ys)
+    swapped = base.indices[:ys] + base.indices[ys:][::-1]
+    assert swapped != base.indices
+    moved = StandardGenSet(base.xs, base.ys, base.zs, swapped)
+    wrong_indices = hadamard.Shape(
+        2, hadamard.NormalizedGenSet(moved, shape.witness.epsilon), shape.structure, shape.trail
+    )
+    with pytest.raises(ValueError, match="coset indices"):
+        hadamard_bounds(C, wrong_indices)
+
+
+def test_the_bounds_check_the_shape_classify_shape_returned_from_the_cache(monkeypatch):
+    """``_verify_shape`` is kept per (group, witness, tag), so the check of
+    the shape ``analyze`` hands to ``hadamard_bounds`` is a cache hit: no
+    relation is required again.  A witness of another tag is checked."""
+    C = load_fixture("hadamard32_q8_shape5")
+    shape = classify_shape(C)
+    required = []
+    real = hadamard._require
+
+    def counting(condition, message):
+        required.append(message)
+        return real(condition, message)
+
+    monkeypatch.setattr(hadamard, "_require", counting)
+    assert hadamard_bounds(C, shape).all_ok
+    assert required == []
+    with pytest.raises(ClassificationError):
+        hadamard_bounds(C, hadamard.Shape(2, shape.witness, shape.structure, shape.trail))
+    assert required
+
+
+def test_u_in_the_span_of_u_is_decided_on_indices_as_on_the_built_subgroup():
+    """``_generates`` decides u in <U> by elimination on the indices, with
+    no subgroup built.  On every Hadamard fixture, for U the witness's
+    words whose square is not u, for all of the y's and z's, and for each
+    prefix of them, and for u and every square of a z, it agrees with
+    ``CodeGroup(C.sig, U)._has_image``."""
+    checked = 0
+    for name in HADAMARD_FIXTURES:
+        C = load_fixture(name)
+        witness = classify_shape(C).witness
+        u = (1 << C.sig.n) - 1
+        v_set = _v_set(C, witness)
+        u_set = [(w, v) for w, v in v_set if (w * w).bits != u]
+        words = list(zip(witness.ys + witness.zs, witness.base.indices))
+        targets = [u] + [(z * z).bits for z in witness.zs]
+        for chosen in [u_set, v_set] + [words[:i] for i in range(len(words) + 1)]:
+            for x in targets:
+                built = generated_by_presentation(C, [w for w, _ in chosen], x)
+                assert _generates(C, chosen, x) == built, (name, chosen, x)
+                checked += 1
+    assert checked > 300

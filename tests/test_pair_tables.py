@@ -3,13 +3,13 @@ images they read, and the shortcuts that read each row's k unit entries,
 against brute force.
 
 ``_coset_images`` and ``_coset_squares`` are built by XOR doubling
-(``_doubling``), and ``_pairwise_checks`` reads every commutator as the
-polar form of the squares (``_polar``).  Only the Hadamard pair and
-triple checks read the 4^k tables ``_coset_table`` and
-``_reduced_swappers`` (``_span_table``).  Both checklists skip a row from
-its unit entries when a span argument allows.  Here the lists and tables
-are compared with word products, and every count with a count over each
-pair, on real groups and with a planted fault.
+(``_doubling``), and both ``_pairwise_checks`` and the Hadamard pair and
+triple checks read every commutator as the polar form of the squares
+(``_polar``).  The 4^k tables ``_coset_table`` and ``_reduced_swappers``
+(``_span_table``) are second routes in ``oracles``.  Both checklists skip
+a row from its unit entries when a span argument allows.  Here the lists
+and tables are compared with word products, and every count with a count
+over each pair, on real groups and with a planted fault.
 """
 
 from __future__ import annotations
@@ -22,22 +22,31 @@ import z2z4q8.hadamard as hadamard
 import z2z4q8.invariants as invariants
 import z2z4q8.oracles as oracles
 import z2z4q8.subgroup as subgroup
-from z2z4q8 import GroupSignature, GroupWord, analyze, hadamard_bounds, is_hadamard
+from z2z4q8 import (
+    GroupSignature,
+    GroupWord,
+    analyze,
+    center,
+    generalized_kronecker,
+    generate,
+    hadamard_bounds,
+    identity,
+    is_hadamard,
+)
 from z2z4q8.fixtures import load_fixture
 from z2z4q8.gf2 import Gf2Basis
-from z2z4q8.hadamard import _hadamard_pair_triple_checks, _reduced_swappers
+from z2z4q8.hadamard import _hadamard_pair_triple_checks
 from z2z4q8.invariants import _pairwise_checks
-from z2z4q8.oracles import _swapper_bits, verify
-from z2z4q8.subgroup import (
-    _coset_images,
-    _coset_squares,
+from z2z4q8.oracles import (
     _coset_table,
-    _polar,
-    _products,
-    _span,
+    _reduced_swappers,
+    _swapper_bits,
+    table_pair_triple_counts,
+    verify,
 )
+from z2z4q8.subgroup import _coset_images, _coset_squares, _polar, _products
 
-from conftest import count_calls, random_subgroup, word_commutator
+from conftest import SHIPPED_FIXTURES, count_calls, random_subgroup, word_commutator
 
 DENSE_SIGNATURES = (GroupSignature(0, 0, 4), GroupSignature(4, 2, 2))
 
@@ -152,68 +161,84 @@ def test_pair_counts_at_k_5_and_6_equal_the_brute_force():
         squares, rows = _coset_table(C)
         assert _pairwise_counts(C) == _brute_pairwise(squares, rows), C.generators
         brute = _brute_hadamard(C, squares, rows, _reduced_swappers(C))
-        assert _hadamard_counts(C) == brute, C.generators
+        assert _hadamard_counts(C) == brute == table_pair_triple_counts(C), C.generators
         pair_counts.append(brute[0])
     assert any(pair_counts)
 
 
-def test_a_non_hadamard_analysis_builds_no_4k_table(monkeypatch):
-    """``analyze`` of a non-Hadamard code reads only the 2^k lists: it
-    calls ``_span_table`` zero times, while the Hadamard pair and triple
-    checks still build their tables."""
-    calls = count_calls(monkeypatch, subgroup, "_span_table")
-    for C in _dense_groups():
+def _chain_members():
+    """The Kronecker chains of the benchmark from ``hadamard16_q8`` and
+    ``hadamard16_z2z4_delta2`` to n = 256, each doubling element a product
+    of powers of the generators drawn from a fixed seed."""
+    rng = random.Random(1)
+    members = []
+    for start in ("hadamard16_q8", "hadamard16_z2z4_delta2"):
+        C = load_fixture(start)
+        members.append(C)
+        while C.sig.n < 256:
+            g = identity(C.sig)
+            for w in C.generators:
+                g = g * w ** rng.randrange(4)
+            C = generalized_kronecker(C, g).output
+            members.append(C)
+    return members
+
+
+def test_an_analysis_builds_no_4k_table_and_no_coset_words(monkeypatch):
+    """``analyze`` reads only the 2^k lists, on every input: over the dense
+    groups, the 21 fixtures (18 of them Hadamard) and the chain members to
+    n = 256 (all Hadamard), it calls ``_span_table`` zero times, and
+    ``_coset_reps`` zero times, while the second routes still build the
+    tables."""
+    groups = _dense_groups() + [load_fixture(name) for name in SHIPPED_FIXTURES]
+    groups += _chain_members()
+    groups = [generate(C.generators) for C in groups]  # nothing cached
+    assert len(groups) == 4 + 21 + 10
+    assert sum(map(is_hadamard, groups)) == 18 + 10
+    tables = count_calls(monkeypatch, oracles, "_span_table")
+    words = count_calls(monkeypatch, subgroup, "_coset_reps")
+    for C in groups:
         analyze(C)
-    assert calls["_span_table"] == 0
-    hadamard_bounds(load_fixture("hadamard16_q8"))
-    assert calls["_span_table"] == 2
+    assert tables == words == {}
+    C = load_fixture("hadamard16_q8")
+    assert table_pair_triple_counts(C) == _hadamard_counts(C)
+    center(C)
+    assert tables["_span_table"] == 2 and words["_coset_reps"] == 1
 
 
-def _plant_squares(monkeypatch, fault):
-    """Patch ``_coset_squares`` where ``_pairwise_checks`` reads it with the
-    squares of one planted fault: ``fault(C, squares)`` gives (d, i, j),
-    and the square of each p_v with bits i and j of v set moves by d.
-    That is what a fault d in the entry s(b_i, b_i) (i = j) or in the
+def _corrupted_squares(fault):
+    """The squares with one planted fault: ``fault(C, squares)`` gives (d,
+    i, j), and the square of each p_v with bits i and j of v set moves by
+    d.  That is what a fault d in the entry s(b_i, b_i) (i = j) or in the
     commutator form F(i, j) of the swapper table gives: the list stays a
     quadratic form, so each row of its polar form stays the span of its
-    unit entries.  Returns a reader of the tables each checklist then
-    sees: (its squares, the Hadamard squares and rows)."""
-    real = _coset_squares
+    unit entries."""
 
     def corrupted(C):
-        squares = real(C)
+        squares = _coset_squares(C)
         d, i, j = fault(C, squares)
         mask = 1 << i | 1 << j
         return [sq ^ d if v & mask == mask else sq for v, sq in enumerate(squares)]
 
+    return corrupted
+
+
+def _plant_squares(monkeypatch, fault):
+    """Patch ``_coset_squares`` where ``_pairwise_checks`` reads it with
+    the squares of one planted fault (``_corrupted_squares``).  Returns a
+    reader of the squares each checklist then sees: (its squares, the
+    Hadamard squares)."""
+    corrupted = _corrupted_squares(fault)
     monkeypatch.setattr(invariants, "_coset_squares", corrupted)
-    return lambda C: (corrupted(C), *_coset_table(C))
+    return lambda C: (corrupted(C), _coset_squares(C))
 
 
-def _plant_rows(monkeypatch, fault):
-    """Patch ``_coset_table`` where the Hadamard pair checks read it with a
-    copy in which ``fault(C, squares, rows)``, a pair (v, row), replaces
-    row v.  Returns a reader like ``_plant_squares``'s."""
-    real = _coset_table
-
-    def corrupted(C):
-        squares, rows = real(C)
-        rows = [list(row) for row in rows]
-        v, row = fault(C, squares, rows)
-        rows[v] = row
-        return squares, rows
-
-    monkeypatch.setattr(hadamard, "_coset_table", corrupted)
-    return lambda C: (_coset_squares(C), *corrupted(C))
-
-
-def _with_unit(rows, v, k, j, value):
-    """Row v rebuilt as the span of its k unit entries, unit j set to
-    value: the row a fault in the k x k swapper table would give, which
-    keeps every entry a sum of the unit entries."""
-    units = [rows[v][1 << i] for i in range(k)]
-    units[j] = value
-    return _span(units)
+def _plant_hadamard_squares(monkeypatch, fault):
+    """Patch ``_coset_squares`` where the Hadamard pair and triple checks
+    read it, like ``_plant_squares``."""
+    corrupted = _corrupted_squares(fault)
+    monkeypatch.setattr(hadamard, "_coset_squares", corrupted)
+    return lambda C: (_coset_squares(C), corrupted(C))
 
 
 def _square_cleared(C, squares):
@@ -235,10 +260,13 @@ def _commuting_pair_in_a_square_class(C, squares):
     return _polar(squares, 1 << i, 1 << j), i, j
 
 
-def _unit_outside_square_pair(C, squares, rows):
+def _unit_outside_square_pair(C, squares):
+    """u added to the commutator form F(i, j), for a basis word b_i whose
+    square is neither 0 nor u and any other j: the unit entry (b_i, b_j)
+    of its row, in {0, b_i^2} before, moves by u, outside {0, b_i^2}."""
     u = (1 << C.sig.n) - 1
-    v = next(v for v in range(1, len(squares)) if squares[v] not in (0, u))
-    return v, _with_unit(rows, v, len(C.basis), len(C.basis) - 1, u)
+    i = next(i for i in range(len(C.basis)) if squares[1 << i] not in (0, u))
+    return u, i, (i + 1) % len(C.basis)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +274,7 @@ def _unit_outside_square_pair(C, squares, rows):
     [
         (_plant_squares, _square_cleared, 0),
         (_plant_squares, _commuting_pair_in_a_square_class, 1),
-        (_plant_rows, _unit_outside_square_pair, 2),
+        (_plant_hadamard_squares, _unit_outside_square_pair, 2),
     ],
     ids=["bits outside the square", "zero inside a square class", "unit outside {0, a^2}"],
 )
@@ -254,18 +282,19 @@ def test_a_planted_fault_is_counted_exactly(monkeypatch, plant, fault, counted):
     """A shortcut cannot hide a violation: on ``hadamard16_q8``, where every
     count is 0, a square cleared under a nonzero commutator (weight n
     above it), a commutator cancelled between two basis words of one
-    square class (both planted in the squares, and so in their polar
-    form), or a unit entry u outside {0, a^2} in the Hadamard pair table
-    makes its count nonzero, and every count equals the brute force over
-    every pair of the corrupted tables."""
+    square class, or a unit commutator moved by u outside {0, a^2} for
+    the Hadamard pair check (each planted in the squares, and so in their
+    polar form) makes its count nonzero, and every count equals the brute
+    force over every pair of the polar tables of the corrupted squares."""
     C = load_fixture("hadamard16_q8")
     assert _pairwise_counts(C) + _hadamard_counts(C) == [0] * 5
     assert hadamard_bounds(C).all_ok
-    pair_squares, squares, rows = plant(monkeypatch, fault)(C)
-    assert (pair_squares, rows) != _coset_table(C)
+    pair_squares, squares = plant(monkeypatch, fault)(C)
+    assert (pair_squares, squares) != (_coset_squares(C), _coset_squares(C))
     counts = _pairwise_counts(C) + _hadamard_counts(C)
     brute = _brute_pairwise(pair_squares, _polar_rows(pair_squares))
-    assert counts == brute + _brute_hadamard(C, squares, rows, _reduced_swappers(C))
+    residues = _reduced_swappers(C)
+    assert counts == brute + _brute_hadamard(C, squares, _polar_rows(squares), residues)
     assert counts[counted] > 0
 
 
@@ -309,4 +338,30 @@ def test_verify_names_a_corrupted_table(monkeypatch):
     with pytest.raises(
         RuntimeError, match="_reduced_swappers disagrees with coset_tables_by_products"
     ):
+        verify(C)
+
+
+def test_verify_names_each_replaced_route(monkeypatch):
+    """Each route the Hadamard layer replaced stays a ``verify`` pair, and a
+    planted fault in the hot route makes ``verify`` name it: a sort key
+    whose bit reversal drops the top bit, the Hadamard pair check reading
+    squares with a unit commutator moved by u (``_unit_outside_square_pair``),
+    and u in <U> answered the other way."""
+    C = load_fixture("hadamard16_q8")
+    verify(C)
+    with monkeypatch.context() as patch:
+        real_key = oracles._sort_key
+        patch.setattr(oracles, "_sort_key", lambda sig, x: real_key(sig, x) >> 1)
+        with pytest.raises(RuntimeError, match="_sort_key disagrees with string_sort_key"):
+            verify(C)
+    with monkeypatch.context() as patch:
+        _plant_hadamard_squares(patch, _unit_outside_square_pair)
+        with pytest.raises(
+            RuntimeError,
+            match="_hadamard_pair_triple_checks disagrees with table_pair_triple_counts",
+        ):
+            verify(C)
+    real_generates = oracles._generates
+    monkeypatch.setattr(oracles, "_generates", lambda *args: not real_generates(*args))
+    with pytest.raises(RuntimeError, match="_generates disagrees with generated_by_presentation"):
         verify(C)

@@ -41,6 +41,7 @@ from z2z4q8 import (
     random_doubling_element,
     rank,
     render_json,
+    search,
     structural_converse_check,
     swapper,
     u_element,
@@ -65,11 +66,14 @@ from z2z4q8.groups import (
     _nu,
     _pi,
     _random_word,
+    _sort_key,
 )
+from z2z4q8.hadamard import _generates
 from z2z4q8.search import _random_abelian_base, _random_ambient_word, _random_torsion_word
 from z2z4q8.invariants import _kernel_cosets, _pairwise_checks, span_group
 from z2z4q8.oracles import (
     Relabeling,
+    _coset_table,
     _swapper_bits,
     closure,
     coset_row_space,
@@ -79,23 +83,26 @@ from z2z4q8.oracles import (
     least_coset_words,
     q8_bit_automorphisms,
     random_relabeling,
+    generated_by_presentation,
     representative_kernel_cosets,
+    string_sort_key,
     swapper_scan_kernel,
     translation_kernel,
     verify,
 )
 from z2z4q8.subgroup import (
     _coset_images,
+    _coset_index,
     _coset_minima,
     _coset_reps,
     _coset_squares,
-    _coset_table,
     _coset_word,
     _form_row,
     _null_space,
     _polar,
     _products,
     _radical,
+    _span,
 )
 
 from conftest import (
@@ -515,7 +522,7 @@ def test_property_swapper_table_and_its_readers_match_word_products(data):
         [(p * p).bits for p in reps],
         [[word_commutator(p, q).bits for q in reps] for p in reps],
     )
-    form = [_form_row(sig, b, basis) for b in basis]
+    form = [_form_row(C, b) for b in basis]
     assert _radical(C) == _null_space(form)
     gens = C.generators
     pairs = all(x * y == y * x for x in gens for y in gens)
@@ -1014,3 +1021,114 @@ def test_relabeled_dense_and_fixture_reports_are_byte_identical():
         report = render_json(analyze(C))
         for _ in range(6):
             assert render_json(analyze(random_relabeling(C.sig, rng).group(C))) == report
+
+
+def _hadamard_groups():
+    """The Hadamard fixtures, the ``search`` outputs at 16, 32 and 64 of the
+    golden settings, and the benchmark's two Kronecker chains to n = 256,
+    each doubling element a product of powers of the generators."""
+    groups = [load_fixture(name) for name in SHIPPED_FIXTURES]
+    for length, seed, budget in ((16, 1, 2500), (32, 2, 300), (64, 1, 200)):
+        found = search(length, seed=seed, budget=budget)
+        groups += [generate(code.generators) for code in found]
+    rng = random.Random(1)
+    for start in ("hadamard16_q8", "hadamard16_z2z4_delta2"):
+        C = load_fixture(start)
+        while C.sig.n < 256:
+            g = identity(C.sig)
+            for w in C.generators:
+                g = g * w ** rng.randrange(4)
+            C = generalized_kronecker(C, g).output
+            groups.append(C)
+    return [C for C in groups if is_hadamard(C)]
+
+
+def test_a_relabeled_hadamard_report_keeps_every_field_but_the_witness_rows():
+    """The report of a Hadamard code depends on the code up to the ambient's
+    relabelings, except through the normalized witness: over the
+    Hadamard fixtures, the search outputs at 16/32/64 and the chain
+    members, under six relabelings each, every ``analyze`` field but
+    ``normalized_generators`` and ``bounds`` is unchanged, so is the
+    structure string, and every bound row of the image holds.  The rows
+    may differ only in the two "u outside <U>" rows, which
+    ``_normalized_set_checks`` adds when u lies outside <U> for the one
+    witness ``classify_shape`` returns (ROADMAP item 12); they do here."""
+    witness_rows = {
+        "u outside <U>: log2|<W>| = delta + rho - epsilon",
+        "u outside <U>: sigma >= delta + rho - epsilon",
+    }
+    groups = _hadamard_groups()
+    assert len(groups) == 18 + 21 + 8
+    rng = random.Random(12)
+    moved = 0
+    for C in groups:
+        report = analyze(C)
+        for _ in range(6):
+            image = analyze(random_relabeling(C.sig, rng).group(C))
+            for field in report.keys() - {"normalized_generators", "bounds"}:
+                assert image[field] == report[field], (C.generators, field)
+            structure = image["normalized_generators"]["structure"]
+            assert structure == report["normalized_generators"]["structure"]
+            assert all(row["ok"] for row in image["bounds"]), C.generators
+            names = {row["name"] for row in report["bounds"]}
+            assert names ^ {row["name"] for row in image["bounds"]} <= witness_rows
+            moved += image["bounds"] != report["bounds"]
+    assert moved > 0
+
+
+key_signatures = st.one_of(
+    st.integers(1, 1024).map(lambda k: GroupSignature(k, 0, 0)),
+    st.integers(1, 512).map(lambda k: GroupSignature(0, k, 0)),
+    st.integers(1, 256).map(lambda k: GroupSignature(0, 0, k)),
+    st.tuples(st.integers(0, 256), st.integers(0, 128), st.integers(0, 128))
+    .filter(lambda ks: sum(1 for k in ks if k) >= 2)
+    .map(lambda ks: GroupSignature(*ks)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_the_sort_key_is_the_string_reversal_key(data):
+    """``_sort_key`` reverses the n bits by byte table; over the Z2-only,
+    Z4-only, Q8-only and mixed strategies up to n = 1024 (a byte count
+    and a partial last byte of every size) it equals ``string_sort_key``,
+    which reverses the binary string, and it orders words like their
+    coordinate tuples: on random words, and on words that differ from one
+    of them in one coordinate only, at each value of that coordinate.
+    ``search`` draws from ``sorted_elements``, which sorts by this key."""
+    sig = data.draw(key_signatures)
+    assert sig.n <= 1024
+    rng = data.draw(st.randoms(use_true_random=False))
+    words = [random_word(sig, rng) for _ in range(6)]
+    mods = [2] * sig.k1 + [4] * sig.k2 + [8] * sig.k3
+    base = list(words[0].coords)
+    for i in (rng.randrange(sig.l) for _ in range(3)):
+        for v in range(mods[i]):
+            words.append(word(sig, base[:i] + [v] + base[i + 1 :]))
+    for w in words:
+        assert _sort_key(sig, w.bits) == string_sort_key(sig, w.bits), (sig, w.coords)
+    by_key = sorted(words, key=lambda w: _sort_key(sig, w.bits))
+    assert by_key == sorted(words, key=lambda w: w.coords)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_property_u_in_a_generated_subgroup_by_indices(data):
+    """``hadamard._generates`` decides whether a word of order <= 2 lies in
+    the subgroup that some words of C generate by elimination on their
+    T-coset indices, with no subgroup built; over the Z2-only, Z4-only,
+    Q8-only and mixed strategies, for a few words of C (repeats and index
+    relations allowed) it agrees with ``CodeGroup(sig, words)._has_image``
+    on every image of T(C) and on u."""
+    sig = data.draw(signatures)
+    C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=4)))
+    members = C.sorted_elements()
+    words = data.draw(st.lists(st.sampled_from(members), min_size=0, max_size=4))
+    indexed = [(w, _coset_index(C, w.bits)) for w in words]
+    for x in _span(C.torsion_rows) + [(1 << sig.n) - 1]:
+        assert _generates(C, indexed, x) == generated_by_presentation(C, words, x), (
+            sig,
+            C.generators,
+            words,
+            x,
+        )

@@ -24,6 +24,7 @@ from z2z4q8 import (
     group_kernel,
     commutator,
     identity,
+    normalize_generators,
     parse_generators,
     standard_generators,
     swapper,
@@ -36,6 +37,7 @@ from z2z4q8 import (
 from z2z4q8.fixtures import fixture_text, fixtures, load_fixture
 import z2z4q8.subgroup as subgroup_module
 from z2z4q8.oracles import (
+    _coset_table,
     closure,
     least_coset_words,
     scanned_standard_generators,
@@ -49,7 +51,6 @@ from z2z4q8.subgroup import (
     _coset_minima,
     _coset_index,
     _coset_reps,
-    _coset_table,
     verify_standard,
 )
 
@@ -542,13 +543,44 @@ def test_a_failing_set_raises_on_every_call():
 def test_shape_analysis_verifies_each_distinct_set_once(monkeypatch):
     """On ``hadamard16_z2z4_delta2``, of type (3,2,0) and shape 1, the
     standard, normalized and witness sets coincide, so the check body runs
-    once: one ``_form_row`` per y and none for the empty z's."""
+    once: one ``_locate`` and one ``_form_row`` per y and none for the
+    empty z's.  On ``hadamard16_q8``, of type (2,0,3) and shape 2, the
+    three sets differ, and the body runs once for each, on three z's."""
     C = load_fixture("hadamard16_z2z4_delta2")
-    calls = count_calls(monkeypatch, subgroup_module, "_form_row")
+    calls = count_calls(monkeypatch, subgroup_module, "_locate", "_form_row")
     shape = classify_shape(C)
     assert code_type(C).as_tuple() == (3, 2, 0) and shape.tag == 1
     assert shape.witness.base == standard_generators(C)
-    assert calls == Counter({"_form_row": 2})
+    assert calls == Counter({"_locate": 2, "_form_row": 2})
+    D = load_fixture("hadamard16_q8")
+    calls.clear()
+    shape = classify_shape(D)
+    sets = {standard_generators(D), normalize_generators(D).base, shape.witness.base}
+    assert code_type(D).as_tuple() == (2, 0, 3) and shape.tag == 2 and len(sets) == 3
+    assert calls == Counter({"_locate": 9, "_form_row": 9})
+
+
+def test_verify_standard_checks_the_indices_a_set_carries():
+    """A set read from C carries the T-coset index of each y and z, and
+    ``verify_standard`` checks them against the words: the standard set of
+    every Hadamard fixture passes, and the same words with the indices of
+    two z's exchanged, or with one index moved by a basis vector, fail; a
+    set that carries no indices is checked on its words alone."""
+    tried = 0
+    for name in SHIPPED_FIXTURES:
+        C = load_fixture(name)
+        gens = standard_generators(C)
+        assert gens.indices == tuple(_coset_index(C, w.bits) for w in gens.ys + gens.zs)
+        verify_standard(C, StandardGenSet(gens.xs, gens.ys, gens.zs))
+        if not gens.indices:
+            continue
+        wrong = [gens.indices[::-1], (gens.indices[0] ^ 1,) + gens.indices[1:]]
+        for indices in wrong:
+            if indices != gens.indices:
+                with pytest.raises(ValueError, match="coset indices"):
+                    verify_standard(C, StandardGenSet(gens.xs, gens.ys, gens.zs, indices))
+                tried += 1
+    assert tried >= 30
 
 
 def test_tiling_oracle_agrees_with_verify_standard():
@@ -561,7 +593,7 @@ def test_tiling_oracle_agrees_with_verify_standard():
         gens = standard_generators(C)
         assert tiles(C, gens), name
         Z = center(C)
-        order4 = sorted((w for w in C.elements if w.order() == 4), key=_sort_key)
+        order4 = sorted((w for w in C.elements if w.order() == 4), key=lambda w: _sort_key(w.sig, w.bits))
         central = [w for w in order4 if w in Z]
         other = [w for w in order4 if w not in Z]
         for _ in range(6):
