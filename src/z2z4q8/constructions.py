@@ -31,7 +31,7 @@ from .groups import (
     u_element,
     word,
 )
-from .hadamard import Shape, classify_shape, is_hadamard
+from .hadamard import Shape, _checked_shape, is_hadamard
 from .invariants import is_abelian, kernel_dim, rank, weight_distribution
 from .subgroup import (
     DEFAULT_MAX_ORDER,
@@ -39,7 +39,7 @@ from .subgroup import (
     CodeType,
     EnumerationLimit,
     _coset_squares,
-    _coset_word,
+    _locate,
     _memoized,
     _polar,
     _radical,
@@ -134,14 +134,14 @@ def _index_two(
     Every x' = x c in x C gives the same output, as y' = y d with d the
     copy of c in D, and passes or fails with x.  So H is built and checked
     once per coset and kept in the table (``_doublings``), keyed by
-    ``build`` and ``_coset_word``; a later element of the coset gets the
-    kept pair, whose H has the first element drawn from the coset in its
-    last generator.  The coset word depends on the group only, not on its
-    generators: the pivots of an echelon basis are the top bits of the
-    space it spans, and the reductions clear them.  So groups that
-    ``_share_doublings`` ties to one table, all equal, read each other's
-    pairs: the H kept for a coset equals, as a group, the one a fresh
-    build would give, and its laws are the same.  The signature and
+    ``build`` and the coset word (``_locate``); a later element of the
+    coset gets the kept pair, whose H has the first element drawn from the
+    coset in its last generator.  The coset word depends on the group
+    only, not on its generators: the pivots of an echelon basis are the
+    top bits of the space it spans, and the reductions clear them.  So
+    groups that ``_share_doublings`` ties to one table, all equal, read
+    each other's pairs: the H kept for a coset equals, as a group, the one
+    a fresh build would give, and its laws are the same.  The signature and
     ``max_order`` checks run first, on every call, and a failure is not
     kept, so its message names the caller's element.
     """
@@ -149,7 +149,7 @@ def _index_two(
         raise ConstructionError(f"element signature {x.sig} != group {C.sig}")
     if 2 * C.order > max_order:
         raise EnumerationLimit(f"{noun} order exceeds max_order={max_order}")
-    kept, key = _doublings(C), (build, _coset_word(C, x.bits))
+    kept, key = _doublings(C), (build, _locate(C, x.bits)[1])
     if key not in kept:
         out = build(C, x)
         if out.order != 2 * C.order:
@@ -463,9 +463,11 @@ def structural_converse_check(
     inner word lies in them exactly when every generator does, and the
     first automorphism that maps each generator's coordinate i into <a> is
     the first that maps every inner word's coordinate i there.
+
+    A caller's ``shape`` is checked against C first, as by
+    ``hadamard_bounds`` (``hadamard._checked_shape``).
     """
-    if shape is None:
-        shape = classify_shape(C)
+    shape = _checked_shape(C, shape)
     if shape.tag not in (2, 3):
         raise ConstructionError(
             f"converse applies to shapes 2 and 3 only, got shape {shape.tag}"

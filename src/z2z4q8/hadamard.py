@@ -7,15 +7,17 @@ and such a pair has commutator u), and the group falls into one of five
 structural shapes, decided here by a deterministic sequence of generator
 substitutions with every claimed relation machine-verified.
 
-The layer works on T-coset indices.  The standard set carries the index
-of each y and z it was read from (``StandardGenSet.indices``), and the
-normalization, the walk and the checks on the normalized set carry them
-along: every square they branch on or require is read from the square
-list ``_coset_squares``, and every commutator as its polar form
-(``_polar``), as both are constant on T-cosets.  Words are multiplied
-only to build the witness, which is checked on its words
-(``verify_standard`` on every distinct set, ``_verify_shape`` on the
-witness).  u in <U> is decided by elimination on indices
+The layer works on T-coset indices.  A generating set is its words, and
+``verify_standard`` returns the index of each y and z when it checks the
+set, kept per set; the normalization, the walk and the checks on the
+normalized set read them there and carry them along with the words:
+every square they branch on or require is read from the square list
+``_coset_squares``, and every commutator as its polar form (``_polar``,
+``_comm``), as both are constant on T-cosets.  Words are multiplied only
+to build the witness, which is checked on its words (``verify_standard``
+on every distinct set, ``_verify_shape`` on the witness).  A caller's
+shape is checked the same way, with its epsilon, before any reader uses
+it (``_checked_shape``).  u in <U> is decided by elimination on indices
 (``_generates``), and the pair and triple checks polarize the square
 list too, so the layer builds no 4^k table and no subgroup.
 """
@@ -23,6 +25,7 @@ list too, so the layer builds no 4^k table and no subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import ceil, comb, floor
 from operator import xor
 from typing import List, Optional, Sequence, Tuple
@@ -41,7 +44,6 @@ from .invariants import (
 from .subgroup import (
     CodeGroup,
     StandardGenSet,
-    _coset_index,
     _coset_minimum,
     _coset_squares,
     _memoized,
@@ -92,36 +94,23 @@ class NormalizedGenSet:
         return self.base.zs
 
 
-Indexed = Tuple[GroupWord, int]  # a z and its ``_coset_reps`` index
+Indexed = Tuple[GroupWord, int]  # a y or z and its ``_coset_reps`` index
 
 
-def _indexed(C: CodeGroup, words: Sequence[GroupWord]) -> List[Indexed]:
-    return [(w, _coset_index(C, w.bits)) for w in words]
-
-
-def _with_indices(C: CodeGroup, gens: StandardGenSet) -> StandardGenSet:
-    """gens, carrying the index of each y and z: a set read from C has
-    them, and a caller's set, verified first, gets them here."""
-    if gens.indices is not None:
-        return gens
-    indices = tuple(v for _, v in _indexed(C, gens.ys + gens.zs))
-    return StandardGenSet(gens.xs, gens.ys, gens.zs, indices)
-
-
-def _indexed_zs(gens: StandardGenSet) -> List[Indexed]:
-    """The z's of gens with the indices the set carries."""
-    return list(zip(gens.zs, gens.indices[len(gens.ys) :]))
+def _indexed_zs(C: CodeGroup, gens: StandardGenSet) -> List[Indexed]:
+    """The z's of gens with their indices, which ``verify_standard``
+    returns: a set that is not standard for C raises there."""
+    return list(zip(gens.zs, verify_standard(C, gens)[len(gens.ys) :]))
 
 
 def _with_zs(gens: StandardGenSet, zs: Sequence[Indexed]) -> StandardGenSet:
-    """gens with the z's, and their indices, replaced by zs."""
-    ys = len(gens.ys)
-    return StandardGenSet(
-        gens.xs,
-        gens.ys,
-        tuple(w for w, _ in zs),
-        gens.indices[:ys] + tuple(v for _, v in zs),
-    )
+    """gens with the z's replaced by the words of zs."""
+    return StandardGenSet(gens.xs, gens.ys, tuple(w for w, _ in zs))
+
+
+def _comm(squares: Sequence[int], a: Indexed, b: Indexed) -> int:
+    """Gray((a, b)), the polar form of the square list (``_polar``)."""
+    return _polar(squares, a[1], b[1])
 
 
 def _times(a: Indexed, b: Indexed) -> Indexed:
@@ -164,24 +153,17 @@ def normalize_generators(
 
     Applies the square-u substitutions z_i -> z1*z_i / z2*z_i / z1*z2*z_i,
     then reorders equal-square pairs to the front, reading squares and
-    commutators by the indices the set carries.  A caller's ``base`` is
-    verified first, as indices mean something only for words of C, and
-    indexed after; the result is verified too.
+    commutators by the indices ``verify_standard`` returns for the set, so
+    a caller's ``base`` is verified before any is read; the result is
+    verified too.
     """
     if not is_hadamard(C):
         raise ValueError("not a Hadamard code")
-    if base is not None:
-        verify_standard(C, base)
-        gens = _with_indices(C, base)
-    else:
-        gens = standard_generators(C)
+    gens = standard_generators(C) if base is None else base
     u = (1 << C.sig.n) - 1
     squares = _coset_squares(C)
-    zs = _indexed_zs(gens)
-
-    def comm(a: Indexed, b: Indexed) -> int:
-        return _polar(squares, a[1], b[1])
-
+    zs = _indexed_zs(C, gens)
+    comm = partial(_comm, squares)
     front = [z for z in zs if squares[z[1]] == u]
     rest = [z for z in zs if squares[z[1]] != u]
     if len(front) >= 2:
@@ -262,7 +244,7 @@ def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
     (``_commutator_bits``), with no index and no table read.
 
     A pure function of C, the set and the tag that returns nothing, kept
-    per (group, set, tag) like ``verify_standard``: ``hadamard_bounds``
+    per (group, set, tag) like ``verify_standard``: ``_checked_shape``
     checks a caller's shape by it, and on the shape ``classify_shape``
     returned that is a cache hit.  A failure raises before anything is
     kept."""
@@ -355,10 +337,8 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
     ct = code_type(C)
     u = (1 << C.sig.n) - 1
     squares = _coset_squares(C)
+    comm = partial(_comm, squares)
     trail: List[str] = []
-
-    def comm(a: Indexed, b: Indexed) -> int:
-        return _polar(squares, a[1], b[1])
 
     def finish(tag: int, zs: List[Indexed]) -> Shape:
         zs2, eps = _pair_reorder(C, zs)
@@ -375,7 +355,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
 
     # the normalized z's are in pair order already: ``_pair_reorder`` keeps
     # an ordered list as it is, so the first pass starts from them
-    zs, eps = _indexed_zs(ngs.base), ngs.epsilon
+    zs, eps = _indexed_zs(C, ngs.base), ngs.epsilon
     if ct.rho == 0:
         return finish(1, zs)
 
@@ -524,6 +504,27 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
     raise ClassificationError("shape analysis did not terminate")
 
 
+def _checked_shape(C: CodeGroup, shape: Optional[Shape]) -> Shape:
+    """``classify_shape(C)``, or a caller's shape once it is checked
+    against C, before anything reads it: its witness must be a standard set
+    of C (``verify_standard``, ValueError), its tag's relations must hold
+    on the witness (``_verify_shape``, ClassificationError), and its z's
+    must be in pair order with the epsilon it states (ValueError), which
+    ``_pair_reorder`` keeps as they are.  The first two are kept per set,
+    so the shape that ``classify_shape(C)`` returned passes from the cache.
+    """
+    if shape is None:
+        return classify_shape(C)
+    ngs = shape.witness
+    zs = _indexed_zs(C, ngs.base)
+    _verify_shape(C, ngs, shape.tag)
+    if _pair_reorder(C, zs) != (zs, ngs.epsilon):
+        raise ValueError(
+            f"the witness's z's are not in pair order with epsilon={ngs.epsilon}"
+        )
+    return shape
+
+
 def _central_with_square(C: CodeGroup, target: int) -> Optional[int]:
     """The index of the T-coset of the least order-4 word of Z(C) with the
     square ``target``, or None: the order-4 words of Z(C) are its cosets
@@ -544,22 +545,14 @@ def hadamard_bounds(C: CodeGroup, shape: Optional[Shape] = None) -> BoundReport:
     """Every Hadamard-specific inequality, with the known exceptional
     parameter set (m=5, sigma=2, delta=0, rho=4) exempted where it applies.
 
-    A caller's ``shape`` is checked against C before any of its indices is
-    read: its witness by ``verify_standard`` (ValueError when a word, or an
-    index it carries, is not C's) and its tag by ``_verify_shape``
-    (ClassificationError).  Both are kept per set, so the shape that
-    ``classify_shape(C)`` returned passes from the cache.
+    A caller's ``shape`` is checked against C first (``_checked_shape``).
     """
     n = C.sig.n
     if n & (n - 1):
         raise ValueError(f"binary length {n} is not a power of two")
     if not is_hadamard(C):
         raise ValueError("not a Hadamard code")
-    if shape is None:
-        shape = classify_shape(C)
-    else:
-        verify_standard(C, shape.witness.base)
-        _verify_shape(C, shape.witness, shape.tag)
+    shape = _checked_shape(C, shape)
     m = n.bit_length() - 1
     ct = code_type(C)
     sigma, delta, rho = ct.as_tuple()
@@ -615,7 +608,7 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
     ct = code_type(C)
     eps = ngs.epsilon
     squares = _coset_squares(C)
-    zs = _indexed_zs(_with_indices(C, ngs.base))
+    zs = _indexed_zs(C, ngs.base)
     sq = [squares[v] for _, v in zs]
     checks = [_le("epsilon <= 2", eps, 2)]
     if eps == 2:
@@ -660,17 +653,16 @@ def _v_set(C: CodeGroup, ngs: NormalizedGenSet) -> List[Indexed]:
     """The y's, the first z of each of the epsilon pairs and the z's after
     the pairs, with their indices: W is the span of their squares, and U
     those of them whose square is not u."""
-    gens = _with_indices(C, ngs.base)
-    zs = _indexed_zs(gens)
-    lead = [zs[2 * t] for t in range(ngs.epsilon)]
-    return list(zip(gens.ys, gens.indices)) + lead + zs[2 * ngs.epsilon :]
+    located = list(zip(ngs.ys + ngs.zs, verify_standard(C, ngs.base)))
+    ys, zs, paired = located[: len(ngs.ys)], located[len(ngs.ys) :], 2 * ngs.epsilon
+    return ys + zs[:paired:2] + zs[paired:]
 
 
 def _generates(C: CodeGroup, words: Sequence[Indexed], x: int) -> bool:
     """Whether the word of order <= 2 with Gray image x lies in <U>, the
     subgroup of C generated by the indexed words U, with no subgroup built.
 
-    The index (``_coset_index``) is a homomorphism from C onto GF(2)^k
+    The index (``_locate``) is a homomorphism from C onto GF(2)^k
     with kernel T(C) (``_present``: the ordered products of the basis
     words have independent nu).  Run ``_present``'s reduction with the
     index in place of nu: each word is multiplied on the right by the

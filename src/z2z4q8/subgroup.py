@@ -2,9 +2,10 @@
 
 A ``CodeGroup`` is its generators.  Its constructor reads one GF(2)
 presentation from them (``_present``), and everything else comes from
-that: the order; one canonical word per coset x C (``_coset_word``,
-reduced by the presentation as a generator is, then by Gray(T)), which
-is 0 exactly on C, so it gives membership (``w in C``) and keys the
+that: the order; one walk that locates a word (``_locate``), reducing
+it by the presentation as a generator is, then by Gray(T), into the
+index of its T-coset and one canonical word per coset x C, which is 0
+exactly on C, so it gives membership (``w in C``) and keys the
 constructions' outputs by the coset of the doubling element; one
 canonical key of the group (``CodeGroup._key``), read by ``==`` and
 ``hash``; T(C), C' and the type; and one word per coset of T(C)
@@ -18,8 +19,9 @@ words are two lists built by XOR doubling on the table
 2, so the square map on C/T(C) is quadratic and every commutator is its
 polar form (``_polar``), and no 2^k x 2^k table is built.  The standard
 generators are read from the sort keys of the least word of each coset,
-computed from images (``_minimum_keys``), and carry the coset index of
-each y and z; ``verify_standard`` checks them, indices included.  K(C)
+computed from images (``_minimum_keys``).  A generating set is its
+words: ``verify_standard`` locates each y and z to check it, and returns
+their coset indices, kept per set, for the readers of the set.  K(C)
 is the T-cosets of the swapper null space (``group_kernel``).  No group
 keeps its Gray image: Gray(C) is a stream, one T-coset at a time from
 its image (``_gray_stream``), read by the weight count, by the words
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from itertools import chain, product, starmap
 from operator import xor
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis, dimension
 from .groups import (
@@ -109,17 +111,14 @@ class StandardGenSet:
     the z's lift a basis of C/Z(C).  Every element factors uniquely as
     prod(x^alpha) * prod(y^beta) * prod(z^gamma) with 0/1 exponents.
 
-    ``indices``, when given, holds the ``_coset_reps`` index of the
-    T-coset of each y and z, in the order ys + zs.  The sets read from C
-    carry them (``standard_generators`` and the shape analysis, which
-    reads squares and commutators by index), and ``verify_standard``
-    checks them against the words.
+    A set is its words.  The ``_coset_reps`` index of the T-coset of each
+    y and z, which the shape analysis reads squares and commutators by, is
+    what ``verify_standard(C, gens)`` returns.
     """
 
     xs: Tuple[GroupWord, ...]
     ys: Tuple[GroupWord, ...]
     zs: Tuple[GroupWord, ...]
-    indices: Optional[Tuple[int, ...]] = None
 
     def all(self) -> Tuple[GroupWord, ...]:
         return self.xs + self.ys + self.zs
@@ -129,11 +128,9 @@ class StandardGenSet:
 
     @cached_property
     def _hash(self) -> int:
-        """The hash, taken once: the checks kept per set (``verify_standard``,
-        ``hadamard._verify_shape``) key on it.  Equal sets carry equal
-        indices, so a set that carries them is hashed by them alone, and
-        one that does not by its words."""
-        return hash(self.indices if self.indices is not None else (self.xs, self.ys, self.zs))
+        """The hash of the words, taken once: the checks kept per set
+        (``verify_standard``, ``hadamard._verify_shape``) key on it."""
+        return hash((self.xs, self.ys, self.zs))
 
 
 class CodeGroup:
@@ -145,7 +142,7 @@ class CodeGroup:
     2^(k + dim T) is known without building a word, and ``swappers`` the
     k x k table s(b_i, b_j) = Gray(b_j) + pi_(b_i)(Gray(b_j)).  Membership
     reduces a word by the same presentation to its coset word
-    (``_has_image``, ``_coset_word``), and equality and the hash read one
+    (``_has_image``, ``_locate``), and equality and the hash read one
     canonical key (``_key``).  Gray(C) is not kept: it is streamed one
     T-coset at a time (``_gray_stream``), and the words themselves
     (``elements``) are built only for the readers that need them.
@@ -190,8 +187,8 @@ class CodeGroup:
 
     def _has_image(self, x: int) -> bool:
         """Whether the word whose Gray image is x lies in C: its coset word
-        is 0 (``_coset_word``); O(k + sigma) XORs, and no word of C is read."""
-        return not _coset_word(self, x)
+        is 0 (``_locate``); O(k + sigma) XORs, and no word of C is read."""
+        return not _locate(self, x)[1]
 
     @cached_property
     def elements(self) -> frozenset:
@@ -224,7 +221,7 @@ class CodeGroup:
         row only: the reduced echelon form, unique for the space nu(C).  The
         words stay in C, so each row r carries a word y of C with nu(y) = r;
         the words of C over r form the coset y T(C), and Gray(T) reduces all
-        their images to one (``_coset_word``).  That is O(k^2) products.
+        their images to one (``_locate``).  That is O(k^2) products.
 
         The key is complete.  Equal groups have equal T, whose reduced
         echelon rows (``Gf2Basis.rows``) are unique, equal nu(C) and equal
@@ -235,7 +232,7 @@ class CodeGroup:
         """
         sig, pivots, torsion = self.sig, self._pivots, self._torsion
         rows = (_reduce(sig, pivots[i + 1 :], b) for i, (_, _, b) in enumerate(pivots))
-        lifts = tuple(sorted((v, torsion.reduce(x)) for x, v in rows))
+        lifts = tuple(sorted((v, torsion.reduce(x)) for x, v, _ in rows))
         return sig, tuple(torsion.rows()), lifts
 
     def __eq__(self, other) -> bool:
@@ -309,40 +306,15 @@ def _span(rows: Sequence[int]) -> List[int]:
 
 def _reduce(
     sig: GroupSignature, pivots: Sequence[Tuple[int, int, int]], x: int
-) -> Tuple[int, int]:
-    """(x b_i1 ... b_ir, its nu): x times each basis word, in order, whose
-    pivot the running nu has (``_present``)."""
-    v = _nu(sig, x)
-    for pivot, vb, b in pivots:
+) -> Tuple[int, int, int]:
+    """(x b_i1 ... b_ir, its nu, the mask of i1..ir): x times each basis
+    word, in order, whose pivot the running nu has (``_present``)."""
+    v, index = _nu(sig, x), 0
+    for i, (pivot, vb, b) in enumerate(pivots):
         if v & pivot:
             x ^= _pi(sig, x, b)
-            v ^= vb
-    return x, v
-
-
-def _coset_word(C: CodeGroup, x: int) -> int:
-    """A canonical image of the coset x C, for the word x given by its Gray
-    image: one int per coset, and 0 exactly on C.
-
-    ``_reduce`` multiplies x on the right by basis words b_i of C, giving
-    y in x C whose nu(y) has no pivot bit of the nu(b_i).  nu is a
-    homomorphism, so nu(x c) = nu(x) + nu(c) runs over the coset nu(x) +
-    nu(C) of the span of the nu(b_i), and that coset holds one vector with
-    every pivot bit clear (``_present``: a nonzero sum of the nu(b_i) has
-    the pivot of its earliest term set).  So for x' in x C the reduction
-    y' has nu(y') = nu(y), and y^-1 y' lies in C n Omega = T(C): y' = y t
-    with t in T(C).  t has order <= 2, so pi fixes its image and Gray(y t)
-    = Gray(y) + Gray(t).  The echelon basis of Gray(T) reduces every
-    vector of Gray(y) + Gray(T) to the one with its pivot bits clear, so
-    the result is the same for x and x'.
-
-    Conversely, if x and x' give the same result, Gray(y') = Gray(y) +
-    Gray(t) = Gray(y t) for some t in T(C); Gray is injective, so y' = y t,
-    and x' lies in y' C = y C = x C.  The identity gives 0, so the result
-    is 0 exactly on C.  The cost is O(k + sigma) XORs.
-    """
-    y, _ = _reduce(C.sig, C._pivots, x)
-    return C._torsion.reduce(y)
+            v, index = v ^ vb, index | 1 << i
+    return x, v, index
 
 
 def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[
@@ -400,7 +372,7 @@ def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[
             rows.append(t)
 
     for w in gens:
-        w, v = _reduce(sig, pivots, w)
+        w, v, _ = _reduce(sig, pivots, w)
         if v:
             pivots.append((1 << (v.bit_length() - 1), v, w))
         else:
@@ -518,30 +490,34 @@ def _polar(squares: Sequence[int], v: int, w: int) -> int:
     return squares[v] ^ squares[w] ^ squares[v ^ w]
 
 
-def _coset_index(C: CodeGroup, x: int) -> int:
-    """The ``_coset_reps`` index of the T-coset of x, a word of C by image:
-    x lies in p_v T(C) exactly when nu(x) = sum_(i in v) nu(b_i), as C n
-    Omega = T(C), and v is read by clearing the echelon pivots of nu(x)
-    (``_present``).  The index of a product is the XOR of the indices."""
-    v, index = _nu(C.sig, x), 0
-    for i, (pivot, vb, _) in enumerate(C._pivots):
-        if v & pivot:
-            v, index = v ^ vb, index | 1 << i
-    return index
-
-
 def _locate(C: CodeGroup, x: int) -> Tuple[int, int]:
-    """(``_coset_index``, ``_coset_word``) of the word with Gray image x, by
-    one pass over the pivots: the basis words that ``_reduce`` multiplies
-    x by are those whose pivot the running nu has, the bits of the index.
-    The coset word is 0 exactly on C, and the index means something only
-    there."""
-    sig, v, index = C.sig, _nu(C.sig, x), 0
-    for i, (pivot, vb, b) in enumerate(C._pivots):
-        if v & pivot:
-            x ^= _pi(sig, x, b)
-            v, index = v ^ vb, index | 1 << i
-    return index, C._torsion.reduce(x)
+    """(index, coset word) of the word with Gray image x: the ``_coset_reps``
+    index of its T-coset, meaningful only for a word of C, and a canonical
+    image of the coset x C, one int per coset and 0 exactly on C.
+
+    One pass over the pivots (``_reduce``) multiplies x on the right by the
+    basis words b_i of C whose pivot its running nu has, and those i are
+    the bits of the index.  This gives y in x C whose nu(y) has no
+    pivot bit of the nu(b_i).  nu is a homomorphism, so nu(x c) = nu(x) +
+    nu(c) runs over the coset nu(x) + nu(C) of the span of the nu(b_i), and
+    that coset holds one vector with every pivot bit clear (``_present``: a
+    nonzero sum of the nu(b_i) has the pivot of its earliest term set).  So
+    for x' in x C the reduction y' has nu(y') = nu(y), and y^-1 y' lies in
+    C n Omega = T(C): y' = y t with t in T(C).  t has order <= 2, so pi
+    fixes its image and Gray(y t) = Gray(y) + Gray(t).  The echelon basis
+    of Gray(T) reduces every vector of Gray(y) + Gray(T) to the one with
+    its pivot bits clear, so the coset word is the same for x and x'.
+
+    Conversely, if x and x' give the same coset word, Gray(y') = Gray(y) +
+    Gray(t) = Gray(y t) for some t in T(C); Gray is injective, so y' = y t,
+    and x' lies in y' C = y C = x C.  The identity gives 0, so the coset
+    word is 0 exactly on C.  For x in C, the reduction ends at nu = 0, so
+    nu(x) = sum_(i in v) nu(b_i) for the index v, and x lies in p_v T(C),
+    as C n Omega = T(C); the index of a product is the XOR of the indices.
+    The cost is O(k + sigma) XORs.
+    """
+    y, _, index = _reduce(C.sig, C._pivots, x)
+    return index, C._torsion.reduce(y)
 
 
 @_memoized
@@ -743,8 +719,8 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     is scanned stays dependent, so the scan picks minima only.  The y's are
     the minima of the radical's cosets (``_radical``), the z's those of all
     cosets, each in key order, taken when the index is independent of the
-    indices taken before.  The set carries those indices, and is checked
-    by ``verify_standard``.
+    indices taken before.  The set is checked by ``verify_standard``,
+    which locates those indices again from the words.
     """
     low = (1 << C.sig.n) - 1
     xs = tuple(GroupWord._from_bits(C.sig, row & low) for row in _key_basis(C).rows())
@@ -762,23 +738,23 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     ys = [v for v in scan if v in radical and independent(v)]
     zs = [v for v in scan if independent(v)]
     minimum = partial(_coset_minimum, C)
-    gens = StandardGenSet(
-        xs, tuple(map(minimum, ys)), tuple(map(minimum, zs)), tuple(ys + zs)
-    )
+    gens = StandardGenSet(xs, tuple(map(minimum, ys)), tuple(map(minimum, zs)))
     verify_standard(C, gens)
     return gens
 
 
 @_memoized
-def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
-    """Check the defining invariants of a standard generating set.
+def verify_standard(C: CodeGroup, gens: StandardGenSet) -> Tuple[int, ...]:
+    """Check the defining invariants of a standard generating set, and
+    return the ``_coset_reps`` index of the T-coset of each y and z, in
+    the order ys + zs.
 
     Every check reads the presentation, and none builds a word or the Gray
     image of C.  The x's are a basis of T(C) when they are sigma
     independent images in Gray(T).  The y's and z's are located in C by
     one pass each (``_locate``): a word lies in C exactly when its coset
-    word is 0, and then its index is the one the set carries, if it
-    carries any.  For a word w of C, nu(w) is the sum of the nu(b_i) over
+    word is 0, and then the pass gives its index, the one value returned
+    per word.  For a word w of C, nu(w) is the sum of the nu(b_i) over
     the bits of its index, and the nu(b_i) are independent (``_present``),
     so the nu facts below are read from the indices: as words have order
     1, 2 or 4 and ``_nu`` vanishes exactly on order <= 2, order 4 is a
@@ -801,11 +777,13 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     z are not, so Z(C) = <T(C), ys>, and delta is checked too.
 
     The check is a pure function of C and the set: it reads only their
-    words and facts memoized on C, and returns nothing.  So it is kept per
-    (group, generating set) (``_memoized``), and the shape analysis, which
-    verifies the standard, normalized and witness sets and often finds
-    them equal, runs the body once per distinct set.  A failure raises
-    before anything is kept, so a failing set raises on every call.  The
+    words and facts memoized on C.  So it is kept per (group, generating
+    set) (``_memoized``): every reader of a set's indices, the shape
+    analysis above all, which verifies the standard, normalized and
+    witness sets and often finds them equal, gets them by one lookup, and
+    the body runs once per distinct set.  A failure raises before anything
+    is kept, so a failing set raises on every call, and no index of a set
+    that is not standard for C is ever returned.  The
     ranks are taken by elimination on leading bits (``gf2.dimension``),
     with no reduced echelon basis built.
     """
@@ -824,8 +802,6 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
     if any(residue for _, residue in located):
         raise ValueError("a y or z generator lies outside C")
     indices = tuple(v for v, _ in located)
-    if gens.indices is not None and gens.indices != indices:
-        raise ValueError("the coset indices the set carries are not those of its words")
     if not all(indices):
         raise ValueError("a y or z generator does not have order 4")
     for y in gens.ys:
@@ -835,6 +811,7 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> None:
         raise ValueError("a product of z generators is central")
     if dimension(indices) != ct.delta + ct.rho:
         raise ValueError("y/z products do not meet each T-coset of C once")
+    return indices
 
 
 def _products(sig: GroupSignature, gens: Sequence[GroupWord]) -> List[GroupWord]:

@@ -22,6 +22,7 @@ from z2z4q8 import (
     gray,
     normalize_generators,
     rank,
+    structural_converse_check,
     swapper,
     u_element,
     word,
@@ -34,7 +35,6 @@ from z2z4q8.hadamard import (
     ClassificationError,
     _generates,
     _hadamard_pair_triple_checks,
-    _indexed,
     _pair_reorder,
     _v_set,
 )
@@ -48,6 +48,7 @@ from z2z4q8.oracles import (
 from z2z4q8.subgroup import (
     StandardGenSet,
     _coset_reps,
+    _locate,
     _polar,
     _span,
     standard_generators,
@@ -111,7 +112,7 @@ def test_listed_shape5_generators_are_normalized(shape5_32):
     assert zs[0] * zs[0] == u and zs[1] * zs[1] == u
     assert commutator(zs[0], zs[1]) == u
     assert zs[2] * zs[2] == zs[3] * zs[3] != u
-    _, eps = _pair_reorder(shape5_32, _indexed(shape5_32, zs))
+    _, eps = _pair_reorder(shape5_32, [(z, _locate(shape5_32, z.bits)[0]) for z in zs])
     assert eps == 2
 
 
@@ -625,26 +626,65 @@ def test_a_shape_of_another_group_is_refused():
         assert hadamard_bounds(C, classify_shape(C)).all_ok
 
 
-def test_a_shape_with_a_wrong_tag_or_wrong_indices_is_refused():
+def test_a_shape_with_a_wrong_tag_is_refused():
     """A shape whose words are C's is checked too: the witness of
-    ``hadamard16_q8`` (shape 2) under tag 3 fails ``_verify_shape``, and
-    the same words carrying the indices of the z's in another order fail
-    ``verify_standard``."""
+    ``hadamard16_q8`` (shape 2) under tag 3 fails ``_verify_shape``."""
     C = load_fixture("hadamard16_q8")
     shape = classify_shape(C)
     wrong_tag = hadamard.Shape(3, shape.witness, shape.structure, shape.trail)
     with pytest.raises(ClassificationError, match="shape 3 needs"):
         hadamard_bounds(C, wrong_tag)
-    base = shape.witness.base
-    ys = len(base.ys)
-    swapped = base.indices[:ys] + base.indices[ys:][::-1]
-    assert swapped != base.indices
-    moved = StandardGenSet(base.xs, base.ys, base.zs, swapped)
-    wrong_indices = hadamard.Shape(
-        2, hadamard.NormalizedGenSet(moved, shape.witness.epsilon), shape.structure, shape.trail
-    )
-    with pytest.raises(ValueError, match="coset indices"):
-        hadamard_bounds(C, wrong_indices)
+
+
+def test_a_witness_with_a_wrong_epsilon_is_refused():
+    """epsilon is read again from the witness's z's, not taken from the
+    caller: on every Hadamard fixture, its own shape with each other
+    epsilon in {0, 1, 2} raises ValueError from ``hadamard_bounds`` and,
+    for shapes 2 and 3, from ``structural_converse_check``.  Unchecked, a
+    wrong epsilon gave failing theorem rows or an IndexError."""
+    refused = 0
+    for name in HADAMARD_FIXTURES:
+        C = load_fixture(name)
+        shape = classify_shape(C)
+        for eps in {0, 1, 2} - {shape.witness.epsilon}:
+            witness = hadamard.NormalizedGenSet(shape.witness.base, eps)
+            wrong = hadamard.Shape(shape.tag, witness, shape.structure, shape.trail)
+            with pytest.raises(ValueError, match="pair order"):
+                hadamard_bounds(C, wrong)
+            if shape.tag in (2, 3):
+                with pytest.raises(ValueError, match="pair order"):
+                    structural_converse_check(C, wrong)
+            refused += 1
+        assert hadamard_bounds(C, shape).all_ok, name
+    assert refused == 2 * len(HADAMARD_FIXTURES)
+
+
+def test_the_converse_checks_a_callers_shape():
+    """``structural_converse_check(C, shape)`` checks a caller's shape as
+    ``hadamard_bounds`` does.  The shape-2/3 witnesses of the other
+    Hadamard fixtures of C's signature, 12 pairs, raise ValueError from
+    ``verify_standard``; unchecked, each raised a RuntimeError, the class
+    of arithmetic bugs.  Each fixture's own witness under every other tag
+    raises ClassificationError; unchecked, that of ``ext_hamming8_q8q8``
+    under tag 3 was accepted."""
+    groups = {name: load_fixture(name) for name in HADAMARD_FIXTURES}
+    shapes = {name: classify_shape(C) for name, C in groups.items()}
+    foreign = [
+        (a, b)
+        for a in groups
+        for b in groups
+        if a != b and groups[a].sig == groups[b].sig and shapes[b].tag in (2, 3)
+    ]
+    assert len(foreign) == 12
+    for a, b in foreign:
+        assert groups[a] != groups[b]
+        with pytest.raises(ValueError):
+            structural_converse_check(groups[a], shapes[b])
+    for name, shape in shapes.items():
+        for tag in {1, 2, 3, 4, 5} - {shape.tag}:
+            wrong = hadamard.Shape(tag, shape.witness, shape.structure, shape.trail)
+            with pytest.raises(ClassificationError, match=f"shape {tag} needs"):
+                structural_converse_check(groups[name], wrong)
 
 
 def test_the_bounds_check_the_shape_classify_shape_returned_from_the_cache(monkeypatch):
@@ -681,7 +721,7 @@ def test_u_in_the_span_of_u_is_decided_on_indices_as_on_the_built_subgroup():
         u = (1 << C.sig.n) - 1
         v_set = _v_set(C, witness)
         u_set = [(w, v) for w, v in v_set if (w * w).bits != u]
-        words = list(zip(witness.ys + witness.zs, witness.base.indices))
+        words = list(zip(witness.ys + witness.zs, verify_standard(C, witness.base)))
         targets = [u] + [(z * z).bits for z in witness.zs]
         for chosen in [u_set, v_set] + [words[:i] for i in range(len(words) + 1)]:
             for x in targets:

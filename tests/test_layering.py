@@ -212,3 +212,52 @@ def test_package_modules_import_at_module_level_and_without_a_cycle():
 
     for module in graph:
         visit(module)
+
+
+# Private names that no code in the package reads, each kept for a reader
+# outside it.
+UNREFERENCED_PRIVATE_NAMES = {
+    ("groups", "_tables"): "perfbench/worker.py calls it to warm the layout caches",
+}
+
+
+def _defined_names(node: ast.stmt) -> list:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced_names(node: ast.AST) -> set:
+    """The names a piece of code reads: loaded names, attributes and
+    imported names; a name in a docstring or comment is not code."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(a.name for a in sub.names)
+    return names
+
+
+def test_every_private_name_is_read_by_other_code_of_the_package():
+    """Code that nothing needs is deleted: every private name defined at
+    module level in the package is read by code outside its own
+    definition, in any module of the package, except the listed ones,
+    which no code of the package reads."""
+    statements = [
+        (module, node, _referenced_names(node))
+        for module in _package_modules()
+        for node in _tree(module).body
+    ]
+    unread = {
+        (module, name)
+        for module, node, _ in statements
+        for name in _defined_names(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in read for _, other, read in statements if other is not node)
+    }
+    assert unread == set(UNREFERENCED_PRIVATE_NAMES)

@@ -92,12 +92,11 @@ from z2z4q8.oracles import (
 )
 from z2z4q8.subgroup import (
     _coset_images,
-    _coset_index,
     _coset_minima,
     _coset_reps,
     _coset_squares,
-    _coset_word,
     _form_row,
+    _locate,
     _null_space,
     _polar,
     _products,
@@ -653,9 +652,10 @@ def test_property_membership_matches_the_closure(data):
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_property_coset_word_is_constant_on_cosets_and_zero_on_the_group(data):
-    """``_coset_word(C, x)`` is the same for x and x c with c in C, is 0
-    exactly when x lies in the word closure of the generators, and tells
-    cosets apart: two words share it exactly when x^-1 y lies in C.  It
+    """The coset word ``_locate(C, x)[1]`` is the same for x and x c with c
+    in C, is 0 exactly when x lies in the word closure of the generators,
+    and tells cosets apart: two words share it exactly when x^-1 y lies in
+    C.  It
     reads the group, not its generators: the same group given by its
     generators shuffled, with redundant products added, gives the same
     word, so equal groups can share the outputs kept by coset."""
@@ -667,13 +667,16 @@ def test_property_coset_word_is_constant_on_cosets_and_zero_on_the_group(data):
     xs = data.draw(st.lists(_near(sig, ordered), min_size=6, max_size=6))
     cs = data.draw(st.lists(st.sampled_from(ordered), min_size=4, max_size=4))
     D = generate(data.draw(st.permutations(list(gens) + cs + [gens[0] * gens[-1]])))
+    def coset_word(G, w):
+        return _locate(G, w.bits)[1]
+
     for x in xs:
-        key = _coset_word(C, x.bits)
-        assert _coset_word(D, x.bits) == key, (sig, x)
+        key = coset_word(C, x)
+        assert coset_word(D, x) == key, (sig, x)
         assert (key == 0) == (x in members), (sig, x)
-        assert all(_coset_word(C, (x * c).bits) == key for c in cs), (sig, x)
+        assert all(coset_word(C, x * c) == key for c in cs), (sig, x)
         for y in xs:
-            same = _coset_word(C, y.bits) == key
+            same = coset_word(C, y) == key
             assert same == (x.inverse() * y in members), (sig, x, y)
 
 
@@ -1124,7 +1127,7 @@ def test_property_u_in_a_generated_subgroup_by_indices(data):
     C = generate(data.draw(st.lists(words_of(sig), min_size=1, max_size=4)))
     members = C.sorted_elements()
     words = data.draw(st.lists(st.sampled_from(members), min_size=0, max_size=4))
-    indexed = [(w, _coset_index(C, w.bits)) for w in words]
+    indexed = [(w, _locate(C, w.bits)[0]) for w in words]
     for x in _span(C.torsion_rows) + [(1 << sig.n) - 1]:
         assert _generates(C, indexed, x) == generated_by_presentation(C, words, x), (
             sig,

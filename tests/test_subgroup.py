@@ -48,9 +48,11 @@ from z2z4q8.report import analyze, render_json
 from z2z4q8.groups import _commutator_bits, _sort_key
 from z2z4q8.subgroup import (
     StandardGenSet,
+    _coset_images,
     _coset_minima,
-    _coset_index,
     _coset_reps,
+    _locate,
+    _span,
     verify_standard,
 )
 
@@ -434,14 +436,14 @@ def test_coset_reps_are_a_transversal_of_torsion():
 
 
 def test_coset_index_names_the_coset_of_a_word():
-    """``_coset_index`` reads the T-coset of a word of C from nu alone: the
+    """``_locate`` reads the T-coset index of a word of C from nu alone: the
     representative p_v has index v, and a sampled word a of C lies in the
     coset of its index, p_v^-1 a having order <= 2."""
     for name, C in _coset_groups():
         reps = _coset_reps(C)
-        assert [_coset_index(C, p.bits) for p in reps] == list(range(len(reps))), name
+        assert [_locate(C, p.bits)[0] for p in reps] == list(range(len(reps))), name
         for a in C.sorted_elements()[:: max(1, C.order // 16)]:
-            assert (reps[_coset_index(C, a.bits)].inverse() * a).order() <= 2, name
+            assert (reps[_locate(C, a.bits)[0]].inverse() * a).order() <= 2, name
 
 
 def test_equal_groups_hash_equal_and_hash_their_key_once(monkeypatch):
@@ -560,27 +562,33 @@ def test_shape_analysis_verifies_each_distinct_set_once(monkeypatch):
     assert calls == Counter({"_locate": 9, "_form_row": 9})
 
 
-def test_verify_standard_checks_the_indices_a_set_carries():
-    """A set read from C carries the T-coset index of each y and z, and
-    ``verify_standard`` checks them against the words: the standard set of
-    every Hadamard fixture passes, and the same words with the indices of
-    two z's exchanged, or with one index moved by a basis vector, fail; a
-    set that carries no indices is checked on its words alone."""
-    tried = 0
-    for name in SHIPPED_FIXTURES:
-        C = load_fixture(name)
-        gens = standard_generators(C)
-        assert gens.indices == tuple(_coset_index(C, w.bits) for w in gens.ys + gens.zs)
-        verify_standard(C, StandardGenSet(gens.xs, gens.ys, gens.zs))
-        if not gens.indices:
-            continue
-        wrong = [gens.indices[::-1], (gens.indices[0] ^ 1,) + gens.indices[1:]]
-        for indices in wrong:
-            if indices != gens.indices:
-                with pytest.raises(ValueError, match="coset indices"):
-                    verify_standard(C, StandardGenSet(gens.xs, gens.ys, gens.zs, indices))
-                tried += 1
-    assert tried >= 30
+def test_verify_standard_returns_the_coset_index_of_each_y_and_z():
+    """``verify_standard`` returns the ``_coset_reps`` index of each y and
+    z, checked here apart from the walk that finds it: Gray(w) plus the
+    image of the coset word at that index (``_coset_images``, built by XOR
+    doubling) lies in Gray(T), and at no other index does.  Checked on the
+    standard set of every fixture and random group, and on caller sets
+    with the z's shuffled and each y and z times a random word of T(C)."""
+    rng = random.Random(34)
+    checked = 0
+    for name, C in _coset_groups():
+        gens, images = standard_generators(C), _coset_images(C)
+        torsion_words = [GroupWord._from_bits(C.sig, r) for r in _span(C.torsion_rows)]
+        zs = list(gens.zs)
+        rng.shuffle(zs)
+        moved = StandardGenSet(
+            gens.xs,
+            tuple(y * rng.choice(torsion_words) for y in gens.ys),
+            tuple(z * rng.choice(torsion_words) for z in zs),
+        )
+        for trial in (gens, moved):
+            indices = verify_standard(C, trial)
+            assert len(indices) == len(trial.ys + trial.zs), name
+            for w, v in zip(trial.ys + trial.zs, indices):
+                hits = [i for i, x in enumerate(images) if C._torsion.contains(w.bits ^ x)]
+                assert hits == [v], (name, w)
+                checked += 1
+    assert checked >= 200
 
 
 def test_tiling_oracle_agrees_with_verify_standard():
