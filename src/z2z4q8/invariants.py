@@ -5,9 +5,9 @@ Every quantity here is read from the GF(2) presentation of C
 the rows of Gray(T(C)) and the swapper table s(b_i, b_j).  The span
 group D and the binary kernel are built from the same table; the pair
 checklist of ``check_bounds`` reads the 2^k squares of the coset words
-(``_coset_squares``); only the weight count reads all of Gray(C), as a
-stream.  Each fact is computed
-once, by one route; the second routes are in ``oracles``, and
+(``_coset_squares``) packed as lanes of one int, with one step per basis
+bit; only the weight count reads all of Gray(C), as a stream.  Each fact
+is computed once, by one route; the second routes are in ``oracles``, and
 ``oracles.verify`` runs them.
 """
 
@@ -30,8 +30,13 @@ from .subgroup import (
     _form,
     _gray_stream,
     _kernel_cosets,
+    _lane_ones,
+    _lane_width,
+    _lanes_set,
     _memoized,
+    _pack,
     _span,
+    _swap_masks,
     code_type,
 )
 
@@ -254,46 +259,59 @@ def check_bounds(C: CodeGroup) -> BoundReport:
 
 def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
     """Pair facts for a, b outside T(C), checked on one word per T-coset,
-    from the square list alone (``_coset_squares``).
+    from the square list alone (``_coset_squares``), in lanes: one step per
+    basis bit, not one per coset.  Both counts are exact.
 
     The words of ``_coset_reps`` outside T(C) are those at index v >= 1,
     and the product ab lies in T(C) exactly when a and b share an index.
     The commutator of p_u and p_v is the polar form of the squares,
-    Gray((p_u, p_v)) = sq[u] + sq[v] + sq[u ^ v] (``_polar``).  Both
-    counts are exact.
-
-    Commuting pairs: for u and v in one square class, sq[u] = sq[v], so
-    the commutator is sq[u ^ v], and the count is the zeros of sq[u ^ v]
-    over u's class, grouped once, less the terms at v = u and at v = 0,
-    which the checklist leaves out: v = u gives sq[0] = 0, and v = 0 lies
-    in the class exactly when sq[u] = 0, and then gives sq[u] = 0.
+    Gray((p_u, p_v)) = sq[u] + sq[v] + sq[u ^ v] (``_polar``); sq[0] = 0.
 
     Weights: row u adds the v >= 1 whose commutator outweighs a^2 =
     sq[u].  Commutators are bilinear, so row u is the span (``_span``) of
     its k unit entries Gray((p_u, b_j)) = sq[u ^ 2^j] + sq[2^j] + sq[u],
     and the support of every entry lies inside their OR.  When that OR
     lies inside supp(a^2), no entry has a bit outside a^2, hence none
-    outweighs it, and the row adds 0.  Otherwise the exact count runs over
-    the span; its entry at v = 0 is 0, which outweighs nothing.
+    outweighs it, and the row adds 0.  Every row's OR is read at once: with
+    the squares packed, lane u holding sq[u] (``_pack``), step j swaps the
+    lanes in blocks of 2^j, so lane u holds sq[u ^ 2^j] (``_swap_masks``),
+    and XORs in sq[2^j] copied into every lane (``_lane_ones``): lane u
+    then holds unit j + sq[u].  The OR of the k steps is spread, and
+    (unit + sq[u]) & ~sq[u] = unit & ~sq[u], so spread & ~packed names
+    exactly the rows whose entries reach outside their square
+    (``_lanes_set``).  Only those are spanned and counted exactly; the
+    entry at v = 0 is 0, which outweighs nothing.
+
+    Commuting pairs: u, v >= 1 with u != v, sq[u] = sq[v] and commutator
+    0, i.e. sq[u ^ v] = 0.  With w = u ^ v, these are the w >= 1 with
+    sq[w] = 0 and the u not in {0, w} with sq[u ^ w] = sq[u].  So the
+    count is 0 unless some w >= 1 has sq[w] = 0, which a correct list
+    never has, as p_w has order 4; ``count(0)`` rules that out at C speed,
+    and only such w are counted exactly, where u = 0 and u = w always
+    match.
     """
     squares = _coset_squares(C)
+    lanes, width = len(squares), _lane_width(C.sig.n)
+    packed, ones = _pack(squares, width), _lane_ones(width, lanes)
+    spread = 0
+    for j, keep in enumerate(_swap_masks(width, len(C.basis))):
+        shift = width << j
+        swapped = packed >> shift & keep | (packed & keep) << shift
+        spread |= swapped ^ squares[1 << j] * ones
     bits = [1 << j for j in range(len(C.basis))]
-    classes: Dict[int, List[int]] = {}
-    for v, sq in enumerate(squares):
-        classes.setdefault(sq, []).append(v)
     square_weight_bad = 0
-    commuting_squares_bad = 0
-    for u in range(1, len(squares)):
+    for u in _lanes_set(spread & ~packed, width):
         sq = squares[u]
         units = [squares[u ^ b] ^ squares[b] ^ sq for b in bits]
-        spread = 0
-        for unit in units:
-            spread |= unit
-        if spread & ~sq:
-            wa = sq.bit_count()
-            square_weight_bad += sum(map(wa.__lt__, map(int.bit_count, _span(units))))
-        zeros = list(map(squares.__getitem__, map(u.__xor__, classes[sq]))).count(0)
-        commuting_squares_bad += zeros - 1 - (not sq)
+        wa = sq.bit_count()
+        square_weight_bad += sum(map(wa.__lt__, map(int.bit_count, _span(units))))
+    commuting_squares_bad = 0
+    if squares.count(0) > 1:
+        indices = range(lanes)
+        for w in indices[1:]:
+            if not squares[w]:
+                shifted = map(squares.__getitem__, map(w.__xor__, indices))
+                commuting_squares_bad += sum(map(int.__eq__, squares, shifted)) - 2
     return [
         _eq("commutator weight <= square weight (pairs outside T)", square_weight_bad, 0),
         _eq(

@@ -32,7 +32,14 @@ from .hadamard import (
     classify_shape,
     is_hadamard,
 )
-from .invariants import check_bounds, kernel_dim, rank, span_group, weight_distribution
+from .invariants import (
+    _pairwise_checks,
+    check_bounds,
+    kernel_dim,
+    rank,
+    span_group,
+    weight_distribution,
+)
 from .subgroup import (
     CodeGroup,
     EnumerationLimit,
@@ -158,6 +165,20 @@ def _reduced_swappers(C: CodeGroup) -> List[List[int]]:
     """
     reduce = C._torsion.reduce
     return _span_table([_span([reduce(s) for s in row]) for row in C.swappers])
+
+
+def table_pair_counts(C: CodeGroup) -> List[int]:
+    """The two counts of ``invariants._pairwise_checks``, pair by pair over
+    the 4^k table ``_coset_table``: the a, b outside T(C) whose commutator
+    outweighs a^2, and those with b != a, a^2 = b^2 and (a, b) = 0."""
+    squares, rows = _coset_table(C)
+    outside = range(1, len(squares))
+    weight = commuting = 0
+    for a in outside:
+        a2, row, wa = squares[a], rows[a], squares[a].bit_count()
+        weight += sum(row[b].bit_count() > wa for b in outside)
+        commuting += sum(b != a and squares[b] == a2 and not row[b] for b in outside)
+    return [weight, commuting]
 
 
 def table_pair_triple_counts(C: CodeGroup) -> List[int]:
@@ -478,8 +499,9 @@ def verify(C: CodeGroup) -> None:
       the squares (``_coset_squares``), every commutator as the polar form
       of the squares (``_polar``), and the 4^k tables ``_coset_table`` and
       ``_reduced_swappers``;
-    - the Hadamard pair and triple counts, which polarize the squares,
-      against ``table_pair_triple_counts``, which reads those tables;
+    - the pair counts of ``check_bounds`` and the Hadamard pair and
+      triple counts, which read the squares, against ``table_pair_counts``
+      and ``table_pair_triple_counts``, which read those tables;
     - on a Hadamard C, u in <U> and in <V> for the shape witness's V
       (``hadamard._v_set``) and U, those of V whose square is not u, by
       ``hadamard._generates`` against ``generated_by_presentation``;
@@ -553,6 +575,11 @@ def verify(C: CodeGroup) -> None:
     _agree(_coset_table(C) == (squares, rows), "_coset_table", "coset_tables_by_products")
     _agree(
         _reduced_swappers(C) == residues, "_reduced_swappers", "coset_tables_by_products"
+    )
+    _agree(
+        [c.lhs for c in _pairwise_checks(C)] == table_pair_counts(C),
+        "_pairwise_checks",
+        "table_pair_counts",
     )
     _agree(
         [c.lhs for c in _hadamard_pair_triple_checks(C)] == table_pair_triple_counts(C),

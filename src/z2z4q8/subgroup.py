@@ -17,9 +17,12 @@ XOR from the swapper table that ``_present`` keeps
 words are two lists built by XOR doubling on the table
 (``_coset_images``, ``_coset_squares``), with no product: C has class
 2, so the square map on C/T(C) is quadratic and every commutator is its
-polar form (``_polar``), and no 2^k x 2^k table is built.  The standard
-generators are read from the sort keys of the least word of each coset,
-computed from images (``_minimum_keys``).  A generating set is its
+polar form (``_polar``), and no 2^k x 2^k table is built.  The pair
+checklist and the kernel reduction read lanes: values packed side by
+side in one int (``_pack``), reindexed by masks and shifts
+(``_swap_masks``) and added to by one multiply (``_lane_ones``).  The
+standard generators are read from the sort keys of the least word of
+each coset, computed from images (``_minimum_keys``).  A generating set is its
 words: ``verify_standard`` locates each y and z to check it, and returns
 their coset indices, kept per set, for the readers of the set.  K(C)
 is the T-cosets of the swapper null space (``group_kernel``).  No group
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from itertools import chain, product, starmap
 from operator import xor
-from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
 from .gf2 import Gf2Basis, dimension
 from .groups import (
@@ -304,6 +307,58 @@ def _span(rows: Sequence[int]) -> List[int]:
     return out
 
 
+def _lane_width(n: int) -> int:
+    """Bits per lane for values below 2^n: n rounded up to whole bytes, so
+    that ``_pack`` joins bytes."""
+    return -(-n // 8) * 8
+
+
+def _pack(values: Iterable[int], width: int) -> int:
+    """The lanes of values: values[u] at bits u*width, each value below
+    2^width, packed by one join of their bytes."""
+    size = width // 8
+    lanes = b"".join([x.to_bytes(size, "little") for x in values])
+    return int.from_bytes(lanes, "little")
+
+
+def _lane_ones(width: int, lanes: int) -> int:
+    """1 at bit u*width of each of the lanes, the geometric sum (2^(width *
+    lanes) - 1) / (2^width - 1).  x * ones holds x in every lane for x <
+    2^width: the copies do not overlap, so the product has no carry; (y >>
+    p & ones) * x holds x in each lane of y with bit p set, and 0 in the
+    others."""
+    return ((1 << width * lanes) - 1) // ((1 << width) - 1)
+
+
+def _swap_masks(width: int, k: int) -> List[int]:
+    """Mask j, for j < k, keeps the lanes u < 2^k with bit j of u clear.
+
+    With it, the lanes of x reindexed by u -> u ^ 2^j are (x >> s) & mask |
+    (x & mask) << s, s = 2^j lanes: a lane u with bit j clear gets lane u +
+    2^j by the right shift, lane u + 2^j gets lane u by the left one, and
+    no bit crosses into another lane.  Mask k - 1 is the low 2^(k-1) lanes.
+    Mask j is mask j+1 XOR itself shifted up by 2^j lanes: each run of
+    2^(j+1) kept lanes from a, a multiple of 2^(j+2), becomes the runs of
+    2^j from a and from a + 2^(j+1), the lanes with bit j clear; the shift
+    stays below 2^k lanes.
+    """
+    masks = [(1 << (width << (k - 1))) - 1] if k else []
+    for j in range(k - 2, -1, -1):
+        masks.append(masks[-1] ^ masks[-1] << (width << j))
+    return masks[::-1]
+
+
+def _lanes_set(packed: int, width: int) -> List[int]:
+    """The lanes of packed with a bit set, in increasing order: one step per
+    such lane, from the lowest set bit, clearing its lane and those below."""
+    lanes = []
+    while packed:
+        u = ((packed & -packed).bit_length() - 1) // width
+        lanes.append(u)
+        packed &= -1 << (u + 1) * width
+    return lanes
+
+
 def _reduce(
     sig: GroupSignature, pivots: Sequence[Tuple[int, int, int]], x: int
 ) -> Tuple[int, int, int]:
@@ -562,12 +617,11 @@ def _radical(C: CodeGroup) -> Tuple[int, ...]:
     commutes with every b_j exactly when sum_i v_i Gray((b_i, b_j)) = 0.
     T(C) is central and C = <T(C), b_1..b_k>, so these v, the radical of
     the commutator form on C/T(C) = GF(2)^k, are Z(C)/T(C): the null space
-    of the rows sum_j F(i, j) << j*n, with F(i, j) = Gray((b_i, b_j)) read
-    from the swapper table (``_form``).
+    of the rows F(i, .) packed as lanes (``_pack``), with F(i, j) =
+    Gray((b_i, b_j)) read from the swapper table (``_form``).
     """
-    n = C.sig.n
-    rows = [sum(f << (j * n) for j, f in enumerate(row)) for row in _form(C)]
-    return _null_space(rows)
+    width = _lane_width(C.sig.n)
+    return _null_space([_pack(row, width) for row in _form(C)])
 
 
 @_memoized
@@ -582,19 +636,28 @@ def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
     (``invariants._swappers``).  By bilinearity and s = 0 on T, x = p_v t
     passes for every y exactly when sum_i v_i s(b_i, b_j) lies in Gray(T)
     for every j: K(C)/T(C) is the null space of v -> (sum_i v_i s(b_i,
-    b_j) mod Gray(T))_j.  The swappers are reduced by the echelon basis of
-    Gray(T) that the presentation keeps (``C._torsion``), which leaves one
-    residue per class, and row i packs them at bits j*n.
-    ``oracles.verify`` runs the second routes
-    (``representative_kernel_cosets``, ``translation_kernel``,
-    ``swapper_scan_kernel``).
+    b_j) mod Gray(T))_j.
+
+    The k x k table is packed into one int, s(b_i, b_j) in lane i*k + j
+    (``_pack``), and reduced by the reduced echelon rows t of Gray(T) that
+    the presentation keeps (``C._torsion``), one lane pass per row: the
+    lanes with t's pivot bit p set get t (``_lane_ones``).  Each row has
+    its pivot as top bit and no other row's pivot, so the pass clears bit
+    p in every lane and moves no other pivot bit, and after the last pass
+    each lane is the one vector of its class mod Gray(T) with every pivot
+    bit clear, the residue ``Gf2Basis.reduce`` gives.  Row i of the null
+    space problem is then the k lanes from i*k.  ``oracles.verify`` runs
+    the second routes (``representative_kernel_cosets``,
+    ``translation_kernel``, ``swapper_scan_kernel``).
     """
-    n, torsion = C.sig.n, C._torsion
-    form = [
-        sum(torsion.reduce(s) << (j * n) for j, s in enumerate(row))
-        for row in C.swappers
-    ]
-    return _null_space(form)
+    k, width = len(C.basis), _lane_width(C.sig.n)
+    table = _pack(chain.from_iterable(C.swappers), width)
+    ones = _lane_ones(width, k * k)
+    for t in C._torsion.rows():
+        table ^= (table >> (t.bit_length() - 1) & ones) * t
+    row_width = k * width
+    mask = (1 << row_width) - 1
+    return _null_space([table >> (i * row_width) & mask for i in range(k)])
 
 
 def _cosets_where(C: CodeGroup, passing: Sequence[int]) -> CodeGroup:

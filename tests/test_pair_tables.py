@@ -7,9 +7,12 @@ against brute force.
 triple checks read every commutator as the polar form of the squares
 (``_polar``).  The 4^k tables ``_coset_table`` and ``_reduced_swappers``
 (``_span_table``) are second routes in ``oracles``.  Both checklists skip
-a row from its unit entries when a span argument allows.  Here the lists
+a row from its unit entries when a span argument allows; ``_pairwise_checks``
+reads that for all 2^k rows at once, as lanes of one int, and
+``_kernel_cosets`` reduces its swapper table in lanes.  Here the lists
 and tables are compared with word products, and every count with a count
-over each pair, on real groups and with a planted fault.
+over each pair, on real groups and with a planted fault, at the first and
+last lanes and at every k = 0..9.
 """
 
 from __future__ import annotations
@@ -41,10 +44,21 @@ from z2z4q8.oracles import (
     _coset_table,
     _reduced_swappers,
     _swapper_bits,
+    representative_kernel_cosets,
+    table_pair_counts,
     table_pair_triple_counts,
     verify,
 )
-from z2z4q8.subgroup import _coset_images, _coset_squares, _polar, _products
+from z2z4q8.subgroup import (
+    _coset_images,
+    _coset_squares,
+    _kernel_cosets,
+    _lanes_set,
+    _pack,
+    _polar,
+    _products,
+    _swap_masks,
+)
 
 from conftest import SHIPPED_FIXTURES, count_calls, random_subgroup, word_commutator
 
@@ -74,18 +88,12 @@ def _polar_rows(squares):
     return [[squares[a] ^ squares[b] ^ squares[a ^ b] for b in indices] for a in indices]
 
 
-def _brute_pairwise(squares, rows):
-    """The two counts of ``_pairwise_checks`` over every pair of the tables."""
-    outside = range(1, len(squares))
-    weight = sum(
-        rows[a][b].bit_count() > squares[a].bit_count() for a in outside for b in outside
-    )
-    commuting = sum(
-        a != b and squares[a] == squares[b] and rows[a][b] == 0
-        for a in outside
-        for b in outside
-    )
-    return [weight, commuting]
+def _brute_pairwise(C, squares):
+    """The two counts of ``_pairwise_checks`` over every pair of the polar
+    table of squares (``oracles.table_pair_counts``, reading that table)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "_coset_table", lambda C: (squares, _polar_rows(squares)))
+        return table_pair_counts(C)
 
 
 def _brute_hadamard(C, squares, rows, residues):
@@ -159,7 +167,7 @@ def test_pair_counts_at_k_5_and_6_equal_the_brute_force():
     for C in _dense_groups():
         assert not is_hadamard(C)
         squares, rows = _coset_table(C)
-        assert _pairwise_counts(C) == _brute_pairwise(squares, rows), C.generators
+        assert _pairwise_counts(C) == table_pair_counts(C), C.generators
         brute = _brute_hadamard(C, squares, rows, _reduced_swappers(C))
         assert _hadamard_counts(C) == brute == table_pair_triple_counts(C), C.generators
         pair_counts.append(brute[0])
@@ -269,33 +277,151 @@ def _unit_outside_square_pair(C, squares):
     return u, i, (i + 1) % len(C.basis)
 
 
+def _lane_square_cleared(lane):
+    """The square at ``lane`` cleared: s(b_i, b_i) moves by sq[lane], with
+    i the top bit of the lane.  That moves every square with bit i set,
+    leaves the commutators as they were, and clears sq[lane]; the row of a
+    non-central word with square 0 has bits outside it, and p_lane then
+    commutes with each word whose square it does not move.  Lane 1 and the
+    last lane 2^k - 1 are the ends of the packed squares."""
+    return lambda C, squares: (squares[lane], lane.bit_length() - 1, lane.bit_length() - 1)
+
+
+def _hadamard16_q8():
+    return load_fixture("hadamard16_q8")
+
+
+def _dense_k6():
+    """The Q8^4 group of ``_dense_groups`` with k = 6: 64 lanes."""
+    return _dense_groups()[1]
+
+
 @pytest.mark.parametrize(
-    "plant, fault, counted",
+    "group, plant, fault, counted, row",
     [
-        (_plant_squares, _square_cleared, 0),
-        (_plant_squares, _commuting_pair_in_a_square_class, 1),
-        (_plant_hadamard_squares, _unit_outside_square_pair, 2),
+        (_hadamard16_q8, _plant_squares, _square_cleared, 0, 1),
+        (_hadamard16_q8, _plant_squares, _commuting_pair_in_a_square_class, 1, None),
+        (_hadamard16_q8, _plant_hadamard_squares, _unit_outside_square_pair, 2, None),
+        (_dense_k6, _plant_squares, _lane_square_cleared(1), 0, 1),
+        (_dense_k6, _plant_squares, _lane_square_cleared(63), 0, 63),
     ],
-    ids=["bits outside the square", "zero inside a square class", "unit outside {0, a^2}"],
+    ids=[
+        "bits outside the square",
+        "zero inside a square class",
+        "unit outside {0, a^2}",
+        "lane 1",
+        "last lane",
+    ],
 )
-def test_a_planted_fault_is_counted_exactly(monkeypatch, plant, fault, counted):
+def test_a_planted_fault_is_counted_exactly(monkeypatch, group, plant, fault, counted, row):
     """A shortcut cannot hide a violation: on ``hadamard16_q8``, where every
     count is 0, a square cleared under a nonzero commutator (weight n
     above it), a commutator cancelled between two basis words of one
     square class, or a unit commutator moved by u outside {0, a^2} for
     the Hadamard pair check (each planted in the squares, and so in their
     polar form) makes its count nonzero, and every count equals the brute
-    force over every pair of the polar tables of the corrupted squares."""
-    C = load_fixture("hadamard16_q8")
-    assert _pairwise_counts(C) + _hadamard_counts(C) == [0] * 5
-    assert hadamard_bounds(C).all_ok
+    force over every pair of the polar tables of the corrupted squares.
+    On the k = 6 dense group the square of lane 1 or of the last lane is
+    cleared, and that lane's own row is among the rows counted."""
+    C = group()
+    assert _pairwise_counts(C) == [0, 0]
+    if is_hadamard(C):
+        assert _hadamard_counts(C) == [0] * 3 and hadamard_bounds(C).all_ok
     pair_squares, squares = plant(monkeypatch, fault)(C)
     assert (pair_squares, squares) != (_coset_squares(C), _coset_squares(C))
     counts = _pairwise_counts(C) + _hadamard_counts(C)
-    brute = _brute_pairwise(pair_squares, _polar_rows(pair_squares))
+    brute = _brute_pairwise(C, pair_squares)
     residues = _reduced_swappers(C)
     assert counts == brute + _brute_hadamard(C, squares, _polar_rows(squares), residues)
     assert counts[counted] > 0
+    if row is not None:
+        a2, entries = pair_squares[row], _polar_rows(pair_squares)[row]
+        assert any(e.bit_count() > a2.bit_count() for e in entries)
+
+
+LANE_DRAWS = (
+    (GroupSignature(7, 0, 0), {0}),
+    (GroupSignature(3, 2, 0), {1, 2}),
+    (GroupSignature(1, 1, 5), set(range(3, 10))),
+)
+
+
+def _groups_k_0_to_9():
+    """One drawn subgroup per k = 0..9: k = 0 in Z2^7, 1 and 2 in Z2^3 x
+    Z4^2, 3..9 in Z2 x Z4 x Q8^5, at n = 7, 7 and 23, none a multiple of 8."""
+    rng = random.Random(35)
+    found = {}
+    for sig, ks in LANE_DRAWS:
+        while not ks <= found.keys():
+            C = random_subgroup(sig, rng, rng.randint(1, 10), max_order=1 << 16)
+            found.setdefault(len(C.basis), C)
+    return [found[k] for k in range(10)]
+
+
+def test_lanes_reindex_and_name_every_lane():
+    """Packed at byte widths, mask j of ``_swap_masks`` reindexes the lanes
+    by u -> u ^ 2^j, and ``_lanes_set`` names exactly the nonzero lanes,
+    the first and the last among them."""
+    rng = random.Random(0)
+    for width in (8, 24, 256):
+        for k in range(6):
+            values = [rng.getrandbits(width) * rng.randrange(2) for _ in range(1 << k)]
+            values[0] = values[-1] = 1 << (width - 1)
+            packed = _pack(values, width)
+            for j, keep in enumerate(_swap_masks(width, k)):
+                shift = width << j
+                swapped = packed >> shift & keep | (packed & keep) << shift
+                assert swapped == _pack([values[u ^ 1 << j] for u in range(1 << k)], width)
+            assert _lanes_set(packed, width) == [u for u, x in enumerate(values) if x]
+
+
+def test_pair_counts_equal_the_brute_force_for_k_0_to_9():
+    """Seeded: on a group of each k = 0..9 (n = 7, 7 and 23) and on the
+    chain member at n = 256, ``_pairwise_checks`` equals the brute force
+    over every pair (``oracles.table_pair_counts``) on the true squares,
+    with a random fault d in the swapper table entry (i, j), and with the
+    square of a random lane cleared (``_lane_square_cleared``)."""
+    rng = random.Random(2)
+    groups = _groups_k_0_to_9() + [_chain_members()[4]]
+    assert [len(C.basis) for C in groups] == list(range(10)) + [3]
+    assert {C.sig.n for C in groups} == {7, 23, 256}
+    for C in groups:
+        assert _pairwise_counts(C) == table_pair_counts(C) == [0, 0], C.generators
+        k = len(C.basis)
+        if not k:
+            continue
+        random_fault = (rng.getrandbits(C.sig.n), rng.randrange(k), rng.randrange(k))
+        lane = rng.randrange(1, 1 << k)
+        for fault in (lambda C, squares: random_fault, _lane_square_cleared(lane)):
+            with pytest.MonkeyPatch.context() as patch:
+                squares = _plant_squares(patch, fault)(C)[0]
+                assert _pairwise_counts(C) == _brute_pairwise(C, squares), (C.generators, fault)
+
+
+def test_no_row_of_a_correct_group_is_spanned(monkeypatch):
+    """Every commutator of a correct group lies inside the support of a^2:
+    Z2 and Z4 blocks commute, and a Q8 block where two words fail to
+    commute is of order 4 in both, so a^2 is 1111 there.  So the lanes
+    name no row, and ``_pairwise_checks`` spans none (``_span``), on the
+    groups of each k = 0..9, the dense groups and the chain members."""
+    groups = _groups_k_0_to_9() + _dense_groups() + _chain_members()
+    for C in groups:
+        _coset_squares(C)
+    spans = count_calls(monkeypatch, subgroup, "_span")
+    for C in groups:
+        assert _pairwise_counts(C) == [0, 0]
+    assert spans == {}
+
+
+def test_kernel_cosets_at_k_6_to_8_match_the_translation_test():
+    """The lane reduction of the swapper table by Gray(T) gives the same
+    null space as the translation test on the coset representatives."""
+    groups = [C for C in _groups_k_0_to_9() if 6 <= len(C.basis) <= 8]
+    groups += [C for C in _dense_groups() if len(C.basis) == 6]
+    assert sorted(len(C.basis) for C in groups) == [6, 6, 6, 7, 8]
+    for C in groups:
+        assert C.torsion_rows
+        assert _kernel_cosets(C) == representative_kernel_cosets(C), C.generators
 
 
 def test_verify_names_a_corrupted_table(monkeypatch):
@@ -344,11 +470,19 @@ def test_verify_names_a_corrupted_table(monkeypatch):
 def test_verify_names_each_replaced_route(monkeypatch):
     """Each route the Hadamard layer replaced stays a ``verify`` pair, and a
     planted fault in the hot route makes ``verify`` name it: a sort key
-    whose bit reversal drops the top bit, the Hadamard pair check reading
-    squares with a unit commutator moved by u (``_unit_outside_square_pair``),
-    and u in <U> answered the other way."""
+    whose bit reversal drops the top bit, the pair checklist of
+    ``check_bounds`` reading squares with the square of b_1 cleared
+    (``_square_cleared``), the Hadamard pair check reading squares with a
+    unit commutator moved by u (``_unit_outside_square_pair``), and u in
+    <U> answered the other way."""
     C = load_fixture("hadamard16_q8")
     verify(C)
+    with monkeypatch.context() as patch:
+        _plant_squares(patch, _square_cleared)
+        with pytest.raises(
+            RuntimeError, match="_pairwise_checks disagrees with table_pair_counts"
+        ):
+            verify(C)
     with monkeypatch.context() as patch:
         real_key = oracles._sort_key
         patch.setattr(oracles, "_sort_key", lambda sig, x: real_key(sig, x) >> 1)
