@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from . import gf2
 from .groups import (
     GroupSignature,
     GroupWord,
@@ -44,7 +45,6 @@ from .subgroup import (
     _polar,
     _radical,
     _reduce,
-    _span,
     code_type,
 )
 
@@ -307,7 +307,7 @@ def _predict_kronecker_type(C: CodeGroup, g: GroupWord) -> Tuple[CodeType, bool]
     the basis ends at nu = 0 (``_present``).  The ambient group has class
     2, so commutators are central of order <= 2, (g c, b) = (g, b)(c, b),
     and Gray adds on them; g's row is Gray((g, b_j)) over the basis words
-    b_j, and its span (``_span``) holds Gray((g, p_v)) at index v.  Case 2:
+    b_j, and its span (``gf2.span``) holds Gray((g, p_v)) at index v.  Case 2:
     T(C) is central, so g*c centralizes C when (g c, b_j) = e for every j,
     that is when g's row equals c's; (p t, b_j) = (p, b_j) for t in T(C),
     so some c gives it exactly when g's row is the row of some coset word
@@ -324,7 +324,7 @@ def _predict_kronecker_type(C: CodeGroup, g: GroupWord) -> Tuple[CodeType, bool]
     units = [1 << j for j in range(len(row))]
     if any([_polar(squares, v, j) for j in units] == row for v in range(len(squares))):
         return CodeType(ct.sigma, ct.delta + 1, ct.rho), False
-    sums = _span(row)
+    sums = gf2.span(row)
     delta1 = sum(1 for v in _radical(C) if not sums[v]).bit_length() - 1
     return CodeType(ct.sigma, delta1, ct.rho + ct.delta - delta1 + 1), False
 

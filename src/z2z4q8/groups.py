@@ -454,7 +454,7 @@ def _commutator_blocks(q8: int, x: int, y: int) -> int:
     that stay inside the block, and spreads its result over the block by a
     product with 0b1111 that carries nothing, as the low bits are at least
     4 apart.  So it works block by block on any layout of blocks, such as
-    several words side by side (``subgroup._form_row``)."""
+    words in the lanes of ``gf2.pack`` (``subgroup._form_row``)."""
     px, qx = (x ^ (x >> 1)) & q8, (x ^ (x >> 2)) & q8
     py, qy = (y ^ (y >> 1)) & q8, (y ^ (y >> 2)) & q8
     return ((px | qx) & (py | qy) & ((px ^ py) | (qx ^ qy))) * 0b1111

@@ -30,7 +30,7 @@ from math import ceil, comb, floor
 from operator import xor
 from typing import List, Optional, Sequence, Tuple
 
-from .gf2 import Gf2Basis, dimension
+from . import gf2
 from .groups import GroupWord, _commutator_bits, _pi
 from .invariants import (
     BoundCheck,
@@ -50,7 +50,6 @@ from .subgroup import (
     _minimum_keys,
     _polar,
     _radical,
-    _span,
     code_type,
     standard_generators,
     verify_standard,
@@ -282,7 +281,7 @@ def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
     if tag == 3:
         _require(ct.delta == 0, "shape 3 needs delta = 0")
         _require(sq[0] == u, "shape 3 needs z1^2 = u")
-        tail_squares = Gf2Basis(sq[1:])
+        tail_squares = gf2.Gf2Basis(sq[1:])
         _require(
             tail_squares.rank == ct.rho - 1,
             "shape 3 needs independent tail squares",
@@ -396,7 +395,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
                 comm(zs[0], zs[-1]) == sq[-1] and comm(zs[1], zs[-1]) == sq[-1],
                 "pair-versus-last commutators must equal the last square",
             )
-            if not Gf2Basis(sq[2:]).contains(u):
+            if not gf2.Gf2Basis(sq[2:]).contains(u):
                 return finish(2, zs)
             special = None
             for i in range(2, rho - 1):
@@ -479,7 +478,7 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
                 )
         # the least subset of tail z's whose squares (of order <= 2, so Gray
         # adds) multiply to u: bit i of the span's index picks z_(i+2)
-        products = _span(sq[1:])
+        products = gf2.span(sq[1:])
         if u in products:
             mask = products.index(u)
             positions = [p + 1 for p in range(rho - 1) if mask >> p & 1]
@@ -633,7 +632,7 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
     if any(sq[i] == u for i in range(min(2 * eps, len(zs)))):
         checks.append(_eq("square-u inside the paired block forces delta = 0", ct.delta, 0))
     v_set = _v_set(C, ngs)
-    w_rank = dimension(squares[v] for _, v in v_set)
+    w_rank = gf2.dimension(squares[v] for _, v in v_set)
     u_set = [(w, v) for w, v in v_set if squares[v] != u]
     paired = ct.delta + ct.rho - eps
     checks.append(_le("log2|<W>| >= delta + rho - epsilon - 1", paired - 1, w_rank))
@@ -703,11 +702,11 @@ def _generates(C: CodeGroup, words: Sequence[Indexed], x: int) -> bool:
     for i, a in enumerate(indices):
         rows.append(squares[a])
         rows += [_polar(squares, a, b) for b in indices[:i]]
-    return dimension(rows + [x]) == dimension(rows)
+    return gf2.dimension(rows + [x]) == gf2.dimension(rows)
 
 
 def _swapper_residues(C: CodeGroup, v: int) -> List[int]:
-    """s(p_v, p_w) mod Gray(T) by w: the span (``_span``) of the k unit
+    """s(p_v, p_w) mod Gray(T) by w: the span (``gf2.span``) of the k unit
     residues, s(p_v, b_j) = the sum of s(b_i, b_j) over the bits i of v,
     reduced by Gray(T); s is bilinear (``invariants._swappers``) and
     reduction linear."""
@@ -715,7 +714,7 @@ def _swapper_residues(C: CodeGroup, v: int) -> List[int]:
     for i, row in enumerate(C.swappers):
         if v >> i & 1:
             units = list(map(xor, units, row))
-    return _span(list(map(C._torsion.reduce, units)))
+    return gf2.span(list(map(C._torsion.reduce, units)))
 
 
 def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
@@ -726,7 +725,7 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
     The first counts, for each a outside T(C) with a^2 != u, the b outside
     T(C) whose commutator (a, b) lies outside <a^2> = {0, a^2} (by image).
     Commutators are bilinear, so the row of a's commutators is the span
-    (``_span``) of its k unit entries Gray((a, b_j)), indexed like the
+    (``gf2.span``) of its k unit entries Gray((a, b_j)), indexed like the
     coset words.  {0, a^2} is closed under XOR, so when every unit entry
     lies in it, so does every entry, and the row adds 0; otherwise the
     row is spanned and its entries in {0, a^2} are counted exactly, by
@@ -764,11 +763,11 @@ def _hadamard_pair_triple_checks(C: CodeGroup) -> List[BoundCheck]:
         units = [squares[v ^ b] ^ squares[b] ^ a2 for b in bits]
         if any(t and t != a2 for t in units):
             # the entries at w >= 1 outside {0, a2}; the entry at w = 0 is 0
-            row = _span(units)
+            row = gf2.span(units)
             good = row.count(0) + (row.count(a2) if a2 else 0) - 1
             pair_bad += len(outside) - good
 
-    triple2_bad = sum(dimension(members) > 2 for members in by_square.values())
+    triple2_bad = sum(gf2.dimension(members) > 2 for members in by_square.values())
 
     residues: dict = {}  # member index -> its swapper residues, on first use
     triple3_bad = 0

@@ -6,8 +6,9 @@ the rows of Gray(T(C)) and the swapper table s(b_i, b_j).  The span
 group D and the binary kernel are built from the same table; the pair
 checklist of ``check_bounds`` reads the 2^k squares of the coset words
 (``_coset_squares``) packed as lanes of one int, with one step per basis
-bit; only the weight count reads all of Gray(C), as a stream.  Each fact
-is computed once, by one route; the second routes are in ``oracles``, and
+bit; the lanes, the span and the eliminations are ``gf2``'s.  Only the
+weight count reads all of Gray(C), as a stream.  Each fact is computed
+once, by one route; the second routes are in ``oracles``, and
 ``oracles.verify`` runs them.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Tuple
 
-from .gf2 import Gf2Basis, dimension
+from . import gf2
 from .gray import BinaryVector, gray, gray_inv
 from .groups import GroupWord, SignatureMismatch
 from .subgroup import (
@@ -30,13 +31,7 @@ from .subgroup import (
     _form,
     _gray_stream,
     _kernel_cosets,
-    _lane_ones,
-    _lane_width,
-    _lanes_set,
     _memoized,
-    _pack,
-    _span,
-    _swap_masks,
     code_type,
 )
 
@@ -104,7 +99,7 @@ def rank(C: CodeGroup) -> int:
     (``coset_row_space``, ``gray_basis``).
     """
     swappers = (s for i, row in enumerate(_swappers(C)) for s in row[i + 1 :])
-    return dimension((*C.torsion_rows, *C.basis, *swappers))
+    return gf2.dimension((*C.torsion_rows, *C.basis, *swappers))
 
 
 def kernel_dim(C: CodeGroup) -> int:
@@ -136,7 +131,7 @@ def span_group(C: CodeGroup) -> CodeGroup:
     ``DEFAULT_MAX_ORDER`` before any word is built.  ``oracles.verify``
     compares its order with ``rank`` and ``oracles.gray_basis``.
     """
-    independent = Gf2Basis(C.torsion_rows)
+    independent = gf2.Gf2Basis(C.torsion_rows)
     extra = [
         s
         for i, row in enumerate(_swappers(C))
@@ -158,7 +153,7 @@ def binary_kernel(C: CodeGroup) -> frozenset:
     of Gray(T).  ``oracles.translation_kernel`` is the |C|-sized oracle,
     run in the tests and, by size, by ``oracles.verify``.
     """
-    n, images, tbits = C.sig.n, _coset_images(C), _span(C.torsion_rows)
+    n, images, tbits = C.sig.n, _coset_images(C), gf2.span(C.torsion_rows)
     return frozenset(
         BinaryVector(n, images[v] ^ t) for v in _kernel_cosets(C) for t in tbits
     )
@@ -268,19 +263,19 @@ def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
     Gray((p_u, p_v)) = sq[u] + sq[v] + sq[u ^ v] (``_polar``); sq[0] = 0.
 
     Weights: row u adds the v >= 1 whose commutator outweighs a^2 =
-    sq[u].  Commutators are bilinear, so row u is the span (``_span``) of
+    sq[u].  Commutators are bilinear, so row u is the span (``gf2.span``) of
     its k unit entries Gray((p_u, b_j)) = sq[u ^ 2^j] + sq[2^j] + sq[u],
     and the support of every entry lies inside their OR.  When that OR
     lies inside supp(a^2), no entry has a bit outside a^2, hence none
     outweighs it, and the row adds 0.  Every row's OR is read at once: with
-    the squares packed, lane u holding sq[u] (``_pack``), step j swaps the
-    lanes in blocks of 2^j, so lane u holds sq[u ^ 2^j] (``_swap_masks``),
-    and XORs in sq[2^j] copied into every lane (``_lane_ones``): lane u
-    then holds unit j + sq[u].  The OR of the k steps is spread, and
-    (unit + sq[u]) & ~sq[u] = unit & ~sq[u], so spread & ~packed names
-    exactly the rows whose entries reach outside their square
-    (``_lanes_set``).  Only those are spanned and counted exactly; the
-    entry at v = 0 is 0, which outweighs nothing.
+    the squares packed, lane u holding sq[u] (``gf2.pack``), step j swaps
+    the lanes in blocks of 2^j, so lane u holds sq[u ^ 2^j]
+    (``gf2.swap_lanes``), and XORs in sq[2^j] copied into every lane
+    (``gf2.lane_ones``): lane u then holds unit j + sq[u].  The OR of the k
+    steps is spread, and (unit + sq[u]) & ~sq[u] = unit & ~sq[u], so
+    spread & ~packed names exactly the rows whose entries reach outside
+    their square (``gf2.lanes_set``).  Only those are spanned and counted
+    exactly; the entry at v = 0 is 0, which outweighs nothing.
 
     Commuting pairs: u, v >= 1 with u != v, sq[u] = sq[v] and commutator
     0, i.e. sq[u ^ v] = 0.  With w = u ^ v, these are the w >= 1 with
@@ -291,20 +286,18 @@ def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
     match.
     """
     squares = _coset_squares(C)
-    lanes, width = len(squares), _lane_width(C.sig.n)
-    packed, ones = _pack(squares, width), _lane_ones(width, lanes)
+    lanes, width = len(squares), gf2.lane_width(C.sig.n)
+    packed, ones = gf2.pack(squares, width), gf2.lane_ones(width, lanes)
     spread = 0
-    for j, keep in enumerate(_swap_masks(width, len(C.basis))):
-        shift = width << j
-        swapped = packed >> shift & keep | (packed & keep) << shift
+    for j, swapped in enumerate(gf2.swap_lanes(packed, width, len(C.basis))):
         spread |= swapped ^ squares[1 << j] * ones
     bits = [1 << j for j in range(len(C.basis))]
     square_weight_bad = 0
-    for u in _lanes_set(spread & ~packed, width):
+    for u in gf2.lanes_set(spread & ~packed, width):
         sq = squares[u]
         units = [squares[u ^ b] ^ squares[b] ^ sq for b in bits]
         wa = sq.bit_count()
-        square_weight_bad += sum(map(wa.__lt__, map(int.bit_count, _span(units))))
+        square_weight_bad += sum(map(wa.__lt__, map(int.bit_count, gf2.span(units))))
     commuting_squares_bad = 0
     if squares.count(0) > 1:
         indices = range(lanes)

@@ -21,8 +21,8 @@ from itertools import permutations
 from operator import xor
 from typing import Iterable, List, Sequence, Tuple
 
+from . import gf2
 from .constructions import q8_automorphisms
-from .gf2 import Gf2Basis
 from .gray import BinaryVector
 from .groups import GroupSignature, GroupWord, _sort_key, commutator, identity, word
 from .hadamard import (
@@ -53,8 +53,6 @@ from .subgroup import (
     _kernel_cosets,
     _memoized,
     _polar,
-    _products,
-    _span,
     center,
     code_type,
     standard_generators,
@@ -71,12 +69,12 @@ def gray_codewords(C: CodeGroup) -> frozenset:
 
 
 @_memoized
-def gray_basis(C: CodeGroup) -> Gf2Basis:
+def gray_basis(C: CodeGroup) -> gf2.Gf2Basis:
     """GF(2) row basis of all of Gray(C); callers only read it.
 
     The oracle for ``invariants.rank`` and ``invariants.span_group``.
     """
-    return Gf2Basis(gray_codewords(C))
+    return gf2.Gf2Basis(gray_codewords(C))
 
 
 def _swapper_bits(x: GroupWord, y: GroupWord) -> int:
@@ -84,7 +82,7 @@ def _swapper_bits(x: GroupWord, y: GroupWord) -> int:
     return x.bits ^ y.bits ^ (x * y).bits
 
 
-def coset_row_space(C: CodeGroup) -> Gf2Basis:
+def coset_row_space(C: CodeGroup) -> gf2.Gf2Basis:
     """The row space of Gray(C) from one codeword per T-coset: Gray(T)
     plus the 2^k images of ``_coset_reps``.
 
@@ -93,7 +91,15 @@ def coset_row_space(C: CodeGroup) -> Gf2Basis:
     spans the presentation instead; ``verify`` asks for the same dimension
     and for every Gray(b_i) and s(b_i, b_j) to lie in it.
     """
-    return Gf2Basis(C.torsion_rows + tuple(p.bits for p in _coset_reps(C)))
+    return gf2.Gf2Basis(C.torsion_rows + tuple(p.bits for p in _coset_reps(C)))
+
+
+def _products(sig: GroupSignature, gens: Sequence[GroupWord]) -> List[GroupWord]:
+    """Products of the subsets of gens, in order; bit i of the index picks gens[i]."""
+    out = [identity(sig)]
+    for g in gens:
+        out += [w * g for w in out]
+    return out
 
 
 def coset_tables_by_products(
@@ -145,11 +151,11 @@ def _coset_table(C: CodeGroup) -> Tuple[List[int], List[List[int]]]:
     (xy, z) = (x, z)(y, z) = (z, xy), and Gray adds on them.  So with
     F(i, j) = Gray((b_i, b_j)) (``_form``), the entry Gray((p_w, p_v)) is
     the sum of F(i, j) over i in w and j in v: the sum over i in w of the
-    rows _span(F(i, .)), indexed like the products (``_span``,
+    rows span(F(i, .)), indexed like the products (``gf2.span``,
     ``_products``), and the table is their ``_span_table``.  T(C) is
     central of exponent 2, so (p t, w) = (p, w).
     """
-    return _coset_squares(C), _span_table([_span(f) for f in _form(C)])
+    return _coset_squares(C), _span_table([gf2.span(f) for f in _form(C)])
 
 
 def _reduced_swappers(C: CodeGroup) -> List[List[int]]:
@@ -158,13 +164,13 @@ def _reduced_swappers(C: CodeGroup) -> List[List[int]]:
 
     s is exactly bilinear on words (``invariants._swappers``), so
     s(p_v, p_w) is the sum of s(b_i, b_j) over i in v and j in w: the sum
-    over i in v of the rows _span(s(b_i, .)), indexed like the products
-    (``_span``), and the table is their ``_span_table``.  Reduction
+    over i in v of the rows span(s(b_i, .)), indexed like the products
+    (``gf2.span``), and the table is their ``_span_table``.  Reduction
     (``Gf2Basis.reduce``) is linear, so it is applied once per entry of
     the k x k table, and the sums of residues are the residues of the sums.
     """
     reduce = C._torsion.reduce
-    return _span_table([_span([reduce(s) for s in row]) for row in C.swappers])
+    return _span_table([gf2.span([reduce(s) for s in row]) for row in C.swappers])
 
 
 def table_pair_counts(C: CodeGroup) -> List[int]:
@@ -202,7 +208,7 @@ def table_pair_triple_counts(C: CodeGroup) -> List[int]:
     for v in outside:
         if squares[v] != u:
             by_square.setdefault(squares[v], []).append(v)
-    wide = sum(Gf2Basis(members).rank > 2 for members in by_square.values())
+    wide = sum(gf2.Gf2Basis(members).rank > 2 for members in by_square.values())
     residues = _reduced_swappers(C)
     triple = 0
     for a2, members in by_square.items():
@@ -227,7 +233,7 @@ def translation_kernel(C: CodeGroup) -> frozenset:
     expanded by XOR with Gray(T).
     """
     codewords = gray_codewords(C)
-    tbits = _span(C.torsion_rows)
+    tbits = gf2.span(C.torsion_rows)
     members = (
         r.bits ^ t
         for r in _coset_reps(C)
@@ -346,7 +352,7 @@ def scanned_standard_generators(C: CodeGroup) -> Tuple[tuple, tuple, tuple]:
     over sorted T, the y's enlarge <T, ys> over sorted Z, the z's enlarge
     <Z, zs> over sorted C; the oracle for ``standard_generators``."""
     T, Z = torsion(C), center(C)
-    span = Gf2Basis()
+    span = gf2.Gf2Basis()
     xs = [w for w in T.sorted_elements() if span.add(w.bits)]
     ys = first_independent(T.elements, Z.sorted_elements(), Z.order)
     zs = first_independent(Z.elements, C.sorted_elements(), C.order)

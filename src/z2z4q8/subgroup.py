@@ -17,12 +17,10 @@ XOR from the swapper table that ``_present`` keeps
 words are two lists built by XOR doubling on the table
 (``_coset_images``, ``_coset_squares``), with no product: C has class
 2, so the square map on C/T(C) is quadratic and every commutator is its
-polar form (``_polar``), and no 2^k x 2^k table is built.  The pair
-checklist and the kernel reduction read lanes: values packed side by
-side in one int (``_pack``), reindexed by masks and shifts
-(``_swap_masks``) and added to by one multiply (``_lane_ones``).  The
-standard generators are read from the sort keys of the least word of
-each coset, computed from images (``_minimum_keys``).  A generating set is its
+polar form (``_polar``), and no 2^k x 2^k table is built.  The span,
+the null space and the lanes of one int are ``gf2``'s.  The standard
+generators are read from the sort keys of the least word of each coset,
+computed from images (``_minimum_keys``).  A generating set is its
 words: ``verify_standard`` locates each y and z to check it, and returns
 their coset indices, kept per set, for the readers of the set.  K(C)
 is the T-cosets of the swapper null space (``group_kernel``).  No group
@@ -44,9 +42,9 @@ from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from itertools import chain, product, starmap
 from operator import xor
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
-from .gf2 import Gf2Basis, dimension
+from . import gf2
 from .groups import (
     GroupSignature,
     GroupWord,
@@ -273,90 +271,19 @@ def _gray_stream(C: CodeGroup) -> Iterator[int]:
     Gray(p_v t) = Gray(p_v) + Gray(t) (``_coset_reps``), and the images
     Gray(p_v) are ``_coset_images``.  Each coset is its image plus every
     sum of the ``torsion_rows``.  The sums of the first ``cut`` rows are
-    spanned once (``_span``), and ``starmap(xor, product(...))`` adds them
+    spanned once (``gf2.span``), and ``starmap(xor, product(...))`` adds them
     to every image.  The span holds 2^cut sums, with 2^cut * 2^bitlen(n)
     <= 2^20: all of Gray(T) at the lengths of the benchmark, and at most
     about 2^20 bits of images at any length.  The sums of the rows past the
-    cut are walked one at a time (``_walk``), each added to the images
+    cut are walked one at a time (``gf2.walk``), each added to the images
     before the span is.
     """
     rows = C.torsion_rows
     cut = max(0, _SPAN_BITS - C.sig.n.bit_length())
-    images, inner = _coset_images(C), _span(rows[:cut])
+    images, inner = _coset_images(C), gf2.span(rows[:cut])
     return chain.from_iterable(
-        starmap(xor, product([o ^ x for x in images], inner)) for o in _walk(rows[cut:])
+        starmap(xor, product([o ^ x for x in images], inner)) for o in gf2.walk(rows[cut:])
     )
-
-
-def _walk(rows: Sequence[int]) -> Iterator[int]:
-    """Every sum of rows, one at a time, in Gray-code order: step i adds the
-    row at the lowest set bit of i, so the 2^len(rows) steps visit every sum
-    once."""
-    x = 0
-    yield x
-    for i in range(1, 1 << len(rows)):
-        x ^= rows[(i & -i).bit_length() - 1]
-        yield x
-
-
-def _span(rows: Sequence[int]) -> List[int]:
-    """Every XOR of a subset of rows; bit i of the index picks rows[i]."""
-    out = [0]
-    for r in rows:
-        out += [v ^ r for v in out]
-    return out
-
-
-def _lane_width(n: int) -> int:
-    """Bits per lane for values below 2^n: n rounded up to whole bytes, so
-    that ``_pack`` joins bytes."""
-    return -(-n // 8) * 8
-
-
-def _pack(values: Iterable[int], width: int) -> int:
-    """The lanes of values: values[u] at bits u*width, each value below
-    2^width, packed by one join of their bytes."""
-    size = width // 8
-    lanes = b"".join([x.to_bytes(size, "little") for x in values])
-    return int.from_bytes(lanes, "little")
-
-
-def _lane_ones(width: int, lanes: int) -> int:
-    """1 at bit u*width of each of the lanes, the geometric sum (2^(width *
-    lanes) - 1) / (2^width - 1).  x * ones holds x in every lane for x <
-    2^width: the copies do not overlap, so the product has no carry; (y >>
-    p & ones) * x holds x in each lane of y with bit p set, and 0 in the
-    others."""
-    return ((1 << width * lanes) - 1) // ((1 << width) - 1)
-
-
-def _swap_masks(width: int, k: int) -> List[int]:
-    """Mask j, for j < k, keeps the lanes u < 2^k with bit j of u clear.
-
-    With it, the lanes of x reindexed by u -> u ^ 2^j are (x >> s) & mask |
-    (x & mask) << s, s = 2^j lanes: a lane u with bit j clear gets lane u +
-    2^j by the right shift, lane u + 2^j gets lane u by the left one, and
-    no bit crosses into another lane.  Mask k - 1 is the low 2^(k-1) lanes.
-    Mask j is mask j+1 XOR itself shifted up by 2^j lanes: each run of
-    2^(j+1) kept lanes from a, a multiple of 2^(j+2), becomes the runs of
-    2^j from a and from a + 2^(j+1), the lanes with bit j clear; the shift
-    stays below 2^k lanes.
-    """
-    masks = [(1 << (width << (k - 1))) - 1] if k else []
-    for j in range(k - 2, -1, -1):
-        masks.append(masks[-1] ^ masks[-1] << (width << j))
-    return masks[::-1]
-
-
-def _lanes_set(packed: int, width: int) -> List[int]:
-    """The lanes of packed with a bit set, in increasing order: one step per
-    such lane, from the lowest set bit, clearing its lane and those below."""
-    lanes = []
-    while packed:
-        u = ((packed & -packed).bit_length() - 1) // width
-        lanes.append(u)
-        packed &= -1 << (u + 1) * width
-    return lanes
 
 
 def _reduce(
@@ -373,7 +300,7 @@ def _reduce(
 
 
 def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[
-    List[Tuple[int, int, int]], Gf2Basis, List[int], Tuple[Tuple[int, ...], ...]
+    List[Tuple[int, int, int]], gf2.Gf2Basis, List[int], Tuple[Tuple[int, ...], ...]
 ]:
     """A GF(2) presentation of <gens>, on Gray images: the (pivot bit, nu,
     image) of b_1..b_k, a basis of Gray(N) with its rows, and the swapper
@@ -419,7 +346,7 @@ def _present(sig: GroupSignature, gens: Sequence[int]) -> Tuple[
     on it by XOR.
     """
     pivots: List[Tuple[int, int, int]] = []  # (pivot bit, nu, word)
-    torsion_basis = Gf2Basis()
+    torsion_basis = gf2.Gf2Basis()
     rows: List[int] = []
 
     def into_n(t: int) -> None:
@@ -483,12 +410,12 @@ def _doubling(diagonal: Sequence[int], table: Sequence[Sequence[int]]) -> List[i
     of table[j][i] over the bits j of w, for w < 2^i.
 
     Built by XOR doubling: step i spans the i entries table[j][i], j < i,
-    into the 2^i sums over w (``_span``) and adds each to q[w]; 2^k XORs
+    into the 2^i sums over w (``gf2.span``) and adds each to q[w]; 2^k XORs
     in all, and no product.
     """
     out = [0]
     for i, d in enumerate(diagonal):
-        column = _span([table[j][i] for j in range(i)])
+        column = gf2.span([table[j][i] for j in range(i)])
         out += [q ^ d ^ c for q, c in zip(out, column)]
     return out
 
@@ -586,27 +513,21 @@ def _form(C: CodeGroup) -> List[List[int]]:
 
 @_memoized
 def _side_by_side(C: CodeGroup) -> Tuple[int, int, int]:
-    """(R, B, Q): the basis images b_j laid side by side at bits j*n, B =
-    sum b_j << j*n, with R = sum 1 << j*n and Q = R * (the low bit of every
-    Q8 block), the masks ``_form_row`` reads."""
-    n = C.sig.n
-    ones = sum(1 << (j * n) for j in range(len(C.basis)))
-    packed = sum(b << (j * n) for j, b in enumerate(C.basis))
-    return ones, packed, ones * C.sig._q8
+    """(R, B, Q): the basis images b_j in lanes (``gf2.pack``), with R =
+    ``gf2.lane_ones`` over them and Q = R * (the low bit of every Q8
+    block), the masks ``_form_row`` reads."""
+    width = gf2.lane_width(C.sig.n)
+    ones = gf2.lane_ones(width, len(C.basis))
+    return ones, gf2.pack(C.basis, width), ones * C.sig._q8
 
 
 def _form_row(C: CodeGroup, a: int) -> int:
-    """Gray((a, b_j)) at bits j*n, for the basis words b_j of C and a word a
-    given by its image: one ``_commutator_blocks`` on a * R, a copy of a at
-    each j*n (a < 2^n), against the b_j side by side, with the low bits of
-    all their Q8 blocks (``_side_by_side``)."""
+    """Gray((a, b_j)) in lane j, for the basis words b_j of C and a word a
+    given by its image: one ``_commutator_blocks`` on a * R, a copy of a in
+    each lane (a < 2^n), against the b_j in lanes, with the low bits of all
+    their Q8 blocks (``_side_by_side``)."""
     ones, packed, q8 = _side_by_side(C)
     return _commutator_blocks(q8, a * ones, packed)
-
-
-def _null_space(rows: Sequence[int]) -> Tuple[int, ...]:
-    """The v whose rows sum to zero; bit i of v picks rows[i]."""
-    return tuple(v for v, image in enumerate(_span(rows)) if not image)
 
 
 @_memoized
@@ -617,11 +538,11 @@ def _radical(C: CodeGroup) -> Tuple[int, ...]:
     commutes with every b_j exactly when sum_i v_i Gray((b_i, b_j)) = 0.
     T(C) is central and C = <T(C), b_1..b_k>, so these v, the radical of
     the commutator form on C/T(C) = GF(2)^k, are Z(C)/T(C): the null space
-    of the rows F(i, .) packed as lanes (``_pack``), with F(i, j) =
+    of the rows F(i, .) packed as lanes (``gf2.pack``), with F(i, j) =
     Gray((b_i, b_j)) read from the swapper table (``_form``).
     """
-    width = _lane_width(C.sig.n)
-    return _null_space([_pack(row, width) for row in _form(C)])
+    width = gf2.lane_width(C.sig.n)
+    return gf2.null_space([gf2.pack(row, width) for row in _form(C)])
 
 
 @_memoized
@@ -638,26 +559,17 @@ def _kernel_cosets(C: CodeGroup) -> Tuple[int, ...]:
     for every j: K(C)/T(C) is the null space of v -> (sum_i v_i s(b_i,
     b_j) mod Gray(T))_j.
 
-    The k x k table is packed into one int, s(b_i, b_j) in lane i*k + j
-    (``_pack``), and reduced by the reduced echelon rows t of Gray(T) that
-    the presentation keeps (``C._torsion``), one lane pass per row: the
-    lanes with t's pivot bit p set get t (``_lane_ones``).  Each row has
-    its pivot as top bit and no other row's pivot, so the pass clears bit
-    p in every lane and moves no other pivot bit, and after the last pass
-    each lane is the one vector of its class mod Gray(T) with every pivot
-    bit clear, the residue ``Gf2Basis.reduce`` gives.  Row i of the null
-    space problem is then the k lanes from i*k.  ``oracles.verify`` runs
-    the second routes (``representative_kernel_cosets``,
-    ``translation_kernel``, ``swapper_scan_kernel``).
+    The k x k table is packed, s(b_i, b_j) in lane i*k + j, and every lane
+    is reduced at once by Gray(T) (``C._torsion``, ``gf2.reduce_lanes``).
+    Row i of the null space problem is then the k lanes from i*k, one lane
+    k times as wide.  ``oracles.verify`` runs the second routes
+    (``representative_kernel_cosets``, ``translation_kernel``,
+    ``swapper_scan_kernel``).
     """
-    k, width = len(C.basis), _lane_width(C.sig.n)
-    table = _pack(chain.from_iterable(C.swappers), width)
-    ones = _lane_ones(width, k * k)
-    for t in C._torsion.rows():
-        table ^= (table >> (t.bit_length() - 1) & ones) * t
-    row_width = k * width
-    mask = (1 << row_width) - 1
-    return _null_space([table >> (i * row_width) & mask for i in range(k)])
+    k, width = len(C.basis), gf2.lane_width(C.sig.n)
+    table = gf2.pack(chain.from_iterable(C.swappers), width)
+    rows = gf2.unpack(gf2.reduce_lanes(table, width, k * k, C._torsion), k * width, k)
+    return gf2.null_space(rows)
 
 
 def _cosets_where(C: CodeGroup, passing: Sequence[int]) -> CodeGroup:
@@ -666,7 +578,7 @@ def _cosets_where(C: CodeGroup, passing: Sequence[int]) -> CodeGroup:
     representatives at a basis of it generate the subgroup.
     """
     reps = _coset_reps(C)
-    picked = Gf2Basis()
+    picked = gf2.Gf2Basis()
     gens = torsion(C).generators + tuple(reps[v] for v in passing if picked.add(v))
     return CodeGroup(C.sig, gens)
 
@@ -685,13 +597,9 @@ def commutator_subgroup(C: CodeGroup) -> CodeGroup:
     generator pairs already generate C'.
     """
     gens = [g.bits for g in C.generators]
-    span, rows = Gf2Basis(), []
-    for x in gens:
-        for y in gens:
-            c = _commutator_bits(C.sig, x, y)
-            if span.add(c):
-                rows.append(c)
-    return _elementary(C.sig, rows)
+    independent = gf2.Gf2Basis()
+    commutators = (_commutator_bits(C.sig, x, y) for x in gens for y in gens)
+    return _elementary(C.sig, [c for c in commutators if independent.add(c)])
 
 
 @_memoized
@@ -703,12 +611,12 @@ def code_type(C: CodeGroup) -> CodeType:
 
 
 @_memoized
-def _key_basis(C: CodeGroup) -> Gf2Basis:
+def _key_basis(C: CodeGroup) -> gf2.Gf2Basis:
     """The rows _sort_key(t) << n | Gray(t) over a basis of T(C), the
     ``torsion_rows``, in reduced echelon form; every pivot is the top bit of
     a key (``_minimum_keys``)."""
     sig, n = C.sig, C.sig.n
-    return Gf2Basis(_sort_key(sig, t) << n | t for t in C.torsion_rows)
+    return gf2.Gf2Basis(_sort_key(sig, t) << n | t for t in C.torsion_rows)
 
 
 @_memoized
@@ -859,7 +767,7 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> Tuple[int, ...]:
     if ct.sigma < ct.delta:
         raise RuntimeError(f"sigma < delta in type {ct}")
     xs = [x.bits for x in gens.xs]
-    if dimension(xs) != ct.sigma or not all(map(C._torsion.contains, xs)):
+    if gf2.dimension(xs) != ct.sigma or not all(map(C._torsion.contains, xs)):
         raise ValueError("x generators are not a basis of T(C)")
     located = [_locate(C, w.bits) for w in gens.ys + gens.zs]
     if any(residue for _, residue in located):
@@ -870,19 +778,11 @@ def verify_standard(C: CodeGroup, gens: StandardGenSet) -> Tuple[int, ...]:
     for y in gens.ys:
         if _form_row(C, y.bits):
             raise ValueError(f"y generator {y} is not central")
-    if dimension(_form_row(C, z.bits) for z in gens.zs) != ct.rho:
+    if gf2.dimension(_form_row(C, z.bits) for z in gens.zs) != ct.rho:
         raise ValueError("a product of z generators is central")
-    if dimension(indices) != ct.delta + ct.rho:
+    if gf2.dimension(indices) != ct.delta + ct.rho:
         raise ValueError("y/z products do not meet each T-coset of C once")
     return indices
-
-
-def _products(sig: GroupSignature, gens: Sequence[GroupWord]) -> List[GroupWord]:
-    """Products of the subsets of gens, in order; bit i of the index picks gens[i]."""
-    out = [identity(sig)]
-    for g in gens:
-        out += [w * g for w in out]
-    return out
 
 
 @_memoized

@@ -29,7 +29,7 @@ from z2z4q8 import (
     word_from_tokens,
 )
 from z2z4q8.fixtures import load_fixture
-from z2z4q8.gf2 import Gf2Basis
+from z2z4q8.gf2 import Gf2Basis, span
 from z2z4q8.groups import Q8_MUL, GroupWord
 from z2z4q8.hadamard import (
     ClassificationError,
@@ -50,7 +50,6 @@ from z2z4q8.subgroup import (
     _coset_reps,
     _locate,
     _polar,
-    _span,
     standard_generators,
     verify_standard,
 )
@@ -317,7 +316,7 @@ def test_normalization_substitutions_over_all_u_square_triples(shape5_32):
 
     from z2z4q8 import StandardGenSet, normalize_generators, standard_generators
     from z2z4q8.gf2 import Gf2Basis
-    from z2z4q8.subgroup import _products
+    from z2z4q8.oracles import _products
 
     C = shape5_32
     u = u_element(C.sig)
@@ -545,7 +544,7 @@ def test_a_corrupted_square_list_is_caught_on_the_words(monkeypatch, corruption)
     def corrupted(C):
         squares = real(C)
         if corruption == "commutator rows zeroed":
-            linear = _span([squares[1 << i] for i in range(len(C.basis))])
+            linear = span([squares[1 << i] for i in range(len(C.basis))])
             indices = range(len(linear))
             assert not any(_polar(linear, v, w) for v in indices for w in indices)
             return linear

@@ -34,6 +34,7 @@ from z2z4q8 import (
     weight_distribution,
     word_from_tokens,
 )
+import z2z4q8.gf2 as gf2
 import z2z4q8.invariants as invariants_module
 import z2z4q8.oracles as oracles_module
 import z2z4q8.report as report_module
@@ -299,9 +300,9 @@ def test_derived_facts_are_computed_once(monkeypatch):
     word through Gray and spans no rows: every fact is kept on the group.
     The first round multiplies no word either (the coset images and
     squares come by XOR doubling), so its work is witnessed by the
-    ``_span`` calls that build them."""
+    ``span`` calls that build them."""
     C = load_fixture("hadamard32_q8_shape5")  # a fresh group, nothing cached
-    calls = count_calls(monkeypatch, subgroup_module, "_span")
+    calls = count_calls(monkeypatch, gf2, "span")
     mul, gray_map = GroupWord.__mul__, gray
 
     def counting_mul(x, y):
@@ -327,7 +328,7 @@ def test_derived_facts_are_computed_once(monkeypatch):
         )
 
     first = query()
-    assert calls["_span"] > 0 and calls["mul"] == 0
+    assert calls["span"] > 0 and calls["mul"] == 0
     calls.clear()
     assert query() == first
     assert calls == Counter()
@@ -430,9 +431,7 @@ def test_kernel_second_route_catches_a_wrong_null_space(monkeypatch):
     verify names that pair."""
     C = load_fixture("pure_q8_n8")  # K(C) = T(C), |C/T| = 4
     assert representative_kernel_cosets(C) == _kernel_cosets(C) == (0,)
-    monkeypatch.setattr(
-        subgroup_module, "_null_space", lambda rows: tuple(range(1 << len(rows)))
-    )
+    monkeypatch.setattr(gf2, "null_space", lambda rows: tuple(range(1 << len(rows))))
     C = load_fixture("pure_q8_n8")
     assert _kernel_cosets(C) == (0, 1, 2, 3)
     with pytest.raises(

@@ -61,12 +61,26 @@ def _imports_oracles(node: ast.AST) -> bool:
 
 def test_hot_modules_import_no_oracle_and_define_no_moved_name():
     moved = _top_level_names(_tree("oracles"))
-    assert {"gray_codewords", "gray_basis", "_swapper_bits", "is_perfect"} <= moved
+    assert {"gray_codewords", "gray_basis", "_swapper_bits", "is_perfect", "_products"} <= moved
     assert {"translation_kernel", "full_space_kernel", "swapper_scan_kernel"} <= moved
     for module in HOT_MODULES:
         tree = _tree(module)
         assert not any(_imports_oracles(node) for node in ast.walk(tree)), module
         assert not moved & _top_level_names(tree), module
+
+
+def test_gf2_imports_no_package_module_and_no_module_redefines_its_names():
+    """The GF(2) toolkit stands alone: ``gf2`` imports no module of the
+    package, and no other module defines a top-level name that ``gf2``
+    defines, so the package keeps one span, one null space and one lane
+    layout."""
+    tree = _tree("gf2")
+    assert not [m for node in ast.walk(tree) for m in _package_imports(node)]
+    owned = _top_level_names(tree)
+    assert {"span", "walk", "null_space", "pack", "unpack", "lane_ones"} <= owned
+    for module in _package_modules():
+        if module != "gf2":
+            assert not owned & _top_level_names(_tree(module)), module
 
 
 def test_conftest_defines_no_oracle():

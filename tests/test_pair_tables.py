@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+import z2z4q8.gf2 as gf2
 import z2z4q8.hadamard as hadamard
 import z2z4q8.invariants as invariants
 import z2z4q8.oracles as oracles
@@ -42,6 +43,7 @@ from z2z4q8.hadamard import _hadamard_pair_triple_checks
 from z2z4q8.invariants import _pairwise_checks
 from z2z4q8.oracles import (
     _coset_table,
+    _products,
     _reduced_swappers,
     _swapper_bits,
     representative_kernel_cosets,
@@ -53,11 +55,7 @@ from z2z4q8.subgroup import (
     _coset_images,
     _coset_squares,
     _kernel_cosets,
-    _lanes_set,
-    _pack,
     _polar,
-    _products,
-    _swap_masks,
 )
 
 from conftest import SHIPPED_FIXTURES, count_calls, random_subgroup, word_commutator
@@ -358,23 +356,6 @@ def _groups_k_0_to_9():
     return [found[k] for k in range(10)]
 
 
-def test_lanes_reindex_and_name_every_lane():
-    """Packed at byte widths, mask j of ``_swap_masks`` reindexes the lanes
-    by u -> u ^ 2^j, and ``_lanes_set`` names exactly the nonzero lanes,
-    the first and the last among them."""
-    rng = random.Random(0)
-    for width in (8, 24, 256):
-        for k in range(6):
-            values = [rng.getrandbits(width) * rng.randrange(2) for _ in range(1 << k)]
-            values[0] = values[-1] = 1 << (width - 1)
-            packed = _pack(values, width)
-            for j, keep in enumerate(_swap_masks(width, k)):
-                shift = width << j
-                swapped = packed >> shift & keep | (packed & keep) << shift
-                assert swapped == _pack([values[u ^ 1 << j] for u in range(1 << k)], width)
-            assert _lanes_set(packed, width) == [u for u, x in enumerate(values) if x]
-
-
 def test_pair_counts_equal_the_brute_force_for_k_0_to_9():
     """Seeded: on a group of each k = 0..9 (n = 7, 7 and 23) and on the
     chain member at n = 256, ``_pairwise_checks`` equals the brute force
@@ -402,12 +383,12 @@ def test_no_row_of_a_correct_group_is_spanned(monkeypatch):
     """Every commutator of a correct group lies inside the support of a^2:
     Z2 and Z4 blocks commute, and a Q8 block where two words fail to
     commute is of order 4 in both, so a^2 is 1111 there.  So the lanes
-    name no row, and ``_pairwise_checks`` spans none (``_span``), on the
+    name no row, and ``_pairwise_checks`` spans none (``gf2.span``), on the
     groups of each k = 0..9, the dense groups and the chain members."""
     groups = _groups_k_0_to_9() + _dense_groups() + _chain_members()
     for C in groups:
         _coset_squares(C)
-    spans = count_calls(monkeypatch, subgroup, "_span")
+    spans = count_calls(monkeypatch, gf2, "span")
     for C in groups:
         assert _pairwise_counts(C) == [0, 0]
     assert spans == {}

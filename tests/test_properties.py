@@ -57,7 +57,7 @@ from z2z4q8.constructions import (
     q8_automorphisms,
 )
 from z2z4q8.fixtures import load_fixture
-from z2z4q8.gf2 import Gf2Basis
+from z2z4q8.gf2 import Gf2Basis, null_space, span
 from z2z4q8.groups import (
     _GRAY_BLOCKS,
     Q8_TOKENS,
@@ -74,6 +74,7 @@ from z2z4q8.invariants import _kernel_cosets, _pairwise_checks, span_group
 from z2z4q8.oracles import (
     Relabeling,
     _coset_table,
+    _products,
     _swapper_bits,
     closure,
     coset_row_space,
@@ -97,11 +98,8 @@ from z2z4q8.subgroup import (
     _coset_squares,
     _form_row,
     _locate,
-    _null_space,
     _polar,
-    _products,
     _radical,
-    _span,
 )
 
 from conftest import (
@@ -522,7 +520,7 @@ def test_property_swapper_table_and_its_readers_match_word_products(data):
         [[word_commutator(p, q).bits for q in reps] for p in reps],
     )
     form = [_form_row(C, b) for b in basis]
-    assert _radical(C) == _null_space(form)
+    assert _radical(C) == null_space(form)
     gens = C.generators
     pairs = all(x * y == y * x for x in gens for y in gens)
     assert is_abelian(C) == pairs == (code_type(C).rho == 0)
@@ -1128,7 +1126,7 @@ def test_property_u_in_a_generated_subgroup_by_indices(data):
     members = C.sorted_elements()
     words = data.draw(st.lists(st.sampled_from(members), min_size=0, max_size=4))
     indexed = [(w, _locate(C, w.bits)[0]) for w in words]
-    for x in _span(C.torsion_rows) + [(1 << sig.n) - 1]:
+    for x in span(C.torsion_rows) + [(1 << sig.n) - 1]:
         assert _generates(C, indexed, x) == generated_by_presentation(C, words, x), (
             sig,
             C.generators,

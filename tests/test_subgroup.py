@@ -36,6 +36,7 @@ from z2z4q8 import (
 )
 from z2z4q8.fixtures import fixture_text, fixtures, load_fixture
 import z2z4q8.subgroup as subgroup_module
+from z2z4q8.gf2 import span
 from z2z4q8.oracles import (
     _coset_table,
     closure,
@@ -52,7 +53,6 @@ from z2z4q8.subgroup import (
     _coset_minima,
     _coset_reps,
     _locate,
-    _span,
     verify_standard,
 )
 
@@ -573,7 +573,7 @@ def test_verify_standard_returns_the_coset_index_of_each_y_and_z():
     checked = 0
     for name, C in _coset_groups():
         gens, images = standard_generators(C), _coset_images(C)
-        torsion_words = [GroupWord._from_bits(C.sig, r) for r in _span(C.torsion_rows)]
+        torsion_words = [GroupWord._from_bits(C.sig, r) for r in span(C.torsion_rows)]
         zs = list(gens.zs)
         rng.shuffle(zs)
         moved = StandardGenSet(
