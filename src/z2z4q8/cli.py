@@ -47,11 +47,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         raise ValueError(f"--lift-first applies to extend only, not {args.operation}")
     C = _load_group(args.file, args.max_order)
     if args.operation == "lift":
-        out = xi_lift(C, args.max_order)
+        out = xi_lift(C)
     elif args.operation == "extend":
         if args.element is None:
             raise ConstructionError("extend requires --element")
-        lifted = xi_lift(C, args.max_order) if args.lift_first else C
+        lifted = xi_lift(C) if args.lift_first else C
         out = extend(lifted, parse_element(args.element, lifted.sig), args.max_order)
     elif args.operation == "kronecker":
         if args.element is None:

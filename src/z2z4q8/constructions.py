@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from . import gf2
 from .groups import (
@@ -32,7 +32,7 @@ from .groups import (
     u_element,
     word,
 )
-from .hadamard import Shape, _checked_shape, is_hadamard
+from .hadamard import classify_shape, is_hadamard
 from .invariants import is_abelian, kernel_dim, rank, weight_distribution
 from .subgroup import (
     DEFAULT_MAX_ORDER,
@@ -83,15 +83,15 @@ def _lift_into(out: GroupSignature, w: GroupWord) -> GroupWord:
 
 
 @_memoized
-def xi_lift(C: CodeGroup, max_order: int = DEFAULT_MAX_ORDER) -> CodeGroup:
+def xi_lift(C: CodeGroup) -> CodeGroup:
     """Image of a Z2/Z4 code group under the doubling embedding, kept on C.
 
     The embedding is injective and order-preserving, so the image has the
-    same order and type; Gray weights double coordinatewise.
+    same order and type (C's order met ``max_order`` when C was built);
+    Gray weights double coordinatewise.
     """
     out = lifted_signature(C.sig)
-    gens = tuple(_lift_into(out, g) for g in C.generators)
-    lifted = CodeGroup.generate(gens, max_order)
+    lifted = CodeGroup(out, tuple(_lift_into(out, g) for g in C.generators))
     if lifted.order != C.order:
         raise RuntimeError("lift changed the group order; embedding is broken")
     if code_type(lifted) != code_type(C):
@@ -230,15 +230,13 @@ class LiftResult:
     lifted: CodeGroup
     extension_element: GroupWord
     extended: CodeGroup
-    condition_ok: bool
 
 
 def lift_and_extend(
     C: CodeGroup, x: GroupWord, max_order: int = DEFAULT_MAX_ORDER
 ) -> LiftResult:
-    lifted = xi_lift(C, max_order)
-    extended = extend(lifted, x, max_order)
-    return LiftResult(lifted, x, extended, True)
+    lifted = xi_lift(C)
+    return LiftResult(lifted, x, extend(lifted, x, max_order))
 
 
 def random_doubling_element(
@@ -443,12 +441,11 @@ class ConverseResult:
     coordinate_autos: Tuple[Tuple[int, ...], ...]
 
 
-def structural_converse_check(
-    C: CodeGroup, shape: Optional[Shape] = None
-) -> ConverseResult:
+def structural_converse_check(C: CodeGroup) -> ConverseResult:
     """Recover (base Z2/Z4 code, doubling element) from a shape-2/3 group.
 
-    The abelian index-2 subgroup spanned by the witness generators (with
+    The abelian index-2 subgroup spanned by the generators of the witness
+    of C's shape (``classify_shape``, with
     z1 dropped, and z1*z2 replacing z2 in shape 2) projects into one
     cyclic order-4 subgroup per Q8 coordinate.  A per-coordinate Q8
     automorphism relabels those projections into <a>; automorphisms
@@ -463,11 +460,8 @@ def structural_converse_check(
     inner word lies in them exactly when every generator does, and the
     first automorphism that maps each generator's coordinate i into <a> is
     the first that maps every inner word's coordinate i there.
-
-    A caller's ``shape`` is checked against C first, as by
-    ``hadamard_bounds`` (``hadamard._checked_shape``).
     """
-    shape = _checked_shape(C, shape)
+    shape = classify_shape(C)
     if shape.tag not in (2, 3):
         raise ConstructionError(
             f"converse applies to shapes 2 and 3 only, got shape {shape.tag}"

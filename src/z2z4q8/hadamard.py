@@ -15,9 +15,10 @@ every square they branch on or require is read from the square list
 ``_coset_squares``, and every commutator as its polar form (``_polar``,
 ``_comm``), as both are constant on T-cosets.  Words are multiplied only
 to build the witness, which is checked on its words (``verify_standard``
-on every distinct set, ``_verify_shape`` on the witness).  A caller's
-shape is checked the same way, with its epsilon, before any reader uses
-it (``_checked_shape``).  u in <U> is decided by elimination on indices
+on every distinct set, ``_verify_shape`` on the witness).  The shape is
+a fact of the group, classified once and kept on it; every reader,
+``hadamard_bounds`` and ``structural_converse_check`` among them, takes
+only the group.  u in <U> is decided by elimination on indices
 (``_generates``), and the pair and triple checks polarize the square
 list too, so the layer builds no 4^k table and no subgroup.
 """
@@ -145,20 +146,17 @@ def _pair_reorder(C: CodeGroup, zs: Sequence[Indexed]) -> Tuple[List[Indexed], i
     return [zs[p] for p in order], len(pairs)
 
 
-def normalize_generators(
-    C: CodeGroup, base: Optional[StandardGenSet] = None
-) -> NormalizedGenSet:
+def normalize_generators(C: CodeGroup) -> NormalizedGenSet:
     """Normalized generating set for a Hadamard code group.
 
-    Applies the square-u substitutions z_i -> z1*z_i / z2*z_i / z1*z2*z_i,
-    then reorders equal-square pairs to the front, reading squares and
-    commutators by the indices ``verify_standard`` returns for the set, so
-    a caller's ``base`` is verified before any is read; the result is
-    verified too.
+    Applies the square-u substitutions z_i -> z1*z_i / z2*z_i / z1*z2*z_i
+    to ``standard_generators(C)``, then reorders equal-square pairs to the
+    front, reading squares and commutators by the indices
+    ``verify_standard`` returns for the set; the result is verified too.
     """
     if not is_hadamard(C):
         raise ValueError("not a Hadamard code")
-    gens = standard_generators(C) if base is None else base
+    gens = standard_generators(C)
     u = (1 << C.sig.n) - 1
     squares = _coset_squares(C)
     zs = _indexed_zs(C, gens)
@@ -235,18 +233,12 @@ def _require(condition: bool, message: str) -> None:
         raise ClassificationError(message)
 
 
-@_memoized
 def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
     """Machine-check the defining relations of the claimed shape, on the
     witness's words: each square by the product law, Gray(z z) = Gray(z)
     + pi_z(Gray(z)), and each commutator in closed form
-    (``_commutator_bits``), with no index and no table read.
-
-    A pure function of C, the set and the tag that returns nothing, kept
-    per (group, set, tag) like ``verify_standard``: ``_checked_shape``
-    checks a caller's shape by it, and on the shape ``classify_shape``
-    returned that is a cache hit.  A failure raises before anything is
-    kept."""
+    (``_commutator_bits``), with no index and no table read.  It runs once
+    per classification, on the witness, before the shape is kept."""
     sig = C.sig
     u = (1 << sig.n) - 1
     ct = code_type(C)
@@ -322,17 +314,18 @@ def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
     raise ValueError(f"unknown shape tag {tag}")
 
 
-def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape:
-    """Decide which of the five shapes the Hadamard code group satisfies.
+@_memoized
+def classify_shape(C: CodeGroup) -> Shape:
+    """Decide which of the five shapes the Hadamard code group satisfies,
+    once per group: the shape is kept on C.
 
     Mirrors the constructive case analysis: substitutions are applied in
     generator-index order, first applicable wins, and every step is
     recorded in the trail.  Termination within a few passes is guaranteed;
-    failure to classify indicates an arithmetic bug.  ``base`` starts the
-    analysis from a caller-supplied standard generating set.  Squares
-    and commutators are read by index; the witness is checked on words.
+    failure to classify indicates an arithmetic bug.  Squares and
+    commutators are read by index; the witness is checked on words.
     """
-    ngs = normalize_generators(C, base)
+    ngs = normalize_generators(C)
     ct = code_type(C)
     u = (1 << C.sig.n) - 1
     squares = _coset_squares(C)
@@ -503,27 +496,6 @@ def classify_shape(C: CodeGroup, base: Optional[StandardGenSet] = None) -> Shape
     raise ClassificationError("shape analysis did not terminate")
 
 
-def _checked_shape(C: CodeGroup, shape: Optional[Shape]) -> Shape:
-    """``classify_shape(C)``, or a caller's shape once it is checked
-    against C, before anything reads it: its witness must be a standard set
-    of C (``verify_standard``, ValueError), its tag's relations must hold
-    on the witness (``_verify_shape``, ClassificationError), and its z's
-    must be in pair order with the epsilon it states (ValueError), which
-    ``_pair_reorder`` keeps as they are.  The first two are kept per set,
-    so the shape that ``classify_shape(C)`` returned passes from the cache.
-    """
-    if shape is None:
-        return classify_shape(C)
-    ngs = shape.witness
-    zs = _indexed_zs(C, ngs.base)
-    _verify_shape(C, ngs, shape.tag)
-    if _pair_reorder(C, zs) != (zs, ngs.epsilon):
-        raise ValueError(
-            f"the witness's z's are not in pair order with epsilon={ngs.epsilon}"
-        )
-    return shape
-
-
 def _central_with_square(C: CodeGroup, target: int) -> Optional[int]:
     """The index of the T-coset of the least order-4 word of Z(C) with the
     square ``target``, or None: the order-4 words of Z(C) are its cosets
@@ -540,18 +512,14 @@ def _central_with_square(C: CodeGroup, target: int) -> Optional[int]:
 _EXCEPTION_PARAMS = {(5, 2, 0, 4)}  # (m, sigma, delta, rho) allowed outlier
 
 
-def hadamard_bounds(C: CodeGroup, shape: Optional[Shape] = None) -> BoundReport:
+def hadamard_bounds(C: CodeGroup) -> BoundReport:
     """Every Hadamard-specific inequality, with the known exceptional
-    parameter set (m=5, sigma=2, delta=0, rho=4) exempted where it applies.
-
-    A caller's ``shape`` is checked against C first (``_checked_shape``).
-    """
+    parameter set (m=5, sigma=2, delta=0, rho=4) exempted where it applies,
+    read from C's shape (``classify_shape``)."""
     n = C.sig.n
     if n & (n - 1):
         raise ValueError(f"binary length {n} is not a power of two")
-    if not is_hadamard(C):
-        raise ValueError("not a Hadamard code")
-    shape = _checked_shape(C, shape)
+    shape = classify_shape(C)  # raises on a non-Hadamard C
     m = n.bit_length() - 1
     ct = code_type(C)
     sigma, delta, rho = ct.as_tuple()

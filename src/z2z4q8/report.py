@@ -80,7 +80,7 @@ def analyze(C: CodeGroup, verify: bool = False) -> dict:
             "zs": [" ".join(w.tokens()) for w in shape_obj.witness.zs],
             "structure": shape_obj.structure,
         }
-        bounds = bounds + hadamard_bounds(C, shape_obj)
+        bounds = bounds + hadamard_bounds(C)
     return {
         "signature": {
             "k1": C.sig.k1,

@@ -70,16 +70,16 @@ _MISSING = object()
 
 
 def _memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
-    """Compute fn(C, ...) once per group and arguments, and keep it on C;
-    a hit is one dict lookup."""
+    """Compute fn(C, ...) once per group and positional arguments, and
+    keep it on C; a hit is one dict lookup."""
 
     @wraps(fn)
-    def memoized(C: "CodeGroup", *args, **kwargs) -> _T:
-        key = (fn, args, tuple(sorted(kwargs.items()))) if kwargs else (fn, args)
+    def memoized(C: "CodeGroup", *args) -> _T:
+        key = (fn, args)
         cache = C._cache
         value = cache.get(key, _MISSING)
         if value is _MISSING:
-            value = cache[key] = fn(C, *args, **kwargs)
+            value = cache[key] = fn(C, *args)
         return value
 
     return memoized
@@ -129,8 +129,8 @@ class StandardGenSet:
 
     @cached_property
     def _hash(self) -> int:
-        """The hash of the words, taken once: the checks kept per set
-        (``verify_standard``, ``hadamard._verify_shape``) key on it."""
+        """The hash of the words, taken once: ``verify_standard``, kept per
+        set, keys on it."""
         return hash((self.xs, self.ys, self.zs))
 
 
@@ -698,16 +698,9 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     keys = _minimum_keys(C)
     radical = frozenset(_radical(C))
     scan = sorted(range(len(keys)), key=keys.__getitem__)
-    spanned = {0}  # the span of the indices taken so far
-
-    def independent(v: int) -> bool:
-        if v in spanned:
-            return False
-        spanned.update([s ^ v for s in spanned])
-        return True
-
-    ys = [v for v in scan if v in radical and independent(v)]
-    zs = [v for v in scan if independent(v)]
+    taken = gf2.Gf2Basis()  # the span of the indices taken so far
+    ys = [v for v in scan if v in radical and taken.add(v)]
+    zs = [v for v in scan if taken.add(v)]
     minimum = partial(_coset_minimum, C)
     gens = StandardGenSet(xs, tuple(map(minimum, ys)), tuple(map(minimum, zs)))
     verify_standard(C, gens)

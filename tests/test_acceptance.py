@@ -455,10 +455,10 @@ def test_criterion_12_property_suites():
         built += 1
     for C in instances:
         shape = classify_shape(C)  # verified witness relations inside
-        report = hadamard_bounds(C, shape)
+        report = hadamard_bounds(C)
         assert report.all_ok, (C.sig, shape.tag, [c.name for c in report.failures()])
         if shape.tag in (2, 3):
-            result = structural_converse_check(C, shape)
+            result = structural_converse_check(C)
             rebuilt = extend(xi_lift(result.base), result.doubling_element)
             assert rebuilt == result.relabeled
     _ok(12, "500 random subgroups and all Hadamard instances pass every suite")

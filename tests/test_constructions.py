@@ -31,6 +31,7 @@ from z2z4q8 import (
     word,
     xi_lift,
 )
+import z2z4q8.cli as cli
 import z2z4q8.constructions as constructions_module
 import z2z4q8.fixtures as fixtures_module
 import z2z4q8.invariants as invariants_module
@@ -163,10 +164,57 @@ def test_lift_and_extend_record():
     base = load_fixture("hadamard8_z4")
     lifted_sig = GroupSignature(0, 0, 4)
     result = lift_and_extend(base, parse_element("b b b a3b", lifted_sig))
-    assert result.condition_ok
+    assert is_hadamard(result.extended)
     assert result.extended.order == 2 * result.lifted.order
     assert rank(result.extended) == 6
     assert kernel_dim(result.extended) == 3
+
+
+def test_lift_and_extend_refuses_an_oversized_input_at_its_extend():
+    """The lift has its input's order, accepted when the input was built,
+    so ``max_order`` is checked where the order doubles, even below the
+    input's order."""
+    base = load_fixture("hadamard8_z4")
+    x = parse_element("b b b a3b", GroupSignature(0, 0, 4))
+    limit = base.order - 1
+    with pytest.raises(EnumerationLimit, match=f"extension order exceeds max_order={limit}$"):
+        lift_and_extend(base, x, max_order=limit)
+
+
+def test_xi_lift_is_one_group_per_input(monkeypatch, capsys):
+    """The lift is kept on its input under one key, so the CLI,
+    ``lift_and_extend`` and ``search`` get the one object ``xi_lift(C)``
+    returns, and C keeps one lift (three when the CLI and
+    ``lift_and_extend`` passed a max_order to it)."""
+    base = load_fixture("hadamard8_z4")
+    lifted = xi_lift(base)
+    assert lift_and_extend(base, parse_element("b b b a3b", lifted.sig)).lifted is lifted
+
+    search_module = sys.modules["z2z4q8.search"]
+    lifts = []  # (input, lift) of every call through the CLI and search
+
+    def recording(*args):
+        lifts.append((args[0], xi_lift(*args)))
+        return lifts[-1][1]
+
+    monkeypatch.setattr(cli, "_load_group", lambda path, max_order: base)
+    monkeypatch.setattr(cli, "xi_lift", recording)
+    assert cli.main(["construct", "lift", "base.gens", "--max-order", "64"]) == 0
+    argv = ["construct", "extend", "base.gens", "--lift-first", "--element", "b b b a3b"]
+    assert cli.main(argv) == 0
+    assert [out for _, out in lifts] == [lifted, lifted]
+    assert all(out is lifted for _, out in lifts)
+    keys = [key for key in base._cache if isinstance(key, tuple)]
+    assert [key for key in keys if key[0] is xi_lift.__wrapped__] == [
+        (xi_lift.__wrapped__, ())
+    ]
+
+    lifts.clear()
+    monkeypatch.setattr(search_module, "xi_lift", recording)
+    search(16, seed=1, budget=300)
+    assert len({id(C) for C, _ in lifts}) > 1
+    assert all(out is xi_lift(C) for C, out in lifts)
+    capsys.readouterr()
 
 
 def test_all_three_length16_codes_from_one_base():

@@ -9,7 +9,9 @@ import pytest
 
 import z2z4q8.hadamard as hadamard
 from z2z4q8 import (
+    CodeGroup,
     GroupSignature,
+    analyze,
     classify_shape,
     code_type,
     commutator,
@@ -54,7 +56,7 @@ from z2z4q8.subgroup import (
     verify_standard,
 )
 
-from conftest import SHIPPED_FIXTURES, q8_word, random_subgroup
+from conftest import SHIPPED_FIXTURES, count_calls, q8_word, random_subgroup
 
 
 def test_is_hadamard_positive(hadamard16, shape5_32):
@@ -237,7 +239,19 @@ def test_shape1_exact_rank_kernel_values():
     assert rank(C2) == ct2.sigma + ct2.delta + 1
 
 
-def test_classify_from_double_pair_without_u_squares(shape5_32):
+def _starting_from(monkeypatch, C, base):
+    """A fresh copy of C whose shape analysis starts from ``base``: the
+    shape is kept on the group, so the walk is driven from another set by
+    substituting the copy's standard set, not by reclassifying C."""
+    fresh = CodeGroup(C.sig, C.generators)
+    real = hadamard.standard_generators
+    monkeypatch.setattr(
+        hadamard, "standard_generators", lambda D: base if D is fresh else real(D)
+    )
+    return fresh
+
+
+def test_classify_from_double_pair_without_u_squares(shape5_32, monkeypatch):
     # two equal-square pairs, neither squaring to u: the pairs merge into a
     # square-u pair and the result is still shape 5
     from z2z4q8 import StandardGenSet, standard_generators
@@ -252,12 +266,12 @@ def test_classify_from_double_pair_without_u_squares(shape5_32):
     alt = (z1 * z3, z2 * z4, z3, z4)
     u = u_element(sig)
     assert all((w * w) != u for w in alt)
-    shape = classify_shape(shape5_32, base=StandardGenSet(xs, (), alt))
+    shape = classify_shape(_starting_from(monkeypatch, shape5_32, StandardGenSet(xs, (), alt)))
     assert shape.tag == 5
     assert "merged the two pairs into a square-u pair" in shape.trail
 
 
-def test_classify_from_u_pair_with_tail_span_containing_u(shape5_32):
+def test_classify_from_u_pair_with_tail_span_containing_u(shape5_32, monkeypatch):
     # a square-u pair whose tail squares span u forces rho=4 and a rebuild
     # into two equal-square pairs
     from z2z4q8 import StandardGenSet, standard_generators
@@ -272,14 +286,13 @@ def test_classify_from_u_pair_with_tail_span_containing_u(shape5_32):
     u = u_element(sig)
     tail = z2 * z4
     assert (tail * tail) == u * (z3 * z3)  # tail squares multiply to u
-    shape = classify_shape(
-        shape5_32, base=StandardGenSet(xs, (), (z1, z2, z3, tail))
-    )
+    base = StandardGenSet(xs, (), (z1, z2, z3, tail))
+    shape = classify_shape(_starting_from(monkeypatch, shape5_32, base))
     assert shape.tag == 5
     assert "rebuilt generators to exhibit two equal-square pairs" in shape.trail
 
 
-def test_classify_from_distinct_squares_with_central_order4():
+def test_classify_from_distinct_squares_with_central_order4(monkeypatch):
     # delta > 0 with all z-squares distinct: the central order-4 element is
     # folded into z1 so that the equal-square pair of shape 4 appears
     from z2z4q8 import (
@@ -302,14 +315,13 @@ def test_classify_from_distinct_squares_with_central_order4():
         w for w in center(D).sorted_elements()
         if w.order() == 4 and w * w == u * t
     )
-    shape = classify_shape(
-        D, base=StandardGenSet(gens.xs, gens.ys, (y * z1, z2))
-    )
+    base = StandardGenSet(gens.xs, gens.ys, (y * z1, z2))
+    shape = classify_shape(_starting_from(monkeypatch, D, base))
     assert shape.tag == 4
     assert "replaced z1 by y*z1 to pair its square with z2^2" in shape.trail
 
 
-def test_normalization_substitutions_over_all_u_square_triples(shape5_32):
+def test_normalization_substitutions_over_all_u_square_triples(shape5_32, monkeypatch):
     # drive the substitution table with every generating set of the
     # shape-5 group that starts from three independent square-u cosets
     from itertools import combinations, permutations
@@ -339,12 +351,13 @@ def test_normalization_substitutions_over_all_u_square_triples(shape5_32):
         )
         for perm in permutations([w for _, w in triple]):
             zs = tuple(perm) + (completion,)
-            ngs = normalize_generators(C, base=StandardGenSet(xs, (), zs))
+            fresh = _starting_from(monkeypatch, C, StandardGenSet(xs, (), zs))
+            ngs = normalize_generators(fresh)
             square_u = [z for z in ngs.zs if z * z == u]
             assert len(square_u) <= 2
             if len(square_u) == 2:
                 assert commutator(square_u[0], square_u[1]) == u
-            shape = classify_shape(C, base=StandardGenSet(xs, (), zs))
+            shape = classify_shape(fresh)
             assert shape.tag == 5
             tried += 1
     assert tried >= 6
@@ -359,7 +372,7 @@ def test_mixed_ext_hamming_group_is_shape3():
     assert shape.tag == 3
     from z2z4q8 import structural_converse_check
 
-    result = structural_converse_check(C, shape)
+    result = structural_converse_check(C)
     assert is_hadamard(result.base)
     assert result.base.sig == GroupSignature(2, 1, 0)
 
@@ -378,7 +391,7 @@ def test_shape4_with_delta_one():
     assert code_type(out).as_tuple() == (2, 1, 2)
     shape = classify_shape(out)
     assert shape.tag == 4
-    assert hadamard_bounds(out, shape).all_ok
+    assert hadamard_bounds(out).all_ok
 
 
 def _first_delta_growing_element(C):
@@ -506,12 +519,13 @@ NON_ABELIAN_HADAMARD_FIXTURES = [
 ]
 
 
-def test_a_caller_base_with_a_z_outside_c_raises_value_error(hadamard16):
+def test_a_caller_base_with_a_z_outside_c_raises_value_error(hadamard16, monkeypatch):
     """The walk reads T-coset indices, which mean something only for words
-    of C, so a caller's base is verified before the walk reads it.  Each z
-    of the standard set of ``hadamard16_q8`` is replaced by each of the
-    first 200 order-4 words outside C, in coordinate order: 600 bases, and
-    every one raises ValueError from both entry points, never the
+    of C, so the set it starts from is verified before the walk reads it.
+    Each z of the standard set of ``hadamard16_q8`` is replaced by each of
+    the first 200 order-4 words outside C, in coordinate order: 600 sets,
+    each substituted for the standard set of a fresh copy, and every one
+    raises ValueError from both entry points, never the
     ClassificationError that reports an arithmetic bug (76 of them did when
     the substitutions ran before the check)."""
     C = hadamard16
@@ -522,9 +536,10 @@ def test_a_caller_base_with_a_z_outside_c_raises_value_error(hadamard16):
     for w in outside:
         for i in range(len(gens.zs)):
             base = StandardGenSet(gens.xs, gens.ys, gens.zs[:i] + (w,) + gens.zs[i + 1 :])
+            fresh = _starting_from(monkeypatch, C, base)
             for entry in (classify_shape, normalize_generators):
                 with pytest.raises(ValueError, match="a y or z generator lies outside C"):
-                    entry(C, base=base)
+                    entry(fresh)
             tries += 1
     assert tries == 600
 
@@ -574,137 +589,40 @@ def test_the_shape_layer_multiplies_few_words(monkeypatch):
 
     monkeypatch.setattr(GroupWord, "__mul__", counting)
     for C in groups:
-        hadamard_bounds(C, classify_shape(C))
+        hadamard_bounds(C)
     assert 0 < len(products) <= 100
 
 
-# The ordered pairs of same-signature Hadamard fixtures whose shapes
-# ``hadamard_bounds`` once read as the other group's, answering with failed
-# rows instead of an error.
-FOREIGN_SHAPES_WITH_FAILED_ROWS = [
-    (a, b)
-    for group in (
-        ("hadamard32_q8_rank7", "hadamard32_q8_shape5", "kronecker32_plain", "kronecker32_shape5"),
-    )
-    for a in group
-    for b in group
-    if a != b
-]
-
-
-def test_a_shape_of_another_group_is_refused():
-    """``hadamard_bounds(C, shape)`` checks a caller's shape against C
-    before it reads an index: over the 22 ordered pairs of distinct
-    Hadamard fixtures of one signature, the shape of the second raises on
-    the first (ValueError from ``verify_standard``), the 12 pairs that
-    once gave failed rows among them, unless the two groups are equal
-    (``ext_hamming8_z2q8`` and ``hadamard8_z2q8_shape4``), where the
-    shape is the group's own and every row holds.  Each fixture's own
-    shape passes."""
-    groups = {name: load_fixture(name) for name in HADAMARD_FIXTURES}
-    pairs = [
-        (a, b) for a in groups for b in groups if a != b and groups[a].sig == groups[b].sig
-    ]
-    assert len(pairs) == 22 and set(FOREIGN_SHAPES_WITH_FAILED_ROWS) <= set(pairs)
-    refused, equal = [], []
-    for a, b in pairs:
-        C, shape = groups[a], classify_shape(groups[b])
-        if C == groups[b]:
-            assert hadamard_bounds(C, shape).all_ok
-            equal.append((a, b))
-            continue
-        with pytest.raises(ValueError):
-            hadamard_bounds(C, shape)
-        refused.append((a, b))
-    assert len(refused) == 20 and set(FOREIGN_SHAPES_WITH_FAILED_ROWS) <= set(refused)
-    assert equal == [
-        ("ext_hamming8_z2q8", "hadamard8_z2q8_shape4"),
-        ("hadamard8_z2q8_shape4", "ext_hamming8_z2q8"),
-    ]
-    for C in groups.values():
-        assert hadamard_bounds(C, classify_shape(C)).all_ok
-
-
 def test_a_shape_with_a_wrong_tag_is_refused():
-    """A shape whose words are C's is checked too: the witness of
-    ``hadamard16_q8`` (shape 2) under tag 3 fails ``_verify_shape``."""
-    C = load_fixture("hadamard16_q8")
-    shape = classify_shape(C)
-    wrong_tag = hadamard.Shape(3, shape.witness, shape.structure, shape.trail)
-    with pytest.raises(ClassificationError, match="shape 3 needs"):
-        hadamard_bounds(C, wrong_tag)
-
-
-def test_a_witness_with_a_wrong_epsilon_is_refused():
-    """epsilon is read again from the witness's z's, not taken from the
-    caller: on every Hadamard fixture, its own shape with each other
-    epsilon in {0, 1, 2} raises ValueError from ``hadamard_bounds`` and,
-    for shapes 2 and 3, from ``structural_converse_check``.  Unchecked, a
-    wrong epsilon gave failing theorem rows or an IndexError."""
+    """``_verify_shape`` checks a tag's relations on the witness's words:
+    every Hadamard fixture's witness under every other tag raises, so a
+    witness is kept only with the one tag whose relations it meets."""
     refused = 0
     for name in HADAMARD_FIXTURES:
         C = load_fixture(name)
         shape = classify_shape(C)
-        for eps in {0, 1, 2} - {shape.witness.epsilon}:
-            witness = hadamard.NormalizedGenSet(shape.witness.base, eps)
-            wrong = hadamard.Shape(shape.tag, witness, shape.structure, shape.trail)
-            with pytest.raises(ValueError, match="pair order"):
-                hadamard_bounds(C, wrong)
-            if shape.tag in (2, 3):
-                with pytest.raises(ValueError, match="pair order"):
-                    structural_converse_check(C, wrong)
-            refused += 1
-        assert hadamard_bounds(C, shape).all_ok, name
-    assert refused == 2 * len(HADAMARD_FIXTURES)
-
-
-def test_the_converse_checks_a_callers_shape():
-    """``structural_converse_check(C, shape)`` checks a caller's shape as
-    ``hadamard_bounds`` does.  The shape-2/3 witnesses of the other
-    Hadamard fixtures of C's signature, 12 pairs, raise ValueError from
-    ``verify_standard``; unchecked, each raised a RuntimeError, the class
-    of arithmetic bugs.  Each fixture's own witness under every other tag
-    raises ClassificationError; unchecked, that of ``ext_hamming8_q8q8``
-    under tag 3 was accepted."""
-    groups = {name: load_fixture(name) for name in HADAMARD_FIXTURES}
-    shapes = {name: classify_shape(C) for name, C in groups.items()}
-    foreign = [
-        (a, b)
-        for a in groups
-        for b in groups
-        if a != b and groups[a].sig == groups[b].sig and shapes[b].tag in (2, 3)
-    ]
-    assert len(foreign) == 12
-    for a, b in foreign:
-        assert groups[a] != groups[b]
-        with pytest.raises(ValueError):
-            structural_converse_check(groups[a], shapes[b])
-    for name, shape in shapes.items():
         for tag in {1, 2, 3, 4, 5} - {shape.tag}:
-            wrong = hadamard.Shape(tag, shape.witness, shape.structure, shape.trail)
             with pytest.raises(ClassificationError, match=f"shape {tag} needs"):
-                structural_converse_check(groups[name], wrong)
+                hadamard._verify_shape(C, shape.witness, tag)
+            refused += 1
+    assert refused == 4 * len(HADAMARD_FIXTURES)
 
 
-def test_the_bounds_check_the_shape_classify_shape_returned_from_the_cache(monkeypatch):
-    """``_verify_shape`` is kept per (group, witness, tag), so the check of
-    the shape ``analyze`` hands to ``hadamard_bounds`` is a cache hit: no
-    relation is required again.  A witness of another tag is checked."""
-    C = load_fixture("hadamard32_q8_shape5")
-    shape = classify_shape(C)
-    required = []
-    real = hadamard._require
+def test_the_shape_is_kept_on_the_group(hadamard16):
+    assert classify_shape(hadamard16) is classify_shape(hadamard16)
 
-    def counting(condition, message):
-        required.append(message)
-        return real(condition, message)
 
-    monkeypatch.setattr(hadamard, "_require", counting)
-    assert hadamard_bounds(C, shape).all_ok
-    assert required == []
-    with pytest.raises(ClassificationError):
-        hadamard_bounds(C, hadamard.Shape(2, shape.witness, shape.structure, shape.trail))
-    assert required
+def test_one_walk_serves_the_report_the_bounds_and_the_converse(monkeypatch):
+    """The shape is classified once per group: ``analyze`` with its second
+    routes, ``hadamard_bounds`` and ``structural_converse_check`` on a
+    fresh ``hadamard16_q8`` normalize its generators once (4 times when
+    each took or made its own shape)."""
+    C = load_fixture("hadamard16_q8")
+    calls = count_calls(monkeypatch, hadamard, "normalize_generators")
+    analyze(C, verify=True)
+    hadamard_bounds(C)
+    structural_converse_check(C)
+    assert calls == {"normalize_generators": 1}
 
 
 def test_u_in_the_span_of_u_is_decided_on_indices_as_on_the_built_subgroup():

@@ -5,6 +5,7 @@ modules import one another only at module level, without a cycle."""
 from __future__ import annotations
 
 import ast
+import inspect
 from importlib import resources
 from pathlib import Path
 
@@ -31,6 +32,85 @@ PUBLIC_NAMES = [
     "structure_report", "swapper", "torsion", "u_element", "weight",
     "weight_distribution", "word", "word_from_tokens", "xi_lift",
 ]
+
+# the parameter names of every public callable; None for an exception
+# class that keeps the built-in constructor
+PUBLIC_SIGNATURES = {
+    "BinaryVector": ("n", "bits"),
+    "BoundCheck": ("name", "lhs", "rhs", "ok"),
+    "BoundReport": ("checks",),
+    "ClassificationError": None,
+    "CodeGroup": ("sig", "generators"),
+    "CodeType": ("sigma", "delta", "rho"),
+    "ConstructionError": None,
+    "ConverseResult": ("base", "doubling_element", "relabeled", "coordinate_autos"),
+    "CoordinatePermutation": ("image",),
+    "EnumerationLimit": None,
+    "FoundCode": ("signature", "generators", "type", "rank", "kernel_dim", "shape"),
+    "GroupSignature": ("k1", "k2", "k3"),
+    "GroupWord": ("sig", "coords"),
+    "KroneckerResult": ("input", "g", "output", "predicted_type"),
+    "LiftResult": ("lifted", "extension_element", "extended"),
+    "NormalizedGenSet": ("base", "epsilon"),
+    "ParseError": ("message", "line", "column"),
+    "Shape": ("tag", "witness", "structure", "trail"),
+    "SignatureMismatch": None,
+    "StandardGenSet": ("xs", "ys", "zs"),
+    "StructureReport": (
+        "type", "m", "rank", "kernel_dim", "h", "is_linear", "is_abelian",
+        "is_hadamard", "weight_distribution", "bounds",
+    ),
+    "analyze": ("C", "verify"),
+    "binary_kernel": ("C",),
+    "center": ("C",),
+    "check_bounds": ("C",),
+    "classify_shape": ("C",),
+    "code_type": ("C",),
+    "commutator": ("x", "y"),
+    "commutator_subgroup": ("C",),
+    "complement": ("v",),
+    "conjugate": ("x", "y"),
+    "distance": ("u", "v"),
+    "extend": ("Cq", "x", "max_order"),
+    "format_generators": ("sig", "words", "comment"),
+    "generalized_kronecker": ("C", "g", "max_order"),
+    "generate": ("generators", "max_order"),
+    "gray": ("w",),
+    "gray_inv": ("v", "sig"),
+    "group_kernel": ("C",),
+    "hadamard_bounds": ("C",),
+    "identity": ("sig",),
+    "is_abelian": ("C",),
+    "is_extended_perfect": ("C",),
+    "is_hadamard": ("C",),
+    "is_linear": ("C",),
+    "is_perfect": ("C",),
+    "kernel_dim": ("C",),
+    "kronecker": ("C", "max_order"),
+    "lift_and_extend": ("C", "x", "max_order"),
+    "normalize_generators": ("C",),
+    "parse_element": ("text", "sig"),
+    "parse_generators": ("text",),
+    "pi_of": ("w",),
+    "propelinear_product": ("w", "v"),
+    "random_doubling_element": ("sig", "rng"),
+    "rank": ("C",),
+    "render_json": ("payload",),
+    "render_summary": ("payload",),
+    "search": ("length", "shape", "seed", "budget"),
+    "span_group": ("C",),
+    "standard_generators": ("C",),
+    "structural_converse_check": ("C",),
+    "structure_report": ("C",),
+    "swapper": ("x", "y"),
+    "torsion": ("C",),
+    "u_element": ("sig",),
+    "weight": ("v",),
+    "weight_distribution": ("C",),
+    "word": ("sig", "coords"),
+    "word_from_tokens": ("sig", "tokens"),
+    "xi_lift": ("C",),
+}
 
 
 def _tree(module: str) -> ast.Module:
@@ -118,6 +198,21 @@ def test_every_oracle_is_reached_by_verify_or_the_fixtures():
 
 def test_public_names_are_pinned():
     assert z2z4q8.__all__ == PUBLIC_NAMES
+
+
+def _parameter_names(obj):
+    try:
+        return tuple(inspect.signature(obj).parameters)
+    except ValueError:
+        return None
+
+
+def test_public_signatures_are_pinned():
+    """A public parameter is added or removed only with this pin."""
+    callables = [name for name in z2z4q8.__all__ if callable(getattr(z2z4q8, name))]
+    assert {name: _parameter_names(getattr(z2z4q8, name)) for name in callables} == (
+        PUBLIC_SIGNATURES
+    )
 
 
 def test_constructions_read_no_coset_scan_and_no_words_of_a_group():

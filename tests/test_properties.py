@@ -188,14 +188,14 @@ def test_hadamard_instances_bounds_and_classification():
         assert is_hadamard(C)
         shape = classify_shape(C)
         shapes_seen.add(shape.tag)
-        report = hadamard_bounds(C, shape)
+        report = hadamard_bounds(C)
         assert report.all_ok, (
             C.sig,
             shape.tag,
             [c.name for c in report.failures()],
         )
         if shape.tag in (2, 3):
-            result = structural_converse_check(C, shape)
+            result = structural_converse_check(C)
             assert result.base.sig.k3 == 0
             assert is_hadamard(result.base)
     assert {1, 2} <= shapes_seen  # sampler reaches several shapes
