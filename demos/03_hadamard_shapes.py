@@ -27,8 +27,7 @@ for name, blurb in CASES:
     if shape.trail:
         for step in shape.trail:
             print(f"    - {step}")
-    ngs = shape.witness
-    print(f"    epsilon {ngs.epsilon}; z-generators:")
-    for z in ngs.zs:
+    print(f"    epsilon {shape.epsilon}; z-generators:")
+    for z in shape.witness.zs:
         print(f"        {z}")
 print("done.")

@@ -10,11 +10,9 @@ from .constructions import (
     ConstructionError,
     ConverseResult,
     KroneckerResult,
-    LiftResult,
     extend,
     generalized_kronecker,
     kronecker,
-    lift_and_extend,
     random_doubling_element,
     structural_converse_check,
     xi_lift,
@@ -43,7 +41,6 @@ from .groups import (
 )
 from .hadamard import (
     ClassificationError,
-    NormalizedGenSet,
     Shape,
     classify_shape,
     hadamard_bounds,
@@ -65,7 +62,7 @@ from .invariants import (
 )
 from .oracles import is_extended_perfect, is_perfect
 from .parsing import ParseError, format_generators, parse_element, parse_generators
-from .report import StructureReport, analyze, render_json, render_summary, structure_report
+from .report import analyze, render_json, render_summary
 from .search import FoundCode, search
 from .subgroup import (
     DEFAULT_MAX_ORDER,
@@ -89,19 +86,18 @@ __all__ = [
     "CodeGroup", "CodeType", "ConstructionError", "ConverseResult",
     "CoordinatePermutation", "DEFAULT_MAX_ORDER", "EnumerationLimit",
     "FoundCode", "GroupSignature", "GroupWord", "KroneckerResult",
-    "LiftResult", "NormalizedGenSet", "ParseError", "Shape",
-    "SignatureMismatch", "StandardGenSet", "StructureReport", "analyze",
+    "ParseError", "Shape", "SignatureMismatch", "StandardGenSet", "analyze",
     "binary_kernel", "center", "check_bounds", "classify_shape", "code_type",
     "commutator", "commutator_subgroup", "complement", "conjugate", "distance",
     "extend", "format_generators", "generalized_kronecker", "generate", "gray",
     "gray_inv", "group_kernel", "hadamard_bounds", "identity", "is_abelian",
     "is_extended_perfect", "is_hadamard", "is_linear", "is_perfect",
-    "kernel_dim", "kronecker", "lift_and_extend", "normalize_generators",
-    "parse_element", "parse_generators", "pi_of", "propelinear_product",
+    "kernel_dim", "kronecker", "normalize_generators", "parse_element",
+    "parse_generators", "pi_of", "propelinear_product",
     "random_doubling_element", "rank", "render_json", "render_summary",
     "search", "span_group", "standard_generators", "structural_converse_check",
-    "structure_report", "swapper", "torsion", "u_element", "weight",
-    "weight_distribution", "word", "word_from_tokens", "xi_lift",
+    "swapper", "torsion", "u_element", "weight", "weight_distribution", "word",
+    "word_from_tokens", "xi_lift",
 ]
 
 __version__ = "0.1.0"

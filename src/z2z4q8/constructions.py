@@ -223,22 +223,6 @@ def _extension_laws(Cq: CodeGroup, x: GroupWord, out: CodeGroup) -> None:
         raise RuntimeError("extension produced a non-Hadamard code")
 
 
-@dataclass(frozen=True)
-class LiftResult:
-    """Record of a lift-and-extend run."""
-
-    lifted: CodeGroup
-    extension_element: GroupWord
-    extended: CodeGroup
-
-
-def lift_and_extend(
-    C: CodeGroup, x: GroupWord, max_order: int = DEFAULT_MAX_ORDER
-) -> LiftResult:
-    lifted = xi_lift(C)
-    return LiftResult(lifted, x, extend(lifted, x, max_order))
-
-
 def random_doubling_element(
     sig: GroupSignature, rng: random.Random
 ) -> GroupWord:
@@ -263,8 +247,6 @@ _DOUBLING_CHOICES = _gray_choices(z4=(1, 3), q8=(4, 5, 6, 7))
 
 @dataclass(frozen=True)
 class KroneckerResult:
-    input: CodeGroup
-    g: GroupWord
     output: CodeGroup
     predicted_type: CodeType
 
@@ -335,10 +317,10 @@ def generalized_kronecker(
     As u is central of order 2, the output is diag(C) u (g, g*u) diag(C),
     given by the diagonal generators and (g, g*u).  Doubles length and
     cardinality.  ``_index_two`` tests the preconditions as one order
-    comparison, and keeps the output and its predicted type once per coset
-    g C: a later element of that coset gets the same output group, whose
-    last generator is the pair of the first element drawn from the coset,
-    while the result's ``g`` is the caller's.
+    comparison, and keeps the output and its predicted type, the result,
+    once per coset g C: a later element of that coset gets the same output
+    group, whose last generator is the pair of the first element drawn
+    from the coset.
 
     The kernel dimension grows by at most 1 and the type follows the
     predicted case split; the rank grows by at least 1, and by exactly 1
@@ -346,10 +328,9 @@ def generalized_kronecker(
     against the group collapse into S(C)).  Order-4 doubling elements
     outside that case can raise the rank further.
     """
-    out, predicted = _index_two(
+    return KroneckerResult(*_index_two(
         C, g, "Kronecker output", _kronecker_output, _checked_kronecker_type, max_order
-    )
-    return KroneckerResult(C, g, out, predicted)
+    ))
 
 
 def _kronecker_output(C: CodeGroup, g: GroupWord) -> CodeGroup:
@@ -469,14 +450,13 @@ def structural_converse_check(C: CodeGroup) -> ConverseResult:
     sig = C.sig
     if sig.k1 != 0:
         raise ConstructionError("a square-u generator rules out Z2 coordinates")
-    ngs = shape.witness
-    zs = list(ngs.zs)
+    xs, zs = list(shape.witness.xs), list(shape.witness.zs)
     if shape.tag == 2:
         if sig.k2 != 0:
             raise ConstructionError("shape 2 forces a pure Q8 signature")
-        abelian_gens = list(ngs.xs) + [zs[0] * zs[1]] + zs[2:]
+        abelian_gens = xs + [zs[0] * zs[1]] + zs[2:]
     else:
-        abelian_gens = list(ngs.xs) + zs[1:]
+        abelian_gens = xs + zs[1:]
     inner = CodeGroup.generate(abelian_gens)
     if not is_abelian(inner) or 2 * inner.order != C.order:
         raise RuntimeError("index-2 abelian subgroup construction failed")

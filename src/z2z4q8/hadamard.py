@@ -70,30 +70,6 @@ def is_hadamard(C: CodeGroup) -> bool:
     return weight_distribution(C) == {0: 1, n // 2: 2 * n - 2, n: 1}
 
 
-@dataclass(frozen=True)
-class NormalizedGenSet:
-    """Standard generators with the z's arranged in equal-square pairs.
-
-    epsilon counts the leading consecutive pairs z_(2t-1), z_(2t) sharing a
-    square; at most two z's square to u, and such a pair has commutator u.
-    """
-
-    base: StandardGenSet
-    epsilon: int
-
-    @property
-    def xs(self) -> Tuple[GroupWord, ...]:
-        return self.base.xs
-
-    @property
-    def ys(self) -> Tuple[GroupWord, ...]:
-        return self.base.ys
-
-    @property
-    def zs(self) -> Tuple[GroupWord, ...]:
-        return self.base.zs
-
-
 Indexed = Tuple[GroupWord, int]  # a y or z and its ``_coset_reps`` index
 
 
@@ -146,13 +122,16 @@ def _pair_reorder(C: CodeGroup, zs: Sequence[Indexed]) -> Tuple[List[Indexed], i
     return [zs[p] for p in order], len(pairs)
 
 
-def normalize_generators(C: CodeGroup) -> NormalizedGenSet:
-    """Normalized generating set for a Hadamard code group.
+def normalize_generators(C: CodeGroup) -> StandardGenSet:
+    """Normalized generating set for a Hadamard code group: standard
+    generators with the z's arranged in equal-square pairs, at most two
+    of them squaring to u, and such a pair with commutator u.
 
     Applies the square-u substitutions z_i -> z1*z_i / z2*z_i / z1*z2*z_i
     to ``standard_generators(C)``, then reorders equal-square pairs to the
-    front, reading squares and commutators by the indices
-    ``verify_standard`` returns for the set; the result is verified too.
+    front (``_pair_reorder``), reading squares and commutators by the
+    indices ``verify_standard`` returns for the set; the result is
+    verified too.
     """
     if not is_hadamard(C):
         raise ValueError("not a Hadamard code")
@@ -184,18 +163,20 @@ def normalize_generators(C: CodeGroup) -> NormalizedGenSet:
     zs = front + rest
     if not all(squares[v] for _, v in zs):
         raise ClassificationError("normalization produced an order-2 generator")
-    zs, eps = _pair_reorder(C, zs)
-    out = _with_zs(gens, zs)
+    out = _with_zs(gens, _pair_reorder(C, zs)[0])
     verify_standard(C, out)
-    return NormalizedGenSet(out, eps)
+    return out
 
 
 @dataclass(frozen=True)
 class Shape:
-    """One of the five structural shapes of a Hadamard code group."""
+    """One of the five structural shapes of a Hadamard code group, with its
+    witness: a normalized generating set whose epsilon leading pairs of
+    z's share a square."""
 
     tag: int
-    witness: NormalizedGenSet
+    witness: StandardGenSet
+    epsilon: int
     structure: str
     trail: Tuple[str, ...]
 
@@ -233,7 +214,7 @@ def _require(condition: bool, message: str) -> None:
         raise ClassificationError(message)
 
 
-def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
+def _verify_shape(C: CodeGroup, witness: StandardGenSet, tag: int) -> None:
     """Machine-check the defining relations of the claimed shape, on the
     witness's words: each square by the product law, Gray(z z) = Gray(z)
     + pi_z(Gray(z)), and each commutator in closed form
@@ -242,7 +223,7 @@ def _verify_shape(C: CodeGroup, ngs: NormalizedGenSet, tag: int) -> None:
     sig = C.sig
     u = (1 << sig.n) - 1
     ct = code_type(C)
-    zs = [z.bits for z in ngs.zs]
+    zs = [z.bits for z in witness.zs]
     sq = [z ^ _pi(sig, z, z) for z in zs]
 
     def comm(i: int, j: int) -> int:
@@ -319,13 +300,16 @@ def classify_shape(C: CodeGroup) -> Shape:
     """Decide which of the five shapes the Hadamard code group satisfies,
     once per group: the shape is kept on C.
 
-    Mirrors the constructive case analysis: substitutions are applied in
-    generator-index order, first applicable wins, and every step is
-    recorded in the trail.  Termination within a few passes is guaranteed;
-    failure to classify indicates an arithmetic bug.  Squares and
-    commutators are read by index; the witness is checked on words.
+    Mirrors the constructive case analysis: each pass puts the
+    equal-square pairs in front (``_pair_reorder``, which leaves the
+    normalized set as it is), substitutions are applied in generator-index
+    order, first applicable wins, and every step is recorded in the trail;
+    the shape keeps the epsilon of its witness.  Termination within a few
+    passes is guaranteed; failure to classify indicates an arithmetic bug.
+    Squares and commutators are read by index; the witness is checked on
+    words.
     """
-    ngs = normalize_generators(C)
+    gens = normalize_generators(C)
     ct = code_type(C)
     u = (1 << C.sig.n) - 1
     squares = _coset_squares(C)
@@ -334,26 +318,23 @@ def classify_shape(C: CodeGroup) -> Shape:
 
     def finish(tag: int, zs: List[Indexed]) -> Shape:
         zs2, eps = _pair_reorder(C, zs)
-        out = _with_zs(ngs.base, zs2)
-        verify_standard(C, out)
-        witness = NormalizedGenSet(out, eps)
+        witness = _with_zs(gens, zs2)
+        verify_standard(C, witness)
         _verify_shape(C, witness, tag)
         return Shape(
             tag,
             witness,
+            eps,
             _structure_string(tag, ct.sigma, ct.delta, ct.rho),
             tuple(trail),
         )
 
-    # the normalized z's are in pair order already: ``_pair_reorder`` keeps
-    # an ordered list as it is, so the first pass starts from them
-    zs, eps = _indexed_zs(C, ngs.base), ngs.epsilon
+    zs = _indexed_zs(C, gens)
     if ct.rho == 0:
         return finish(1, zs)
 
-    for attempt in range(8):
-        if attempt:
-            zs, eps = _pair_reorder(C, zs)
+    for _ in range(8):
+        zs, eps = _pair_reorder(C, zs)
         sq = [squares[v] for _, v in zs]
         rho = len(zs)
 
@@ -563,19 +544,20 @@ def hadamard_bounds(C: CodeGroup) -> BoundReport:
             )
         )
 
-    checks.extend(_normalized_set_checks(C, shape.witness))
+    checks.extend(_normalized_set_checks(C, shape))
     checks.extend(_hadamard_pair_triple_checks(C))
     return BoundReport(tuple(checks))
 
 
-def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundCheck]:
-    """The checks on the normalized witness, reading squares by the indices
-    it carries, and u in <U> by elimination on them (``_generates``)."""
+def _normalized_set_checks(C: CodeGroup, shape: Shape) -> List[BoundCheck]:
+    """The checks on the shape's normalized witness, reading squares by the
+    indices it carries, and u in <U> by elimination on them
+    (``_generates``)."""
     u = (1 << C.sig.n) - 1
     ct = code_type(C)
-    eps = ngs.epsilon
+    eps = shape.epsilon
     squares = _coset_squares(C)
-    zs = _indexed_zs(C, ngs.base)
+    zs = _indexed_zs(C, shape.witness)
     sq = [squares[v] for _, v in zs]
     checks = [_le("epsilon <= 2", eps, 2)]
     if eps == 2:
@@ -599,7 +581,7 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
             )
     if any(sq[i] == u for i in range(min(2 * eps, len(zs)))):
         checks.append(_eq("square-u inside the paired block forces delta = 0", ct.delta, 0))
-    v_set = _v_set(C, ngs)
+    v_set = _v_set(C, shape)
     w_rank = gf2.dimension(squares[v] for _, v in v_set)
     u_set = [(w, v) for w, v in v_set if squares[v] != u]
     paired = ct.delta + ct.rho - eps
@@ -616,12 +598,14 @@ def _normalized_set_checks(C: CodeGroup, ngs: NormalizedGenSet) -> List[BoundChe
     return checks
 
 
-def _v_set(C: CodeGroup, ngs: NormalizedGenSet) -> List[Indexed]:
-    """The y's, the first z of each of the epsilon pairs and the z's after
-    the pairs, with their indices: W is the span of their squares, and U
-    those of them whose square is not u."""
-    located = list(zip(ngs.ys + ngs.zs, verify_standard(C, ngs.base)))
-    ys, zs, paired = located[: len(ngs.ys)], located[len(ngs.ys) :], 2 * ngs.epsilon
+def _v_set(C: CodeGroup, shape: Shape) -> List[Indexed]:
+    """The y's of the shape's witness, the first z of each of its epsilon
+    pairs and the z's after the pairs, with their indices: W is the span
+    of their squares, and U those of them whose square is not u."""
+    witness = shape.witness
+    located = list(zip(witness.ys + witness.zs, verify_standard(C, witness)))
+    ys, zs = located[: len(witness.ys)], located[len(witness.ys) :]
+    paired = 2 * shape.epsilon
     return ys + zs[:paired:2] + zs[paired:]
 
 

@@ -200,9 +200,6 @@ class BoundReport:
     def failures(self) -> List[BoundCheck]:
         return [c for c in self.checks if not c.ok]
 
-    def __add__(self, other: "BoundReport") -> "BoundReport":
-        return BoundReport(self.checks + other.checks)
-
 
 def _le(name: str, lhs: int, rhs: int, exempt: bool = False) -> BoundCheck:
     """The row of lhs <= rhs; an ``exempt`` row is named so and holds."""

@@ -594,8 +594,7 @@ def verify(C: CodeGroup) -> None:
     )
     if is_hadamard(C):
         u = (1 << C.sig.n) - 1
-        witness = classify_shape(C).witness
-        v_set = _v_set(C, witness)
+        v_set = _v_set(C, classify_shape(C))
         u_set = [(w, v) for w, v in v_set if (w * w).bits != u]
         for words in (u_set, v_set):
             _agree(

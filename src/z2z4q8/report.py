@@ -1,15 +1,14 @@
-"""Structure reports and schema-stable JSON reports for analyzed code groups."""
+"""The report of a code group (``analyze``) and its schema-stable JSON text."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import oracles
 from .hadamard import classify_shape, hadamard_bounds, is_hadamard
 from .invariants import (
-    BoundReport,
+    BoundCheck,
     check_bounds,
     is_abelian,
     is_linear,
@@ -17,71 +16,23 @@ from .invariants import (
     rank,
     weight_distribution,
 )
-from .subgroup import CodeGroup, CodeType, code_type
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Full invariant summary of one code group."""
-
-    type: CodeType
-    m: Optional[int]  # length exponent when n is a power of two
-    rank: int
-    kernel_dim: int
-    h: int
-    is_linear: bool
-    is_abelian: bool
-    is_hadamard: bool
-    weight_distribution: Dict[int, int]
-    bounds: BoundReport
-
-
-def structure_report(C: CodeGroup) -> StructureReport:
-    ct = code_type(C)
-    r = rank(C)
-    n = C.sig.n
-    m = n.bit_length() - 1 if n & (n - 1) == 0 else None
-    return StructureReport(
-        type=ct,
-        m=m,
-        rank=r,
-        kernel_dim=kernel_dim(C),
-        h=r - ct.total,
-        is_linear=is_linear(C),
-        is_abelian=is_abelian(C),
-        is_hadamard=is_hadamard(C),
-        weight_distribution=weight_distribution(C),
-        bounds=check_bounds(C),
-    )
+from .subgroup import CodeGroup, code_type
 
 
 def analyze(C: CodeGroup, verify: bool = False) -> dict:
-    """Full analysis pipeline as a plain dict with a fixed field set.
+    """The report of C: a plain dict with a fixed field set, each invariant
+    read into it in turn, so the first stage that raises raises first.
 
     Fields are always present; shape, epsilon and normalized_generators
-    are null for non-Hadamard inputs.  With ``verify`` every pair of routes
-    runs first (``oracles.verify``), so a disagreement raises before any
-    report is built; the report itself does not depend on it.
+    are null for non-Hadamard inputs, and the bounds of a Hadamard input
+    are the rows of ``check_bounds`` and then those of ``hadamard_bounds``.
+    With ``verify`` every pair of routes runs first (``oracles.verify``),
+    so a disagreement raises before any report is built; the report
+    itself does not depend on it.
     """
     if verify:
         oracles.verify(C)
-    report = structure_report(C)
-    shape = None
-    epsilon: Optional[int] = None
-    normalized = None
-    bounds = report.bounds
-    if report.is_hadamard:
-        shape_obj = classify_shape(C)
-        shape = shape_obj.tag
-        epsilon = shape_obj.witness.epsilon
-        normalized = {
-            "xs": [" ".join(w.tokens()) for w in shape_obj.witness.xs],
-            "ys": [" ".join(w.tokens()) for w in shape_obj.witness.ys],
-            "zs": [" ".join(w.tokens()) for w in shape_obj.witness.zs],
-            "structure": shape_obj.structure,
-        }
-        bounds = bounds + hadamard_bounds(C)
-    return {
+    payload = {
         "signature": {
             "k1": C.sig.k1,
             "k2": C.sig.k2,
@@ -90,23 +41,36 @@ def analyze(C: CodeGroup, verify: bool = False) -> dict:
             "l": C.sig.l,
         },
         "order": C.order,
-        "type": list(report.type.as_tuple()),
-        "rank": report.rank,
-        "kernel_dim": report.kernel_dim,
-        "is_linear": report.is_linear,
-        "is_abelian": report.is_abelian,
-        "is_hadamard": report.is_hadamard,
-        "shape": shape,
-        "epsilon": epsilon,
+        "type": list(code_type(C).as_tuple()),
+        "rank": rank(C),
+        "kernel_dim": kernel_dim(C),
+        "is_linear": is_linear(C),
+        "is_abelian": is_abelian(C),
+        "is_hadamard": is_hadamard(C),
+        "shape": None,
+        "epsilon": None,
         "weight_distribution": {
-            str(w): c for w, c in sorted(report.weight_distribution.items())
+            str(w): c for w, c in sorted(weight_distribution(C).items())
         },
-        "bounds": [
-            {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok}
-            for c in bounds.checks
-        ],
-        "normalized_generators": normalized,
+        "bounds": list(map(_row, check_bounds(C).checks)),
+        "normalized_generators": None,
     }
+    if payload["is_hadamard"]:
+        shape = classify_shape(C)
+        payload["shape"] = shape.tag
+        payload["epsilon"] = shape.epsilon
+        payload["normalized_generators"] = {
+            "xs": [" ".join(w.tokens()) for w in shape.witness.xs],
+            "ys": [" ".join(w.tokens()) for w in shape.witness.ys],
+            "zs": [" ".join(w.tokens()) for w in shape.witness.zs],
+            "structure": shape.structure,
+        }
+        payload["bounds"] += map(_row, hadamard_bounds(C).checks)
+    return payload
+
+
+def _row(c: BoundCheck) -> dict:
+    return {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok}
 
 
 _FIELDS = frozenset({

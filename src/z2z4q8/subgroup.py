@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial, wraps
-from itertools import chain, product, starmap
+from itertools import chain, product, starmap, takewhile
 from operator import xor
 from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
@@ -690,7 +690,7 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     is scanned stays dependent, so the scan picks minima only.  The y's are
     the minima of the radical's cosets (``_radical``), the z's those of all
     cosets, each in key order, taken when the index is independent of the
-    indices taken before.  The set is checked by ``verify_standard``,
+    indices taken before, until k are taken.  The set is checked by ``verify_standard``,
     which locates those indices again from the words.
     """
     low = (1 << C.sig.n) - 1
@@ -700,7 +700,9 @@ def standard_generators(C: CodeGroup) -> StandardGenSet:
     scan = sorted(range(len(keys)), key=keys.__getitem__)
     taken = gf2.Gf2Basis()  # the span of the indices taken so far
     ys = [v for v in scan if v in radical and taken.add(v)]
-    zs = [v for v in scan if taken.add(v)]
+    # no index is independent of k taken ones, so the scan stops there
+    spanning = takewhile(lambda _: taken.rank < len(C.basis), scan)
+    zs = [v for v in spanning if taken.add(v)]
     minimum = partial(_coset_minimum, C)
     gens = StandardGenSet(xs, tuple(map(minimum, ys)), tuple(map(minimum, zs)))
     verify_standard(C, gens)

@@ -24,7 +24,6 @@ from z2z4q8 import (
     is_hadamard,
     kernel_dim,
     kronecker,
-    lift_and_extend,
     random_doubling_element,
     rank,
     structural_converse_check,
@@ -162,12 +161,12 @@ def test_generalized_kronecker_rejects_non_normalizing_element():
 
 def test_lift_and_extend_record():
     base = load_fixture("hadamard8_z4")
-    lifted_sig = GroupSignature(0, 0, 4)
-    result = lift_and_extend(base, parse_element("b b b a3b", lifted_sig))
-    assert is_hadamard(result.extended)
-    assert result.extended.order == 2 * result.lifted.order
-    assert rank(result.extended) == 6
-    assert kernel_dim(result.extended) == 3
+    lifted = xi_lift(base)
+    extended = extend(lifted, parse_element("b b b a3b", GroupSignature(0, 0, 4)))
+    assert is_hadamard(extended)
+    assert extended.order == 2 * lifted.order
+    assert rank(extended) == 6
+    assert kernel_dim(extended) == 3
 
 
 def test_lift_and_extend_refuses_an_oversized_input_at_its_extend():
@@ -178,17 +177,16 @@ def test_lift_and_extend_refuses_an_oversized_input_at_its_extend():
     x = parse_element("b b b a3b", GroupSignature(0, 0, 4))
     limit = base.order - 1
     with pytest.raises(EnumerationLimit, match=f"extension order exceeds max_order={limit}$"):
-        lift_and_extend(base, x, max_order=limit)
+        extend(xi_lift(base), x, max_order=limit)
 
 
 def test_xi_lift_is_one_group_per_input(monkeypatch, capsys):
-    """The lift is kept on its input under one key, so the CLI,
-    ``lift_and_extend`` and ``search`` get the one object ``xi_lift(C)``
-    returns, and C keeps one lift (three when the CLI and
-    ``lift_and_extend`` passed a max_order to it)."""
+    """The lift is kept on its input under one key, so the CLI, a second
+    call and ``search`` get the one object ``xi_lift(C)`` returns, and C
+    keeps one lift."""
     base = load_fixture("hadamard8_z4")
     lifted = xi_lift(base)
-    assert lift_and_extend(base, parse_element("b b b a3b", lifted.sig)).lifted is lifted
+    assert xi_lift(base) is lifted
 
     search_module = sys.modules["z2z4q8.search"]
     lifts = []  # (input, lift) of every call through the CLI and search
@@ -651,8 +649,7 @@ def _copy(C):
 
 def test_kronecker_coset_hit_equals_a_fresh_build(hadamard16):
     """Every g c with c in C gets the output built for g, and it equals the
-    output of g c on a fresh copy of C, with the same predicted type; the
-    result names the caller's element."""
+    output of g c on a fresh copy of C, with the same predicted type."""
     C = _copy(hadamard16)
     rng = random.Random(16)
     members = C.sorted_elements()
@@ -664,7 +661,6 @@ def test_kronecker_coset_hit_equals_a_fresh_build(hadamard16):
             hit = generalized_kronecker(C, g * c)
             fresh = generalized_kronecker(_copy(C), g * c)
             assert hit.output is first.output
-            assert hit.g == g * c and hit.input is C
             assert hit.output == fresh.output
             assert gray_codewords(hit.output) == gray_codewords(fresh.output)
             assert hit.predicted_type == fresh.predicted_type == code_type(fresh.output)

@@ -24,6 +24,7 @@ from z2z4q8 import (
     gray,
     normalize_generators,
     rank,
+    search,
     structural_converse_check,
     swapper,
     u_element,
@@ -82,22 +83,45 @@ def test_normalize_requires_hadamard(pure_q8):
 
 def test_normalize_generators_valid(hadamard16, shape5_32):
     for C in (hadamard16, shape5_32):
-        ngs = normalize_generators(C)
+        gens = normalize_generators(C)
         u = u_element(C.sig)
-        square_u = [z for z in ngs.zs if z * z == u]
+        square_u = [z for z in gens.zs if z * z == u]
         assert len(square_u) <= 2
         if len(square_u) == 2:
             assert commutator(square_u[0], square_u[1]) == u
-        assert ngs.epsilon <= 2
-        verify_standard(C, ngs.base)
+        verify_standard(C, gens)
+        eps = _pair_reorder(C, hadamard._indexed_zs(C, gens))[1]
+        assert eps <= 2
         # pair layout: leading consecutive equal squares, distinct afterwards
-        squares = [(z * z).coords for z in ngs.zs]
-        for t in range(ngs.epsilon):
+        squares = [(z * z).coords for z in gens.zs]
+        for t in range(eps):
             assert squares[2 * t] == squares[2 * t + 1]
-        tail = squares[2 * ngs.epsilon:] + [
-            squares[2 * t] for t in range(ngs.epsilon)
-        ]
+        tail = squares[2 * eps:] + [squares[2 * t] for t in range(eps)]
         assert len(tail) == len(set(tail))
+
+
+def _hadamard_groups():
+    """Every Hadamard fixture and every output of two pinned searches."""
+    groups = [load_fixture(name) for name in HADAMARD_FIXTURES]
+    for length, seed, budget in ((16, 1, 2500), (32, 5, 1500)):
+        found = search(length, seed=seed, budget=budget)
+        groups += [CodeGroup(f.signature, f.generators) for f in found]
+    return groups
+
+
+def test_normalized_sets_are_in_pair_order_and_the_shape_keeps_its_epsilon():
+    """``_pair_reorder`` leaves the z's of ``normalize_generators`` as they
+    are, so the walk of ``classify_shape`` may reorder on every pass, and
+    ``classify_shape(C).epsilon`` is the epsilon that ``_pair_reorder``
+    reads off the witness."""
+    groups = _hadamard_groups()
+    assert len(groups) > len(HADAMARD_FIXTURES)
+    for C in groups:
+        zs = hadamard._indexed_zs(C, normalize_generators(C))
+        assert _pair_reorder(C, zs)[0] == zs
+        shape = classify_shape(C)
+        witness_zs = hadamard._indexed_zs(C, shape.witness)
+        assert _pair_reorder(C, witness_zs) == (witness_zs, shape.epsilon)
 
 
 def test_listed_shape5_generators_are_normalized(shape5_32):
@@ -129,7 +153,7 @@ def test_shape_of_known_codes(hadamard16, shape5_32):
 def test_shape_witness_regenerates_group(hadamard16, shape5_32):
     for C in (hadamard16, shape5_32):
         shape = classify_shape(C)
-        gens = shape.witness.base.all()
+        gens = shape.witness.all()
         assert generate(list(gens)) == C
 
 
@@ -352,8 +376,8 @@ def test_normalization_substitutions_over_all_u_square_triples(shape5_32, monkey
         for perm in permutations([w for _, w in triple]):
             zs = tuple(perm) + (completion,)
             fresh = _starting_from(monkeypatch, C, StandardGenSet(xs, (), zs))
-            ngs = normalize_generators(fresh)
-            square_u = [z for z in ngs.zs if z * z == u]
+            normalized = normalize_generators(fresh)
+            square_u = [z for z in normalized.zs if z * z == u]
             assert len(square_u) <= 2
             if len(square_u) == 2:
                 assert commutator(square_u[0], square_u[1]) == u
@@ -634,11 +658,12 @@ def test_u_in_the_span_of_u_is_decided_on_indices_as_on_the_built_subgroup():
     checked = 0
     for name in HADAMARD_FIXTURES:
         C = load_fixture(name)
-        witness = classify_shape(C).witness
+        shape = classify_shape(C)
+        witness = shape.witness
         u = (1 << C.sig.n) - 1
-        v_set = _v_set(C, witness)
+        v_set = _v_set(C, shape)
         u_set = [(w, v) for w, v in v_set if (w * w).bits != u]
-        words = list(zip(witness.ys + witness.zs, verify_standard(C, witness.base)))
+        words = list(zip(witness.ys + witness.zs, verify_standard(C, witness)))
         targets = [u] + [(z * z).bits for z in witness.zs]
         for chosen in [u_set, v_set] + [words[:i] for i in range(len(words) + 1)]:
             for x in targets:

@@ -28,7 +28,6 @@ from z2z4q8 import (
     kernel_dim,
     rank,
     span_group,
-    structure_report,
     swapper,
     u_element,
     weight_distribution,
@@ -352,20 +351,14 @@ def test_check_bounds_linear_vacuous():
     assert rank(C) == kernel_dim(C)
 
 
-def test_structure_report_fields(hadamard16):
-    report = structure_report(hadamard16)
-    assert report.type.as_tuple() == (2, 0, 3)
-    assert report.m == 4
-    assert report.rank == 7
-    assert report.kernel_dim == 2
-    assert report.h == 7 - 5
-    assert report.is_hadamard and not report.is_linear
-    assert report.bounds.all_ok
-
-
-def test_structure_report_non_power_of_two():
-    C = load_fixture("hamming7_z2q8")
-    assert structure_report(C).m is None
+def test_analyze_reports_the_structure_fields(hadamard16):
+    payload = analyze(hadamard16)
+    assert payload["type"] == [2, 0, 3]
+    assert payload["rank"] == 7
+    assert payload["kernel_dim"] == 2
+    assert payload["rank"] - sum(payload["type"]) == 7 - 5
+    assert payload["is_hadamard"] and not payload["is_linear"]
+    assert all(row["ok"] for row in payload["bounds"])
 
 
 def test_nonlinear_kernel_gap_random():
@@ -450,7 +443,7 @@ def test_analyze_verify_compares_with_the_presentation_kernel(monkeypatch):
     assert analyze(C)["kernel_dim"] == C.log2_order
     monkeypatch.setattr(invariants_module, "_kernel_cosets", lambda C: (0,))
     C = load_fixture("hadamard8_z4")
-    built = count_calls(monkeypatch, report_module, "structure_report")
+    built = count_calls(monkeypatch, report_module, "check_bounds")
     with pytest.raises(RuntimeError, match="kernel_dim disagrees with"):
         analyze(C, verify=True)
     assert built == Counter()

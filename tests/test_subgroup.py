@@ -36,6 +36,7 @@ from z2z4q8 import (
 )
 from z2z4q8.fixtures import fixture_text, fixtures, load_fixture
 import z2z4q8.subgroup as subgroup_module
+import z2z4q8.gf2 as gf2
 from z2z4q8.gf2 import span
 from z2z4q8.oracles import (
     _coset_table,
@@ -197,6 +198,24 @@ def test_standard_generators_random_groups():
         )
         C = random_subgroup(sig, rng, rng.choice((1, 2, 3)))
         verify_standard(C, standard_generators(C))
+
+
+def test_standard_generators_stop_the_z_scan_at_k_independent_indices(monkeypatch):
+    """The z scan stops at the k-th independent index, as no later one can
+    be independent: on ``hadamard32_q8_shape5`` (k = 4, delta = 0) one call
+    adds each radical index and each index scanned up to the last z, 10 in
+    all, where a scan of all 2^k indices adds 17."""
+    C = load_fixture("hadamard32_q8_shape5")
+    keys, radical = subgroup_module._minimum_keys(C), subgroup_module._radical(C)
+    subgroup_module._key_basis(C)
+    real, adds = gf2.Gf2Basis.add, []
+    monkeypatch.setattr(gf2.Gf2Basis, "add", lambda self, v: adds.append(v) or real(self, v))
+    gens = standard_generators(C)
+    scan = sorted(range(len(keys)), key=keys.__getitem__)
+    last_z = verify_standard(C, gens)[-1]
+    assert len(C.basis) == len(gens.ys) + len(gens.zs) == 4
+    assert len(adds) == len(radical) + scan.index(last_z) + 1 == 10
+    assert len(radical) + len(keys) == 17
 
 
 # -- standard generators against the closure scan -----------------------
@@ -552,12 +571,12 @@ def test_shape_analysis_verifies_each_distinct_set_once(monkeypatch):
     calls = count_calls(monkeypatch, subgroup_module, "_locate", "_form_row")
     shape = classify_shape(C)
     assert code_type(C).as_tuple() == (3, 2, 0) and shape.tag == 1
-    assert shape.witness.base == standard_generators(C)
+    assert shape.witness == standard_generators(C)
     assert calls == Counter({"_locate": 2, "_form_row": 2})
     D = load_fixture("hadamard16_q8")
     calls.clear()
     shape = classify_shape(D)
-    sets = {standard_generators(D), normalize_generators(D).base, shape.witness.base}
+    sets = {standard_generators(D), normalize_generators(D), shape.witness}
     assert code_type(D).as_tuple() == (2, 0, 3) and shape.tag == 2 and len(sets) == 3
     assert calls == Counter({"_locate": 9, "_form_row": 9})
 
