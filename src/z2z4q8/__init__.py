@@ -53,14 +53,15 @@ from .invariants import (
     binary_kernel,
     check_bounds,
     is_abelian,
+    is_extended_perfect,
     is_linear,
+    is_perfect,
     kernel_dim,
     rank,
     span_group,
     swapper,
     weight_distribution,
 )
-from .oracles import is_extended_perfect, is_perfect
 from .parsing import ParseError, format_generators, parse_element, parse_generators
 from .report import analyze, render_json, render_summary
 from .search import FoundCode, search
@@ -79,8 +80,8 @@ from .subgroup import (
     torsion,
 )
 
-# the oracles stay importable as ``z2z4q8.oracles``; of them only the
-# perfect-code checks, imported above, are public names
+# the second routes are ``z2z4q8.oracles``, which this package does not
+# import: ``import z2z4q8.oracles`` loads them
 __all__ = [
     "BinaryVector", "BoundCheck", "BoundReport", "ClassificationError",
     "CodeGroup", "CodeType", "ConstructionError", "ConverseResult",

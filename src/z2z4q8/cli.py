@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from . import oracles
 from .constructions import (
     ConstructionError,
     extend,
@@ -32,11 +33,10 @@ def _load_group(path: str, max_order: int) -> CodeGroup:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     C = _load_group(args.file, args.max_order)
-    payload = analyze(C, verify=args.verify)
-    if args.json:
-        sys.stdout.write(render_json(payload))
-    else:
-        sys.stdout.write(render_summary(payload))
+    if args.verify:
+        oracles.verify(C)
+    render = render_json if args.json else render_summary
+    sys.stdout.write(render(analyze(C)))
     return 0
 
 

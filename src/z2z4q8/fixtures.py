@@ -21,8 +21,7 @@ from .constructions import (
     xi_lift,
 )
 from .hadamard import is_hadamard
-from .invariants import span_group, swapper
-from .oracles import is_extended_perfect, is_perfect
+from .invariants import is_extended_perfect, is_perfect, span_group, swapper
 from .parsing import parse_element, parse_generators
 from .report import analyze
 from .subgroup import CodeGroup, group_kernel, torsion

@@ -7,9 +7,10 @@ group D and the binary kernel are built from the same table; the pair
 checklist of ``check_bounds`` reads the 2^k squares of the coset words
 (``_coset_squares``) packed as lanes of one int, with one step per basis
 bit; the lanes, the span and the eliminations are ``gf2``'s.  Only the
-weight count reads all of Gray(C), as a stream.  Each fact is computed
-once, by one route; the second routes are in ``oracles``, and
-``oracles.verify`` runs them.
+weight count and the perfect-code brute force (``is_perfect``,
+``is_extended_perfect``, n <= 16) read all of Gray(C), as a stream.  Each
+fact is computed once, by one route; the second routes are in
+``oracles``, and ``oracles.verify`` runs them.
 """
 
 from __future__ import annotations
@@ -310,3 +311,43 @@ def _pairwise_checks(C: CodeGroup) -> List[BoundCheck]:
             0,
         ),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Perfect and extended perfect codes (covering-radius brute force)
+# ---------------------------------------------------------------------------
+
+_BRUTE_FORCE_LIMIT = 16
+
+
+def _is_perfect_set(codewords: frozenset, n: int) -> bool:
+    """Radius-1 spheres around the codewords partition Z2^n."""
+    if len(codewords) * (n + 1) != 1 << n:
+        return False
+    # the balls have n + 1 words each, so they partition iff they cover
+    balls = {c ^ e for c in codewords for e in (0, *(1 << i for i in range(n)))}
+    return len(balls) == 1 << n
+
+
+def _brute_force_codewords(C: CodeGroup) -> frozenset:
+    """Gray(C) as a set, for a length the brute force takes (n <= 16)."""
+    if C.sig.n > _BRUTE_FORCE_LIMIT:
+        raise ValueError(f"perfect-code brute force needs n <= {_BRUTE_FORCE_LIMIT}")
+    return frozenset(_gray_stream(C))
+
+
+def is_perfect(C: CodeGroup) -> bool:
+    return _is_perfect_set(_brute_force_codewords(C), C.sig.n)
+
+
+def is_extended_perfect(C: CodeGroup) -> bool:
+    """Puncture the first binary coordinate and test perfection.
+
+    All codewords must have even weight, and puncturing must keep them
+    distinct.
+    """
+    codewords = _brute_force_codewords(C)
+    if any(b.bit_count() % 2 for b in codewords):
+        return False
+    punctured = frozenset(b >> 1 for b in codewords)
+    return len(punctured) == len(codewords) and _is_perfect_set(punctured, C.sig.n - 1)

@@ -4,12 +4,11 @@ presentation (``subgroup._present``), and ``verify``, which runs them.
 Each route here reaches a fact by another way than the hot path does: by
 building all of Gray(C) or the words of C, by scanning Z2^n, by testing
 the 2^k coset representatives one against another, or by relabeling the
-ambient group.  ``verify(C)`` runs
-every pair of routes and raises ``RuntimeError`` naming the pair that
-disagrees; ``analyze(C, verify=True)`` and ``analyze --verify`` call it,
-and the tests call it and the routes themselves.  Nothing on the hot path
-imports this module; ``fixtures`` also reads the perfect-code brute force
-for its sphere-partition cases.
+ambient group.  ``verify(C)`` runs every pair of routes and raises
+``RuntimeError`` naming the pair that disagrees; ``analyze --verify``
+calls it before ``report.analyze``, and the tests call it and the routes
+themselves.  No package module but ``cli`` imports this one, so
+``import z2z4q8`` does not load it.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .hadamard import (
     is_hadamard,
 )
 from .invariants import (
+    _BRUTE_FORCE_LIMIT,
     _pairwise_checks,
     check_bounds,
     kernel_dim,
@@ -59,7 +59,6 @@ from .subgroup import (
     torsion,
 )
 
-_BRUTE_FORCE_LIMIT = 16
 _VERIFY_MAX_ORDER = 1 << 10
 
 
@@ -485,7 +484,8 @@ def _agree(ok: bool, route: str, oracle: str) -> None:
 
 def verify(C: CodeGroup) -> None:
     """Run every pair of routes on C; RuntimeError names the pair that
-    disagrees.
+    disagrees.  ``analyze --verify`` runs it before ``report.analyze``, so
+    a disagreement is reported before any report is built.
 
     - the words: ``CodeGroup.elements`` against the closure of the
       generators;
@@ -614,40 +614,3 @@ def verify(C: CodeGroup) -> None:
 def _relabeled_facts(C: CodeGroup) -> tuple:
     """The facts of C that every ``Relabeling`` keeps."""
     return code_type(C), rank(C), kernel_dim(C), weight_distribution(C), check_bounds(C)
-
-
-# ---------------------------------------------------------------------------
-# Perfect and extended perfect codes (covering-radius brute force)
-# ---------------------------------------------------------------------------
-
-
-def _is_perfect_set(codewords: frozenset, n: int) -> bool:
-    """Radius-1 spheres around the codewords partition Z2^n."""
-    if len(codewords) * (n + 1) != 1 << n:
-        return False
-    # the balls have n + 1 words each, so they partition iff they cover
-    balls = {c ^ e for c in codewords for e in (0, *(1 << i for i in range(n)))}
-    return len(balls) == 1 << n
-
-
-def is_perfect(C: CodeGroup) -> bool:
-    n = C.sig.n
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"perfect-code brute force needs n <= {_BRUTE_FORCE_LIMIT}")
-    return _is_perfect_set(gray_codewords(C), n)
-
-
-def is_extended_perfect(C: CodeGroup) -> bool:
-    """Puncture the first binary coordinate and test perfection.
-
-    All codewords must have even weight, and puncturing must keep them
-    distinct.
-    """
-    n = C.sig.n
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"perfect-code brute force needs n <= {_BRUTE_FORCE_LIMIT}")
-    codewords = gray_codewords(C)
-    if any(b.bit_count() % 2 for b in codewords):
-        return False
-    punctured = frozenset(b >> 1 for b in codewords)
-    return len(punctured) == len(codewords) and _is_perfect_set(punctured, n - 1)

@@ -85,7 +85,10 @@ def format_generators(
     words: List[GroupWord],
     comment: Optional[str] = None,
 ) -> str:
-    """Render a generator file; parse(format(...)) round-trips."""
+    """Render a generator file; parse(format(...)) round-trips, so an empty
+    ``words``, which no generator file holds, raises ``ValueError``."""
+    if not words:
+        raise ValueError("a generator file needs at least one gen line")
     lines = []
     if comment:
         lines.extend(f"# {line}" for line in comment.splitlines())

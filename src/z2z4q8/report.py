@@ -5,7 +5,6 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _string
 from typing import List, Optional
 
-from . import oracles
 from .hadamard import classify_shape, hadamard_bounds, is_hadamard
 from .invariants import (
     BoundCheck,
@@ -19,19 +18,16 @@ from .invariants import (
 from .subgroup import CodeGroup, code_type
 
 
-def analyze(C: CodeGroup, verify: bool = False) -> dict:
+def analyze(C: CodeGroup) -> dict:
     """The report of C: a plain dict with a fixed field set, each invariant
     read into it in turn, so the first stage that raises raises first.
 
     Fields are always present; shape, epsilon and normalized_generators
     are null for non-Hadamard inputs, and the bounds of a Hadamard input
     are the rows of ``check_bounds`` and then those of ``hadamard_bounds``.
-    With ``verify`` every pair of routes runs first (``oracles.verify``),
-    so a disagreement raises before any report is built; the report
-    itself does not depend on it.
+    Each fact is read by its one route; the second routes are run by
+    ``oracles.verify(C)``, which ``analyze --verify`` calls first.
     """
-    if verify:
-        oracles.verify(C)
     payload = {
         "signature": {
             "k1": C.sig.k1,

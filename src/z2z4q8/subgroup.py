@@ -788,6 +788,6 @@ def group_kernel(C: CodeGroup) -> CodeGroup:
     Gray is injective, so [x, y] lies in C exactly when its Gray bits lie
     in Gray(C), and Gray(K(C)) is the binary kernel of Gray(C).  The
     |C|^2 scan of every pair is ``oracles.swapper_scan_kernel``, run in
-    the tests and by ``oracles.verify`` (``analyze(verify=True)``).
+    the tests and by ``oracles.verify`` (``analyze --verify``).
     """
     return _cosets_where(C, _kernel_cosets(C))

@@ -68,12 +68,18 @@ def test_analyze_summary(tmp_path, capsys):
 
 
 def test_analyze_verify(tmp_path, capsys):
-    path = _write(tmp_path, PURE)
-    assert main(["analyze", path, "--json"]) == 0
-    plain = capsys.readouterr().out
-    assert main(["analyze", path, "--verify", "--json"]) == 0
-    assert capsys.readouterr().out == plain
-    assert json.loads(plain)["kernel_dim"] == 1
+    """``--verify`` adds checks and changes no byte of the report: on a
+    Hadamard code it classifies the shape first, and the report reads the
+    shape kept on the group."""
+    for text, kernel_dim in ((PURE, 1), (fixture_text("hadamard16_q8"), 2)):
+        path = _write(tmp_path, text)
+        plain = []
+        for form in (["--json"], []):
+            assert main(["analyze", path, *form]) == 0
+            plain.append(capsys.readouterr().out)
+            assert main(["analyze", path, "--verify", *form]) == 0
+            assert capsys.readouterr() == (plain[-1], "")
+        assert json.loads(plain[0])["kernel_dim"] == kernel_dim
     with pytest.raises(SystemExit):  # the flag it replaces is gone
         main(["analyze", path, "--full-kernel-check"])
 

@@ -41,12 +41,13 @@ from z2z4q8.hadamard import (
     _pair_reorder,
     _v_set,
 )
+from z2z4q8.invariants import _is_perfect_set
 from z2z4q8.oracles import (
-    _is_perfect_set,
     _reduced_swappers,
     _swapper_bits,
     generated_by_presentation,
     gray_codewords,
+    verify,
 )
 from z2z4q8.subgroup import (
     StandardGenSet,
@@ -637,13 +638,14 @@ def test_the_shape_is_kept_on_the_group(hadamard16):
 
 
 def test_one_walk_serves_the_report_the_bounds_and_the_converse(monkeypatch):
-    """The shape is classified once per group: ``analyze`` with its second
-    routes, ``hadamard_bounds`` and ``structural_converse_check`` on a
-    fresh ``hadamard16_q8`` normalize its generators once (4 times when
-    each took or made its own shape)."""
+    """The shape is classified once per group: the second routes
+    (``verify``), ``analyze``, ``hadamard_bounds`` and
+    ``structural_converse_check`` on a fresh ``hadamard16_q8`` normalize
+    its generators once (4 times when each took or made its own shape)."""
     C = load_fixture("hadamard16_q8")
     calls = count_calls(monkeypatch, hadamard, "normalize_generators")
-    analyze(C, verify=True)
+    verify(C)
+    analyze(C)
     hadamard_bounds(C)
     structural_converse_check(C)
     assert calls == {"normalize_generators": 1}

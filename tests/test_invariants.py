@@ -33,11 +33,13 @@ from z2z4q8 import (
     weight_distribution,
     word_from_tokens,
 )
+import z2z4q8.cli as cli_module
 import z2z4q8.gf2 as gf2
 import z2z4q8.invariants as invariants_module
 import z2z4q8.oracles as oracles_module
 import z2z4q8.report as report_module
 import z2z4q8.subgroup as subgroup_module
+from z2z4q8.cli import main
 from z2z4q8.fixtures import fixture_text, load_fixture
 from z2z4q8.gf2 import Gf2Basis
 from z2z4q8.invariants import _kernel_cosets
@@ -50,7 +52,7 @@ from z2z4q8.oracles import (
     translation_kernel,
     verify,
 )
-from z2z4q8.parsing import parse_generators
+from z2z4q8.parsing import format_generators, parse_generators
 from z2z4q8.report import analyze, render_json
 from z2z4q8.search import search
 
@@ -434,18 +436,28 @@ def test_kernel_second_route_catches_a_wrong_null_space(monkeypatch):
         verify(C)
 
 
-def test_analyze_verify_compares_with_the_presentation_kernel(monkeypatch):
+def test_analyze_verify_compares_with_the_presentation_kernel(
+    monkeypatch, tmp_path, capsys
+):
     """The null-space route is made to keep T only; K of this abelian Z4
-    code is all of C, so ``analyze(verify=True)`` raises before it builds a
-    report, and without ``verify`` it reports the wrong kernel."""
+    code is all of C, so ``analyze --verify`` fails before it builds a
+    report, and ``analyze`` alone reports the wrong kernel."""
+    path = tmp_path / "code.gens"
+    path.write_text(fixture_text("hadamard8_z4"), encoding="utf-8")
+    args = ["analyze", str(path), "--json"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main(args + ["--verify"]) == 0
+    assert capsys.readouterr().out == plain
     C = load_fixture("hadamard8_z4")
-    assert analyze(C, verify=True) == analyze(C)
     assert analyze(C)["kernel_dim"] == C.log2_order
     monkeypatch.setattr(invariants_module, "_kernel_cosets", lambda C: (0,))
     C = load_fixture("hadamard8_z4")
     built = count_calls(monkeypatch, report_module, "check_bounds")
-    with pytest.raises(RuntimeError, match="kernel_dim disagrees with"):
-        analyze(C, verify=True)
+    assert main(args + ["--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert "kernel_dim disagrees with" in err
+    assert out == ""
     assert built == Counter()
     assert analyze(C)["kernel_dim"] < C.log2_order
 
@@ -552,10 +564,13 @@ def test_verify_names_the_pair_that_disagrees(
     assert str(raised.value) == f"verify: {route} disagrees with {oracle}"
 
 
-def test_verify_refuses_large_groups_before_any_route_runs(monkeypatch):
+def test_verify_refuses_large_groups_before_any_route_runs(
+    monkeypatch, tmp_path, capsys
+):
     """The |C|^2 swapper scan sets verify's limit: the 2^14 group of
     ``test_rank_and_kernel_past_the_span_group_limit`` is refused at once,
-    with no word built and no other oracle run."""
+    by ``verify`` and by ``analyze --verify`` on its generator file, with
+    no word built and no other oracle run."""
     names = [
         name
         for name, fn in vars(oracles_module).items()
@@ -571,24 +586,44 @@ def test_verify_refuses_large_groups_before_any_route_runs(monkeypatch):
     assert C.order == 1 << 14
     with pytest.raises(EnumerationLimit, match=r"\|C\|\^2 swapper scan needs"):
         verify(C)
-    with pytest.raises(EnumerationLimit, match="swapper scan"):
-        analyze(C, verify=True)
-    assert "elements" not in vars(C)
+    loaded = []
+    real_load = cli_module._load_group
+
+    def load(*args):
+        loaded.append(real_load(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli_module, "_load_group", load)
+    path = tmp_path / "code.gens"
+    path.write_text(format_generators(sig, gens), encoding="utf-8")
+    assert main(["analyze", str(path), "--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert "swapper scan" in err and out == ""
+    assert [D.order for D in loaded] == [C.order]
+    assert all("elements" not in vars(D) for D in (C, *loaded))
     assert oracles == Counter()
 
 
 def test_hot_path_runs_no_enumerating_oracle(monkeypatch):
     """analyze, render_json and search read rank and kernel from the
-    presentation: no function of ``oracles`` runs, nor do the span group
-    and the two kernels, which nothing there needs."""
+    presentation: no function of ``oracles`` runs, nor do the span group,
+    the two kernels and the perfect-code brute force, which nothing there
+    needs."""
     names = [
         name
         for name, fn in vars(oracles_module).items()
         if callable(fn) and getattr(fn, "__module__", None) == oracles_module.__name__
     ]
-    assert {"gray_codewords", "swapper_scan_kernel", "is_perfect"} <= set(names)
+    assert {"gray_codewords", "swapper_scan_kernel"} <= set(names)
     oracles = count_calls(monkeypatch, oracles_module, *names)
-    readers = count_calls(monkeypatch, invariants_module, "span_group", "binary_kernel")
+    readers = count_calls(
+        monkeypatch,
+        invariants_module,
+        "span_group",
+        "binary_kernel",
+        "is_perfect",
+        "is_extended_perfect",
+    )
     kernels = count_calls(monkeypatch, subgroup_module, "group_kernel")
     assert len(SHIPPED_FIXTURES) == 21
     for name in SHIPPED_FIXTURES:

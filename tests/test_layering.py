@@ -1,17 +1,19 @@
-"""The second routes stay in ``oracles``, each with a caller; the public
-names are fixed; every bound row states its relation once; and the package
-modules import one another only at module level, without a cycle."""
+"""The second routes stay in ``oracles``, each reached from ``verify``,
+and no package module but ``cli`` imports it; the public names are fixed;
+every bound row states its relation once; and the package modules import
+one another only at module level, without a cycle."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import z2z4q8
-
-HOT_MODULES = ("subgroup", "invariants", "hadamard", "constructions", "search")
 
 PUBLIC_NAMES = [
     "BinaryVector", "BoundCheck", "BoundReport", "ClassificationError",
@@ -53,7 +55,7 @@ PUBLIC_SIGNATURES = {
     "Shape": ("tag", "witness", "epsilon", "structure", "trail"),
     "SignatureMismatch": None,
     "StandardGenSet": ("xs", "ys", "zs"),
-    "analyze": ("C", "verify"),
+    "analyze": ("C",),
     "binary_kernel": ("C",),
     "center": ("C",),
     "check_bounds": ("C",),
@@ -131,13 +133,36 @@ def _imports_oracles(node: ast.AST) -> bool:
 
 
 def test_hot_modules_import_no_oracle_and_define_no_moved_name():
+    """The second routes are a leaf: no package module but ``cli``
+    (``analyze --verify``) imports ``oracles``, and none defines a name
+    that ``oracles`` defines."""
     moved = _top_level_names(_tree("oracles"))
-    assert {"gray_codewords", "gray_basis", "_swapper_bits", "is_perfect", "_products"} <= moved
+    assert {"gray_codewords", "gray_basis", "_swapper_bits", "_products"} <= moved
     assert {"translation_kernel", "full_space_kernel", "swapper_scan_kernel"} <= moved
-    for module in HOT_MODULES:
+    for module in _package_modules():
+        if module in ("cli", "oracles"):
+            continue
         tree = _tree(module)
         assert not any(_imports_oracles(node) for node in ast.walk(tree)), module
         assert not moved & _top_level_names(tree), module
+
+
+def test_importing_the_library_leaves_the_oracles_unloaded():
+    """``import z2z4q8`` and the report and fixture modules do not load
+    ``z2z4q8.oracles``; only ``import z2z4q8.oracles`` (or the CLI) does."""
+    src = str(Path(z2z4q8.__file__).resolve().parents[1])
+    code = (
+        "import sys, z2z4q8, z2z4q8.report, z2z4q8.fixtures; "
+        "print('z2z4q8.oracles' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 def test_gf2_imports_no_package_module_and_no_module_redefines_its_names():
@@ -160,20 +185,15 @@ def test_conftest_defines_no_oracle():
     assert not oracles & _top_level_names(ast.parse(conftest))
 
 
-def test_every_oracle_is_reached_by_verify_or_the_fixtures():
+def test_every_oracle_is_reached_by_verify():
     """Walk the calls between the functions of ``oracles.py`` from
-    ``verify`` and from the names ``fixtures.py`` imports from it."""
+    ``verify``."""
     functions = {
         node.name: node
         for node in _tree("oracles").body
         if isinstance(node, ast.FunctionDef)
     }
-    roots = {"verify"}
-    for node in ast.walk(_tree("fixtures")):
-        if _imports_oracles(node):
-            roots.update(a.name for a in node.names)
-    assert {"is_perfect", "is_extended_perfect"} <= roots
-    reached, frontier = set(), list(roots)
+    reached, frontier = set(), ["verify"]
     while frontier:
         name = frontier.pop()
         if name in reached:
@@ -297,7 +317,8 @@ def test_package_modules_import_at_module_level_and_without_a_cycle():
                 inner = [m for node in ast.walk(fn) for m in _package_imports(node)]
                 assert not inner, (module, fn.name, inner)
         graph[module] = {m for node in ast.walk(tree) for m in _package_imports(node)}
-    assert graph["report"] >= {"hadamard", "invariants", "oracles", "subgroup"}
+    assert graph["report"] >= {"hadamard", "invariants", "subgroup"}
+    assert "oracles" in graph["cli"]
     done, path = set(), []
 
     def visit(module):

@@ -77,6 +77,13 @@ def test_format_with_comment_round_trips():
     assert parse_generators(rendered) == (sig, gens)
 
 
+def test_format_refuses_an_empty_word_list():
+    """A file of no gen lines would not parse back ("no gen lines"), so
+    ``format_generators`` does not write one."""
+    with pytest.raises(ValueError, match="at least one gen line"):
+        format_generators(GroupSignature(1, 0, 0), [])
+
+
 def test_parse_element_literal():
     sig = GroupSignature(1, 1, 1)
     w = parse_element("1 2 b3", sig)
